@@ -1,15 +1,15 @@
 //! Differential tests: the compiled engine must be bit-identical to the
-//! interpreter — signal snapshots **and** `StmtExec` records — on every
-//! design in `crates/designs` and a large RVDG-generated corpus, at every
-//! supported thread count. The 64-lane batch engine is held to the same
-//! oracle: traces extracted from any lane of any batch shape must equal the
-//! scalar compiled engine's output bit-for-bit.
+//! fixpoint interpreter — signal snapshots **and** `StmtExec` records — on
+//! every design in `crates/designs` and a large RVDG-generated corpus, at
+//! every supported thread count, in both trace modes (full traces and
+//! verdicts), whether stimuli run one per call or as 64-lane batches of any
+//! shape.
 
 use mutate::{BugBudget, Campaign};
 use rvdg::{Generator, RvdgConfig};
 use sim::{
-    CancelToken, EngineKind, SignalId, SignalRole, SignalSet, SimError, Simulator, TestbenchGen,
-    Trace, VerdictTrace,
+    CancelToken, EngineKind, SignalId, SignalRole, SignalSet, SimError, Simulator, Stimulus,
+    TestbenchGen, Trace, VerdictTrace,
 };
 use veribug::model::{ModelConfig, VeriBugModel};
 use veribug::train::{self, Dataset, TrainConfig};
@@ -21,39 +21,59 @@ const CYCLES: usize = 48;
 /// Independent stimuli per design.
 const STIMULI: usize = 3;
 
-/// Runs `module` through both engines on identical stimuli and returns the
-/// paired traces. Panics if the compiled simulator silently fell back to the
-/// interpreter when `expect_compiled` is set — a silent fallback would make
-/// the differential comparison vacuous.
-fn run_both(module: &Module, seed: u64, expect_compiled: bool) -> Vec<(Trace, Trace)> {
-    let mut compiled = Simulator::new(module).expect("compiled elaboration");
-    let mut interp = Simulator::interpreted(module).expect("interpreted elaboration");
-    assert_eq!(interp.engine_kind(), EngineKind::Interpreted);
+/// The compiled and interpreted simulators for `module`. Panics if the
+/// compiled simulator silently fell back to the interpreter when
+/// `expect_compiled` is set — a silent fallback would make the differential
+/// comparison vacuous.
+fn both_engines(module: &Module, expect_compiled: bool) -> (Simulator, Simulator) {
+    let compiled = Simulator::new(module).expect("compiled elaboration");
+    let interp = Simulator::interpreted(module).expect("interpreted elaboration");
+    assert_eq!(interp.batch_engine_kind(), EngineKind::Interpreted);
     if expect_compiled {
         assert_eq!(
-            compiled.engine_kind(),
-            EngineKind::Compiled,
+            compiled.batch_engine_kind(),
+            EngineKind::Batch,
             "design unexpectedly fell back to the interpreter"
         );
     }
-    let stimuli = TestbenchGen::new(seed).generate_many(compiled.netlist(), CYCLES, STIMULI);
+    (compiled, interp)
+}
+
+/// The interpreter's traces for `stimuli`, one run per stimulus: the
+/// oracle every compiled result is held to.
+fn interpreted_traces(interp: &mut Simulator, stimuli: &[Stimulus]) -> Vec<Trace> {
     stimuli
         .iter()
-        .map(|stim| {
-            let a = compiled.run(stim).expect("compiled run");
-            let b = interp.run(stim).expect("interpreted run");
-            (a, b)
-        })
+        .map(|st| interp.run(st).expect("interpreted run"))
         .collect()
 }
 
-fn assert_identical(name: &str, pairs: &[(Trace, Trace)]) {
-    for (i, (compiled, interp)) in pairs.iter().enumerate() {
+/// Asserts the compiled engine's traces match the interpreter's, stimulus
+/// by stimulus.
+fn assert_matches_interpreter(name: &str, compiled: &[Trace], interp: &[Trace]) {
+    assert_eq!(compiled.len(), interp.len(), "{name}: trace count");
+    for (i, (c, t)) in compiled.iter().zip(interp).enumerate() {
         assert_eq!(
-            compiled, interp,
+            c, t,
             "{name}: stimulus {i} diverged between compiled and interpreted engines"
         );
     }
+}
+
+/// Runs `module` on `STIMULI` seeded stimuli through the interpreter and
+/// through the compiled engine twice — as one batch and one stimulus per
+/// [`Simulator::run`] call — and asserts all three agree.
+fn check_full_traces(name: &str, module: &Module, seed: u64) {
+    let (mut compiled, mut interp) = both_engines(module, true);
+    let stimuli = TestbenchGen::new(seed).generate_many(compiled.netlist(), CYCLES, STIMULI);
+    let oracle = interpreted_traces(&mut interp, &stimuli);
+    let batched = compiled.run_batch(&stimuli).expect("batch run");
+    assert_matches_interpreter(&format!("{name} batch"), &batched, &oracle);
+    let single: Vec<Trace> = stimuli
+        .iter()
+        .map(|st| compiled.run(st).expect("single run"))
+        .collect();
+    assert_matches_interpreter(&format!("{name} single"), &single, &oracle);
 }
 
 /// Every Table I design, compiled vs interpreted, at 1/2/8 threads.
@@ -61,13 +81,10 @@ fn assert_identical(name: &str, pairs: &[(Trace, Trace)]) {
 fn designs_catalog_is_bit_identical_across_engines_and_threads() {
     for threads in [1usize, 2, 8] {
         par::with_threads(threads, || {
-            let results = par::par_map(&designs::catalog(), |d| {
+            par::par_map(&designs::catalog(), |d| {
                 let module = d.module().expect("design parses");
-                (d.name, run_both(&module, 0xD1FF_0001, true))
+                check_full_traces(d.name, &module, 0xD1FF_0001);
             });
-            for (name, pairs) in &results {
-                assert_identical(name, pairs);
-            }
         });
     }
 }
@@ -81,12 +98,9 @@ fn rvdg_corpus_is_bit_identical_across_engines_and_threads() {
     assert!(corpus.len() >= 100);
     for threads in [1usize, 2, 8] {
         par::with_threads(threads, || {
-            let results = par::par_map(&corpus, |d| {
-                (d.seed, run_both(&d.module, d.seed ^ 0xD1FF, true))
+            par::par_map(&corpus, |d| {
+                check_full_traces(&format!("rvdg seed {}", d.seed), &d.module, d.seed ^ 0xD1FF);
             });
-            for (seed, pairs) in &results {
-                assert_identical(&format!("rvdg seed {seed}"), pairs);
-            }
         });
     }
 }
@@ -106,9 +120,10 @@ fn rvdg_wide_corpus_is_bit_identical() {
         .generate_corpus(24)
         .expect("rvdg corpus generates");
     for d in &corpus {
-        assert_identical(
+        check_full_traces(
             &format!("rvdg-wide seed {}", d.seed),
-            &run_both(&d.module, d.seed ^ 0xA5A5, true),
+            &d.module,
+            d.seed ^ 0xA5A5,
         );
     }
 }
@@ -123,8 +138,6 @@ fn pipeline_fingerprint(corpus: &[Module]) -> (Vec<Trace>, Vec<u32>) {
         let stimuli = TestbenchGen::new(0xAB5)
             .with_hold_probability(0.8)
             .generate_many(s.netlist(), 24, 2);
-        // Batch path: the obs on/off comparison below must also hold for
-        // the lane-parallel engine, not just the scalar ones.
         s.run_batch(&stimuli).expect("simulates")
     })
     .into_iter()
@@ -186,75 +199,55 @@ fn obs_collection_never_perturbs_results() {
     }
 }
 
-/// Runs `n` stimuli through the batch engine and through the scalar compiled
-/// engine one at a time, returning the paired trace vectors. Panics if the
-/// design unexpectedly lacks a batch engine — that would make the
-/// comparison vacuous.
-fn run_batch_vs_scalar(module: &Module, seed: u64, n: usize) -> (Vec<Trace>, Vec<Trace>) {
-    let mut batch = Simulator::new(module).expect("batch elaboration");
-    assert_eq!(
-        batch.batch_engine_kind(),
-        EngineKind::Batch,
-        "design unexpectedly has no batch engine"
-    );
-    let mut scalar = Simulator::new(module).expect("scalar elaboration");
-    let stimuli = TestbenchGen::new(seed).generate_many(batch.netlist(), CYCLES, n);
-    let batched = batch.run_batch(&stimuli).expect("batch run");
-    let sequential: Vec<Trace> = stimuli
-        .iter()
-        .map(|st| scalar.run(st).expect("scalar run"))
-        .collect();
-    (batched, sequential)
+/// Runs `n` stimuli through the compiled engine as batches and through the
+/// interpreter one at a time, returning the paired trace vectors.
+fn run_batch_vs_interpreter(module: &Module, seed: u64, n: usize) -> (Vec<Trace>, Vec<Trace>) {
+    let (mut compiled, mut interp) = both_engines(module, true);
+    let stimuli = TestbenchGen::new(seed).generate_many(compiled.netlist(), CYCLES, n);
+    let batched = compiled.run_batch(&stimuli).expect("batch run");
+    (batched, interpreted_traces(&mut interp, &stimuli))
 }
 
-fn assert_lanes_identical(name: &str, batched: &[Trace], sequential: &[Trace]) {
-    assert_eq!(batched.len(), sequential.len(), "{name}: trace count");
-    for (i, (b, s)) in batched.iter().zip(sequential).enumerate() {
-        assert_eq!(
-            b, s,
-            "{name}: stimulus {i} diverged between batch and scalar engines"
-        );
-    }
-}
-
-/// Every Table I design, batch vs scalar, at lane counts that cover a single
-/// lane, an odd partial batch, both boundary fills (63/64), a spill into a
-/// second batch (65), and two full batches plus a partial tail (130).
+/// Every Table I design, batch vs interpreter, at lane counts that cover a
+/// single lane, an odd partial batch, both boundary fills (63/64), a spill
+/// into a second batch (65), and two full batches plus a partial tail (130).
 #[test]
-fn batch_engine_matches_scalar_across_lane_counts() {
+fn batch_engine_matches_interpreter_across_lane_counts() {
     for d in &designs::catalog() {
         let module = d.module().expect("design parses");
         for n in [1usize, 7, 63, 64, 65, 130] {
-            let (batched, sequential) = run_batch_vs_scalar(&module, 0xBA7C_0001 ^ n as u64, n);
-            assert_lanes_identical(&format!("{} n={n}", d.name), &batched, &sequential);
+            let (batched, oracle) = run_batch_vs_interpreter(&module, 0xBA7C_0001 ^ n as u64, n);
+            assert_matches_interpreter(&format!("{} n={n}", d.name), &batched, &oracle);
         }
     }
 }
 
-/// RVDG corpus, batch vs scalar, under the worker pool at 1/2/8 threads.
-/// Each design gets a partial batch (7 lanes) so mask bookkeeping runs with
-/// inactive high lanes while other designs simulate concurrently.
+/// RVDG corpus, batch vs interpreter, under the worker pool at 1/2/8
+/// threads. Each design gets a partial batch (7 lanes) so mask bookkeeping
+/// runs with inactive high lanes while other designs simulate concurrently.
 #[test]
-fn batch_matches_scalar_on_rvdg_corpus_across_threads() {
+fn batch_matches_interpreter_on_rvdg_corpus_across_threads() {
     let corpus = Generator::new(RvdgConfig::default(), 0xBA7C_0002)
         .generate_corpus(24)
         .expect("rvdg corpus generates");
     for threads in [1usize, 2, 8] {
         par::with_threads(threads, || {
             let results = par::par_map(&corpus, |d| {
-                (d.seed, run_batch_vs_scalar(&d.module, d.seed ^ 0x7EA7, 7))
+                (
+                    d.seed,
+                    run_batch_vs_interpreter(&d.module, d.seed ^ 0x7EA7, 7),
+                )
             });
-            for (seed, (batched, sequential)) in &results {
-                assert_lanes_identical(&format!("rvdg seed {seed}"), batched, sequential);
+            for (seed, (batched, oracle)) in &results {
+                assert_matches_interpreter(&format!("rvdg seed {seed}"), batched, oracle);
             }
         });
     }
 }
 
 /// Cancellation mid-batch: a poll-budget token fires at a deterministic
-/// cycle, the whole batch reports `Cancelled` (matching the scalar
-/// collect-everything-or-error contract), and the simulator recovers after
-/// the token is replaced.
+/// cycle, the whole batch reports `Cancelled` (the collect-everything-or-
+/// error contract), and the simulator recovers after the token is replaced.
 #[test]
 fn batch_cancellation_mid_batch_is_deterministic_and_recoverable() {
     let catalog = designs::catalog();
@@ -271,18 +264,16 @@ fn batch_cancellation_mid_batch_is_deterministic_and_recoverable() {
     );
     sim.set_cancel(CancelToken::new());
     let batched = sim.run_batch(&stimuli).expect("rerun after cancel");
-    let mut scalar = Simulator::new(&module).expect("elaborates");
-    let sequential: Vec<Trace> = stimuli
-        .iter()
-        .map(|st| scalar.run(st).expect("scalar run"))
-        .collect();
-    assert_lanes_identical("post-cancel rerun", &batched, &sequential);
+    let mut interp = Simulator::interpreted(&module).expect("elaborates");
+    let oracle = interpreted_traces(&mut interp, &stimuli);
+    assert_matches_interpreter("post-cancel rerun", &batched, &oracle);
 }
 
 /// Read-modify-write part/bit selects on a width-64 register under divergent
 /// masks: some lanes take the branch that flips bit 63 and rewrites a part
 /// select, others take the dynamic-bit-select path. The merged register
-/// state and the per-lane `StmtExec` records must match scalar exactly.
+/// state and the per-lane `StmtExec` records must match the interpreter
+/// exactly.
 #[test]
 fn part_select_rmw_at_bit_63_under_divergent_masks() {
     let unit = verilog::parse(
@@ -298,14 +289,14 @@ fn part_select_rmw_at_bit_63_under_divergent_masks() {
 endmodule",
     )
     .expect("parses");
-    let (batched, sequential) = run_batch_vs_scalar(unit.top(), 0x9E1, 64);
-    assert_lanes_identical("psel", &batched, &sequential);
+    let (batched, oracle) = run_batch_vs_interpreter(unit.top(), 0x9E1, 64);
+    assert_matches_interpreter("psel", &batched, &oracle);
 }
 
 /// Mixed-width concatenation feeding full-width and narrow registers, with
-/// per-lane shift-in bits, batch vs scalar across a full 64-lane batch.
+/// per-lane shift-in bits, batch vs interpreter across a full 64-lane batch.
 #[test]
-fn mixed_width_concat_across_lanes_matches_scalar() {
+fn mixed_width_concat_across_lanes_matches_interpreter() {
     let unit = verilog::parse(
         "module mwc(input clk, input a, input [6:0] b, input [3:0] s,
          output reg [63:0] y, output reg [11:0] z);
@@ -316,8 +307,8 @@ fn mixed_width_concat_across_lanes_matches_scalar() {
 endmodule",
     )
     .expect("parses");
-    let (batched, sequential) = run_batch_vs_scalar(unit.top(), 0x3C0C, 64);
-    assert_lanes_identical("mwc", &batched, &sequential);
+    let (batched, oracle) = run_batch_vs_interpreter(unit.top(), 0x3C0C, 64);
+    assert_matches_interpreter("mwc", &batched, &oracle);
 }
 
 /// Every design output, as a verdict-mode observed set.
@@ -347,28 +338,30 @@ fn expected_verdict(trace: &Trace, observed: &SignalSet) -> VerdictTrace {
     }
 }
 
-/// Runs `module` in verdict mode on every engine (scalar compiled,
-/// interpreter, 64-lane batch) and asserts each verdict equals the observed
-/// columns of the full-trace oracle: same values, and therefore the same
+/// Runs `module` in verdict mode on both engines — the compiled engine as
+/// one batch and one stimulus per call, the interpreter one stimulus per
+/// call — and asserts each verdict equals the observed columns of the
+/// interpreter's full traces: same values, and therefore the same
 /// diverged/first-divergence answers any screen would compute.
 fn assert_verdicts_match_full(name: &str, module: &Module, seed: u64, n: usize) {
-    let mut sim = Simulator::new(module).expect("compiled elaboration");
-    let mut interp = Simulator::interpreted(module).expect("interpreted elaboration");
-    let observed = output_set(&sim);
+    let (mut compiled, mut interp) = both_engines(module, true);
+    let observed = output_set(&compiled);
     assert!(!observed.is_empty(), "{name}: design has no outputs");
-    let stimuli = TestbenchGen::new(seed).generate_many(sim.netlist(), CYCLES, n);
-    let full: Vec<Trace> = stimuli
-        .iter()
-        .map(|st| sim.run(st).expect("full-trace oracle"))
-        .collect();
+    let stimuli = TestbenchGen::new(seed).generate_many(compiled.netlist(), CYCLES, n);
+    let full = interpreted_traces(&mut interp, &stimuli);
     for (i, (st, t)) in stimuli.iter().zip(&full).enumerate() {
-        let expect = expected_verdict(t, &observed);
-        let scalar = sim.run_verdict(st, &observed).expect("scalar verdict");
-        assert_eq!(scalar, expect, "{name}: stimulus {i} scalar verdict");
-        let interp_v = interp.run_verdict(st, &observed).expect("interp verdict");
+        let expect = [expected_verdict(t, &observed)];
+        let one = std::slice::from_ref(st);
+        let single = compiled
+            .run_batch_verdict(one, &observed)
+            .expect("single-stimulus verdict");
+        assert_eq!(single, expect, "{name}: stimulus {i} single verdict");
+        let interp_v = interp
+            .run_batch_verdict(one, &observed)
+            .expect("interp verdict");
         assert_eq!(interp_v, expect, "{name}: stimulus {i} interpreter verdict");
     }
-    let batched = sim
+    let batched = compiled
         .run_batch_verdict(&stimuli, &observed)
         .expect("batch verdict");
     assert_eq!(batched.len(), full.len(), "{name}: verdict count");
@@ -517,7 +510,7 @@ fn comb_loop_falls_back_and_still_errors() {
     )
     .expect("parses");
     let mut sim = Simulator::new(unit.top()).expect("elaborates");
-    assert_eq!(sim.engine_kind(), EngineKind::Interpreted);
+    assert_eq!(sim.batch_engine_kind(), EngineKind::Interpreted);
     let stim = sim::Stimulus {
         vectors: vec![sim::InputVector {
             assigns: vec![("a".into(), 1)],

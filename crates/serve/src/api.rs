@@ -248,7 +248,6 @@ pub fn render_report(report: &LocalizeReport) -> String {
         &mut out,
         match report.engine {
             sim::EngineKind::Batch => "batch",
-            sim::EngineKind::Compiled => "compiled",
             sim::EngineKind::Interpreted => "interpreted",
         },
     );

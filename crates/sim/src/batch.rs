@@ -1,31 +1,31 @@
-//! The bit-parallel batch execution engine: up to [`LANES`] stimuli per op.
+//! The compiled execution engine: bit-parallel bytecode over up to
+//! [`LANES`] stimuli per op.
 //!
-//! [`BatchEngine::build`] lowers a netlist into the same expression bytecode
-//! as the scalar compiled engine — it literally drives
+//! [`BatchEngine::build`] lowers a netlist at elaboration time: it drives
 //! [`crate::compile::Compiler`] for expressions and assignments, so slot
 //! allocation, static widths, and every fallback condition are decided in
-//! one place — but replaces the scalar engine's jump-encoded `if`/`case`
-//! with **structured mask operations**. Each signal and slab slot holds a
-//! [`BatchValue`] (one `u64` word per lane); one ALU op evaluates all lanes
-//! at once. Data-dependent control flow keeps a per-lane activity mask:
-//! when lanes disagree on a branch condition, both sides execute under
-//! complementary masks and only the active lanes of each side observe
-//! assignments, so per-lane [`StmtExec`] records and final traces stay
-//! bit-identical to running each stimulus through the scalar engine.
+//! one place, and lowers `if`/`case` into **structured mask operations**.
+//! Each signal and slab slot holds a [`BatchValue`] (one `u64` word per
+//! lane); one ALU op evaluates all lanes at once. Data-dependent control
+//! flow keeps a per-lane activity mask: when lanes disagree on a branch
+//! condition, both sides execute under complementary masks and only the
+//! active lanes of each side observe assignments, so per-lane [`StmtExec`]
+//! records and final traces stay bit-identical to running each stimulus
+//! through the fixpoint interpreter. A single stimulus is a one-lane batch.
 //!
 //! Divergence bookkeeping is plain word arithmetic because a mask is one
 //! `u64` (bit `l` = lane `l` active). Empty-mask branch bodies are skipped
 //! entirely via the structured ops' forward offsets, so converged batches
 //! pay no masking overhead beyond one test per branch.
 //!
-//! The scalar engine's dirty-set gate survives here **per lane**: every
+//! Combinational processes run once per cycle in the topological order
+//! computed by [`cdfg::levelize`], under a **per-lane dirty gate**: every
 //! signal keeps a changed-lanes mask, a process executes under a root mask
 //! of just its dirty lanes, and a clean lane re-uses its previous segment
-//! descriptor into the run-wide record arena — an 8-byte copy where the
-//! scalar engine's cache replay memcpys whole record runs. Re-executing
-//! nothing for a clean lane is sound for values too: its fanin is
-//! unchanged, so recomputed temporaries are identical and assignments are
-//! masked off.
+//! descriptor into the run-wide record arena — an 8-byte copy instead of
+//! re-recording. Re-executing nothing for a clean lane is sound for values
+//! too: its fanin is unchanged, so recomputed temporaries are identical and
+//! assignments are masked off.
 
 use std::sync::Arc;
 
@@ -40,12 +40,12 @@ use crate::trace::{Operands, SignalSet, StmtExec, Trace, VerdictTrace};
 use crate::value::{BatchValue, Value, LANES};
 use verilog::Stmt;
 
-/// One batch instruction: a scalar expression/assign op evaluated
-/// lane-wise, or a structured mask-control op.
+/// One batch instruction: an expression op evaluated lane-wise, a masked
+/// assignment, or a structured mask-control op.
 #[derive(Debug, Clone, Copy)]
 enum BOp {
-    /// Any non-jump, non-assign scalar [`Op`], evaluated on all lanes.
-    Scalar(Op),
+    /// An expression [`Op`], evaluated on all lanes.
+    Expr(Op),
     /// Masked assignment: resolve + record + apply per active lane.
     Assign { rhs: u16, meta: u32 },
     /// `if`: split the current mask on `slab[cond]`'s per-lane truthiness.
@@ -123,9 +123,10 @@ struct BatchState {
     frames: Vec<Frame>,
 }
 
-/// A compiled batch simulator for one netlist. The immutable [`BatchCode`]
-/// is shared (`Arc`) so forks are an `Arc` bump, mirroring the scalar
-/// engine.
+/// A compiled simulator for one netlist. The immutable [`BatchCode`] is
+/// shared (`Arc`) so [`BatchEngine::fork`] hands out independent runnable
+/// copies without recompiling — the basis of the serving layer's
+/// compiled-design cache.
 #[derive(Debug)]
 pub(crate) struct BatchEngine {
     code: Arc<BatchCode>,
@@ -134,8 +135,8 @@ pub(crate) struct BatchEngine {
 
 impl BatchEngine {
     /// Compiles a netlist against a precomputed [`Analysis`], or `None`
-    /// when lowering falls back (same conditions as the scalar engine, by
-    /// construction: the expression lowerer is shared).
+    /// when lowering hits a construct whose compiled behavior would differ
+    /// from the interpreter's (the caller then falls back).
     pub(crate) fn build(netlist: &Netlist, analysis: &Analysis) -> Option<BatchEngine> {
         let mut metas = Vec::new();
         let mut case_labels = Vec::new();
@@ -153,10 +154,7 @@ impl BatchEngine {
                 synced: 0,
             };
             match body {
-                Process::Assign(a) => {
-                    c.inner.assign(a)?;
-                    c.sync();
-                }
+                Process::Assign(a) => c.assign(a)?,
                 Process::Comb(blk) | Process::Seq(blk) => c.stmts(&blk.body)?,
             }
             slots = slots.max(c.inner.next_slot as usize);
@@ -202,9 +200,9 @@ impl BatchEngine {
     ///
     /// [`SimError::UnknownSignal`] / [`SimError::NotAnInput`] for bad
     /// stimulus assignments — reported for the same (stimulus, cycle,
-    /// assignment) the scalar sequential loop would hit first — and
-    /// [`SimError::Cancelled`] when `cancel` fires between cycles (the
-    /// whole batch is abandoned, matching the scalar loop where a fired
+    /// assignment) a stimulus-by-stimulus interpreter loop would hit first
+    /// — and [`SimError::Cancelled`] when `cancel` fires between cycles
+    /// (the whole batch is abandoned, like a sequential loop where a fired
     /// token fails every remaining run).
     ///
     /// # Panics
@@ -218,54 +216,9 @@ impl BatchEngine {
         stimuli: &[Stimulus],
         cancel: &CancelToken,
     ) -> Result<Vec<Trace>, SimError> {
-        let fill = stimuli.len();
-        assert!(
-            (1..=LANES).contains(&fill),
-            "batch fill {fill} out of 1..={LANES}"
-        );
-        let ncycles = stimuli[0].vectors.len();
-        assert!(
-            stimuli.iter().all(|s| s.vectors.len() == ncycles),
-            "batched stimuli must have equal cycle counts"
-        );
-        let fill_mask = if fill == LANES {
-            u64::MAX
-        } else {
-            (1u64 << fill) - 1
-        };
+        let (fill, ncycles, fill_mask) = batch_shape(stimuli);
 
-        // Pre-resolve every input assignment in the order the scalar
-        // sequential loop would encounter them (stimulus-major), so the
-        // first validation error matches the scalar engine's exactly.
-        // `input_ids[l]` is lane `l`'s signal ids concatenated over cycles.
-        // Stimuli drive the same handful of inputs every cycle, so a small
-        // linear-scan memo replaces ~lanes*cycles*inputs map lookups with
-        // one lookup per distinct name.
-        let mut memo: Vec<(&str, u32)> = Vec::new();
-        let mut input_ids: Vec<Vec<u32>> = Vec::with_capacity(fill);
-        for stim in stimuli {
-            let mut ids = Vec::new();
-            for vector in &stim.vectors {
-                for (name, _) in &vector.assigns {
-                    let id = match memo.iter().find(|(n, _)| *n == name.as_str()) {
-                        Some(&(_, id)) => id,
-                        None => {
-                            let id = netlist
-                                .signal_id(name)
-                                .ok_or_else(|| SimError::UnknownSignal { name: name.clone() })?;
-                            if netlist.signal(id).role != SignalRole::Input {
-                                return Err(SimError::NotAnInput { name: name.clone() });
-                            }
-                            memo.push((name.as_str(), id.0));
-                            id.0
-                        }
-                    };
-                    ids.push(id);
-                }
-            }
-            input_ids.push(ids);
-        }
-        let mut cursors = vec![0usize; fill];
+        let mut inputs = Inputs::resolve(netlist, stimuli)?;
 
         let code = &*self.code;
         let ncomb = code.comb.len();
@@ -298,12 +251,13 @@ impl BatchEngine {
         let mut spans: Vec<(u32, u32)> = Vec::with_capacity(ncycles * fill);
         // Last fresh descriptor per (comb process, lane).
         let mut last_desc: Vec<(u32, u32)> = vec![(0, 0); ncomb * LANES];
-        // Per-signal changed-lanes masks — the scalar engine's dirty set,
-        // one bit per lane. Everything starts dirty, like the scalar
-        // engine's reset state.
+        // Per-signal changed-lanes masks — the dirty set, one bit per
+        // lane. Everything starts dirty at reset.
         let mut changed: Vec<u64> = vec![fill_mask; nsig];
         let mut m_divergences = 0u64;
         let mut m_ops = 0u64;
+        let mut m_comb_evals = 0u64;
+        let mut m_comb_skips = 0u64;
 
         for cycle_idx in 0..ncycles {
             let cycle = cycle_idx as u32;
@@ -311,22 +265,9 @@ impl BatchEngine {
                 return Err(SimError::Cancelled { at_cycle: cycle });
             }
 
-            // 1. Apply inputs lane by lane (ids were pre-resolved above);
-            // a changed input seeds the lane's dirty bit.
-            for (l, stim) in stimuli.iter().enumerate() {
-                let vector = &stim.vectors[cycle_idx];
-                let ids = &input_ids[l][cursors[l]..cursors[l] + vector.assigns.len()];
-                cursors[l] += vector.assigns.len();
-                for ((_, bits), &id) in vector.assigns.iter().zip(ids) {
-                    let v = &mut values[id as usize];
-                    let next = *bits & Value::mask(v.width());
-                    let word = &mut v.words_mut()[l];
-                    if *word != next {
-                        *word = next;
-                        changed[id as usize] |= 1 << l;
-                    }
-                }
-            }
+            // 1. Apply inputs lane by lane; a changed input seeds the
+            // lane's dirty bit.
+            inputs.apply(stimuli, cycle_idx, &mut values, &mut changed);
 
             // 2. One levelized combinational pass. Each process runs under
             // a root mask of just its dirty lanes (fanin changed); a lane
@@ -335,14 +276,10 @@ impl BatchEngine {
             // execution so constant processes (empty fanin) record once.
             for &pi in &code.order {
                 let pi = pi as usize;
-                let mut dmask = 0u64;
-                for &sig in &code.fanin[pi] {
-                    dmask |= changed[sig as usize];
-                }
-                dmask &= fill_mask;
-                if cycle_idx == 0 {
-                    dmask = fill_mask;
-                }
+                let dmask = dirty_lanes(&code.fanin[pi], &changed, fill_mask, cycle_idx == 0);
+                let evaluated = u64::from(dmask.count_ones());
+                m_comb_evals += evaluated;
+                m_comb_skips += fill as u64 - evaluated;
                 if dmask == 0 {
                     continue;
                 }
@@ -383,14 +320,14 @@ impl BatchEngine {
             }
 
             // Changes are consumed; anything the edge writes below seeds
-            // the next cycle's gate (scalar-engine parity).
+            // the next cycle's gate.
             for c in changed.iter_mut() {
                 *c = 0;
             }
 
             // 4. Clock edge: sequential programs always execute in full
             // and record fresh; non-blocking writes defer per lane and
-            // commit in push order, like the scalar engine.
+            // commit in push order, like the interpreter.
             for prog in &code.seq {
                 exec_bops::<true>(
                     prog,
@@ -408,17 +345,7 @@ impl BatchEngine {
                     &mut [0; LANES],
                 );
             }
-            for (l, writes) in state.deferred.iter_mut().enumerate().take(fill) {
-                for w in writes.drain(..) {
-                    let t = &mut values[w.target.0 as usize];
-                    let cur = t.lane(l);
-                    let next = w.apply(cur);
-                    if next != cur {
-                        t.set_lane(l, next);
-                        changed[w.target.0 as usize] |= 1 << l;
-                    }
-                }
-            }
+            commit_deferred(&mut state.deferred[..fill], &mut values, &mut changed);
 
             // 5. Describe each lane's cycle: combinational descriptors in
             // source-process order (fresh or re-used), then this edge's
@@ -454,13 +381,15 @@ impl BatchEngine {
         metrics::RUNS_BATCH.add(fill as u64);
         metrics::BATCH_LANES.record(fill as u64);
         metrics::MASK_DIVERGENCES.add(m_divergences);
+        metrics::COMB_EVALS.add(m_comb_evals);
+        metrics::COMB_SKIPS.add(m_comb_skips);
         metrics::BYTECODE_OPS.add(m_ops);
         metrics::SEQ_EVALS.add((ncycles * code.seq.len()) as u64);
 
         // Assemble one trace per lane. Snapshots view the shared value
         // arena at lane-strided offsets; execution lists view the shared
         // record arena through their descriptor spans. Equality compares
-        // viewed contents, so these compare equal to scalar traces.
+        // viewed contents, so these compare equal to interpreter traces.
         let arena: Arc<[Value]> = arena.into();
         let records = Arc::new(records);
         let segs = Arc::new(segs);
@@ -508,49 +437,11 @@ impl BatchEngine {
         cancel: &CancelToken,
         observed: &SignalSet,
     ) -> Result<Vec<VerdictTrace>, SimError> {
-        let fill = stimuli.len();
-        assert!(
-            (1..=LANES).contains(&fill),
-            "batch fill {fill} out of 1..={LANES}"
-        );
-        let ncycles = stimuli[0].vectors.len();
-        assert!(
-            stimuli.iter().all(|s| s.vectors.len() == ncycles),
-            "batched stimuli must have equal cycle counts"
-        );
-        let fill_mask = if fill == LANES {
-            u64::MAX
-        } else {
-            (1u64 << fill) - 1
-        };
+        let (fill, ncycles, fill_mask) = batch_shape(stimuli);
 
         // Pre-resolve inputs exactly as the full-trace run does, so the
         // first validation error is identical.
-        let mut memo: Vec<(&str, u32)> = Vec::new();
-        let mut input_ids: Vec<Vec<u32>> = Vec::with_capacity(fill);
-        for stim in stimuli {
-            let mut ids = Vec::new();
-            for vector in &stim.vectors {
-                for (name, _) in &vector.assigns {
-                    let id = match memo.iter().find(|(n, _)| *n == name.as_str()) {
-                        Some(&(_, id)) => id,
-                        None => {
-                            let id = netlist
-                                .signal_id(name)
-                                .ok_or_else(|| SimError::UnknownSignal { name: name.clone() })?;
-                            if netlist.signal(id).role != SignalRole::Input {
-                                return Err(SimError::NotAnInput { name: name.clone() });
-                            }
-                            memo.push((name.as_str(), id.0));
-                            id.0
-                        }
-                    };
-                    ids.push(id);
-                }
-            }
-            input_ids.push(ids);
-        }
-        let mut cursors = vec![0usize; fill];
+        let mut inputs = Inputs::resolve(netlist, stimuli)?;
 
         let code = &*self.code;
         let nsig = netlist.signal_count();
@@ -575,6 +466,8 @@ impl BatchEngine {
         let mut elided = [0u64; LANES];
         let mut m_divergences = 0u64;
         let mut m_ops = 0u64;
+        let mut m_comb_evals = 0u64;
+        let mut m_comb_skips = 0u64;
 
         for cycle_idx in 0..ncycles {
             let cycle = cycle_idx as u32;
@@ -582,34 +475,17 @@ impl BatchEngine {
                 return Err(SimError::Cancelled { at_cycle: cycle });
             }
 
-            for (l, stim) in stimuli.iter().enumerate() {
-                let vector = &stim.vectors[cycle_idx];
-                let ids = &input_ids[l][cursors[l]..cursors[l] + vector.assigns.len()];
-                cursors[l] += vector.assigns.len();
-                for ((_, bits), &id) in vector.assigns.iter().zip(ids) {
-                    let v = &mut values[id as usize];
-                    let next = *bits & Value::mask(v.width());
-                    let word = &mut v.words_mut()[l];
-                    if *word != next {
-                        *word = next;
-                        changed[id as usize] |= 1 << l;
-                    }
-                }
-            }
+            inputs.apply(stimuli, cycle_idx, &mut values, &mut changed);
 
             // Levelized comb pass under the same per-lane dirty gate; the
             // only difference from the full-trace loop is that nothing is
             // recorded and no descriptors exist to refresh.
             for &pi in &code.order {
                 let pi = pi as usize;
-                let mut dmask = 0u64;
-                for &sig in &code.fanin[pi] {
-                    dmask |= changed[sig as usize];
-                }
-                dmask &= fill_mask;
-                if cycle_idx == 0 {
-                    dmask = fill_mask;
-                }
+                let dmask = dirty_lanes(&code.fanin[pi], &changed, fill_mask, cycle_idx == 0);
+                let evaluated = u64::from(dmask.count_ones());
+                m_comb_evals += evaluated;
+                m_comb_skips += fill as u64 - evaluated;
                 if dmask == 0 {
                     continue;
                 }
@@ -658,17 +534,7 @@ impl BatchEngine {
                     &mut elided,
                 );
             }
-            for (l, writes) in state.deferred.iter_mut().enumerate().take(fill) {
-                for w in writes.drain(..) {
-                    let t = &mut values[w.target.0 as usize];
-                    let cur = t.lane(l);
-                    let next = w.apply(cur);
-                    if next != cur {
-                        t.set_lane(l, next);
-                        changed[w.target.0 as usize] |= 1 << l;
-                    }
-                }
-            }
+            commit_deferred(&mut state.deferred[..fill], &mut values, &mut changed);
         }
 
         metrics::CYCLES.add((ncycles * fill) as u64);
@@ -676,6 +542,8 @@ impl BatchEngine {
         metrics::RUNS_VERDICT.add(fill as u64);
         metrics::BATCH_LANES.record(fill as u64);
         metrics::MASK_DIVERGENCES.add(m_divergences);
+        metrics::COMB_EVALS.add(m_comb_evals);
+        metrics::COMB_SKIPS.add(m_comb_skips);
         metrics::BYTECODE_OPS.add(m_ops);
         metrics::SEQ_EVALS.add((ncycles * code.seq.len()) as u64);
         metrics::RECORDS_ELIDED.add(elided[..fill].iter().sum());
@@ -692,10 +560,134 @@ impl BatchEngine {
     }
 }
 
+/// Validates a batch's shape and returns `(fill, cycles, fill_mask)`.
+///
+/// # Panics
+///
+/// When `stimuli` is empty, longer than [`LANES`], or of uneven cycle
+/// counts.
+fn batch_shape(stimuli: &[Stimulus]) -> (usize, usize, u64) {
+    let fill = stimuli.len();
+    assert!(
+        (1..=LANES).contains(&fill),
+        "batch fill {fill} out of 1..={LANES}"
+    );
+    let ncycles = stimuli[0].vectors.len();
+    assert!(
+        stimuli.iter().all(|s| s.vectors.len() == ncycles),
+        "batched stimuli must have equal cycle counts"
+    );
+    let fill_mask = if fill == LANES {
+        u64::MAX
+    } else {
+        (1u64 << fill) - 1
+    };
+    (fill, ncycles, fill_mask)
+}
+
+/// Every lane's input assignments resolved to signal ids up front, plus a
+/// per-lane cursor into them for the cycle-by-cycle apply.
+struct Inputs {
+    /// `ids[l]` is lane `l`'s signal ids concatenated over cycles.
+    ids: Vec<Vec<u32>>,
+    cursors: Vec<usize>,
+}
+
+impl Inputs {
+    /// Resolves every input assignment in the order a sequential loop
+    /// would encounter them (stimulus-major), so the first validation
+    /// error matches the interpreter's exactly. Stimuli drive the same
+    /// handful of inputs every cycle, so a small linear-scan memo replaces
+    /// ~lanes*cycles*inputs map lookups with one lookup per distinct name.
+    fn resolve(netlist: &Netlist, stimuli: &[Stimulus]) -> Result<Inputs, SimError> {
+        let mut memo: Vec<(&str, u32)> = Vec::new();
+        let mut ids: Vec<Vec<u32>> = Vec::with_capacity(stimuli.len());
+        for stim in stimuli {
+            let mut lane = Vec::new();
+            for vector in &stim.vectors {
+                for (name, _) in &vector.assigns {
+                    let id = match memo.iter().find(|(n, _)| *n == name.as_str()) {
+                        Some(&(_, id)) => id,
+                        None => {
+                            let id = netlist
+                                .signal_id(name)
+                                .ok_or_else(|| SimError::UnknownSignal { name: name.clone() })?;
+                            if netlist.signal(id).role != SignalRole::Input {
+                                return Err(SimError::NotAnInput { name: name.clone() });
+                            }
+                            memo.push((name.as_str(), id.0));
+                            id.0
+                        }
+                    };
+                    lane.push(id);
+                }
+            }
+            ids.push(lane);
+        }
+        Ok(Inputs {
+            cursors: vec![0; ids.len()],
+            ids,
+        })
+    }
+
+    /// Applies cycle `cycle`'s input vector on every lane, marking lanes
+    /// whose input value changed in `changed`.
+    fn apply(
+        &mut self,
+        stimuli: &[Stimulus],
+        cycle: usize,
+        values: &mut [BatchValue],
+        changed: &mut [u64],
+    ) {
+        for (l, stim) in stimuli.iter().enumerate() {
+            let vector = &stim.vectors[cycle];
+            let start = self.cursors[l];
+            self.cursors[l] += vector.assigns.len();
+            let ids = &self.ids[l][start..self.cursors[l]];
+            for ((_, bits), &id) in vector.assigns.iter().zip(ids) {
+                let v = &mut values[id as usize];
+                let next = *bits & Value::mask(v.width());
+                let word = &mut v.words_mut()[l];
+                if *word != next {
+                    *word = next;
+                    changed[id as usize] |= 1 << l;
+                }
+            }
+        }
+    }
+}
+
+/// The lanes on which a combinational process must run this cycle: every
+/// filled lane on the first cycle (so constant processes record once),
+/// otherwise the lanes where some fanin signal changed.
+fn dirty_lanes(fanin: &[u32], changed: &[u64], fill_mask: u64, first_cycle: bool) -> u64 {
+    if first_cycle {
+        return fill_mask;
+    }
+    fanin.iter().fold(0, |m, &sig| m | changed[sig as usize]) & fill_mask
+}
+
+/// Commits each lane's deferred non-blocking writes in push order, marking
+/// value-changing writes in `changed`.
+fn commit_deferred(deferred: &mut [Vec<Write>], values: &mut [BatchValue], changed: &mut [u64]) {
+    for (l, writes) in deferred.iter_mut().enumerate() {
+        for w in writes.drain(..) {
+            let t = &mut values[w.target.0 as usize];
+            let cur = t.lane(l);
+            let next = w.apply(cur);
+            if next != cur {
+                t.set_lane(l, next);
+                changed[w.target.0 as usize] |= 1 << l;
+            }
+        }
+    }
+}
+
 /// Executes one batch program under a root activity mask (the caller's
 /// per-lane dirty mask for combinational processes, the full fill mask for
-/// sequential ones). Infallible by construction, like the scalar
-/// `exec_ops`. Value-changing writes OR the written lane into the
+/// sequential ones). Infallible by construction: every condition the
+/// interpreter reports as an error was rejected at compile time.
+/// Value-changing writes OR the written lane into the
 /// signal's `changed` mask, feeding the per-lane dirty gate.
 ///
 /// `RECORD` selects trace mode at monomorphization time: `true` pushes a
@@ -727,7 +719,7 @@ fn exec_bops<const RECORD: bool>(
     while pc < bops.len() {
         executed += 1;
         match bops[pc] {
-            BOp::Scalar(op) => exec_scalar_bop(op, slab, values, fill),
+            BOp::Expr(op) => exec_expr(op, slab, values, fill),
             BOp::Assign { rhs, meta } => {
                 let m = &metas[meta as usize];
                 let value = &slab[rhs as usize];
@@ -759,7 +751,7 @@ fn exec_bops<const RECORD: bool>(
                         },
                     };
                     // Operands are read before the write lands, matching
-                    // the scalar engines' record-then-apply order.
+                    // the interpreter's record-then-apply order.
                     if RECORD {
                         recorders[l].push(StmtExec {
                             stmt: m.stmt,
@@ -883,7 +875,7 @@ fn exec_bops<const RECORD: bool>(
     *m_ops += executed;
 }
 
-/// Evaluates one scalar expression op on the first `n` lanes, writing the
+/// Evaluates one expression op on the first `n` lanes, writing the
 /// destination slot in place. Expressions for inactive lanes compute
 /// harmless garbage (assignment is the only side effect, and it is
 /// masked); every kernel is total, so no lane can fault. Lanes `n..LANES`
@@ -893,7 +885,7 @@ fn exec_bops<const RECORD: bool>(
 /// slots (slots are never reused within a program), so `dst` is strictly
 /// greater than every operand slot and `split_at_mut` yields disjoint
 /// borrows without copying 512-byte values through temporaries.
-fn exec_scalar_bop(op: Op, slab: &mut [BatchValue], values: &[BatchValue], n: usize) {
+fn exec_expr(op: Op, slab: &mut [BatchValue], values: &[BatchValue], n: usize) {
     match op {
         Op::Load { dst, sig } => slab[dst as usize].copy_lanes(&values[sig as usize], n),
         Op::Const { dst, val } => slab[dst as usize].splat_lanes(val, n),
@@ -962,15 +954,12 @@ fn exec_scalar_bop(op: Op, slab: &mut [BatchValue], values: &[BatchValue], n: us
             }
             d[0].set_width(h.width() + lw);
         }
-        Op::Jump { .. } | Op::JumpIfFalse { .. } | Op::JumpIfEq { .. } | Op::Assign { .. } => {
-            unreachable!("control/assign ops are never wrapped in BOp::Scalar")
-        }
     }
 }
 
-/// Lowers one process body into batch bytecode, reusing the scalar
-/// [`Compiler`] for expressions and assignments (ops it emits are drained
-/// through [`BatchCompiler::sync`]) and emitting structured mask ops for
+/// Lowers one process body into batch bytecode, reusing [`Compiler`] for
+/// expressions and assignments (ops it emits are drained through
+/// [`BatchCompiler::sync`]) and emitting structured mask ops for
 /// `if`/`case`.
 struct BatchCompiler<'a, 'n> {
     inner: Compiler<'n>,
@@ -981,29 +970,25 @@ struct BatchCompiler<'a, 'n> {
 }
 
 impl BatchCompiler<'_, '_> {
-    /// Converts every scalar op the inner compiler emitted since the last
-    /// sync. Expressions and assignments never emit jumps, so only
-    /// straight-line ops can appear here.
+    /// Wraps every expression op the inner compiler emitted since the last
+    /// sync.
     fn sync(&mut self) {
-        for &op in &self.inner.ops[self.synced..] {
-            match op {
-                Op::Assign { rhs, meta } => self.bops.push(BOp::Assign { rhs, meta }),
-                Op::Jump { .. } | Op::JumpIfFalse { .. } | Op::JumpIfEq { .. } => {
-                    unreachable!("expression lowering emits no jumps")
-                }
-                other => self.bops.push(BOp::Scalar(other)),
-            }
-        }
+        let fresh = &self.inner.ops[self.synced..];
+        self.bops.extend(fresh.iter().map(|&op| BOp::Expr(op)));
         self.synced = self.inner.ops.len();
+    }
+
+    fn assign(&mut self, a: &verilog::Assignment) -> Option<()> {
+        let (rhs, meta) = self.inner.assign(a)?;
+        self.sync();
+        self.bops.push(BOp::Assign { rhs, meta });
+        Some(())
     }
 
     fn stmts(&mut self, stmts: &[Stmt]) -> Option<()> {
         for s in stmts {
             match s {
-                Stmt::Assign(a) => {
-                    self.inner.assign(a)?;
-                    self.sync();
-                }
+                Stmt::Assign(a) => self.assign(a)?,
                 Stmt::If(i) => {
                     let (cond, _) = self.inner.expr(&i.cond)?;
                     self.sync();
@@ -1024,9 +1009,10 @@ impl BatchCompiler<'_, '_> {
                 }
                 Stmt::Case(c) => {
                     let (subj, _) = self.inner.expr(&c.subject)?;
-                    // Evaluate ALL labels before any body, exactly like the
-                    // scalar engine (labels are pure, slots are never
-                    // reused within a program, so label slots stay live).
+                    // Evaluate ALL labels before any body (labels are pure,
+                    // so evaluating ones past the interpreter's first match
+                    // is unobservable; slots are never reused within a
+                    // program, so label slots stay live).
                     let mut ranges = Vec::with_capacity(c.arms.len());
                     for arm in &c.arms {
                         let start = self.case_labels.len();

@@ -1,44 +1,32 @@
-//! The compiled execution engine: levelized scheduling over flat bytecode.
+//! Compilation front end shared by the compiled (batch) engine: static
+//! analysis plus expression and assignment lowering.
 //!
-//! [`Engine::build`] lowers an elaborated netlist into one register-machine
-//! program per process at elaboration time. Expressions and `if`/`case`
-//! control flow become a flat [`Op`] array over a preallocated [`Value`]
-//! slab; evaluation is a tight match-loop with no AST walking and no
-//! per-node `Result` plumbing. Combinational processes run **once** per
-//! cycle in a topological order computed by [`cdfg::levelize`], and only
-//! when one of their fanin signals actually changed (dirty-set scheduling);
-//! skipped processes replay their cached [`StmtExec`] records, so traces
-//! stay bit-identical to the fixpoint interpreter's.
+//! [`analyze`] levelizes a netlist's combinational processes with
+//! [`cdfg::levelize`] and proves that one ordered pass per cycle equals the
+//! interpreter's fixpoint settle. [`Compiler`] lowers expressions into a
+//! flat register-machine [`Op`] sequence over a value slab and assignments
+//! into [`AssignMeta`] side-table entries; `crate::batch` drives it and
+//! adds the structured `if`/`case` mask operations.
 //!
-//! `build` returns `None` — and the simulator falls back to the AST
+//! Either step returns `None` — and the simulator falls back to the AST
 //! interpreter — whenever single-pass equivalence cannot be proven
 //! statically: static combinational cycles (including exposed self-reads),
 //! multiple drivers of one signal, combinational writes to input ports or
 //! overlap with sequential writes, unknown signals, or width corner cases
 //! whose interpreter behavior is an error or a debug panic (over-wide
 //! concats/replications, 64-bit leading concat parts, inverted part-select
-//! bounds, zero-width literals). The fallback reproduces the old engine's
+//! bounds, zero-width literals). The fallback reproduces the interpreter's
 //! behavior exactly, including `SimError::CombinationalLoop`.
 
 use std::collections::BTreeSet;
-use std::sync::Arc;
 
-use crate::cancel::CancelToken;
-use crate::error::SimError;
-use crate::eval::{eval_binary, eval_unary, Write};
-use crate::metrics;
 use crate::netlist::{Netlist, Process, SignalId, SignalRole};
-use crate::testbench::Stimulus;
-use crate::trace::{Operands, SignalSet, StmtExec, Trace, VerdictTrace};
 use crate::value::Value;
 use verilog::{Assignment, BinaryOp, Expr, Select, Stmt, StmtId, UnaryOp};
 
-/// One bytecode instruction. Slots index the value slab; `sig` fields index
-/// the netlist's signal values.
-///
-/// Shared with the batch engine: `crate::batch` reuses every non-jump
-/// variant verbatim (evaluated lane-wise) and replaces the jump encoding
-/// with structured mask operations.
+/// One expression instruction. Slots index the value slab; `sig` fields
+/// index the netlist's signal values. The batch engine evaluates each op on
+/// every lane at once.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum Op {
     /// `slab[dst] = values[sig]`
@@ -67,15 +55,6 @@ pub(crate) enum Op {
     },
     /// `slab[dst] = {slab[hi], slab[lo]}`
     Concat { dst: u16, hi: u16, lo: u16 },
-    /// Unconditional jump to instruction `to`.
-    Jump { to: u32 },
-    /// Jump to `to` when `slab[cond]` is all-zero.
-    JumpIfFalse { cond: u16, to: u32 },
-    /// Jump to `to` when `slab[a].bits() == slab[b].bits()` (case match).
-    JumpIfEq { a: u16, b: u16, to: u32 },
-    /// Resolve the write described by `metas[meta]` from `slab[rhs]`,
-    /// record a [`StmtExec`], then apply or defer it.
-    Assign { rhs: u16, meta: u32 },
 }
 
 /// How an assignment's target bits are selected.
@@ -101,59 +80,9 @@ pub(crate) struct AssignMeta {
     pub(crate) read_ids: Vec<SignalId>,
 }
 
-/// Everything immutable after `build`.
-#[derive(Debug)]
-struct Code {
-    /// One program per combinational process, in source order.
-    comb: Vec<Vec<Op>>,
-    /// One program per sequential process, in source order.
-    seq: Vec<Vec<Op>>,
-    /// Topological evaluation order over `comb` indices.
-    order: Vec<u32>,
-    /// Per-comb-process exposed-read signal ids (dirty-set gate).
-    fanin: Vec<Vec<u32>>,
-    metas: Vec<AssignMeta>,
-    /// Slab size: the widest program's slot count.
-    slots: usize,
-}
-
-/// Reusable per-run scratch, kept across runs to avoid reallocation.
-#[derive(Debug)]
-struct State {
-    slab: Vec<Value>,
-    dirty: Vec<bool>,
-    /// Last-run `StmtExec`s per comb process, replayed when a process is
-    /// skipped by the dirty-set gate (the interpreter records every comb
-    /// process every cycle).
-    exec_cache: Vec<Vec<StmtExec>>,
-    deferred: Vec<Write>,
-}
-
-impl State {
-    fn new(ncomb: usize) -> State {
-        State {
-            slab: Vec::new(),
-            dirty: Vec::new(),
-            exec_cache: vec![Vec::new(); ncomb],
-            deferred: Vec::new(),
-        }
-    }
-}
-
-/// A compiled simulator for one netlist. The immutable [`Code`] is shared
-/// (`Arc`) so [`Engine::fork`] can hand out independent runnable copies
-/// without recompiling — the basis of the serving layer's compiled-design
-/// cache.
-#[derive(Debug)]
-pub(crate) struct Engine {
-    code: Arc<Code>,
-    state: State,
-}
-
 /// The engine-independent half of compilation: levelization plus the
 /// eligibility checks that prove a single ordered combinational pass
-/// equivalent to the fixpoint settle. Shared by the scalar [`Engine`] and
-/// the batch engine so both fall back under exactly the same conditions.
+/// equivalent to the fixpoint settle.
 #[derive(Debug)]
 pub(crate) struct Analysis {
     /// Topological evaluation order over combinational process indices.
@@ -207,472 +136,6 @@ pub(crate) fn analyze(netlist: &Netlist) -> Option<Analysis> {
     Some(Analysis { order, fanin })
 }
 
-impl Engine {
-    /// Compiles a netlist against a precomputed [`Analysis`], or `None`
-    /// when lowering hits a construct whose compiled behavior would differ
-    /// from the interpreter's (the caller then falls back).
-    pub(crate) fn build(netlist: &Netlist, analysis: &Analysis) -> Option<Engine> {
-        let mut metas = Vec::new();
-        let mut slots = 0usize;
-        let mut compile = |body: &Process| -> Option<Vec<Op>> {
-            let mut c = Compiler {
-                netlist,
-                ops: Vec::new(),
-                metas: &mut metas,
-                next_slot: 0,
-            };
-            match body {
-                Process::Assign(a) => c.assign(a)?,
-                Process::Comb(blk) | Process::Seq(blk) => c.stmts(&blk.body)?,
-            }
-            slots = slots.max(c.next_slot as usize);
-            Some(c.ops)
-        };
-        let comb: Vec<Vec<Op>> = netlist
-            .comb
-            .iter()
-            .map(&mut compile)
-            .collect::<Option<_>>()?;
-        let seq: Vec<Vec<Op>> = netlist
-            .seq
-            .iter()
-            .map(&mut compile)
-            .collect::<Option<_>>()?;
-
-        let ncomb = comb.len();
-        Some(Engine {
-            code: Arc::new(Code {
-                comb,
-                seq,
-                order: analysis.order.clone(),
-                fanin: analysis.fanin.clone(),
-                metas,
-                slots,
-            }),
-            state: State::new(ncomb),
-        })
-    }
-
-    /// An independent runnable engine sharing this one's compiled code.
-    pub(crate) fn fork(&self) -> Engine {
-        Engine {
-            code: Arc::clone(&self.code),
-            state: State::new(self.code.comb.len()),
-        }
-    }
-
-    /// Runs a stimulus from the all-zero reset state.
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::UnknownSignal`] / [`SimError::NotAnInput`] for bad
-    /// stimulus assignments — the same checks, in the same order, as the
-    /// interpreter — and [`SimError::Cancelled`] when `cancel` fires between
-    /// cycles. Compiled programs themselves cannot fail.
-    pub(crate) fn run(
-        &mut self,
-        netlist: &Netlist,
-        stimulus: &Stimulus,
-        cancel: &CancelToken,
-    ) -> Result<Trace, SimError> {
-        let nsig = netlist.signal_count();
-        let code = &*self.code;
-        let State {
-            slab,
-            dirty,
-            exec_cache,
-            deferred,
-        } = &mut self.state;
-        let mut values: Vec<Value> = netlist
-            .signals()
-            .iter()
-            .map(|s| Value::zero(s.width))
-            .collect();
-        dirty.clear();
-        dirty.resize(nsig, true);
-        slab.clear();
-        slab.resize(code.slots, Value::bit(false));
-        for cache in exec_cache.iter_mut() {
-            cache.clear();
-        }
-
-        let ncycles = stimulus.vectors.len();
-        let mut arena: Vec<Value> = Vec::with_capacity(ncycles * nsig);
-        let mut cycle_execs: Vec<Vec<StmtExec>> = Vec::with_capacity(ncycles);
-        // Observability tallies: accumulated in locals and flushed once at
-        // the end, so the per-cycle cost is a register add whether or not
-        // collection is enabled.
-        let mut m_comb_evals = 0u64;
-        let mut m_comb_skips = 0u64;
-        let mut m_cache_replays = 0u64;
-        let mut m_ops = 0u64;
-        for (cycle_idx, vector) in stimulus.vectors.iter().enumerate() {
-            let cycle = cycle_idx as u32;
-            if cancel.is_cancelled() {
-                return Err(SimError::Cancelled { at_cycle: cycle });
-            }
-            // 1. Apply inputs; a changed input seeds the dirty set.
-            for (name, bits) in &vector.assigns {
-                let id = netlist
-                    .signal_id(name)
-                    .ok_or_else(|| SimError::UnknownSignal { name: name.clone() })?;
-                if netlist.signal(id).role != SignalRole::Input {
-                    return Err(SimError::NotAnInput { name: name.clone() });
-                }
-                let v = Value::new(*bits, netlist.signal(id).width);
-                if values[id.0 as usize] != v {
-                    values[id.0 as usize] = v;
-                    dirty[id.0 as usize] = true;
-                }
-            }
-
-            // 2. One levelized combinational pass. A process whose fanin is
-            // clean would recompute exactly what it computed last time, so
-            // it is skipped and its cached records replayed below.
-            for &pi in &code.order {
-                let pi = pi as usize;
-                if cycle_idx != 0 && !code.fanin[pi].iter().any(|&s| dirty[s as usize]) {
-                    m_comb_skips += 1;
-                    m_cache_replays += exec_cache[pi].len() as u64;
-                    continue;
-                }
-                m_comb_evals += 1;
-                let cache = &mut exec_cache[pi];
-                cache.clear();
-                exec_ops::<true>(
-                    &code.comb[pi],
-                    &code.metas,
-                    slab,
-                    &mut values,
-                    dirty,
-                    cache,
-                    None,
-                    &mut m_ops,
-                    &mut 0,
-                );
-            }
-
-            // Assemble records in source-process order, as the
-            // interpreter's recording pass does. Records carry no cycle
-            // index, so replaying a skipped process's cache is a straight
-            // copy.
-            let mut execs: Vec<StmtExec> = Vec::new();
-            for cache in exec_cache.iter() {
-                execs.extend_from_slice(cache);
-            }
-
-            // 3. Snapshot pre-edge values into the run-wide arena.
-            arena.extend_from_slice(&values);
-
-            // Changes are consumed; anything the edge writes below seeds
-            // the next cycle's gate.
-            for d in dirty.iter_mut() {
-                *d = false;
-            }
-
-            // 4. Clock edge: sequential programs with deferred commits.
-            deferred.clear();
-            for prog in &code.seq {
-                exec_ops::<true>(
-                    prog,
-                    &code.metas,
-                    slab,
-                    &mut values,
-                    dirty,
-                    &mut execs,
-                    Some(deferred),
-                    &mut m_ops,
-                    &mut 0,
-                );
-            }
-            for w in deferred.drain(..) {
-                let t = w.target.0 as usize;
-                let cur = values[t];
-                let new = w.apply(cur);
-                if new != cur {
-                    values[t] = new;
-                    dirty[t] = true;
-                }
-            }
-            cycle_execs.push(execs);
-        }
-
-        metrics::CYCLES.add(ncycles as u64);
-        metrics::COMB_EVALS.add(m_comb_evals);
-        metrics::COMB_SKIPS.add(m_comb_skips);
-        metrics::CACHE_REPLAYS.add(m_cache_replays);
-        metrics::BYTECODE_OPS.add(m_ops);
-        metrics::SEQ_EVALS.add((ncycles * code.seq.len()) as u64);
-
-        Ok(Trace::assemble(arena.into(), nsig, cycle_execs))
-    }
-
-    /// Runs a stimulus in verdict mode: identical value evolution, input
-    /// validation, and cancellation behavior to [`Engine::run`], but no
-    /// [`StmtExec`] records are materialized and only `observed` signals
-    /// are snapshotted per cycle. The dirty-set gate still skips
-    /// clean-fanin processes (skipping is value-neutral), it just no
-    /// longer has records to replay.
-    ///
-    /// # Errors
-    ///
-    /// Exactly the errors [`Engine::run`] reports, at the same points.
-    pub(crate) fn run_verdict(
-        &mut self,
-        netlist: &Netlist,
-        stimulus: &Stimulus,
-        cancel: &CancelToken,
-        observed: &SignalSet,
-    ) -> Result<VerdictTrace, SimError> {
-        let nsig = netlist.signal_count();
-        let code = &*self.code;
-        let State {
-            slab,
-            dirty,
-            deferred,
-            ..
-        } = &mut self.state;
-        let mut values: Vec<Value> = netlist
-            .signals()
-            .iter()
-            .map(|s| Value::zero(s.width))
-            .collect();
-        dirty.clear();
-        dirty.resize(nsig, true);
-        slab.clear();
-        slab.resize(code.slots, Value::bit(false));
-
-        let ncycles = stimulus.vectors.len();
-        let nobs = observed.len();
-        let mut obs_values: Vec<Value> = Vec::with_capacity(ncycles * nobs);
-        let mut m_comb_evals = 0u64;
-        let mut m_comb_skips = 0u64;
-        let mut m_ops = 0u64;
-        let mut elided = 0u64;
-        for (cycle_idx, vector) in stimulus.vectors.iter().enumerate() {
-            let cycle = cycle_idx as u32;
-            if cancel.is_cancelled() {
-                return Err(SimError::Cancelled { at_cycle: cycle });
-            }
-            for (name, bits) in &vector.assigns {
-                let id = netlist
-                    .signal_id(name)
-                    .ok_or_else(|| SimError::UnknownSignal { name: name.clone() })?;
-                if netlist.signal(id).role != SignalRole::Input {
-                    return Err(SimError::NotAnInput { name: name.clone() });
-                }
-                let v = Value::new(*bits, netlist.signal(id).width);
-                if values[id.0 as usize] != v {
-                    values[id.0 as usize] = v;
-                    dirty[id.0 as usize] = true;
-                }
-            }
-
-            for &pi in &code.order {
-                let pi = pi as usize;
-                if cycle_idx != 0 && !code.fanin[pi].iter().any(|&s| dirty[s as usize]) {
-                    m_comb_skips += 1;
-                    continue;
-                }
-                m_comb_evals += 1;
-                exec_ops::<false>(
-                    &code.comb[pi],
-                    &code.metas,
-                    slab,
-                    &mut values,
-                    dirty,
-                    &mut Vec::new(),
-                    None,
-                    &mut m_ops,
-                    &mut elided,
-                );
-            }
-
-            // The O(observed) snapshot: the whole point of verdict mode.
-            for &id in observed.ids() {
-                obs_values.push(values[id.0 as usize]);
-            }
-
-            for d in dirty.iter_mut() {
-                *d = false;
-            }
-
-            deferred.clear();
-            for prog in &code.seq {
-                exec_ops::<false>(
-                    prog,
-                    &code.metas,
-                    slab,
-                    &mut values,
-                    dirty,
-                    &mut Vec::new(),
-                    Some(deferred),
-                    &mut m_ops,
-                    &mut elided,
-                );
-            }
-            for w in deferred.drain(..) {
-                let t = w.target.0 as usize;
-                let cur = values[t];
-                let new = w.apply(cur);
-                if new != cur {
-                    values[t] = new;
-                    dirty[t] = true;
-                }
-            }
-        }
-
-        metrics::CYCLES.add(ncycles as u64);
-        metrics::COMB_EVALS.add(m_comb_evals);
-        metrics::COMB_SKIPS.add(m_comb_skips);
-        metrics::BYTECODE_OPS.add(m_ops);
-        metrics::SEQ_EVALS.add((ncycles * code.seq.len()) as u64);
-        metrics::RECORDS_ELIDED.add(elided);
-
-        Ok(VerdictTrace {
-            values: obs_values,
-            nobs,
-            records_elided: elided,
-        })
-    }
-}
-
-/// Executes one program. Infallible by construction: every condition the
-/// interpreter reports as an error (or panics on in debug builds) was
-/// rejected at compile time.
-///
-/// `RECORD` selects trace mode at monomorphization time: `true` pushes a
-/// [`StmtExec`] per assignment into `recorder` (full-trace mode), `false`
-/// compiles the record push away entirely and tallies the elision in
-/// `elided` instead (verdict mode) — values, dirty bits, and deferred
-/// writes evolve identically either way.
-#[allow(clippy::too_many_arguments)]
-fn exec_ops<const RECORD: bool>(
-    ops: &[Op],
-    metas: &[AssignMeta],
-    slab: &mut [Value],
-    values: &mut [Value],
-    dirty: &mut [bool],
-    recorder: &mut Vec<StmtExec>,
-    mut deferred: Option<&mut Vec<Write>>,
-    op_count: &mut u64,
-    elided: &mut u64,
-) {
-    let mut executed = 0u64;
-    let mut pc = 0usize;
-    while pc < ops.len() {
-        executed += 1;
-        match ops[pc] {
-            Op::Load { dst, sig } => slab[dst as usize] = values[sig as usize],
-            Op::Const { dst, val } => slab[dst as usize] = val,
-            Op::Unary { dst, op, a } => slab[dst as usize] = eval_unary(op, slab[a as usize]),
-            Op::Binary { dst, op, a, b } => {
-                slab[dst as usize] = eval_binary(op, slab[a as usize], slab[b as usize]);
-            }
-            Op::Ternary { dst, cond, t, f } => {
-                let tv = slab[t as usize];
-                let fv = slab[f as usize];
-                let w = tv.width().max(fv.width());
-                slab[dst as usize] = if slab[cond as usize].is_truthy() {
-                    tv.resize(w)
-                } else {
-                    fv.resize(w)
-                };
-            }
-            Op::Index { dst, sig, idx } => {
-                let v = values[sig as usize];
-                let i = slab[idx as usize].bits();
-                slab[dst as usize] =
-                    Value::bit(i < u64::from(v.width()) && (v.bits() >> i) & 1 == 1);
-            }
-            Op::Part {
-                dst,
-                sig,
-                lsb,
-                width,
-            } => {
-                slab[dst as usize] = Value::new(values[sig as usize].bits() >> lsb, width);
-            }
-            Op::Concat { dst, hi, lo } => {
-                let h = slab[hi as usize];
-                let l = slab[lo as usize];
-                slab[dst as usize] =
-                    Value::new((h.bits() << l.width()) | l.bits(), h.width() + l.width());
-            }
-            Op::Jump { to } => {
-                pc = to as usize;
-                continue;
-            }
-            Op::JumpIfFalse { cond, to } => {
-                if !slab[cond as usize].is_truthy() {
-                    pc = to as usize;
-                    continue;
-                }
-            }
-            Op::JumpIfEq { a, b, to } => {
-                if slab[a as usize].bits() == slab[b as usize].bits() {
-                    pc = to as usize;
-                    continue;
-                }
-            }
-            Op::Assign { rhs, meta } => {
-                let m = &metas[meta as usize];
-                let value = slab[rhs as usize];
-                let write = match m.sel {
-                    SelKind::Full { width } => Write {
-                        target: m.target,
-                        lo: 0,
-                        width,
-                        bits: value.resize(width).bits(),
-                    },
-                    SelKind::Bit { width, idx } => {
-                        let i = slab[idx as usize].bits().min(63) as u8;
-                        Write {
-                            target: m.target,
-                            lo: i.min(width - 1),
-                            width: 1,
-                            bits: u64::from(value.lsb()),
-                        }
-                    }
-                    SelKind::Part { lo, width } => Write {
-                        target: m.target,
-                        lo,
-                        width,
-                        bits: value.resize(width).bits(),
-                    },
-                };
-                // Operands are read before the write lands, like the
-                // interpreter's record-then-apply order.
-                if RECORD {
-                    recorder.push(StmtExec {
-                        stmt: m.stmt,
-                        operands: Operands::capture(m.read_ids.len(), |k| {
-                            values[m.read_ids[k].0 as usize]
-                        }),
-                        result: Value::new(write.bits, write.width),
-                    });
-                } else {
-                    *elided += 1;
-                }
-                match (&mut deferred, m.nonblocking) {
-                    (Some(d), true) => d.push(write),
-                    _ => {
-                        let t = write.target.0 as usize;
-                        let cur = values[t];
-                        let new = write.apply(cur);
-                        if new != cur {
-                            values[t] = new;
-                            dirty[t] = true;
-                        }
-                    }
-                }
-            }
-        }
-        pc += 1;
-    }
-    *op_count += executed;
-}
-
 /// Collects the base names of every assignment target in a statement tree.
 fn collect_write_bases<'s>(stmts: &'s [Stmt], out: &mut Vec<&'s str>) {
     for s in stmts {
@@ -692,13 +155,11 @@ fn collect_write_bases<'s>(stmts: &'s [Stmt], out: &mut Vec<&'s str>) {
     }
 }
 
-/// Lowers one process body into bytecode. Every method returns `None` to
-/// request interpreter fallback.
+/// Lowers expressions and assignments into bytecode. Every method returns
+/// `None` to request interpreter fallback.
 ///
-/// The batch engine drives this same lowerer for expressions and
-/// assignments (so fallback conditions and slot allocation are decided in
-/// exactly one place) and converts the emitted ops; only `if`/`case`
-/// control flow is lowered differently there.
+/// The batch engine drives this lowerer and wraps the emitted ops; it
+/// lowers `if`/`case` control flow itself.
 pub(crate) struct Compiler<'a> {
     pub(crate) netlist: &'a Netlist,
     pub(crate) ops: Vec<Op>,
@@ -858,7 +319,10 @@ impl Compiler<'_> {
         Some((acc, width))
     }
 
-    pub(crate) fn assign(&mut self, a: &Assignment) -> Option<()> {
+    /// Lowers an assignment's right-hand side and bit-select index and
+    /// registers its [`AssignMeta`]; returns the right-hand-side slot and
+    /// the meta index.
+    pub(crate) fn assign(&mut self, a: &Assignment) -> Option<(u16, u32)> {
         let (rhs, _) = self.expr(&a.rhs)?;
         let info = self.netlist.assign_info(a.id)?;
         let target = info.target?;
@@ -874,7 +338,8 @@ impl Compiler<'_> {
                     return None; // interpreter panics on the underflow
                 }
                 // Mirror the interpreter's casts exactly; out-of-range
-                // widths panic identically in both engines at runtime.
+                // widths panic identically in the compiled engine and the
+                // interpreter at runtime.
                 SelKind::Part {
                     lo: *lsb as u8,
                     width: (msb - lsb + 1) as u8,
@@ -889,80 +354,6 @@ impl Compiler<'_> {
             nonblocking: a.kind == verilog::AssignKind::NonBlocking,
             read_ids: info.read_ids.clone(),
         });
-        self.ops.push(Op::Assign { rhs, meta });
-        Some(())
-    }
-
-    fn stmts(&mut self, stmts: &[Stmt]) -> Option<()> {
-        for s in stmts {
-            match s {
-                Stmt::Assign(a) => self.assign(a)?,
-                Stmt::If(i) => {
-                    let (cond, _) = self.expr(&i.cond)?;
-                    let jf = self.ops.len();
-                    self.ops.push(Op::JumpIfFalse { cond, to: 0 });
-                    self.stmts(&i.then_branch)?;
-                    if i.else_branch.is_empty() {
-                        self.patch(jf, self.ops.len());
-                    } else {
-                        let j = self.ops.len();
-                        self.ops.push(Op::Jump { to: 0 });
-                        self.patch(jf, self.ops.len());
-                        self.stmts(&i.else_branch)?;
-                        self.patch(j, self.ops.len());
-                    }
-                }
-                Stmt::Case(c) => {
-                    let (subj, _) = self.expr(&c.subject)?;
-                    // Emit all label tests first (labels are pure, so
-                    // evaluating ones past the interpreter's first match is
-                    // unobservable), then the arm bodies.
-                    let mut arm_tests: Vec<Vec<usize>> = Vec::with_capacity(c.arms.len());
-                    for arm in &c.arms {
-                        let mut tests = Vec::with_capacity(arm.labels.len());
-                        for label in &arm.labels {
-                            let (l, _) = self.expr(label)?;
-                            tests.push(self.ops.len());
-                            self.ops.push(Op::JumpIfEq {
-                                a: subj,
-                                b: l,
-                                to: 0,
-                            });
-                        }
-                        arm_tests.push(tests);
-                    }
-                    let to_default = self.ops.len();
-                    self.ops.push(Op::Jump { to: 0 });
-                    let mut to_end = Vec::with_capacity(c.arms.len());
-                    for (arm, tests) in c.arms.iter().zip(arm_tests) {
-                        let here = self.ops.len();
-                        for t in tests {
-                            self.patch(t, here);
-                        }
-                        self.stmts(&arm.body)?;
-                        to_end.push(self.ops.len());
-                        self.ops.push(Op::Jump { to: 0 });
-                    }
-                    self.patch(to_default, self.ops.len());
-                    self.stmts(&c.default)?;
-                    let end = self.ops.len();
-                    for j in to_end {
-                        self.patch(j, end);
-                    }
-                }
-            }
-        }
-        Some(())
-    }
-
-    /// Redirects the jump at `at` to instruction `to`.
-    fn patch(&mut self, at: usize, to: usize) {
-        let to = to as u32;
-        match &mut self.ops[at] {
-            Op::Jump { to: t } | Op::JumpIfFalse { to: t, .. } | Op::JumpIfEq { to: t, .. } => {
-                *t = to;
-            }
-            _ => unreachable!("patch target is a jump"),
-        }
+        Some((rhs, meta))
     }
 }

@@ -33,8 +33,8 @@ impl Write {
     }
 }
 
-/// Applies a unary operator. Shared by the AST interpreter and the bytecode
-/// engine so both produce bit-identical results.
+/// Applies a unary operator (the interpreter's kernel; the compiled
+/// engine's lane-wise [`eval_unary_batch`] restates it per lane).
 pub(crate) fn eval_unary(op: UnaryOp, v: Value) -> Value {
     match op {
         UnaryOp::Not => Value::new(!v.bits(), v.width()),
@@ -47,8 +47,8 @@ pub(crate) fn eval_unary(op: UnaryOp, v: Value) -> Value {
     }
 }
 
-/// Applies a binary operator at the combined width. Shared by the AST
-/// interpreter and the bytecode engine.
+/// Applies a binary operator at the combined width (the interpreter's
+/// kernel; [`eval_binary_batch`] restates it per lane).
 pub(crate) fn eval_binary(op: BinaryOp, a: Value, b: Value) -> Value {
     let w = a.width().max(b.width());
     match op {
@@ -726,7 +726,7 @@ mod tests {
                    assign y = a << n;\nassign z = a >> n;\nendmodule";
         assert_eq!(eval_with(src, &[("a", 0b1111), ("n", 4)], "y").bits(), 0);
         assert_eq!(eval_with(src, &[("a", 0b1111), ("n", 7)], "z").bits(), 0);
-        // And the free-function path used by the compiled engine agrees,
+        // And the scalar free-function path agrees,
         // including a shift amount of exactly 64 on a 64-bit value.
         let a = Value::new(u64::MAX, 64);
         let sh = Value::new(64, 7);
@@ -835,7 +835,7 @@ mod tests {
     #[test]
     fn shift_batch_per_lane_amounts_cover_width_and_beyond() {
         // Shift amounts 0..=LANES-1 per lane: amounts >= the operand width
-        // (and >= 64) must flush to zero, exactly like the scalar engine.
+        // (and >= 64) must flush to zero, exactly like the scalar path.
         let mut amounts = [0u64; LANES];
         for (l, a) in amounts.iter_mut().enumerate() {
             *a = l as u64;

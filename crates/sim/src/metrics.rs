@@ -8,25 +8,23 @@ use obs::{LazyCounter, LazyHistogram};
 
 /// Simulated clock cycles.
 pub(crate) static CYCLES: LazyCounter = LazyCounter::new("sim.cycles");
-/// Combinational processes evaluated by the compiled engine.
+/// (combinational process, lane) pairs the compiled engine's per-lane
+/// dirty gate evaluated.
 pub(crate) static COMB_EVALS: LazyCounter = LazyCounter::new("sim.comb_evals");
-/// Combinational processes skipped by the dirty-set gate.
+/// (combinational process, lane) pairs the dirty gate skipped because the
+/// process's fanin did not change on that lane.
 pub(crate) static COMB_SKIPS: LazyCounter = LazyCounter::new("sim.comb_skips");
-/// Cached [`crate::trace::StmtExec`] records replayed for skipped processes.
-pub(crate) static CACHE_REPLAYS: LazyCounter = LazyCounter::new("sim.cache_replays");
 /// Bytecode instructions executed by the compiled engine.
 pub(crate) static BYTECODE_OPS: LazyCounter = LazyCounter::new("sim.bytecode_ops");
 /// Sequential process evaluations (clock-edge programs run).
 pub(crate) static SEQ_EVALS: LazyCounter = LazyCounter::new("sim.seq_evals");
 /// Fixpoint iterations of the interpreter's combinational settle loop.
 pub(crate) static SETTLE_ITERS: LazyCounter = LazyCounter::new("sim.settle_iters");
-/// Simulations served by the compiled engine.
-pub(crate) static RUNS_COMPILED: LazyCounter = LazyCounter::new("sim.runs_compiled");
 /// Simulations that fell back to the fixpoint interpreter.
 pub(crate) static RUNS_INTERPRETED: LazyCounter = LazyCounter::new("sim.runs_interpreted");
-/// Stimuli simulated by the batch engine (lanes, not batches).
+/// Stimuli simulated by the compiled engine (lanes, not batches).
 pub(crate) static RUNS_BATCH: LazyCounter = LazyCounter::new("sim.runs_batch");
-/// Lane fill per batch-engine invocation (64 = full batch).
+/// Lane fill per compiled-engine invocation (64 = full batch).
 pub(crate) static BATCH_LANES: LazyHistogram = LazyHistogram::new("sim.batch_lanes");
 /// Branch/case points where lanes split onto different paths.
 pub(crate) static MASK_DIVERGENCES: LazyCounter = LazyCounter::new("sim.mask_divergences");

@@ -15,7 +15,6 @@
 
 use crate::batch::BatchEngine;
 use crate::cancel::CancelToken;
-use crate::compile::Engine;
 use crate::error::SimError;
 use crate::eval::{EvalCtx, Write};
 use crate::netlist::{Netlist, Process};
@@ -27,13 +26,10 @@ use verilog::Module;
 /// Which execution strategy a [`Simulator`] settled on at elaboration time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum EngineKind {
-    /// Bit-parallel bytecode evaluating up to [`LANES`] stimuli at once
-    /// (the fast path for batch-shaped work; see
-    /// [`Simulator::run_batch`]).
+    /// The compiled engine: levelized, bit-parallel bytecode evaluating up
+    /// to [`LANES`] stimuli at once with per-lane dirty-set re-evaluation.
+    /// A single stimulus runs as a one-lane batch.
     Batch,
-    /// Levelized bytecode with dirty-set re-evaluation (the fast path for
-    /// one stimulus at a time).
-    Compiled,
     /// AST-walking fixpoint interpreter (fallback for static combinational
     /// cycles and constructs whose single-pass equivalence is unprovable).
     Interpreted,
@@ -41,15 +37,14 @@ pub enum EngineKind {
 
 /// A reusable simulator for one design.
 ///
-/// [`Simulator::new`] compiles the design into a levelized bytecode engine
-/// when static analysis proves a single ordered combinational pass
-/// equivalent to the fixpoint settle; otherwise it falls back to the AST
-/// interpreter. Both engines produce bit-identical [`Trace`]s — signal
-/// snapshots and [`StmtExec`] records — for every supported design.
+/// [`Simulator::new`] compiles the design into the levelized, bit-parallel
+/// bytecode engine when static analysis proves a single ordered
+/// combinational pass equivalent to the fixpoint settle; otherwise it falls
+/// back to the AST interpreter. Both produce bit-identical [`Trace`]s —
+/// signal snapshots and [`StmtExec`] records — for every supported design.
 #[derive(Debug)]
 pub struct Simulator {
     netlist: Netlist,
-    engine: Option<Engine>,
     batch: Option<BatchEngine>,
     cancel: CancelToken,
 }
@@ -81,16 +76,10 @@ impl Simulator {
     /// ```
     pub fn new(module: &Module) -> Result<Self, SimError> {
         let netlist = Netlist::elaborate(module)?;
-        // One analysis pass feeds both engines, so they compile (or fall
-        // back) under identical conditions.
-        let analysis = crate::compile::analyze(&netlist);
-        let engine = analysis.as_ref().and_then(|a| Engine::build(&netlist, a));
-        let batch = analysis
-            .as_ref()
-            .and_then(|a| BatchEngine::build(&netlist, a));
+        let batch =
+            crate::compile::analyze(&netlist).and_then(|a| BatchEngine::build(&netlist, &a));
         Ok(Simulator {
             netlist,
-            engine,
             batch,
             cancel: CancelToken::inert(),
         })
@@ -106,7 +95,6 @@ impl Simulator {
     pub fn interpreted(module: &Module) -> Result<Self, SimError> {
         Ok(Simulator {
             netlist: Netlist::elaborate(module)?,
-            engine: None,
             batch: None,
             cancel: CancelToken::inert(),
         })
@@ -121,7 +109,6 @@ impl Simulator {
     pub fn fork(&self) -> Simulator {
         Simulator {
             netlist: self.netlist.clone(),
-            engine: self.engine.as_ref().map(Engine::fork),
             batch: self.batch.as_ref().map(BatchEngine::fork),
             cancel: CancelToken::inert(),
         }
@@ -135,23 +122,13 @@ impl Simulator {
         self.cancel = token;
     }
 
-    /// Which engine [`run`](Self::run) uses for a single stimulus.
-    pub fn engine_kind(&self) -> EngineKind {
-        if self.engine.is_some() {
-            EngineKind::Compiled
-        } else {
-            EngineKind::Interpreted
-        }
-    }
-
-    /// Which engine [`run_batch`](Self::run_batch) uses:
-    /// [`EngineKind::Batch`] when the design compiled, otherwise the same
-    /// fallback [`engine_kind`](Self::engine_kind) reports.
+    /// Which engine every run uses: [`EngineKind::Batch`] when the design
+    /// compiled, otherwise [`EngineKind::Interpreted`].
     pub fn batch_engine_kind(&self) -> EngineKind {
         if self.batch.is_some() {
             EngineKind::Batch
         } else {
-            self.engine_kind()
+            EngineKind::Interpreted
         }
     }
 
@@ -177,16 +154,8 @@ impl Simulator {
     /// settle, [`SimError::Cancelled`] when an installed
     /// [`CancelToken`] fires, plus any evaluation error.
     pub fn run(&mut self, stimulus: &Stimulus) -> Result<Trace, SimError> {
-        match &mut self.engine {
-            Some(engine) => {
-                crate::metrics::RUNS_COMPILED.incr();
-                engine.run(&self.netlist, stimulus, &self.cancel)
-            }
-            None => {
-                crate::metrics::RUNS_INTERPRETED.incr();
-                self.run_interpreted(stimulus)
-            }
-        }
+        let mut traces = self.run_batch(std::slice::from_ref(stimulus))?;
+        Ok(traces.pop().expect("one trace per stimulus"))
     }
 
     /// Runs many stimuli and returns one trace per stimulus, in order.
@@ -196,8 +165,8 @@ impl Simulator {
     /// bit-parallel — one bytecode op evaluates every lane at once — which
     /// is how campaigns, dataset builds, and localization amortize
     /// per-stimulus cost. Traces, snapshots, and [`StmtExec`] records are
-    /// bit-identical to running each stimulus through [`run`](Self::run).
-    /// Designs that fell back to the interpreter run sequentially.
+    /// bit-identical to the interpreter's, whatever the grouping. Designs
+    /// that fell back to the interpreter run sequentially.
     ///
     /// # Errors
     ///
@@ -206,59 +175,24 @@ impl Simulator {
     /// discarded.
     pub fn run_batch(&mut self, stimuli: &[Stimulus]) -> Result<Vec<Trace>, SimError> {
         let Some(batch) = &mut self.batch else {
-            return stimuli.iter().map(|s| self.run(s)).collect();
+            return stimuli.iter().map(|s| self.run_interpreted(s)).collect();
         };
         let mut traces = Vec::with_capacity(stimuli.len());
-        let mut rest = stimuli;
-        while !rest.is_empty() {
-            // Maximal run of equal-cycle-count stimuli, capped at LANES.
-            let cycles = rest[0].vectors.len();
-            let mut take = 1;
-            while take < rest.len().min(LANES) && rest[take].vectors.len() == cycles {
-                take += 1;
-            }
-            let (chunk, tail) = rest.split_at(take);
+        for chunk in lane_groups(stimuli) {
             traces.extend(batch.run(&self.netlist, chunk, &self.cancel)?);
-            rest = tail;
         }
         Ok(traces)
     }
 
-    /// Runs a stimulus in [`TraceMode::Verdict`](crate::TraceMode): value
-    /// evolution, input validation, and cancellation behavior identical to
-    /// [`run`](Self::run), but no [`StmtExec`] records are materialized and
-    /// only `observed` signals are snapshotted per cycle. The result is
-    /// exactly the observed columns of the full trace — sufficient to
-    /// decide divergence verdicts and divergence cycles at those signals
-    /// without paying full-trace memory traffic.
-    ///
-    /// # Errors
-    ///
-    /// The same errors as [`run`](Self::run), at the same points.
-    pub fn run_verdict(
-        &mut self,
-        stimulus: &Stimulus,
-        observed: &SignalSet,
-    ) -> Result<VerdictTrace, SimError> {
-        match &mut self.engine {
-            Some(engine) => {
-                crate::metrics::RUNS_COMPILED.incr();
-                crate::metrics::RUNS_VERDICT.incr();
-                engine.run_verdict(&self.netlist, stimulus, &self.cancel, observed)
-            }
-            None => {
-                crate::metrics::RUNS_INTERPRETED.incr();
-                crate::metrics::RUNS_VERDICT.incr();
-                self.run_interpreted_verdict(stimulus, observed)
-            }
-        }
-    }
-
-    /// Runs many stimuli in verdict mode, one [`VerdictTrace`] per
-    /// stimulus in order, batching exactly as [`run_batch`](Self::run_batch)
-    /// does (maximal equal-cycle-count groups of up to [`LANES`] lanes).
-    /// This is the campaign screening pass: the 64-lane compute win with
-    /// none of the trace-production memory traffic.
+    /// Runs many stimuli in [`TraceMode::Verdict`](crate::TraceMode), one
+    /// [`VerdictTrace`] per stimulus in order, batching exactly as
+    /// [`run_batch`](Self::run_batch) does (maximal equal-cycle-count groups
+    /// of up to [`LANES`] lanes). Value evolution, input validation, and
+    /// cancellation behave as in full mode, but no [`StmtExec`] records are
+    /// materialized and only `observed` signals are snapshotted per cycle:
+    /// each result is exactly the observed columns of the full trace. This
+    /// is the campaign screening pass: the 64-lane compute win with none of
+    /// the trace-production memory traffic.
     ///
     /// # Errors
     ///
@@ -272,21 +206,12 @@ impl Simulator {
         let Some(batch) = &mut self.batch else {
             return stimuli
                 .iter()
-                .map(|s| self.run_verdict(s, observed))
+                .map(|s| self.run_interpreted_verdict(s, observed))
                 .collect();
         };
         let mut verdicts = Vec::with_capacity(stimuli.len());
-        let mut rest = stimuli;
-        while !rest.is_empty() {
-            // Maximal run of equal-cycle-count stimuli, capped at LANES.
-            let cycles = rest[0].vectors.len();
-            let mut take = 1;
-            while take < rest.len().min(LANES) && rest[take].vectors.len() == cycles {
-                take += 1;
-            }
-            let (chunk, tail) = rest.split_at(take);
+        for chunk in lane_groups(stimuli) {
             verdicts.extend(batch.run_verdict(&self.netlist, chunk, &self.cancel, observed)?);
-            rest = tail;
         }
         Ok(verdicts)
     }
@@ -294,6 +219,7 @@ impl Simulator {
     /// The fixpoint-interpreter path: settle combinational logic by
     /// iteration, then one recording pass per cycle.
     fn run_interpreted(&mut self, stimulus: &Stimulus) -> Result<Trace, SimError> {
+        crate::metrics::RUNS_INTERPRETED.incr();
         let mut ctx = EvalCtx::new(&self.netlist);
         let nsig = self.netlist.signal_count();
         let ncycles = stimulus.vectors.len();
@@ -356,6 +282,8 @@ impl Simulator {
         stimulus: &Stimulus,
         observed: &SignalSet,
     ) -> Result<VerdictTrace, SimError> {
+        crate::metrics::RUNS_INTERPRETED.incr();
+        crate::metrics::RUNS_VERDICT.incr();
         let mut ctx = EvalCtx::new(&self.netlist);
         let ncycles = stimulus.vectors.len();
         let nobs = observed.len();
@@ -433,6 +361,22 @@ impl Simulator {
             iterations: max_iters,
         })
     }
+}
+
+/// Splits `stimuli` into maximal runs of equal cycle count, each capped at
+/// [`LANES`] — the batches the compiled engine runs.
+fn lane_groups(mut rest: &[Stimulus]) -> impl Iterator<Item = &[Stimulus]> {
+    std::iter::from_fn(move || {
+        let cycles = rest.first()?.vectors.len();
+        let take = rest
+            .iter()
+            .take(LANES)
+            .take_while(|s| s.vectors.len() == cycles)
+            .count();
+        let (chunk, tail) = rest.split_at(take);
+        rest = tail;
+        Some(chunk)
+    })
 }
 
 /// One-shot convenience: elaborate, simulate, return the trace.
@@ -623,7 +567,7 @@ mod tests {
         let unit = verilog::parse(src).unwrap();
         let mut original = Simulator::new(unit.top()).unwrap();
         let mut forked = original.fork();
-        assert_eq!(original.engine_kind(), forked.engine_kind());
+        assert_eq!(original.batch_engine_kind(), forked.batch_engine_kind());
         let vectors = stim(vec![vec![("en", 1)], vec![("en", 1)], vec![("en", 0)]]);
         let a = original.run(&vectors).unwrap();
         let b = forked.run(&vectors).unwrap();
@@ -634,7 +578,7 @@ mod tests {
         token.cancel();
         assert!(original.run(&vectors).is_err());
         let fresh = original.fork();
-        assert_eq!(fresh.engine_kind(), EngineKind::Compiled);
+        assert_eq!(fresh.batch_engine_kind(), EngineKind::Batch);
         let mut fresh = fresh;
         assert_eq!(fresh.run(&vectors).unwrap(), a);
     }
@@ -648,12 +592,16 @@ mod tests {
                    always @(posedge clk) begin\ncase (s)\n2'b00: n <= n + 4'd1;\n2'b01: n <= a;\ndefault: n <= 4'd0;\nendcase\nend\nendmodule";
         let unit = verilog::parse(src).unwrap();
         let mut sim = Simulator::new(unit.top()).unwrap();
+        let mut interp = Simulator::interpreted(unit.top()).unwrap();
         assert_eq!(sim.batch_engine_kind(), EngineKind::Batch);
         let gen = crate::testbench::TestbenchGen::new(11);
         let stimuli = gen.generate_many(sim.netlist(), 9, 7);
         let batched = sim.run_batch(&stimuli).unwrap();
-        let sequential: Vec<Trace> = stimuli.iter().map(|s| sim.run(s).unwrap()).collect();
+        let sequential: Vec<Trace> = stimuli.iter().map(|s| interp.run(s).unwrap()).collect();
         assert_eq!(batched, sequential);
+        // One stimulus at a time is a one-lane batch, with the same traces.
+        let single: Vec<Trace> = stimuli.iter().map(|s| sim.run(s).unwrap()).collect();
+        assert_eq!(single, sequential);
     }
 
     #[test]
@@ -662,6 +610,7 @@ mod tests {
                    always @(posedge clk) q <= d;\nendmodule";
         let unit = verilog::parse(src).unwrap();
         let mut sim = Simulator::new(unit.top()).unwrap();
+        let mut interp = Simulator::interpreted(unit.top()).unwrap();
         // 3-cycle, 3-cycle, 5-cycle, 3-cycle: three batch chunks.
         let stimuli = vec![
             stim(vec![vec![("d", 1)]; 3]),
@@ -673,7 +622,7 @@ mod tests {
         assert_eq!(batched.len(), 4);
         for (t, s) in batched.iter().zip(&stimuli) {
             assert_eq!(t.len(), s.vectors.len());
-            assert_eq!(t, &sim.run(s).unwrap());
+            assert_eq!(t, &interp.run(s).unwrap());
         }
         // Empty input is a no-op.
         assert!(sim.run_batch(&[]).unwrap().is_empty());
@@ -724,7 +673,7 @@ mod tests {
     }
 
     #[test]
-    fn verdict_mode_matches_full_trace_columns_on_all_engines() {
+    fn verdict_mode_matches_full_trace_columns_on_both_engines() {
         // Divergent control flow + nonblocking state: exercises the dirty
         // gate, masks, and deferred writes in verdict mode.
         let src = "module m(input clk, input [1:0] s, input [3:0] a, output reg [3:0] y, output reg [3:0] n);\n\
@@ -739,7 +688,7 @@ mod tests {
         let gen = crate::testbench::TestbenchGen::new(23);
         let stimuli = gen.generate_many(sim.netlist(), 9, 7);
 
-        let full: Vec<Trace> = stimuli.iter().map(|s| sim.run(s).unwrap()).collect();
+        let full: Vec<Trace> = stimuli.iter().map(|s| interp.run(s).unwrap()).collect();
         let expect = |t: &Trace| VerdictTrace {
             values: t
                 .cycles
@@ -749,11 +698,15 @@ mod tests {
             nobs: observed.len(),
             records_elided: 0,
         };
-        // Scalar compiled, interpreter, and batch verdict paths all
+        // Interpreter, one-lane, and full-batch verdict paths all
         // reproduce exactly the observed columns of the full trace.
         for (s, t) in stimuli.iter().zip(&full) {
-            assert_eq!(sim.run_verdict(s, &observed).unwrap(), expect(t));
-            assert_eq!(interp.run_verdict(s, &observed).unwrap(), expect(t));
+            let one = std::slice::from_ref(s);
+            assert_eq!(sim.run_batch_verdict(one, &observed).unwrap(), [expect(t)]);
+            assert_eq!(
+                interp.run_batch_verdict(one, &observed).unwrap(),
+                [expect(t)]
+            );
         }
         let batched = sim.run_batch_verdict(&stimuli, &observed).unwrap();
         assert_eq!(batched.len(), full.len());
@@ -784,10 +737,35 @@ mod tests {
             SimError::UnknownSignal { name } if name == "ghost"
         ));
         assert!(matches!(
-            sim.run_verdict(&stim(vec![vec![("q", 1)]]), &observed)
+            sim.run_batch_verdict(&[stim(vec![vec![("q", 1)]])], &observed)
                 .unwrap_err(),
             SimError::NotAnInput { .. }
         ));
+    }
+
+    #[test]
+    fn dirty_gate_counts_skips_through_single_runs() {
+        obs::enable();
+        // `z` depends only on `b`, which holds still: after the first
+        // cycle its process is skipped on every cycle.
+        let src = "module m(input a, input b, output y, output z);\n\
+                   assign y = ~a;\nassign z = ~b;\nendmodule";
+        let unit = verilog::parse(src).unwrap();
+        let mut sim = Simulator::new(unit.top()).unwrap();
+        let counters = || {
+            let report = obs::snapshot();
+            let get = |name| report.counter(name).unwrap_or(0);
+            (get("sim.comb_evals"), get("sim.comb_skips"))
+        };
+        let (evals_before, skips_before) = counters();
+        let vectors = (0..4).map(|c| vec![("a", c % 2), ("b", 1)]).collect();
+        sim.run(&stim(vectors)).unwrap();
+        let (evals_after, skips_after) = counters();
+        // Other tests may add to the shared totals concurrently, so only
+        // lower bounds hold: 2 processes at cycle 0 plus `y` on 3 more
+        // cycles evaluate; `z` skips on cycles 1..4.
+        assert!(evals_after - evals_before >= 5);
+        assert!(skips_after - skips_before >= 3);
     }
 
     #[test]

@@ -108,9 +108,9 @@ impl PartialEq for Operands {
 /// Carries no cycle index: the enclosing [`CycleRecord`] provides it. That
 /// makes a record a pure function of the statement and the values it read,
 /// so identical executions in different cycles are byte-identical — which
-/// is what lets the batch engine share one stored record run across every
-/// cycle (and lane) whose fanin did not change, instead of cloning records
-/// the way the scalar engine's replay cache does.
+/// is what lets the compiled engine share one stored record run across
+/// every cycle (and lane) whose fanin did not change instead of cloning
+/// records.
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct StmtExec {
     /// Which statement executed.
@@ -190,17 +190,16 @@ impl From<Vec<Value>> for Snapshot {
 /// One cycle's statement executions: an ordered sequence of segments
 /// viewing a run-wide record arena.
 ///
-/// The simulator engines write every [`StmtExec`] of a run into **one**
-/// flat arena and describe each cycle's execution list as `(start, len)`
+/// The compiled engine writes every [`StmtExec`] of a run into **one**
+/// flat arena and describes each cycle's execution list as `(start, len)`
 /// segment descriptors into it. A cycle whose process fanin did not change
 /// re-uses the previous cycle's descriptors verbatim — the records are
-/// shared, not copied — so the batch engine's per-lane "replay" costs one
-/// 8-byte descriptor where the scalar engine's cache replay memcpys whole
-/// record runs. Cloning is three `Arc` bumps; equality compares the
+/// shared, not copied — so a clean lane's "replay" costs one 8-byte
+/// descriptor. Cloning is three `Arc` bumps; equality compares the
 /// logical record sequence, not arena identity, so segmented and
 /// contiguous traces of the same run compare equal.
 ///
-/// Scalar engines build cycles from plain record vectors via
+/// The interpreter builds cycles from plain record vectors via
 /// `From<Vec<StmtExec>>` (a single segment spanning the whole vector).
 #[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
 pub struct Execs {
@@ -342,9 +341,8 @@ pub struct Trace {
 impl Trace {
     /// Assembles a trace from a run-wide snapshot arena holding one
     /// contiguous `nsig`-value window per cycle, plus per-cycle execution
-    /// records. Shared by the interpreter and the compiled engine; the
-    /// batch engine views the same kind of arena at lane-strided offsets
-    /// instead.
+    /// records. Used by the interpreter; the compiled engine views the same
+    /// kind of arena at lane-strided offsets instead.
     pub(crate) fn assemble(
         arena: Arc<[Value]>,
         nsig: usize,
@@ -477,9 +475,8 @@ pub enum TraceMode {
 /// Values are cycle-major: `values[cycle * nobs + k]` is observed signal
 /// `k` (in [`SignalSet`] order) at `cycle`. Equality compares values and
 /// shape only — `records_elided` is an accounting figure that legitimately
-/// differs between engines (the batch engine's clean-lane skipping elides
-/// a different count than the scalar replay cache) and must not break
-/// bit-identity comparisons.
+/// differs between engines (the interpreter does not count elisions at
+/// all) and must not break bit-identity comparisons.
 #[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
 pub struct VerdictTrace {
     /// Cycle-major observed values: `values[cycle * nobs + k]`.

@@ -216,8 +216,8 @@ impl BatchValue {
     }
 
     /// Per-lane raw-bit equality as a mask: bit `l` is set when the lanes'
-    /// bits match (widths are ignored, mirroring the scalar case-label
-    /// comparison on `Value::bits`).
+    /// bits match (widths are ignored, mirroring the interpreter's
+    /// case-label comparison on `Value::bits`).
     pub fn eq_mask(&self, other: &BatchValue) -> u64 {
         let mut m = 0u64;
         for l in 0..LANES {
