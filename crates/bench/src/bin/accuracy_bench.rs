@@ -212,15 +212,13 @@ fn evaluate(
             entropies,
         }
     });
+    let contexts = par::par_map(&holdout.stmts, |f| model.operand_contexts(f));
     let margin_chunks = par::par_chunk_map(&holdout.entries, 64, |_, chunk| {
-        let mut g = neuro::Graph::new();
         chunk
             .iter()
             .map(|entry| {
-                g.clear();
-                let fwd = model.forward(&mut g, &holdout.stmts[entry.stmt_idx], &entry.sample);
-                let row = g.value(fwd.logits);
-                let row = row.data();
+                let out = model.infer(&contexts[entry.stmt_idx], &entry.sample.values);
+                let row = out.logits.data();
                 f64::from((row[1] - row[0]).abs())
             })
             .collect::<Vec<f64>>()

@@ -131,36 +131,24 @@ pub fn grouped_heatmap(
     threshold: f32,
     groups: usize,
 ) -> Heatmap {
-    let groups = groups.max(1).min(runs.len().max(1));
-    let mut combined = Heatmap {
-        entries: Default::default(),
-        threshold,
-    };
-    for g in 0..groups {
-        let subset: Vec<LabelledTrace<'_>> = runs
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| i % groups == g)
-            .map(|(_, r)| r.clone())
-            .collect();
-        // A group with no failing runs carries no localization signal.
-        if !subset.iter().any(|r| r.label == sim::TraceLabel::Failing) {
-            continue;
-        }
-        let (heatmap, _, _) = explainer.explain(&subset, threshold);
-        for (stmt, entry) in heatmap.entries {
-            match combined.entries.get_mut(&stmt) {
-                None => {
-                    combined.entries.insert(stmt, entry);
-                }
-                Some(cur) if entry.suspiciousness > cur.suspiciousness => {
-                    *cur = entry;
-                }
-                Some(_) => {}
-            }
-        }
-    }
-    combined
+    let groups = group_count(runs.len(), groups);
+    // Runs of groups without a failing run are never aggregated.
+    let failing_group: Vec<bool> = (0..groups)
+        .map(|g| {
+            runs.iter()
+                .skip(g)
+                .step_by(groups)
+                .any(|r| r.label == sim::TraceLabel::Failing)
+        })
+        .collect();
+    let resolved = explainer.resolve(runs, |i| failing_group[i % groups]);
+    explainer.grouped(&resolved, threshold, groups)
+}
+
+/// The number of run groups [`grouped_heatmap`] forms: at least one, at
+/// most one per run.
+pub(crate) fn group_count(runs: usize, groups: usize) -> usize {
+    groups.max(1).min(runs.max(1))
 }
 
 fn score(heatmap: &Heatmap, mutant: &Mutant) -> LocalizationOutcome {

@@ -2,12 +2,13 @@
 //! maps `F_t`/`C_t`, suspiciousness scores, and the final heatmap `H_t`.
 
 use std::collections::{BTreeMap, HashMap};
+use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::features::StatementFeatures;
-use crate::model::VeriBugModel;
-use crate::train::{operand_positions, operand_values};
+use crate::model::{OperandContexts, VeriBugModel};
+use crate::train::operand_positions;
 use cdfg::{Cdfg, ConeOfInfluence, Slice, Vdg};
-use sim::{Trace, TraceLabel};
+use sim::{StmtExec, Trace, TraceLabel};
 use verilog::{Module, StmtId};
 
 /// The default suspiciousness threshold (paper: 0.10).
@@ -137,26 +138,130 @@ impl Heatmap {
     }
 }
 
+/// Slot of a statement the explainer does not attribute.
+const NO_SLOT: u32 = u32::MAX;
+
+/// One statement the explainer attributes: executed records of it are in
+/// the target's dynamic slice. Resolved once in [`Explainer::new`].
+#[derive(Debug)]
+struct Slot {
+    features: StatementFeatures,
+    /// Record read-order position of each feature operand (execution
+    /// records store operand values positionally).
+    positions: Vec<usize>,
+    /// Sequential depth: the minimum number of clock cycles for a change
+    /// at the defined signal to reach the target (from the
+    /// cone-of-influence analysis). A buggy execution at depth δ
+    /// symptomatizes δ cycles later, so failing-trace aggregation aligns
+    /// the statement's window by its own δ.
+    depth: u32,
+    /// Where the statement's operand weights start in a [`DenseMap`].
+    offset: usize,
+    /// Operand contexts, embedded on the statement's first memo miss.
+    contexts: Option<OperandContexts>,
+    /// Memoized attention per operand value vector, bit-packed (operand
+    /// `i` is bit `i`): executions of a statement with the same values
+    /// always produce the same weights, and traces repeat them constantly.
+    /// Values index [`Explainer`]'s weight arena.
+    memo: HashMap<u64, u32, BuildHasherDefault<KeyHasher>>,
+    /// The same memo for statements with more than 64 operands, keyed by
+    /// the unpacked values.
+    wide_memo: HashMap<Vec<bool>, u32>,
+}
+
+impl Slot {
+    fn width(&self) -> usize {
+        self.positions.len()
+    }
+
+    /// This statement's operand weights in `map`.
+    fn weights_in<'a>(&self, map: &'a DenseMap) -> &'a [f32] {
+        &map.weights[self.offset..][..self.width()]
+    }
+
+    fn operand_names(&self) -> Vec<String> {
+        self.features
+            .operands
+            .iter()
+            .map(|o| o.name.clone())
+            .collect()
+    }
+}
+
+/// A one-multiply hasher for bit-packed value keys: they are small
+/// integers the explainer derives itself, so SipHash's flooding
+/// resistance would only cost time on every record.
+#[derive(Default)]
+struct KeyHasher(u64);
+
+impl Hasher for KeyHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, v: u64) {
+        self.0 = (self.0.rotate_left(5) ^ v).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// One execution record resolved against the explainer's tables.
+#[derive(Debug, Clone, Copy)]
+struct Record {
+    slot: u32,
+    /// Offset of the execution's attention vector in the weight arena.
+    weights: u32,
+}
+
+/// One labelled trace, resolved: its records split by the map they feed.
+#[derive(Debug, Default)]
+struct ResolvedRun {
+    failing: bool,
+    /// Records aggregated into `F_t`, in trace order.
+    f: Vec<Record>,
+    /// Records aggregated into `C_t`, in trace order.
+    c: Vec<Record>,
+}
+
+/// A run set resolved by [`Explainer::resolve`], in run order.
+#[derive(Debug)]
+pub(crate) struct Resolved {
+    runs: Vec<ResolvedRun>,
+}
+
+/// Per-statement attention in slot layout: each slot's operand weights at
+/// its offset, plus the slot's execution count (0 means absent).
+#[derive(Debug)]
+struct DenseMap {
+    weights: Vec<f32>,
+    counts: Vec<usize>,
+}
+
 /// The Explainer: a trained model applied to labelled traces of one design.
+///
+/// Each labelled trace is walked once (`Explainer::resolve`): every
+/// record of an attributed statement is looked up in dense
+/// statement-indexed tables, classified into the `F_t` and/or `C_t`
+/// aggregation it feeds, and paired with its memoized attention vector.
+/// All maps and heatmaps are then aggregated from those compact records.
 #[derive(Debug)]
 pub struct Explainer<'m> {
     model: &'m VeriBugModel,
-    features: BTreeMap<StmtId, StatementFeatures>,
     slice: Slice,
     failure_window: u32,
-    /// Sequential depth of each slice statement: the minimum number of
-    /// clock cycles for a change at its defined signal to reach the target
-    /// (from the cone-of-influence analysis). A buggy execution of a
-    /// statement at depth δ symptomatizes δ cycles later, so failing-trace
-    /// aggregation aligns each statement's window by its own δ.
-    depth: BTreeMap<StmtId, u32>,
-    /// Memoized attention per (statement, operand values): executions of
-    /// the same statement with the same values always produce the same
-    /// weights, and traces repeat them constantly.
-    cache: HashMap<(StmtId, Vec<bool>), Vec<f32>>,
-    /// Per-statement map from feature-operand index to record read-order
-    /// position (execution records store operand values positionally).
-    positions: BTreeMap<StmtId, Vec<Option<usize>>>,
+    /// Statement id → slot index, [`NO_SLOT`] for statements outside the
+    /// slice or without attributable operands.
+    slot_of: Vec<u32>,
+    slots: Vec<Slot>,
+    /// Total operand count over all slots: the length of a [`DenseMap`].
+    width: usize,
+    /// Every memoized attention vector, back to back.
+    arena: Vec<f32>,
 }
 
 impl<'m> Explainer<'m> {
@@ -182,26 +287,55 @@ impl<'m> Explainer<'m> {
             let commit_delay = u32::from(node.kind == verilog::AssignKind::NonBlocking);
             depth.insert(node.stmt, signal_depth + commit_delay);
         }
-        let features = StatementFeatures::extract_all(module);
         // Records carry positional operand values; resolve each feature
         // operand's position once, against the same elaboration the
         // simulator records under. Designs that fail to elaborate produce
-        // no traces, so an empty map is fine there.
-        let positions = match sim::Netlist::elaborate(module) {
-            Ok(netlist) => features
-                .iter()
-                .map(|(id, f)| (*id, operand_positions(f, &netlist)))
-                .collect(),
-            Err(_) => BTreeMap::new(),
-        };
+        // no traces, so they need no slots; neither do statements with an
+        // operand the simulator never records.
+        let mut slot_of = Vec::new();
+        let mut slots = Vec::new();
+        let mut width = 0;
+        if let Ok(netlist) = sim::Netlist::elaborate(module) {
+            for a in module.assignments() {
+                let id = a.id;
+                if !slice.contains(id) {
+                    continue;
+                }
+                let Some(features) = StatementFeatures::extract(a) else {
+                    continue;
+                };
+                let Some(positions) = operand_positions(&features, &netlist)
+                    .into_iter()
+                    .collect::<Option<Vec<usize>>>()
+                else {
+                    continue;
+                };
+                let index = id.0 as usize;
+                if slot_of.len() <= index {
+                    slot_of.resize(index + 1, NO_SLOT);
+                }
+                slot_of[index] = slots.len() as u32;
+                let slot = Slot {
+                    features,
+                    depth: depth.get(&id).copied().unwrap_or(0),
+                    offset: width,
+                    positions,
+                    contexts: None,
+                    memo: HashMap::default(),
+                    wide_memo: HashMap::new(),
+                };
+                width += slot.width();
+                slots.push(slot);
+            }
+        }
         Explainer {
             model,
-            features,
             slice,
             failure_window: DEFAULT_FAILURE_WINDOW,
-            depth,
-            cache: HashMap::new(),
-            positions,
+            slot_of,
+            slots,
+            width,
+            arena: Vec::new(),
         }
     }
 
@@ -220,89 +354,12 @@ impl<'m> Explainer<'m> {
     /// Aggregates attention over every execution (within the target's
     /// dynamic slice) across `traces`, producing one attention map.
     pub fn attention_map(&mut self, traces: &[&Trace]) -> AttentionMap {
-        self.attention_map_filtered(traces, |_, _| true)
-    }
-
-    /// Like [`Explainer::attention_map`], keeping only executions for
-    /// which `keep(statement, cycle)` holds.
-    pub fn attention_map_filtered(
-        &mut self,
-        traces: &[&Trace],
-        keep: impl Fn(StmtId, u32) -> bool,
-    ) -> AttentionMap {
-        struct Acc {
-            operands: Vec<String>,
-            sums: Vec<f32>,
-            count: usize,
-        }
-        let mut acc: BTreeMap<StmtId, Acc> = BTreeMap::new();
-        for trace in traces {
-            for cyc in &trace.cycles {
-                for exec in &cyc.execs {
-                    // Dynamic slice: executed AND in the static slice of t.
-                    if !self.slice.contains(exec.stmt) || !keep(exec.stmt, cyc.cycle) {
-                        continue;
-                    }
-                    let Some(f) = self.features.get(&exec.stmt) else {
-                        continue;
-                    };
-                    let Some(values) = self
-                        .positions
-                        .get(&exec.stmt)
-                        .and_then(|p| operand_values(p, exec))
-                    else {
-                        continue;
-                    };
-                    static CACHE_HITS: obs::LazyCounter =
-                        obs::LazyCounter::new("explain.attention_cache_hits");
-                    static CACHE_MISSES: obs::LazyCounter =
-                        obs::LazyCounter::new("explain.attention_cache_misses");
-                    /// Shannon entropy (nats) of each freshly computed
-                    /// attention distribution.
-                    static ENTROPY: obs::LazyHistogram =
-                        obs::LazyHistogram::new_micros("explain.attention_entropy");
-                    let weights = match self.cache.entry((exec.stmt, values.clone())) {
-                        std::collections::hash_map::Entry::Occupied(e) => {
-                            CACHE_HITS.incr();
-                            e.get().clone()
-                        }
-                        std::collections::hash_map::Entry::Vacant(e) => {
-                            CACHE_MISSES.incr();
-                            let weights = self.model.predict(f, &values).1;
-                            if obs::enabled() {
-                                ENTROPY.record_f64(attention_entropy(&weights));
-                            }
-                            e.insert(weights).clone()
-                        }
-                    };
-                    let slot = acc.entry(exec.stmt).or_insert_with(|| Acc {
-                        operands: f.operands.iter().map(|o| o.name.clone()).collect(),
-                        sums: vec![0.0; weights.len()],
-                        count: 0,
-                    });
-                    for (s, w) in slot.sums.iter_mut().zip(&weights) {
-                        *s += w;
-                    }
-                    slot.count += 1;
-                }
-            }
-        }
-        AttentionMap {
-            per_stmt: acc
-                .into_iter()
-                .map(|(id, a)| {
-                    let n = a.count.max(1) as f32;
-                    (
-                        id,
-                        StmtAttention {
-                            operands: a.operands,
-                            weights: a.sums.into_iter().map(|s| s / n).collect(),
-                            count: a.count,
-                        },
-                    )
-                })
-                .collect(),
-        }
+        let runs: Vec<LabelledTrace<'_>> = traces
+            .iter()
+            .map(|t| LabelledTrace::new(TraceLabel::Correct, t))
+            .collect();
+        let resolved = self.resolve(&runs, |_| true);
+        self.to_map(&self.mean_map(resolved.runs.iter().map(|r| &r.c[..])))
     }
 
     /// Builds the heatmap `H_t` from failing and correct attention maps
@@ -310,39 +367,18 @@ impl<'m> Explainer<'m> {
     pub fn heatmap(failing: &AttentionMap, correct: &AttentionMap, threshold: f32) -> Heatmap {
         let mut entries = BTreeMap::new();
         for (id, f_att) in &failing.per_stmt {
-            match correct.per_stmt.get(id) {
-                // Present only in F_t: suspicious; copy its weights.
-                None => {
-                    entries.insert(
-                        *id,
-                        HeatmapEntry {
-                            operands: f_att.operands.clone(),
-                            weights: f_att.weights.clone(),
-                            suspiciousness: 1.0,
-                            reason: SuspicionReason::OnlyInFailing,
-                        },
-                    );
-                }
-                // Present in both: compare attention with the normalized
-                // norm-1 distance (min 0, max 2 → divide by 2).
-                Some(c_att) => {
-                    let d = suspiciousness(&f_att.weights, &c_att.weights);
-                    if d > threshold {
-                        entries.insert(
-                            *id,
-                            HeatmapEntry {
-                                operands: f_att.operands.clone(),
-                                weights: f_att.weights.clone(),
-                                suspiciousness: d,
-                                reason: SuspicionReason::DivergentAttention,
-                            },
-                        );
-                    }
-                }
+            let c_weights = correct.per_stmt.get(id).map(|c| &c.weights[..]);
+            if let Some((score, reason)) = suspicion(&f_att.weights, c_weights, threshold) {
+                entries.insert(
+                    *id,
+                    HeatmapEntry {
+                        operands: f_att.operands.clone(),
+                        weights: f_att.weights.clone(),
+                        suspiciousness: score,
+                        reason,
+                    },
+                );
             }
-            // Statements present only in C_t are *not suspicious*: failing
-            // traces never executed them, so they cannot have caused the
-            // symptom (paper case 1).
         }
         Heatmap { entries, threshold }
     }
@@ -368,86 +404,341 @@ impl<'m> Explainer<'m> {
         runs: &[LabelledTrace<'_>],
         threshold: f32,
     ) -> (Heatmap, AttentionMap, AttentionMap) {
-        let window = self.failure_window;
-        let failing: Vec<&LabelledTrace<'_>> = runs
-            .iter()
-            .filter(|r| r.label == TraceLabel::Failing)
-            .collect();
-        let correct: Vec<&Trace> = runs
-            .iter()
-            .filter(|r| r.label == TraceLabel::Correct)
-            .map(|r| r.trace)
-            .collect();
-
-        // F_t: failure-centered when divergence cycles are known. Each
-        // statement's window is aligned by its sequential depth δ: a buggy
-        // execution at cycle k−δ symptomatizes at cycle k, so the
-        // executions that can have caused the symptom at k lie in
-        // [k−δ−window, k−δ].
-        let depth = self.depth.clone();
-        let delta = move |stmt: StmtId| depth.get(&stmt).copied().unwrap_or(0);
-        let mut f_map = AttentionMap::default();
-        for run in &failing {
-            let partial = if run.failure_cycles.is_empty() {
-                self.attention_map(&[run.trace])
-            } else {
-                let cycles = run.failure_cycles.clone();
-                let delta = delta.clone();
-                self.attention_map_filtered(&[run.trace], move |stmt, c| {
-                    let d = delta(stmt);
-                    cycles.iter().any(|&k| {
-                        let hi = k.saturating_sub(d);
-                        c <= hi && hi.saturating_sub(window) <= c
-                    })
-                })
-            };
-            merge_maps(&mut f_map, &partial);
-        }
-
-        // C_t: fully-correct runs, augmented with the masked (far-from-
-        // failure) cycles of failing runs — both exhibit correct behavior,
-        // and the extra executions sharpen the comparison baseline.
-        let mut c_map = self.attention_map(&correct);
-        for run in &failing {
-            if run.failure_cycles.is_empty() {
-                continue;
-            }
-            let cycles = run.failure_cycles.clone();
-            let delta = delta.clone();
-            let partial = self.attention_map_filtered(&[run.trace], move |stmt, c| {
-                let d = delta(stmt);
-                cycles.iter().all(|&k| {
-                    let hi = k.saturating_sub(d);
-                    c + window + 1 < hi.max(1) || hi + 2 < c
-                })
-            });
-            merge_maps(&mut c_map, &partial);
-        }
-
+        let resolved = self.resolve(runs, |_| true);
+        let _span = obs::span("explain.aggregate");
+        let runs: Vec<&ResolvedRun> = resolved.runs.iter().collect();
+        let f_map = self.to_map(&self.failing_dense(&runs));
+        let c_map = self.to_map(&self.correct_dense(&runs));
         let heatmap = Self::heatmap(&f_map, &c_map, threshold);
         (heatmap, f_map, c_map)
     }
-}
 
-/// Count-weighted merge of one attention map into another.
-fn merge_maps(into: &mut AttentionMap, from: &AttentionMap) {
-    for (id, att) in &from.per_stmt {
-        match into.per_stmt.get_mut(id) {
-            None => {
-                into.per_stmt.insert(*id, att.clone());
-            }
-            Some(cur) => {
-                let old = cur.count as f32;
-                let new = att.count as f32;
-                let total = old + new;
-                if total == 0.0 {
+    /// Walks each labelled trace once, resolving every attributable record
+    /// of the runs `keep` selects (by index) into the maps it feeds and its
+    /// memoized attention. Runs not kept resolve to no records.
+    pub(crate) fn resolve(
+        &mut self,
+        runs: &[LabelledTrace<'_>],
+        keep: impl Fn(usize) -> bool,
+    ) -> Resolved {
+        let _span = obs::span("explain.resolve");
+        Resolved {
+            runs: runs
+                .iter()
+                .enumerate()
+                .map(|(i, run)| {
+                    if keep(i) {
+                        self.resolve_run(run)
+                    } else {
+                        ResolvedRun::default()
+                    }
+                })
+                .collect(),
+        }
+    }
+
+    fn resolve_run(&mut self, run: &LabelledTrace<'_>) -> ResolvedRun {
+        static CACHE_HITS: obs::LazyCounter = obs::LazyCounter::new("explain.attention_cache_hits");
+        let failing = run.label == TraceLabel::Failing;
+        let divergences = &run.failure_cycles;
+        let window = self.failure_window;
+        let mut out = ResolvedRun {
+            failing,
+            ..ResolvedRun::default()
+        };
+        let mut hits = 0u64;
+        for cycle in &run.trace.cycles {
+            for exec in &cycle.execs {
+                let slot = self
+                    .slot_of
+                    .get(exec.stmt.0 as usize)
+                    .copied()
+                    .unwrap_or(NO_SLOT);
+                if slot == NO_SLOT {
                     continue;
                 }
-                for (w, nw) in cur.weights.iter_mut().zip(&att.weights) {
-                    *w = (*w * old + nw * new) / total;
+                // Which maps the execution feeds: F_t is failure-centered
+                // when divergence cycles are known (the whole trace when
+                // not); C_t takes correct runs whole plus the masked
+                // cycles of failing runs.
+                let (into_f, into_c) = if !failing {
+                    (false, true)
+                } else if divergences.is_empty() {
+                    (true, false)
+                } else {
+                    let depth = self.slots[slot as usize].depth;
+                    (
+                        near_divergence(divergences, depth, window, cycle.cycle),
+                        far_from_divergences(divergences, depth, window, cycle.cycle),
+                    )
+                };
+                if !(into_f || into_c) {
+                    continue;
                 }
-                cur.count += att.count;
+                let Some((weights, hit)) = self.attention_of(slot, exec) else {
+                    continue;
+                };
+                hits += u64::from(hit);
+                let record = Record { slot, weights };
+                if into_f {
+                    out.f.push(record);
+                }
+                if into_c {
+                    out.c.push(record);
+                }
             }
+        }
+        CACHE_HITS.add(hits);
+        out
+    }
+
+    /// The memoized attention of one execution of `slot`: its arena offset
+    /// and whether the memo already held it. `None` when a feature operand
+    /// was not recorded (should not happen for executions produced by
+    /// `veribug-sim`).
+    fn attention_of(&mut self, slot: u32, exec: &StmtExec) -> Option<(u32, bool)> {
+        let model = self.model;
+        let arena = &mut self.arena;
+        let slot = &mut self.slots[slot as usize];
+        let recorded = exec.operands.values();
+        if slot.width() <= 64 {
+            let mut key = 0u64;
+            for (i, &p) in slot.positions.iter().enumerate() {
+                key |= u64::from(recorded.get(p)?.is_truthy()) << i;
+            }
+            if let Some(&w) = slot.memo.get(&key) {
+                return Some((w, true));
+            }
+            let values: Vec<bool> = (0..slot.width()).map(|i| key >> i & 1 == 1).collect();
+            let w = evaluate(model, slot, &values, arena);
+            slot.memo.insert(key, w);
+            Some((w, false))
+        } else {
+            let values = slot
+                .positions
+                .iter()
+                .map(|&p| recorded.get(p).map(|v| v.is_truthy()))
+                .collect::<Option<Vec<bool>>>()?;
+            if let Some(&w) = slot.wide_memo.get(&values) {
+                return Some((w, true));
+            }
+            let w = evaluate(model, slot, &values, arena);
+            slot.wide_memo.insert(values, w);
+            Some((w, false))
+        }
+    }
+
+    /// Splits the resolved runs into `groups` interleaved subsets, builds
+    /// each subset's heatmap, and max-pools statement suspiciousness
+    /// across them (see [`grouped_heatmap`](crate::coverage::grouped_heatmap)).
+    pub(crate) fn grouped(&self, resolved: &Resolved, threshold: f32, groups: usize) -> Heatmap {
+        let _span = obs::span("explain.aggregate");
+        let groups = crate::coverage::group_count(resolved.runs.len(), groups);
+        // Per slot, the most suspicious group's (score, reason, F_t weights).
+        let mut best: Vec<Option<(f32, SuspicionReason, Vec<f32>)>> =
+            self.slots.iter().map(|_| None).collect();
+        for g in 0..groups {
+            let subset: Vec<&ResolvedRun> = resolved.runs.iter().skip(g).step_by(groups).collect();
+            // A group with no failing runs carries no localization signal.
+            if !subset.iter().any(|r| r.failing) {
+                continue;
+            }
+            let f_map = self.failing_dense(&subset);
+            let c_map = self.correct_dense(&subset);
+            for (i, slot) in self.slots.iter().enumerate() {
+                if f_map.counts[i] == 0 {
+                    continue;
+                }
+                let weights = slot.weights_in(&f_map);
+                let c_weights = (c_map.counts[i] > 0).then(|| slot.weights_in(&c_map));
+                let Some((score, reason)) = suspicion(weights, c_weights, threshold) else {
+                    continue;
+                };
+                if best[i].as_ref().is_none_or(|b| score > b.0) {
+                    best[i] = Some((score, reason, weights.to_vec()));
+                }
+            }
+        }
+        let entries = self
+            .slots
+            .iter()
+            .zip(best)
+            .filter_map(|(slot, best)| {
+                let (score, reason, weights) = best?;
+                Some((
+                    slot.features.stmt,
+                    HeatmapEntry {
+                        operands: slot.operand_names(),
+                        weights,
+                        suspiciousness: score,
+                        reason,
+                    },
+                ))
+            })
+            .collect();
+        Heatmap { entries, threshold }
+    }
+
+    /// `F_t`: per-run partials merged in run order.
+    fn failing_dense(&self, runs: &[&ResolvedRun]) -> DenseMap {
+        let mut f_map = self.empty_map();
+        for run in runs.iter().filter(|r| r.failing && !r.f.is_empty()) {
+            self.merge(&mut f_map, &self.mean_map(std::iter::once(&run.f[..])));
+        }
+        f_map
+    }
+
+    /// `C_t` over all resolved runs.
+    pub(crate) fn correct_map(&self, resolved: &Resolved) -> AttentionMap {
+        let _span = obs::span("explain.aggregate");
+        self.to_map(&self.correct_dense(&resolved.runs.iter().collect::<Vec<_>>()))
+    }
+
+    /// `C_t`: fully-correct runs summed jointly, then the masked (far-from-
+    /// failure) cycles of each failing run merged in run order — both
+    /// exhibit correct behavior, and the extra executions sharpen the
+    /// comparison baseline.
+    fn correct_dense(&self, runs: &[&ResolvedRun]) -> DenseMap {
+        let mut c_map = self.mean_map(runs.iter().filter(|r| !r.failing).map(|r| &r.c[..]));
+        for run in runs.iter().filter(|r| r.failing && !r.c.is_empty()) {
+            self.merge(&mut c_map, &self.mean_map(std::iter::once(&run.c[..])));
+        }
+        c_map
+    }
+
+    fn empty_map(&self) -> DenseMap {
+        DenseMap {
+            weights: vec![0.0; self.width],
+            counts: vec![0; self.slots.len()],
+        }
+    }
+
+    /// Mean attention per statement over `record_sets`, summed in order.
+    fn mean_map<'r>(&self, record_sets: impl Iterator<Item = &'r [Record]>) -> DenseMap {
+        let mut map = self.empty_map();
+        for records in record_sets {
+            for r in records {
+                let slot = &self.slots[r.slot as usize];
+                let w = &self.arena[r.weights as usize..][..slot.width()];
+                for (s, w) in map.weights[slot.offset..][..slot.width()].iter_mut().zip(w) {
+                    *s += w;
+                }
+                map.counts[r.slot as usize] += 1;
+            }
+        }
+        for (slot, &count) in self.slots.iter().zip(&map.counts) {
+            if count > 0 {
+                let n = count as f32;
+                for s in &mut map.weights[slot.offset..][..slot.width()] {
+                    *s /= n;
+                }
+            }
+        }
+        map
+    }
+
+    /// Count-weighted merge of one map into another.
+    fn merge(&self, into: &mut DenseMap, from: &DenseMap) {
+        for (i, slot) in self.slots.iter().enumerate() {
+            let new = from.counts[i];
+            if new == 0 {
+                continue;
+            }
+            let range = slot.offset..slot.offset + slot.width();
+            let old = into.counts[i];
+            into.counts[i] += new;
+            if old == 0 {
+                into.weights[range.clone()].copy_from_slice(&from.weights[range]);
+                continue;
+            }
+            let (old, new) = (old as f32, new as f32);
+            let total = old + new;
+            for (w, nw) in into.weights[range.clone()]
+                .iter_mut()
+                .zip(&from.weights[range])
+            {
+                *w = (*w * old + nw * new) / total;
+            }
+        }
+    }
+
+    fn to_map(&self, map: &DenseMap) -> AttentionMap {
+        AttentionMap {
+            per_stmt: self
+                .slots
+                .iter()
+                .zip(&map.counts)
+                .filter(|(_, &count)| count > 0)
+                .map(|(slot, &count)| {
+                    (
+                        slot.features.stmt,
+                        StmtAttention {
+                            operands: slot.operand_names(),
+                            weights: slot.weights_in(map).to_vec(),
+                            count,
+                        },
+                    )
+                })
+                .collect(),
+        }
+    }
+}
+
+/// Scores one memo miss: embeds the statement's operand contexts on its
+/// first miss, evaluates the model tape-free, and appends the attention
+/// vector to `arena`, returning its offset.
+fn evaluate(model: &VeriBugModel, slot: &mut Slot, values: &[bool], arena: &mut Vec<f32>) -> u32 {
+    static CACHE_MISSES: obs::LazyCounter = obs::LazyCounter::new("explain.attention_cache_misses");
+    /// Shannon entropy (nats) of each freshly computed attention
+    /// distribution.
+    static ENTROPY: obs::LazyHistogram =
+        obs::LazyHistogram::new_micros("explain.attention_entropy");
+    CACHE_MISSES.incr();
+    let contexts = slot
+        .contexts
+        .get_or_insert_with(|| model.operand_contexts(&slot.features));
+    let weights = model.predict_with(contexts, values).1;
+    if obs::enabled() {
+        ENTROPY.record_f64(attention_entropy(&weights));
+    }
+    let offset = arena.len() as u32;
+    arena.extend_from_slice(&weights);
+    offset
+}
+
+/// Failure-centered window of `F_t`: a statement at depth δ executed at
+/// cycle `c` can have caused the symptom at divergence `k` when
+/// `c ∈ [k−δ−window, k−δ]`.
+fn near_divergence(divergences: &[u32], depth: u32, window: u32, c: u32) -> bool {
+    divergences.iter().any(|&k| {
+        let hi = k.saturating_sub(depth);
+        c <= hi && hi.saturating_sub(window) <= c
+    })
+}
+
+/// Masked cycles of a failing run that feed `C_t`: clear of every
+/// divergence's window by a margin on both sides.
+fn far_from_divergences(divergences: &[u32], depth: u32, window: u32, c: u32) -> bool {
+    divergences.iter().all(|&k| {
+        let hi = k.saturating_sub(depth);
+        c + window + 1 < hi.max(1) || hi + 2 < c
+    })
+}
+
+/// The paper's three-case rule for one statement of `F_t`, given its
+/// `C_t` weights when present: its suspiciousness and why, or `None` when
+/// it stays below `threshold`. Statements present only in `C_t` never
+/// reach this rule: failing traces never executed them, so they cannot
+/// have caused the symptom (paper case 1).
+fn suspicion(f: &[f32], c: Option<&[f32]>, threshold: f32) -> Option<(f32, SuspicionReason)> {
+    match c {
+        // Present only in F_t: suspicious.
+        None => Some((1.0, SuspicionReason::OnlyInFailing)),
+        // Present in both: compare attention with the normalized norm-1
+        // distance (min 0, max 2 → divide by 2).
+        Some(c) => {
+            let d = suspiciousness(f, c);
+            (d > threshold).then_some((d, SuspicionReason::DivergentAttention))
         }
     }
 }

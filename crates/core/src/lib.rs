@@ -82,7 +82,9 @@ pub use explain::{
 pub use features::{OperandContext, Path, StatementFeatures};
 pub use introspect::{AttributionReport, OperandAttribution, StmtAttribution};
 pub use localize::{LocalizeOptions, LocalizeReport, Suspect};
-pub use model::{ContextAggregation, Forward, ModelConfig, Sample, VeriBugModel};
+pub use model::{
+    ContextAggregation, Forward, Inference, ModelConfig, OperandContexts, Sample, VeriBugModel,
+};
 pub use persist::{load as load_model, save as save_model, LoadError};
 pub use render::{render_attention_map, render_comparison, render_heatmap, Palette, RenderOptions};
 pub use train::{

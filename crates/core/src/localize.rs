@@ -20,7 +20,7 @@
 //! the differential suite in `crates/bench/tests/differential.rs` proves
 //! it.
 
-use crate::coverage::{grouped_heatmap, DEFAULT_RUN_GROUPS};
+use crate::coverage::DEFAULT_RUN_GROUPS;
 use crate::explain::{AttentionMap, Heatmap, LabelledTrace};
 use crate::model::VeriBugModel;
 use crate::{Explainer, VeriBugError, DEFAULT_THRESHOLD};
@@ -38,7 +38,8 @@ pub struct LocalizeOptions {
     pub cycles: usize,
     /// Attention threshold for heatmap admission.
     pub threshold: f32,
-    /// Independent run groups max-pooled by [`grouped_heatmap`].
+    /// Independent run groups max-pooled by
+    /// [`grouped_heatmap`](crate::coverage::grouped_heatmap).
     pub run_groups: usize,
     /// Seed of the stimulus generator.
     pub stim_seed: u64,
@@ -238,10 +239,12 @@ fn localize_inner(
         })
         .collect();
     let _explain_span = obs::span("explain");
+    // Each trace is walked once; the grouped heatmap and the correct-trace
+    // map both aggregate the same resolved records.
     let mut explainer = Explainer::new(model, buggy, target);
-    report.heatmap = grouped_heatmap(&mut explainer, &runs_view, opts.threshold, opts.run_groups);
-    let (_, _, c_map) = explainer.explain(&runs_view, opts.threshold);
-    report.correct_map = c_map;
+    let resolved = explainer.resolve(&runs_view, |_| true);
+    report.heatmap = explainer.grouped(&resolved, opts.threshold, opts.run_groups);
+    report.correct_map = explainer.correct_map(&resolved);
     report.suspects = report
         .heatmap
         .ranked()

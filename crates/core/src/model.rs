@@ -14,13 +14,25 @@
 //!    importance scores used for localization.
 //! 4. **Prediction** — `MLP_θ2` maps the attended statement embedding to
 //!    two logits for the output-bit classes.
+//!
+//! Training runs [`VeriBugModel::forward`] on an autograd [`Graph`].
+//! Inference runs the same arithmetic without a tape: the operand contexts
+//! `c_i` do not depend on operand values, so [`VeriBugModel::operand_contexts`]
+//! embeds them once per statement and [`VeriBugModel::infer`] evaluates
+//! steps 1–4 for one value vector, reading the parameters in place. Both
+//! paths call the same `Tensor` kernels in the same order, so their
+//! attention and logits are bit-identical.
+
+use std::collections::HashMap;
 
 use neuro::{Adam, Embedding, Graph, Initializer, Lstm, Mlp, NodeId, ParamId, Params, Tensor};
-use verilog::NodeKind;
+use verilog::{NodeKind, StmtId};
 
 use crate::features::StatementFeatures;
 
-/// Model evaluations served through [`VeriBugModel::predict_with`].
+/// Tape-free evaluations scored through [`VeriBugModel::predict_with`]:
+/// one per [`VeriBugModel::predict`] call, per explainer memo miss and per
+/// `train::evaluate` sample.
 static EVALS: obs::LazyCounter = obs::LazyCounter::new("model.evals");
 /// Absolute logit margin `|l_1 - l_0|` per evaluation — a confidence
 /// proxy: small margins mean the output-bit classes are nearly tied.
@@ -94,6 +106,32 @@ pub struct Forward {
     /// The stacked updated operand embeddings `X*` (`N×d_a`) — the paper's
     /// regularizer operates on its norm.
     pub x_star: NodeId,
+}
+
+/// The value-independent half of one statement's operand embeddings: the
+/// PathRNN context `c_i` of every operand, stacked `N×d_c` in operand
+/// order. Computed once per statement by
+/// [`VeriBugModel::operand_contexts`] and reused for every value vector.
+#[derive(Debug, Clone)]
+pub struct OperandContexts {
+    stmt: StmtId,
+    contexts: Tensor,
+}
+
+impl OperandContexts {
+    /// Number of operands.
+    pub fn operand_count(&self) -> usize {
+        self.contexts.rows()
+    }
+}
+
+/// The output of one tape-free evaluation.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Inference {
+    /// Two-class logits (`1×2`).
+    pub logits: Tensor,
+    /// The attention weights over operands.
+    pub attention: Vec<f32>,
 }
 
 /// The VeriBug model: persistent parameters plus forward-pass logic.
@@ -239,40 +277,121 @@ impl VeriBugModel {
         }
     }
 
-    /// Convenience inference: predicted output bit and attention weights.
-    pub fn predict(&self, features: &StatementFeatures, values: &[bool]) -> (bool, Vec<f32>) {
-        let mut g = Graph::new();
-        self.predict_with(&mut g, features, values)
+    /// Step 1's value-independent half, tape-free: every operand's context
+    /// embedding `c_i`, exactly as [`VeriBugModel::forward`] computes it.
+    ///
+    /// The PathRNN is a pure function of a path's tokens, and a statement's
+    /// operands share many paths (`a→b` in one operand's context is often
+    /// token for token `b→a` in another's), so each distinct path is
+    /// embedded once.
+    pub fn operand_contexts(&self, features: &StatementFeatures) -> OperandContexts {
+        let mut embedded: HashMap<&[NodeKind], Tensor> = HashMap::new();
+        let rows: Vec<Tensor> = features
+            .operands
+            .iter()
+            .map(|ctx| {
+                let path_embs: Vec<Tensor> = ctx
+                    .paths
+                    .iter()
+                    .map(|path| {
+                        embedded
+                            .entry(path)
+                            .or_insert_with(|| {
+                                let tokens: Vec<Tensor> = path
+                                    .iter()
+                                    .map(|k| self.token_emb.row(&self.params, k.index()))
+                                    .collect();
+                                self.path_rnn.infer(&self.params, &tokens)
+                            })
+                            .clone()
+                    })
+                    .collect();
+                match path_embs.len() {
+                    0 => Tensor::zeros(1, self.config.context_dim),
+                    1 => path_embs.into_iter().next().expect("one path"),
+                    n => {
+                        let summed =
+                            Tensor::concat_rows(&path_embs.iter().collect::<Vec<_>>()).sum_rows();
+                        match self.config.context_aggregation {
+                            ContextAggregation::Sum => summed,
+                            ContextAggregation::Mean => summed.scale(1.0 / n as f32),
+                        }
+                    }
+                }
+            })
+            .collect();
+        OperandContexts {
+            stmt: features.stmt,
+            contexts: Tensor::concat_rows(&rows.iter().collect::<Vec<_>>()),
+        }
     }
 
-    /// Like [`VeriBugModel::predict`], but reuses `graph` (cleared first) so
-    /// batched inference over many samples keeps one tape allocation alive
-    /// instead of re-allocating per call.
-    pub fn predict_with(
-        &self,
-        g: &mut Graph,
-        features: &StatementFeatures,
-        values: &[bool],
-    ) -> (bool, Vec<f32>) {
-        g.clear();
-        let fwd = self.forward(
-            g,
-            features,
-            &Sample {
-                values: values.to_vec(),
-                target: false,
-            },
+    /// Tape-free forward pass for one value vector over precomputed
+    /// contexts: the arithmetic of [`VeriBugModel::forward`], op for op.
+    /// The per-operand aggregation MLP runs on all operands as one matrix,
+    /// which is row for row the same arithmetic.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `values` is not aligned with the statement's operands.
+    pub fn infer(&self, ctx: &OperandContexts, values: &[bool]) -> Inference {
+        assert_eq!(
+            ctx.operand_count(),
+            values.len(),
+            "operand/value mismatch for {}",
+            ctx.stmt
         );
-        EVALS.incr();
-        let logits = g.value(fwd.logits);
-        let class = logits.argmax_row();
-        if obs::enabled() {
-            let row = logits.data();
-            if row.len() >= 2 {
-                SCORE_MARGIN.record_f64(f64::from((row[1] - row[0]).abs()));
-            }
+        // 1. Operand embeddings x_i = (c_i || v_i), stacked N × (d_c + d_v).
+        let one_hots: Vec<Tensor> = values
+            .iter()
+            .map(|&value| Tensor::one_hot(self.config.value_dim, usize::from(value)))
+            .collect();
+        let v_matrix = Tensor::concat_rows(&one_hots.iter().collect::<Vec<_>>());
+        let x_matrix = Tensor::concat_cols(&[&ctx.contexts, &v_matrix]);
+
+        // 2. Aggregation layer: x*_i = MLP_θ1(Σ_j x_j + ε·x_i).
+        let sum_x = x_matrix.sum_rows();
+        let eps = self.params.value(self.epsilon).item();
+        let agg_in = x_matrix.scale(eps).add_row_broadcast(&sum_x);
+        let x_star = self.mlp_agg.infer(&self.params, &agg_in);
+
+        // 3. Attention: softmax(A X*ᵀ) X.
+        let a = self.params.value(self.attention);
+        let (weights, stmt_emb) = neuro::attend(a, &x_star, &x_matrix);
+
+        // 4. Prediction.
+        Inference {
+            logits: self.mlp_pred.infer(&self.params, &stmt_emb),
+            attention: weights.data().to_vec(),
         }
-        (class == 1, fwd.attention)
+    }
+
+    /// Convenience inference: predicted output bit and attention weights.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `values` is not aligned with `features.operands`.
+    pub fn predict(&self, features: &StatementFeatures, values: &[bool]) -> (bool, Vec<f32>) {
+        assert_eq!(
+            features.operand_count(),
+            values.len(),
+            "operand/value mismatch for {}",
+            features.stmt
+        );
+        self.predict_with(&self.operand_contexts(features), values)
+    }
+
+    /// Like [`VeriBugModel::predict`], over contexts computed once per
+    /// statement, so scoring many value vectors of one statement embeds its
+    /// paths once. Counts `model.evals` and records `model.score_margin`.
+    pub fn predict_with(&self, ctx: &OperandContexts, values: &[bool]) -> (bool, Vec<f32>) {
+        let out = self.infer(ctx, values);
+        EVALS.incr();
+        let row = out.logits.data();
+        if obs::enabled() && row.len() >= 2 {
+            SCORE_MARGIN.record_f64(f64::from((row[1] - row[0]).abs()));
+        }
+        (out.logits.argmax_row() == 1, out.attention)
     }
 
     /// Creates an Adam optimizer with the paper's settings

@@ -487,17 +487,18 @@ pub struct EvalMetrics {
 
 /// Evaluates a model on a dataset.
 ///
-/// Entries are scored in parallel chunks, each reusing one cleared tape
-/// ([`VeriBugModel::predict_with`]); the per-chunk confusion counts are
-/// integer sums, so the metrics are identical at any thread count.
+/// Each statement's operand contexts are embedded once; entries are then
+/// scored tape-free in parallel chunks ([`VeriBugModel::predict_with`]).
+/// The per-chunk confusion counts are integer sums, so the metrics are
+/// identical at any thread count.
 pub fn evaluate(model: &VeriBugModel, dataset: &Dataset) -> EvalMetrics {
+    let contexts = par::par_map(&dataset.stmts, |f| model.operand_contexts(f));
     // Confusion counts: [actual][predicted].
     let chunks = par::par_chunk_map(&dataset.entries, 64, |_, chunk| {
         let mut m = [[0usize; 2]; 2];
-        let mut g = Graph::new();
         for entry in chunk {
-            let f = &dataset.stmts[entry.stmt_idx];
-            let (pred, _) = model.predict_with(&mut g, f, &entry.sample.values);
+            let ctx = &contexts[entry.stmt_idx];
+            let (pred, _) = model.predict_with(ctx, &entry.sample.values);
             m[usize::from(entry.sample.target)][usize::from(pred)] += 1;
         }
         m

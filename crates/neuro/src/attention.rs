@@ -1,6 +1,7 @@
 //! Dot-product attention building blocks.
 
 use crate::graph::{Graph, NodeId};
+use crate::tensor::Tensor;
 
 /// Dot-product attention of one query over a set of keys/values.
 ///
@@ -28,10 +29,18 @@ pub fn dot_product_attention(
     (weights, context)
 }
 
+/// Tape-free [`dot_product_attention`]: the same arithmetic on tensors.
+/// Returns `(weights, context)`.
+pub fn attend(query: &Tensor, keys: &Tensor, values: &Tensor) -> (Tensor, Tensor) {
+    let scores = keys.matmul(&query.transposed()); // N×1
+    let weights = scores.transposed().softmax_rows(); // 1×N
+    let context = weights.matmul(values); // 1×c
+    (weights, context)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tensor::Tensor;
 
     #[test]
     fn weights_are_a_distribution() {
@@ -56,6 +65,10 @@ mod tests {
         assert_eq!(g.value(ctx).shape(), (1, 2));
         // The aligned key (row 1) must get the largest weight.
         assert_eq!(wv.argmax_row(), 1);
+        // The tape-free evaluation agrees bit for bit.
+        let (tw, tctx) = attend(g.value(q), g.value(k), g.value(v));
+        assert_eq!(&tw, wv);
+        assert_eq!(&tctx, g.value(ctx));
     }
 
     #[test]

@@ -6,7 +6,10 @@
 //! persistent [`Params`] store for leaf nodes bound to parameters.
 //!
 //! The op set is exactly what the VeriBug model (LSTM + aggregation +
-//! attention + MLPs + regularized weighted cross-entropy) requires.
+//! attention + MLPs + regularized weighted cross-entropy) requires. Each
+//! op's forward arithmetic is a [`Tensor`] function the tape calls, so the
+//! layers' tape-free `infer` methods, which call the same functions, are
+//! bit-identical to a forward pass on the tape.
 
 use crate::params::{GradBuffer, ParamId, Params};
 use crate::tensor::Tensor;
@@ -72,13 +75,8 @@ impl Graph {
         &self.nodes[n.0].value
     }
 
-    /// Empties the tape while keeping its allocation, so one `Graph` can be
-    /// reused across forward passes without reallocating the node vector.
-    ///
-    /// All previously returned [`NodeId`]s are invalidated.
-    pub fn clear(&mut self) {
-        self.nodes.clear();
-        self.param_nodes.clear();
+    fn values(&self, parts: &[NodeId]) -> Vec<&Tensor> {
+        parts.iter().map(|p| self.value(*p)).collect()
     }
 
     /// Number of nodes on the tape.
@@ -119,7 +117,7 @@ impl Graph {
     ///
     /// Panics on shape mismatch.
     pub fn add(&mut self, a: NodeId, b: NodeId) -> NodeId {
-        let v = self.value(a).zip(self.value(b), |x, y| x + y);
+        let v = self.value(a).add(self.value(b));
         self.push(v, Op::Add(a, b), None)
     }
 
@@ -129,27 +127,19 @@ impl Graph {
     ///
     /// Panics when `b` is not `1×c`.
     pub fn add_row_broadcast(&mut self, a: NodeId, b: NodeId) -> NodeId {
-        let (ar, ac) = self.value(a).shape();
-        let (br, bc) = self.value(b).shape();
-        assert_eq!((br, bc), (1, ac), "broadcast add {ar}x{ac} + {br}x{bc}");
-        let mut v = self.value(a).clone();
-        for r in 0..ar {
-            for c in 0..ac {
-                v[(r, c)] += self.value(b)[(0, c)];
-            }
-        }
+        let v = self.value(a).add_row_broadcast(self.value(b));
         self.push(v, Op::AddRowBroadcast(a, b), None)
     }
 
     /// Elementwise (Hadamard) product.
     pub fn mul(&mut self, a: NodeId, b: NodeId) -> NodeId {
-        let v = self.value(a).zip(self.value(b), |x, y| x * y);
+        let v = self.value(a).mul(self.value(b));
         self.push(v, Op::Mul(a, b), None)
     }
 
     /// Multiplication by a compile-time constant.
     pub fn scale(&mut self, a: NodeId, s: f32) -> NodeId {
-        let v = self.value(a).map(|x| x * s);
+        let v = self.value(a).scale(s);
         self.push(v, Op::Scale(a, s), None)
     }
 
@@ -161,41 +151,31 @@ impl Graph {
     pub fn scale_by(&mut self, a: NodeId, s: NodeId) -> NodeId {
         assert_eq!(self.value(s).shape(), (1, 1), "scale_by needs 1x1 scalar");
         let k = self.value(s).item();
-        let v = self.value(a).map(|x| x * k);
+        let v = self.value(a).scale(k);
         self.push(v, Op::ScaleByScalar(a, s), None)
     }
 
     /// Elementwise `tanh`.
     pub fn tanh(&mut self, a: NodeId) -> NodeId {
-        let v = self.value(a).map(f32::tanh);
+        let v = self.value(a).tanh();
         self.push(v, Op::Tanh(a), None)
     }
 
     /// Elementwise logistic sigmoid.
     pub fn sigmoid(&mut self, a: NodeId) -> NodeId {
-        let v = self.value(a).map(|x| 1.0 / (1.0 + (-x).exp()));
+        let v = self.value(a).sigmoid();
         self.push(v, Op::Sigmoid(a), None)
     }
 
     /// Elementwise ReLU.
     pub fn relu(&mut self, a: NodeId) -> NodeId {
-        let v = self.value(a).map(|x| x.max(0.0));
+        let v = self.value(a).relu();
         self.push(v, Op::Relu(a), None)
     }
 
     /// Softmax applied independently to each row.
     pub fn softmax_row(&mut self, a: NodeId) -> NodeId {
-        let t = self.value(a);
-        let mut v = t.clone();
-        for r in 0..t.rows() {
-            let row = t.row(r);
-            let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-            let exps: Vec<f32> = row.iter().map(|&x| (x - max).exp()).collect();
-            let sum: f32 = exps.iter().sum();
-            for (c, e) in exps.iter().enumerate() {
-                v[(r, c)] = e / sum;
-            }
-        }
+        let v = self.value(a).softmax_rows();
         self.push(v, Op::SoftmaxRow(a), None)
     }
 
@@ -205,21 +185,7 @@ impl Graph {
     ///
     /// Panics when `parts` is empty or row counts differ.
     pub fn concat_cols(&mut self, parts: &[NodeId]) -> NodeId {
-        assert!(!parts.is_empty(), "concat_cols of nothing");
-        let rows = self.value(parts[0]).rows();
-        let total: usize = parts.iter().map(|p| self.value(*p).cols()).sum();
-        let mut v = Tensor::zeros(rows, total);
-        let mut off = 0;
-        for p in parts {
-            let t = self.value(*p);
-            assert_eq!(t.rows(), rows, "concat_cols row mismatch");
-            for r in 0..rows {
-                for c in 0..t.cols() {
-                    v[(r, off + c)] = t[(r, c)];
-                }
-            }
-            off += t.cols();
-        }
+        let v = Tensor::concat_cols(&self.values(parts));
         self.push(v, Op::ConcatCols(parts.to_vec()), None)
     }
 
@@ -229,33 +195,13 @@ impl Graph {
     ///
     /// Panics when `parts` is empty or column counts differ.
     pub fn concat_rows(&mut self, parts: &[NodeId]) -> NodeId {
-        assert!(!parts.is_empty(), "concat_rows of nothing");
-        let cols = self.value(parts[0]).cols();
-        let total: usize = parts.iter().map(|p| self.value(*p).rows()).sum();
-        let mut v = Tensor::zeros(total, cols);
-        let mut off = 0;
-        for p in parts {
-            let t = self.value(*p);
-            assert_eq!(t.cols(), cols, "concat_rows col mismatch");
-            for r in 0..t.rows() {
-                for c in 0..cols {
-                    v[(off + r, c)] = t[(r, c)];
-                }
-            }
-            off += t.rows();
-        }
+        let v = Tensor::concat_rows(&self.values(parts));
         self.push(v, Op::ConcatRows(parts.to_vec()), None)
     }
 
     /// Sums all rows into a `1×c` vector.
     pub fn sum_rows(&mut self, a: NodeId) -> NodeId {
-        let t = self.value(a);
-        let mut v = Tensor::zeros(1, t.cols());
-        for r in 0..t.rows() {
-            for c in 0..t.cols() {
-                v[(0, c)] += t[(r, c)];
-            }
-        }
+        let v = self.value(a).sum_rows();
         self.push(v, Op::SumRows(a), None)
     }
 
@@ -615,28 +561,6 @@ mod tests {
         for pid in direct.ids() {
             assert_eq!(buf.grad(pid), direct.grad(pid), "{}", direct.name(pid));
         }
-    }
-
-    #[test]
-    fn cleared_graph_reproduces_the_same_forward_pass() {
-        let mut init = Initializer::new(1234);
-        let mut params = Params::new();
-        params.register("w", init.sample(4, 5));
-        params.register("b", init.sample(1, 5));
-        params.register("att", init.sample(1, 5));
-        params.register("eps", Tensor::scalar(0.3));
-
-        let (fresh, loss) = forward(&params);
-        let expected = fresh.value(loss).item();
-
-        let mut g = Graph::new();
-        let junk = g.input(Tensor::scalar(42.0));
-        let _ = g.mul(junk, junk);
-        g.clear();
-        assert!(g.is_empty());
-        // Rebuild the same network on the cleared tape via the param cache.
-        let (rebuilt, loss2) = forward(&params);
-        assert_eq!(rebuilt.value(loss2).item(), expected);
     }
 
     #[test]

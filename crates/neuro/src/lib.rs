@@ -8,7 +8,8 @@
 //! LSTM, two MLPs); this crate reproduces exactly the operations that model
 //! needs rather than a general framework (DESIGN.md, substitution #2).
 //! Gradient correctness is enforced by finite-difference tests in
-//! [`graph`].
+//! [`graph`]. Every layer also has a tape-free `infer` for inference, built
+//! on the same [`Tensor`] functions as the tape's ops.
 //!
 //! ## Quick start — fit a tiny classifier
 //!
@@ -57,7 +58,7 @@ pub mod params;
 pub mod tensor;
 
 pub use adam::Adam;
-pub use attention::dot_product_attention;
+pub use attention::{attend, dot_product_attention};
 pub use graph::{Graph, NodeId};
 pub use init::Initializer;
 pub use lstm::Lstm;

@@ -102,6 +102,39 @@ impl Lstm {
         (h_new, c_new)
     }
 
+    /// Tape-free [`Lstm::step`]: the same arithmetic, reading the weights
+    /// in place. Returns `(h', c')`.
+    pub fn step_infer(
+        &self,
+        params: &Params,
+        x: &Tensor,
+        h: &Tensor,
+        c: &Tensor,
+    ) -> (Tensor, Tensor) {
+        let gate = |w: ParamId, u: ParamId, b: ParamId| {
+            x.matmul(params.value(w))
+                .add(&h.matmul(params.value(u)))
+                .add(params.value(b))
+        };
+        let i = gate(self.w_i, self.u_i, self.b_i).sigmoid();
+        let f = gate(self.w_f, self.u_f, self.b_f).sigmoid();
+        let gt = gate(self.w_g, self.u_g, self.b_g).tanh();
+        let o = gate(self.w_o, self.u_o, self.b_o).sigmoid();
+        let c_new = f.mul(c).add(&i.mul(&gt));
+        let h_new = o.mul(&c_new.tanh());
+        (h_new, c_new)
+    }
+
+    /// Tape-free [`Lstm::run`]: the final hidden state over `inputs`.
+    pub fn infer(&self, params: &Params, inputs: &[Tensor]) -> Tensor {
+        let mut h = Tensor::zeros(1, self.hidden_dim);
+        let mut c = Tensor::zeros(1, self.hidden_dim);
+        for x in inputs {
+            (h, c) = self.step_infer(params, x, &h, &c);
+        }
+        h
+    }
+
     /// Runs the LSTM over a sequence of `1×input_dim` inputs and returns the
     /// final hidden state (`1×hidden_dim`). An empty sequence yields the
     /// zero state.
@@ -154,6 +187,20 @@ mod tests {
         let ha = lstm.run(&mut g, &params, &seq_a);
         let hb = lstm.run(&mut g, &params, &seq_b);
         assert_ne!(g.value(ha), g.value(hb), "order must matter");
+    }
+
+    #[test]
+    fn infer_matches_the_tape_bit_for_bit() {
+        let (params, lstm) = setup();
+        let inputs: Vec<Tensor> = [0usize, 3, 1, 1, 2]
+            .iter()
+            .map(|&i| Tensor::one_hot(4, i))
+            .collect();
+        let mut g = Graph::new();
+        let xs: Vec<NodeId> = inputs.iter().map(|t| g.input(t.clone())).collect();
+        let h = lstm.run(&mut g, &params, &xs);
+        assert_eq!(&lstm.infer(&params, &inputs), g.value(h));
+        assert_eq!(lstm.infer(&params, &[]), Tensor::zeros(1, 8));
     }
 
     #[test]

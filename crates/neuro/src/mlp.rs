@@ -39,6 +39,13 @@ impl Linear {
         g.add_row_broadcast(xw, b)
     }
 
+    /// Tape-free [`Linear::forward`]: the same arithmetic on `x`, reading
+    /// the weights in place.
+    pub fn infer(&self, params: &Params, x: &Tensor) -> Tensor {
+        x.matmul(params.value(self.w))
+            .add_row_broadcast(params.value(self.b))
+    }
+
     /// Output dimension.
     pub fn out_dim(&self) -> usize {
         self.out_dim
@@ -87,6 +94,16 @@ impl Mlp {
             if i != last {
                 h = g.relu(h);
             }
+        }
+        h
+    }
+
+    /// Tape-free [`Mlp::forward`]: the same arithmetic on `x`, reading the
+    /// weights in place.
+    pub fn infer(&self, params: &Params, x: &Tensor) -> Tensor {
+        let mut h = self.layers[0].infer(params, x);
+        for layer in &self.layers[1..] {
+            h = layer.infer(params, &h.relu());
         }
         h
     }
@@ -141,6 +158,20 @@ impl Embedding {
         g.row(t, token)
     }
 
+    /// Tape-free [`Embedding::lookup`]: a copy of the token's row.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `token >= vocab`.
+    pub fn row(&self, params: &Params, token: usize) -> Tensor {
+        assert!(
+            token < self.vocab,
+            "token {token} out of vocab {}",
+            self.vocab
+        );
+        Tensor::row_vector(params.value(self.table).row(token).to_vec())
+    }
+
     /// Embedding dimension.
     pub fn dim(&self) -> usize {
         self.dim
@@ -167,6 +198,21 @@ mod tests {
         assert_eq!(g.value(y).shape(), (2, 4));
         assert_eq!(mlp.in_dim(), 6);
         assert_eq!(mlp.out_dim(), 4);
+    }
+
+    #[test]
+    fn infer_matches_the_tape_bit_for_bit() {
+        let mut init = Initializer::new(8);
+        let mut params = Params::new();
+        let mlp = Mlp::register(&mut params, "mlp", &[3, 7, 5, 2], &mut init);
+        let emb = Embedding::register(&mut params, "tok", 4, 3, &mut init);
+        let x = Tensor::from_vec(2, 3, vec![0.5, -1.0, 0.0, 2.0, 0.25, -0.75]);
+        let mut g = Graph::new();
+        let xn = g.input(x.clone());
+        let y = mlp.forward(&mut g, &params, xn);
+        assert_eq!(&mlp.infer(&params, &x), g.value(y));
+        let e = emb.lookup(&mut g, &params, 2);
+        assert_eq!(&emb.row(&params, 2), g.value(e));
     }
 
     #[test]

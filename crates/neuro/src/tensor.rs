@@ -229,6 +229,134 @@ impl Tensor {
         }
     }
 
+    /// Elementwise sum of two same-shape tensors.
+    ///
+    /// # Panics
+    ///
+    /// Panics on shape mismatch.
+    pub fn add(&self, other: &Tensor) -> Tensor {
+        self.zip(other, |x, y| x + y)
+    }
+
+    /// Elementwise (Hadamard) product of two same-shape tensors.
+    ///
+    /// # Panics
+    ///
+    /// Panics on shape mismatch.
+    pub fn mul(&self, other: &Tensor) -> Tensor {
+        self.zip(other, |x, y| x * y)
+    }
+
+    /// Multiplication by a scalar.
+    pub fn scale(&self, s: f32) -> Tensor {
+        self.map(|x| x * s)
+    }
+
+    /// Elementwise `tanh`.
+    pub fn tanh(&self) -> Tensor {
+        self.map(f32::tanh)
+    }
+
+    /// Elementwise logistic sigmoid.
+    pub fn sigmoid(&self) -> Tensor {
+        self.map(|x| 1.0 / (1.0 + (-x).exp()))
+    }
+
+    /// Elementwise ReLU.
+    pub fn relu(&self) -> Tensor {
+        self.map(|x| x.max(0.0))
+    }
+
+    /// `self (r×c) + b (1×c)` broadcast over rows (bias add).
+    ///
+    /// # Panics
+    ///
+    /// Panics when `b` is not `1×c`.
+    pub fn add_row_broadcast(&self, b: &Tensor) -> Tensor {
+        let (ar, ac) = self.shape();
+        let (br, bc) = b.shape();
+        assert_eq!((br, bc), (1, ac), "broadcast add {ar}x{ac} + {br}x{bc}");
+        let mut v = self.clone();
+        for r in 0..ar {
+            for c in 0..ac {
+                v[(r, c)] += b[(0, c)];
+            }
+        }
+        v
+    }
+
+    /// Softmax applied independently to each row.
+    pub fn softmax_rows(&self) -> Tensor {
+        let mut v = self.clone();
+        for r in 0..self.rows {
+            let row = self.row(r);
+            let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+            let exps: Vec<f32> = row.iter().map(|&x| (x - max).exp()).collect();
+            let sum: f32 = exps.iter().sum();
+            for (c, e) in exps.iter().enumerate() {
+                v[(r, c)] = e / sum;
+            }
+        }
+        v
+    }
+
+    /// Sums all rows into a `1×c` vector.
+    pub fn sum_rows(&self) -> Tensor {
+        let mut v = Tensor::zeros(1, self.cols);
+        for r in 0..self.rows {
+            for c in 0..self.cols {
+                v[(0, c)] += self[(r, c)];
+            }
+        }
+        v
+    }
+
+    /// Concatenates same-row-count tensors along columns.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `parts` is empty or row counts differ.
+    pub fn concat_cols(parts: &[&Tensor]) -> Tensor {
+        assert!(!parts.is_empty(), "concat_cols of nothing");
+        let rows = parts[0].rows;
+        let total: usize = parts.iter().map(|p| p.cols).sum();
+        let mut v = Tensor::zeros(rows, total);
+        let mut off = 0;
+        for t in parts {
+            assert_eq!(t.rows, rows, "concat_cols row mismatch");
+            for r in 0..rows {
+                for c in 0..t.cols {
+                    v[(r, off + c)] = t[(r, c)];
+                }
+            }
+            off += t.cols;
+        }
+        v
+    }
+
+    /// Stacks same-column-count tensors along rows.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `parts` is empty or column counts differ.
+    pub fn concat_rows(parts: &[&Tensor]) -> Tensor {
+        assert!(!parts.is_empty(), "concat_rows of nothing");
+        let cols = parts[0].cols;
+        let total: usize = parts.iter().map(|p| p.rows).sum();
+        let mut v = Tensor::zeros(total, cols);
+        let mut off = 0;
+        for t in parts {
+            assert_eq!(t.cols, cols, "concat_rows col mismatch");
+            for r in 0..t.rows {
+                for c in 0..cols {
+                    v[(off + r, c)] = t[(r, c)];
+                }
+            }
+            off += t.rows;
+        }
+        v
+    }
+
     /// In-place elementwise add.
     ///
     /// # Panics
