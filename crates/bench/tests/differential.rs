@@ -511,11 +511,7 @@ fn comb_loop_falls_back_and_still_errors() {
     .expect("parses");
     let mut sim = Simulator::new(unit.top()).expect("elaborates");
     assert_eq!(sim.batch_engine_kind(), EngineKind::Interpreted);
-    let stim = sim::Stimulus {
-        vectors: vec![sim::InputVector {
-            assigns: vec![("a".into(), 1)],
-        }],
-    };
+    let stim = Stimulus::from_named(vec![vec![("a", 1)]]);
     let err = sim.run(&stim).expect_err("oscillating loop must error");
     assert!(matches!(err, sim::SimError::CombinationalLoop { .. }));
 }

@@ -1,5 +1,6 @@
 //! Observability of the explanation step: collection is observation-only,
-//! and its counters and spans describe the resolve-once flow. One test in
+//! and its counters and spans describe the resolve-once flow and the
+//! localize layers around it. One test in
 //! its own binary, because obs counters are process-wide.
 
 use mutate::{BugBudget, Campaign};
@@ -89,6 +90,12 @@ fn collection_leaves_explanations_unchanged_and_counts_resolved_records() {
                 "no {name} span inside the explain span"
             );
         }
+        // Stimulus generation is a layer of its own, next to the
+        // simulation passes, not self time of the localize call.
+        assert!(
+            snapshot.events.iter().any(|e| e.name() == "stimgen"),
+            "no stimgen span"
+        );
         explained += 1;
     }
     assert!(explained > 0, "no observable mutant");

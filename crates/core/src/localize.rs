@@ -177,9 +177,12 @@ fn localize_inner(
             .ok_or_else(|| VeriBugError::UnknownTarget {
                 target: target.to_owned(),
             })?;
-    let stimuli = TestbenchGen::new(opts.stim_seed)
-        .with_hold_probability(opts.hold_probability)
-        .generate_many(golden_sim.netlist(), opts.cycles, opts.runs);
+    let stimuli = {
+        let _span = obs::span("stimgen");
+        TestbenchGen::new(opts.stim_seed)
+            .with_hold_probability(opts.hold_probability)
+            .generate_many(golden_sim.netlist(), opts.cycles, opts.runs)
+    };
     // Pass 1 — verdict screening: both designs run in
     // [`sim::TraceMode::Verdict`] with only `target` observed, so the
     // labelling step is pure lane-parallel compute plus an O(1)-per-cycle

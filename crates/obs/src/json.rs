@@ -85,7 +85,7 @@ impl Json {
 /// Returns a message with the byte offset of the first syntax error.
 pub fn parse(src: &str) -> Result<Json, String> {
     let bytes = src.as_bytes();
-    let mut p = Parser { bytes, pos: 0 };
+    let mut p = Parser { src, bytes, pos: 0 };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
@@ -96,6 +96,7 @@ pub fn parse(src: &str) -> Result<Json, String> {
 }
 
 struct Parser<'s> {
+    src: &'s str,
     bytes: &'s [u8],
     pos: usize,
 }
@@ -179,13 +180,23 @@ impl Parser<'_> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
+            // Copy the run of unescaped bytes up to the next quote or
+            // backslash as one slice. Both delimiters are ASCII, so the run
+            // ends on a char boundary of the (already valid UTF-8) source.
+            let run = self.bytes[self.pos..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+                .unwrap_or(self.bytes.len() - self.pos);
+            out.push_str(&self.src[self.pos..self.pos + run]);
+            self.pos += run;
             match self.peek() {
                 None => return Err("unterminated string".to_owned()),
                 Some(b'"') => {
                     self.pos += 1;
                     return Ok(out);
                 }
-                Some(b'\\') => {
+                Some(_) => {
+                    // The run stopped at a backslash: decode one escape.
                     self.pos += 1;
                     let esc = self.peek().ok_or("unterminated escape")?;
                     self.pos += 1;
@@ -206,15 +217,6 @@ impl Parser<'_> {
                             return Err(format!("bad escape `\\{}`", char::from(other)));
                         }
                     }
-                }
-                Some(_) => {
-                    // Consume one UTF-8 scalar.
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest)
-                        .map_err(|_| "invalid utf-8 in string".to_owned())?;
-                    let ch = s.chars().next().expect("non-empty");
-                    out.push(ch);
-                    self.pos += ch.len_utf8();
                 }
             }
         }
@@ -439,6 +441,90 @@ mod tests {
                 }
             })
             .collect()
+    }
+
+    /// Renders `s` as a JSON string literal choosing, per character and
+    /// from `seed`, among every encoding JSON allows: the raw character
+    /// where legal, its short escape (`\"`, `\\`, `\/`, `\b`, `\f`, `\n`,
+    /// `\r`, `\t`), or a `\u` escape in either hex case, as a surrogate
+    /// pair above the BMP.
+    fn escape_randomly(s: &str, seed: u64) -> String {
+        let mut x = seed;
+        let mut out = String::from("\"");
+        for ch in s.chars() {
+            x = x
+                .wrapping_mul(0x5851_F42D_4C95_7F2D)
+                .wrapping_add(0x1405_7B7E_F767_814F);
+            let pick = (x >> 33) % 3;
+            let short = match ch {
+                '"' => Some("\\\""),
+                '\\' => Some("\\\\"),
+                '/' => Some("\\/"),
+                '\u{8}' => Some("\\b"),
+                '\u{c}' => Some("\\f"),
+                '\n' => Some("\\n"),
+                '\r' => Some("\\r"),
+                '\t' => Some("\\t"),
+                _ => None,
+            };
+            let raw_ok = !matches!(ch, '"' | '\\') && (ch as u32) >= 0x20;
+            match (pick, short) {
+                (0, _) if raw_ok => out.push(ch),
+                (1, Some(esc)) => out.push_str(esc),
+                _ => {
+                    let mut units = [0u16; 2];
+                    for unit in ch.encode_utf16(&mut units) {
+                        if (x >> 40) & 1 == 0 {
+                            let _ = write!(out, "\\u{unit:04x}");
+                        } else {
+                            let _ = write!(out, "\\u{unit:04X}");
+                        }
+                    }
+                }
+            }
+        }
+        out.push('"');
+        out
+    }
+
+    /// Seeded round trips over strings mixing ASCII, control characters,
+    /// BMP and astral scalars: `write_str` output and every other legal
+    /// encoding of the same text parse back to it exactly.
+    #[test]
+    fn every_encoding_round_trips() {
+        for seed in 0..256u64 {
+            let original = seed_to_string(seed, (seed as usize * 7) % 600);
+            let mut rendered = String::new();
+            write_str(&mut rendered, &original);
+            assert_eq!(parse(&rendered).unwrap().as_str(), Some(original.as_str()));
+            let escaped = escape_randomly(&original, seed);
+            assert_eq!(
+                parse(&escaped).unwrap().as_str(),
+                Some(original.as_str()),
+                "seed {seed}: {escaped}"
+            );
+        }
+    }
+
+    /// String parsing is linear: a body at the server's 4 MiB limit, made
+    /// of multi-byte characters and escapes, parses well within a second.
+    #[test]
+    fn four_mib_string_parses_quickly() {
+        let unit = "ab\u{e9}\u{20ac}\u{1F600}\\n\\\"";
+        let mut body = String::from("{\"s\": \"");
+        while body.len() < 4 << 20 {
+            body.push_str(unit);
+        }
+        body.push_str("\"}");
+        let start = std::time::Instant::now();
+        let doc = parse(&body).unwrap();
+        let elapsed = start.elapsed();
+        let s = doc.get("s").and_then(Json::as_str).unwrap();
+        assert!(s.starts_with("ab\u{e9}\u{20ac}\u{1F600}\n\""));
+        assert!(
+            elapsed < std::time::Duration::from_secs(2),
+            "4 MiB string took {elapsed:?}"
+        );
     }
 
     proptest! {

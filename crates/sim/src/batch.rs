@@ -34,8 +34,8 @@ use crate::compile::{Analysis, AssignMeta, Compiler, Op, SelKind};
 use crate::error::SimError;
 use crate::eval::{eval_binary_batch, eval_unary_batch, Write};
 use crate::metrics;
-use crate::netlist::{Netlist, Process, SignalRole};
-use crate::testbench::Stimulus;
+use crate::netlist::{Netlist, Process, SignalId};
+use crate::testbench::{PortResolver, Stimulus};
 use crate::trace::{Operands, SignalSet, StmtExec, Trace, VerdictTrace};
 use crate::value::{BatchValue, Value, LANES};
 use verilog::Stmt;
@@ -199,9 +199,9 @@ impl BatchEngine {
     /// # Errors
     ///
     /// [`SimError::UnknownSignal`] / [`SimError::NotAnInput`] for bad
-    /// stimulus assignments — reported for the same (stimulus, cycle,
-    /// assignment) a stimulus-by-stimulus interpreter loop would hit first
-    /// — and [`SimError::Cancelled`] when `cancel` fires between cycles
+    /// stimulus ports — reported before any cycle runs, for the first bad
+    /// port of the first stimulus that has one: the assignment a
+    /// stimulus-by-stimulus loop would reach first — and [`SimError::Cancelled`] when `cancel` fires between cycles
     /// (the whole batch is abandoned, like a sequential loop where a fired
     /// token fails every remaining run).
     ///
@@ -218,7 +218,7 @@ impl BatchEngine {
     ) -> Result<Vec<Trace>, SimError> {
         let (fill, ncycles, fill_mask) = batch_shape(stimuli);
 
-        let mut inputs = Inputs::resolve(netlist, stimuli)?;
+        let inputs = Inputs::resolve(netlist, stimuli)?;
 
         let code = &*self.code;
         let ncomb = code.comb.len();
@@ -441,7 +441,7 @@ impl BatchEngine {
 
         // Pre-resolve inputs exactly as the full-trace run does, so the
         // first validation error is identical.
-        let mut inputs = Inputs::resolve(netlist, stimuli)?;
+        let inputs = Inputs::resolve(netlist, stimuli)?;
 
         let code = &*self.code;
         let nsig = netlist.signal_count();
@@ -572,9 +572,9 @@ fn batch_shape(stimuli: &[Stimulus]) -> (usize, usize, u64) {
         (1..=LANES).contains(&fill),
         "batch fill {fill} out of 1..={LANES}"
     );
-    let ncycles = stimuli[0].vectors.len();
+    let ncycles = stimuli[0].len();
     assert!(
-        stimuli.iter().all(|s| s.vectors.len() == ncycles),
+        stimuli.iter().all(|s| s.len() == ncycles),
         "batched stimuli must have equal cycle counts"
     );
     let fill_mask = if fill == LANES {
@@ -585,72 +585,43 @@ fn batch_shape(stimuli: &[Stimulus]) -> (usize, usize, u64) {
     (fill, ncycles, fill_mask)
 }
 
-/// Every lane's input assignments resolved to signal ids up front, plus a
-/// per-lane cursor into them for the cycle-by-cycle apply.
+/// Every lane's input ports resolved to signal ids up front — once per
+/// distinct port list, so a generated set resolves once per batch.
 struct Inputs {
-    /// `ids[l]` is lane `l`'s signal ids concatenated over cycles.
-    ids: Vec<Vec<u32>>,
-    cursors: Vec<usize>,
+    /// `ids[l]` is lane `l`'s signal id per port.
+    ids: Vec<Arc<[SignalId]>>,
 }
 
 impl Inputs {
-    /// Resolves every input assignment in the order a sequential loop
-    /// would encounter them (stimulus-major), so the first validation
-    /// error matches the interpreter's exactly. Stimuli drive the same
-    /// handful of inputs every cycle, so a small linear-scan memo replaces
-    /// ~lanes*cycles*inputs map lookups with one lookup per distinct name.
+    /// Resolves every lane's ports in stimulus order, so the first
+    /// validation error is the one a stimulus-by-stimulus interpreter loop
+    /// would hit.
     fn resolve(netlist: &Netlist, stimuli: &[Stimulus]) -> Result<Inputs, SimError> {
-        let mut memo: Vec<(&str, u32)> = Vec::new();
-        let mut ids: Vec<Vec<u32>> = Vec::with_capacity(stimuli.len());
-        for stim in stimuli {
-            let mut lane = Vec::new();
-            for vector in &stim.vectors {
-                for (name, _) in &vector.assigns {
-                    let id = match memo.iter().find(|(n, _)| *n == name.as_str()) {
-                        Some(&(_, id)) => id,
-                        None => {
-                            let id = netlist
-                                .signal_id(name)
-                                .ok_or_else(|| SimError::UnknownSignal { name: name.clone() })?;
-                            if netlist.signal(id).role != SignalRole::Input {
-                                return Err(SimError::NotAnInput { name: name.clone() });
-                            }
-                            memo.push((name.as_str(), id.0));
-                            id.0
-                        }
-                    };
-                    lane.push(id);
-                }
-            }
-            ids.push(lane);
-        }
-        Ok(Inputs {
-            cursors: vec![0; ids.len()],
-            ids,
-        })
+        let mut resolver = PortResolver::default();
+        let ids = stimuli
+            .iter()
+            .map(|stim| resolver.resolve(netlist, stim))
+            .collect::<Result<_, _>>()?;
+        Ok(Inputs { ids })
     }
 
-    /// Applies cycle `cycle`'s input vector on every lane, marking lanes
-    /// whose input value changed in `changed`.
+    /// Applies cycle `cycle`'s words on every lane, marking lanes whose
+    /// input value changed in `changed`.
     fn apply(
-        &mut self,
+        &self,
         stimuli: &[Stimulus],
         cycle: usize,
         values: &mut [BatchValue],
         changed: &mut [u64],
     ) {
-        for (l, stim) in stimuli.iter().enumerate() {
-            let vector = &stim.vectors[cycle];
-            let start = self.cursors[l];
-            self.cursors[l] += vector.assigns.len();
-            let ids = &self.ids[l][start..self.cursors[l]];
-            for ((_, bits), &id) in vector.assigns.iter().zip(ids) {
-                let v = &mut values[id as usize];
-                let next = *bits & Value::mask(v.width());
+        for (l, (stim, ids)) in stimuli.iter().zip(&self.ids).enumerate() {
+            for (&bits, id) in stim.cycle(cycle).iter().zip(ids.iter()) {
+                let v = &mut values[id.0 as usize];
+                let next = bits & Value::mask(v.width());
                 let word = &mut v.words_mut()[l];
                 if *word != next {
                     *word = next;
-                    changed[id as usize] |= 1 << l;
+                    changed[id.0 as usize] |= 1 << l;
                 }
             }
         }

@@ -53,7 +53,7 @@ pub use error::SimError;
 pub use eval::{EvalCtx, Write};
 pub use netlist::{Netlist, Process, Signal, SignalId, SignalRole};
 pub use sched::{simulate, EngineKind, Simulator};
-pub use testbench::{InputVector, Stimulus, TestbenchGen};
+pub use testbench::{Stimulus, TestbenchGen};
 pub use trace::{
     CycleRecord, Execs, ExecsIter, Operands, SignalSet, Snapshot, StmtExec, Trace, TraceLabel,
     TraceMode, VerdictTrace,

@@ -17,8 +17,8 @@ use crate::batch::BatchEngine;
 use crate::cancel::CancelToken;
 use crate::error::SimError;
 use crate::eval::{EvalCtx, Write};
-use crate::netlist::{Netlist, Process};
-use crate::testbench::Stimulus;
+use crate::netlist::{Netlist, Process, SignalId};
+use crate::testbench::{PortResolver, Stimulus};
 use crate::trace::{SignalSet, StmtExec, Trace, VerdictTrace};
 use crate::value::{Value, LANES};
 use verilog::Module;
@@ -175,7 +175,14 @@ impl Simulator {
     /// discarded.
     pub fn run_batch(&mut self, stimuli: &[Stimulus]) -> Result<Vec<Trace>, SimError> {
         let Some(batch) = &mut self.batch else {
-            return stimuli.iter().map(|s| self.run_interpreted(s)).collect();
+            let mut ports = PortResolver::default();
+            return stimuli
+                .iter()
+                .map(|s| {
+                    let ids = ports.resolve(&self.netlist, s)?;
+                    self.run_interpreted(s, &ids)
+                })
+                .collect();
         };
         let mut traces = Vec::with_capacity(stimuli.len());
         for chunk in lane_groups(stimuli) {
@@ -204,9 +211,13 @@ impl Simulator {
         observed: &SignalSet,
     ) -> Result<Vec<VerdictTrace>, SimError> {
         let Some(batch) = &mut self.batch else {
+            let mut ports = PortResolver::default();
             return stimuli
                 .iter()
-                .map(|s| self.run_interpreted_verdict(s, observed))
+                .map(|s| {
+                    let ids = ports.resolve(&self.netlist, s)?;
+                    self.run_interpreted_verdict(s, &ids, observed)
+                })
                 .collect();
         };
         let mut verdicts = Vec::with_capacity(stimuli.len());
@@ -217,31 +228,27 @@ impl Simulator {
     }
 
     /// The fixpoint-interpreter path: settle combinational logic by
-    /// iteration, then one recording pass per cycle.
-    fn run_interpreted(&mut self, stimulus: &Stimulus) -> Result<Trace, SimError> {
+    /// iteration, then one recording pass per cycle. `ids` are the
+    /// stimulus's ports resolved against this netlist.
+    fn run_interpreted(
+        &mut self,
+        stimulus: &Stimulus,
+        ids: &[SignalId],
+    ) -> Result<Trace, SimError> {
         crate::metrics::RUNS_INTERPRETED.incr();
         let mut ctx = EvalCtx::new(&self.netlist);
         let nsig = self.netlist.signal_count();
-        let ncycles = stimulus.vectors.len();
+        let ncycles = stimulus.len();
         // One run-wide snapshot arena instead of a value-vector per cycle.
         let mut arena: Vec<Value> = Vec::with_capacity(ncycles * nsig);
         let mut cycle_execs: Vec<Vec<StmtExec>> = Vec::with_capacity(ncycles);
-        for (cycle_idx, vector) in stimulus.vectors.iter().enumerate() {
+        for cycle_idx in 0..ncycles {
             let cycle = cycle_idx as u32;
             if self.cancel.is_cancelled() {
                 return Err(SimError::Cancelled { at_cycle: cycle });
             }
             // 1. Apply inputs.
-            for (name, bits) in &vector.assigns {
-                let id = self
-                    .netlist
-                    .signal_id(name)
-                    .ok_or_else(|| SimError::UnknownSignal { name: name.clone() })?;
-                if self.netlist.signal(id).role != crate::netlist::SignalRole::Input {
-                    return Err(SimError::NotAnInput { name: name.clone() });
-                }
-                ctx.values[id.0 as usize] = Value::new(*bits, self.netlist.signal(id).width);
-            }
+            self.apply_inputs(&mut ctx, stimulus.cycle(cycle_idx), ids);
 
             // 2. Combinational settle + recording pass.
             let mut execs: Vec<StmtExec> = Vec::new();
@@ -280,29 +287,21 @@ impl Simulator {
     fn run_interpreted_verdict(
         &mut self,
         stimulus: &Stimulus,
+        ids: &[SignalId],
         observed: &SignalSet,
     ) -> Result<VerdictTrace, SimError> {
         crate::metrics::RUNS_INTERPRETED.incr();
         crate::metrics::RUNS_VERDICT.incr();
         let mut ctx = EvalCtx::new(&self.netlist);
-        let ncycles = stimulus.vectors.len();
+        let ncycles = stimulus.len();
         let nobs = observed.len();
         let mut values: Vec<Value> = Vec::with_capacity(ncycles * nobs);
-        for (cycle_idx, vector) in stimulus.vectors.iter().enumerate() {
+        for cycle_idx in 0..ncycles {
             let cycle = cycle_idx as u32;
             if self.cancel.is_cancelled() {
                 return Err(SimError::Cancelled { at_cycle: cycle });
             }
-            for (name, bits) in &vector.assigns {
-                let id = self
-                    .netlist
-                    .signal_id(name)
-                    .ok_or_else(|| SimError::UnknownSignal { name: name.clone() })?;
-                if self.netlist.signal(id).role != crate::netlist::SignalRole::Input {
-                    return Err(SimError::NotAnInput { name: name.clone() });
-                }
-                ctx.values[id.0 as usize] = Value::new(*bits, self.netlist.signal(id).width);
-            }
+            self.apply_inputs(&mut ctx, stimulus.cycle(cycle_idx), ids);
 
             self.settle_comb(&mut ctx)?;
 
@@ -326,6 +325,13 @@ impl Simulator {
             nobs,
             records_elided: 0,
         })
+    }
+
+    /// Drives one cycle's words onto their resolved input signals.
+    fn apply_inputs(&self, ctx: &mut EvalCtx<'_>, words: &[u64], ids: &[SignalId]) {
+        for (&bits, &id) in words.iter().zip(ids) {
+            ctx.values[id.0 as usize] = Value::new(bits, self.netlist.signal(id).width);
+        }
     }
 
     fn run_comb_process(
@@ -367,11 +373,11 @@ impl Simulator {
 /// [`LANES`] — the batches the compiled engine runs.
 fn lane_groups(mut rest: &[Stimulus]) -> impl Iterator<Item = &[Stimulus]> {
     std::iter::from_fn(move || {
-        let cycles = rest.first()?.vectors.len();
+        let cycles = rest.first()?.len();
         let take = rest
             .iter()
             .take(LANES)
-            .take_while(|s| s.vectors.len() == cycles)
+            .take_while(|s| s.len() == cycles)
             .count();
         let (chunk, tail) = rest.split_at(take);
         rest = tail;
@@ -391,17 +397,10 @@ pub fn simulate(module: &Module, stimulus: &Stimulus) -> Result<Trace, SimError>
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testbench::{InputVector, Stimulus};
+    use crate::testbench::Stimulus;
 
     fn stim(vectors: Vec<Vec<(&str, u64)>>) -> Stimulus {
-        Stimulus {
-            vectors: vectors
-                .into_iter()
-                .map(|v| InputVector {
-                    assigns: v.into_iter().map(|(n, b)| (n.to_owned(), b)).collect(),
-                })
-                .collect(),
-        }
+        Stimulus::from_named(vectors)
     }
 
     fn run(src: &str, vectors: Vec<Vec<(&str, u64)>>) -> (Simulator, Trace) {
@@ -621,7 +620,7 @@ mod tests {
         let batched = sim.run_batch(&stimuli).unwrap();
         assert_eq!(batched.len(), 4);
         for (t, s) in batched.iter().zip(&stimuli) {
-            assert_eq!(t.len(), s.vectors.len());
+            assert_eq!(t.len(), s.len());
             assert_eq!(t, &interp.run(s).unwrap());
         }
         // Empty input is a no-op.

@@ -7,45 +7,209 @@
 //! temporal correlation in the stimulus the way constrained-random
 //! testbenches do.
 
+use std::sync::Arc;
+
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
-use crate::netlist::Netlist;
+use crate::error::SimError;
+use crate::netlist::{Netlist, SignalId, SignalRole};
 use crate::value::Value;
 
-/// A single cycle's input assignments, by port name.
-#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
-pub struct InputVector {
-    /// `(port name, bits)` pairs.
-    pub assigns: Vec<(String, u64)>,
-}
-
-impl InputVector {
-    /// The driven value of a port, if present in this vector.
-    pub fn value_of(&self, name: &str) -> Option<u64> {
-        self.assigns
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, v)| *v)
-    }
-}
-
-/// A complete multi-cycle stimulus.
-#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+/// A complete multi-cycle stimulus in dense form: the driven input ports
+/// by name, and one `u64` word per port per cycle, cycle-major.
+///
+/// Every stimulus of a generated set shares one port list, so an engine
+/// resolves names to its own netlist's signal ids once per set and then
+/// loads words with no lookups. Each cycle drives every listed port; a
+/// port keeps its previous word when the stimulus holds it.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Stimulus {
-    /// One input vector per cycle.
-    pub vectors: Vec<InputVector>,
+    ports: Arc<[String]>,
+    /// `cycles × ports.len()` words; cycle `c` is `words[c * n..(c + 1) * n]`.
+    words: Vec<u64>,
+    cycles: usize,
 }
 
 impl Stimulus {
+    /// Builds a stimulus from per-cycle `(port, bits)` assignments, for
+    /// tests and hand-written stimuli. Ports are listed in order of first
+    /// assignment. A cycle that does not assign a port keeps its previous
+    /// value (0 before the first assignment, matching the reset state);
+    /// within a cycle the last assignment to a port wins. Names are not
+    /// checked here: running the stimulus reports an undeclared or
+    /// non-input port as [`SimError::UnknownSignal`] /
+    /// [`SimError::NotAnInput`], for the first bad port in this order.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use veribug_sim::Stimulus;
+    ///
+    /// let stim = Stimulus::from_named(vec![vec![("d", 1), ("en", 1)], vec![("d", 0)]]);
+    /// assert_eq!(stim.len(), 2);
+    /// assert_eq!(stim.ports(), ["d", "en"]);
+    /// // `en` is held in the second cycle.
+    /// assert_eq!(stim.cycle(1), [0, 1]);
+    /// ```
+    pub fn from_named<'a, C, V>(cycles: C) -> Stimulus
+    where
+        C: IntoIterator<Item = V>,
+        V: IntoIterator<Item = (&'a str, u64)>,
+    {
+        let cycles: Vec<Vec<(&str, u64)>> = cycles
+            .into_iter()
+            .map(|v| v.into_iter().collect())
+            .collect();
+        let mut ports: Vec<&str> = Vec::new();
+        for (name, _) in cycles.iter().flatten() {
+            if !ports.contains(name) {
+                ports.push(name);
+            }
+        }
+        let n = ports.len();
+        let mut words = vec![0u64; cycles.len() * n];
+        for (c, assigns) in cycles.iter().enumerate() {
+            if c > 0 {
+                words.copy_within((c - 1) * n..c * n, c * n);
+            }
+            for (name, bits) in assigns {
+                let slot = ports.iter().position(|p| p == name).expect("listed");
+                words[c * n + slot] = *bits;
+            }
+        }
+        Stimulus {
+            ports: ports.into_iter().map(str::to_owned).collect(),
+            words,
+            cycles: cycles.len(),
+        }
+    }
+
     /// Number of cycles.
     pub fn len(&self) -> usize {
-        self.vectors.len()
+        self.cycles
     }
 
     /// True when the stimulus has no cycles.
     pub fn is_empty(&self) -> bool {
-        self.vectors.is_empty()
+        self.cycles == 0
+    }
+
+    /// The driven input ports, in word order.
+    pub fn ports(&self) -> &[String] {
+        &self.ports
+    }
+
+    /// Cycle `cycle`'s words, one per port in [`ports`](Self::ports) order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cycle >= self.len()`.
+    pub fn cycle(&self, cycle: usize) -> &[u64] {
+        assert!(
+            cycle < self.cycles,
+            "cycle {cycle} out of 0..{}",
+            self.cycles
+        );
+        let n = self.ports.len();
+        &self.words[cycle * n..(cycle + 1) * n]
+    }
+}
+
+/// Resolves stimulus port lists to one netlist's signal ids, once per
+/// distinct shared list: a generated set costs O(ports), not
+/// O(runs × cycles × ports). Golden and buggy netlists may declare ports
+/// in different orders, so each engine resolves against its own.
+#[derive(Debug, Default)]
+pub(crate) struct PortResolver {
+    /// The last port list resolved, and its ids.
+    ports: Option<Arc<[String]>>,
+    ids: Arc<[SignalId]>,
+}
+
+impl PortResolver {
+    /// The signal id of each of `stim`'s ports, in port order.
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::UnknownSignal`] / [`SimError::NotAnInput`] for the first
+    /// bad port in port order — the first bad assignment a cycle-by-cycle
+    /// loop over the stimulus would hit.
+    pub(crate) fn resolve(
+        &mut self,
+        netlist: &Netlist,
+        stim: &Stimulus,
+    ) -> Result<Arc<[SignalId]>, SimError> {
+        if self
+            .ports
+            .as_ref()
+            .is_some_and(|ports| Arc::ptr_eq(ports, &stim.ports))
+        {
+            return Ok(Arc::clone(&self.ids));
+        }
+        let ids: Arc<[SignalId]> = stim
+            .ports
+            .iter()
+            .map(|name| {
+                let id = netlist
+                    .signal_id(name)
+                    .ok_or_else(|| SimError::UnknownSignal { name: name.clone() })?;
+                if netlist.signal(id).role != SignalRole::Input {
+                    return Err(SimError::NotAnInput { name: name.clone() });
+                }
+                Ok(id)
+            })
+            .collect::<Result<_, SimError>>()?;
+        self.ports = Some(Arc::clone(&stim.ports));
+        self.ids = Arc::clone(&ids);
+        Ok(ids)
+    }
+}
+
+/// One stimulus input's generation plan, hoisted out of the per-cycle
+/// loop.
+#[derive(Debug)]
+struct InputPlan {
+    /// `Some(active_low)` for reset-like inputs.
+    reset: Option<bool>,
+    width: u8,
+    mask: u64,
+    /// Earlier inputs of the same width — coupling candidates — by slot.
+    peers: Vec<usize>,
+}
+
+/// A design's stimulus inputs, resolved once per generated set.
+#[derive(Debug)]
+struct Plan {
+    ports: Arc<[String]>,
+    inputs: Vec<InputPlan>,
+}
+
+impl Plan {
+    fn new(netlist: &Netlist) -> Plan {
+        let ids = netlist.stimulus_inputs();
+        let inputs = ids
+            .iter()
+            .enumerate()
+            .map(|(slot, &id)| {
+                let sig = netlist.signal(id);
+                InputPlan {
+                    reset: reset_polarity(netlist, &sig.name, id),
+                    width: sig.width,
+                    mask: Value::mask(sig.width),
+                    peers: (0..slot)
+                        .filter(|&p| netlist.signal(ids[p]).width == sig.width)
+                        .collect(),
+                }
+            })
+            .collect();
+        Plan {
+            ports: ids
+                .iter()
+                .map(|&id| netlist.signal(id).name.clone())
+                .collect(),
+            inputs,
+        }
     }
 }
 
@@ -116,54 +280,21 @@ impl TestbenchGen {
     /// let netlist = Netlist::elaborate(unit.top())?;
     /// let stim = TestbenchGen::new(42).generate(&netlist, 8);
     /// assert_eq!(stim.len(), 8);
+    /// assert_eq!(stim.ports(), ["rst_n", "d"]);
     /// // rst_n is active-low: held at 0 during the reset window.
-    /// assert_eq!(stim.vectors[0].value_of("rst_n"), Some(0));
-    /// assert_eq!(stim.vectors[7].value_of("rst_n"), Some(1));
+    /// assert_eq!(stim.cycle(0)[0], 0);
+    /// assert_eq!(stim.cycle(7)[0], 1);
     /// # Ok(())
     /// # }
     /// ```
     pub fn generate(&self, netlist: &Netlist, cycles: usize) -> Stimulus {
-        let mut rng = StdRng::seed_from_u64(self.seed);
-        let inputs = netlist.stimulus_inputs();
-        let mut prev: Vec<u64> = inputs.iter().map(|_| 0).collect();
-        let mut vectors = Vec::with_capacity(cycles);
-        for cycle in 0..cycles {
-            let mut assigns: Vec<(String, u64)> = Vec::with_capacity(inputs.len());
-            for (slot, id) in inputs.iter().enumerate() {
-                let sig = netlist.signal(*id);
-                let bits = if let Some(active_low) = reset_polarity(netlist, &sig.name, *id) {
-                    let in_reset = cycle < self.reset_cycles;
-                    // Active-low reset: 0 while resetting. Active-high: 1.
-                    u64::from(in_reset != active_low)
-                } else if cycle > 0 && rng.random_bool(self.hold_probability) {
-                    prev[slot]
-                } else if sig.width > 1 && rng.random_bool(self.couple_probability) {
-                    // Copy another same-width input already driven this
-                    // cycle, so equality comparisons can fire.
-                    let peers: Vec<u64> = inputs[..slot]
-                        .iter()
-                        .zip(&assigns)
-                        .filter(|(pid, _)| netlist.signal(**pid).width == sig.width)
-                        .map(|(_, (_, bits))| *bits)
-                        .collect();
-                    if peers.is_empty() {
-                        rng.random::<u64>() & Value::mask(sig.width)
-                    } else {
-                        peers[rng.random_range(0..peers.len())]
-                    }
-                } else {
-                    rng.random::<u64>() & Value::mask(sig.width)
-                };
-                prev[slot] = bits;
-                assigns.push((sig.name.clone(), bits));
-            }
-            vectors.push(InputVector { assigns });
-        }
-        Stimulus { vectors }
+        self.generate_planned(&Plan::new(netlist), cycles)
     }
 
-    /// Generates `count` independent stimuli by perturbing the seed.
+    /// Generates `count` independent stimuli by perturbing the seed. They
+    /// share one port list.
     pub fn generate_many(&self, netlist: &Netlist, cycles: usize, count: usize) -> Vec<Stimulus> {
+        let plan = Plan::new(netlist);
         (0..count)
             .map(|i| {
                 TestbenchGen {
@@ -172,14 +303,55 @@ impl TestbenchGen {
                         .wrapping_add(0x9E37_79B9_7F4A_7C15u64.wrapping_mul(i as u64 + 1)),
                     ..self.clone()
                 }
-                .generate(netlist, cycles)
+                .generate_planned(&plan, cycles)
             })
             .collect()
+    }
+
+    /// The generator proper. Per cycle and input, in port order: a
+    /// reset-like input follows its window and draws nothing; otherwise one
+    /// draw decides a hold (after the first cycle), then a multi-bit input
+    /// draws whether to couple to an earlier same-width input of this
+    /// cycle, and finally draws its value or its peer. Every stream depends
+    /// on this exact draw sequence.
+    fn generate_planned(&self, plan: &Plan, cycles: usize) -> Stimulus {
+        let mut rng = StdRng::seed_from_u64(self.seed);
+        let n = plan.inputs.len();
+        let mut words = vec![0u64; cycles * n];
+        for cycle in 0..cycles {
+            let (done, rest) = words.split_at_mut(cycle * n);
+            let prev = &done[done.len().saturating_sub(n)..];
+            let row = &mut rest[..n];
+            for (slot, input) in plan.inputs.iter().enumerate() {
+                row[slot] = if let Some(active_low) = input.reset {
+                    let in_reset = cycle < self.reset_cycles;
+                    // Active-low reset: 0 while resetting. Active-high: 1.
+                    u64::from(in_reset != active_low)
+                } else if cycle > 0 && rng.random_bool(self.hold_probability) {
+                    prev[slot]
+                } else if input.width > 1 && rng.random_bool(self.couple_probability) {
+                    // Copy another same-width input already driven this
+                    // cycle, so equality comparisons can fire.
+                    if input.peers.is_empty() {
+                        rng.random::<u64>() & input.mask
+                    } else {
+                        row[input.peers[rng.random_range(0..input.peers.len())]]
+                    }
+                } else {
+                    rng.random::<u64>() & input.mask
+                };
+            }
+        }
+        Stimulus {
+            ports: Arc::clone(&plan.ports),
+            words,
+            cycles,
+        }
     }
 }
 
 /// Returns `Some(active_low)` when the signal looks like a reset.
-fn reset_polarity(netlist: &Netlist, name: &str, id: crate::netlist::SignalId) -> Option<bool> {
+fn reset_polarity(netlist: &Netlist, name: &str, id: SignalId) -> Option<bool> {
     let lower = name.to_ascii_lowercase();
     let is_named_reset = lower == "rst"
         || lower == "reset"
@@ -206,6 +378,12 @@ mod tests {
         Netlist::elaborate(verilog::parse(src).unwrap().top()).unwrap()
     }
 
+    /// The word `port` carries in `cycle`.
+    fn word(s: &Stimulus, cycle: usize, port: &str) -> u64 {
+        let slot = s.ports().iter().position(|p| p == port).unwrap();
+        s.cycle(cycle)[slot]
+    }
+
     #[test]
     fn deterministic_for_same_seed() {
         let n = netlist(
@@ -228,8 +406,8 @@ mod tests {
         let s = TestbenchGen::new(9)
             .with_hold_probability(0.0)
             .generate(&n, 64);
-        for v in &s.vectors {
-            let a = v.value_of("a").unwrap();
+        for c in 0..s.len() {
+            let a = word(&s, c, "a");
             assert!(a < 8, "3-bit input out of range: {a}");
         }
     }
@@ -242,20 +420,12 @@ mod tests {
         );
         let s = TestbenchGen::new(5).with_reset_cycles(3).generate(&n, 6);
         for c in 0..3 {
-            assert_eq!(
-                s.vectors[c].value_of("rst"),
-                Some(1),
-                "active-high asserted"
-            );
-            assert_eq!(
-                s.vectors[c].value_of("rst_n"),
-                Some(0),
-                "active-low asserted"
-            );
+            assert_eq!(word(&s, c, "rst"), 1, "active-high asserted");
+            assert_eq!(word(&s, c, "rst_n"), 0, "active-low asserted");
         }
         for c in 3..6 {
-            assert_eq!(s.vectors[c].value_of("rst"), Some(0));
-            assert_eq!(s.vectors[c].value_of("rst_n"), Some(1));
+            assert_eq!(word(&s, c, "rst"), 0);
+            assert_eq!(word(&s, c, "rst_n"), 1);
         }
     }
 
@@ -280,9 +450,50 @@ mod tests {
         let s = TestbenchGen::new(2)
             .with_hold_probability(1.0)
             .generate(&n, 8);
-        let first = s.vectors[0].value_of("a").unwrap();
-        for v in &s.vectors {
-            assert_eq!(v.value_of("a"), Some(first));
+        let first = word(&s, 0, "a");
+        for c in 0..s.len() {
+            assert_eq!(word(&s, c, "a"), first);
         }
+    }
+
+    #[test]
+    fn generated_sets_share_one_port_list() {
+        let n = netlist(
+            "module m(input clk, input [7:0] a, input b, output reg [7:0] q);\n\
+             always @(posedge clk) q <= a & {8{b}};\nendmodule",
+        );
+        let many = TestbenchGen::new(1).generate_many(&n, 4, 3);
+        assert_eq!(many[0].ports(), ["a", "b"]);
+        assert!(many.iter().all(|s| Arc::ptr_eq(&s.ports, &many[0].ports)));
+    }
+
+    #[test]
+    fn from_named_holds_undriven_ports() {
+        let s = Stimulus::from_named(vec![
+            vec![("a", 3)],
+            vec![("b", 1), ("a", 5), ("a", 6)],
+            vec![],
+        ]);
+        assert_eq!(s.ports(), ["a", "b"]);
+        assert_eq!(s.cycle(0), [3, 0], "b is 0 before its first drive");
+        assert_eq!(s.cycle(1), [6, 1], "the last assignment wins");
+        assert_eq!(s.cycle(2), [6, 1], "an empty cycle holds every port");
+        assert!(Stimulus::from_named(Vec::<Vec<(&str, u64)>>::new()).is_empty());
+    }
+
+    #[test]
+    fn resolver_reports_first_bad_port_and_memoizes() {
+        let n = netlist("module m(input a, input b, output y);\nassign y = a & b;\nendmodule");
+        let mut r = PortResolver::default();
+        let s = Stimulus::from_named(vec![vec![("b", 1)], vec![("y", 1), ("ghost", 1)]]);
+        assert!(matches!(
+            r.resolve(&n, &s),
+            Err(SimError::NotAnInput { name }) if name == "y"
+        ));
+        let s = Stimulus::from_named(vec![vec![("b", 1), ("a", 0)]]);
+        let ids = r.resolve(&n, &s).unwrap();
+        let names: Vec<_> = ids.iter().map(|&id| n.signal(id).name.as_str()).collect();
+        assert_eq!(names, ["b", "a"]);
+        assert!(Arc::ptr_eq(&ids, &r.resolve(&n, &s.clone()).unwrap()));
     }
 }

@@ -90,20 +90,12 @@ fn vcd_id(mut n: usize) -> String {
 mod tests {
     use super::*;
     use crate::sched::Simulator;
-    use crate::testbench::{InputVector, Stimulus};
+    use crate::testbench::Stimulus;
 
     fn run(src: &str, vectors: Vec<Vec<(&str, u64)>>) -> (Simulator, Trace) {
         let unit = verilog::parse(src).unwrap();
         let mut sim = Simulator::new(unit.top()).unwrap();
-        let stim = Stimulus {
-            vectors: vectors
-                .into_iter()
-                .map(|v| InputVector {
-                    assigns: v.into_iter().map(|(n, b)| (n.to_owned(), b)).collect(),
-                })
-                .collect(),
-        };
-        let t = sim.run(&stim).unwrap();
+        let t = sim.run(&Stimulus::from_named(vectors)).unwrap();
         (sim, t)
     }
 

@@ -2,7 +2,7 @@
 //! rejection paths, simulator corner semantics, explainer degenerate inputs,
 //! persistence tampering, and CLI-facing invariants.
 
-use veribug_suite::sim::{InputVector, Simulator, Stimulus, TestbenchGen, Value};
+use veribug_suite::sim::{Simulator, Stimulus, TestbenchGen, Value};
 use veribug_suite::veribug::{
     coverage::grouped_heatmap,
     explain::LabelledTrace,
@@ -12,14 +12,7 @@ use veribug_suite::veribug::{
 use veribug_suite::verilog::{self, ParseError};
 
 fn stim(vectors: Vec<Vec<(&str, u64)>>) -> Stimulus {
-    Stimulus {
-        vectors: vectors
-            .into_iter()
-            .map(|v| InputVector {
-                assigns: v.into_iter().map(|(n, b)| (n.to_owned(), b)).collect(),
-            })
-            .collect(),
-    }
+    Stimulus::from_named(vectors)
 }
 
 // ---- parser rejection paths ----
