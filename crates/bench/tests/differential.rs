@@ -1,19 +1,20 @@
 //! Differential tests: the compiled engine must be bit-identical to the
 //! fixpoint interpreter — signal snapshots **and** `StmtExec` records — on
 //! every design in `crates/designs` and a large RVDG-generated corpus, at
-//! every supported thread count, in both trace modes (full traces and
-//! verdicts), whether stimuli run one per call or as 64-lane batches of any
-//! shape.
+//! every supported thread count, in every trace mode (full traces,
+//! verdicts, and records-only traces), whether stimuli run one per call or
+//! as 64-lane batches of any shape.
 
 use mutate::{BugBudget, Campaign};
 use rvdg::{Generator, RvdgConfig};
 use sim::{
     CancelToken, EngineKind, SignalId, SignalRole, SignalSet, SimError, Simulator, Stimulus,
-    TestbenchGen, Trace, VerdictTrace,
+    StmtExec, TestbenchGen, Trace, VerdictTrace,
 };
+use std::collections::BTreeSet;
 use veribug::model::{ModelConfig, VeriBugModel};
 use veribug::train::{self, Dataset, TrainConfig};
-use verilog::Module;
+use verilog::{Module, StmtId};
 
 /// Cycles per stimulus; long enough to exercise resets, wrap-around and
 /// dirty-set skipping, short enough to keep the corpus fast.
@@ -514,4 +515,138 @@ fn comb_loop_falls_back_and_still_errors() {
     let stim = Stimulus::from_named(vec![vec![("a", 1)]]);
     let err = sim.run(&stim).expect_err("oscillating loop must error");
     assert!(matches!(err, sim::SimError::CombinationalLoop { .. }));
+}
+
+/// Cycles per stimulus in the records-only checks: localize's default.
+const RECORDS_CYCLES: usize = 16;
+
+/// Asserts a records-only run is the full run filtered to `stmts`, cycle
+/// by cycle: same cycle indices, no snapshot, and exactly the full
+/// trace's records of statements in the set, in full-trace order.
+fn assert_records_are_filtered_full(
+    name: &str,
+    records: &[Trace],
+    full: &[Trace],
+    stmts: &BTreeSet<StmtId>,
+) {
+    assert_eq!(records.len(), full.len(), "{name}: trace count");
+    for (i, (r, f)) in records.iter().zip(full).enumerate() {
+        assert_eq!(r.len(), f.len(), "{name}: stimulus {i} cycle count");
+        for (rc, fc) in r.cycles.iter().zip(&f.cycles) {
+            assert_eq!(rc.cycle, fc.cycle, "{name}: stimulus {i} cycle index");
+            assert!(
+                rc.signals.is_empty(),
+                "{name}: stimulus {i} cycle {} carries a snapshot",
+                rc.cycle
+            );
+            let kept: Vec<StmtExec> = fc
+                .execs
+                .iter()
+                .filter(|e| stmts.contains(&e.stmt))
+                .cloned()
+                .collect();
+            assert_eq!(
+                rc.execs,
+                kept.into(),
+                "{name}: stimulus {i} cycle {} records differ from the filtered full trace",
+                rc.cycle
+            );
+        }
+    }
+}
+
+/// The error a run reports under a fresh two-poll cancel budget.
+fn cancelled_after_two_polls(
+    sim: &mut Simulator,
+    run: impl FnOnce(&mut Simulator) -> Result<Vec<Trace>, SimError>,
+) -> SimError {
+    sim.set_cancel(CancelToken::after_polls(2));
+    let err = run(sim).expect_err("a two-poll budget must cancel");
+    sim.set_cancel(CancelToken::inert());
+    err
+}
+
+/// Records-only checks for one design on both engines: at 1, 64 and 160
+/// (64 + 64 + 32) stimuli and for the empty set, every statement, and the
+/// localize slice set (what the explainer attributes for `target`), the
+/// records-only pass — fanned out over lane groups like localize's second
+/// pass — equals the full pass filtered to the set. A fired cancel token
+/// and bad stimulus ports give the same errors as full mode. Returns the
+/// slice set's size.
+fn check_records_only(name: &str, module: &Module, target: &str, seed: u64) -> usize {
+    let model = VeriBugModel::new(ModelConfig::default());
+    let slice = veribug::Explainer::new(&model, module, target).attributed();
+    let slice_len = slice.len();
+    let all: BTreeSet<StmtId> = module.assignments().iter().map(|a| a.id).collect();
+    let sets = [("empty", BTreeSet::new()), ("all", all), ("slice", slice)];
+    let (compiled, interp) = both_engines(module, true);
+    for (engine, mut sim) in [("batch", compiled), ("interpreted", interp)] {
+        let stimuli = TestbenchGen::new(seed).generate_many(sim.netlist(), RECORDS_CYCLES, 160);
+        for n in [1usize, 64, 160] {
+            let stimuli = &stimuli[..n];
+            let full = mutate::run_lane_groups(&mut sim, stimuli).expect("full run");
+            for (set_name, set) in &sets {
+                let records =
+                    mutate::run_lane_groups_records(&mut sim, stimuli, set).expect("records run");
+                assert_records_are_filtered_full(
+                    &format!("{name} {engine} n={n} {set_name}"),
+                    &records,
+                    &full,
+                    set,
+                );
+            }
+        }
+        let set = &sets[2].1;
+        let stimuli = &stimuli[..70];
+        assert_eq!(
+            cancelled_after_two_polls(&mut sim, |s| s.run_batch_records(stimuli, set)),
+            cancelled_after_two_polls(&mut sim, |s| s.run_batch(stimuli)),
+            "{name} {engine}: cancellation differs from full mode"
+        );
+        let output = sim
+            .netlist()
+            .signals()
+            .iter()
+            .find(|s| s.role == SignalRole::Output)
+            .map(|s| s.name.clone())
+            .expect("design has an output");
+        for port in ["ghost", output.as_str()] {
+            let bad = [
+                stimuli[0].clone(),
+                Stimulus::from_named(vec![vec![(port, 1)]; RECORDS_CYCLES]),
+            ];
+            assert_eq!(
+                sim.run_batch_records(&bad, set).unwrap_err(),
+                sim.run_batch(&bad).unwrap_err(),
+                "{name} {engine}: bad port `{port}` errors differ from full mode"
+            );
+        }
+    }
+    slice_len
+}
+
+/// The records-only pass is the filtered full pass on every Table I design
+/// (first target) and 8 RVDG designs (first output), on both engines.
+#[test]
+fn records_only_pass_is_the_filtered_full_pass() {
+    for d in &designs::catalog() {
+        let module = d.module().expect("design parses");
+        let slice = check_records_only(d.name, &module, d.targets[0], 0x2EC0_0001);
+        assert!(slice > 0, "{}: empty localize slice", d.name);
+    }
+    let corpus = Generator::new(RvdgConfig::default(), 0x2EC0_0002)
+        .generate_corpus(8)
+        .expect("rvdg corpus generates");
+    assert_eq!(corpus.len(), 8);
+    for d in &corpus {
+        let sim = Simulator::new(&d.module).expect("elaborates");
+        let target = sim
+            .netlist()
+            .signals()
+            .iter()
+            .find(|s| s.role == SignalRole::Output)
+            .map(|s| s.name.clone())
+            .expect("rvdg design has an output");
+        check_records_only(&format!("rvdg seed {}", d.seed), &d.module, &target, d.seed);
+    }
 }

@@ -1,7 +1,7 @@
 //! Explanation generation (paper Sec. IV-D): attention maps, aggregated
 //! maps `F_t`/`C_t`, suspiciousness scores, and the final heatmap `H_t`.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::features::StatementFeatures;
@@ -349,6 +349,15 @@ impl<'m> Explainer<'m> {
     /// The static slice the explainer restricts attention to.
     pub fn slice(&self) -> &Slice {
         &self.slice
+    }
+
+    /// The statements the explainer attributes: slice statements whose
+    /// feature operands the simulator records. Records of any other
+    /// statement are never read, so a records-only run over this set
+    /// ([`sim::Simulator::run_batch_records`]) explains identically to a
+    /// full trace.
+    pub fn attributed(&self) -> BTreeSet<StmtId> {
+        self.slots.iter().map(|s| s.features.stmt).collect()
     }
 
     /// Aggregates attention over every execution (within the target's

@@ -14,17 +14,17 @@
 //!
 //! Internally both entry points use the **two-pass trace-elision flow**
 //! (see DESIGN.md §2c): a values-only verdict pass labels every run, then
-//! full execution records are produced only for the buggy design and only
-//! when at least one run failed. The golden design is never simulated
-//! with full traces. The report is bit-identical to a single-pass flow —
-//! the differential suite in `crates/bench/tests/differential.rs` proves
-//! it.
+//! execution records are produced only for the buggy design, only when at
+//! least one run failed, and only for the statements the explainer
+//! attributes. The golden design is never simulated with records. The
+//! report is bit-identical to a single-pass flow — the differential suite
+//! in `crates/bench/tests/differential.rs` proves it.
 
 use crate::coverage::DEFAULT_RUN_GROUPS;
 use crate::explain::{AttentionMap, Heatmap, LabelledTrace};
 use crate::model::VeriBugModel;
 use crate::{Explainer, VeriBugError, DEFAULT_THRESHOLD};
-use mutate::{golden_verdicts, run_lane_groups, screen_with};
+use mutate::{golden_verdicts, run_lane_groups_records, screen_with};
 use sim::{CancelToken, EngineKind, Simulator, TestbenchGen};
 use verilog::Module;
 
@@ -218,14 +218,19 @@ fn localize_inner(
         return Err(sim::SimError::Cancelled { at_cycle: 0 }.into());
     }
 
-    // Pass 2 — full traces, buggy design only, and only because at least
-    // one run failed. Labels and failure cycles come from the verdict
-    // pass; PR 6's invariant (records are a pure function of statement +
-    // values read) makes the re-simulation byte-identical to what a
-    // single-pass flow would have recorded.
+    // Pass 2 — records-only traces, buggy design only, and only because at
+    // least one run failed. Only the statements the explainer attributes
+    // are recorded, and no signal is snapshotted: labels and failure
+    // cycles come from the verdict pass. Records are a pure function of
+    // statement + values read, so each kept record is byte-identical to
+    // what a single-pass full trace would have recorded.
+    let mut explainer = {
+        let _span = obs::span("explain");
+        Explainer::new(model, &buggy_sim.netlist().module, target)
+    };
     let buggy_traces = {
         let _span = obs::span("full_trace");
-        run_lane_groups(buggy_sim, &stimuli)?
+        run_lane_groups_records(buggy_sim, &stimuli, &explainer.attributed())?
     };
     let buggy = &buggy_sim.netlist().module;
     let runs_view: Vec<LabelledTrace<'_>> = buggy_traces
@@ -244,7 +249,6 @@ fn localize_inner(
     let _explain_span = obs::span("explain");
     // Each trace is walked once; the grouped heatmap and the correct-trace
     // map both aggregate the same resolved records.
-    let mut explainer = Explainer::new(model, buggy, target);
     let resolved = explainer.resolve(&runs_view, |_| true);
     report.heatmap = explainer.grouped(&resolved, opts.threshold, opts.run_groups);
     report.correct_map = explainer.correct_map(&resolved);

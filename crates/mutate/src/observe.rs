@@ -7,7 +7,8 @@
 //! (`T_c`).
 
 use sim::{SignalSet, SimError, Simulator, Stimulus, Trace, TraceLabel, TraceMode, VerdictTrace};
-use verilog::Module;
+use std::collections::BTreeSet;
+use verilog::{Module, StmtId};
 
 /// A pair of traces from the same stimulus, with the failure label.
 #[derive(Debug, Clone, PartialEq)]
@@ -86,45 +87,48 @@ pub fn screening_mode(target: sim::SignalId) -> TraceMode {
 /// into lane groups of up to [`sim::LANES`] stimuli.
 ///
 /// A single group runs on the caller's simulator directly; larger sets fan
-/// the groups out with [`par::par_map`] — one lane group per partition, on
-/// a fork sharing the compiled code, with the parent's cancel token
-/// re-installed (forks reset to inert) — and merge results in stimulus
-/// order, so the output is identical at any thread count.
+/// the groups out with [`par::par_chunk_map`] — one lane group per
+/// partition, on a fork sharing the compiled code, with the parent's
+/// cancel token re-installed (forks reset to inert) — and merge results in
+/// stimulus order, so the output is identical at any thread count.
 pub fn run_lane_groups(sim: &mut Simulator, stimuli: &[Stimulus]) -> Result<Vec<Trace>, SimError> {
-    if stimuli.len() <= sim::LANES {
-        return sim.run_batch(stimuli);
-    }
-    let groups: Vec<&[Stimulus]> = stimuli.chunks(sim::LANES).collect();
-    let shared = &*sim;
-    let results = par::par_map(&groups, |group| {
-        let mut fork = shared.fork();
-        fork.set_cancel(shared.cancel_token().clone());
-        fork.run_batch(group)
-    });
-    let mut out = Vec::with_capacity(stimuli.len());
-    for r in results {
-        out.extend(r?);
-    }
-    Ok(out)
+    fan_out(sim, stimuli, Simulator::run_batch)
 }
 
-/// [`run_lane_groups`], but in verdict mode: same partitioning, ordered
-/// merge, and cancel propagation, with [`Simulator::run_batch_verdict`]
-/// doing the per-group work.
+/// [`run_lane_groups`] in verdict mode ([`Simulator::run_batch_verdict`]).
 pub fn run_lane_groups_verdict(
     sim: &mut Simulator,
     stimuli: &[Stimulus],
     observed: &SignalSet,
 ) -> Result<Vec<VerdictTrace>, SimError> {
+    fan_out(sim, stimuli, |s, g| s.run_batch_verdict(g, observed))
+}
+
+/// [`run_lane_groups`] in records-only mode
+/// ([`Simulator::run_batch_records`]): each trace keeps only the records of
+/// statements in `stmts` and carries no signal snapshots.
+pub fn run_lane_groups_records(
+    sim: &mut Simulator,
+    stimuli: &[Stimulus],
+    stmts: &BTreeSet<StmtId>,
+) -> Result<Vec<Trace>, SimError> {
+    fan_out(sim, stimuli, |s, g| s.run_batch_records(g, stmts))
+}
+
+/// The lane-group fan-out behind every `run_lane_groups*` function.
+fn fan_out<T: Send>(
+    sim: &mut Simulator,
+    stimuli: &[Stimulus],
+    run: impl Fn(&mut Simulator, &[Stimulus]) -> Result<Vec<T>, SimError> + Sync,
+) -> Result<Vec<T>, SimError> {
     if stimuli.len() <= sim::LANES {
-        return sim.run_batch_verdict(stimuli, observed);
+        return run(sim, stimuli);
     }
-    let groups: Vec<&[Stimulus]> = stimuli.chunks(sim::LANES).collect();
     let shared = &*sim;
-    let results = par::par_map(&groups, |group| {
+    let results = par::par_chunk_map(stimuli, sim::LANES, |_, group| {
         let mut fork = shared.fork();
         fork.set_cancel(shared.cancel_token().clone());
-        fork.run_batch_verdict(group, observed)
+        run(&mut fork, group)
     });
     let mut out = Vec::with_capacity(stimuli.len());
     for r in results {
@@ -145,10 +149,7 @@ pub fn golden_verdicts(
     stimuli: &[Stimulus],
     target: sim::SignalId,
 ) -> Result<Vec<VerdictTrace>, SimError> {
-    let TraceMode::Verdict { observed } = screening_mode(target) else {
-        unreachable!("screening_mode always builds verdict mode")
-    };
-    run_lane_groups_verdict(sim, stimuli, &observed)
+    run_lane_groups_verdict(sim, stimuli, &SignalSet::from_ids([target]))
 }
 
 /// Screens a mutant against precomputed golden verdicts: verdict-mode
@@ -189,10 +190,7 @@ pub fn screen_with(
         "one golden verdict per stimulus required"
     );
     let _span = obs::span("campaign.screen");
-    let TraceMode::Verdict { observed } = screening_mode(target) else {
-        unreachable!("screening_mode always builds verdict mode")
-    };
-    let verdicts = run_lane_groups_verdict(mutant_sim, stimuli, &observed)?;
+    let verdicts = run_lane_groups_verdict(mutant_sim, stimuli, &SignalSet::from_ids([target]))?;
     Ok(verdicts
         .into_iter()
         .zip(golden)

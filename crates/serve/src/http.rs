@@ -141,12 +141,7 @@ pub fn read_request(stream: &mut TcpStream, max_body: usize) -> Result<Request, 
         headers,
         body: Vec::new(),
     };
-    let declared = match request.header("content-length") {
-        None => 0,
-        Some(v) => v
-            .parse::<usize>()
-            .map_err(|_| ReadError::BadRequest(format!("bad content-length `{v}`")))?,
-    };
+    let declared = declared_length(&request)?;
     if declared > max_body {
         // Drain (and discard) what the client is still sending, bounded,
         // so the early 413 response doesn't race a connection reset while
@@ -177,6 +172,30 @@ pub fn read_request(stream: &mut TcpStream, max_body: usize) -> Result<Request, 
     }
     body.truncate(declared);
     Ok(Request { body, ..request })
+}
+
+/// The body length every `Content-Length` header declares (0 without
+/// one). Repeats must all parse to the same length: conflicting lengths
+/// are how requests get smuggled past a proxy, so they are rejected, not
+/// resolved (RFC 9112 §6.3).
+fn declared_length(request: &Request) -> Result<usize, ReadError> {
+    let mut declared = None;
+    for (_, v) in request
+        .headers
+        .iter()
+        .filter(|(n, _)| n == "content-length")
+    {
+        let len = v
+            .parse::<usize>()
+            .map_err(|_| ReadError::BadRequest(format!("bad content-length `{v}`")))?;
+        if declared.is_some_and(|d| d != len) {
+            return Err(ReadError::BadRequest(
+                "conflicting content-length headers".to_owned(),
+            ));
+        }
+        declared = Some(len);
+    }
+    Ok(declared.unwrap_or(0))
 }
 
 /// Byte offset just past the `\r\n\r\n` terminator, if present.
@@ -287,6 +306,30 @@ mod tests {
     fn rejects_malformed_request_line() {
         assert!(matches!(
             roundtrip(b"NONSENSE\r\n\r\n", 1024),
+            Err(ReadError::BadRequest(_))
+        ));
+    }
+
+    #[test]
+    fn accepts_exact_duplicate_content_length() {
+        let raw = b"POST / HTTP/1.1\r\nContent-Length: 5\r\nContent-Length: 5\r\n\r\nhello";
+        assert_eq!(roundtrip(raw, 1024).unwrap().body, b"hello");
+    }
+
+    #[test]
+    fn rejects_conflicting_content_lengths() {
+        let raw = b"POST / HTTP/1.1\r\nContent-Length: 5\r\nContent-Length: 3\r\n\r\nhello";
+        match roundtrip(raw, 1024) {
+            Err(ReadError::BadRequest(d)) => assert!(d.contains("conflicting"), "{d}"),
+            other => panic!("expected BadRequest, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn rejects_non_numeric_repeated_content_length() {
+        let raw = b"POST / HTTP/1.1\r\nContent-Length: 5\r\nContent-Length: five\r\n\r\nhello";
+        assert!(matches!(
+            roundtrip(raw, 1024),
             Err(ReadError::BadRequest(_))
         ));
     }

@@ -27,6 +27,7 @@
 //! too: its fanin is unchanged, so recomputed temporaries are identical and
 //! assignments are masked off.
 
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use crate::cancel::CancelToken;
@@ -38,7 +39,7 @@ use crate::netlist::{Netlist, Process, SignalId};
 use crate::testbench::{PortResolver, Stimulus};
 use crate::trace::{Operands, SignalSet, StmtExec, Trace, VerdictTrace};
 use crate::value::{BatchValue, Value, LANES};
-use verilog::Stmt;
+use verilog::{Stmt, StmtId};
 
 /// One batch instruction: an expression op evaluated lane-wise, a masked
 /// assignment, or a structured mask-control op.
@@ -196,6 +197,13 @@ impl BatchEngine {
     /// Runs up to [`LANES`] equal-length stimuli from the all-zero reset
     /// state, one lane each, and returns one trace per stimulus in order.
     ///
+    /// `stmts` selects the records-only variant: `None` records every
+    /// statement and snapshots every signal; `Some(set)` records only the
+    /// statements in `set` (in full-trace order) and snapshots nothing.
+    /// Both are one code path: each assignment's record flag comes from a
+    /// per-[`AssignMeta`] mask derived once per call (all true in full
+    /// mode), and values, dirty bits and masks evolve identically.
+    ///
     /// # Errors
     ///
     /// [`SimError::UnknownSignal`] / [`SimError::NotAnInput`] for bad
@@ -215,6 +223,7 @@ impl BatchEngine {
         netlist: &Netlist,
         stimuli: &[Stimulus],
         cancel: &CancelToken,
+        stmts: Option<&BTreeSet<StmtId>>,
     ) -> Result<Vec<Trace>, SimError> {
         let (fill, ncycles, fill_mask) = batch_shape(stimuli);
 
@@ -222,7 +231,15 @@ impl BatchEngine {
 
         let code = &*self.code;
         let ncomb = code.comb.len();
+        let keep: Vec<bool> = code
+            .metas
+            .iter()
+            .map(|m| stmts.is_none_or(|s| s.contains(&m.stmt)))
+            .collect();
         let nsig = netlist.signal_count();
+        // Signals per snapshot: every signal in full mode, none in a
+        // records-only run (so no value arena is allocated).
+        let nsnap = if stmts.is_none() { nsig } else { 0 };
         let state = &mut self.state;
         let mut values: Vec<BatchValue> = netlist
             .signals()
@@ -240,7 +257,7 @@ impl BatchEngine {
             v.clear();
         }
 
-        let mut arena: Vec<Value> = Vec::with_capacity(ncycles * fill * nsig);
+        let mut arena: Vec<Value> = Vec::with_capacity(ncycles * fill * nsnap);
         // The run-wide record arena and segment-descriptor pool: every
         // fresh record of the run lands in `records` exactly once; each
         // (cycle, lane) execution list is a `spans` window over `segs`
@@ -249,11 +266,15 @@ impl BatchEngine {
         let mut records: Vec<StmtExec> = Vec::new();
         let mut segs: Vec<(u32, u32)> = Vec::new();
         let mut spans: Vec<(u32, u32)> = Vec::with_capacity(ncycles * fill);
-        // Last fresh descriptor per (comb process, lane).
-        let mut last_desc: Vec<(u32, u32)> = vec![(0, 0); ncomb * LANES];
+        // Last fresh descriptor per (comb process, lane), with the count
+        // of records that execution did not keep (re-used with it).
+        let mut last_desc: Vec<(u32, u32, u64)> = vec![(0, 0, 0); ncomb * LANES];
+        // Per-lane records not kept by the program just executed.
+        let mut skipped = [0u64; LANES];
         // Per-signal changed-lanes masks — the dirty set, one bit per
         // lane. Everything starts dirty at reset.
         let mut changed: Vec<u64> = vec![fill_mask; nsig];
+        let mut m_skipped = 0u64;
         let mut m_divergences = 0u64;
         let mut m_ops = 0u64;
         let mut m_comb_evals = 0u64;
@@ -286,6 +307,7 @@ impl BatchEngine {
                 exec_bops::<true>(
                     &code.comb[pi],
                     code,
+                    &keep,
                     &mut state.slab,
                     &mut values,
                     &mut state.scratch,
@@ -296,7 +318,7 @@ impl BatchEngine {
                     &mut changed,
                     &mut m_divergences,
                     &mut m_ops,
-                    &mut [0; LANES],
+                    &mut skipped,
                 );
                 // Fresh records for the dirty lanes move into the arena
                 // once; the descriptor is all later cycles need.
@@ -306,15 +328,16 @@ impl BatchEngine {
                     lanes &= lanes - 1;
                     let start = records.len() as u32;
                     records.append(&mut state.scratch[l]);
-                    last_desc[pi * LANES + l] = (start, records.len() as u32 - start);
+                    let len = records.len() as u32 - start;
+                    last_desc[pi * LANES + l] = (start, len, std::mem::take(&mut skipped[l]));
                 }
             }
 
             // 3. Snapshot pre-edge values: lane-extract into the run-wide
             // arena, cycle-major then lane-major, so lane `l`'s cycle `c`
-            // window starts at `(c * fill + l) * nsig`.
+            // window starts at `(c * fill + l) * nsnap`.
             for l in 0..fill {
-                for v in &values {
+                for v in &values[..nsnap] {
                     arena.push(v.lane(l));
                 }
             }
@@ -332,6 +355,7 @@ impl BatchEngine {
                 exec_bops::<true>(
                     prog,
                     code,
+                    &keep,
                     &mut state.slab,
                     &mut values,
                     &mut state.scratch,
@@ -342,22 +366,25 @@ impl BatchEngine {
                     &mut changed,
                     &mut m_divergences,
                     &mut m_ops,
-                    &mut [0; LANES],
+                    &mut skipped,
                 );
             }
             commit_deferred(&mut state.deferred[..fill], &mut values, &mut changed);
 
             // 5. Describe each lane's cycle: combinational descriptors in
             // source-process order (fresh or re-used), then this edge's
-            // sequential records.
+            // sequential records. A process with no kept records pushes
+            // no descriptor.
             for l in 0..fill {
                 let seg_start = segs.len() as u32;
                 for p in 0..ncomb {
-                    let d = last_desc[p * LANES + l];
-                    if d.1 != 0 {
-                        segs.push(d);
+                    let (start, len, skip) = last_desc[p * LANES + l];
+                    m_skipped += skip;
+                    if len != 0 {
+                        segs.push((start, len));
                     }
                 }
+                m_skipped += std::mem::take(&mut skipped[l]);
                 let seq_rec = &mut state.scratch[l];
                 if !seq_rec.is_empty() {
                     let start = records.len() as u32;
@@ -385,6 +412,7 @@ impl BatchEngine {
         metrics::COMB_SKIPS.add(m_comb_skips);
         metrics::BYTECODE_OPS.add(m_ops);
         metrics::SEQ_EVALS.add((ncycles * code.seq.len()) as u64);
+        metrics::RECORDS_SKIPPED.add(m_skipped);
 
         // Assemble one trace per lane. Snapshots view the shared value
         // arena at lane-strided offsets; execution lists view the shared
@@ -402,8 +430,8 @@ impl BatchEngine {
                     cycle: c as u32,
                     signals: crate::trace::Snapshot::view(
                         Arc::clone(&arena),
-                        (c * fill + l) * nsig,
-                        nsig,
+                        (c * fill + l) * nsnap,
+                        nsnap,
                     ),
                     execs: crate::trace::Execs::from_parts(
                         Arc::clone(&records),
@@ -492,6 +520,7 @@ impl BatchEngine {
                 exec_bops::<false>(
                     &code.comb[pi],
                     code,
+                    &[],
                     &mut state.slab,
                     &mut values,
                     &mut [],
@@ -521,6 +550,7 @@ impl BatchEngine {
                 exec_bops::<false>(
                     prog,
                     code,
+                    &[],
                     &mut state.slab,
                     &mut values,
                     &mut [],
@@ -663,13 +693,16 @@ fn commit_deferred(deferred: &mut [Vec<Write>], values: &mut [BatchValue], chang
 ///
 /// `RECORD` selects trace mode at monomorphization time: `true` pushes a
 /// per-lane [`StmtExec`] into `recorders[l]` for every active-lane
-/// assignment (full-trace mode), `false` compiles the capture away and
-/// tallies per-lane elisions in `elided` instead (verdict mode). Masks,
-/// values, and deferred writes evolve identically either way.
+/// assignment whose `keep[meta]` flag is set (full-trace and records-only
+/// mode), `false` compiles the capture away (verdict mode, where `keep` is
+/// unread). Every active-lane assignment not recorded is tallied per lane
+/// in `unrecorded`. Masks, values, and deferred writes evolve identically
+/// either way.
 #[allow(clippy::too_many_arguments)]
 fn exec_bops<const RECORD: bool>(
     bops: &[BOp],
     code: &BatchCode,
+    keep: &[bool],
     slab: &mut [BatchValue],
     values: &mut [BatchValue],
     recorders: &mut [Vec<StmtExec>],
@@ -680,7 +713,7 @@ fn exec_bops<const RECORD: bool>(
     changed: &mut [u64],
     m_divergences: &mut u64,
     m_ops: &mut u64,
-    elided: &mut [u64; LANES],
+    unrecorded: &mut [u64; LANES],
 ) {
     let metas = &code.metas;
     let mut mask = root_mask;
@@ -693,6 +726,7 @@ fn exec_bops<const RECORD: bool>(
             BOp::Expr(op) => exec_expr(op, slab, values, fill),
             BOp::Assign { rhs, meta } => {
                 let m = &metas[meta as usize];
+                let record = RECORD && keep[meta as usize];
                 let value = &slab[rhs as usize];
                 let mut lanes = mask;
                 while lanes != 0 {
@@ -723,7 +757,7 @@ fn exec_bops<const RECORD: bool>(
                     };
                     // Operands are read before the write lands, matching
                     // the interpreter's record-then-apply order.
-                    if RECORD {
+                    if record {
                         recorders[l].push(StmtExec {
                             stmt: m.stmt,
                             operands: Operands::capture(m.read_ids.len(), |k| {
@@ -732,7 +766,7 @@ fn exec_bops<const RECORD: bool>(
                             result: Value::new(write.bits, write.width),
                         });
                     } else {
-                        elided[l] += 1;
+                        unrecorded[l] += 1;
                     }
                     match (&mut deferred, m.nonblocking) {
                         (Some(d), true) => d[l].push(write),

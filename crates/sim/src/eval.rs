@@ -5,11 +5,15 @@
 //! (zero-extended, wrapping), comparisons/logical operators/reductions yield
 //! one bit, shifts keep the left operand's width, concatenation sums widths.
 
+use std::collections::BTreeSet;
+
 use crate::error::SimError;
 use crate::netlist::{Netlist, SignalId};
 use crate::trace::{Operands, StmtExec};
 use crate::value::{BatchValue, Value};
-use verilog::{Assignment, BinaryOp, CaseStmt, Expr, IfStmt, LValue, Select, Stmt, UnaryOp};
+use verilog::{
+    Assignment, BinaryOp, CaseStmt, Expr, IfStmt, LValue, Select, Stmt, StmtId, UnaryOp,
+};
 
 /// A pending (possibly partial) write to a signal.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -277,6 +281,9 @@ pub struct EvalCtx<'n> {
     netlist: &'n Netlist,
     /// Current value of every signal, indexed by [`SignalId`].
     pub values: Vec<Value>,
+    /// When set, only these statements' executions are recorded (the
+    /// records-only run); the rest execute unrecorded.
+    pub(crate) record_only: Option<&'n BTreeSet<StmtId>>,
 }
 
 impl<'n> EvalCtx<'n> {
@@ -287,7 +294,11 @@ impl<'n> EvalCtx<'n> {
             .iter()
             .map(|s| Value::zero(s.width))
             .collect();
-        EvalCtx { netlist, values }
+        EvalCtx {
+            netlist,
+            values,
+            record_only: None,
+        }
     }
 
     /// Resets every signal to zero.
@@ -452,7 +463,8 @@ impl<'n> EvalCtx<'n> {
                 })?,
         };
         let write = self.resolve_write(target, &a.lhs, value)?;
-        if let Some(rec) = recorder {
+        let kept = self.record_only.is_none_or(|s| s.contains(&a.id));
+        if let Some(rec) = recorder.filter(|_| kept) {
             let operands = match info {
                 Some(i) => {
                     Operands::capture(i.read_ids.len(), |k| self.values[i.read_ids[k].0 as usize])

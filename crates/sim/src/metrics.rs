@@ -32,5 +32,11 @@ pub(crate) static MASK_DIVERGENCES: LazyCounter = LazyCounter::new("sim.mask_div
 /// materialize (best-effort: executed assignments; replay/descriptor
 /// re-use that full mode would also have elided is not re-counted).
 pub(crate) static RECORDS_ELIDED: LazyCounter = LazyCounter::new("sim.records_elided");
+/// [`crate::trace::StmtExec`] records a records-only run did not
+/// materialize because their statement is outside the requested set:
+/// the full trace's record count minus the kept trace's, re-used
+/// descriptors included (compiled engine only; the interpreter fallback
+/// does not count).
+pub(crate) static RECORDS_SKIPPED: LazyCounter = LazyCounter::new("sim.records_skipped");
 /// Simulations served in verdict (values-only) mode, any engine.
 pub(crate) static RUNS_VERDICT: LazyCounter = LazyCounter::new("sim.runs_verdict");

@@ -21,7 +21,8 @@ use crate::netlist::{Netlist, Process, SignalId};
 use crate::testbench::{PortResolver, Stimulus};
 use crate::trace::{SignalSet, StmtExec, Trace, VerdictTrace};
 use crate::value::{Value, LANES};
-use verilog::Module;
+use std::collections::BTreeSet;
+use verilog::{Module, StmtId};
 
 /// Which execution strategy a [`Simulator`] settled on at elaboration time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -174,19 +175,50 @@ impl Simulator {
     /// (in order) aborts the remainder, and any partial results are
     /// discarded.
     pub fn run_batch(&mut self, stimuli: &[Stimulus]) -> Result<Vec<Trace>, SimError> {
+        self.run_traces(stimuli, None)
+    }
+
+    /// Runs many stimuli in records-only mode: one [`Trace`] per stimulus,
+    /// in order, batched exactly as [`run_batch`](Self::run_batch). Each
+    /// cycle's `execs` hold only the records of statements in `stmts`, in
+    /// full-trace order — exactly the full trace's records filtered to the
+    /// set — and `signals` is an empty snapshot: no value arena is
+    /// allocated, so [`CycleRecord::value`](crate::CycleRecord::value)
+    /// panics on these traces. Values, input validation and cancellation
+    /// behave as in full mode. This is the localizer's explanation pass,
+    /// which reads only the records of the statements it attributes.
+    ///
+    /// # Errors
+    ///
+    /// The same errors as [`run_batch`](Self::run_batch), at the same
+    /// points.
+    pub fn run_batch_records(
+        &mut self,
+        stimuli: &[Stimulus],
+        stmts: &BTreeSet<StmtId>,
+    ) -> Result<Vec<Trace>, SimError> {
+        self.run_traces(stimuli, Some(stmts))
+    }
+
+    /// Full mode (`stmts` is `None`) or records-only mode on either engine.
+    fn run_traces(
+        &mut self,
+        stimuli: &[Stimulus],
+        stmts: Option<&BTreeSet<StmtId>>,
+    ) -> Result<Vec<Trace>, SimError> {
         let Some(batch) = &mut self.batch else {
             let mut ports = PortResolver::default();
             return stimuli
                 .iter()
                 .map(|s| {
                     let ids = ports.resolve(&self.netlist, s)?;
-                    self.run_interpreted(s, &ids)
+                    self.run_interpreted(s, &ids, stmts)
                 })
                 .collect();
         };
         let mut traces = Vec::with_capacity(stimuli.len());
         for chunk in lane_groups(stimuli) {
-            traces.extend(batch.run(&self.netlist, chunk, &self.cancel)?);
+            traces.extend(batch.run(&self.netlist, chunk, &self.cancel, stmts)?);
         }
         Ok(traces)
     }
@@ -229,18 +261,27 @@ impl Simulator {
 
     /// The fixpoint-interpreter path: settle combinational logic by
     /// iteration, then one recording pass per cycle. `ids` are the
-    /// stimulus's ports resolved against this netlist.
+    /// stimulus's ports resolved against this netlist. With `stmts`, only
+    /// those statements record (filtered at push time) and nothing is
+    /// snapshotted.
     fn run_interpreted(
         &mut self,
         stimulus: &Stimulus,
         ids: &[SignalId],
+        stmts: Option<&BTreeSet<StmtId>>,
     ) -> Result<Trace, SimError> {
         crate::metrics::RUNS_INTERPRETED.incr();
         let mut ctx = EvalCtx::new(&self.netlist);
-        let nsig = self.netlist.signal_count();
+        ctx.record_only = stmts;
+        // Signals per snapshot: none in a records-only run.
+        let nsnap = if stmts.is_none() {
+            self.netlist.signal_count()
+        } else {
+            0
+        };
         let ncycles = stimulus.len();
         // One run-wide snapshot arena instead of a value-vector per cycle.
-        let mut arena: Vec<Value> = Vec::with_capacity(ncycles * nsig);
+        let mut arena: Vec<Value> = Vec::with_capacity(ncycles * nsnap);
         let mut cycle_execs: Vec<Vec<StmtExec>> = Vec::with_capacity(ncycles);
         for cycle_idx in 0..ncycles {
             let cycle = cycle_idx as u32;
@@ -258,7 +299,7 @@ impl Simulator {
             }
 
             // 3. Snapshot pre-edge values into the arena.
-            arena.extend_from_slice(&ctx.values);
+            arena.extend_from_slice(&ctx.values[..nsnap]);
 
             // 4. Clock edge: sequential blocks with deferred commits.
             let mut deferred: Vec<Write> = Vec::new();
@@ -274,7 +315,7 @@ impl Simulator {
             cycle_execs.push(execs);
         }
         crate::metrics::CYCLES.add(ncycles as u64);
-        Ok(Trace::assemble(arena.into(), nsig, cycle_execs))
+        Ok(Trace::assemble(arena.into(), nsnap, cycle_execs))
     }
 
     /// The interpreter's verdict path: identical to
@@ -740,6 +781,49 @@ mod tests {
                 .unwrap_err(),
             SimError::NotAnInput { .. }
         ));
+    }
+
+    #[test]
+    fn records_only_runs_filter_records_and_snapshot_nothing() {
+        obs::enable();
+        let skipped = || obs::snapshot().counter("sim.records_skipped").unwrap_or(0);
+        let src = "module m(input clk, input [1:0] s, input [3:0] a, output reg [3:0] y, output reg [3:0] n);\n\
+                   always @(*) begin\nif (s[0]) y = a + 4'd1; else y = a - 4'd1;\nend\n\
+                   always @(posedge clk) begin\ncase (s)\n2'b00: n <= n + 4'd1;\n2'b01: n <= a;\ndefault: n <= 4'd0;\nendcase\nend\nendmodule";
+        let unit = verilog::parse(src).unwrap();
+        let keep = BTreeSet::from([StmtId(0), StmtId(3)]);
+        for interpreted in [false, true] {
+            let mut sim = if interpreted {
+                Simulator::interpreted(unit.top()).unwrap()
+            } else {
+                Simulator::new(unit.top()).unwrap()
+            };
+            let stimuli = crate::testbench::TestbenchGen::new(5).generate_many(sim.netlist(), 9, 7);
+            let full = sim.run_batch(&stimuli).unwrap();
+            let before = skipped();
+            let records = sim.run_batch_records(&stimuli, &keep).unwrap();
+            let mut dropped = 0;
+            for (r, f) in records.iter().zip(&full) {
+                assert_eq!(r.len(), f.len());
+                for (rc, fc) in r.cycles.iter().zip(&f.cycles) {
+                    assert!(rc.signals.is_empty(), "no snapshot in records-only mode");
+                    let kept: Vec<StmtExec> = fc
+                        .execs
+                        .iter()
+                        .filter(|e| keep.contains(&e.stmt))
+                        .cloned()
+                        .collect();
+                    dropped += fc.execs.len() - kept.len();
+                    assert_eq!(rc.execs, kept.into());
+                }
+            }
+            assert!(dropped > 0, "the set must drop some records");
+            // Other tests may add to the shared total concurrently, so
+            // only a lower bound holds; the interpreter does not count.
+            if !interpreted {
+                assert!(skipped() - before >= dropped as u64);
+            }
+        }
     }
 
     #[test]

@@ -318,7 +318,8 @@ impl From<Vec<StmtExec>> for Execs {
 pub struct CycleRecord {
     /// Cycle index (0-based).
     pub cycle: u32,
-    /// Post-settle value of every signal, indexed by [`SignalId`].
+    /// Post-settle value of every signal, indexed by [`SignalId`]. Empty in
+    /// a records-only run ([`crate::Simulator::run_batch_records`]).
     pub signals: Snapshot,
     /// Statement executions this cycle (combinational settle + clock edge).
     pub execs: Execs,
@@ -326,6 +327,12 @@ pub struct CycleRecord {
 
 impl CycleRecord {
     /// The settled value of a signal this cycle.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `id` is out of range, which includes every id of a
+    /// records-only run: those carry no snapshot
+    /// ([`crate::Simulator::run_batch_records`]).
     pub fn value(&self, id: SignalId) -> Value {
         self.signals[id.0 as usize]
     }
@@ -456,8 +463,9 @@ impl SignalSet {
 #[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub enum TraceMode {
     /// Emit per-statement execution records and full per-cycle snapshots —
-    /// everything [`Trace`] carries. This is what datasets and the
-    /// localizer consume.
+    /// everything [`Trace`] carries. This is what datasets consume; the
+    /// localizer's explanation pass uses the records-only variant
+    /// ([`crate::Simulator::run_batch_records`]).
     Full,
     /// Emit **no** execution records and snapshot only `observed` —
     /// sufficient to decide whether two runs diverge at those signals and
