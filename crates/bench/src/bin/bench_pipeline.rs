@@ -724,7 +724,7 @@ fn render_json(
     out.push_str("  },\n");
     out.push_str("  \"engine_batch_verdict\": {\n");
     out.push_str(
-        "    \"workload\": \"same stimuli as engine_batch, TraceMode::Verdict with \
+        "    \"workload\": \"same stimuli as engine_batch, TraceMode::verdict with \
          observed = the design's campaign target\",\n",
     );
     let _ = writeln!(out, "    \"verdict_s\": {:.6},", engine.verdict_s);

@@ -9,7 +9,7 @@ use mutate::{BugBudget, Campaign};
 use rvdg::{Generator, RvdgConfig};
 use sim::{
     CancelToken, EngineKind, SignalId, SignalRole, SignalSet, SimError, Simulator, Stimulus,
-    StmtExec, TestbenchGen, Trace, VerdictTrace,
+    StmtExec, TestbenchGen, Trace, TraceMode, VerdictTrace,
 };
 use std::collections::BTreeSet;
 use veribug::model::{ModelConfig, VeriBugModel};
@@ -444,9 +444,10 @@ fn two_pass_campaign_is_bit_identical_to_single_pass_across_threads() {
     }
 }
 
-/// The two-pass localizer must produce the same report at every thread
-/// count, and its verdict-derived labels must match what a full-trace
-/// cosimulation computes on the same stimuli.
+/// The localizer (golden verdict pass, one buggy records-and-observe pass)
+/// must produce the same report at every thread count, and its
+/// verdict-derived labels must match what a full-trace cosimulation
+/// computes on the same stimuli.
 #[test]
 fn two_pass_localize_report_is_thread_invariant_and_matches_full_cosim() {
     let golden = verilog::parse(
@@ -569,10 +570,12 @@ fn cancelled_after_two_polls(
 /// Records-only checks for one design on both engines: at 1, 64 and 160
 /// (64 + 64 + 32) stimuli and for the empty set, every statement, and the
 /// localize slice set (what the explainer attributes for `target`), the
-/// records-only pass — fanned out over lane groups like localize's second
-/// pass — equals the full pass filtered to the set. A fired cancel token
-/// and bad stimulus ports give the same errors as full mode. Returns the
-/// slice set's size.
+/// records-only pass and the combined records-and-observe pass — fanned
+/// out over lane groups like localize's buggy pass — equal the full pass
+/// filtered to the set, and the combined pass's observed column equals the
+/// full trace's `target` column. A fired cancel token and bad stimulus
+/// ports give the same errors as full mode in both. Returns the slice
+/// set's size.
 fn check_records_only(name: &str, module: &Module, target: &str, seed: u64) -> usize {
     let model = VeriBugModel::new(ModelConfig::default());
     let slice = veribug::Explainer::new(&model, module, target).attributed();
@@ -580,28 +583,56 @@ fn check_records_only(name: &str, module: &Module, target: &str, seed: u64) -> u
     let all: BTreeSet<StmtId> = module.assignments().iter().map(|a| a.id).collect();
     let sets = [("empty", BTreeSet::new()), ("all", all), ("slice", slice)];
     let (compiled, interp) = both_engines(module, true);
+    let target_id = compiled.netlist().signal_id(target).expect("target signal");
+    let observed = SignalSet::from_ids([target_id]);
     for (engine, mut sim) in [("batch", compiled), ("interpreted", interp)] {
         let stimuli = TestbenchGen::new(seed).generate_many(sim.netlist(), RECORDS_CYCLES, 160);
         for n in [1usize, 64, 160] {
             let stimuli = &stimuli[..n];
             let full = mutate::run_lane_groups(&mut sim, stimuli).expect("full run");
+            let target_columns: Vec<VerdictTrace> = full
+                .iter()
+                .map(|t| expected_verdict(t, &observed))
+                .collect();
             for (set_name, set) in &sets {
-                let records =
-                    mutate::run_lane_groups_records(&mut sim, stimuli, set).expect("records run");
-                assert_records_are_filtered_full(
-                    &format!("{name} {engine} n={n} {set_name}"),
-                    &records,
-                    &full,
-                    set,
+                let label = format!("{name} {engine} n={n} {set_name}");
+                let records: Vec<Trace> =
+                    mutate::run_lane_groups_mode(&mut sim, stimuli, TraceMode::records(set))
+                        .expect("records run")
+                        .into_iter()
+                        .map(|(trace, _)| trace)
+                        .collect();
+                assert_records_are_filtered_full(&label, &records, &full, set);
+                let mode = TraceMode::records_observing(set, &observed);
+                let (records, columns): (Vec<Trace>, Vec<VerdictTrace>) =
+                    mutate::run_lane_groups_mode(&mut sim, stimuli, mode)
+                        .expect("combined run")
+                        .into_iter()
+                        .unzip();
+                let label = format!("{label} combined");
+                assert_records_are_filtered_full(&label, &records, &full, set);
+                assert_eq!(
+                    columns, target_columns,
+                    "{label}: observed column differs from the full trace's target column"
                 );
             }
         }
         let set = &sets[2].1;
+        let combined = TraceMode::records_observing(set, &observed);
         let stimuli = &stimuli[..70];
+        let full_cancel = cancelled_after_two_polls(&mut sim, |s| s.run_batch(stimuli));
         assert_eq!(
             cancelled_after_two_polls(&mut sim, |s| s.run_batch_records(stimuli, set)),
-            cancelled_after_two_polls(&mut sim, |s| s.run_batch(stimuli)),
+            full_cancel,
             "{name} {engine}: cancellation differs from full mode"
+        );
+        let combined_cancel = cancelled_after_two_polls(&mut sim, |s| {
+            let runs = s.run_batch_mode(stimuli, combined)?;
+            Ok(runs.into_iter().map(|(trace, _)| trace).collect())
+        });
+        assert_eq!(
+            combined_cancel, full_cancel,
+            "{name} {engine}: combined-mode cancellation differs from full mode"
         );
         let output = sim
             .netlist()
@@ -615,10 +646,16 @@ fn check_records_only(name: &str, module: &Module, target: &str, seed: u64) -> u
                 stimuli[0].clone(),
                 Stimulus::from_named(vec![vec![(port, 1)]; RECORDS_CYCLES]),
             ];
+            let full_err = sim.run_batch(&bad).unwrap_err();
             assert_eq!(
                 sim.run_batch_records(&bad, set).unwrap_err(),
-                sim.run_batch(&bad).unwrap_err(),
+                full_err,
                 "{name} {engine}: bad port `{port}` errors differ from full mode"
+            );
+            assert_eq!(
+                sim.run_batch_mode(&bad, combined).unwrap_err(),
+                full_err,
+                "{name} {engine}: bad port `{port}` combined-mode errors differ from full mode"
             );
         }
     }

@@ -81,7 +81,7 @@ pub use explain::{
 };
 pub use features::{OperandContext, Path, StatementFeatures};
 pub use introspect::{AttributionReport, OperandAttribution, StmtAttribution};
-pub use localize::{LocalizeOptions, LocalizeReport, Suspect};
+pub use localize::{GoldenKey, GoldenRef, LocalizeOptions, LocalizeReport, Suspect};
 pub use model::{
     ContextAggregation, Forward, Inference, ModelConfig, OperandContexts, Sample, VeriBugModel,
 };

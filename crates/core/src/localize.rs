@@ -7,25 +7,35 @@
 //!
 //! Two entry points:
 //!
-//! - [`run`] elaborates both designs itself (the CLI path);
-//! - [`run_with_sims`] accepts pre-built simulators plus a
-//!   [`sim::CancelToken`], so a server can reuse cached compiled designs
-//!   (see `veribug-serve`) and enforce per-request deadlines.
+//! - [`run`] elaborates both designs and builds the [`GoldenRef`] itself
+//!   (the CLI path);
+//! - [`run_with_sims`] accepts a caller's [`GoldenRef`], a pre-built buggy
+//!   simulator and a [`sim::CancelToken`], so a server can reuse cached
+//!   compiled designs and memoized golden references (see
+//!   `veribug-serve`) and enforce per-request deadlines.
 //!
-//! Internally both entry points use the **two-pass trace-elision flow**
-//! (see DESIGN.md §2c): a values-only verdict pass labels every run, then
-//! execution records are produced only for the buggy design, only when at
-//! least one run failed, and only for the statements the explainer
-//! attributes. The golden design is never simulated with records. The
-//! report is bit-identical to a single-pass flow — the differential suite
-//! in `crates/bench/tests/differential.rs` proves it.
+//! The golden side of a localization — the seeded stimuli and the golden
+//! design's values at the target — is a [`GoldenRef`]: one values-only
+//! verdict simulation of the golden design, a pure function of the golden
+//! source and its [`GoldenKey`], so `veribug-serve` memoizes it in the
+//! golden design's cache entry (DESIGN.md §2e). The buggy design is
+//! simulated **once** per localization (DESIGN.md §2c): one pass records
+//! only the statements the explainer attributes and observes the target,
+//! whose per-cycle values label each run against the golden column. The
+//! golden design is never simulated with records. The report is
+//! bit-identical to a full-trace flow — the differential suite in
+//! `crates/bench/tests/differential.rs` proves each part of the pass equal
+//! to the full trace's.
 
 use crate::coverage::DEFAULT_RUN_GROUPS;
 use crate::explain::{AttentionMap, Heatmap, LabelledTrace};
 use crate::model::VeriBugModel;
 use crate::{Explainer, VeriBugError, DEFAULT_THRESHOLD};
-use mutate::{golden_verdicts, run_lane_groups_records, screen_with};
-use sim::{CancelToken, EngineKind, Simulator, TestbenchGen};
+use mutate::{golden_verdicts, run_lane_groups_mode};
+use sim::{
+    CancelToken, EngineKind, SignalSet, Simulator, Stimulus, TestbenchGen, TraceLabel, TraceMode,
+    VerdictTrace,
+};
 use verilog::Module;
 
 /// Tunable knobs of one localization request. [`Default`] matches the CLI
@@ -104,9 +114,10 @@ impl LocalizeReport {
 
 /// Localizes a bug by comparing a buggy design to its golden reference.
 ///
-/// Elaborates both designs, co-simulates [`LocalizeOptions::runs`] seeded
-/// stimuli, labels each run at `target`, and explains failing runs with
-/// the trained model. See [`run_with_sims`] for the cache/deadline-aware
+/// Elaborates both designs, builds the [`GoldenRef`] (seeded stimuli and
+/// golden target values) inline, co-simulates [`LocalizeOptions::runs`]
+/// runs, labels each at `target`, and explains failing runs with the
+/// trained model. See [`run_with_sims`] for the cache/deadline-aware
 /// variant.
 ///
 /// # Errors
@@ -125,82 +136,176 @@ pub fn run(
         let _span = obs::span("elaborate");
         (Simulator::new(golden)?, Simulator::new(buggy)?)
     };
-    run_with_sims(
-        model,
-        &mut golden_sim,
-        &mut buggy_sim,
-        target,
-        opts,
-        &CancelToken::inert(),
-    )
+    let inert = CancelToken::inert();
+    let reference = GoldenRef::build(&mut golden_sim, target, opts, &inert)?;
+    run_with_sims(model, &reference, &mut buggy_sim, target, opts, &inert)
 }
 
-/// [`run`] with caller-supplied simulators and a cancellation token.
+/// The golden side of one localization: the seeded stimuli and the golden
+/// design's per-cycle `target` values on each. It is a pure function of
+/// the golden design and its [`GoldenKey`], so a server can build it once
+/// per key and share it (behind an `Arc`) across requests.
+#[derive(Debug)]
+pub struct GoldenRef {
+    /// The target's signal id in the golden design; the buggy design is
+    /// observed at the same id (a mutation never touches declarations).
+    target: sim::SignalId,
+    stimuli: Vec<Stimulus>,
+    /// The golden design's target column per stimulus.
+    verdicts: Vec<VerdictTrace>,
+}
+
+impl GoldenRef {
+    /// Generates the stimuli and simulates the golden design over them in
+    /// verdict mode, observing only `target`. `cancel` is installed on
+    /// `golden_sim` for the call and cleared afterwards.
+    ///
+    /// # Errors
+    ///
+    /// [`VeriBugError::UnknownTarget`] when `target` is not a signal of the
+    /// golden design; [`VeriBugError::Sim`] for simulation failures,
+    /// including [`sim::SimError::Cancelled`] when `cancel` fires.
+    pub fn build(
+        golden_sim: &mut Simulator,
+        target: &str,
+        opts: &LocalizeOptions,
+        cancel: &CancelToken,
+    ) -> Result<GoldenRef, VeriBugError> {
+        let target =
+            golden_sim
+                .netlist()
+                .signal_id(target)
+                .ok_or_else(|| VeriBugError::UnknownTarget {
+                    target: target.to_owned(),
+                })?;
+        let stimuli = {
+            let _span = obs::span("stimgen");
+            TestbenchGen::new(opts.stim_seed)
+                .with_hold_probability(opts.hold_probability)
+                .generate_many(golden_sim.netlist(), opts.cycles, opts.runs)
+        };
+        golden_sim.set_cancel(cancel.clone());
+        let verdicts = {
+            let _span = obs::span("simulate");
+            golden_verdicts(golden_sim, &stimuli, target)
+        };
+        golden_sim.set_cancel(CancelToken::inert());
+        Ok(GoldenRef {
+            target,
+            stimuli,
+            verdicts: verdicts?,
+        })
+    }
+}
+
+/// Everything a [`GoldenRef`] depends on besides the golden source: the
+/// target and the stimulus options. The threshold and run groups only
+/// shape the explanation, so they are not part of it.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub struct GoldenKey {
+    target: String,
+    stim_seed: u64,
+    runs: usize,
+    cycles: usize,
+    /// `hold_probability` as bits, so the key is `Eq` and `Hash`.
+    hold: u64,
+}
+
+impl GoldenKey {
+    /// The key of the [`GoldenRef`] a localization of `target` under
+    /// `opts` needs.
+    pub fn new(target: &str, opts: &LocalizeOptions) -> GoldenKey {
+        GoldenKey {
+            target: target.to_owned(),
+            stim_seed: opts.stim_seed,
+            runs: opts.runs,
+            cycles: opts.cycles,
+            hold: opts.hold_probability.to_bits(),
+        }
+    }
+}
+
+/// [`run`] against a caller-supplied golden reference and buggy
+/// simulator, under a cancellation token.
 ///
-/// The simulators may come from a compiled-design cache (see
-/// [`sim::Simulator::fork`]); `cancel` is installed on both for the
-/// duration of the call (and cleared afterwards), so a fired deadline
-/// stops the cycle loops at the next cycle boundary.
+/// `golden` must have been built for `target` and `opts` (see
+/// [`GoldenKey`]); a server takes it from a memo next to the compiled
+/// golden design. The simulator may come from a compiled-design cache (see
+/// [`sim::Simulator::fork`]); `cancel` is installed on it for the duration
+/// of the call (and cleared afterwards), so a fired deadline stops the
+/// cycle loop at the next cycle boundary.
 ///
 /// # Errors
 ///
-/// As [`run`], plus [`VeriBugError::Sim`] wrapping
+/// [`VeriBugError::Sim`] for simulation failures, including
 /// [`sim::SimError::Cancelled`] when `cancel` fires mid-run.
 pub fn run_with_sims(
     model: &VeriBugModel,
-    golden_sim: &mut Simulator,
+    golden: &GoldenRef,
     buggy_sim: &mut Simulator,
     target: &str,
     opts: &LocalizeOptions,
     cancel: &CancelToken,
 ) -> Result<LocalizeReport, VeriBugError> {
-    golden_sim.set_cancel(cancel.clone());
     buggy_sim.set_cancel(cancel.clone());
-    let result = localize_inner(model, golden_sim, buggy_sim, target, opts, cancel);
-    golden_sim.set_cancel(CancelToken::inert());
+    let result = localize_inner(model, golden, buggy_sim, target, opts);
     buggy_sim.set_cancel(CancelToken::inert());
     result
 }
 
 fn localize_inner(
     model: &VeriBugModel,
-    golden_sim: &mut Simulator,
+    golden: &GoldenRef,
     buggy_sim: &mut Simulator,
     target: &str,
     opts: &LocalizeOptions,
-    cancel: &CancelToken,
 ) -> Result<LocalizeReport, VeriBugError> {
-    let target_id =
-        golden_sim
-            .netlist()
-            .signal_id(target)
-            .ok_or_else(|| VeriBugError::UnknownTarget {
-                target: target.to_owned(),
-            })?;
-    let stimuli = {
-        let _span = obs::span("stimgen");
-        TestbenchGen::new(opts.stim_seed)
-            .with_hold_probability(opts.hold_probability)
-            .generate_many(golden_sim.netlist(), opts.cycles, opts.runs)
+    // The attributed set depends only on the buggy module and the target,
+    // so the explainer is built before anything is simulated.
+    let mut explainer = {
+        let _span = obs::span("explain");
+        Explainer::new(model, &buggy_sim.netlist().module, target)
     };
-    // Pass 1 — verdict screening: both designs run in
-    // [`sim::TraceMode::Verdict`] with only `target` observed, so the
-    // labelling step is pure lane-parallel compute plus an O(1)-per-cycle
-    // compare. The golden design is *never* simulated with full traces:
-    // the explainer below only ever reads buggy-side records.
-    let golden_vs = {
-        let _span = obs::span("simulate");
-        golden_verdicts(golden_sim, &stimuli, target_id)?
+    // One buggy pass: records of the statements the explainer attributes
+    // (no signal snapshots) plus the target's per-cycle values, which
+    // label each run against the golden column. Records are a pure
+    // function of statement + values read, so each kept record is
+    // byte-identical to what a full trace would have recorded.
+    let attributed = explainer.attributed();
+    let observed = SignalSet::from_ids([golden.target]);
+    let runs = {
+        let _span = obs::span("buggy_pass");
+        run_lane_groups_mode(
+            buggy_sim,
+            &golden.stimuli,
+            TraceMode::records_observing(&attributed, &observed),
+        )?
     };
-    let verdicts = {
-        let _span = obs::span("campaign");
-        screen_with(buggy_sim, &golden_vs, target_id, &stimuli)?
-    };
-    let failing = verdicts.iter().filter(|v| v.diverged()).count();
+    let runs_view: Vec<LabelledTrace<'_>> = runs
+        .iter()
+        .zip(&golden.verdicts)
+        .map(|((trace, column), golden_column)| {
+            let failure_cycles = column.divergence_cycles(golden_column, 0);
+            LabelledTrace {
+                trace,
+                label: if failure_cycles.is_empty() {
+                    TraceLabel::Correct
+                } else {
+                    TraceLabel::Failing
+                },
+                failure_cycles,
+            }
+        })
+        .collect();
+    let failing = runs_view
+        .iter()
+        .filter(|r| r.label == TraceLabel::Failing)
+        .count();
+    let buggy = &buggy_sim.netlist().module;
     let mut report = LocalizeReport {
-        module: buggy_sim.netlist().module.name.clone(),
+        module: buggy.name.clone(),
         target: target.to_owned(),
-        total_runs: verdicts.len(),
+        total_runs: runs_view.len(),
         failing_runs: failing,
         threshold: opts.threshold,
         engine: buggy_sim.batch_engine_kind(),
@@ -214,38 +319,7 @@ fn localize_inner(
     if failing == 0 {
         return Ok(report);
     }
-    if cancel.is_cancelled() {
-        return Err(sim::SimError::Cancelled { at_cycle: 0 }.into());
-    }
 
-    // Pass 2 — records-only traces, buggy design only, and only because at
-    // least one run failed. Only the statements the explainer attributes
-    // are recorded, and no signal is snapshotted: labels and failure
-    // cycles come from the verdict pass. Records are a pure function of
-    // statement + values read, so each kept record is byte-identical to
-    // what a single-pass full trace would have recorded.
-    let mut explainer = {
-        let _span = obs::span("explain");
-        Explainer::new(model, &buggy_sim.netlist().module, target)
-    };
-    let buggy_traces = {
-        let _span = obs::span("full_trace");
-        run_lane_groups_records(buggy_sim, &stimuli, &explainer.attributed())?
-    };
-    let buggy = &buggy_sim.netlist().module;
-    let runs_view: Vec<LabelledTrace<'_>> = buggy_traces
-        .iter()
-        .zip(&verdicts)
-        .map(|(trace, v)| LabelledTrace {
-            trace,
-            label: v.label(),
-            failure_cycles: if v.diverged() {
-                v.divergence_cycles.clone()
-            } else {
-                Vec::new()
-            },
-        })
-        .collect();
     let _explain_span = obs::span("explain");
     // Each trace is walked once; the grouped heatmap and the correct-trace
     // map both aggregate the same resolved records.
@@ -323,22 +397,61 @@ mod tests {
         let (golden, buggy) = modules();
         let model = VeriBugModel::new(ModelConfig::default());
         let fresh = run(&model, &golden, &buggy, "y", &small_opts()).unwrap();
-        // Simulate the serve cache: build once, fork per request.
+        // Simulate the serve cache: build once, fork per request, and
+        // share one golden reference across requests.
         let golden_template = Simulator::new(&golden).unwrap();
         let buggy_template = Simulator::new(&buggy).unwrap();
+        let inert = CancelToken::inert();
+        let reference =
+            GoldenRef::build(&mut golden_template.fork(), "y", &small_opts(), &inert).unwrap();
         for _ in 0..2 {
             let cached = run_with_sims(
                 &model,
-                &mut golden_template.fork(),
+                &reference,
                 &mut buggy_template.fork(),
                 "y",
                 &small_opts(),
-                &CancelToken::inert(),
+                &inert,
             )
             .unwrap();
             assert_eq!(cached.suspects, fresh.suspects);
             assert_eq!(cached.failing_runs, fresh.failing_runs);
         }
+    }
+
+    #[test]
+    fn golden_key_covers_every_stimulus_option() {
+        let base = small_opts();
+        let key = GoldenKey::new("y", &base);
+        // Explanation-only knobs share a key.
+        let explain_only = LocalizeOptions {
+            threshold: 0.5,
+            run_groups: 7,
+            ..small_opts()
+        };
+        assert_eq!(GoldenKey::new("y", &explain_only), key);
+        let variants = [
+            LocalizeOptions {
+                stim_seed: base.stim_seed + 1,
+                ..small_opts()
+            },
+            LocalizeOptions {
+                runs: base.runs + 1,
+                ..small_opts()
+            },
+            LocalizeOptions {
+                cycles: base.cycles + 1,
+                ..small_opts()
+            },
+            LocalizeOptions {
+                hold_probability: 0.5,
+                ..small_opts()
+            },
+        ];
+        for opts in &variants {
+            assert_ne!(GoldenKey::new("y", opts), key);
+        }
+        assert_ne!(GoldenKey::new("t", &base), key);
     }
 
     #[test]
@@ -356,21 +469,18 @@ mod tests {
         let mut gs = Simulator::new(&golden).unwrap();
         let mut bs = Simulator::new(&buggy).unwrap();
         let expired = CancelToken::with_deadline(Instant::now() - Duration::from_millis(1));
+        let is_cancelled =
+            |e: VeriBugError| matches!(e, VeriBugError::Sim(sim::SimError::Cancelled { .. }));
+        let err = GoldenRef::build(&mut gs, "y", &small_opts(), &expired).unwrap_err();
+        assert!(is_cancelled(err));
+        // The token is cleared afterwards: the golden sim stays usable.
+        let inert = CancelToken::inert();
+        let reference = GoldenRef::build(&mut gs, "y", &small_opts(), &inert).unwrap();
         let err =
-            run_with_sims(&model, &mut gs, &mut bs, "y", &small_opts(), &expired).unwrap_err();
-        assert!(matches!(
-            err,
-            VeriBugError::Sim(sim::SimError::Cancelled { .. })
-        ));
-        // The token is cleared afterwards: the sims stay usable.
-        let ok = run_with_sims(
-            &model,
-            &mut gs,
-            &mut bs,
-            "y",
-            &small_opts(),
-            &CancelToken::inert(),
-        );
+            run_with_sims(&model, &reference, &mut bs, "y", &small_opts(), &expired).unwrap_err();
+        assert!(is_cancelled(err));
+        // So does the buggy sim.
+        let ok = run_with_sims(&model, &reference, &mut bs, "y", &small_opts(), &inert);
         assert!(ok.is_ok());
     }
 }

@@ -195,7 +195,7 @@ impl Campaign {
     ///
     /// This is the **two-pass verdict flow**. Pass 1 screens golden and
     /// every candidate mutant through the batch engine in
-    /// [`sim::TraceMode::Verdict`] — no execution records, target-output
+    /// [`sim::TraceMode::verdict`] — no execution records, target-output
     /// snapshots only — which is all the accept/reject machinery
     /// (observability, dedup, budget, divergence cycles) reads. Pass 2
     /// re-simulates with full traces **only the mutants the campaign

@@ -33,6 +33,6 @@ pub use campaign::{BugBudget, Campaign, Mutant};
 pub use mutation::{apply, enumerate_sites, MutationKind, MutationSite};
 pub use observe::{
     any_diverged, cosimulate, cosimulate_against, cosimulate_with, golden_traces, golden_verdicts,
-    is_observable, run_lane_groups, run_lane_groups_records, run_lane_groups_verdict,
-    screen_against, screen_with, screening_mode, LabelledRun, RunVerdict,
+    is_observable, run_lane_groups, run_lane_groups_mode, run_lane_groups_verdict, screen_against,
+    screen_with, LabelledRun, RunVerdict,
 };

@@ -7,8 +7,7 @@
 //! (`T_c`).
 
 use sim::{SignalSet, SimError, Simulator, Stimulus, Trace, TraceLabel, TraceMode, VerdictTrace};
-use std::collections::BTreeSet;
-use verilog::{Module, StmtId};
+use verilog::Module;
 
 /// A pair of traces from the same stimulus, with the failure label.
 #[derive(Debug, Clone, PartialEq)]
@@ -43,7 +42,7 @@ impl LabelledRun {
 /// This is everything the campaign's accept/reject machinery reads — the
 /// observable flag is "any run diverged", the label is "this run diverged",
 /// and the divergence-cycle histogram takes the first cycle — so the
-/// screening pass can run in [`TraceMode::Verdict`] and skip full traces
+/// screening pass can run in [`TraceMode::verdict`] and skip full traces
 /// entirely.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunVerdict {
@@ -75,14 +74,6 @@ impl RunVerdict {
     }
 }
 
-/// The trace mode a screening pass runs under: verdict mode observing
-/// exactly what divergence labelling reads — the target output.
-pub fn screening_mode(target: sim::SignalId) -> TraceMode {
-    TraceMode::Verdict {
-        observed: SignalSet::from_ids([target]),
-    }
-}
-
 /// Runs a simulator over a stimulus set bit-parallel, partitioning the set
 /// into lane groups of up to [`sim::LANES`] stimuli.
 ///
@@ -104,15 +95,16 @@ pub fn run_lane_groups_verdict(
     fan_out(sim, stimuli, |s, g| s.run_batch_verdict(g, observed))
 }
 
-/// [`run_lane_groups`] in records-only mode
-/// ([`Simulator::run_batch_records`]): each trace keeps only the records of
-/// statements in `stmts` and carries no signal snapshots.
-pub fn run_lane_groups_records(
+/// [`run_lane_groups`] under any [`TraceMode`]
+/// ([`Simulator::run_batch_mode`]): one `(trace, observed values)` pair per
+/// stimulus. With [`TraceMode::records_observing`] this is one simulation
+/// that both labels each run and records what explaining it reads.
+pub fn run_lane_groups_mode(
     sim: &mut Simulator,
     stimuli: &[Stimulus],
-    stmts: &BTreeSet<StmtId>,
-) -> Result<Vec<Trace>, SimError> {
-    fan_out(sim, stimuli, |s, g| s.run_batch_records(g, stmts))
+    mode: TraceMode<'_>,
+) -> Result<Vec<(Trace, VerdictTrace)>, SimError> {
+    fan_out(sim, stimuli, |s, g| s.run_batch_mode(g, mode))
 }
 
 /// The lane-group fan-out behind every `run_lane_groups*` function.
@@ -391,10 +383,6 @@ mod tests {
             assert_eq!(v.divergence_cycles, r.failure_cycles());
             assert_eq!(v.first_divergence(), r.failure_cycles().first().copied());
         }
-        assert!(matches!(
-            screening_mode(target),
-            TraceMode::Verdict { observed } if observed.ids() == [target]
-        ));
     }
 
     #[test]

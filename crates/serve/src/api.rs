@@ -151,7 +151,10 @@ fn usize_field(obj: &Json, key: &str, default: usize) -> Result<usize, ApiError>
     }
 }
 
-/// Parses a `/v1/localize` body.
+/// Parses a `/v1/localize` body, and a `/v1/explain` body, which has the
+/// same shape: that endpoint runs the identical pipeline and differs only
+/// in what it renders (per-operand attention attributions instead of the
+/// suspect list).
 ///
 /// # Errors
 ///
@@ -198,18 +201,6 @@ pub fn parse_localize(body: &[u8]) -> Result<LocalizeRequest, ApiError> {
         opts,
         deadline_ms,
     })
-}
-
-/// Parses a `/v1/explain` body — the same shape as `/v1/localize`: the
-/// endpoint runs the identical pipeline and differs only in what it
-/// renders (per-operand attention attributions instead of the suspect
-/// list).
-///
-/// # Errors
-///
-/// As [`parse_localize`].
-pub fn parse_explain(body: &[u8]) -> Result<LocalizeRequest, ApiError> {
-    parse_localize(body)
 }
 
 /// Parses a `/v1/analyze` body.

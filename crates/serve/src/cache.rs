@@ -9,12 +9,19 @@
 //!
 //! Failures (parse or elaboration errors) are not cached: they are cheap
 //! to reproduce and the offending source is unlikely to repeat.
+//!
+//! Each entry also memoizes up to [`GOLDEN_REFS_PER_DESIGN`] golden
+//! references ([`veribug::GoldenRef`]: stimuli plus golden target values,
+//! keyed by [`veribug::GoldenKey`]) for the design used as a golden, so a
+//! repeated localization neither regenerates stimuli nor re-simulates the
+//! golden design ([`DesignCache::golden_ref`]).
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
 use sim::Simulator;
 use store::{ArtifactKind, Store};
+use veribug::{GoldenKey, GoldenRef};
 use verilog::Module;
 
 /// The cache key function, re-exported from the workspace's single
@@ -24,6 +31,12 @@ pub use store::hash::fnv1a;
 static CACHE_HITS: obs::LazyCounter = obs::LazyCounter::new("serve.cache.hits");
 static CACHE_MISSES: obs::LazyCounter = obs::LazyCounter::new("serve.cache.misses");
 static CACHE_EVICTIONS: obs::LazyCounter = obs::LazyCounter::new("serve.cache.evictions");
+static GOLDEN_HITS: obs::LazyCounter = obs::LazyCounter::new("serve.golden_ref.hits");
+static GOLDEN_MISSES: obs::LazyCounter = obs::LazyCounter::new("serve.golden_ref.misses");
+
+/// Golden references memoized per cached design; the least recently used
+/// one is dropped to make room.
+pub const GOLDEN_REFS_PER_DESIGN: usize = 4;
 
 /// Why a design could not enter the cache.
 #[derive(Debug)]
@@ -60,6 +73,19 @@ struct Entry {
     module: Arc<Module>,
     template: Simulator,
     last_used: u64,
+    /// Memoized golden references, least recently used first.
+    golden_refs: Vec<(GoldenKey, Arc<GoldenRef>)>,
+}
+
+impl Entry {
+    fn new(module: Arc<Module>, template: Simulator, last_used: u64) -> Entry {
+        Entry {
+            module,
+            template,
+            last_used,
+            golden_refs: Vec::new(),
+        }
+    }
 }
 
 struct CacheInner {
@@ -144,11 +170,9 @@ impl DesignCache {
             c.tick += 1;
             let tick = c.tick;
             if c.entries.len() < self.capacity {
-                c.entries.entry(entry.key).or_insert(Entry {
-                    module,
-                    template,
-                    last_used: tick,
-                });
+                c.entries
+                    .entry(entry.key)
+                    .or_insert_with(|| Entry::new(module, template, tick));
                 loaded += 1;
             }
         }
@@ -205,19 +229,70 @@ impl DesignCache {
                 CACHE_EVICTIONS.incr();
             }
         }
-        c.entries.insert(
-            key,
-            Entry {
-                module: Arc::clone(&module),
-                template,
-                last_used: tick,
-            },
-        );
+        // A concurrent miss may have inserted the design meanwhile; keep
+        // its entry (and any golden references memoized in it).
+        c.entries
+            .entry(key)
+            .or_insert_with(|| Entry::new(Arc::clone(&module), template, tick))
+            .last_used = tick;
         Ok(CachedDesign {
             module,
             sim,
             hit: false,
         })
+    }
+
+    /// The golden reference for `key` memoized in `source`'s entry, or
+    /// the one `build` returns on a miss; the flag is true on a hit.
+    ///
+    /// `build` runs outside the lock. What it returns is memoized only
+    /// while `source` is still cached, evicting the entry's least recently
+    /// used reference beyond [`GOLDEN_REFS_PER_DESIGN`]; its errors
+    /// (including cancellation) are returned and never cached.
+    ///
+    /// # Errors
+    ///
+    /// Whatever `build` returns.
+    pub fn golden_ref<E>(
+        &self,
+        source: &str,
+        key: &GoldenKey,
+        build: impl FnOnce() -> Result<GoldenRef, E>,
+    ) -> Result<(Arc<GoldenRef>, bool), E> {
+        let design = fnv1a(source.as_bytes());
+        {
+            let mut c = self.inner.lock().expect("design cache lock");
+            if let Some(refs) = c.entries.get_mut(&design).map(|e| &mut e.golden_refs) {
+                if let Some(i) = refs.iter().position(|(k, _)| k == key) {
+                    let found = refs.remove(i);
+                    let golden = Arc::clone(&found.1);
+                    refs.push(found);
+                    GOLDEN_HITS.incr();
+                    return Ok((golden, true));
+                }
+            }
+        }
+        GOLDEN_MISSES.incr();
+        let golden = Arc::new(build()?);
+        let mut c = self.inner.lock().expect("design cache lock");
+        if let Some(refs) = c.entries.get_mut(&design).map(|e| &mut e.golden_refs) {
+            if !refs.iter().any(|(k, _)| k == key) {
+                if refs.len() >= GOLDEN_REFS_PER_DESIGN {
+                    refs.remove(0);
+                }
+                refs.push((key.clone(), Arc::clone(&golden)));
+            }
+        }
+        Ok((golden, false))
+    }
+
+    /// How many golden references `source`'s entry memoizes (0 when the
+    /// design is not cached).
+    pub fn golden_refs(&self, source: &str) -> usize {
+        let c = self.inner.lock().expect("design cache lock");
+        c.entries
+            .get(&fnv1a(source.as_bytes()))
+            .map_or(0, |e| e.golden_refs.len())
     }
 
     /// Number of designs currently cached.

@@ -10,7 +10,9 @@
 //!   saturation answers `429` instead of queueing unboundedly;
 //! - a **content-addressed LRU cache** ([`cache`]) of parsed, elaborated,
 //!   and compiled designs — repeat requests skip parse → levelize →
-//!   compile and fork the cached bytecode instead;
+//!   compile and fork the cached bytecode instead, and reuse the golden
+//!   reference (stimuli plus golden target values) memoized in the golden
+//!   design's entry instead of re-simulating the golden design;
 //! - **per-request deadlines** via [`sim::CancelToken`], threaded into the
 //!   simulator's cycle loop — an expired deadline answers `504` and
 //!   discards partial work;

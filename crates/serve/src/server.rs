@@ -4,10 +4,11 @@
 //! [`Pool`](crate::pool::Pool); backpressure (queue full) is answered with
 //! `429` directly from the accept loop. Workers read the request, route
 //! it, and write exactly one response. Every request runs under a
-//! `serve.request` span with per-stage child spans (`elaborate`,
-//! `simulate`, `campaign`, `explain` come from the localize pipeline
-//! itself), a panic inside a handler answers `500` without killing the
-//! worker, and a fired deadline answers `504`.
+//! `serve.request` span with per-stage child spans (`stimgen`,
+//! `simulate`, `buggy_pass`, `explain` come from the localize pipeline
+//! itself; a memoized golden reference skips the first two), a panic
+//! inside a handler answers `500` without killing the worker, and a fired
+//! deadline answers `504`.
 //!
 //! Every request carries a **request ID** — honored from an
 //! `x-veribug-request-id` header when the client sends a well-formed one,
@@ -32,7 +33,8 @@ use std::time::{Duration, Instant};
 use sim::CancelToken;
 use store::Store;
 use veribug::model::{ModelConfig, VeriBugModel};
-use veribug::VeriBugError;
+use veribug::{GoldenKey, GoldenRef, LocalizeReport, VeriBugError};
+use verilog::Module;
 
 use obs::live;
 
@@ -471,8 +473,10 @@ fn access_log_line(
 fn route(state: &ServerState, req: &Request, rid: &str, stream: &mut TcpStream) -> u16 {
     let path = req.path.split('?').next().unwrap_or(&req.path);
     match (req.method.as_str(), path) {
-        ("POST", "/v1/localize") => handle_localize(state, &req.body, rid, stream),
-        ("POST", "/v1/explain") => handle_explain(state, &req.body, rid, stream),
+        ("POST", "/v1/localize") => handle_localize(state, &req.body, rid, stream, render_suspects),
+        ("POST", "/v1/explain") => {
+            handle_localize(state, &req.body, rid, stream, render_attributions)
+        }
         ("POST", "/v1/analyze") => handle_analyze(&req.body, rid, stream),
         ("POST", "/v1/shutdown") => {
             state.shutdown.store(true, Ordering::SeqCst);
@@ -541,7 +545,24 @@ fn build_error(which: &'static str, e: BuildError) -> ApiError {
     }
 }
 
-fn handle_localize(state: &ServerState, body: &[u8], rid: &str, stream: &mut TcpStream) -> u16 {
+/// `POST /v1/localize` and `POST /v1/explain`: one localize pipeline,
+/// answered by `render` — the suspect list
+/// ([`api::render_report`]) or per-operand attention attributions
+/// ([`veribug::AttributionReport::to_json`], the exact string
+/// `veribug explain --attention --json` prints, so CLI and service
+/// attributions are identical by construction).
+///
+/// The golden reference comes from the golden design's cache entry
+/// ([`DesignCache::golden_ref`]); its status travels in the
+/// `x-veribug-golden-ref` header, like design-cache status in
+/// `x-veribug-cache`, so bodies stay byte-identical hit or miss.
+fn handle_localize(
+    state: &ServerState,
+    body: &[u8],
+    rid: &str,
+    stream: &mut TcpStream,
+    render: fn(&VeriBugModel, &Module, &LocalizeReport) -> String,
+) -> u16 {
     let parsed = match api::parse_localize(body) {
         Ok(p) => p,
         Err(e) => {
@@ -572,24 +593,43 @@ fn handle_localize(state: &ServerState, body: &[u8], rid: &str, stream: &mut Tcp
         .map(Duration::from_millis)
         .unwrap_or(state.config.deadline);
     let cancel = CancelToken::with_deadline(Instant::now() + deadline);
-    let result = veribug::localize::run_with_sims(
-        &state.model,
-        &mut golden.sim,
-        &mut buggy.sim,
-        &parsed.target,
-        &parsed.opts,
-        &cancel,
-    );
-    // Cache status travels in a header, never the body, so identical
+    let key = GoldenKey::new(&parsed.target, &parsed.opts);
+    let reference = state.cache.golden_ref(&parsed.golden, &key, || {
+        GoldenRef::build(&mut golden.sim, &parsed.target, &parsed.opts, &cancel)
+    });
+    let memo_note = match &reference {
+        Ok((_, true)) => "hit",
+        _ => "miss",
+    };
+    let result = reference.and_then(|(reference, _)| {
+        veribug::localize::run_with_sims(
+            &state.model,
+            &reference,
+            &mut buggy.sim,
+            &parsed.target,
+            &parsed.opts,
+            &cancel,
+        )
+    });
+    // Cache status travels in headers, never the body, so identical
     // requests stay byte-identical cold or warm.
     let cache_note = format!(
         "golden={},buggy={}",
         if golden.hit { "hit" } else { "miss" },
         if buggy.hit { "hit" } else { "miss" }
     );
-    let extra: &[(&str, &str)] = &[("x-veribug-cache", &cache_note)];
+    let extra: &[(&str, &str)] = &[
+        ("x-veribug-cache", &cache_note),
+        ("x-veribug-golden-ref", memo_note),
+    ];
     match result {
-        Ok(report) => respond(stream, rid, 200, extra, &api::render_report(&report)),
+        Ok(report) => respond(
+            stream,
+            rid,
+            200,
+            extra,
+            &render(&state.model, &buggy.module, &report),
+        ),
         Err(VeriBugError::Sim(sim::SimError::Cancelled { at_cycle })) => {
             DEADLINES.incr();
             let e = ApiError::new(
@@ -619,89 +659,14 @@ fn handle_localize(state: &ServerState, body: &[u8], rid: &str, stream: &mut Tcp
     }
 }
 
-/// `POST /v1/explain`: the localize pipeline, answered as per-operand
-/// attention attributions. The body is rendered by
-/// [`veribug::AttributionReport::to_json`] — the exact string
-/// `veribug explain --attention --json` prints — so CLI and service
-/// attributions are identical by construction (asserted by test).
-fn handle_explain(state: &ServerState, body: &[u8], rid: &str, stream: &mut TcpStream) -> u16 {
-    let parsed = match api::parse_explain(body) {
-        Ok(p) => p,
-        Err(e) => {
-            let e = e.with_request_id(rid);
-            return respond(stream, rid, e.status, &[], &e.body());
-        }
-    };
-    let (mut golden, mut buggy) = {
-        let _span = obs::span("serve.cache");
-        let golden = match state.cache.get(&parsed.golden) {
-            Ok(d) => d,
-            Err(e) => {
-                let e = build_error("golden", e).with_request_id(rid);
-                return respond(stream, rid, e.status, &[], &e.body());
-            }
-        };
-        let buggy = match state.cache.get(&parsed.buggy) {
-            Ok(d) => d,
-            Err(e) => {
-                let e = build_error("buggy", e).with_request_id(rid);
-                return respond(stream, rid, e.status, &[], &e.body());
-            }
-        };
-        (golden, buggy)
-    };
-    let deadline = parsed
-        .deadline_ms
-        .map(Duration::from_millis)
-        .unwrap_or(state.config.deadline);
-    let cancel = CancelToken::with_deadline(Instant::now() + deadline);
-    let result = veribug::localize::run_with_sims(
-        &state.model,
-        &mut golden.sim,
-        &mut buggy.sim,
-        &parsed.target,
-        &parsed.opts,
-        &cancel,
-    );
-    let cache_note = format!(
-        "golden={},buggy={}",
-        if golden.hit { "hit" } else { "miss" },
-        if buggy.hit { "hit" } else { "miss" }
-    );
-    let extra: &[(&str, &str)] = &[("x-veribug-cache", &cache_note)];
-    match result {
-        Ok(report) => {
-            let att =
-                veribug::AttributionReport::from_localize(&state.model, &buggy.module, &report);
-            respond(stream, rid, 200, extra, &att.to_json())
-        }
-        Err(VeriBugError::Sim(sim::SimError::Cancelled { at_cycle })) => {
-            DEADLINES.incr();
-            let e = ApiError::new(
-                504,
-                "deadline",
-                format!(
-                    "deadline of {}ms exceeded (cancelled at cycle {at_cycle}); partial work discarded",
-                    deadline.as_millis()
-                ),
-            )
-            .with_request_id(rid);
-            respond(stream, rid, 504, extra, &e.body())
-        }
-        Err(VeriBugError::UnknownTarget { target }) => {
-            let e = ApiError::new(
-                422,
-                "unknown_target",
-                format!("target `{target}` is not a signal of the golden design"),
-            )
-            .with_request_id(rid);
-            respond(stream, rid, 422, extra, &e.body())
-        }
-        Err(other) => {
-            let e = ApiError::new(422, "localize", other.to_string()).with_request_id(rid);
-            respond(stream, rid, 422, extra, &e.body())
-        }
-    }
+/// The `/v1/localize` 200 body.
+fn render_suspects(_: &VeriBugModel, _: &Module, report: &LocalizeReport) -> String {
+    api::render_report(report)
+}
+
+/// The `/v1/explain` 200 body.
+fn render_attributions(model: &VeriBugModel, buggy: &Module, report: &LocalizeReport) -> String {
+    veribug::AttributionReport::from_localize(model, buggy, report).to_json()
 }
 
 fn handle_analyze(body: &[u8], rid: &str, stream: &mut TcpStream) -> u16 {

@@ -397,3 +397,223 @@ fn shutdown_endpoint_drains_in_flight_requests() {
     std::thread::sleep(Duration::from_millis(50));
     assert!(TcpStream::connect(addr).is_err(), "listener closed");
 }
+
+/// A `/v1/localize` body over `golden`/`buggy` with the given `options`
+/// fields.
+fn memo_body(golden: &str, buggy: &str, target: &str, options: &str) -> String {
+    format!(
+        "{{\"golden\":{},\"buggy\":{},\"target\":\"{target}\",\"options\":{{{options}}}}}",
+        encode(golden),
+        encode(buggy)
+    )
+}
+
+/// The 200 body a server that never saw any other request gives `body`.
+fn fresh_server_body(body: &str) -> String {
+    let (handle, join) = start(ServerConfig::default());
+    let resp = request(handle.addr(), "POST", "/v1/localize", body);
+    assert_eq!(resp.status, 200, "body: {}", resp.body);
+    assert_eq!(resp.header("x-veribug-golden-ref"), Some("miss"));
+    stop(&handle, join);
+    resp.body
+}
+
+#[test]
+fn golden_memo_misses_on_every_key_field_and_matches_a_fresh_server() {
+    let (handle, join) = start(ServerConfig::default());
+    // Unique sources so other tests' traffic cannot touch this entry.
+    let golden = format!("// memo-key-test\n{GOLDEN}");
+    let buggy = format!("// memo-key-test\n{BUGGY}");
+    let base = "\"runs\":16,\"cycles\":8,\"stim_seed\":5,\"hold_probability\":0.8";
+    let body = memo_body(&golden, &buggy, "y", base);
+    let cold = request(handle.addr(), "POST", "/v1/localize", &body);
+    assert_eq!(cold.status, 200, "body: {}", cold.body);
+    assert_eq!(cold.header("x-veribug-golden-ref"), Some("miss"));
+    let warm = request(handle.addr(), "POST", "/v1/localize", &body);
+    assert_eq!(warm.header("x-veribug-golden-ref"), Some("hit"));
+    assert_eq!(cold.body, warm.body, "a memo hit answers byte-identically");
+    // Explanation-only options reuse the reference.
+    let threshold = memo_body(&golden, &buggy, "y", &format!("{base},\"threshold\":0.5"));
+    let resp = request(handle.addr(), "POST", "/v1/localize", &threshold);
+    assert_eq!(resp.header("x-veribug-golden-ref"), Some("hit"));
+    assert_eq!(resp.body, fresh_server_body(&threshold));
+
+    // Changing any one key field misses, and answers what a fresh server
+    // answers.
+    let variants = [
+        memo_body(&golden, &buggy, "t", base),
+        memo_body(
+            &golden,
+            &buggy,
+            "y",
+            &base.replace("\"stim_seed\":5", "\"stim_seed\":6"),
+        ),
+        memo_body(
+            &golden,
+            &buggy,
+            "y",
+            &base.replace("\"runs\":16", "\"runs\":17"),
+        ),
+        memo_body(
+            &golden,
+            &buggy,
+            "y",
+            &base.replace("\"cycles\":8", "\"cycles\":9"),
+        ),
+        memo_body(&golden, &buggy, "y", &base.replace("0.8", "0.5")),
+    ];
+    for variant in &variants {
+        let resp = request(handle.addr(), "POST", "/v1/localize", variant);
+        assert_eq!(resp.status, 200, "body: {}", resp.body);
+        assert_eq!(
+            resp.header("x-veribug-golden-ref"),
+            Some("miss"),
+            "{variant}"
+        );
+        assert_eq!(resp.body, fresh_server_body(variant), "{variant}");
+    }
+    stop(&handle, join);
+}
+
+#[test]
+fn golden_memo_is_bounded_per_design() {
+    use veribug_serve::cache::GOLDEN_REFS_PER_DESIGN;
+    let (handle, join) = start(ServerConfig::default());
+    let golden = format!("// memo-bound-test\n{GOLDEN}");
+    let buggy = format!("// memo-bound-test\n{BUGGY}");
+    let seeded = |seed: usize| {
+        memo_body(
+            &golden,
+            &buggy,
+            "y",
+            &format!("\"runs\":8,\"cycles\":4,\"stim_seed\":{seed}"),
+        )
+    };
+    let memo = |seed: usize| {
+        let resp = request(handle.addr(), "POST", "/v1/localize", &seeded(seed));
+        assert_eq!(resp.status, 200, "body: {}", resp.body);
+        resp.header("x-veribug-golden-ref").map(str::to_owned)
+    };
+    // One more key than the bound: the first one is evicted.
+    for seed in 0..=GOLDEN_REFS_PER_DESIGN {
+        assert_eq!(memo(seed).as_deref(), Some("miss"));
+    }
+    for seed in 1..=GOLDEN_REFS_PER_DESIGN {
+        assert_eq!(memo(seed).as_deref(), Some("hit"), "seed {seed}");
+    }
+    assert_eq!(
+        memo(0).as_deref(),
+        Some("miss"),
+        "the oldest key was evicted"
+    );
+    stop(&handle, join);
+
+    // The same bound on the cache itself.
+    let cache = veribug_serve::DesignCache::new(4);
+    let mut design = cache.get(&golden).unwrap();
+    for seed in 0..2 * GOLDEN_REFS_PER_DESIGN as u64 {
+        let opts = veribug::LocalizeOptions {
+            runs: 4,
+            cycles: 4,
+            stim_seed: seed,
+            ..Default::default()
+        };
+        let key = veribug::GoldenKey::new("y", &opts);
+        let (_, hit) = cache
+            .golden_ref(&golden, &key, || {
+                veribug::GoldenRef::build(&mut design.sim, "y", &opts, &sim::CancelToken::inert())
+            })
+            .unwrap();
+        assert!(!hit);
+        assert!(cache.golden_refs(&golden) <= GOLDEN_REFS_PER_DESIGN);
+    }
+    assert_eq!(cache.golden_refs(&golden), GOLDEN_REFS_PER_DESIGN);
+}
+
+#[test]
+fn expired_deadline_leaves_no_golden_memo_entry() {
+    let (handle, join) = start(ServerConfig::default());
+    let golden = format!("// memo-deadline-test\n{GOLDEN}");
+    let buggy = format!("// memo-deadline-test\n{BUGGY}");
+    let opts = "\"runs\":64,\"cycles\":32";
+    let expired = memo_body(&golden, &buggy, "y", &format!("{opts},\"deadline_ms\":0"));
+    let resp = request(handle.addr(), "POST", "/v1/localize", &expired);
+    assert_eq!(resp.status, 504, "body: {}", resp.body);
+    assert_eq!(resp.header("x-veribug-golden-ref"), Some("miss"));
+    // The cancelled build was not memoized: the next identical request
+    // builds again and answers what a fresh server answers.
+    let body = memo_body(&golden, &buggy, "y", opts);
+    let resp = request(handle.addr(), "POST", "/v1/localize", &body);
+    assert_eq!(resp.status, 200, "body: {}", resp.body);
+    assert_eq!(resp.header("x-veribug-golden-ref"), Some("miss"));
+    assert_eq!(resp.body, fresh_server_body(&body));
+    let again = request(handle.addr(), "POST", "/v1/localize", &body);
+    assert_eq!(again.header("x-veribug-golden-ref"), Some("hit"));
+    assert_eq!(again.body, resp.body);
+    stop(&handle, join);
+
+    // On the cache itself: a failed build leaves nothing behind.
+    let cache = veribug_serve::DesignCache::new(4);
+    let mut design = cache.get(&golden).unwrap();
+    let defaults = veribug::LocalizeOptions::default();
+    let key = veribug::GoldenKey::new("y", &defaults);
+    let expired = sim::CancelToken::with_deadline(std::time::Instant::now());
+    let err = cache
+        .golden_ref(&golden, &key, || {
+            veribug::GoldenRef::build(&mut design.sim, "y", &defaults, &expired)
+        })
+        .unwrap_err();
+    assert!(matches!(
+        err,
+        veribug::VeriBugError::Sim(sim::SimError::Cancelled { .. })
+    ));
+    assert_eq!(cache.golden_refs(&golden), 0);
+}
+
+#[test]
+fn golden_memo_hit_and_miss_bodies_match_at_any_thread_count() {
+    // 160 runs fan out over three lane groups.
+    let opts = veribug::LocalizeOptions {
+        runs: 160,
+        cycles: 8,
+        ..Default::default()
+    };
+    let model = veribug::model::VeriBugModel::new(veribug::model::ModelConfig::default());
+    let expected = {
+        let golden = verilog::parse(GOLDEN).unwrap().top().clone();
+        let buggy = verilog::parse(BUGGY).unwrap().top().clone();
+        let report = veribug::localize::run(&model, &golden, &buggy, "y", &opts).unwrap();
+        veribug_serve::api::render_report(&report)
+    };
+    let key = veribug::GoldenKey::new("y", &opts);
+    for threads in [1usize, 2, 8] {
+        par::with_threads(threads, || {
+            let cache = veribug_serve::DesignCache::new(4);
+            for expect_hit in [false, true] {
+                let mut golden = cache.get(GOLDEN).unwrap();
+                let mut buggy = cache.get(BUGGY).unwrap();
+                let cancel = sim::CancelToken::inert();
+                let (reference, hit) = cache
+                    .golden_ref(GOLDEN, &key, || {
+                        veribug::GoldenRef::build(&mut golden.sim, "y", &opts, &cancel)
+                    })
+                    .unwrap();
+                assert_eq!(hit, expect_hit);
+                let report = veribug::localize::run_with_sims(
+                    &model,
+                    &reference,
+                    &mut buggy.sim,
+                    "y",
+                    &opts,
+                    &cancel,
+                )
+                .unwrap();
+                assert_eq!(
+                    veribug_serve::api::render_report(&report),
+                    expected,
+                    "threads {threads}, memo hit {hit}"
+                );
+            }
+        });
+    }
+}

@@ -198,13 +198,19 @@ fn store_hit_and_miss_reports_are_byte_identical_at_1_2_8_threads() {
     let render = |cache: &DesignCache| {
         let mut golden = cache.get(GOLDEN).unwrap();
         let mut buggy = cache.get(BUGGY).unwrap();
+        let cancel = CancelToken::new();
+        let (reference, _) = cache
+            .golden_ref(GOLDEN, &veribug::GoldenKey::new("y", &opts), || {
+                veribug::GoldenRef::build(&mut golden.sim, "y", &opts, &cancel)
+            })
+            .unwrap();
         let report = veribug::localize::run_with_sims(
             &model,
-            &mut golden.sim,
+            &reference,
             &mut buggy.sim,
             "y",
             &opts,
-            &CancelToken::new(),
+            &cancel,
         )
         .unwrap();
         (golden.hit, veribug_serve::api::render_report(&report))

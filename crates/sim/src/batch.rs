@@ -27,7 +27,6 @@
 //! too: its fanin is unchanged, so recomputed temporaries are identical and
 //! assignments are masked off.
 
-use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use crate::cancel::CancelToken;
@@ -37,9 +36,11 @@ use crate::eval::{eval_binary_batch, eval_unary_batch, Write};
 use crate::metrics;
 use crate::netlist::{Netlist, Process, SignalId};
 use crate::testbench::{PortResolver, Stimulus};
-use crate::trace::{Operands, SignalSet, StmtExec, Trace, VerdictTrace};
+use crate::trace::{
+    CycleRecord, Execs, Operands, Records, Snapshot, StmtExec, Trace, TraceMode, VerdictTrace,
+};
 use crate::value::{BatchValue, Value, LANES};
-use verilog::{Stmt, StmtId};
+use verilog::Stmt;
 
 /// One batch instruction: an expression op evaluated lane-wise, a masked
 /// assignment, or a structured mask-control op.
@@ -195,51 +196,57 @@ impl BatchEngine {
     }
 
     /// Runs up to [`LANES`] equal-length stimuli from the all-zero reset
-    /// state, one lane each, and returns one trace per stimulus in order.
+    /// state, one lane each, under `mode`, and returns one `(trace,
+    /// observed values)` pair per stimulus in order.
     ///
-    /// `stmts` selects the records-only variant: `None` records every
-    /// statement and snapshots every signal; `Some(set)` records only the
-    /// statements in `set` (in full-trace order) and snapshots nothing.
-    /// Both are one code path: each assignment's record flag comes from a
-    /// per-[`AssignMeta`] mask derived once per call (all true in full
-    /// mode), and values, dirty bits and masks evolve identically.
+    /// One cycle loop serves every [`TraceMode`]. Each assignment's record
+    /// flag comes from a per-[`AssignMeta`] mask derived once per call (all
+    /// true in full mode, all false in verdict mode); a mode that records
+    /// nothing keeps no record arena, descriptor pool or trace cycles.
+    /// Observed signals are lane-extracted every cycle, and full mode also
+    /// snapshots every signal. Values, dirty bits and masks evolve
+    /// identically under every mode.
     ///
     /// # Errors
     ///
     /// [`SimError::UnknownSignal`] / [`SimError::NotAnInput`] for bad
     /// stimulus ports — reported before any cycle runs, for the first bad
     /// port of the first stimulus that has one: the assignment a
-    /// stimulus-by-stimulus loop would reach first — and [`SimError::Cancelled`] when `cancel` fires between cycles
-    /// (the whole batch is abandoned, like a sequential loop where a fired
-    /// token fails every remaining run).
+    /// stimulus-by-stimulus loop would reach first — and
+    /// [`SimError::Cancelled`] when `cancel` fires between cycles (the whole
+    /// batch is abandoned, like a sequential loop where a fired token fails
+    /// every remaining run).
     ///
     /// # Panics
     ///
     /// Panics if `stimuli` is empty, longer than [`LANES`], or of uneven
-    /// cycle counts — [`crate::Simulator::run_batch`] chunks arbitrary
+    /// cycle counts — [`crate::Simulator::run_batch_mode`] chunks arbitrary
     /// stimulus sets to meet this contract.
     pub(crate) fn run(
         &mut self,
         netlist: &Netlist,
         stimuli: &[Stimulus],
         cancel: &CancelToken,
-        stmts: Option<&BTreeSet<StmtId>>,
-    ) -> Result<Vec<Trace>, SimError> {
+        mode: TraceMode<'_>,
+    ) -> Result<Vec<(Trace, VerdictTrace)>, SimError> {
         let (fill, ncycles, fill_mask) = batch_shape(stimuli);
 
         let inputs = Inputs::resolve(netlist, stimuli)?;
 
         let code = &*self.code;
         let ncomb = code.comb.len();
-        let keep: Vec<bool> = code
-            .metas
-            .iter()
-            .map(|m| stmts.is_none_or(|s| s.contains(&m.stmt)))
-            .collect();
+        let keep: Vec<bool> = code.metas.iter().map(|m| mode.keeps(m.stmt)).collect();
+        let record = !matches!(mode.records, Records::Nothing);
         let nsig = netlist.signal_count();
-        // Signals per snapshot: every signal in full mode, none in a
-        // records-only run (so no value arena is allocated).
-        let nsnap = if stmts.is_none() { nsig } else { 0 };
+        // Signals per snapshot: every signal in full mode, none otherwise
+        // (so no value arena is allocated).
+        let nsnap = if matches!(mode.records, Records::All) {
+            nsig
+        } else {
+            0
+        };
+        let observed = mode.observed;
+        let nobs = observed.len();
         let state = &mut self.state;
         let mut values: Vec<BatchValue> = netlist
             .signals()
@@ -248,8 +255,8 @@ impl BatchEngine {
             .collect();
         state.slab.clear();
         state.slab.resize(code.slots, BatchValue::zeros(1));
-        state.scratch.resize_with(LANES, Vec::new);
-        state.deferred.resize_with(LANES, Vec::new);
+        state.scratch.resize_with(fill, Vec::new);
+        state.deferred.resize_with(fill, Vec::new);
         for v in &mut state.scratch {
             v.clear();
         }
@@ -258,6 +265,9 @@ impl BatchEngine {
         }
 
         let mut arena: Vec<Value> = Vec::with_capacity(ncycles * fill * nsnap);
+        let mut obs: Vec<Vec<Value>> = (0..fill)
+            .map(|_| Vec::with_capacity(ncycles * nobs))
+            .collect();
         // The run-wide record arena and segment-descriptor pool: every
         // fresh record of the run lands in `records` exactly once; each
         // (cycle, lane) execution list is a `spans` window over `segs`
@@ -265,16 +275,21 @@ impl BatchEngine {
         // descriptor, so nothing is copied for them.
         let mut records: Vec<StmtExec> = Vec::new();
         let mut segs: Vec<(u32, u32)> = Vec::new();
-        let mut spans: Vec<(u32, u32)> = Vec::with_capacity(ncycles * fill);
+        let mut spans: Vec<(u32, u32)> =
+            Vec::with_capacity(if record { ncycles * fill } else { 0 });
         // Last fresh descriptor per (comb process, lane), with the count
         // of records that execution did not keep (re-used with it).
-        let mut last_desc: Vec<(u32, u32, u64)> = vec![(0, 0, 0); ncomb * LANES];
-        // Per-lane records not kept by the program just executed.
+        let mut last_desc: Vec<(u32, u32, u64)> =
+            vec![(0, 0, 0); if record { ncomb * fill } else { 0 }];
+        // Per-lane executions not recorded: by the program just executed
+        // in a recording mode, over the whole run otherwise.
+        let mut unrecorded = [0u64; LANES];
+        // Per-lane records a recording mode did not keep, re-used
+        // descriptors included.
         let mut skipped = [0u64; LANES];
         // Per-signal changed-lanes masks — the dirty set, one bit per
         // lane. Everything starts dirty at reset.
         let mut changed: Vec<u64> = vec![fill_mask; nsig];
-        let mut m_skipped = 0u64;
         let mut m_divergences = 0u64;
         let mut m_ops = 0u64;
         let mut m_comb_evals = 0u64;
@@ -304,7 +319,7 @@ impl BatchEngine {
                 if dmask == 0 {
                     continue;
                 }
-                exec_bops::<true>(
+                exec_bops(
                     &code.comb[pi],
                     code,
                     &keep,
@@ -318,8 +333,11 @@ impl BatchEngine {
                     &mut changed,
                     &mut m_divergences,
                     &mut m_ops,
-                    &mut skipped,
+                    &mut unrecorded,
                 );
+                if !record {
+                    continue;
+                }
                 // Fresh records for the dirty lanes move into the arena
                 // once; the descriptor is all later cycles need.
                 let mut lanes = dmask;
@@ -329,16 +347,20 @@ impl BatchEngine {
                     let start = records.len() as u32;
                     records.append(&mut state.scratch[l]);
                     let len = records.len() as u32 - start;
-                    last_desc[pi * LANES + l] = (start, len, std::mem::take(&mut skipped[l]));
+                    last_desc[pi * fill + l] = (start, len, std::mem::take(&mut unrecorded[l]));
                 }
             }
 
             // 3. Snapshot pre-edge values: lane-extract into the run-wide
             // arena, cycle-major then lane-major, so lane `l`'s cycle `c`
-            // window starts at `(c * fill + l) * nsnap`.
-            for l in 0..fill {
+            // window starts at `(c * fill + l) * nsnap`; observed signals
+            // go to each lane's cycle-major column.
+            for (l, lane_obs) in obs.iter_mut().enumerate() {
                 for v in &values[..nsnap] {
                     arena.push(v.lane(l));
+                }
+                for &id in observed {
+                    lane_obs.push(values[id.0 as usize].lane(l));
                 }
             }
 
@@ -352,7 +374,7 @@ impl BatchEngine {
             // and record fresh; non-blocking writes defer per lane and
             // commit in push order, like the interpreter.
             for prog in &code.seq {
-                exec_bops::<true>(
+                exec_bops(
                     prog,
                     code,
                     &keep,
@@ -366,11 +388,14 @@ impl BatchEngine {
                     &mut changed,
                     &mut m_divergences,
                     &mut m_ops,
-                    &mut skipped,
+                    &mut unrecorded,
                 );
             }
-            commit_deferred(&mut state.deferred[..fill], &mut values, &mut changed);
+            commit_deferred(&mut state.deferred, &mut values, &mut changed);
 
+            if !record {
+                continue;
+            }
             // 5. Describe each lane's cycle: combinational descriptors in
             // source-process order (fresh or re-used), then this edge's
             // sequential records. A process with no kept records pushes
@@ -378,13 +403,13 @@ impl BatchEngine {
             for l in 0..fill {
                 let seg_start = segs.len() as u32;
                 for p in 0..ncomb {
-                    let (start, len, skip) = last_desc[p * LANES + l];
-                    m_skipped += skip;
+                    let (start, len, skip) = last_desc[p * fill + l];
+                    skipped[l] += skip;
                     if len != 0 {
                         segs.push((start, len));
                     }
                 }
-                m_skipped += std::mem::take(&mut skipped[l]);
+                skipped[l] += std::mem::take(&mut unrecorded[l]);
                 let seq_rec = &mut state.scratch[l];
                 if !seq_rec.is_empty() {
                     let start = records.len() as u32;
@@ -404,6 +429,9 @@ impl BatchEngine {
             }
         }
 
+        // What each lane did not materialize: a recording mode's skipped
+        // records, or every execution of a mode that records nothing.
+        let missed = if record { &skipped } else { &unrecorded };
         metrics::CYCLES.add((ncycles * fill) as u64);
         metrics::RUNS_BATCH.add(fill as u64);
         metrics::BATCH_LANES.record(fill as u64);
@@ -412,7 +440,14 @@ impl BatchEngine {
         metrics::COMB_SKIPS.add(m_comb_skips);
         metrics::BYTECODE_OPS.add(m_ops);
         metrics::SEQ_EVALS.add((ncycles * code.seq.len()) as u64);
-        metrics::RECORDS_SKIPPED.add(m_skipped);
+        if nobs > 0 {
+            metrics::RUNS_VERDICT.add(fill as u64);
+        }
+        if record {
+            metrics::RECORDS_SKIPPED.add(missed[..fill].iter().sum());
+        } else {
+            metrics::RECORDS_ELIDED.add(missed[..fill].iter().sum());
+        }
 
         // Assemble one trace per lane. Snapshots view the shared value
         // arena at lane-strided offsets; execution lists view the shared
@@ -421,170 +456,35 @@ impl BatchEngine {
         let arena: Arc<[Value]> = arena.into();
         let records = Arc::new(records);
         let segs = Arc::new(segs);
-        let mut lane_cycles: Vec<Vec<crate::trace::CycleRecord>> =
-            (0..fill).map(|_| Vec::with_capacity(ncycles)).collect();
-        for c in 0..ncycles {
-            for (l, cycles) in lane_cycles.iter_mut().enumerate() {
-                let (seg_start, seg_len) = spans[c * fill + l];
-                cycles.push(crate::trace::CycleRecord {
-                    cycle: c as u32,
-                    signals: crate::trace::Snapshot::view(
-                        Arc::clone(&arena),
-                        (c * fill + l) * nsnap,
-                        nsnap,
-                    ),
-                    execs: crate::trace::Execs::from_parts(
-                        Arc::clone(&records),
-                        Arc::clone(&segs),
-                        seg_start,
-                        seg_len,
-                    ),
-                });
-            }
+        let mut lane_cycles: Vec<Vec<CycleRecord>> = (0..fill)
+            .map(|_| Vec::with_capacity(if record { ncycles } else { 0 }))
+            .collect();
+        for (i, &(seg_start, seg_len)) in spans.iter().enumerate() {
+            let (c, l) = (i / fill, i % fill);
+            lane_cycles[l].push(CycleRecord {
+                cycle: c as u32,
+                signals: Snapshot::view(Arc::clone(&arena), i * nsnap, nsnap),
+                execs: Execs::from_parts(
+                    Arc::clone(&records),
+                    Arc::clone(&segs),
+                    seg_start,
+                    seg_len,
+                ),
+            });
         }
         Ok(lane_cycles
             .into_iter()
-            .map(|cycles| Trace { cycles })
-            .collect())
-    }
-
-    /// Runs up to [`LANES`] equal-length stimuli in verdict mode: the same
-    /// lane-parallel value evolution, input validation, per-lane dirty
-    /// gate, and cancellation behavior as [`BatchEngine::run`], but no
-    /// record arena, no descriptor pool, and per-cycle snapshots of only
-    /// the `observed` signals — the hot loop is pure compute plus an
-    /// O(fill × observed) lane extract per cycle.
-    ///
-    /// # Errors / Panics
-    ///
-    /// Exactly as [`BatchEngine::run`], at the same points.
-    pub(crate) fn run_verdict(
-        &mut self,
-        netlist: &Netlist,
-        stimuli: &[Stimulus],
-        cancel: &CancelToken,
-        observed: &SignalSet,
-    ) -> Result<Vec<VerdictTrace>, SimError> {
-        let (fill, ncycles, fill_mask) = batch_shape(stimuli);
-
-        // Pre-resolve inputs exactly as the full-trace run does, so the
-        // first validation error is identical.
-        let inputs = Inputs::resolve(netlist, stimuli)?;
-
-        let code = &*self.code;
-        let nsig = netlist.signal_count();
-        let state = &mut self.state;
-        let mut values: Vec<BatchValue> = netlist
-            .signals()
-            .iter()
-            .map(|s| BatchValue::zeros(s.width))
-            .collect();
-        state.slab.clear();
-        state.slab.resize(code.slots, BatchValue::zeros(1));
-        state.deferred.resize_with(LANES, Vec::new);
-        for v in &mut state.deferred {
-            v.clear();
-        }
-
-        let nobs = observed.len();
-        let mut obs: Vec<Vec<Value>> = (0..fill)
-            .map(|_| Vec::with_capacity(ncycles * nobs))
-            .collect();
-        let mut changed: Vec<u64> = vec![fill_mask; nsig];
-        let mut elided = [0u64; LANES];
-        let mut m_divergences = 0u64;
-        let mut m_ops = 0u64;
-        let mut m_comb_evals = 0u64;
-        let mut m_comb_skips = 0u64;
-
-        for cycle_idx in 0..ncycles {
-            let cycle = cycle_idx as u32;
-            if cancel.is_cancelled() {
-                return Err(SimError::Cancelled { at_cycle: cycle });
-            }
-
-            inputs.apply(stimuli, cycle_idx, &mut values, &mut changed);
-
-            // Levelized comb pass under the same per-lane dirty gate; the
-            // only difference from the full-trace loop is that nothing is
-            // recorded and no descriptors exist to refresh.
-            for &pi in &code.order {
-                let pi = pi as usize;
-                let dmask = dirty_lanes(&code.fanin[pi], &changed, fill_mask, cycle_idx == 0);
-                let evaluated = u64::from(dmask.count_ones());
-                m_comb_evals += evaluated;
-                m_comb_skips += fill as u64 - evaluated;
-                if dmask == 0 {
-                    continue;
-                }
-                exec_bops::<false>(
-                    &code.comb[pi],
-                    code,
-                    &[],
-                    &mut state.slab,
-                    &mut values,
-                    &mut [],
-                    fill,
-                    dmask,
-                    None,
-                    &mut state.frames,
-                    &mut changed,
-                    &mut m_divergences,
-                    &mut m_ops,
-                    &mut elided,
-                );
-            }
-
-            // The O(fill × observed) snapshot: the whole point.
-            for (l, lane_obs) in obs.iter_mut().enumerate() {
-                for &id in observed.ids() {
-                    lane_obs.push(values[id.0 as usize].lane(l));
-                }
-            }
-
-            for c in changed.iter_mut() {
-                *c = 0;
-            }
-
-            for prog in &code.seq {
-                exec_bops::<false>(
-                    prog,
-                    code,
-                    &[],
-                    &mut state.slab,
-                    &mut values,
-                    &mut [],
-                    fill,
-                    fill_mask,
-                    Some(state.deferred.as_mut_slice()),
-                    &mut state.frames,
-                    &mut changed,
-                    &mut m_divergences,
-                    &mut m_ops,
-                    &mut elided,
-                );
-            }
-            commit_deferred(&mut state.deferred[..fill], &mut values, &mut changed);
-        }
-
-        metrics::CYCLES.add((ncycles * fill) as u64);
-        metrics::RUNS_BATCH.add(fill as u64);
-        metrics::RUNS_VERDICT.add(fill as u64);
-        metrics::BATCH_LANES.record(fill as u64);
-        metrics::MASK_DIVERGENCES.add(m_divergences);
-        metrics::COMB_EVALS.add(m_comb_evals);
-        metrics::COMB_SKIPS.add(m_comb_skips);
-        metrics::BYTECODE_OPS.add(m_ops);
-        metrics::SEQ_EVALS.add((ncycles * code.seq.len()) as u64);
-        metrics::RECORDS_ELIDED.add(elided[..fill].iter().sum());
-
-        Ok(obs
-            .into_iter()
-            .zip(&elided)
-            .map(|(values, &records_elided)| VerdictTrace {
-                values,
-                nobs,
-                records_elided,
+            .zip(obs)
+            .zip(missed)
+            .map(|((cycles, values), &not_kept)| {
+                (
+                    Trace { cycles },
+                    VerdictTrace {
+                        values,
+                        nobs,
+                        records_elided: not_kept,
+                    },
+                )
             })
             .collect())
     }
@@ -691,15 +591,12 @@ fn commit_deferred(deferred: &mut [Vec<Write>], values: &mut [BatchValue], chang
 /// Value-changing writes OR the written lane into the
 /// signal's `changed` mask, feeding the per-lane dirty gate.
 ///
-/// `RECORD` selects trace mode at monomorphization time: `true` pushes a
-/// per-lane [`StmtExec`] into `recorders[l]` for every active-lane
-/// assignment whose `keep[meta]` flag is set (full-trace and records-only
-/// mode), `false` compiles the capture away (verdict mode, where `keep` is
-/// unread). Every active-lane assignment not recorded is tallied per lane
-/// in `unrecorded`. Masks, values, and deferred writes evolve identically
-/// either way.
+/// An active-lane assignment pushes a per-lane [`StmtExec`] into
+/// `recorders[l]` when its `keep[meta]` flag is set, and is tallied per lane
+/// in `unrecorded` otherwise. Masks, values, and deferred writes evolve
+/// identically either way.
 #[allow(clippy::too_many_arguments)]
-fn exec_bops<const RECORD: bool>(
+fn exec_bops(
     bops: &[BOp],
     code: &BatchCode,
     keep: &[bool],
@@ -726,7 +623,7 @@ fn exec_bops<const RECORD: bool>(
             BOp::Expr(op) => exec_expr(op, slab, values, fill),
             BOp::Assign { rhs, meta } => {
                 let m = &metas[meta as usize];
-                let record = RECORD && keep[meta as usize];
+                let record = keep[meta as usize];
                 let value = &slab[rhs as usize];
                 let mut lanes = mask;
                 while lanes != 0 {

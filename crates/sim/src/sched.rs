@@ -19,7 +19,7 @@ use crate::error::SimError;
 use crate::eval::{EvalCtx, Write};
 use crate::netlist::{Netlist, Process, SignalId};
 use crate::testbench::{PortResolver, Stimulus};
-use crate::trace::{SignalSet, StmtExec, Trace, VerdictTrace};
+use crate::trace::{Records, SignalSet, StmtExec, Trace, TraceMode, VerdictTrace};
 use crate::value::{Value, LANES};
 use std::collections::BTreeSet;
 use verilog::{Module, StmtId};
@@ -175,18 +175,19 @@ impl Simulator {
     /// (in order) aborts the remainder, and any partial results are
     /// discarded.
     pub fn run_batch(&mut self, stimuli: &[Stimulus]) -> Result<Vec<Trace>, SimError> {
-        self.run_traces(stimuli, None)
+        let runs = self.run_batch_mode(stimuli, TraceMode::full())?;
+        Ok(runs.into_iter().map(|(trace, _)| trace).collect())
     }
 
-    /// Runs many stimuli in records-only mode: one [`Trace`] per stimulus,
-    /// in order, batched exactly as [`run_batch`](Self::run_batch). Each
-    /// cycle's `execs` hold only the records of statements in `stmts`, in
-    /// full-trace order — exactly the full trace's records filtered to the
-    /// set — and `signals` is an empty snapshot: no value arena is
-    /// allocated, so [`CycleRecord::value`](crate::CycleRecord::value)
-    /// panics on these traces. Values, input validation and cancellation
-    /// behave as in full mode. This is the localizer's explanation pass,
-    /// which reads only the records of the statements it attributes.
+    /// Runs many stimuli in records-only mode ([`TraceMode::records`]): one
+    /// [`Trace`] per stimulus, in order, batched exactly as
+    /// [`run_batch`](Self::run_batch). Each cycle's `execs` hold only the
+    /// records of statements in `stmts`, in full-trace order — exactly the
+    /// full trace's records filtered to the set — and `signals` is an empty
+    /// snapshot: no value arena is allocated, so
+    /// [`CycleRecord::value`](crate::CycleRecord::value) panics on these
+    /// traces. Values, input validation and cancellation behave as in full
+    /// mode.
     ///
     /// # Errors
     ///
@@ -197,41 +198,18 @@ impl Simulator {
         stimuli: &[Stimulus],
         stmts: &BTreeSet<StmtId>,
     ) -> Result<Vec<Trace>, SimError> {
-        self.run_traces(stimuli, Some(stmts))
+        let runs = self.run_batch_mode(stimuli, TraceMode::records(stmts))?;
+        Ok(runs.into_iter().map(|(trace, _)| trace).collect())
     }
 
-    /// Full mode (`stmts` is `None`) or records-only mode on either engine.
-    fn run_traces(
-        &mut self,
-        stimuli: &[Stimulus],
-        stmts: Option<&BTreeSet<StmtId>>,
-    ) -> Result<Vec<Trace>, SimError> {
-        let Some(batch) = &mut self.batch else {
-            let mut ports = PortResolver::default();
-            return stimuli
-                .iter()
-                .map(|s| {
-                    let ids = ports.resolve(&self.netlist, s)?;
-                    self.run_interpreted(s, &ids, stmts)
-                })
-                .collect();
-        };
-        let mut traces = Vec::with_capacity(stimuli.len());
-        for chunk in lane_groups(stimuli) {
-            traces.extend(batch.run(&self.netlist, chunk, &self.cancel, stmts)?);
-        }
-        Ok(traces)
-    }
-
-    /// Runs many stimuli in [`TraceMode::Verdict`](crate::TraceMode), one
-    /// [`VerdictTrace`] per stimulus in order, batching exactly as
-    /// [`run_batch`](Self::run_batch) does (maximal equal-cycle-count groups
-    /// of up to [`LANES`] lanes). Value evolution, input validation, and
-    /// cancellation behave as in full mode, but no [`StmtExec`] records are
-    /// materialized and only `observed` signals are snapshotted per cycle:
-    /// each result is exactly the observed columns of the full trace. This
-    /// is the campaign screening pass: the 64-lane compute win with none of
-    /// the trace-production memory traffic.
+    /// Runs many stimuli in verdict mode ([`TraceMode::verdict`]), one
+    /// [`VerdictTrace`] per stimulus in order, batched exactly as
+    /// [`run_batch`](Self::run_batch). Value evolution, input validation,
+    /// and cancellation behave as in full mode, but no [`StmtExec`] records
+    /// are materialized and only `observed` signals are snapshotted per
+    /// cycle: each result is exactly the observed columns of the full
+    /// trace. This is the campaign screening pass: the 64-lane compute win
+    /// with none of the trace-production memory traffic.
     ///
     /// # Errors
     ///
@@ -242,47 +220,81 @@ impl Simulator {
         stimuli: &[Stimulus],
         observed: &SignalSet,
     ) -> Result<Vec<VerdictTrace>, SimError> {
+        let runs = self.run_batch_mode(stimuli, TraceMode::verdict(observed))?;
+        Ok(runs.into_iter().map(|(_, verdict)| verdict).collect())
+    }
+
+    /// Runs many stimuli under `mode` and returns one `(trace, observed
+    /// values)` pair per stimulus, in order. The trace holds what `mode`
+    /// records (no cycles when it records nothing); the [`VerdictTrace`]
+    /// holds the observed signals' per-cycle values (none when it observes
+    /// nothing). Both engines run one cycle loop for every mode, so each
+    /// product equals the corresponding part of the full trace.
+    ///
+    /// When the design compiled, consecutive stimuli of equal cycle count
+    /// are grouped into batches of up to [`LANES`] and simulated
+    /// bit-parallel; designs that fell back to the interpreter run
+    /// sequentially.
+    ///
+    /// # Errors
+    ///
+    /// The same errors as [`run`](Self::run); the first failing stimulus
+    /// (in order) aborts the remainder, and any partial results are
+    /// discarded.
+    pub fn run_batch_mode(
+        &mut self,
+        stimuli: &[Stimulus],
+        mode: TraceMode<'_>,
+    ) -> Result<Vec<(Trace, VerdictTrace)>, SimError> {
         let Some(batch) = &mut self.batch else {
             let mut ports = PortResolver::default();
             return stimuli
                 .iter()
                 .map(|s| {
                     let ids = ports.resolve(&self.netlist, s)?;
-                    self.run_interpreted_verdict(s, &ids, observed)
+                    self.run_interpreted(s, &ids, mode)
                 })
                 .collect();
         };
-        let mut verdicts = Vec::with_capacity(stimuli.len());
+        let mut runs = Vec::with_capacity(stimuli.len());
         for chunk in lane_groups(stimuli) {
-            verdicts.extend(batch.run_verdict(&self.netlist, chunk, &self.cancel, observed)?);
+            runs.extend(batch.run(&self.netlist, chunk, &self.cancel, mode)?);
         }
-        Ok(verdicts)
+        Ok(runs)
     }
 
     /// The fixpoint-interpreter path: settle combinational logic by
-    /// iteration, then one recording pass per cycle. `ids` are the
-    /// stimulus's ports resolved against this netlist. With `stmts`, only
-    /// those statements record (filtered at push time) and nothing is
-    /// snapshotted.
+    /// iteration, then, when `mode` records anything, one recording pass
+    /// per cycle (at the settle fixpoint it is value-neutral, so a mode
+    /// that records nothing skips it). `ids` are the stimulus's ports
+    /// resolved against this netlist. A records-only set filters at push
+    /// time. The verdict's `records_elided` is 0 here (best-effort
+    /// accounting; the fallback never counts would-be records).
     fn run_interpreted(
         &mut self,
         stimulus: &Stimulus,
         ids: &[SignalId],
-        stmts: Option<&BTreeSet<StmtId>>,
-    ) -> Result<Trace, SimError> {
+        mode: TraceMode<'_>,
+    ) -> Result<(Trace, VerdictTrace), SimError> {
         crate::metrics::RUNS_INTERPRETED.incr();
         let mut ctx = EvalCtx::new(&self.netlist);
-        ctx.record_only = stmts;
-        // Signals per snapshot: none in a records-only run.
-        let nsnap = if stmts.is_none() {
-            self.netlist.signal_count()
-        } else {
-            0
+        let (record, nsnap) = match mode.records {
+            Records::All => (true, self.netlist.signal_count()),
+            Records::Only(stmts) => {
+                ctx.record_only = Some(stmts);
+                (true, 0)
+            }
+            Records::Nothing => (false, 0),
         };
         let ncycles = stimulus.len();
+        let nobs = mode.observed.len();
+        if nobs > 0 {
+            crate::metrics::RUNS_VERDICT.incr();
+        }
         // One run-wide snapshot arena instead of a value-vector per cycle.
         let mut arena: Vec<Value> = Vec::with_capacity(ncycles * nsnap);
-        let mut cycle_execs: Vec<Vec<StmtExec>> = Vec::with_capacity(ncycles);
+        let mut observed: Vec<Value> = Vec::with_capacity(ncycles * nobs);
+        let mut cycle_execs: Vec<Vec<StmtExec>> = Vec::new();
         for cycle_idx in 0..ncycles {
             let cycle = cycle_idx as u32;
             if self.cancel.is_cancelled() {
@@ -294,78 +306,40 @@ impl Simulator {
             // 2. Combinational settle + recording pass.
             let mut execs: Vec<StmtExec> = Vec::new();
             self.settle_comb(&mut ctx)?;
-            for p in &self.netlist.comb {
-                self.run_comb_process(&mut ctx, p, Some(&mut execs))?;
+            if record {
+                for p in &self.netlist.comb {
+                    self.run_comb_process(&mut ctx, p, Some(&mut execs))?;
+                }
             }
 
-            // 3. Snapshot pre-edge values into the arena.
+            // 3. Snapshot pre-edge values into the arena and the observed
+            // column.
             arena.extend_from_slice(&ctx.values[..nsnap]);
+            observed.extend(mode.observed.iter().map(|id| ctx.values[id.0 as usize]));
 
             // 4. Clock edge: sequential blocks with deferred commits.
             let mut deferred: Vec<Write> = Vec::new();
             for p in &self.netlist.seq {
                 let Process::Seq(blk) = p else { continue };
-                ctx.exec_stmts(&blk.body, Some(&mut deferred), Some(&mut execs))?;
+                let recorder = if record { Some(&mut execs) } else { None };
+                ctx.exec_stmts(&blk.body, Some(&mut deferred), recorder)?;
             }
             for w in deferred {
                 let cur = ctx.values[w.target.0 as usize];
                 ctx.values[w.target.0 as usize] = w.apply(cur);
             }
 
-            cycle_execs.push(execs);
-        }
-        crate::metrics::CYCLES.add(ncycles as u64);
-        Ok(Trace::assemble(arena.into(), nsnap, cycle_execs))
-    }
-
-    /// The interpreter's verdict path: identical to
-    /// [`run_interpreted`](Self::run_interpreted) except the per-cycle
-    /// recording pass is skipped — at the settle fixpoint it is
-    /// value-neutral, its only output is the records verdict mode elides —
-    /// and only observed signals are snapshotted. `records_elided` is 0
-    /// here (best-effort accounting; the fallback never counts would-be
-    /// records).
-    fn run_interpreted_verdict(
-        &mut self,
-        stimulus: &Stimulus,
-        ids: &[SignalId],
-        observed: &SignalSet,
-    ) -> Result<VerdictTrace, SimError> {
-        crate::metrics::RUNS_INTERPRETED.incr();
-        crate::metrics::RUNS_VERDICT.incr();
-        let mut ctx = EvalCtx::new(&self.netlist);
-        let ncycles = stimulus.len();
-        let nobs = observed.len();
-        let mut values: Vec<Value> = Vec::with_capacity(ncycles * nobs);
-        for cycle_idx in 0..ncycles {
-            let cycle = cycle_idx as u32;
-            if self.cancel.is_cancelled() {
-                return Err(SimError::Cancelled { at_cycle: cycle });
-            }
-            self.apply_inputs(&mut ctx, stimulus.cycle(cycle_idx), ids);
-
-            self.settle_comb(&mut ctx)?;
-
-            for &id in observed.ids() {
-                values.push(ctx.values[id.0 as usize]);
-            }
-
-            let mut deferred: Vec<Write> = Vec::new();
-            for p in &self.netlist.seq {
-                let Process::Seq(blk) = p else { continue };
-                ctx.exec_stmts(&blk.body, Some(&mut deferred), None)?;
-            }
-            for w in deferred {
-                let cur = ctx.values[w.target.0 as usize];
-                ctx.values[w.target.0 as usize] = w.apply(cur);
+            if record {
+                cycle_execs.push(execs);
             }
         }
         crate::metrics::CYCLES.add(ncycles as u64);
-        Ok(VerdictTrace {
-            values,
+        let verdict = VerdictTrace {
+            values: observed,
             nobs,
             records_elided: 0,
-        })
+        };
+        Ok((Trace::assemble(arena.into(), nsnap, cycle_execs), verdict))
     }
 
     /// Drives one cycle's words onto their resolved input signals.

@@ -459,22 +459,90 @@ impl SignalSet {
     }
 }
 
-/// How much of a simulation run to materialize.
-#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
-pub enum TraceMode {
-    /// Emit per-statement execution records and full per-cycle snapshots —
-    /// everything [`Trace`] carries. This is what datasets consume; the
-    /// localizer's explanation pass uses the records-only variant
-    /// ([`crate::Simulator::run_batch_records`]).
-    Full,
-    /// Emit **no** execution records and snapshot only `observed` —
+/// How much of a simulation run to materialize: the spec both engines'
+/// single cycle loop consumes ([`crate::Simulator::run_batch_mode`]).
+///
+/// A run produces a [`Trace`] of execution records (plus every signal's
+/// per-cycle snapshot in full mode) and a [`VerdictTrace`] of the observed
+/// signals' per-cycle values. Values, dirty bits, input validation and
+/// cancellation evolve identically under every mode; only what is kept
+/// differs. The presets:
+///
+/// | Preset                                           | Records      | Snapshot     | Observed |
+/// |--------------------------------------------------|--------------|--------------|----------|
+/// | [`full`](Self::full)                             | every stmt   | every signal | none     |
+/// | [`verdict`](Self::verdict)                       | none         | none         | the set  |
+/// | [`records`](Self::records)                       | stmts in set | none         | none     |
+/// | [`records_observing`](Self::records_observing)   | stmts in set | none         | the set  |
+#[derive(Debug, Clone, Copy)]
+pub struct TraceMode<'a> {
+    pub(crate) records: Records<'a>,
+    pub(crate) observed: &'a [SignalId],
+}
+
+/// Which statement executions a [`TraceMode`] records.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Records<'a> {
+    /// Every statement, with full per-cycle signal snapshots.
+    All,
+    /// Only statements in the set, with no snapshots.
+    Only(&'a BTreeSet<StmtId>),
+    /// Nothing: the trace has no cycles and no record arena exists.
+    Nothing,
+}
+
+impl<'a> TraceMode<'a> {
+    /// Every statement's records and every signal's per-cycle snapshot —
+    /// everything [`Trace`] carries. This is what datasets consume.
+    pub fn full() -> TraceMode<'static> {
+        TraceMode {
+            records: Records::All,
+            observed: &[],
+        }
+    }
+
+    /// **No** execution records and per-cycle values of `observed` only —
     /// sufficient to decide whether two runs diverge at those signals and
     /// at which cycles. The hot loop becomes pure compute plus an
-    /// O(observed) per-cycle store.
-    Verdict {
-        /// The signals whose per-cycle values the verdict needs.
-        observed: SignalSet,
-    },
+    /// O(observed) per-cycle store; the trace has no cycles.
+    pub fn verdict(observed: &'a SignalSet) -> TraceMode<'a> {
+        TraceMode {
+            records: Records::Nothing,
+            observed: observed.ids(),
+        }
+    }
+
+    /// Records of the statements in `stmts` only, in full-trace order, and
+    /// no signal snapshots: each cycle's `signals` is empty, so
+    /// [`CycleRecord::value`] panics on these traces.
+    pub fn records(stmts: &'a BTreeSet<StmtId>) -> TraceMode<'a> {
+        TraceMode {
+            records: Records::Only(stmts),
+            observed: &[],
+        }
+    }
+
+    /// [`records`](Self::records) of `stmts` plus per-cycle values of
+    /// `observed`, from one simulation: the localizer labels each run from
+    /// the observed target column and explains it from the records.
+    pub fn records_observing(
+        stmts: &'a BTreeSet<StmtId>,
+        observed: &'a SignalSet,
+    ) -> TraceMode<'a> {
+        TraceMode {
+            records: Records::Only(stmts),
+            observed: observed.ids(),
+        }
+    }
+
+    /// True when executions of `stmt` are recorded.
+    pub(crate) fn keeps(&self, stmt: StmtId) -> bool {
+        match self.records {
+            Records::All => true,
+            Records::Only(set) => set.contains(&stmt),
+            Records::Nothing => false,
+        }
+    }
 }
 
 /// The values-only product of a verdict-mode run: per-cycle values of the
