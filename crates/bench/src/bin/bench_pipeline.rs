@@ -55,13 +55,14 @@ struct StageResult {
 }
 
 /// Times `f` at each worker count, keeping the fastest of `reps` runs and a
-/// per-thread-count fingerprint for the determinism check.
+/// per-thread-count fingerprint for the determinism check. Also returns the
+/// first worker count's fingerprint, for comparisons across stages.
 fn run_stage<R, K: PartialEq>(
     name: &'static str,
     reps: usize,
     mut f: impl FnMut() -> R,
     fingerprint: impl Fn(&R) -> K,
-) -> StageResult {
+) -> (StageResult, K) {
     let mut secs = Vec::with_capacity(THREADS.len());
     let mut prints: Vec<K> = Vec::with_capacity(THREADS.len());
     let _span = obs::span_dyn(|| format!("bench.{name}"));
@@ -89,11 +90,29 @@ fn run_stage<R, K: PartialEq>(
             .collect::<Vec<_>>()
             .join(" "),
     );
-    StageResult {
-        name,
-        secs,
-        deterministic,
-    }
+    let first = prints.swap_remove(0);
+    (
+        StageResult {
+            name,
+            secs,
+            deterministic,
+        },
+        first,
+    )
+}
+
+/// A campaign's fingerprint: every mutant's source and observability, and
+/// every run's label and failure cycles.
+type CampaignPrint = Vec<(String, bool, Vec<(TraceLabel, Vec<u32>)>)>;
+
+fn campaign_print(mutants: &[mutate::Mutant]) -> CampaignPrint {
+    mutants
+        .iter()
+        .map(|m| {
+            let runs = m.runs.iter().map(|r| (r.label, r.failure_cycles.clone()));
+            (m.source.clone(), m.observable, runs.collect())
+        })
+        .collect()
 }
 
 fn corpus(n: usize) -> Vec<Module> {
@@ -372,7 +391,8 @@ fn fuzz_verdicts(budget_s: f64) -> VerdictFuzz {
                 let golden_vs = mutate::golden_verdicts(&mut golden_sim, &stimuli, target_id)
                     .expect("golden verdicts");
                 let golden_runs =
-                    mutate::golden_traces(&mut golden_sim, &stimuli).expect("golden traces");
+                    mutate::run_lane_groups(&mut golden_sim, &stimuli).expect("golden traces");
+                let target = &golden_sim.netlist().signals()[target_id.0 as usize].name;
                 out.designs += 1;
                 for site in mutate::enumerate_sites(&design.module, None).iter().take(4) {
                     let Some(mutant) = mutate::apply(&design.module, site) else {
@@ -381,8 +401,9 @@ fn fuzz_verdicts(budget_s: f64) -> VerdictFuzz {
                     // Both flows must agree even on which mutants simulate
                     // at all (e.g. injected combinational loops).
                     let screened = mutate::screen_against(&golden_vs, target_id, &mutant, &stimuli);
-                    let full =
-                        mutate::cosimulate_against(&golden_runs, target_id, &mutant, &stimuli);
+                    let full = Simulator::new(&mutant).and_then(|mut sim| {
+                        mutate::cosimulate(&golden_runs, &mut sim, target, &stimuli)
+                    });
                     out.mutants += 1;
                     let (verdicts, labelled) = match (screened, full) {
                         (Ok(v), Ok(l)) => (v, l),
@@ -395,7 +416,7 @@ fn fuzz_verdicts(budget_s: f64) -> VerdictFuzz {
                     for (v, l) in verdicts.iter().zip(&labelled) {
                         out.runs_checked += 1;
                         let full_diverged = l.label == TraceLabel::Failing;
-                        let full_first = l.failure_cycles().first().copied();
+                        let full_first = l.failure_cycles.first().copied();
                         if v.diverged() != full_diverged || v.first_divergence() != full_first {
                             out.mismatches += 1;
                         }
@@ -452,39 +473,34 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ..TrainConfig::default()
     };
 
+    let (campaign, two_pass_print) = run_stage(
+        "campaign",
+        reps,
+        || {
+            mutate::Campaign::new(7)
+                .with_runs_per_mutant(64)
+                .run(&campaign_module, "wbs0_we_o", &budget)
+                .expect("campaign runs")
+        },
+        |mutants| campaign_print(mutants),
+    );
+    let (campaign_1pass, single_pass_print) = run_stage(
+        "campaign_1pass",
+        reps,
+        || {
+            mutate::Campaign::new(7)
+                .with_runs_per_mutant(64)
+                .run_single_pass(&campaign_module, "wbs0_we_o", &budget)
+                .expect("campaign runs")
+        },
+        |mutants| campaign_print(mutants),
+    );
+    // Both flows must label every run alike: verdict-derived labels in
+    // the two-pass flow, snapshot-derived ones in the single-pass oracle.
+    let campaign_flows_agree = two_pass_print == single_pass_print;
     let stages = vec![
-        run_stage(
-            "campaign",
-            reps,
-            || {
-                mutate::Campaign::new(7)
-                    .with_runs_per_mutant(64)
-                    .run(&campaign_module, "wbs0_we_o", &budget)
-                    .expect("campaign runs")
-            },
-            |mutants| {
-                mutants
-                    .iter()
-                    .map(|m| (m.source.clone(), m.observable))
-                    .collect::<Vec<_>>()
-            },
-        ),
-        run_stage(
-            "campaign_1pass",
-            reps,
-            || {
-                mutate::Campaign::new(7)
-                    .with_runs_per_mutant(64)
-                    .run_single_pass(&campaign_module, "wbs0_we_o", &budget)
-                    .expect("campaign runs")
-            },
-            |mutants| {
-                mutants
-                    .iter()
-                    .map(|m| (m.source.clone(), m.observable))
-                    .collect::<Vec<_>>()
-            },
-        ),
+        campaign,
+        campaign_1pass,
         run_stage(
             "simulate",
             reps,
@@ -501,13 +517,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 })
             },
             |traces| traces.clone(),
-        ),
+        )
+        .0,
         run_stage(
             "dataset_build",
             reps,
             || Dataset::from_designs(&modules, 1, 24, 2).expect("builds"),
             |ds| ds.clone(),
-        ),
+        )
+        .0,
         run_stage(
             "train_epoch",
             reps,
@@ -523,7 +541,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                     .map(|l| l.to_bits())
                     .collect::<Vec<_>>()
             },
-        ),
+        )
+        .0,
         run_stage(
             "evaluate",
             reps,
@@ -532,7 +551,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 train::evaluate(&model, &dataset)
             },
             |m| (m.accuracy.to_bits(), m.count),
-        ),
+        )
+        .0,
     ];
 
     // Full 64-lane fill even in smoke mode: the verdict-vs-full gate below
@@ -581,6 +601,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             eprintln!("smoke FAILED: verdict-pass values diverge from the full-trace oracle");
             std::process::exit(1);
         }
+        if !campaign_flows_agree {
+            eprintln!(
+                "smoke FAILED: the two-pass campaign's mutants, labels or failure cycles \
+                 differ from the single-pass oracle's"
+            );
+            std::process::exit(1);
+        }
         let verdict_speedup = engine.batch_s / engine.verdict_s.max(1e-12);
         if verdict_speedup < 3.0 {
             eprintln!(
@@ -604,8 +631,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             std::process::exit(1);
         }
         obs::progress!(
-            "smoke OK: all stages deterministic across thread counts, verdict pass \
-             {verdict_speedup:.2}x full-trace batch and fuzz-clean, obs overhead {:.2}%",
+            "smoke OK: all stages deterministic across thread counts, campaign flows \
+             agree, verdict pass {verdict_speedup:.2}x full-trace batch and fuzz-clean, \
+             obs overhead {:.2}%",
             overhead.overhead_frac * 100.0
         );
     }

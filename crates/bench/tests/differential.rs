@@ -400,11 +400,11 @@ fn verdict_mode_matches_full_oracle_on_catalog_and_rvdg_across_threads() {
     }
 }
 
-/// The two-pass campaign (verdict screening, then full traces for kept
-/// mutants only) must be bit-identical to the single-pass full-trace
-/// oracle at every thread count: same mutants in the same order, same
-/// sources and sites, same observability flags, same labels, byte-equal
-/// traces, and the same failure cycles.
+/// The two-pass campaign (verdict screening, then records-only traces for
+/// kept mutants only) must match the single-pass full-trace oracle at
+/// every thread count: same mutants in the same order, same sources and
+/// sites, same observability flags, same labels and failure cycles, and
+/// per cycle the oracle's records, with no signal snapshots.
 #[test]
 fn two_pass_campaign_is_bit_identical_to_single_pass_across_threads() {
     let module = designs::catalog()[0].module().expect("design parses");
@@ -433,12 +433,13 @@ fn two_pass_campaign_is_bit_identical_to_single_pass_across_threads() {
             assert_eq!(a.runs.len(), b.runs.len(), "{threads} threads");
             for (ra, rb) in a.runs.iter().zip(&b.runs) {
                 assert_eq!(ra.label, rb.label, "{threads} threads");
-                assert_eq!(ra.trace, rb.trace, "{threads} threads");
-                assert_eq!(
-                    ra.failure_cycles(),
-                    rb.failure_cycles(),
-                    "{threads} threads"
-                );
+                assert_eq!(ra.failure_cycles, rb.failure_cycles, "{threads} threads");
+                assert_eq!(ra.trace.len(), rb.trace.len(), "{threads} threads");
+                for (ca, cb) in ra.trace.cycles.iter().zip(&rb.trace.cycles) {
+                    assert_eq!(ca.cycle, cb.cycle, "{threads} threads");
+                    assert_eq!(ca.execs, cb.execs, "{threads} threads");
+                    assert!(ca.signals.is_empty(), "{threads} threads: snapshot kept");
+                }
             }
         }
     }
@@ -490,10 +491,10 @@ fn two_pass_localize_report_is_thread_invariant_and_matches_full_cosim() {
     let stimuli = TestbenchGen::new(opts.stim_seed)
         .with_hold_probability(opts.hold_probability)
         .generate_many(golden_sim.netlist(), opts.cycles, opts.runs);
-    let target = golden_sim.netlist().signal_id("y").expect("target");
-    let golden_runs = mutate::golden_traces(&mut golden_sim, &stimuli).expect("golden traces");
+    let golden_runs = mutate::run_lane_groups(&mut golden_sim, &stimuli).expect("golden traces");
+    let mut buggy_sim = Simulator::new(&buggy).expect("elaborates");
     let labelled =
-        mutate::cosimulate_against(&golden_runs, target, &buggy, &stimuli).expect("cosimulates");
+        mutate::cosimulate(&golden_runs, &mut buggy_sim, "y", &stimuli).expect("cosimulates");
     let failing = labelled
         .iter()
         .filter(|r| r.label == sim::TraceLabel::Failing)
@@ -557,9 +558,9 @@ fn assert_records_are_filtered_full(
 }
 
 /// The error a run reports under a fresh two-poll cancel budget.
-fn cancelled_after_two_polls(
+fn cancelled_after_two_polls<T: std::fmt::Debug>(
     sim: &mut Simulator,
-    run: impl FnOnce(&mut Simulator) -> Result<Vec<Trace>, SimError>,
+    run: impl FnOnce(&mut Simulator) -> Result<T, SimError>,
 ) -> SimError {
     sim.set_cancel(CancelToken::after_polls(2));
     let err = run(sim).expect_err("a two-poll budget must cancel");
@@ -622,14 +623,13 @@ fn check_records_only(name: &str, module: &Module, target: &str, seed: u64) -> u
         let stimuli = &stimuli[..70];
         let full_cancel = cancelled_after_two_polls(&mut sim, |s| s.run_batch(stimuli));
         assert_eq!(
-            cancelled_after_two_polls(&mut sim, |s| s.run_batch_records(stimuli, set)),
+            cancelled_after_two_polls(&mut sim, |s| s
+                .run_batch_mode(stimuli, TraceMode::records(set))),
             full_cancel,
             "{name} {engine}: cancellation differs from full mode"
         );
-        let combined_cancel = cancelled_after_two_polls(&mut sim, |s| {
-            let runs = s.run_batch_mode(stimuli, combined)?;
-            Ok(runs.into_iter().map(|(trace, _)| trace).collect())
-        });
+        let combined_cancel =
+            cancelled_after_two_polls(&mut sim, |s| s.run_batch_mode(stimuli, combined));
         assert_eq!(
             combined_cancel, full_cancel,
             "{name} {engine}: combined-mode cancellation differs from full mode"
@@ -648,7 +648,8 @@ fn check_records_only(name: &str, module: &Module, target: &str, seed: u64) -> u
             ];
             let full_err = sim.run_batch(&bad).unwrap_err();
             assert_eq!(
-                sim.run_batch_records(&bad, set).unwrap_err(),
+                sim.run_batch_mode(&bad, TraceMode::records(set))
+                    .unwrap_err(),
                 full_err,
                 "{name} {engine}: bad port `{port}` errors differ from full mode"
             );

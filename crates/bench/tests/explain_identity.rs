@@ -130,11 +130,7 @@ impl Case {
             .map(|r| LabelledTrace {
                 trace: &r.trace,
                 label: r.label,
-                failure_cycles: if r.label == TraceLabel::Failing {
-                    r.failure_cycles()
-                } else {
-                    Vec::new()
-                },
+                failure_cycles: r.failure_cycles.clone(),
             })
             .collect()
     }
@@ -205,9 +201,9 @@ fn rvdg_cases(count: usize) -> Vec<Case> {
         };
         let mut golden_sim = sim::Simulator::new(&design.module).expect("elaborates");
         let stimuli = TestbenchGen::new(index).generate_many(golden_sim.netlist(), 12, 16);
-        let target_id = golden_sim.netlist().signal_id(&target).expect("target");
-        let golden_runs = mutate::golden_traces(&mut golden_sim, &stimuli).expect("simulates");
-        let runs = mutate::cosimulate_against(&golden_runs, target_id, &buggy, &stimuli)
+        let golden_runs = mutate::run_lane_groups(&mut golden_sim, &stimuli).expect("simulates");
+        let mut buggy_sim = sim::Simulator::new(&buggy).expect("elaborates");
+        let runs = mutate::cosimulate(&golden_runs, &mut buggy_sim, &target, &stimuli)
             .expect("cosimulates");
         cases.push(Case {
             golden: design.module,

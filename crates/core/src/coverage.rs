@@ -7,10 +7,9 @@
 use crate::explain::{Explainer, Heatmap, LabelledTrace, DEFAULT_THRESHOLD};
 use crate::model::VeriBugModel;
 use mutate::{Mutant, MutationKind};
-use sim::TraceLabel;
 
 /// Builds the explainer's input from a mutant's labelled co-simulation
-/// runs, attaching divergence cycles to failing runs.
+/// runs (failing runs carry their divergence cycles, correct runs none).
 pub fn labelled_traces(mutant: &Mutant) -> Vec<LabelledTrace<'_>> {
     mutant
         .runs
@@ -18,11 +17,7 @@ pub fn labelled_traces(mutant: &Mutant) -> Vec<LabelledTrace<'_>> {
         .map(|r| LabelledTrace {
             trace: &r.trace,
             label: r.label,
-            failure_cycles: if r.label == TraceLabel::Failing {
-                r.failure_cycles()
-            } else {
-                Vec::new()
-            },
+            failure_cycles: r.failure_cycles.clone(),
         })
         .collect()
 }

@@ -354,8 +354,7 @@ impl<'m> Explainer<'m> {
     /// The statements the explainer attributes: slice statements whose
     /// feature operands the simulator records. Records of any other
     /// statement are never read, so a records-only run over this set
-    /// ([`sim::Simulator::run_batch_records`]) explains identically to a
-    /// full trace.
+    /// ([`sim::TraceMode::records`]) explains identically to a full trace.
     pub fn attributed(&self) -> BTreeSet<StmtId> {
         self.slots.iter().map(|s| s.features.stmt).collect()
     }

@@ -14,7 +14,7 @@ use crate::error::VeriBugError;
 use crate::features::StatementFeatures;
 use crate::model::{Sample, VeriBugModel};
 use neuro::{GradBuffer, Graph};
-use sim::{Simulator, TestbenchGen};
+use sim::{Simulator, TestbenchGen, TraceMode};
 use verilog::Module;
 
 /// One dataset entry: a statement (by index into the feature table) plus an
@@ -127,6 +127,11 @@ impl Dataset {
 
 /// Simulates one design and harvests its distinct statement executions.
 ///
+/// Only the records of statements with features are read, so the design
+/// runs records-only over exactly those ([`TraceMode::records`]): no
+/// signal snapshots, and the same records, in the same order, as a full
+/// trace filtered to them.
+///
 /// Returns the design's feature table and entries with *design-local*
 /// statement indices; [`Dataset::from_designs`] offsets them into the global
 /// table. Deduplication is per design, which is equivalent to the global
@@ -147,6 +152,7 @@ fn harvest_design(
     for id in features.keys() {
         local.insert(*id, local.len());
     }
+    let recorded: BTreeSet<verilog::StmtId> = features.keys().copied().collect();
     let stmts: Vec<StatementFeatures> = features.into_values().collect();
     let positions: Vec<Vec<Option<usize>>> = stmts
         .iter()
@@ -158,7 +164,7 @@ fn harvest_design(
     let stimuli = tb.generate_many(sim.netlist(), cycles, runs_per_design);
     // All runs share a cycle count, so the whole harvest packs into
     // 64-wide batches; dedup below stays in stimulus order either way.
-    for trace in sim.run_batch(&stimuli)? {
+    for (trace, _) in sim.run_batch_mode(&stimuli, TraceMode::records(&recorded))? {
         for cyc in &trace.cycles {
             for exec in &cyc.execs {
                 let Some(&idx) = local.get(&exec.stmt) else {
@@ -664,6 +670,53 @@ mod tests {
             });
             assert_eq!(single, multi, "{threads} threads");
         }
+    }
+
+    /// The records-only harvest yields exactly the entries a harvest of
+    /// full [`Simulator::run_batch`] traces does: the same records, first
+    /// seen in the same order, deduplicated alike.
+    #[test]
+    fn records_only_harvest_matches_full_trace_harvest() {
+        let corpus = small_corpus(3);
+        let (seed, cycles, runs) = (1u64, 24, 2);
+        let ds = Dataset::from_designs(&corpus, seed, cycles, runs).unwrap();
+        let mut full = Vec::new();
+        let mut base = 0;
+        for (di, module) in corpus.iter().enumerate() {
+            let stmts: Vec<StatementFeatures> = StatementFeatures::extract_all(module)
+                .into_values()
+                .collect();
+            let mut sim = Simulator::new(module).unwrap();
+            let stimuli = TestbenchGen::new(seed + di as u64 * 7919).generate_many(
+                sim.netlist(),
+                cycles,
+                runs,
+            );
+            let mut seen = BTreeSet::new();
+            for trace in sim.run_batch(&stimuli).unwrap() {
+                for exec in trace.cycles.iter().flat_map(|c| c.execs.iter()) {
+                    let Some(idx) = stmts.iter().position(|f| f.stmt == exec.stmt) else {
+                        continue;
+                    };
+                    let positions = operand_positions(&stmts[idx], sim.netlist());
+                    let Some(values) = operand_values(&positions, exec) else {
+                        continue;
+                    };
+                    if seen.insert((idx, values.clone())) {
+                        full.push(DatasetEntry {
+                            stmt_idx: base + idx,
+                            sample: Sample {
+                                values,
+                                target: exec.result.is_truthy(),
+                            },
+                        });
+                    }
+                }
+            }
+            base += stmts.len();
+        }
+        assert!(!full.is_empty());
+        assert_eq!(ds.entries, full);
     }
 
     #[test]

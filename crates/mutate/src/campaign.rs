@@ -7,11 +7,11 @@ use std::collections::BTreeSet;
 
 use crate::mutation::{apply, enumerate_sites, MutationKind, MutationSite};
 use crate::observe::{
-    any_diverged, cosimulate_against, cosimulate_with, golden_traces, golden_verdicts,
-    is_observable, screen_with, LabelledRun,
+    any_diverged, cosimulate, golden_verdicts, run_lane_groups, run_lane_groups_mode, screen_with,
+    LabelledRun, RunVerdict,
 };
 use cdfg::Slice;
-use sim::{SimError, Simulator, Stimulus, StmtExec, TestbenchGen, Value};
+use sim::{SimError, Simulator, Stimulus, StmtExec, TestbenchGen, TraceLabel, TraceMode, Value};
 use verilog::Module;
 
 /// Sites co-simulated per parallel wave. A fixed constant: waves bound the
@@ -37,8 +37,8 @@ static BATCH_FILL: obs::LazyGauge = obs::LazyGauge::new("campaign.batch_fill_rat
 /// Bytes of trace the verdict screening pass declined to materialize:
 /// elided `StmtExec` records plus the unobserved part of every per-cycle
 /// snapshot, summed over golden-verdict and candidate-screening runs.
-/// Mutants the campaign keeps are re-simulated in full afterwards, so the
-/// end-to-end saving is this figure minus the kept fraction.
+/// Mutants the campaign keeps are re-simulated afterwards for their
+/// execution records only, still without snapshots.
 static TRACE_BYTES_ELIDED: obs::LazyCounter = obs::LazyCounter::new("campaign.trace_bytes_elided");
 /// Lane fill of every verdict-pass batch group (64 = full batch).
 static VERDICT_LANES: obs::LazyHistogram = obs::LazyHistogram::new("campaign.verdict_pass_lanes");
@@ -99,7 +99,9 @@ pub struct Mutant {
     pub source: String,
     /// The mutation that was injected.
     pub site: MutationSite,
-    /// Labelled runs against the golden design (mutant + golden traces).
+    /// One labelled run per stimulus. [`Campaign::run`] keeps each run's
+    /// execution records only (no signal snapshots), with the label and
+    /// failure cycles from its screening verdict.
     pub runs: Vec<LabelledRun>,
     /// Whether the bug symptomatized at the target in any run.
     pub observable: bool,
@@ -197,12 +199,13 @@ impl Campaign {
     /// every candidate mutant through the batch engine in
     /// [`sim::TraceMode::verdict`] — no execution records, target-output
     /// snapshots only — which is all the accept/reject machinery
-    /// (observability, dedup, budget, divergence cycles) reads. Pass 2
-    /// re-simulates with full traces **only the mutants the campaign
-    /// keeps**, so full-trace cost scales with kept runs, not attempted
-    /// runs. The result is bit-identical to
-    /// [`run_single_pass`](Self::run_single_pass) — the differential suite
-    /// proves it at 1/2/8 threads.
+    /// (observability, dedup, budget, divergence cycles) reads, and which
+    /// labels every run. Pass 2 re-simulates **only the mutants the
+    /// campaign keeps**, in [`sim::TraceMode::records`] of every
+    /// assignment: each run's execution records, with no signal snapshots
+    /// and no golden simulation. Mutants, labels, failure cycles and
+    /// per-cycle records equal [`run_single_pass`](Self::run_single_pass)'s
+    /// — the differential suite proves it at 1/2/8 threads.
     ///
     /// Candidate mutants are built and screened in parallel, in fixed-size
     /// waves of shuffled sites. The wave partitioning and the in-order
@@ -250,14 +253,16 @@ impl Campaign {
             1,
         ));
 
-        /// One screened-and-accepted candidate awaiting its full-trace
-        /// pass. Keeps the pass-1 simulator so pass 2 can [`Simulator::fork`]
-        /// it instead of re-elaborating the mutant.
+        /// One screened-and-accepted candidate awaiting its records pass.
+        /// Keeps the pass-1 simulator so pass 2 can [`Simulator::fork`] it
+        /// instead of re-elaborating the mutant, and the pass-1 verdicts
+        /// that label its runs.
         struct Accepted {
             module: Module,
             source: String,
             site: MutationSite,
             sim: Simulator,
+            verdicts: Vec<RunVerdict>,
             observable: bool,
         }
         let mut accepted: Vec<Accepted> = Vec::new();
@@ -326,6 +331,7 @@ impl Campaign {
                         source,
                         site: (*site).clone(),
                         sim,
+                        verdicts,
                         observable,
                     });
                     produced += 1;
@@ -333,28 +339,25 @@ impl Campaign {
             }
         }
 
-        // Pass 2: full traces for the kept mutants only. Golden full traces
-        // are computed lazily — a campaign that keeps nothing never pays
-        // for them at all.
-        if accepted.is_empty() {
-            return Ok(Vec::new());
-        }
-        let golden_runs = {
-            let _g = obs::span("campaign.golden");
-            golden_traces(&mut golden_sim, &stimuli)?
-        };
-        let _full_span = obs::span("campaign.full_pass");
-        let full = par::par_map(&accepted, |a| {
+        // Pass 2: execution records for the kept mutants only. Only
+        // assignments emit records, so recording every assignment keeps
+        // exactly the full trace's records; labels come from pass 1.
+        let stmts: BTreeSet<_> = golden.assignments().iter().map(|a| a.id).collect();
+        let _records_span = obs::span("campaign.records_pass");
+        let records = par::par_map(&accepted, |a| {
             // Forking reuses the screened mutant's compiled artifacts —
-            // pass 2 pays for trace production, never for re-elaboration.
-            cosimulate_with(&mut a.sim.fork(), &golden_runs, target_id, &stimuli)
+            // pass 2 pays for record production, never for re-elaboration.
+            run_lane_groups_mode(&mut a.sim.fork(), &stimuli, TraceMode::records(&stmts))
         });
         let mut out = Vec::with_capacity(accepted.len());
-        for (a, runs) in accepted.into_iter().zip(full) {
+        for (a, traces) in accepted.into_iter().zip(records) {
             // Screening already proved this mutant simulates; re-running it
-            // with full traces cannot newly fail.
-            let runs = runs?;
-            debug_assert_eq!(a.observable, is_observable(&runs));
+            // to record cannot newly fail.
+            let runs = traces?
+                .into_iter()
+                .zip(a.verdicts)
+                .map(|((trace, _), v)| LabelledRun::new(trace, v.divergence_cycles))
+                .collect();
             out.push(Mutant {
                 module: a.module,
                 source: a.source,
@@ -366,11 +369,11 @@ impl Campaign {
         Ok(out)
     }
 
-    /// The PR 6-era single-pass flow: every candidate is co-simulated with
-    /// full traces, kept or not. Retained verbatim as the differential
-    /// oracle — the suite in `crates/bench/tests/differential.rs` proves
-    /// [`run`](Self::run) bit-identical to this at 1/2/8 threads — and for
-    /// benchmarking the elision win.
+    /// The single-pass flow: every candidate is co-simulated with full
+    /// traces ([`cosimulate`]), kept or not, and labelled from its
+    /// snapshots. Retained as the differential oracle — the suite in
+    /// `crates/bench/tests/differential.rs` proves [`run`](Self::run)
+    /// matches it at 1/2/8 threads — and for benchmarking the elision win.
     ///
     /// # Errors
     ///
@@ -386,7 +389,7 @@ impl Campaign {
         let Prelude {
             all_sites,
             mut golden_sim,
-            target_id,
+            target_id: _,
             stimuli,
             golden_source,
         } = self.prelude(golden, target)?;
@@ -395,7 +398,7 @@ impl Campaign {
         // traces instead of re-running the golden design.
         let golden_runs = {
             let _g = obs::span("campaign.golden");
-            golden_traces(&mut golden_sim, &stimuli)?
+            run_lane_groups(&mut golden_sim, &stimuli)?
         };
 
         let mut out = Vec::new();
@@ -419,9 +422,9 @@ impl Campaign {
                         return None; // mutation was a source-level no-op
                     }
                     // A mutation may e.g. create a combinational loop; skip.
-                    let runs =
-                        cosimulate_against(&golden_runs, target_id, &module, &stimuli).ok()?;
-                    let observable = is_observable(&runs);
+                    let mut sim = Simulator::new(&module).ok()?;
+                    let runs = cosimulate(&golden_runs, &mut sim, target, &stimuli).ok()?;
+                    let observable = runs.iter().any(|r| r.label == TraceLabel::Failing);
                     Some((module, source, runs, observable))
                 });
                 // Sequential merge in site order: duplicate and budget
@@ -442,8 +445,8 @@ impl Campaign {
                     if observable {
                         OBSERVABLE.incr();
                         if obs::enabled() {
-                            for run in runs.iter().filter(|r| r.label == sim::TraceLabel::Failing) {
-                                if let Some(&first) = run.failure_cycles().first() {
+                            for run in &runs {
+                                if let Some(&first) = run.failure_cycles.first() {
                                     DIVERGENCE.record(u64::from(first));
                                 }
                             }
@@ -559,10 +562,7 @@ endmodule
                 assert_eq!(a.site, b.site, "{threads} threads");
                 assert_eq!(a.observable, b.observable, "{threads} threads");
                 assert_eq!(a.runs.len(), b.runs.len(), "{threads} threads");
-                for (ra, rb) in a.runs.iter().zip(&b.runs) {
-                    assert_eq!(ra.label, rb.label, "{threads} threads");
-                    assert_eq!(ra.trace, rb.trace, "{threads} threads");
-                }
+                assert_eq!(a.runs, b.runs, "{threads} threads");
             }
         }
     }
@@ -626,9 +626,10 @@ endmodule
         assert!(lanes.count > 0);
     }
 
-    /// The two-pass verdict flow must be bit-identical to the single-pass
-    /// full-trace oracle: same mutants, same sources/sites, same
-    /// observability flags, same labels, and byte-equal traces.
+    /// The two-pass verdict flow must match the single-pass full-trace
+    /// oracle: same mutants, sources, sites and observability flags, the
+    /// same labels and failure cycles, and per cycle the oracle's records,
+    /// with no signal snapshots.
     #[test]
     fn two_pass_flow_matches_single_pass_oracle() {
         let budget = BugBudget {
@@ -650,8 +651,13 @@ endmodule
             assert_eq!(a.runs.len(), b.runs.len());
             for (ra, rb) in a.runs.iter().zip(&b.runs) {
                 assert_eq!(ra.label, rb.label);
-                assert_eq!(ra.trace, rb.trace);
-                assert_eq!(ra.failure_cycles(), rb.failure_cycles());
+                assert_eq!(ra.failure_cycles, rb.failure_cycles);
+                assert_eq!(ra.trace.len(), rb.trace.len());
+                for (ca, cb) in ra.trace.cycles.iter().zip(&rb.trace.cycles) {
+                    assert_eq!(ca.cycle, cb.cycle);
+                    assert_eq!(ca.execs, cb.execs);
+                    assert!(ca.signals.is_empty());
+                }
             }
         }
     }

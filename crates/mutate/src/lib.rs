@@ -7,6 +7,12 @@
 //! each bug is *observable* at a target output and labels every simulation
 //! run as failing (`T_f`) or correct (`T_c`).
 //!
+//! A [`Campaign`] labels runs from verdict-mode screening, which simulates
+//! only the target output, and then records the kept mutants' statement
+//! executions without any signal snapshots. [`cosimulate`] is the one
+//! full-trace reference labelling that tests and benchmarks check this
+//! against.
+//!
 //! ## Quick start
 //!
 //! ```
@@ -32,7 +38,6 @@ pub mod observe;
 pub use campaign::{BugBudget, Campaign, Mutant};
 pub use mutation::{apply, enumerate_sites, MutationKind, MutationSite};
 pub use observe::{
-    any_diverged, cosimulate, cosimulate_against, cosimulate_with, golden_traces, golden_verdicts,
-    is_observable, run_lane_groups, run_lane_groups_mode, run_lane_groups_verdict, screen_against,
-    screen_with, LabelledRun, RunVerdict,
+    any_diverged, cosimulate, golden_verdicts, run_lane_groups, run_lane_groups_mode,
+    run_lane_groups_verdict, screen_against, screen_with, LabelledRun, RunVerdict,
 };

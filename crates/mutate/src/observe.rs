@@ -2,37 +2,41 @@
 //!
 //! A bug is **observable** when it symptomatizes at the target output under
 //! at least one stimulus (paper Sec. V, "Bug injection"). The same
-//! co-simulation also labels traces: a run where the target diverges is a
+//! comparison also labels runs: a run where the target diverges is a
 //! failure trace (`T_f`), one where the bug stays masked is a correct trace
 //! (`T_c`).
+//!
+//! Production labels come from verdict-mode screening ([`screen_with`]),
+//! which simulates only the target column. [`cosimulate`] is the one
+//! full-trace reference: it labels runs from complete signal snapshots,
+//! independently of the verdict path, for tests and benchmarks to check
+//! that path against.
 
 use sim::{SignalSet, SimError, Simulator, Stimulus, Trace, TraceLabel, TraceMode, VerdictTrace};
 use verilog::Module;
 
-/// A pair of traces from the same stimulus, with the failure label.
+/// One mutant run on one stimulus, with its failure label.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LabelledRun {
-    /// The mutant's trace (this is what VeriBug analyzes).
+    /// The mutant's trace (this is what VeriBug analyzes). A campaign
+    /// keeps execution records only (empty `signals` snapshots);
+    /// [`cosimulate`] returns the full trace.
     pub trace: Trace,
-    /// The golden design's trace on the same stimulus.
-    pub golden: Trace,
     /// Failing when the target output diverged in any cycle.
     pub label: TraceLabel,
-    /// The target output's signal id (same in golden and mutant: the
-    /// mutation never touches declarations).
-    pub target: sim::SignalId,
+    /// Cycles (ascending) where the target output diverged from golden;
+    /// empty exactly when the run is correct.
+    pub failure_cycles: Vec<u32>,
 }
 
 impl LabelledRun {
-    /// Cycles where the mutant's target output diverged from golden.
-    pub fn failure_cycles(&self) -> Vec<u32> {
-        self.trace
-            .cycles
-            .iter()
-            .zip(&self.golden.cycles)
-            .filter(|(m, g)| m.value(self.target) != g.value(self.target))
-            .map(|(m, _)| m.cycle)
-            .collect()
+    /// Labels `trace` from the cycles where its target diverged.
+    pub(crate) fn new(trace: Trace, failure_cycles: Vec<u32>) -> LabelledRun {
+        LabelledRun {
+            trace,
+            label: label_of(&failure_cycles),
+            failure_cycles,
+        }
     }
 }
 
@@ -61,16 +65,21 @@ impl RunVerdict {
 
     /// The label full-trace co-simulation would assign this run.
     pub fn label(&self) -> TraceLabel {
-        if self.diverged() {
-            TraceLabel::Failing
-        } else {
-            TraceLabel::Correct
-        }
+        label_of(&self.divergence_cycles)
     }
 
     /// The first divergence cycle, if any.
     pub fn first_divergence(&self) -> Option<u32> {
         self.divergence_cycles.first().copied()
+    }
+}
+
+/// Failing when the target diverged in any cycle, correct otherwise.
+fn label_of(divergence_cycles: &[u32]) -> TraceLabel {
+    if divergence_cycles.is_empty() {
+        TraceLabel::Correct
+    } else {
+        TraceLabel::Failing
     }
 }
 
@@ -131,7 +140,7 @@ fn fan_out<T: Send>(
 
 /// Runs the golden design over every stimulus in verdict mode, observing
 /// only `target` — the reference values the screening pass compares mutants
-/// to. The verdict-mode counterpart of [`golden_traces`].
+/// to.
 ///
 /// # Errors
 ///
@@ -147,9 +156,9 @@ pub fn golden_verdicts(
 /// Screens a mutant against precomputed golden verdicts: verdict-mode
 /// co-simulation yielding one [`RunVerdict`] per stimulus. Divergence
 /// verdicts, labels, and divergence cycles are identical to what
-/// full-trace co-simulation ([`cosimulate_against`]) would produce —
-/// verdict mode reproduces exactly the observed columns of the full trace —
-/// at a fraction of the memory traffic.
+/// full-trace co-simulation ([`cosimulate`]) would produce — verdict mode
+/// reproduces exactly the observed columns of the full trace — at a
+/// fraction of the memory traffic.
 ///
 /// # Errors
 ///
@@ -193,124 +202,65 @@ pub fn screen_with(
         .collect())
 }
 
-/// True when any screening run diverged — the verdict-mode counterpart of
-/// [`is_observable`].
+/// True when any screening run diverged: the bug is observable at the
+/// target.
 pub fn any_diverged(verdicts: &[RunVerdict]) -> bool {
     verdicts.iter().any(RunVerdict::diverged)
 }
 
-/// Runs the golden design on every stimulus — batched up to
-/// [`sim::LANES`]-wide — producing the reference traces that
-/// [`cosimulate_against`] compares mutants to.
+/// The full-trace reference labelling: runs the mutant on every stimulus
+/// with full traces and compares the `target` column of each cycle's
+/// snapshot with golden's.
 ///
-/// A mutation campaign evaluates many mutants against the **same** golden
-/// design and stimuli, so the golden traces are computed once up front and
-/// shared across every candidate instead of being re-simulated per mutant.
+/// `golden[i]` must be the golden design's full trace on `stimuli[i]`
+/// (from [`run_lane_groups`]); the two slices must have equal length.
+/// `target` is resolved in the mutant's netlist, whose signal ids match
+/// golden's: mutations never touch declarations.
 ///
-/// # Errors
-///
-/// Propagates simulation errors from the golden design.
-pub fn golden_traces(sim: &mut Simulator, stimuli: &[Stimulus]) -> Result<Vec<Trace>, SimError> {
-    run_lane_groups(sim, stimuli)
-}
-
-/// Co-simulates a mutant against precomputed golden traces and labels every
-/// run at the target output.
-///
-/// `golden[i]` must be the golden design's trace on `stimuli[i]` (as produced
-/// by [`golden_traces`]); the two slices must have equal length.
+/// Production code labels runs from verdict-mode screening instead
+/// ([`screen_with`]). This function shares none of that path's
+/// comparison, so tests, the differential suite and `bench_pipeline`
+/// use it as the oracle the verdict path must match, and
+/// [`Campaign::run_single_pass`](crate::Campaign::run_single_pass) builds
+/// on it.
 ///
 /// # Errors
 ///
-/// Propagates elaboration or simulation errors from the mutant.
-pub fn cosimulate_against(
-    golden: &[Trace],
-    target: sim::SignalId,
-    mutant: &Module,
-    stimuli: &[Stimulus],
-) -> Result<Vec<LabelledRun>, SimError> {
-    assert_eq!(
-        golden.len(),
-        stimuli.len(),
-        "one golden trace per stimulus required"
-    );
-    let mut mutant_sim = Simulator::new(mutant)?;
-    cosimulate_with(&mut mutant_sim, golden, target, stimuli)
-}
-
-/// [`cosimulate_against`] with a caller-supplied mutant simulator.
-///
-/// Lets callers that already hold an elaborated (and possibly compiled)
-/// simulator — e.g. the serving layer's design cache — skip the
-/// parse→levelize→compile pass, and honours any [`sim::CancelToken`]
-/// installed on it.
-///
-/// # Errors
-///
-/// Propagates simulation errors (including cancellation) from the mutant.
-pub fn cosimulate_with(
-    mutant_sim: &mut Simulator,
-    golden: &[Trace],
-    target: sim::SignalId,
-    stimuli: &[Stimulus],
-) -> Result<Vec<LabelledRun>, SimError> {
-    assert_eq!(
-        golden.len(),
-        stimuli.len(),
-        "one golden trace per stimulus required"
-    );
-    let _span = obs::span("campaign.cosim");
-    let traces = run_lane_groups(mutant_sim, stimuli)?;
-    let mut out = Vec::with_capacity(stimuli.len());
-    for (mt, gt) in traces.into_iter().zip(golden) {
-        let label = if mt.differs_at(gt, target) {
-            TraceLabel::Failing
-        } else {
-            TraceLabel::Correct
-        };
-        out.push(LabelledRun {
-            trace: mt,
-            golden: gt.clone(),
-            label,
-            target,
-        });
-    }
-    Ok(out)
-}
-
-/// Co-simulates golden and mutant designs on a set of stimuli and labels
-/// every run against the target output.
-///
-/// Convenience wrapper over [`golden_traces`] + [`cosimulate_against`] for
-/// one-off comparisons; campaigns should precompute the golden traces and
-/// call [`cosimulate_against`] directly to avoid re-simulating the golden
-/// design per mutant.
-///
-/// # Errors
-///
-/// Propagates elaboration or simulation errors from either design.
+/// [`SimError::UnknownSignal`] when the mutant has no `target`; otherwise
+/// propagates simulation errors (including cancellation) from the mutant.
 pub fn cosimulate(
-    golden: &Module,
-    mutant: &Module,
+    golden: &[Trace],
+    mutant: &mut Simulator,
     target: &str,
     stimuli: &[Stimulus],
 ) -> Result<Vec<LabelledRun>, SimError> {
-    let mut golden_sim = Simulator::new(golden)?;
-    let target_id =
-        golden_sim
-            .netlist()
-            .signal_id(target)
-            .ok_or_else(|| SimError::UnknownSignal {
-                name: target.to_owned(),
-            })?;
-    let golden = golden_traces(&mut golden_sim, stimuli)?;
-    cosimulate_against(&golden, target_id, mutant, stimuli)
-}
-
-/// True when any run in `runs` is failing — i.e. the bug is observable at
-/// the target.
-pub fn is_observable(runs: &[LabelledRun]) -> bool {
-    runs.iter().any(|r| r.label == TraceLabel::Failing)
+    assert_eq!(
+        golden.len(),
+        stimuli.len(),
+        "one golden trace per stimulus required"
+    );
+    let target = mutant
+        .netlist()
+        .signal_id(target)
+        .ok_or_else(|| SimError::UnknownSignal {
+            name: target.to_owned(),
+        })?;
+    let _span = obs::span("campaign.cosim");
+    let traces = run_lane_groups(mutant, stimuli)?;
+    Ok(traces
+        .into_iter()
+        .zip(golden)
+        .map(|(trace, golden)| {
+            let failure_cycles = trace
+                .cycles
+                .iter()
+                .zip(&golden.cycles)
+                .filter(|(m, g)| m.value(target) != g.value(target))
+                .map(|(m, _)| m.cycle)
+                .collect();
+            LabelledRun::new(trace, failure_cycles)
+        })
+        .collect())
 }
 
 #[cfg(test)]
@@ -322,15 +272,38 @@ mod tests {
         verilog::parse(src).unwrap().top().clone()
     }
 
+    /// [`cosimulate`] of `mutant` against `golden` on `stimuli`.
+    fn cosim(
+        golden: &Module,
+        mutant: &Module,
+        target: &str,
+        stimuli: &[Stimulus],
+    ) -> Vec<LabelledRun> {
+        let golden = run_lane_groups(&mut Simulator::new(golden).unwrap(), stimuli).unwrap();
+        cosimulate(
+            &golden,
+            &mut Simulator::new(mutant).unwrap(),
+            target,
+            stimuli,
+        )
+        .unwrap()
+    }
+
+    fn observable(runs: &[LabelledRun]) -> bool {
+        runs.iter().any(|r| r.label == TraceLabel::Failing)
+    }
+
     #[test]
     fn detects_observable_divergence() {
         let golden = module("module m(input a, input b, output y);\nassign y = a & b;\nendmodule");
         let mutant = module("module m(input a, input b, output y);\nassign y = a | b;\nendmodule");
         let sim0 = Simulator::new(&golden).unwrap();
         let stimuli = TestbenchGen::new(1).generate_many(sim0.netlist(), 16, 4);
-        let runs = cosimulate(&golden, &mutant, "y", &stimuli).unwrap();
-        assert!(is_observable(&runs));
-        assert!(runs.iter().any(|r| r.label == TraceLabel::Failing));
+        let runs = cosim(&golden, &mutant, "y", &stimuli);
+        assert!(observable(&runs));
+        for r in &runs {
+            assert_eq!(r.label == TraceLabel::Failing, !r.failure_cycles.is_empty());
+        }
     }
 
     #[test]
@@ -344,8 +317,7 @@ mod tests {
         );
         let sim0 = Simulator::new(&golden).unwrap();
         let stimuli = TestbenchGen::new(2).generate_many(sim0.netlist(), 16, 4);
-        let runs = cosimulate(&golden, &mutant, "y", &stimuli).unwrap();
-        assert!(!is_observable(&runs));
+        assert!(!observable(&cosim(&golden, &mutant, "y", &stimuli)));
     }
 
     #[test]
@@ -353,7 +325,7 @@ mod tests {
         let golden = module("module m(input a, output y);\nassign y = ~a;\nendmodule");
         let sim0 = Simulator::new(&golden).unwrap();
         let stimuli = TestbenchGen::new(3).generate_many(sim0.netlist(), 8, 3);
-        let runs = cosimulate(&golden, &golden, "y", &stimuli).unwrap();
+        let runs = cosim(&golden, &golden, "y", &stimuli);
         assert!(runs.iter().all(|r| r.label == TraceLabel::Correct));
     }
 
@@ -373,22 +345,22 @@ mod tests {
 
         let gv = golden_verdicts(&mut golden_sim, &stimuli, target).unwrap();
         let verdicts = screen_against(&gv, target, &mutant, &stimuli).unwrap();
-        let gt = golden_traces(&mut golden_sim, &stimuli).unwrap();
-        let runs = cosimulate_against(&gt, target, &mutant, &stimuli).unwrap();
+        let runs = cosim(&golden, &mutant, "y", &stimuli);
 
         assert_eq!(verdicts.len(), runs.len());
-        assert_eq!(any_diverged(&verdicts), is_observable(&runs));
+        assert_eq!(any_diverged(&verdicts), observable(&runs));
         for (v, r) in verdicts.iter().zip(&runs) {
             assert_eq!(v.label(), r.label);
-            assert_eq!(v.divergence_cycles, r.failure_cycles());
-            assert_eq!(v.first_divergence(), r.failure_cycles().first().copied());
+            assert_eq!(v.divergence_cycles, r.failure_cycles);
+            assert_eq!(v.first_divergence(), r.failure_cycles.first().copied());
         }
     }
 
     #[test]
     fn unknown_target_errors() {
         let golden = module("module m(input a, output y);\nassign y = a;\nendmodule");
-        let err = cosimulate(&golden, &golden, "ghost", &[]).unwrap_err();
+        let mut sim = Simulator::new(&golden).unwrap();
+        let err = cosimulate(&[], &mut sim, "ghost", &[]).unwrap_err();
         assert!(matches!(err, SimError::UnknownSignal { .. }));
     }
 }

@@ -3,8 +3,9 @@
 //! Supports exactly what the service needs: one request per connection
 //! (`Connection: close` on every response), `Content-Length` bodies, a
 //! configurable body-size cap, and plain status-line responses. No chunked
-//! transfer, no keep-alive, no TLS — the point is a dependency-free
-//! serving surface, not a general web server.
+//! transfer (any `Transfer-Encoding` header is a 400), no keep-alive, no
+//! TLS — the point is a dependency-free serving surface, not a general web
+//! server.
 
 use std::io::{self, Read, Write};
 use std::net::TcpStream;
@@ -85,8 +86,10 @@ impl From<io::Error> for ReadError {
 ///
 /// # Errors
 ///
-/// [`ReadError::BadRequest`] for malformed request lines/headers or a head
-/// block past 16 KiB, [`ReadError::TooLarge`] when `Content-Length`
+/// [`ReadError::BadRequest`] for malformed request lines/headers, a head
+/// block past 16 KiB, or a `Transfer-Encoding` header (only
+/// `Content-Length` framing is supported), [`ReadError::TooLarge`] when
+/// `Content-Length`
 /// exceeds `max_body`, [`ReadError::Io`] on transport failures.
 pub fn read_request(stream: &mut TcpStream, max_body: usize) -> Result<Request, ReadError> {
     let mut head: Vec<u8> = Vec::with_capacity(1024);
@@ -177,8 +180,15 @@ pub fn read_request(stream: &mut TcpStream, max_body: usize) -> Result<Request, 
 /// The body length every `Content-Length` header declares (0 without
 /// one). Repeats must all parse to the same length: conflicting lengths
 /// are how requests get smuggled past a proxy, so they are rejected, not
-/// resolved (RFC 9112 §6.3).
+/// resolved (RFC 9112 §6.3). A `Transfer-Encoding` header is rejected
+/// too: this reader cannot decode chunked framing, and reading such a
+/// body by `Content-Length` would misframe it.
 fn declared_length(request: &Request) -> Result<usize, ReadError> {
+    if request.header("transfer-encoding").is_some() {
+        return Err(ReadError::BadRequest(
+            "transfer-encoding is not supported; send a content-length body".to_owned(),
+        ));
+    }
     let mut declared = None;
     for (_, v) in request
         .headers
@@ -323,6 +333,22 @@ mod tests {
             Err(ReadError::BadRequest(d)) => assert!(d.contains("conflicting"), "{d}"),
             other => panic!("expected BadRequest, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn rejects_transfer_encoding() {
+        let raw = b"POST / HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n5\r\nhello\r\n0\r\n\r\n";
+        match roundtrip(raw, 1024) {
+            Err(ReadError::BadRequest(d)) => assert!(d.contains("transfer-encoding"), "{d}"),
+            other => panic!("expected BadRequest, got {other:?}"),
+        }
+        // Alongside a Content-Length too: the two framings conflict.
+        let raw =
+            b"POST / HTTP/1.1\r\nContent-Length: 5\r\nTransfer-Encoding: chunked\r\n\r\nhello";
+        assert!(matches!(
+            roundtrip(raw, 1024),
+            Err(ReadError::BadRequest(_))
+        ));
     }
 
     #[test]

@@ -21,8 +21,7 @@ use crate::netlist::{Netlist, Process, SignalId};
 use crate::testbench::{PortResolver, Stimulus};
 use crate::trace::{Records, SignalSet, StmtExec, Trace, TraceMode, VerdictTrace};
 use crate::value::{Value, LANES};
-use std::collections::BTreeSet;
-use verilog::{Module, StmtId};
+use verilog::Module;
 
 /// Which execution strategy a [`Simulator`] settled on at elaboration time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -176,29 +175,6 @@ impl Simulator {
     /// discarded.
     pub fn run_batch(&mut self, stimuli: &[Stimulus]) -> Result<Vec<Trace>, SimError> {
         let runs = self.run_batch_mode(stimuli, TraceMode::full())?;
-        Ok(runs.into_iter().map(|(trace, _)| trace).collect())
-    }
-
-    /// Runs many stimuli in records-only mode ([`TraceMode::records`]): one
-    /// [`Trace`] per stimulus, in order, batched exactly as
-    /// [`run_batch`](Self::run_batch). Each cycle's `execs` hold only the
-    /// records of statements in `stmts`, in full-trace order — exactly the
-    /// full trace's records filtered to the set — and `signals` is an empty
-    /// snapshot: no value arena is allocated, so
-    /// [`CycleRecord::value`](crate::CycleRecord::value) panics on these
-    /// traces. Values, input validation and cancellation behave as in full
-    /// mode.
-    ///
-    /// # Errors
-    ///
-    /// The same errors as [`run_batch`](Self::run_batch), at the same
-    /// points.
-    pub fn run_batch_records(
-        &mut self,
-        stimuli: &[Stimulus],
-        stmts: &BTreeSet<StmtId>,
-    ) -> Result<Vec<Trace>, SimError> {
-        let runs = self.run_batch_mode(stimuli, TraceMode::records(stmts))?;
         Ok(runs.into_iter().map(|(trace, _)| trace).collect())
     }
 
@@ -765,7 +741,7 @@ mod tests {
                    always @(*) begin\nif (s[0]) y = a + 4'd1; else y = a - 4'd1;\nend\n\
                    always @(posedge clk) begin\ncase (s)\n2'b00: n <= n + 4'd1;\n2'b01: n <= a;\ndefault: n <= 4'd0;\nendcase\nend\nendmodule";
         let unit = verilog::parse(src).unwrap();
-        let keep = BTreeSet::from([StmtId(0), StmtId(3)]);
+        let keep = std::collections::BTreeSet::from([verilog::StmtId(0), verilog::StmtId(3)]);
         for interpreted in [false, true] {
             let mut sim = if interpreted {
                 Simulator::interpreted(unit.top()).unwrap()
@@ -775,9 +751,11 @@ mod tests {
             let stimuli = crate::testbench::TestbenchGen::new(5).generate_many(sim.netlist(), 9, 7);
             let full = sim.run_batch(&stimuli).unwrap();
             let before = skipped();
-            let records = sim.run_batch_records(&stimuli, &keep).unwrap();
+            let records = sim
+                .run_batch_mode(&stimuli, TraceMode::records(&keep))
+                .unwrap();
             let mut dropped = 0;
-            for (r, f) in records.iter().zip(&full) {
+            for ((r, _), f) in records.iter().zip(&full) {
                 assert_eq!(r.len(), f.len());
                 for (rc, fc) in r.cycles.iter().zip(&f.cycles) {
                     assert!(rc.signals.is_empty(), "no snapshot in records-only mode");

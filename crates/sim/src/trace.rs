@@ -319,7 +319,7 @@ pub struct CycleRecord {
     /// Cycle index (0-based).
     pub cycle: u32,
     /// Post-settle value of every signal, indexed by [`SignalId`]. Empty in
-    /// a records-only run ([`crate::Simulator::run_batch_records`]).
+    /// a records-only run ([`TraceMode::records`]).
     pub signals: Snapshot,
     /// Statement executions this cycle (combinational settle + clock edge).
     pub execs: Execs,
@@ -331,8 +331,7 @@ impl CycleRecord {
     /// # Panics
     ///
     /// Panics when `id` is out of range, which includes every id of a
-    /// records-only run: those carry no snapshot
-    /// ([`crate::Simulator::run_batch_records`]).
+    /// records-only run: those carry no snapshot ([`TraceMode::records`]).
     pub fn value(&self, id: SignalId) -> Value {
         self.signals[id.0 as usize]
     }
@@ -391,15 +390,6 @@ impl Trace {
             .iter()
             .flat_map(|c| c.execs.iter().filter(move |e| e.stmt == stmt))
             .collect()
-    }
-
-    /// True when `self` and `other` disagree on `signal` in any cycle
-    /// (compared over the shorter of the two traces).
-    pub fn differs_at(&self, other: &Trace, signal: SignalId) -> bool {
-        self.cycles
-            .iter()
-            .zip(&other.cycles)
-            .any(|(a, b)| a.value(signal) != b.value(signal))
     }
 
     /// Number of simulated cycles.
@@ -647,19 +637,6 @@ mod tests {
         assert_eq!(s.len(), 2);
         assert_eq!(t.execs_of(StmtId(0)).len(), 2);
         assert_eq!(t.execs_of(StmtId(1)).len(), 1);
-    }
-
-    #[test]
-    fn differs_at_detects_divergence() {
-        let mk = |v: bool| Trace {
-            cycles: vec![CycleRecord {
-                cycle: 0,
-                signals: vec![Value::bit(v)].into(),
-                execs: Vec::new().into(),
-            }],
-        };
-        assert!(mk(true).differs_at(&mk(false), SignalId(0)));
-        assert!(!mk(true).differs_at(&mk(true), SignalId(0)));
     }
 
     #[test]

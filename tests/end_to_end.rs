@@ -203,7 +203,7 @@ fn labels_match_divergence() {
         .expect("campaign runs");
     for m in &mutants {
         for run in &m.runs {
-            let failures = run.failure_cycles();
+            let failures = &run.failure_cycles;
             match run.label {
                 TraceLabel::Failing => {
                     assert!(!failures.is_empty(), "failing run without divergence")
