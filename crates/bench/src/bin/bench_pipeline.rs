@@ -7,7 +7,7 @@
 //! relative to the single-thread row, and cross-checks that every stage's
 //! *result* is identical at every thread count — the determinism guarantee
 //! the layer is built around. A separate single-thread comparison times the
-//! compiled engine against the retained interpreter on the campaign
+//! compiled engine against the interpreter oracle on the campaign
 //! co-simulation workload, one stimulus per run (`engine`), as full 64-lane
 //! batches (`engine_batch`), and as verdict-mode batches
 //! (`engine_batch_verdict`), recording each speedup over the interpreter.
@@ -239,13 +239,7 @@ fn compare_engines(cycles: usize, runs: usize, reps: usize) -> EngineCompare {
     let time = |interpreted: bool| -> (f64, Vec<Trace>) {
         let mut sims: Vec<Simulator> = workload
             .iter()
-            .map(|(module, _, _)| {
-                if interpreted {
-                    Simulator::interpreted(module).expect("elaborates")
-                } else {
-                    Simulator::new(module).expect("elaborates")
-                }
-            })
+            .map(|(module, _, _)| Simulator::new(module).expect("elaborates"))
             .collect();
         let mut best = f64::INFINITY;
         let mut traces = Vec::new();
@@ -254,7 +248,11 @@ fn compare_engines(cycles: usize, runs: usize, reps: usize) -> EngineCompare {
             let start = Instant::now();
             for ((_, stimuli, _), s) in workload.iter().zip(&mut sims) {
                 for stim in stimuli {
-                    traces.push(s.run(stim).expect("simulates"));
+                    traces.push(if interpreted {
+                        sim::oracle::interpret(s.netlist(), stim).expect("simulates")
+                    } else {
+                        s.run(stim).expect("simulates")
+                    });
                 }
             }
             best = best.min(start.elapsed().as_secs_f64());

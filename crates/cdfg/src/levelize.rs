@@ -18,7 +18,7 @@
 //! assignments (no bit/part select) count as definite writes, and every
 //! `case` label is treated as read. When the conservative dependency graph
 //! has a cycle (including a self-loop), [`levelize`] reports `order: None`
-//! and the caller must fall back to fixpoint iteration.
+//! and the caller must iterate to a fixpoint instead.
 
 use std::collections::BTreeSet;
 

@@ -90,7 +90,6 @@ pub fn reason_label(reason: SuspicionReason) -> &'static str {
 fn engine_label(engine: sim::EngineKind) -> &'static str {
     match engine {
         sim::EngineKind::Batch => "batch",
-        sim::EngineKind::Interpreted => "interpreted",
     }
 }
 

@@ -239,7 +239,6 @@ pub fn render_report(report: &LocalizeReport) -> String {
         &mut out,
         match report.engine {
             sim::EngineKind::Batch => "batch",
-            sim::EngineKind::Interpreted => "interpreted",
         },
     );
     out.push_str(",\"suspects\":[");

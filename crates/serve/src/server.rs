@@ -730,7 +730,7 @@ fn handle_analyze(body: &[u8], rid: &str, stream: &mut TcpStream) -> u16 {
 fn handle_healthz(state: &ServerState, rid: &str, stream: &mut TcpStream) -> u16 {
     let uptime = state.started.elapsed();
     let body = format!(
-        "{{\"status\":\"ok\",\"version\":\"{}\",\"engines\":[\"batch\",\"interpreted\"],\"weights_hash\":\"{}\",\"model_format\":\"{}\",\"uptime_ms\":{},\"uptime_s\":{},\"workers\":{},\"queue_capacity\":{},\"cache_entries\":{},\"cache_capacity\":{}}}\n",
+        "{{\"status\":\"ok\",\"version\":\"{}\",\"engines\":[\"batch\"],\"weights_hash\":\"{}\",\"model_format\":\"{}\",\"uptime_ms\":{},\"uptime_s\":{},\"workers\":{},\"queue_capacity\":{},\"cache_entries\":{},\"cache_capacity\":{}}}\n",
         env!("CARGO_PKG_VERSION"),
         state.weights_hash,
         veribug::persist::format_version(),

@@ -189,8 +189,8 @@ pub(crate) fn statusz_json(info: &StatusInfo, window_s: u64) -> String {
     let snap = rolling::snapshot(window_s);
     let mut out = String::from("{\"status\":\"ok\",\"version\":");
     json::write_str(&mut out, env!("CARGO_PKG_VERSION"));
-    // The engines the sim crate can dispatch to (see `sim::EngineKind`).
-    out.push_str(",\"engines\":[\"batch\",\"interpreted\"]");
+    // The engines the sim crate runs (see `sim::EngineKind`).
+    out.push_str(",\"engines\":[\"batch\"]");
     let _ = write!(
         out,
         ",\"uptime_s\":{},\"workers\":{},\"queue\":{{\"capacity\":{},\"queued\":{},\"running\":{}}}",
@@ -379,7 +379,7 @@ mod tests {
             .get("engines")
             .and_then(|v| v.as_arr())
             .expect("engines");
-        assert_eq!(engines.len(), 2);
+        assert_eq!(engines.len(), 1);
         assert!(doc.get("endpoints").and_then(|v| v.as_arr()).is_some());
         let queue = doc.get("queue").expect("queue block");
         assert_eq!(queue.get("queued").and_then(|v| v.as_num()), Some(1.0));

@@ -197,6 +197,40 @@ fn verilog_parse_error_is_422_with_position() {
     stop(&handle, join);
 }
 
+/// The server's `serve.panics` count, read from `/metricsz` (absent
+/// until the first panic).
+fn panics(addr: std::net::SocketAddr) -> f64 {
+    let doc = request(addr, "GET", "/metricsz", "").json();
+    let counters = doc.get("counters").expect("counters");
+    counters
+        .get("serve.panics")
+        .and_then(|c| c.as_num())
+        .unwrap_or(0.0)
+}
+
+#[test]
+fn inverted_part_select_is_422_elaboration_not_a_panic() {
+    let (handle, join) = start(ServerConfig::default());
+    let before = panics(handle.addr());
+    let body = format!(
+        "{{\"golden\":{},\"buggy\":{},\"target\":\"y\"}}",
+        encode("module m(input [3:0] a, output [3:0] y);\nassign y = a[3:0];\nendmodule"),
+        encode("module m(input [3:0] a, output [3:0] y);\nassign y = a[0:3];\nendmodule"),
+    );
+    let resp = request(handle.addr(), "POST", "/v1/localize", &body);
+    assert_eq!(resp.status, 422, "body: {}", resp.body);
+    let doc = resp.json();
+    let err = doc.get("error").unwrap();
+    assert_eq!(err.get("kind").unwrap().as_str(), Some("elaboration"));
+    let message = err.get("message").unwrap().as_str().unwrap();
+    assert!(
+        message.contains("inverted part select `a[0:3]` at 2:12"),
+        "{message}"
+    );
+    assert_eq!(panics(handle.addr()), before);
+    stop(&handle, join);
+}
+
 #[test]
 fn unknown_target_is_422() {
     let (handle, join) = start(ServerConfig::default());

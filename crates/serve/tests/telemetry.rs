@@ -208,7 +208,7 @@ fn healthz_reports_build_info() {
         .iter()
         .filter_map(|e| e.as_str())
         .collect();
-    assert_eq!(engines, ["batch", "interpreted"]);
+    assert_eq!(engines, ["batch"]);
     assert!(doc.get("uptime_s").and_then(|v| v.as_num()).is_some());
     stop(&handle, join);
 }

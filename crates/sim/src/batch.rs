@@ -3,7 +3,7 @@
 //!
 //! [`BatchEngine::build`] lowers a netlist at elaboration time: it drives
 //! [`crate::compile::Compiler`] for expressions and assignments, so slot
-//! allocation, static widths, and every fallback condition are decided in
+//! allocation, static widths, and every rejected construct are decided in
 //! one place, and lowers `if`/`case` into **structured mask operations**.
 //! Each signal and slab slot holds a [`BatchValue`] (one `u64` word per
 //! lane); one ALU op evaluates all lanes at once. Data-dependent control
@@ -11,26 +11,36 @@
 //! condition, both sides execute under complementary masks and only the
 //! active lanes of each side observe assignments, so per-lane [`StmtExec`]
 //! records and final traces stay bit-identical to running each stimulus
-//! through the fixpoint interpreter. A single stimulus is a one-lane batch.
+//! through the interpreter oracle ([`crate::oracle`]). A single stimulus is
+//! a one-lane batch.
 //!
 //! Divergence bookkeeping is plain word arithmetic because a mask is one
 //! `u64` (bit `l` = lane `l` active). Empty-mask branch bodies are skipped
 //! entirely via the structured ops' forward offsets, so converged batches
 //! pay no masking overhead beyond one test per branch.
 //!
-//! Combinational processes run once per cycle in the topological order
-//! computed by [`cdfg::levelize`], under a **per-lane dirty gate**: every
+//! Under a levelized plan ([`crate::compile::analyze`]), combinational
+//! processes run once per cycle in the topological order computed by
+//! [`cdfg::levelize`], under a **per-lane dirty gate**: every
 //! signal keeps a changed-lanes mask, a process executes under a root mask
 //! of just its dirty lanes, and a clean lane re-uses its previous segment
 //! descriptor into the run-wide record arena — an 8-byte copy instead of
 //! re-recording. Re-executing nothing for a clean lane is sound for values
 //! too: its fanin is unchanged, so recomputed temporaries are identical and
 //! assignments are masked off.
+//!
+//! Under a settle plan (a static cycle, several drivers, a combinational
+//! write to an input, or a signal written by both kinds of process), the
+//! gate is off and each cycle repeats the pass over every combinational
+//! process in source order until a pass leaves every value as it found it
+//! — the oracle's Gauss–Seidel settle across the lanes — and fails with
+//! [`SimError::CombinationalLoop`] after `(processes + 4) * 4` passes, the
+//! oracle's bound.
 
 use std::sync::Arc;
 
 use crate::cancel::CancelToken;
-use crate::compile::{Analysis, AssignMeta, Compiler, Op, SelKind};
+use crate::compile::{analyze, Analysis, AssignMeta, Compiler, Op, SelKind};
 use crate::error::SimError;
 use crate::eval::{eval_binary_batch, eval_unary_batch, Write};
 use crate::metrics;
@@ -100,10 +110,12 @@ struct BatchCode {
     comb: Vec<Vec<BOp>>,
     /// One program per sequential process, in source order.
     seq: Vec<Vec<BOp>>,
-    /// Topological evaluation order over `comb` indices.
+    /// Evaluation order over `comb` indices.
     order: Vec<u32>,
     /// Per-comb-process exposed-read signal ids (the per-lane dirty gate).
     fanin: Vec<Vec<u32>>,
+    /// Settle plan: repeat the ungated pass until no value changes.
+    settle: bool,
     metas: Vec<AssignMeta>,
     /// Side pool of case-label slot indices referenced by [`BOp::CaseArm`].
     case_labels: Vec<u16>,
@@ -136,14 +148,22 @@ pub(crate) struct BatchEngine {
 }
 
 impl BatchEngine {
-    /// Compiles a netlist against a precomputed [`Analysis`], or `None`
-    /// when lowering hits a construct whose compiled behavior would differ
-    /// from the interpreter's (the caller then falls back).
-    pub(crate) fn build(netlist: &Netlist, analysis: &Analysis) -> Option<BatchEngine> {
+    /// Analyzes and compiles a netlist.
+    ///
+    /// # Errors
+    ///
+    /// The [`SimError`] that rejects a construct with no simulated value
+    /// (see [`crate::compile`]).
+    pub(crate) fn build(netlist: &Netlist) -> Result<BatchEngine, SimError> {
+        let Analysis {
+            order,
+            fanin,
+            settle,
+        } = analyze(netlist);
         let mut metas = Vec::new();
         let mut case_labels = Vec::new();
         let mut slots = 0usize;
-        let mut compile = |body: &Process| -> Option<Vec<BOp>> {
+        let mut compile = |body: &Process| -> Result<Vec<BOp>, SimError> {
             let mut c = BatchCompiler {
                 inner: Compiler {
                     netlist,
@@ -160,31 +180,38 @@ impl BatchEngine {
                 Process::Comb(blk) | Process::Seq(blk) => c.stmts(&blk.body)?,
             }
             slots = slots.max(c.inner.next_slot as usize);
-            Some(c.bops)
+            Ok(c.bops)
         };
         let comb: Vec<Vec<BOp>> = netlist
             .comb
             .iter()
             .map(&mut compile)
-            .collect::<Option<_>>()?;
+            .collect::<Result<_, _>>()?;
         let seq: Vec<Vec<BOp>> = netlist
             .seq
             .iter()
             .map(&mut compile)
-            .collect::<Option<_>>()?;
+            .collect::<Result<_, _>>()?;
 
-        Some(BatchEngine {
+        Ok(BatchEngine {
             code: Arc::new(BatchCode {
                 comb,
                 seq,
-                order: analysis.order.clone(),
-                fanin: analysis.fanin.clone(),
+                order,
+                fanin,
+                settle,
                 metas,
                 case_labels,
                 slots,
             }),
             state: BatchState::default(),
         })
+    }
+
+    /// True under a settle plan.
+    #[cfg(test)]
+    pub(crate) fn settles(&self) -> bool {
+        self.code.settle
     }
 
     /// An independent runnable engine sharing this one's compiled code.
@@ -209,10 +236,12 @@ impl BatchEngine {
     ///
     /// # Errors
     ///
+    /// [`SimError::CombinationalLoop`] when a settle plan's passes do not
+    /// reach a fixpoint on some lane within the oracle's bound;
     /// [`SimError::UnknownSignal`] / [`SimError::NotAnInput`] for bad
-    /// stimulus ports — reported before any cycle runs, for the first bad
+    /// stimulus ports, reported before any cycle runs, for the first bad
     /// port of the first stimulus that has one: the assignment a
-    /// stimulus-by-stimulus loop would reach first — and
+    /// stimulus-by-stimulus loop would reach first; and
     /// [`SimError::Cancelled`] when `cancel` fires between cycles (the whole
     /// batch is abandoned, like a sequential loop where a fired token fails
     /// every remaining run).
@@ -294,6 +323,10 @@ impl BatchEngine {
         let mut m_ops = 0u64;
         let mut m_comb_evals = 0u64;
         let mut m_comb_skips = 0u64;
+        // Settle plans: the pass bound (the oracle's) and pre-pass values.
+        let max_passes = (ncomb as u32 + 4) * 4;
+        let mut m_settle_passes = 0u64;
+        let mut before: Vec<BatchValue> = Vec::new();
 
         for cycle_idx in 0..ncycles {
             let cycle = cycle_idx as u32;
@@ -305,49 +338,75 @@ impl BatchEngine {
             // lane's dirty bit.
             inputs.apply(stimuli, cycle_idx, &mut values, &mut changed);
 
-            // 2. One levelized combinational pass. Each process runs under
-            // a root mask of just its dirty lanes (fanin changed); a lane
-            // outside the mask neither writes nor records — its previous
-            // segment descriptor is re-used below. Cycle 0 forces a full
-            // execution so constant processes (empty fanin) record once.
-            for &pi in &code.order {
-                let pi = pi as usize;
-                let dmask = dirty_lanes(&code.fanin[pi], &changed, fill_mask, cycle_idx == 0);
-                let evaluated = u64::from(dmask.count_ones());
-                m_comb_evals += evaluated;
-                m_comb_skips += fill as u64 - evaluated;
-                if dmask == 0 {
-                    continue;
+            // 2. Combinational passes in plan order. Each process runs
+            // under a root mask of just its dirty lanes (fanin changed); a
+            // lane outside the mask neither writes nor records — its
+            // previous segment descriptor is re-used below. Cycle 0 forces
+            // a full execution so constant processes (empty fanin) record
+            // once. A settle plan runs every lane and repeats the pass
+            // until it leaves `values` as it found it (values, not
+            // `changed` bits: a blocking temporary can change and revert
+            // within one pass). That last pass starts from the fixpoint,
+            // so its records are the ones the oracle's extra recording pass
+            // makes; earlier passes' records are dropped.
+            let pass_start = records.len();
+            for pass in 1.. {
+                if code.settle {
+                    records.truncate(pass_start);
+                    before.clone_from(&values);
                 }
-                exec_bops(
-                    &code.comb[pi],
-                    code,
-                    &keep,
-                    &mut state.slab,
-                    &mut values,
-                    &mut state.scratch,
-                    fill,
-                    dmask,
-                    None,
-                    &mut state.frames,
-                    &mut changed,
-                    &mut m_divergences,
-                    &mut m_ops,
-                    &mut unrecorded,
-                );
-                if !record {
-                    continue;
+                for &pi in &code.order {
+                    let pi = pi as usize;
+                    let all = cycle_idx == 0 || code.settle;
+                    let dmask = dirty_lanes(&code.fanin[pi], &changed, fill_mask, all);
+                    let evaluated = u64::from(dmask.count_ones());
+                    m_comb_evals += evaluated;
+                    m_comb_skips += fill as u64 - evaluated;
+                    if dmask == 0 {
+                        continue;
+                    }
+                    exec_bops(
+                        &code.comb[pi],
+                        code,
+                        &keep,
+                        &mut state.slab,
+                        &mut values,
+                        &mut state.scratch,
+                        fill,
+                        dmask,
+                        None,
+                        &mut state.frames,
+                        &mut changed,
+                        &mut m_divergences,
+                        &mut m_ops,
+                        &mut unrecorded,
+                    );
+                    if !record {
+                        continue;
+                    }
+                    // Fresh records for the dirty lanes move into the arena
+                    // once; the descriptor is all later cycles need.
+                    let mut lanes = dmask;
+                    while lanes != 0 {
+                        let l = lanes.trailing_zeros() as usize;
+                        lanes &= lanes - 1;
+                        let start = records.len() as u32;
+                        records.append(&mut state.scratch[l]);
+                        let len = records.len() as u32 - start;
+                        last_desc[pi * fill + l] = (start, len, std::mem::take(&mut unrecorded[l]));
+                    }
                 }
-                // Fresh records for the dirty lanes move into the arena
-                // once; the descriptor is all later cycles need.
-                let mut lanes = dmask;
-                while lanes != 0 {
-                    let l = lanes.trailing_zeros() as usize;
-                    lanes &= lanes - 1;
-                    let start = records.len() as u32;
-                    records.append(&mut state.scratch[l]);
-                    let len = records.len() as u32 - start;
-                    last_desc[pi * fill + l] = (start, len, std::mem::take(&mut unrecorded[l]));
+                if !code.settle {
+                    break;
+                }
+                if values == before {
+                    m_settle_passes += u64::from(pass);
+                    break;
+                }
+                if pass == max_passes {
+                    return Err(SimError::CombinationalLoop {
+                        iterations: max_passes,
+                    });
                 }
             }
 
@@ -440,6 +499,7 @@ impl BatchEngine {
         metrics::COMB_SKIPS.add(m_comb_skips);
         metrics::BYTECODE_OPS.add(m_ops);
         metrics::SEQ_EVALS.add((ncycles * code.seq.len()) as u64);
+        metrics::SETTLE_ITERS.add(m_settle_passes);
         if nobs > 0 {
             metrics::RUNS_VERDICT.add(fill as u64);
         }
@@ -559,10 +619,11 @@ impl Inputs {
 }
 
 /// The lanes on which a combinational process must run this cycle: every
-/// filled lane on the first cycle (so constant processes record once),
-/// otherwise the lanes where some fanin signal changed.
-fn dirty_lanes(fanin: &[u32], changed: &[u64], fill_mask: u64, first_cycle: bool) -> u64 {
-    if first_cycle {
+/// filled lane when `all` is set (the first cycle, so constant processes
+/// record once, and every cycle of a settle plan), otherwise the lanes
+/// where some fanin signal changed.
+fn dirty_lanes(fanin: &[u32], changed: &[u64], fill_mask: u64, all: bool) -> u64 {
+    if all {
         return fill_mask;
     }
     fanin.iter().fold(0, |m, &sig| m | changed[sig as usize]) & fill_mask
@@ -586,8 +647,8 @@ fn commit_deferred(deferred: &mut [Vec<Write>], values: &mut [BatchValue], chang
 
 /// Executes one batch program under a root activity mask (the caller's
 /// per-lane dirty mask for combinational processes, the full fill mask for
-/// sequential ones). Infallible by construction: every condition the
-/// interpreter reports as an error was rejected at compile time.
+/// sequential ones and settle passes). Infallible by construction: every
+/// construct without a simulated value was rejected at compile time.
 /// Value-changing writes OR the written lane into the
 /// signal's `changed` mask, feeding the per-lane dirty gate.
 ///
@@ -838,8 +899,9 @@ fn exec_expr(op: Op, slab: &mut [BatchValue], values: &[BatchValue], n: usize) {
             let m = Value::mask(width);
             let d = &mut slab[dst as usize];
             let out = d.words_mut();
+            // A position past bit 63 wraps modulo 64, like the oracle.
             for (o, &word) in out.iter_mut().zip(&v.words()[..n]) {
-                *o = (word >> lsb) & m;
+                *o = word.wrapping_shr(lsb) & m;
             }
             d.set_width(width);
         }
@@ -880,14 +942,14 @@ impl BatchCompiler<'_, '_> {
         self.synced = self.inner.ops.len();
     }
 
-    fn assign(&mut self, a: &verilog::Assignment) -> Option<()> {
+    fn assign(&mut self, a: &verilog::Assignment) -> Result<(), SimError> {
         let (rhs, meta) = self.inner.assign(a)?;
         self.sync();
         self.bops.push(BOp::Assign { rhs, meta });
-        Some(())
+        Ok(())
     }
 
-    fn stmts(&mut self, stmts: &[Stmt]) -> Option<()> {
+    fn stmts(&mut self, stmts: &[Stmt]) -> Result<(), SimError> {
         for s in stmts {
             match s {
                 Stmt::Assign(a) => self.assign(a)?,
@@ -944,7 +1006,7 @@ impl BatchCompiler<'_, '_> {
                 }
             }
         }
-        Some(())
+        Ok(())
     }
 
     /// Redirects the forward offset of the structured op at `at` to `to`.

@@ -1,27 +1,30 @@
-//! Compilation front end shared by the compiled (batch) engine: static
-//! analysis plus expression and assignment lowering.
+//! Compilation front end of the batch engine: static analysis plus
+//! expression and assignment lowering.
 //!
 //! [`analyze`] levelizes a netlist's combinational processes with
-//! [`cdfg::levelize`] and proves that one ordered pass per cycle equals the
-//! interpreter's fixpoint settle. [`Compiler`] lowers expressions into a
-//! flat register-machine [`Op`] sequence over a value slab and assignments
-//! into [`AssignMeta`] side-table entries; `crate::batch` drives it and
-//! adds the structured `if`/`case` mask operations.
+//! [`cdfg::levelize`]. When it proves that one ordered pass per cycle
+//! equals the fixpoint settle, the plan is that topological order plus each
+//! process's fanin (the per-lane dirty gate). Otherwise — a static
+//! combinational cycle (exposed self-reads included), several
+//! combinational drivers of one signal, a combinational write to an input,
+//! or a signal written both combinationally and sequentially — it returns
+//! a **settle plan**, which `crate::batch` iterates to a fixpoint each
+//! cycle like the interpreter oracle ([`crate::oracle`]).
 //!
-//! Either step returns `None` — and the simulator falls back to the AST
-//! interpreter — whenever single-pass equivalence cannot be proven
-//! statically: static combinational cycles (including exposed self-reads),
-//! multiple drivers of one signal, combinational writes to input ports or
-//! overlap with sequential writes, unknown signals, or width corner cases
-//! whose interpreter behavior is an error or a debug panic (over-wide
-//! concats/replications, 64-bit leading concat parts, inverted part-select
-//! bounds, zero-width literals). The fallback reproduces the interpreter's
-//! behavior exactly, including `SimError::CombinationalLoop`.
+//! [`Compiler`] lowers expressions into a flat register-machine [`Op`]
+//! sequence over a value slab and assignments into [`AssignMeta`]
+//! side-table entries; `crate::batch` drives it and adds the structured
+//! `if`/`case` mask operations. A construct with no simulated value (an
+//! inverted or over-64-bit part select, an over-64-bit concatenation or
+//! replication, a zero-width literal, slot overflow) is rejected with the
+//! [`SimError::Unsupported`] that [`crate::Simulator::new`] reports.
 
 use std::collections::BTreeSet;
 
+use crate::error::SimError;
 use crate::netlist::{Netlist, Process, SignalId, SignalRole};
 use crate::value::Value;
+use verilog::token::Span;
 use verilog::{Assignment, BinaryOp, Expr, Select, Stmt, StmtId, UnaryOp};
 
 /// One expression instruction. Slots index the value slab; `sig` fields
@@ -80,21 +83,35 @@ pub(crate) struct AssignMeta {
     pub(crate) read_ids: Vec<SignalId>,
 }
 
-/// The engine-independent half of compilation: levelization plus the
-/// eligibility checks that prove a single ordered combinational pass
-/// equivalent to the fixpoint settle.
+/// The combinational schedule a netlist compiles to.
 #[derive(Debug)]
 pub(crate) struct Analysis {
-    /// Topological evaluation order over combinational process indices.
+    /// Evaluation order over combinational process indices: topological
+    /// when levelized, source order under a settle plan.
     pub(crate) order: Vec<u32>,
-    /// Per-comb-process exposed-read signal ids (the dirty-set gate).
+    /// Per-comb-process exposed-read signal ids (the dirty-set gate; empty
+    /// under a settle plan, which runs with the gate off).
     pub(crate) fanin: Vec<Vec<u32>>,
+    /// A settle plan: iterate combinational passes to a fixpoint each cycle.
+    pub(crate) settle: bool,
 }
 
-/// Levelizes and vets a netlist, or `None` when single-pass equivalence
-/// with the fixpoint interpreter cannot be proven (the caller then falls
-/// back to the interpreter).
-pub(crate) fn analyze(netlist: &Netlist) -> Option<Analysis> {
+/// Levelizes and vets a netlist: the levelized plan when one ordered pass
+/// provably equals the fixpoint settle, a settle plan otherwise.
+pub(crate) fn analyze(netlist: &Netlist) -> Analysis {
+    levelized(netlist).unwrap_or_else(|| {
+        let ncomb = netlist.comb.len();
+        Analysis {
+            order: (0..ncomb as u32).collect(),
+            fanin: vec![Vec::new(); ncomb],
+            settle: true,
+        }
+    })
+}
+
+/// The levelized plan, or `None` when single-pass equivalence with the
+/// fixpoint settle cannot be proven.
+fn levelized(netlist: &Netlist) -> Option<Analysis> {
     let lev = cdfg::levelize(&netlist.module);
     if lev.processes.len() != netlist.comb.len() {
         return None;
@@ -133,7 +150,11 @@ pub(crate) fn analyze(netlist: &Netlist) -> Option<Analysis> {
             }
         }
     }
-    Some(Analysis { order, fanin })
+    Some(Analysis {
+        order,
+        fanin,
+        settle: false,
+    })
 }
 
 /// Collects the base names of every assignment target in a statement tree.
@@ -155,8 +176,28 @@ fn collect_write_bases<'s>(stmts: &'s [Stmt], out: &mut Vec<&'s str>) {
     }
 }
 
-/// Lowers expressions and assignments into bytecode. Every method returns
-/// `None` to request interpreter fallback.
+/// The width of the constant part select `base[msb:lsb]`.
+///
+/// # Errors
+///
+/// [`SimError::Unsupported`] when the range is inverted or wider than 64
+/// bits.
+pub(crate) fn part_width(base: &str, msb: u32, lsb: u32, at: Span) -> Result<u8, SimError> {
+    match msb.checked_sub(lsb) {
+        Some(d) if d < 64 => Ok(d as u8 + 1),
+        _ => Err(unsupported(format!(
+            "{} part select `{base}[{msb}:{lsb}]` at {at}",
+            if msb < lsb { "inverted" } else { "over-64-bit" }
+        ))),
+    }
+}
+
+fn unsupported(detail: String) -> SimError {
+    SimError::Unsupported { detail }
+}
+
+/// Lowers expressions and assignments into bytecode. Every method fails
+/// with the [`SimError`] that rejects the design.
 ///
 /// The batch engine drives this lowerer and wraps the emitted ops; it
 /// lowers `if`/`case` control flow itself.
@@ -168,42 +209,49 @@ pub(crate) struct Compiler<'a> {
 }
 
 impl Compiler<'_> {
-    fn slot(&mut self) -> Option<u16> {
-        let s = self.next_slot;
-        if s > u32::from(u16::MAX) {
-            return None;
-        }
+    fn slot(&mut self) -> Result<u16, SimError> {
+        let s = u16::try_from(self.next_slot).map_err(|_| {
+            unsupported(format!(
+                "a process needing more than {} value slots",
+                u32::from(u16::MAX) + 1
+            ))
+        })?;
         self.next_slot += 1;
-        Some(s as u16)
+        Ok(s)
     }
 
-    fn signal(&self, name: &str) -> Option<(u32, u8)> {
-        let id = self.netlist.signal_id(name)?;
-        Some((id.0, self.netlist.signal(id).width))
+    fn signal(&self, name: &str) -> Result<(u32, u8), SimError> {
+        let id = self
+            .netlist
+            .signal_id(name)
+            .ok_or_else(|| SimError::UnknownSignal {
+                name: name.to_owned(),
+            })?;
+        Ok((id.0, self.netlist.signal(id).width))
     }
 
     /// Compiles an expression; returns its result slot and static width
     /// (widths are fully static in this Verilog subset, so the returned
     /// width always equals the runtime `Value` width).
-    pub(crate) fn expr(&mut self, e: &Expr) -> Option<(u16, u8)> {
+    pub(crate) fn expr(&mut self, e: &Expr) -> Result<(u16, u8), SimError> {
         match e {
             Expr::Ident { name, .. } => {
                 let (sig, w) = self.signal(name)?;
                 let dst = self.slot()?;
                 self.ops.push(Op::Load { dst, sig });
-                Some((dst, w))
+                Ok((dst, w))
             }
-            Expr::Literal { width, value, .. } => {
+            Expr::Literal { width, value, span } => {
                 let w = width.unwrap_or(32).min(64) as u8;
                 if w == 0 {
-                    return None; // the interpreter panics at runtime
+                    return Err(unsupported(format!("zero-width literal at {span}")));
                 }
                 let dst = self.slot()?;
                 self.ops.push(Op::Const {
                     dst,
                     val: Value::new(*value, w),
                 });
-                Some((dst, w))
+                Ok((dst, w))
             }
             Expr::Unary { op, operand, .. } => {
                 let (a, wa) = self.expr(operand)?;
@@ -213,7 +261,7 @@ impl Compiler<'_> {
                     UnaryOp::Not | UnaryOp::Negate => wa,
                     _ => 1,
                 };
-                Some((dst, w))
+                Ok((dst, w))
             }
             Expr::Binary { op, lhs, rhs, .. } => {
                 let (a, wa) = self.expr(lhs)?;
@@ -233,7 +281,7 @@ impl Compiler<'_> {
                     BinaryOp::Shl | BinaryOp::Shr => wa,
                     _ => 1,
                 };
-                Some((dst, w))
+                Ok((dst, w))
             }
             Expr::Ternary {
                 cond,
@@ -246,24 +294,23 @@ impl Compiler<'_> {
                 let (f, wf) = self.expr(else_expr)?;
                 let dst = self.slot()?;
                 self.ops.push(Op::Ternary { dst, cond: c, t, f });
-                Some((dst, wt.max(wf)))
+                Ok((dst, wt.max(wf)))
             }
             Expr::Index { base, index, .. } => {
                 let (sig, _) = self.signal(base)?;
                 let (idx, _) = self.expr(index)?;
                 let dst = self.slot()?;
                 self.ops.push(Op::Index { dst, sig, idx });
-                Some((dst, 1))
+                Ok((dst, 1))
             }
-            Expr::Part { base, msb, lsb, .. } => {
+            Expr::Part {
+                base,
+                msb,
+                lsb,
+                span,
+            } => {
                 let (sig, _) = self.signal(base)?;
-                if msb < lsb || *lsb >= 64 {
-                    return None; // interpreter panics (underflow / shift overflow)
-                }
-                let width = (msb - lsb + 1) as u8;
-                if !(1..=64).contains(&width) {
-                    return None;
-                }
+                let width = part_width(base, *msb, *lsb, *span)?;
                 let dst = self.slot()?;
                 self.ops.push(Op::Part {
                     dst,
@@ -271,42 +318,39 @@ impl Compiler<'_> {
                     lsb: *lsb,
                     width,
                 });
-                Some((dst, width))
+                Ok((dst, width))
             }
-            Expr::Concat { parts, .. } => {
+            Expr::Concat { parts, span } => {
                 let mut compiled = Vec::with_capacity(parts.len());
                 for p in parts {
                     compiled.push(self.expr(p)?);
                 }
+                let total: u32 = compiled.iter().map(|&(_, w)| u32::from(w)).sum();
+                if compiled.is_empty() || total > 64 {
+                    return Err(unsupported(format!(
+                        "concatenation of width {total} at {span}"
+                    )));
+                }
                 self.concat_chain(&compiled)
             }
-            Expr::Repeat { count, inner, .. } => {
+            Expr::Repeat { count, inner, span } => {
                 let part = self.expr(inner)?;
-                let total = u32::from(part.1) * count;
-                if total > 64 || total == 0 {
-                    return None; // interpreter errors at runtime
+                let total = u64::from(part.1) * u64::from(*count);
+                if !(1..=64).contains(&total) {
+                    return Err(unsupported(format!("replication width {total} at {span}")));
                 }
                 // The inner expression is evaluated once; its slot repeats.
-                let compiled = vec![part; *count as usize];
-                self.concat_chain(&compiled)
+                self.concat_chain(&vec![part; *count as usize])
             }
         }
     }
 
-    /// Folds already-compiled parts most-significant-first into a chain of
-    /// `Concat` ops, mirroring the interpreter's left fold. Falls back on
-    /// empty part lists and totals over 64 bits (interpreter errors), and
-    /// on a 64-bit leading part (the interpreter's first `0 << width`
-    /// shift debug-panics there).
-    fn concat_chain(&mut self, parts: &[(u16, u8)]) -> Option<(u16, u8)> {
-        let (&(mut acc, mut width), rest) = parts.split_first()?;
-        if width == 64 {
-            return None;
-        }
+    /// Folds already-compiled parts (non-empty, at most 64 bits in total)
+    /// most-significant-first into a chain of `Concat` ops, mirroring the
+    /// interpreter's left fold.
+    fn concat_chain(&mut self, parts: &[(u16, u8)]) -> Result<(u16, u8), SimError> {
+        let (&(mut acc, mut width), rest) = parts.split_first().expect("non-empty parts");
         for &(slot, w) in rest {
-            if u32::from(width) + u32::from(w) > 64 {
-                return None;
-            }
             let dst = self.slot()?;
             self.ops.push(Op::Concat {
                 dst,
@@ -316,16 +360,19 @@ impl Compiler<'_> {
             acc = dst;
             width += w;
         }
-        Some((acc, width))
+        Ok((acc, width))
     }
 
     /// Lowers an assignment's right-hand side and bit-select index and
     /// registers its [`AssignMeta`]; returns the right-hand-side slot and
     /// the meta index.
-    pub(crate) fn assign(&mut self, a: &Assignment) -> Option<(u16, u32)> {
+    pub(crate) fn assign(&mut self, a: &Assignment) -> Result<(u16, u32), SimError> {
         let (rhs, _) = self.expr(&a.rhs)?;
-        let info = self.netlist.assign_info(a.id)?;
-        let target = info.target?;
+        let unknown = || SimError::UnknownSignal {
+            name: a.lhs.base.clone(),
+        };
+        let info = self.netlist.assign_info(a.id).ok_or_else(unknown)?;
+        let target = info.target.ok_or_else(unknown)?;
         let full = self.netlist.signal(target).width;
         let sel = match &a.lhs.select {
             None => SelKind::Full { width: full },
@@ -333,18 +380,12 @@ impl Compiler<'_> {
                 let (idx, _) = self.expr(idx_expr)?;
                 SelKind::Bit { width: full, idx }
             }
-            Some(Select::Part { msb, lsb }) => {
-                if msb < lsb {
-                    return None; // interpreter panics on the underflow
-                }
-                // Mirror the interpreter's casts exactly; out-of-range
-                // widths panic identically in the compiled engine and the
-                // interpreter at runtime.
-                SelKind::Part {
-                    lo: *lsb as u8,
-                    width: (msb - lsb + 1) as u8,
-                }
-            }
+            // `lo` mirrors the oracle's cast; a position past bit 63 wraps
+            // modulo 64 in `Write::apply`.
+            Some(Select::Part { msb, lsb }) => SelKind::Part {
+                lo: *lsb as u8,
+                width: part_width(&a.lhs.base, *msb, *lsb, a.lhs.span)?,
+            },
         };
         let meta = self.metas.len() as u32;
         self.metas.push(AssignMeta {
@@ -354,6 +395,90 @@ impl Compiler<'_> {
             nonblocking: a.kind == verilog::AssignKind::NonBlocking,
             read_ids: info.read_ids.clone(),
         });
-        Some((rhs, meta))
+        Ok((rhs, meta))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::oracle::interpret;
+    use crate::{SimError, Simulator, Stimulus};
+
+    /// The `Unsupported` detail `Simulator::new` rejects `src` with.
+    fn rejection(src: &str) -> String {
+        let unit = verilog::parse(src).unwrap();
+        match Simulator::new(unit.top()) {
+            Err(SimError::Unsupported { detail }) => detail,
+            other => panic!("expected Unsupported, got {other:?}"),
+        }
+    }
+
+    /// `y` after one cycle with `a` driven to a word whose bit 6 and bits
+    /// 3..=6 are set, on the engine and the oracle (which must agree).
+    fn simulated_y(src: &str) -> u64 {
+        let unit = verilog::parse(src).unwrap();
+        let mut sim = Simulator::new(unit.top()).unwrap();
+        let stim = Stimulus::from_named(vec![vec![("a", 0x55AA_F0F0_1234_5678)]]);
+        let trace = sim.run(&stim).unwrap();
+        assert_eq!(trace, interpret(sim.netlist(), &stim).unwrap());
+        let y = sim.netlist().signal_id("y").unwrap();
+        trace.cycles[0].value(y).bits()
+    }
+
+    #[test]
+    fn inverted_rhs_part_select_is_rejected() {
+        let src = "module m(input [63:0] a, output [3:0] y);\nassign y = a[0:3];\nendmodule";
+        assert_eq!(rejection(src), "inverted part select `a[0:3]` at 2:12");
+    }
+
+    #[test]
+    fn inverted_lhs_part_select_is_rejected() {
+        let src = "module m(input [63:0] a, output reg [63:0] y);\n\
+                   always @(*) y[0:3] = a;\nendmodule";
+        assert_eq!(rejection(src), "inverted part select `y[0:3]` at 2:13");
+    }
+
+    #[test]
+    fn over_64_bit_lhs_part_select_is_rejected() {
+        let src = "module m(input [63:0] a, output reg [63:0] y);\n\
+                   always @(*) y[80:0] = a;\nendmodule";
+        assert_eq!(rejection(src), "over-64-bit part select `y[80:0]` at 2:13");
+    }
+
+    #[test]
+    fn over_64_bit_concatenation_is_rejected() {
+        let src = "module m(input [63:0] a, output [63:0] y);\nassign y = {a, a};\nendmodule";
+        assert_eq!(rejection(src), "concatenation of width 128 at 2:12");
+    }
+
+    #[test]
+    fn over_64_bit_replication_is_rejected() {
+        let src = "module m(input [63:0] a, output [63:0] y);\nassign y = {2{a}};\nendmodule";
+        assert_eq!(rejection(src), "replication width 128 at 2:12");
+    }
+
+    #[test]
+    fn slot_overflow_is_rejected() {
+        // One `Load` slot per statement: 65,537 of them in one process.
+        let body = "y = a;\n".repeat(65_537);
+        let src =
+            format!("module m(input a, output reg y);\nalways @(*) begin\n{body}end\nendmodule");
+        assert_eq!(
+            rejection(&src),
+            "a process needing more than 65536 value slots"
+        );
+    }
+
+    #[test]
+    fn part_select_past_bit_63_reads_the_release_value() {
+        // The position wraps modulo 64: bit 6.
+        let src = "module m(input [63:0] a, output [3:0] y);\nassign y = a[70:70];\nendmodule";
+        assert_eq!(simulated_y(src), 1);
+    }
+
+    #[test]
+    fn leading_64_bit_concat_part_is_the_part() {
+        let src = "module m(input [63:0] a, output [63:0] y);\nassign y = {a};\nendmodule";
+        assert_eq!(simulated_y(src), 0x55AA_F0F0_1234_5678);
     }
 }

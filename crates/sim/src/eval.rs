@@ -1,19 +1,14 @@
-//! Expression evaluation and statement execution.
+//! Expression evaluation kernels: scalar (the interpreter oracle's) and
+//! lane-wise (the batch engine's), plus the [`Write`] both apply.
 //!
 //! Width semantics follow a simplified two-state reading of Verilog-2001:
 //! bitwise/arithmetic binary operators work at the wider operand's width
 //! (zero-extended, wrapping), comparisons/logical operators/reductions yield
 //! one bit, shifts keep the left operand's width, concatenation sums widths.
 
-use std::collections::BTreeSet;
-
-use crate::error::SimError;
-use crate::netlist::{Netlist, SignalId};
-use crate::trace::{Operands, StmtExec};
+use crate::netlist::SignalId;
 use crate::value::{BatchValue, Value};
-use verilog::{
-    Assignment, BinaryOp, CaseStmt, Expr, IfStmt, LValue, Select, Stmt, StmtId, UnaryOp,
-};
+use verilog::{BinaryOp, UnaryOp};
 
 /// A pending (possibly partial) write to a signal.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -29,10 +24,12 @@ pub struct Write {
 }
 
 impl Write {
-    /// Applies this write to a current value, read-modify-write style.
+    /// Applies this write to a current value, read-modify-write style. A
+    /// `lo` past bit 63 wraps modulo 64.
     pub fn apply(self, current: Value) -> Value {
-        let mask = Value::mask(self.width) << self.lo;
-        let bits = (current.bits() & !mask) | ((self.bits << self.lo) & mask);
+        let lo = u32::from(self.lo);
+        let mask = Value::mask(self.width).wrapping_shl(lo);
+        let bits = (current.bits() & !mask) | (self.bits.wrapping_shl(lo) & mask);
         Value::new(bits, current.width())
     }
 }
@@ -275,305 +272,11 @@ pub(crate) fn eval_binary_batch(
     out.set_width(width);
 }
 
-/// Mutable evaluation state over a netlist.
-#[derive(Debug)]
-pub struct EvalCtx<'n> {
-    netlist: &'n Netlist,
-    /// Current value of every signal, indexed by [`SignalId`].
-    pub values: Vec<Value>,
-    /// When set, only these statements' executions are recorded (the
-    /// records-only run); the rest execute unrecorded.
-    pub(crate) record_only: Option<&'n BTreeSet<StmtId>>,
-}
-
-impl<'n> EvalCtx<'n> {
-    /// Creates a context with every signal at zero.
-    pub fn new(netlist: &'n Netlist) -> Self {
-        let values = netlist
-            .signals()
-            .iter()
-            .map(|s| Value::zero(s.width))
-            .collect();
-        EvalCtx {
-            netlist,
-            values,
-            record_only: None,
-        }
-    }
-
-    /// Resets every signal to zero.
-    pub fn reset(&mut self) {
-        for (v, s) in self.values.iter_mut().zip(self.netlist.signals()) {
-            *v = Value::zero(s.width);
-        }
-    }
-
-    /// The current value of a named signal.
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::UnknownSignal`] when the name is not declared.
-    pub fn value_of(&self, name: &str) -> Result<Value, SimError> {
-        let id = self
-            .netlist
-            .signal_id(name)
-            .ok_or_else(|| SimError::UnknownSignal {
-                name: name.to_owned(),
-            })?;
-        Ok(self.values[id.0 as usize])
-    }
-
-    /// Evaluates an expression against the current signal values.
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::UnknownSignal`] for undeclared references and
-    /// [`SimError::Unsupported`] for concatenations wider than 64 bits.
-    pub fn eval(&self, e: &Expr) -> Result<Value, SimError> {
-        match e {
-            Expr::Ident { name, .. } => self.value_of(name),
-            Expr::Literal { width, value, .. } => {
-                let w = width.unwrap_or(32).min(64) as u8;
-                Ok(Value::new(*value, w))
-            }
-            Expr::Unary { op, operand, .. } => Ok(eval_unary(*op, self.eval(operand)?)),
-            Expr::Binary { op, lhs, rhs, .. } => {
-                Ok(eval_binary(*op, self.eval(lhs)?, self.eval(rhs)?))
-            }
-            Expr::Ternary {
-                cond,
-                then_expr,
-                else_expr,
-                ..
-            } => {
-                let c = self.eval(cond)?;
-                let t = self.eval(then_expr)?;
-                let f = self.eval(else_expr)?;
-                let w = t.width().max(f.width());
-                Ok(if c.is_truthy() {
-                    t.resize(w)
-                } else {
-                    f.resize(w)
-                })
-            }
-            Expr::Index { base, index, .. } => {
-                let v = self.value_of(base)?;
-                let i = self.eval(index)?.bits();
-                Ok(Value::bit(
-                    i < u64::from(v.width()) && (v.bits() >> i) & 1 == 1,
-                ))
-            }
-            Expr::Part { base, msb, lsb, .. } => {
-                let v = self.value_of(base)?;
-                let width = (msb - lsb + 1) as u8;
-                Ok(Value::new(v.bits() >> lsb, width))
-            }
-            Expr::Concat { parts, span } => {
-                let mut bits = 0u64;
-                let mut width = 0u32;
-                for p in parts {
-                    let v = self.eval(p)?;
-                    width += u32::from(v.width());
-                    if width > 64 {
-                        return Err(SimError::Unsupported {
-                            detail: format!("concatenation wider than 64 bits at {span}"),
-                        });
-                    }
-                    bits = (bits << v.width()) | v.bits();
-                }
-                Ok(Value::new(bits, width.max(1) as u8))
-            }
-            Expr::Repeat {
-                count, inner, span, ..
-            } => {
-                let v = self.eval(inner)?;
-                let width = u32::from(v.width()) * count;
-                if width > 64 || width == 0 {
-                    return Err(SimError::Unsupported {
-                        detail: format!("replication width {width} at {span}"),
-                    });
-                }
-                let mut bits = 0u64;
-                for _ in 0..*count {
-                    bits = (bits << v.width()) | v.bits();
-                }
-                Ok(Value::new(bits, width as u8))
-            }
-        }
-    }
-
-    /// Resolves an l-value with a pre-resolved base signal into a [`Write`]
-    /// carrying `value`.
-    fn resolve_write(
-        &self,
-        target: SignalId,
-        lhs: &LValue,
-        value: Value,
-    ) -> Result<Write, SimError> {
-        let full = self.netlist.signal(target).width;
-        Ok(match &lhs.select {
-            None => Write {
-                target,
-                lo: 0,
-                width: full,
-                bits: value.resize(full).bits(),
-            },
-            Some(Select::Bit(idx)) => {
-                let i = self.eval(idx)?.bits().min(63) as u8;
-                Write {
-                    target,
-                    lo: i.min(full - 1),
-                    width: 1,
-                    bits: u64::from(value.lsb()),
-                }
-            }
-            Some(Select::Part { msb, lsb }) => {
-                let width = (msb - lsb + 1) as u8;
-                Write {
-                    target,
-                    lo: *lsb as u8,
-                    width,
-                    bits: value.resize(width).bits(),
-                }
-            }
-        })
-    }
-
-    /// Executes one assignment: evaluates the RHS, optionally records the
-    /// execution, and either applies the write immediately or defers it.
-    ///
-    /// The recorder path reads the netlist's precomputed [`AssignInfo`] when
-    /// available, so per-execution work is a value copy per operand — no
-    /// expression-tree walks, name hashing, or string allocation.
-    pub(crate) fn exec_assign(
-        &mut self,
-        a: &Assignment,
-        defer: Option<&mut Vec<Write>>,
-        recorder: Option<&mut Vec<StmtExec>>,
-    ) -> Result<(), SimError> {
-        let value = self.eval(&a.rhs)?;
-        let info = self.netlist.assign_info(a.id);
-        let target = match info.and_then(|i| i.target) {
-            Some(t) => t,
-            None => self
-                .netlist
-                .signal_id(&a.lhs.base)
-                .ok_or_else(|| SimError::UnknownSignal {
-                    name: a.lhs.base.clone(),
-                })?,
-        };
-        let write = self.resolve_write(target, &a.lhs, value)?;
-        let kept = self.record_only.is_none_or(|s| s.contains(&a.id));
-        if let Some(rec) = recorder.filter(|_| kept) {
-            let operands = match info {
-                Some(i) => {
-                    Operands::capture(i.read_ids.len(), |k| self.values[i.read_ids[k].0 as usize])
-                }
-                // Statement not elaborated with this netlist (foreign id):
-                // fall back to walking the expression tree, in the same
-                // record read order `AssignInfo` would use.
-                None => {
-                    let mut seen: Vec<&str> = Vec::new();
-                    let mut vals: Vec<Value> = Vec::new();
-                    for name in a.rhs.referenced_signals() {
-                        if !seen.contains(&name) {
-                            seen.push(name);
-                            vals.push(self.value_of(name)?);
-                        }
-                    }
-                    if let Some(Select::Bit(idx)) = &a.lhs.select {
-                        for name in idx.referenced_signals() {
-                            if !seen.contains(&name) {
-                                seen.push(name);
-                                vals.push(self.value_of(name)?);
-                            }
-                        }
-                    }
-                    Operands::from_values(&vals)
-                }
-            };
-            rec.push(StmtExec {
-                stmt: a.id,
-                operands,
-                result: Value::new(write.bits, write.width),
-            });
-        }
-        match (defer, a.kind == verilog::AssignKind::NonBlocking) {
-            (Some(d), true) => d.push(write),
-            _ => {
-                let cur = self.values[write.target.0 as usize];
-                self.values[write.target.0 as usize] = write.apply(cur);
-            }
-        }
-        Ok(())
-    }
-
-    /// Executes a statement list. Non-blocking writes are deferred into
-    /// `defer` when it is provided (sequential context); blocking writes are
-    /// always immediate. When `recorder` is provided, every executed
-    /// assignment appends a [`StmtExec`].
-    pub fn exec_stmts(
-        &mut self,
-        stmts: &[Stmt],
-        mut defer: Option<&mut Vec<Write>>,
-        mut recorder: Option<&mut Vec<StmtExec>>,
-    ) -> Result<(), SimError> {
-        for s in stmts {
-            match s {
-                Stmt::Assign(a) => {
-                    self.exec_assign(a, defer.as_deref_mut(), recorder.as_deref_mut())?;
-                }
-                Stmt::If(IfStmt {
-                    cond,
-                    then_branch,
-                    else_branch,
-                    ..
-                }) => {
-                    let taken = if self.eval(cond)?.is_truthy() {
-                        then_branch
-                    } else {
-                        else_branch
-                    };
-                    self.exec_stmts(taken, defer.as_deref_mut(), recorder.as_deref_mut())?;
-                }
-                Stmt::Case(CaseStmt {
-                    subject,
-                    arms,
-                    default,
-                    ..
-                }) => {
-                    let subj = self.eval(subject)?;
-                    let mut matched = false;
-                    for arm in arms {
-                        for label in &arm.labels {
-                            if self.eval(label)?.bits() == subj.bits() {
-                                matched = true;
-                                break;
-                            }
-                        }
-                        if matched {
-                            self.exec_stmts(
-                                &arm.body,
-                                defer.as_deref_mut(),
-                                recorder.as_deref_mut(),
-                            )?;
-                            break;
-                        }
-                    }
-                    if !matched {
-                        self.exec_stmts(default, defer.as_deref_mut(), recorder.as_deref_mut())?;
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::netlist::Netlist;
+    use crate::oracle::EvalCtx;
     use crate::value::LANES;
 
     fn ctx_for(src: &str) -> (Netlist, Vec<(String, u64)>) {

@@ -42,6 +42,7 @@ pub mod error;
 pub mod eval;
 mod metrics;
 pub mod netlist;
+pub mod oracle;
 pub mod sched;
 pub mod testbench;
 pub mod trace;
@@ -50,9 +51,9 @@ pub mod vcd;
 
 pub use cancel::CancelToken;
 pub use error::SimError;
-pub use eval::{EvalCtx, Write};
+pub use eval::Write;
 pub use netlist::{Netlist, Process, Signal, SignalId, SignalRole};
-pub use sched::{simulate, EngineKind, Simulator};
+pub use sched::{EngineKind, Simulator};
 pub use testbench::{Stimulus, TestbenchGen};
 pub use trace::{
     CycleRecord, Execs, ExecsIter, Operands, SignalSet, Snapshot, StmtExec, Trace, TraceLabel,

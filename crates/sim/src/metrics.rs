@@ -18,10 +18,9 @@ pub(crate) static COMB_SKIPS: LazyCounter = LazyCounter::new("sim.comb_skips");
 pub(crate) static BYTECODE_OPS: LazyCounter = LazyCounter::new("sim.bytecode_ops");
 /// Sequential process evaluations (clock-edge programs run).
 pub(crate) static SEQ_EVALS: LazyCounter = LazyCounter::new("sim.seq_evals");
-/// Fixpoint iterations of the interpreter's combinational settle loop.
+/// Combinational passes a settle-plan design ran to reach its fixpoint,
+/// the converged pass included (per batch cycle, not per lane).
 pub(crate) static SETTLE_ITERS: LazyCounter = LazyCounter::new("sim.settle_iters");
-/// Simulations that fell back to the fixpoint interpreter.
-pub(crate) static RUNS_INTERPRETED: LazyCounter = LazyCounter::new("sim.runs_interpreted");
 /// Stimuli simulated by the compiled engine (lanes, not batches).
 pub(crate) static RUNS_BATCH: LazyCounter = LazyCounter::new("sim.runs_batch");
 /// Lane fill per compiled-engine invocation (64 = full batch).
@@ -35,8 +34,7 @@ pub(crate) static RECORDS_ELIDED: LazyCounter = LazyCounter::new("sim.records_el
 /// [`crate::trace::StmtExec`] records a records-only run did not
 /// materialize because their statement is outside the requested set:
 /// the full trace's record count minus the kept trace's, re-used
-/// descriptors included (compiled engine only; the interpreter fallback
-/// does not count).
+/// descriptors included.
 pub(crate) static RECORDS_SKIPPED: LazyCounter = LazyCounter::new("sim.records_skipped");
-/// Simulations served in verdict (values-only) mode, any engine.
+/// Simulations served in verdict (values-only) mode.
 pub(crate) static RUNS_VERDICT: LazyCounter = LazyCounter::new("sim.runs_verdict");

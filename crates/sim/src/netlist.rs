@@ -63,7 +63,7 @@ pub struct AssignInfo {
     /// Signal ids matching `names` positionally.
     pub read_ids: Vec<SignalId>,
     /// The LHS base signal, when it resolves to a declared signal.
-    /// `None` surfaces as [`SimError::UnknownSignal`] at execution time.
+    /// `None` surfaces as [`SimError::UnknownSignal`] at compile time.
     pub target: Option<SignalId>,
 }
 

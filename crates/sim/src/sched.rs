@@ -1,61 +1,56 @@
-//! The cycle-based simulation scheduler.
-//!
-//! Each simulated cycle:
-//!
-//! 1. apply the stimulus vector to the input ports,
-//! 2. settle combinational logic to a fixpoint (silently), then run one more
-//!    recording pass so executed-statement records reflect stable values,
-//! 3. snapshot all signal values into the cycle record,
-//! 4. fire the clock edge: run every sequential block against pre-edge
-//!    values (recording executions), then commit all non-blocking writes.
-//!
-//! Async-reset edges are approximated synchronously: reset blocks execute at
-//! every clock edge with the current reset value, which matches the paper's
-//! usage (reset held during the first cycles of each GOLDMINE testbench).
+//! The simulator front end: [`Simulator`] elaborates a design, compiles it
+//! into the batch engine, and groups stimuli into lane batches.
 
 use crate::batch::BatchEngine;
 use crate::cancel::CancelToken;
 use crate::error::SimError;
-use crate::eval::{EvalCtx, Write};
-use crate::netlist::{Netlist, Process, SignalId};
-use crate::testbench::{PortResolver, Stimulus};
-use crate::trace::{Records, SignalSet, StmtExec, Trace, TraceMode, VerdictTrace};
-use crate::value::{Value, LANES};
+use crate::netlist::Netlist;
+use crate::testbench::Stimulus;
+use crate::trace::{SignalSet, Trace, TraceMode, VerdictTrace};
+use crate::value::LANES;
 use verilog::Module;
 
-/// Which execution strategy a [`Simulator`] settled on at elaboration time.
+/// Which execution strategy a [`Simulator`] runs. There is one; the enum
+/// stays so reports keep naming their engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum EngineKind {
     /// The compiled engine: levelized, bit-parallel bytecode evaluating up
-    /// to [`LANES`] stimuli at once with per-lane dirty-set re-evaluation.
-    /// A single stimulus runs as a one-lane batch.
+    /// to [`LANES`] stimuli at once with per-lane dirty-set re-evaluation,
+    /// or a per-cycle fixpoint settle for designs without a levelized
+    /// schedule. A single stimulus runs as a one-lane batch.
     Batch,
-    /// AST-walking fixpoint interpreter (fallback for static combinational
-    /// cycles and constructs whose single-pass equivalence is unprovable).
-    Interpreted,
 }
 
 /// A reusable simulator for one design.
 ///
-/// [`Simulator::new`] compiles the design into the levelized, bit-parallel
-/// bytecode engine when static analysis proves a single ordered
-/// combinational pass equivalent to the fixpoint settle; otherwise it falls
-/// back to the AST interpreter. Both produce bit-identical [`Trace`]s —
-/// signal snapshots and [`StmtExec`] records — for every supported design.
+/// [`Simulator::new`] compiles the design into the bit-parallel bytecode
+/// engine. When static analysis proves that one ordered combinational pass
+/// per cycle equals the fixpoint settle, the engine runs that levelized
+/// pass under a per-lane dirty gate; otherwise (a static combinational
+/// cycle, several drivers of one signal, combinational logic writing an
+/// input, or a signal written both combinationally and sequentially) it
+/// iterates combinational passes to a fixpoint each cycle, exactly as the
+/// interpreter oracle ([`crate::oracle::interpret`]) does. Either way its
+/// [`Trace`]s — signal snapshots and [`crate::StmtExec`] records — are
+/// bit-identical to the oracle's.
 #[derive(Debug)]
 pub struct Simulator {
     netlist: Netlist,
-    batch: Option<BatchEngine>,
+    engine: BatchEngine,
     cancel: CancelToken,
 }
 
 impl Simulator {
-    /// Elaborates a module into a simulator.
+    /// Elaborates and compiles a module into a simulator.
     ///
     /// # Errors
     ///
     /// Propagates elaboration errors ([`SimError::Unsupported`],
-    /// [`SimError::ClockMismatch`]).
+    /// [`SimError::ClockMismatch`]), and rejects with
+    /// [`SimError::Unsupported`] — naming the construct and its position —
+    /// a construct with no simulated value: an inverted part select or one
+    /// wider than 64 bits on either side of an assignment, or a
+    /// concatenation or replication wider than 64 bits.
     ///
     /// # Examples
     ///
@@ -76,26 +71,10 @@ impl Simulator {
     /// ```
     pub fn new(module: &Module) -> Result<Self, SimError> {
         let netlist = Netlist::elaborate(module)?;
-        let batch =
-            crate::compile::analyze(&netlist).and_then(|a| BatchEngine::build(&netlist, &a));
+        let engine = BatchEngine::build(&netlist)?;
         Ok(Simulator {
             netlist,
-            batch,
-            cancel: CancelToken::inert(),
-        })
-    }
-
-    /// Elaborates a module into a simulator that always uses the fixpoint
-    /// interpreter, even when the design would compile. Used by differential
-    /// tests and benchmarks comparing the two engines.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Simulator::new`].
-    pub fn interpreted(module: &Module) -> Result<Self, SimError> {
-        Ok(Simulator {
-            netlist: Netlist::elaborate(module)?,
-            batch: None,
+            engine,
             cancel: CancelToken::inert(),
         })
     }
@@ -109,7 +88,7 @@ impl Simulator {
     pub fn fork(&self) -> Simulator {
         Simulator {
             netlist: self.netlist.clone(),
-            batch: self.batch.as_ref().map(BatchEngine::fork),
+            engine: self.engine.fork(),
             cancel: CancelToken::inert(),
         }
     }
@@ -122,14 +101,9 @@ impl Simulator {
         self.cancel = token;
     }
 
-    /// Which engine every run uses: [`EngineKind::Batch`] when the design
-    /// compiled, otherwise [`EngineKind::Interpreted`].
+    /// Which engine every run uses: always [`EngineKind::Batch`].
     pub fn batch_engine_kind(&self) -> EngineKind {
-        if self.batch.is_some() {
-            EngineKind::Batch
-        } else {
-            EngineKind::Interpreted
-        }
+        EngineKind::Batch
     }
 
     /// The installed cancellation token (inert unless
@@ -151,8 +125,8 @@ impl Simulator {
     ///
     /// [`SimError::NotAnInput`] when the stimulus drives a non-input,
     /// [`SimError::CombinationalLoop`] when combinational logic does not
-    /// settle, [`SimError::Cancelled`] when an installed
-    /// [`CancelToken`] fires, plus any evaluation error.
+    /// settle, and [`SimError::Cancelled`] when an installed
+    /// [`CancelToken`] fires.
     pub fn run(&mut self, stimulus: &Stimulus) -> Result<Trace, SimError> {
         let mut traces = self.run_batch(std::slice::from_ref(stimulus))?;
         Ok(traces.pop().expect("one trace per stimulus"))
@@ -160,13 +134,12 @@ impl Simulator {
 
     /// Runs many stimuli and returns one trace per stimulus, in order.
     ///
-    /// When the design compiled, consecutive stimuli of equal cycle count
-    /// are grouped into batches of up to [`LANES`] and simulated
-    /// bit-parallel — one bytecode op evaluates every lane at once — which
-    /// is how campaigns, dataset builds, and localization amortize
-    /// per-stimulus cost. Traces, snapshots, and [`StmtExec`] records are
-    /// bit-identical to the interpreter's, whatever the grouping. Designs
-    /// that fell back to the interpreter run sequentially.
+    /// Consecutive stimuli of equal cycle count are grouped into batches of
+    /// up to [`LANES`] and simulated bit-parallel — one bytecode op
+    /// evaluates every lane at once — which is how campaigns, dataset
+    /// builds, and localization amortize per-stimulus cost. Traces,
+    /// snapshots, and [`crate::StmtExec`] records are bit-identical to the
+    /// oracle's, whatever the grouping.
     ///
     /// # Errors
     ///
@@ -181,7 +154,7 @@ impl Simulator {
     /// Runs many stimuli in verdict mode ([`TraceMode::verdict`]), one
     /// [`VerdictTrace`] per stimulus in order, batched exactly as
     /// [`run_batch`](Self::run_batch). Value evolution, input validation,
-    /// and cancellation behave as in full mode, but no [`StmtExec`] records
+    /// and cancellation behave as in full mode, but no [`crate::StmtExec`] records
     /// are materialized and only `observed` signals are snapshotted per
     /// cycle: each result is exactly the observed columns of the full
     /// trace. This is the campaign screening pass: the 64-lane compute win
@@ -204,13 +177,9 @@ impl Simulator {
     /// values)` pair per stimulus, in order. The trace holds what `mode`
     /// records (no cycles when it records nothing); the [`VerdictTrace`]
     /// holds the observed signals' per-cycle values (none when it observes
-    /// nothing). Both engines run one cycle loop for every mode, so each
-    /// product equals the corresponding part of the full trace.
-    ///
-    /// When the design compiled, consecutive stimuli of equal cycle count
-    /// are grouped into batches of up to [`LANES`] and simulated
-    /// bit-parallel; designs that fell back to the interpreter run
-    /// sequentially.
+    /// nothing). The engine runs one cycle loop for every mode, so each
+    /// product equals the corresponding part of the full trace. Stimuli
+    /// are batched exactly as in [`run_batch`](Self::run_batch).
     ///
     /// # Errors
     ///
@@ -222,141 +191,11 @@ impl Simulator {
         stimuli: &[Stimulus],
         mode: TraceMode<'_>,
     ) -> Result<Vec<(Trace, VerdictTrace)>, SimError> {
-        let Some(batch) = &mut self.batch else {
-            let mut ports = PortResolver::default();
-            return stimuli
-                .iter()
-                .map(|s| {
-                    let ids = ports.resolve(&self.netlist, s)?;
-                    self.run_interpreted(s, &ids, mode)
-                })
-                .collect();
-        };
         let mut runs = Vec::with_capacity(stimuli.len());
         for chunk in lane_groups(stimuli) {
-            runs.extend(batch.run(&self.netlist, chunk, &self.cancel, mode)?);
+            runs.extend(self.engine.run(&self.netlist, chunk, &self.cancel, mode)?);
         }
         Ok(runs)
-    }
-
-    /// The fixpoint-interpreter path: settle combinational logic by
-    /// iteration, then, when `mode` records anything, one recording pass
-    /// per cycle (at the settle fixpoint it is value-neutral, so a mode
-    /// that records nothing skips it). `ids` are the stimulus's ports
-    /// resolved against this netlist. A records-only set filters at push
-    /// time. The verdict's `records_elided` is 0 here (best-effort
-    /// accounting; the fallback never counts would-be records).
-    fn run_interpreted(
-        &mut self,
-        stimulus: &Stimulus,
-        ids: &[SignalId],
-        mode: TraceMode<'_>,
-    ) -> Result<(Trace, VerdictTrace), SimError> {
-        crate::metrics::RUNS_INTERPRETED.incr();
-        let mut ctx = EvalCtx::new(&self.netlist);
-        let (record, nsnap) = match mode.records {
-            Records::All => (true, self.netlist.signal_count()),
-            Records::Only(stmts) => {
-                ctx.record_only = Some(stmts);
-                (true, 0)
-            }
-            Records::Nothing => (false, 0),
-        };
-        let ncycles = stimulus.len();
-        let nobs = mode.observed.len();
-        if nobs > 0 {
-            crate::metrics::RUNS_VERDICT.incr();
-        }
-        // One run-wide snapshot arena instead of a value-vector per cycle.
-        let mut arena: Vec<Value> = Vec::with_capacity(ncycles * nsnap);
-        let mut observed: Vec<Value> = Vec::with_capacity(ncycles * nobs);
-        let mut cycle_execs: Vec<Vec<StmtExec>> = Vec::new();
-        for cycle_idx in 0..ncycles {
-            let cycle = cycle_idx as u32;
-            if self.cancel.is_cancelled() {
-                return Err(SimError::Cancelled { at_cycle: cycle });
-            }
-            // 1. Apply inputs.
-            self.apply_inputs(&mut ctx, stimulus.cycle(cycle_idx), ids);
-
-            // 2. Combinational settle + recording pass.
-            let mut execs: Vec<StmtExec> = Vec::new();
-            self.settle_comb(&mut ctx)?;
-            if record {
-                for p in &self.netlist.comb {
-                    self.run_comb_process(&mut ctx, p, Some(&mut execs))?;
-                }
-            }
-
-            // 3. Snapshot pre-edge values into the arena and the observed
-            // column.
-            arena.extend_from_slice(&ctx.values[..nsnap]);
-            observed.extend(mode.observed.iter().map(|id| ctx.values[id.0 as usize]));
-
-            // 4. Clock edge: sequential blocks with deferred commits.
-            let mut deferred: Vec<Write> = Vec::new();
-            for p in &self.netlist.seq {
-                let Process::Seq(blk) = p else { continue };
-                let recorder = if record { Some(&mut execs) } else { None };
-                ctx.exec_stmts(&blk.body, Some(&mut deferred), recorder)?;
-            }
-            for w in deferred {
-                let cur = ctx.values[w.target.0 as usize];
-                ctx.values[w.target.0 as usize] = w.apply(cur);
-            }
-
-            if record {
-                cycle_execs.push(execs);
-            }
-        }
-        crate::metrics::CYCLES.add(ncycles as u64);
-        let verdict = VerdictTrace {
-            values: observed,
-            nobs,
-            records_elided: 0,
-        };
-        Ok((Trace::assemble(arena.into(), nsnap, cycle_execs), verdict))
-    }
-
-    /// Drives one cycle's words onto their resolved input signals.
-    fn apply_inputs(&self, ctx: &mut EvalCtx<'_>, words: &[u64], ids: &[SignalId]) {
-        for (&bits, &id) in words.iter().zip(ids) {
-            ctx.values[id.0 as usize] = Value::new(bits, self.netlist.signal(id).width);
-        }
-    }
-
-    fn run_comb_process(
-        &self,
-        ctx: &mut EvalCtx<'_>,
-        p: &Process,
-        recorder: Option<&mut Vec<StmtExec>>,
-    ) -> Result<(), SimError> {
-        match p {
-            Process::Assign(a) => ctx.exec_assign(a, None, recorder),
-            Process::Comb(blk) => ctx.exec_stmts(&blk.body, None, recorder),
-            Process::Seq(_) => Ok(()),
-        }
-    }
-
-    /// Iterates the combinational processes until no signal changes.
-    fn settle_comb(&self, ctx: &mut EvalCtx<'_>) -> Result<(), SimError> {
-        let max_iters = (self.netlist.comb.len() as u32 + 4) * 4;
-        // One scratch snapshot reused across iterations: `clone_from` keeps
-        // the allocation instead of reallocating the value vector each pass.
-        let mut before = Vec::new();
-        for iter in 0..max_iters {
-            before.clone_from(&ctx.values);
-            for p in &self.netlist.comb {
-                self.run_comb_process(ctx, p, None)?;
-            }
-            if ctx.values == before {
-                crate::metrics::SETTLE_ITERS.add(u64::from(iter) + 1);
-                return Ok(());
-            }
-        }
-        Err(SimError::CombinationalLoop {
-            iterations: max_iters,
-        })
     }
 }
 
@@ -376,19 +215,12 @@ fn lane_groups(mut rest: &[Stimulus]) -> impl Iterator<Item = &[Stimulus]> {
     })
 }
 
-/// One-shot convenience: elaborate, simulate, return the trace.
-///
-/// # Errors
-///
-/// See [`Simulator::new`] and [`Simulator::run`].
-pub fn simulate(module: &Module, stimulus: &Stimulus) -> Result<Trace, SimError> {
-    Simulator::new(module)?.run(stimulus)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::oracle::interpret;
     use crate::testbench::Stimulus;
+    use crate::trace::StmtExec;
 
     fn stim(vectors: Vec<Vec<(&str, u64)>>) -> Stimulus {
         Stimulus::from_named(vectors)
@@ -526,18 +358,23 @@ mod tests {
         assert_eq!(t.cycles[2].value(q).bits(), 1); // captured d=1 at cycle 1 edge
     }
 
+    /// A levelized design and a settle-plan design (a static cycle
+    /// between `y` and `t`), both registering `d`.
+    const LEVELIZED_AND_SETTLED: [&str; 2] = [
+        "module m(input clk, input d, output reg q);\n\
+         always @(posedge clk) q <= d;\nendmodule",
+        "module m(input clk, input d, output reg q, output y);\nwire t;\n\
+         assign y = t | d;\nassign t = y & q;\n\
+         always @(posedge clk) q <= d;\nendmodule",
+    ];
+
     #[test]
     fn cancelled_token_stops_both_engines() {
-        let src = "module m(input clk, input d, output reg q);\n\
-                   always @(posedge clk) q <= d;\nendmodule";
-        let unit = verilog::parse(src).unwrap();
+        // One engine, two schedules: levelized and settle.
         let vectors = stim(vec![vec![("d", 1)], vec![("d", 0)]]);
-        for interpreted in [false, true] {
-            let mut sim = if interpreted {
-                Simulator::interpreted(unit.top()).unwrap()
-            } else {
-                Simulator::new(unit.top()).unwrap()
-            };
+        for src in LEVELIZED_AND_SETTLED {
+            let unit = verilog::parse(src).unwrap();
+            let mut sim = Simulator::new(unit.top()).unwrap();
             let token = CancelToken::new();
             token.cancel();
             sim.set_cancel(token);
@@ -582,12 +419,13 @@ mod tests {
                    always @(posedge clk) begin\ncase (s)\n2'b00: n <= n + 4'd1;\n2'b01: n <= a;\ndefault: n <= 4'd0;\nendcase\nend\nendmodule";
         let unit = verilog::parse(src).unwrap();
         let mut sim = Simulator::new(unit.top()).unwrap();
-        let mut interp = Simulator::interpreted(unit.top()).unwrap();
-        assert_eq!(sim.batch_engine_kind(), EngineKind::Batch);
         let gen = crate::testbench::TestbenchGen::new(11);
         let stimuli = gen.generate_many(sim.netlist(), 9, 7);
         let batched = sim.run_batch(&stimuli).unwrap();
-        let sequential: Vec<Trace> = stimuli.iter().map(|s| interp.run(s).unwrap()).collect();
+        let sequential: Vec<Trace> = stimuli
+            .iter()
+            .map(|s| interpret(sim.netlist(), s).unwrap())
+            .collect();
         assert_eq!(batched, sequential);
         // One stimulus at a time is a one-lane batch, with the same traces.
         let single: Vec<Trace> = stimuli.iter().map(|s| sim.run(s).unwrap()).collect();
@@ -600,7 +438,6 @@ mod tests {
                    always @(posedge clk) q <= d;\nendmodule";
         let unit = verilog::parse(src).unwrap();
         let mut sim = Simulator::new(unit.top()).unwrap();
-        let mut interp = Simulator::interpreted(unit.top()).unwrap();
         // 3-cycle, 3-cycle, 5-cycle, 3-cycle: three batch chunks.
         let stimuli = vec![
             stim(vec![vec![("d", 1)]; 3]),
@@ -612,22 +449,37 @@ mod tests {
         assert_eq!(batched.len(), 4);
         for (t, s) in batched.iter().zip(&stimuli) {
             assert_eq!(t.len(), s.len());
-            assert_eq!(t, &interp.run(s).unwrap());
+            assert_eq!(t, &interpret(sim.netlist(), s).unwrap());
         }
         // Empty input is a no-op.
         assert!(sim.run_batch(&[]).unwrap().is_empty());
     }
 
     #[test]
-    fn run_batch_falls_back_for_interpreted_designs() {
-        let src = "module m(input a, output y);\nassign y = a;\nendmodule";
-        let unit = verilog::parse(src).unwrap();
-        let mut sim = Simulator::interpreted(unit.top()).unwrap();
-        assert_eq!(sim.batch_engine_kind(), EngineKind::Interpreted);
-        let stimuli = vec![stim(vec![vec![("a", 1)]]), stim(vec![vec![("a", 0)]])];
-        let traces = sim.run_batch(&stimuli).unwrap();
-        assert_eq!(traces.len(), 2);
-        assert_eq!(traces[0], sim.run(&stimuli[0]).unwrap());
+    fn run_batch_settles_designs_without_a_levelized_schedule() {
+        // A converging static cycle, two drivers of one signal, a
+        // combinational write to an input, and a signal written by both
+        // kinds of process: each settles per cycle like the oracle.
+        let sources = [
+            LEVELIZED_AND_SETTLED[1],
+            "module m(input a, input b, output y);\nassign y = a;\nassign y = b;\nendmodule",
+            "module m(input a, input b, output y);\nassign a = b;\nassign y = a;\nendmodule",
+            "module m(input clk, input a, output reg y);\n\
+             always @(*) y = a;\nalways @(posedge clk) y <= ~y;\nendmodule",
+        ];
+        for src in sources {
+            let unit = verilog::parse(src).unwrap();
+            let mut sim = Simulator::new(unit.top()).unwrap();
+            assert!(sim.engine.settles(), "{src}");
+            let stimuli =
+                crate::testbench::TestbenchGen::new(3).generate_many(sim.netlist(), 9, 70);
+            let oracle: Vec<Trace> = stimuli
+                .iter()
+                .map(|s| interpret(sim.netlist(), s).unwrap())
+                .collect();
+            assert_eq!(sim.run_batch(&stimuli).unwrap(), oracle, "{src}");
+            assert_eq!(sim.run(&stimuli[0]).unwrap(), oracle[0], "{src}");
+        }
     }
 
     #[test]
@@ -671,14 +523,16 @@ mod tests {
                    always @(posedge clk) begin\ncase (s)\n2'b00: n <= n + 4'd1;\n2'b01: n <= a;\ndefault: n <= 4'd0;\nendcase\nend\nendmodule";
         let unit = verilog::parse(src).unwrap();
         let mut sim = Simulator::new(unit.top()).unwrap();
-        let mut interp = Simulator::interpreted(unit.top()).unwrap();
         let y = sim.netlist().signal_id("y").unwrap();
         let n = sim.netlist().signal_id("n").unwrap();
         let observed = SignalSet::from_ids([n, y]);
         let gen = crate::testbench::TestbenchGen::new(23);
         let stimuli = gen.generate_many(sim.netlist(), 9, 7);
 
-        let full: Vec<Trace> = stimuli.iter().map(|s| interp.run(s).unwrap()).collect();
+        let full: Vec<Trace> = stimuli
+            .iter()
+            .map(|s| interpret(sim.netlist(), s).unwrap())
+            .collect();
         let expect = |t: &Trace| VerdictTrace {
             values: t
                 .cycles
@@ -688,15 +542,11 @@ mod tests {
             nobs: observed.len(),
             records_elided: 0,
         };
-        // Interpreter, one-lane, and full-batch verdict paths all
-        // reproduce exactly the observed columns of the full trace.
+        // One-lane and full-batch verdict paths both reproduce exactly
+        // the observed columns of the oracle's full trace.
         for (s, t) in stimuli.iter().zip(&full) {
             let one = std::slice::from_ref(s);
             assert_eq!(sim.run_batch_verdict(one, &observed).unwrap(), [expect(t)]);
-            assert_eq!(
-                interp.run_batch_verdict(one, &observed).unwrap(),
-                [expect(t)]
-            );
         }
         let batched = sim.run_batch_verdict(&stimuli, &observed).unwrap();
         assert_eq!(batched.len(), full.len());
@@ -737,17 +587,16 @@ mod tests {
     fn records_only_runs_filter_records_and_snapshot_nothing() {
         obs::enable();
         let skipped = || obs::snapshot().counter("sim.records_skipped").unwrap_or(0);
+        // The same design levelized, and with a feedback read of `y` that
+        // forces a settle plan.
         let src = "module m(input clk, input [1:0] s, input [3:0] a, output reg [3:0] y, output reg [3:0] n);\n\
                    always @(*) begin\nif (s[0]) y = a + 4'd1; else y = a - 4'd1;\nend\n\
                    always @(posedge clk) begin\ncase (s)\n2'b00: n <= n + 4'd1;\n2'b01: n <= a;\ndefault: n <= 4'd0;\nendcase\nend\nendmodule";
-        let unit = verilog::parse(src).unwrap();
+        let settled = src.replace("a - 4'd1", "a | y");
         let keep = std::collections::BTreeSet::from([verilog::StmtId(0), verilog::StmtId(3)]);
-        for interpreted in [false, true] {
-            let mut sim = if interpreted {
-                Simulator::interpreted(unit.top()).unwrap()
-            } else {
-                Simulator::new(unit.top()).unwrap()
-            };
+        for src in [src, settled.as_str()] {
+            let unit = verilog::parse(src).unwrap();
+            let mut sim = Simulator::new(unit.top()).unwrap();
             let stimuli = crate::testbench::TestbenchGen::new(5).generate_many(sim.netlist(), 9, 7);
             let full = sim.run_batch(&stimuli).unwrap();
             let before = skipped();
@@ -771,10 +620,8 @@ mod tests {
             }
             assert!(dropped > 0, "the set must drop some records");
             // Other tests may add to the shared total concurrently, so
-            // only a lower bound holds; the interpreter does not count.
-            if !interpreted {
-                assert!(skipped() - before >= dropped as u64);
-            }
+            // only a lower bound holds.
+            assert!(skipped() - before >= dropped as u64);
         }
     }
 

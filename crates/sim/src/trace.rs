@@ -199,7 +199,7 @@ impl From<Vec<Value>> for Snapshot {
 /// logical record sequence, not arena identity, so segmented and
 /// contiguous traces of the same run compare equal.
 ///
-/// The interpreter builds cycles from plain record vectors via
+/// The interpreter oracle builds cycles from plain record vectors via
 /// `From<Vec<StmtExec>>` (a single segment spanning the whole vector).
 #[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
 pub struct Execs {
@@ -347,7 +347,7 @@ pub struct Trace {
 impl Trace {
     /// Assembles a trace from a run-wide snapshot arena holding one
     /// contiguous `nsig`-value window per cycle, plus per-cycle execution
-    /// records. Used by the interpreter; the compiled engine views the same
+    /// records. Used by the interpreter oracle; the compiled engine views the same
     /// kind of arena at lane-strided offsets instead.
     pub(crate) fn assemble(
         arena: Arc<[Value]>,
@@ -540,9 +540,9 @@ impl<'a> TraceMode<'a> {
 ///
 /// Values are cycle-major: `values[cycle * nobs + k]` is observed signal
 /// `k` (in [`SignalSet`] order) at `cycle`. Equality compares values and
-/// shape only — `records_elided` is an accounting figure that legitimately
-/// differs between engines (the interpreter does not count elisions at
-/// all) and must not break bit-identity comparisons.
+/// shape only — `records_elided` is a best-effort accounting figure (a
+/// settle plan counts every pass's elisions) and must not break
+/// bit-identity comparisons.
 #[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
 pub struct VerdictTrace {
     /// Cycle-major observed values: `values[cycle * nobs + k]`.
@@ -550,8 +550,7 @@ pub struct VerdictTrace {
     /// Number of observed signals per cycle.
     pub nobs: usize,
     /// How many [`StmtExec`] records full-trace mode would have produced
-    /// that this run never materialized (best-effort; 0 from the
-    /// interpreter fallback).
+    /// that this run never materialized (best-effort).
     pub records_elided: u64,
 }
 
