@@ -19,9 +19,15 @@
 //! - **request isolation** — malformed JSON answers `400`, Verilog parse
 //!   errors `422` (with line/column), oversized bodies `413`, and a
 //!   panicking handler answers `500` without taking down the listener;
-//! - **graceful shutdown** — `POST /v1/shutdown` stops the accept loop,
-//!   drains queued and in-flight requests, then returns from
-//!   [`server::Server::run`];
+//! - **a blocking accept loop** shared by the server and the shard front —
+//!   a connection reaches a worker the moment it is accepted, with no
+//!   poll interval, and an accept error that concerns one connection
+//!   (an aborted handshake, fd exhaustion) is counted in
+//!   `serve.accept_errors` instead of ending the loop;
+//! - **graceful shutdown** — `POST /v1/shutdown` sets a flag and wakes the
+//!   blocked accept with a connection to the server's own address; the
+//!   loop stops accepting, drains queued and in-flight requests, then
+//!   returns from [`server::Server::run`];
 //! - **live request telemetry** — every request gets a trace ID (honored
 //!   from `x-veribug-request-id` or minted), echoed on every response and
 //!   attached to error bodies; completed requests are tail-sampled into an
@@ -60,6 +66,7 @@
 pub mod api;
 pub mod cache;
 pub mod http;
+mod listen;
 pub mod pool;
 pub mod server;
 pub mod shard;

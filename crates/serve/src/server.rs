@@ -19,9 +19,12 @@
 //! tail-sampled into the `/tracez` ring, and its latency/status/stage
 //! breakdown feeds the rolling window `/statusz` serves.
 //!
-//! Shutdown is cooperative: `POST /v1/shutdown` (or
-//! [`ServerHandle::shutdown`]) flips a flag the accept loop polls; the
-//! loop stops accepting, the pool drains queued and in-flight work, and
+//! The accept loop (shared with the shard front) blocks in `accept`, so
+//! a connection reaches the pool as soon as it is accepted. Shutdown is
+//! cooperative: `POST /v1/shutdown` (or [`ServerHandle::shutdown`]) sets
+//! a flag and wakes the blocked `accept` with a connection to the
+//! server's own address; the loop drops that connection and stops
+//! accepting, the pool drains queued and in-flight work, and
 //! [`Server::run`] returns.
 
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -41,6 +44,7 @@ use obs::live;
 use crate::api::{self, ApiError};
 use crate::cache::{BuildError, DesignCache};
 use crate::http::{self, ReadError, Request};
+use crate::listen;
 use crate::pool::Pool;
 use crate::telemetry;
 
@@ -127,7 +131,18 @@ pub(crate) struct ServerState {
     preloaded: usize,
     pool: Arc<Pool>,
     shutdown: AtomicBool,
+    /// The listener's bound address, which [`ServerState::begin_shutdown`]
+    /// connects to so a blocked `accept` returns.
+    addr: SocketAddr,
     started: Instant,
+}
+
+impl ServerState {
+    /// Stops the accept loop: sets the flag, then wakes the listener.
+    fn begin_shutdown(&self) {
+        self.shutdown.store(true, Ordering::SeqCst);
+        listen::wake(self.addr);
+    }
 }
 
 /// A bound, not-yet-running server.
@@ -140,18 +155,17 @@ pub struct Server {
 #[derive(Clone)]
 pub struct ServerHandle {
     state: Arc<ServerState>,
-    addr: SocketAddr,
 }
 
 impl ServerHandle {
     /// The bound address (useful with ephemeral ports).
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.state.addr
     }
 
     /// Begins graceful shutdown, equivalent to `POST /v1/shutdown`.
     pub fn shutdown(&self) {
-        self.state.shutdown.store(true, Ordering::SeqCst);
+        self.state.begin_shutdown();
     }
 }
 
@@ -176,6 +190,7 @@ impl Server {
             None => VeriBugModel::new(ModelConfig::default()),
         };
         let listener = TcpListener::bind(&config.addr)?;
+        let addr = listener.local_addr()?;
         let pool = Arc::new(Pool::new(config.workers, config.queue_capacity));
         let weights_hash = veribug::persist::content_hash_hex(&model);
         let store = match &config.store_path {
@@ -202,6 +217,7 @@ impl Server {
             pool,
             config,
             shutdown: AtomicBool::new(false),
+            addr,
             started: Instant::now(),
         });
         Ok(Server { listener, state })
@@ -217,14 +233,9 @@ impl Server {
     }
 
     /// A handle that can stop the server from another thread.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the listener's local address cannot be read.
     pub fn handle(&self) -> ServerHandle {
         ServerHandle {
             state: Arc::clone(&self.state),
-            addr: self.listener.local_addr().expect("server local addr"),
         }
     }
 
@@ -236,34 +247,21 @@ impl Server {
     /// Fatal listener errors only; per-connection errors are handled
     /// in-line.
     pub fn run(self) -> std::io::Result<()> {
-        self.listener.set_nonblocking(true)?;
-        loop {
-            if self.state.shutdown.load(Ordering::SeqCst) {
-                break;
+        listen::accept_until(&self.listener, &self.state.shutdown, |stream| {
+            // The accept loop is the only producer, so this
+            // check-then-submit cannot race another submit; workers only
+            // shrink the queue in between.
+            if self.state.pool.is_full() {
+                REJECTED_FULL.incr();
+                reject(&self.state, stream);
+                return;
             }
-            match self.listener.accept() {
-                Ok((stream, _peer)) => {
-                    // The accept loop is the only producer, so this
-                    // check-then-submit cannot race another submit; workers
-                    // only shrink the queue in between.
-                    if self.state.pool.is_full() {
-                        REJECTED_FULL.incr();
-                        reject(&self.state, stream);
-                        continue;
-                    }
-                    let state = Arc::clone(&self.state);
-                    let _ = self.state.pool.submit(move || {
-                        handle_connection(&state, stream);
-                        obs::flush_thread();
-                    });
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(2));
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(e),
-            }
-        }
+            let state = Arc::clone(&self.state);
+            let _ = self.state.pool.submit(move || {
+                handle_connection(&state, stream);
+                obs::flush_thread();
+            });
+        })?;
         obs::progress!("serve: draining in-flight requests");
         self.state.pool.shutdown();
         obs::flush_thread();
@@ -293,7 +291,6 @@ fn reject(state: &Arc<ServerState>, stream: TcpStream) {
         .spawn(move || {
             let started = Instant::now();
             let mut stream = stream;
-            let _ = stream.set_nonblocking(false);
             let _ = stream.set_read_timeout(Some(Duration::from_secs(2)));
             let _ = stream.set_write_timeout(Some(Duration::from_secs(2)));
             let (rid, method, label) =
@@ -329,7 +326,6 @@ fn track_status(status: u16) {
 
 fn handle_connection(state: &ServerState, mut stream: TcpStream) {
     let started = Instant::now();
-    let _ = stream.set_nonblocking(false);
     let _ = stream.set_read_timeout(Some(Duration::from_secs(10)));
     let _ = stream.set_write_timeout(Some(Duration::from_secs(10)));
     REQUESTS.incr();
@@ -479,7 +475,7 @@ fn route(state: &ServerState, req: &Request, rid: &str, stream: &mut TcpStream) 
         }
         ("POST", "/v1/analyze") => handle_analyze(&req.body, rid, stream),
         ("POST", "/v1/shutdown") => {
-            state.shutdown.store(true, Ordering::SeqCst);
+            state.begin_shutdown();
             respond(stream, rid, 200, &[], "{\"status\":\"draining\"}\n")
         }
         ("GET", "/healthz") => handle_healthz(state, rid, stream),

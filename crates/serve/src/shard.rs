@@ -33,6 +33,7 @@ use std::time::Duration;
 use store::hash::fnv1a;
 
 use crate::http::{self, ReadError, Request};
+use crate::listen;
 use crate::server::{Server, ServerConfig, ServerHandle};
 
 static SHARD_REQUESTS: obs::LazyCounter = obs::LazyCounter::new("shard.requests");
@@ -94,8 +95,21 @@ struct ShardState {
     ring: Vec<(u64, usize)>,
     local: ServerHandle,
     shutdown: AtomicBool,
+    /// The front listener's bound address, which
+    /// [`ShardState::begin_shutdown`] connects to so a blocked `accept`
+    /// returns.
+    addr: SocketAddr,
     /// Live client connections (bounds the thread-per-connection model).
     inflight: AtomicUsize,
+}
+
+impl ShardState {
+    /// Stops the accept loop: sets the flag, then wakes the listener.
+    /// [`ShardFront::run`] stops the local fallback server on its way out.
+    fn begin_shutdown(&self) {
+        self.shutdown.store(true, Ordering::SeqCst);
+        listen::wake(self.addr);
+    }
 }
 
 /// A bound, not-yet-running shard front.
@@ -109,19 +123,17 @@ pub struct ShardFront {
 #[derive(Clone)]
 pub struct ShardHandle {
     state: Arc<ShardState>,
-    addr: SocketAddr,
 }
 
 impl ShardHandle {
     /// The bound address (useful with ephemeral ports).
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.state.addr
     }
 
     /// Begins shutdown, equivalent to `POST /v1/shutdown`.
     pub fn shutdown(&self) {
-        self.state.shutdown.store(true, Ordering::SeqCst);
-        self.state.local.shutdown();
+        self.state.begin_shutdown();
     }
 }
 
@@ -136,7 +148,7 @@ impl ShardFront {
     pub fn bind(config: ShardConfig) -> std::io::Result<ShardFront> {
         obs::enable();
         let listener = TcpListener::bind(&config.addr)?;
-        listener.set_nonblocking(true)?;
+        let addr = listener.local_addr()?;
         let mut local_config = config.local.clone();
         local_config.addr = "127.0.0.1:0".to_owned();
         let local_server = Server::bind(local_config)?;
@@ -164,6 +176,7 @@ impl ShardFront {
             ring,
             local,
             shutdown: AtomicBool::new(false),
+            addr,
             inflight: AtomicUsize::new(0),
         });
         spawn_health_thread(Arc::clone(&state));
@@ -184,58 +197,49 @@ impl ShardFront {
     }
 
     /// A handle that can stop the front from another thread.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the listener's local address cannot be read.
     pub fn handle(&self) -> ShardHandle {
         ShardHandle {
             state: Arc::clone(&self.state),
-            addr: self.listener.local_addr().expect("shard front local addr"),
         }
     }
 
     /// Serves until shutdown is requested, then stops the local fallback
-    /// server and returns. Blocks the calling thread.
+    /// server, joins its thread, and returns. Blocks the calling thread.
+    ///
+    /// The accept loop is the one [`Server::run`] uses: a blocking
+    /// `accept` that `/v1/shutdown` or [`ShardHandle::shutdown`] wakes with
+    /// a connection to the front's own address. Each accepted connection
+    /// gets its own thread, at most 256 at once; beyond that the loop
+    /// answers `429` itself.
     ///
     /// # Errors
     ///
     /// Fatal listener errors only; per-connection errors are contained.
+    /// The local fallback server is stopped either way.
     pub fn run(self) -> std::io::Result<()> {
-        loop {
-            if self.state.shutdown.load(Ordering::SeqCst) {
-                break;
+        let result = listen::accept_until(&self.listener, &self.state.shutdown, |stream| {
+            let state = Arc::clone(&self.state);
+            if state.inflight.fetch_add(1, Ordering::SeqCst) >= 256 {
+                state.inflight.fetch_sub(1, Ordering::SeqCst);
+                let mut stream = stream;
+                let _ = http::write_response(
+                    &mut stream,
+                    429,
+                    CONTENT_JSON,
+                    &[],
+                    b"{\"error\":\"overloaded\",\"detail\":\"shard front connection limit reached\"}\n",
+                );
+                return;
             }
-            match self.listener.accept() {
-                Ok((stream, _)) => {
-                    let state = Arc::clone(&self.state);
-                    if state.inflight.fetch_add(1, Ordering::SeqCst) >= 256 {
-                        state.inflight.fetch_sub(1, Ordering::SeqCst);
-                        let mut stream = stream;
-                        let _ = http::write_response(
-                            &mut stream,
-                            429,
-                            CONTENT_JSON,
-                            &[],
-                            b"{\"error\":\"overloaded\",\"detail\":\"shard front connection limit reached\"}\n",
-                        );
-                        continue;
-                    }
-                    std::thread::spawn(move || {
-                        let mut stream = stream;
-                        handle_connection(&state, &mut stream);
-                        state.inflight.fetch_sub(1, Ordering::SeqCst);
-                    });
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(10));
-                }
-                Err(e) => return Err(e),
-            }
-        }
+            std::thread::spawn(move || {
+                let mut stream = stream;
+                handle_connection(&state, &mut stream);
+                state.inflight.fetch_sub(1, Ordering::SeqCst);
+            });
+        });
         self.state.local.shutdown();
         let _ = self.local_thread.join();
-        Ok(())
+        result
     }
 }
 
@@ -322,7 +326,7 @@ fn handle_connection(state: &ShardState, stream: &mut TcpStream) {
                 http::write_response(stream, 200, CONTENT_JSON, &id_header(&rid), body.as_bytes());
         }
         ("POST", "/v1/shutdown") => {
-            state.shutdown.store(true, Ordering::SeqCst);
+            state.begin_shutdown();
             let _ = http::write_response(
                 stream,
                 200,
@@ -566,6 +570,7 @@ mod tests {
             ring,
             local,
             shutdown: AtomicBool::new(false),
+            addr: "127.0.0.1:0".parse().unwrap(),
             inflight: AtomicUsize::new(0),
         })
     }

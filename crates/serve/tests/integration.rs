@@ -651,3 +651,66 @@ fn golden_memo_hit_and_miss_bodies_match_at_any_thread_count() {
         });
     }
 }
+
+/// Runs `server` on its own thread and reports `run`'s result through a
+/// channel, so a shutdown that never reaches the accept loop fails the
+/// test at a `recv_timeout` instead of hanging it.
+fn run_reporting(server: Server) -> std::sync::mpsc::Receiver<std::io::Result<()>> {
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = tx.send(server.run());
+    });
+    rx
+}
+
+fn expect_stopped(done: &std::sync::mpsc::Receiver<std::io::Result<()>>) {
+    done.recv_timeout(Duration::from_secs(5))
+        .expect("run() returned within 5 s of shutdown")
+        .expect("clean exit");
+}
+
+fn bind_unspecified() -> Server {
+    Server::bind(ServerConfig {
+        addr: "0.0.0.0:0".to_owned(),
+        workers: 1,
+        ..ServerConfig::default()
+    })
+    .expect("bind 0.0.0.0")
+}
+
+#[test]
+fn handle_shutdown_stops_a_server_bound_to_an_unspecified_address() {
+    let server = bind_unspecified();
+    let handle = server.handle();
+    assert!(handle.addr().ip().is_unspecified());
+    let done = run_reporting(server);
+    let loopback = std::net::SocketAddr::from(([127, 0, 0, 1], handle.addr().port()));
+    assert_eq!(request(loopback, "GET", "/healthz", "").status, 200);
+    handle.shutdown();
+    expect_stopped(&done);
+    // A second shutdown finds the listener gone and is a no-op.
+    handle.shutdown();
+}
+
+#[test]
+fn shutdown_endpoint_stops_a_server_bound_to_an_unspecified_address() {
+    let server = bind_unspecified();
+    let port = server.handle().addr().port();
+    let done = run_reporting(server);
+    let loopback = std::net::SocketAddr::from(([127, 0, 0, 1], port));
+    let resp = request(loopback, "POST", "/v1/shutdown", "");
+    assert_eq!(resp.status, 200);
+    expect_stopped(&done);
+}
+
+#[test]
+fn shutdown_before_run_returns_at_once() {
+    let server = Server::bind(ServerConfig {
+        workers: 1,
+        ..ServerConfig::default()
+    })
+    .expect("bind");
+    server.handle().shutdown();
+    let done = run_reporting(server);
+    expect_stopped(&done);
+}

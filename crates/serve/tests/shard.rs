@@ -233,3 +233,67 @@ fn front_with_no_live_backends_falls_back_to_local() {
         .expect("front thread")
         .expect("clean exit");
 }
+
+/// Starts a front with no backends (every request is answered by its local
+/// fallback server) and reports `run`'s result through a channel, so a
+/// lost shutdown fails the test at a `recv_timeout` instead of hanging it.
+fn start_reporting_front() -> (ShardHandle, std::sync::mpsc::Receiver<std::io::Result<()>>) {
+    let front = ShardFront::bind(ShardConfig {
+        local: ServerConfig {
+            workers: 1,
+            ..ServerConfig::default()
+        },
+        ..ShardConfig::default()
+    })
+    .expect("bind front");
+    let handle = front.handle();
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = tx.send(front.run());
+    });
+    (handle, rx)
+}
+
+/// The local fallback server's address, as the front's `/statusz` reports it.
+fn local_fallback_addr(front: &ShardHandle) -> std::net::SocketAddr {
+    let resp = request(front.addr(), "GET", "/statusz", "");
+    assert_eq!(resp.status, 200);
+    let doc = json::parse(&resp.body).expect("statusz is JSON");
+    doc.get("local")
+        .and_then(|v| v.as_str())
+        .expect("statusz names the local fallback")
+        .parse()
+        .expect("local fallback address")
+}
+
+/// `run` returned in time, which means it joined the local fallback
+/// server's thread; that server's listener is then closed.
+fn expect_front_stopped(
+    done: &std::sync::mpsc::Receiver<std::io::Result<()>>,
+    local: std::net::SocketAddr,
+) {
+    done.recv_timeout(Duration::from_secs(5))
+        .expect("front run() returned within 5 s of shutdown")
+        .expect("clean exit");
+    assert!(
+        TcpStream::connect(local).is_err(),
+        "local fallback server stopped"
+    );
+}
+
+#[test]
+fn handle_shutdown_stops_the_front_and_its_local_fallback() {
+    let (front, done) = start_reporting_front();
+    let local = local_fallback_addr(&front);
+    front.shutdown();
+    expect_front_stopped(&done, local);
+}
+
+#[test]
+fn shutdown_endpoint_stops_the_front_and_its_local_fallback() {
+    let (front, done) = start_reporting_front();
+    let local = local_fallback_addr(&front);
+    let resp = request(front.addr(), "POST", "/v1/shutdown", "");
+    assert_eq!(resp.status, 200);
+    expect_front_stopped(&done, local);
+}
