@@ -40,7 +40,7 @@ use veribug::explain::attention_entropy;
 use veribug::model::VeriBugModel;
 use veribug::train::Dataset;
 use veribug::{Explainer, DEFAULT_THRESHOLD};
-use veribug_bench::ExperimentScale;
+use veribug_bench::{stats, ExperimentScale};
 use verilog::{Module, PortDir};
 
 /// Worker counts every number is cross-checked at.
@@ -127,9 +127,9 @@ impl Agg {
     }
 }
 
-/// A deterministic summary of a sample (percentiles by nearest rank on the
-/// sorted values — no interpolation, so the numbers are exact f64s from
-/// the sample and bit-stable).
+/// A deterministic summary of a sample (percentiles by nearest rank,
+/// [`stats::nearest_rank`] — no interpolation, so the numbers are exact
+/// f64s from the sample and bit-stable).
 struct Dist {
     count: usize,
     mean: f64,
@@ -155,15 +155,15 @@ fn dist(values: &[f64]) -> Dist {
     let mut sorted = values.to_vec();
     sorted.sort_by(|a, b| a.total_cmp(b));
     let n = sorted.len();
-    let pick = |pct: usize| sorted[(n - 1) * pct / 100];
+    let pick = |p| stats::nearest_rank(&sorted, p).expect("non-empty sample");
     Dist {
         count: n,
         mean: sorted.iter().sum::<f64>() / n as f64,
         min: sorted[0],
         max: sorted[n - 1],
-        p50: pick(50),
-        p90: pick(90),
-        p99: pick(99),
+        p50: pick(50.0),
+        p90: pick(90.0),
+        p99: pick(99.0),
     }
 }
 

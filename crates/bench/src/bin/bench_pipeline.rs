@@ -37,10 +37,12 @@ use std::time::Instant;
 
 use rvdg::{Generator, RvdgConfig};
 use sim::{
-    EngineKind, SignalRole, SignalSet, Simulator, TestbenchGen, Trace, TraceLabel, VerdictTrace,
+    EngineKind, SignalRole, SignalSet, Simulator, Stimulus, TestbenchGen, Trace, TraceLabel,
+    VerdictTrace,
 };
 use veribug::model::{ModelConfig, VeriBugModel};
 use veribug::train::{self, Dataset, TrainConfig};
+use veribug_bench::stats;
 use verilog::Module;
 
 /// Worker counts benchmarked for every stage.
@@ -67,18 +69,9 @@ fn run_stage<R, K: PartialEq>(
     let mut prints: Vec<K> = Vec::with_capacity(THREADS.len());
     let _span = obs::span_dyn(|| format!("bench.{name}"));
     for &threads in &THREADS {
-        par::with_threads(threads, || {
-            let mut best = f64::INFINITY;
-            let mut last = None;
-            for _ in 0..reps {
-                let start = Instant::now();
-                let r = f();
-                best = best.min(start.elapsed().as_secs_f64());
-                last = Some(r);
-            }
-            secs.push(best);
-            prints.push(fingerprint(&last.expect("reps >= 1")));
-        });
+        let (best, last) = par::with_threads(threads, || stats::min_of_reps(reps, &mut f));
+        secs.push(best);
+        prints.push(fingerprint(&last));
     }
     let deterministic = prints.iter().all(|p| *p == prints[0]);
     obs::progress!(
@@ -168,9 +161,9 @@ struct ObsOverhead {
 
 /// Times the same single-threaded simulation workload with collection off
 /// and on, fastest of `reps` each. The workload is deterministic, so
-/// min-of-reps makes scheduling noise one-sided; off/on reps interleave so
-/// a transient host slowdown (downclock, background work) hits both sides
-/// rather than biasing whichever block ran during it.
+/// min-of-reps makes scheduling noise one-sided; off/on reps interleave,
+/// alternating which runs first, so a transient host slowdown (downclock,
+/// background work) hits both sides rather than biasing either one.
 fn measure_obs_overhead(
     modules: &[Module],
     cycles: usize,
@@ -189,18 +182,10 @@ fn measure_obs_overhead(
             }
         }
     };
-    let time = |on: bool| -> f64 {
+    let Ok(([baseline_s], [enabled_s])) = stats::ab_min_of_reps(reps, |on| {
         obs::set_enabled(on);
-        let start = Instant::now();
-        workload();
-        start.elapsed().as_secs_f64()
-    };
-    let mut baseline_s = f64::INFINITY;
-    let mut enabled_s = f64::INFINITY;
-    for _ in 0..reps {
-        baseline_s = baseline_s.min(time(false));
-        enabled_s = enabled_s.min(time(true));
-    }
+        Ok::<_, std::convert::Infallible>([stats::min_of_reps(1, workload).0])
+    });
     obs::set_enabled(was_enabled);
     let overhead_frac = ((enabled_s - baseline_s) / baseline_s.max(1e-12)).max(0.0);
     obs::progress!(
@@ -214,8 +199,30 @@ fn measure_obs_overhead(
     }
 }
 
+/// Times `run` over every design of `workload`, fastest of `reps`, and
+/// returns the results in workload order. Simulators are built outside the
+/// timed region, fresh for each engine: a campaign compiles each design
+/// once and then runs hundreds of stimuli against it, so steady-state
+/// stimuli/sec is the comparison that matters.
+fn time_engine<T>(
+    workload: &[(Module, Vec<Stimulus>, SignalSet)],
+    reps: usize,
+    mut run: impl FnMut(&mut Simulator, &[Stimulus], &SignalSet) -> Vec<T>,
+) -> (f64, Vec<T>) {
+    let mut sims: Vec<Simulator> = workload
+        .iter()
+        .map(|(module, _, _)| Simulator::new(module).expect("elaborates"))
+        .collect();
+    stats::min_of_reps(reps, || {
+        let designs = workload.iter().zip(&mut sims);
+        designs
+            .flat_map(|((_, stimuli, observed), s)| run(s, stimuli, observed))
+            .collect()
+    })
+}
+
 fn compare_engines(cycles: usize, runs: usize, reps: usize) -> EngineCompare {
-    let workload: Vec<(Module, Vec<sim::Stimulus>, SignalSet)> = designs::catalog()
+    let workload: Vec<(Module, Vec<Stimulus>, SignalSet)> = designs::catalog()
         .iter()
         .map(|d| {
             let module = d.module().expect("parses");
@@ -233,70 +240,22 @@ fn compare_engines(cycles: usize, runs: usize, reps: usize) -> EngineCompare {
             (module, stimuli, SignalSet::from_ids([target]))
         })
         .collect();
-    // Simulators are built outside the timed region: a campaign compiles
-    // each design once and then runs hundreds of stimuli against it, so
-    // steady-state stimuli/sec is the comparison that matters.
-    let time = |interpreted: bool| -> (f64, Vec<Trace>) {
-        let mut sims: Vec<Simulator> = workload
-            .iter()
-            .map(|(module, _, _)| Simulator::new(module).expect("elaborates"))
-            .collect();
-        let mut best = f64::INFINITY;
-        let mut traces = Vec::new();
-        for _ in 0..reps {
-            traces.clear();
-            let start = Instant::now();
-            for ((_, stimuli, _), s) in workload.iter().zip(&mut sims) {
-                for stim in stimuli {
-                    traces.push(if interpreted {
-                        sim::oracle::interpret(s.netlist(), stim).expect("simulates")
-                    } else {
-                        s.run(stim).expect("simulates")
-                    });
-                }
-            }
-            best = best.min(start.elapsed().as_secs_f64());
-        }
-        (best, traces)
-    };
-    let time_batch = || -> (f64, Vec<Trace>) {
-        let mut sims: Vec<Simulator> = workload
-            .iter()
-            .map(|(module, _, _)| Simulator::new(module).expect("elaborates"))
-            .collect();
-        let mut best = f64::INFINITY;
-        let mut traces = Vec::new();
-        for _ in 0..reps {
-            traces.clear();
-            let start = Instant::now();
-            for ((_, stimuli, _), s) in workload.iter().zip(&mut sims) {
-                traces.extend(s.run_batch(stimuli).expect("simulates"));
-            }
-            best = best.min(start.elapsed().as_secs_f64());
-        }
-        (best, traces)
-    };
-    let time_batch_verdict = || -> (f64, Vec<VerdictTrace>) {
-        let mut sims: Vec<Simulator> = workload
-            .iter()
-            .map(|(module, _, _)| Simulator::new(module).expect("elaborates"))
-            .collect();
-        let mut best = f64::INFINITY;
-        let mut verdicts = Vec::new();
-        for _ in 0..reps {
-            verdicts.clear();
-            let start = Instant::now();
-            for ((_, stimuli, observed), s) in workload.iter().zip(&mut sims) {
-                verdicts.extend(s.run_batch_verdict(stimuli, observed).expect("simulates"));
-            }
-            best = best.min(start.elapsed().as_secs_f64());
-        }
-        (best, verdicts)
-    };
-    let (compiled_s, compiled_traces) = time(false);
-    let (interpreted_s, interpreted_traces) = time(true);
-    let (batch_s, batch_traces) = time_batch();
-    let (verdict_s, verdicts) = time_batch_verdict();
+    let (compiled_s, compiled_traces) = time_engine(&workload, reps, |s, st, _| {
+        st.iter()
+            .map(|stim| s.run(stim).expect("simulates"))
+            .collect()
+    });
+    let (interpreted_s, interpreted_traces) = time_engine(&workload, reps, |s, st, _| {
+        st.iter()
+            .map(|stim| sim::oracle::interpret(s.netlist(), stim).expect("simulates"))
+            .collect()
+    });
+    let (batch_s, batch_traces) = time_engine(&workload, reps, |s, st, _| {
+        s.run_batch(st).expect("simulates")
+    });
+    let (verdict_s, verdicts) = time_engine(&workload, reps, |s, st, observed| {
+        s.run_batch_verdict(st, observed).expect("simulates")
+    });
     let traces_identical = compiled_traces == interpreted_traces;
     let batch_identical = batch_traces == interpreted_traces;
     // Verdict values must equal the observed columns of the full traces —
@@ -400,7 +359,7 @@ fn fuzz_verdicts(budget_s: f64) -> VerdictFuzz {
                     // at all (e.g. injected combinational loops).
                     let screened = mutate::screen_against(&golden_vs, target_id, &mutant, &stimuli);
                     let full = Simulator::new(&mutant).and_then(|mut sim| {
-                        mutate::cosimulate(&golden_runs, &mut sim, target, &stimuli)
+                        mutate::oracle::cosimulate(&golden_runs, &mut sim, target, &stimuli)
                     });
                     out.mutants += 1;
                     let (verdicts, labelled) = match (screened, full) {
@@ -486,9 +445,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "campaign_1pass",
         reps,
         || {
-            mutate::Campaign::new(7)
-                .with_runs_per_mutant(64)
-                .run_single_pass(&campaign_module, "wbs0_we_o", &budget)
+            let campaign = mutate::Campaign::new(7).with_runs_per_mutant(64);
+            mutate::oracle::run_single_pass(&campaign, &campaign_module, "wbs0_we_o", &budget)
                 .expect("campaign runs")
         },
         |mutants| campaign_print(mutants),
@@ -783,7 +741,8 @@ fn render_json(
         "    \"note\": \"verdict mode emits no execution records and snapshots only \
          the observed signals, so the hot loop is pure 64-lane compute plus an \
          O(observed) per-cycle copy; the two-pass campaign screens every candidate \
-         this way and pays full-trace cost only for mutants it keeps\"\n",
+         this way, then records execution records without snapshots only for the \
+         mutants it keeps\"\n",
     );
     out.push_str("  },\n");
     out.push_str("  \"verdict_fuzz\": {\n");
@@ -812,7 +771,7 @@ fn render_json(
     out.push_str(
         "  \"note\": \"speedup_vs_serial is measured on this host; with host_cores = 1 \
          all rows are flat and only the determinism column is meaningful. The engine blocks \
-         compare the compiled levelized/bytecode engine to the retained interpreter on \
+         compare the compiled levelized/bytecode engine to the interpreter oracle on \
          one thread and are core-count independent\"\n",
     );
     out.push_str("}\n");

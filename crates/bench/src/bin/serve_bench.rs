@@ -1,89 +1,44 @@
-//! Load generator for `veribug-serve`, written to `BENCH_serve.json`.
+//! Service benchmark for `veribug-serve`, written to `BENCH_serve.json`.
 //!
-//! Boots an in-process server on an ephemeral port and measures two
-//! phases. First, a sequential cold/warm phase: fresh design pairs
-//! requested once cold and three times warm on the otherwise idle server,
-//! isolating what the compiled-design cache saves (parse → levelize →
-//! compile) from queueing noise. Second, a load phase: N concurrent client
-//! connections (one request per connection, matching the server's
-//! `Connection: close` protocol) cycling over D distinct golden/buggy
-//! pairs, retrying 429 backpressure under capped exponential backoff with
-//! per-worker jitter. The JSON report carries:
+//! Boots in-process servers on ephemeral ports and sends one request at a
+//! time, so queueing never enters a figure; latency and throughput under
+//! concurrent load are the standalone `perfbench/` package's question. The
+//! JSON report carries:
 //!
-//! - throughput (requests per second over the load phase),
-//! - mean/p50/p99 latency of the 200 responses, split by the
-//!   `x-veribug-cache` response header,
-//! - sequential cold vs warm p50 and their ratio,
-//! - the cache-hit rate scraped from `/metricsz`,
-//! - the 429-retry count, total backoff seconds, and the determinism and
-//!   drain verdicts,
+//! - a sequential cold/warm phase: fresh design pairs requested once cold
+//!   and three times warm on the otherwise idle server, isolating what the
+//!   compiled-design cache saves (parse → levelize → compile) — cold and
+//!   warm p50 and their ratio;
+//! - the cache-hit rate scraped from `/metricsz`;
+//! - a determinism verdict (every warm body equals its pair's cold body
+//!   byte for byte) and a drain verdict;
 //! - a telemetry-overhead A/B (fresh servers with live tracing off vs on,
-//!   alternating reps, best-of-reps throughput and p99),
+//!   alternating reps, best-of-reps throughput and p99);
 //! - a `store_restart` block: first-request latency of a freshly booted
 //!   server over an empty artifact store (cold restart) vs over a
 //!   populated one (warm restart, designs precompiled at bind),
 //!   min-of-3 boots each.
 //!
+//! Percentiles are nearest-rank and best-of-reps figures come from
+//! alternating reps, both through `veribug_bench::stats`.
+//!
 //! Run with: `cargo run --release -p veribug-bench --bin serve_bench`
 //!
-//! Options: `--connections N` (default 8), `--requests N` total (default
-//! 240), `--designs D` distinct pairs (default 6), `--smoke` (shrinks the
-//! workload and exits non-zero on any 5xx response, on identical requests
-//! producing different bodies, on a failed drain, on live telemetry
-//! costing more than 5% throughput or p99, or on a restart over a
-//! populated store that is not warm — without rewriting the JSON).
+//! Options: `--designs D` distinct pairs (default 6), `--stmts N`
+//! statements per design (default 256), `--smoke` (shrinks the workload
+//! and exits non-zero on any 5xx or transport failure, on a warm body that
+//! differs from its pair's cold body, on a failed drain, on warm requests
+//! not faster than cold ones, on live telemetry costing more than 5%
+//! throughput or p99, or on a restart over a populated store that is not
+//! a faster cache hit — without rewriting the JSON).
 
 use std::fmt::Write as _;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use serve::{Server, ServerConfig};
-
-/// One completed request as seen by a client thread.
-struct Sample {
-    /// Index of the design pair the request targeted.
-    design: usize,
-    /// Wall-clock seconds from connect to full response.
-    secs: f64,
-    /// HTTP status code.
-    status: u16,
-    /// True when both the golden and buggy designs were cache hits.
-    warm: bool,
-    /// The response body, for the determinism cross-check.
-    body: String,
-    /// How many 429 (queue full) responses preceded this one.
-    retries_429: usize,
-    /// Total seconds slept in backoff before this request was accepted.
-    wait_s: f64,
-}
-
-/// Backoff before the first 429 retry.
-const BACKOFF_BASE_MS: u64 = 2;
-/// Ceiling on a single backoff sleep.
-const BACKOFF_CAP_MS: u64 = 100;
-
-/// xorshift64 — a std-only jitter source; seeded per worker so rejected
-/// clients don't re-knock in lockstep.
-fn xorshift(state: &mut u64) -> u64 {
-    let mut x = *state;
-    x ^= x << 13;
-    x ^= x >> 7;
-    x ^= x << 17;
-    *state = x;
-    x
-}
-
-/// Full-jitter backoff for the `n`-th consecutive 429: uniform in
-/// `[0, min(cap, base << n)]`. The exponential ceiling sheds load under
-/// sustained backpressure; the jitter desynchronizes the retry herd that a
-/// fixed sleep would march back to the listener all at once.
-fn backoff_after(n: usize, rng: &mut u64) -> Duration {
-    let ceil_ms = BACKOFF_CAP_MS.min(BACKOFF_BASE_MS << n.min(16));
-    Duration::from_millis(xorshift(rng) % (ceil_ms + 1))
-}
+use veribug_bench::stats;
 
 /// A distinct golden/buggy pair: a combinational chain of `stmts`
 /// statements, so parse → levelize → compile (the work the cache skips) is
@@ -159,25 +114,6 @@ fn request(
     Ok((status, warm, payload))
 }
 
-fn percentile(sorted: &[f64], p: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let idx = ((sorted.len() as f64 - 1.0) * p).round() as usize;
-    sorted[idx.min(sorted.len() - 1)]
-}
-
-fn stats(samples: &[&Sample]) -> (f64, f64, f64) {
-    let mut secs: Vec<f64> = samples.iter().map(|s| s.secs).collect();
-    secs.sort_by(|a, b| a.total_cmp(b));
-    let mean = if secs.is_empty() {
-        0.0
-    } else {
-        secs.iter().sum::<f64>() / secs.len() as f64
-    };
-    (mean, percentile(&secs, 0.5), percentile(&secs, 0.99))
-}
-
 #[allow(clippy::too_many_lines)]
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     veribug_bench::init_obs();
@@ -194,8 +130,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .unwrap_or(default)
             .max(1)
     };
-    let connections = numeric("--connections", if smoke { 4 } else { 8 });
-    let total_requests = numeric("--requests", if smoke { 32 } else { 240 });
     let design_count = numeric("--designs", if smoke { 3 } else { 6 });
     let (runs, cycles) = if smoke { (4, 4) } else { (8, 8) };
     let stmts = numeric("--stmts", 256);
@@ -204,117 +138,54 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let addr = server.local_addr()?;
     let server_thread = std::thread::spawn(move || server.run());
 
-    let bodies: Arc<Vec<String>> = Arc::new(
-        (0..design_count)
-            .map(|d| {
-                let (golden, buggy) = design_pair(d, stmts);
-                localize_body(&golden, &buggy, runs, cycles)
-            })
-            .collect(),
-    );
-
     obs::progress!(
-        "serve_bench: {total_requests} requests over {connections} connections, {design_count} design pairs"
+        "serve_bench: {design_count} design pairs, one cold and three warm requests each"
     );
 
-    // Sequential cold/warm phase on the idle server: dedicated design
-    // pairs (never reused in the load phase), one cold request then three
-    // warm repeats each. This isolates what the compiled-design cache
-    // saves — parse → levelize → compile — from queueing noise.
+    // Sequential cold/warm phase on the idle server: fresh design pairs,
+    // one cold request then three warm repeats each. This isolates what
+    // the compiled-design cache saves — parse → levelize → compile — from
+    // queueing noise, and checks that a cache hit answers byte for byte
+    // what the miss did.
     let mut seq_cold: Vec<f64> = Vec::new();
     let mut seq_warm: Vec<f64> = Vec::new();
+    let mut ok = 0usize;
+    let mut server_errors = 0usize;
+    let mut deterministic = true;
     for d in 0..design_count {
         let (golden, buggy) = design_pair(1000 + d, stmts);
         let body = localize_body(&golden, &buggy, runs, cycles);
+        let mut cold_body = String::new();
         for rep in 0..4 {
             let t0 = Instant::now();
-            let (status, warm, _) = request(addr, "POST", "/v1/localize", &body)?;
+            // A transport error reads as status 0.
+            let (status, warm, got) =
+                request(addr, "POST", "/v1/localize", &body).unwrap_or_default();
             let secs = t0.elapsed().as_secs_f64();
+            if status == 0 || status >= 500 {
+                // The smoke gate reports it; this pair's repeats would not
+                // measure the cache.
+                server_errors += 1;
+                break;
+            }
             assert_eq!(status, 200, "sequential phase request failed");
+            ok += 1;
             if rep == 0 {
                 assert!(!warm, "first touch of a fresh pair must be a miss");
                 seq_cold.push(secs);
+                cold_body = got;
             } else {
                 assert!(warm, "repeat of a cached pair must be a hit");
                 seq_warm.push(secs);
+                deterministic &= got == cold_body;
             }
         }
     }
-    seq_cold.sort_by(|a, b| a.total_cmp(b));
-    seq_warm.sort_by(|a, b| a.total_cmp(b));
-    let seq_cold_p50 = percentile(&seq_cold, 0.5);
-    let seq_warm_p50 = percentile(&seq_warm, 0.5);
-
-    // Client threads pull request indices from a shared counter; index i
-    // targets design pair i % D, so every pair is requested many times and
-    // everything past the first D requests can be served warm.
-    let next = Arc::new(AtomicUsize::new(0));
-    let started = Instant::now();
-    let workers: Vec<_> = (0..connections)
-        .map(|w| {
-            let next = Arc::clone(&next);
-            let bodies = Arc::clone(&bodies);
-            std::thread::spawn(move || -> Vec<Sample> {
-                // Per-worker jitter seed derived through the repo's shared
-                // FNV-1a (`store::hash`) — distinct and never zero, which
-                // xorshift requires.
-                let mut rng = store::hash::fnv1a(format!("serve-bench worker {w}").as_bytes());
-                let mut out = Vec::new();
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= total_requests {
-                        return out;
-                    }
-                    let design = i % bodies.len();
-                    // 429 is backpressure, not failure: back off (capped
-                    // exponential, jittered) and retry, recording only the
-                    // accepted attempt's latency.
-                    let mut retries_429 = 0usize;
-                    let mut wait_s = 0.0f64;
-                    loop {
-                        let t0 = Instant::now();
-                        match request(addr, "POST", "/v1/localize", &bodies[design]) {
-                            Ok((429, _, _)) if retries_429 < 1000 => {
-                                let pause = backoff_after(retries_429, &mut rng);
-                                retries_429 += 1;
-                                wait_s += pause.as_secs_f64();
-                                std::thread::sleep(pause);
-                            }
-                            Ok((status, warm, body)) => {
-                                out.push(Sample {
-                                    design,
-                                    secs: t0.elapsed().as_secs_f64(),
-                                    status,
-                                    warm,
-                                    body,
-                                    retries_429,
-                                    wait_s,
-                                });
-                                break;
-                            }
-                            Err(e) => {
-                                out.push(Sample {
-                                    design,
-                                    secs: t0.elapsed().as_secs_f64(),
-                                    status: 0,
-                                    warm: false,
-                                    body: format!("transport error: {e}"),
-                                    retries_429,
-                                    wait_s,
-                                });
-                                break;
-                            }
-                        }
-                    }
-                }
-            })
-        })
-        .collect();
-    let samples: Vec<Sample> = workers
-        .into_iter()
-        .flat_map(|w| w.join().expect("client thread"))
-        .collect();
-    let wall = started.elapsed().as_secs_f64();
+    seq_cold.sort_by(f64::total_cmp);
+    seq_warm.sort_by(f64::total_cmp);
+    // Empty only when requests failed, which the smoke gates report first.
+    let seq_cold_p50 = stats::nearest_rank(&seq_cold, 50.0).unwrap_or(0.0);
+    let seq_warm_p50 = stats::nearest_rank(&seq_warm, 50.0).unwrap_or(0.0);
 
     // Cache-hit rate as the server counts it, scraped from /metricsz.
     let (_, _, metrics) = request(addr, "GET", "/metricsz", "")?;
@@ -327,10 +198,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Store-restart phase: what the persistent artifact store buys a
     // restarted process. Cold restart = fresh server over an *empty*
     // store (first request parses and compiles both designs); warm
-    // restart = fresh server over the store the cold boot populated via
+    // restart = fresh server over the store a cold boot populated via
     // write-through (designs precompiled at bind, first request is an L1
-    // hit). Min-of-reps on both sides — the workload is deterministic, so
-    // the minimum is the honest estimate.
+    // hit). Rep 0 boots cold first, so every warm boot finds a populated
+    // store.
     let store_dir =
         std::env::temp_dir().join(format!("veribug-serve-bench-store-{}", std::process::id()));
     let restart_reps = 3usize;
@@ -338,35 +209,33 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let (golden, buggy) = design_pair(3000, stmts);
         localize_body(&golden, &buggy, runs, cycles)
     };
-    let mut restart_cold_s = f64::INFINITY;
-    let mut restart_warm_s = f64::INFINITY;
     let mut warm_hit = true;
     let mut warm_preloaded = 0u64;
-    for _ in 0..restart_reps {
-        std::fs::remove_dir_all(&store_dir).ok();
-        let (secs, hit, _) = restart_probe(&store_dir, &restart_body)?;
-        assert!(!hit, "cold restart over an empty store must miss");
-        restart_cold_s = restart_cold_s.min(secs);
-    }
-    // The last cold boot left both designs in the store; every boot from
-    // here on is warm.
-    for _ in 0..restart_reps {
-        let (secs, hit, preloaded) = restart_probe(&store_dir, &restart_body)?;
-        warm_hit &= hit;
-        warm_preloaded = preloaded;
-        restart_warm_s = restart_warm_s.min(secs);
-    }
+    let ([restart_cold_s], [restart_warm_s]) = stats::ab_min_of_reps(
+        restart_reps,
+        |warm| -> Result<_, Box<dyn std::error::Error>> {
+            if !warm {
+                std::fs::remove_dir_all(&store_dir).ok();
+            }
+            let (secs, hit, preloaded) = restart_probe(&store_dir, &restart_body)?;
+            if warm {
+                warm_hit &= hit;
+                warm_preloaded = preloaded;
+            } else {
+                assert!(!hit, "cold restart over an empty store must miss");
+            }
+            Ok([secs])
+        },
+    )?;
     std::fs::remove_dir_all(&store_dir).ok();
 
-    // Telemetry-overhead A/B: fresh servers with live tracing off vs on.
-    // Symmetric min-of-reps, the same estimator bench_pipeline's
-    // measure_obs_overhead uses: both arms run in every rep (order flipping
-    // each rep so slow host drift cannot bias one arm), each arm keeps its
-    // fastest median latency and fastest p99, and the overhead is the
-    // clamped-at-zero gap between the two minima. The workload is
-    // deterministic, so noise is one-sided — min-of-reps converges on the
-    // true cost, and a "negative overhead" can only be noise, hence the
-    // clamp.
+    // Telemetry-overhead A/B: fresh servers with live tracing off vs on,
+    // the same alternating min-of-reps estimator bench_pipeline's
+    // measure_obs_overhead uses. Each arm keeps its fastest median latency
+    // and fastest p99, and the overhead is the clamped-at-zero gap between
+    // the two minima. The workload is deterministic, so noise is
+    // one-sided — min-of-reps converges on the true cost, and a "negative
+    // overhead" can only be noise, hence the clamp.
     let (probe_reps, probe_reqs) = if smoke { (5, 32) } else { (3, 60) };
     let probe_bodies: Vec<String> = (0..2)
         .map(|d| {
@@ -374,56 +243,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             localize_body(&golden, &buggy, runs, cycles)
         })
         .collect();
-    let mut off_med = f64::INFINITY;
-    let mut off_p99 = f64::INFINITY;
-    let mut on_med = f64::INFINITY;
-    let mut on_p99 = f64::INFINITY;
-    for rep in 0..probe_reps {
-        for arm in [rep % 2 == 0, rep % 2 != 0] {
-            let (med, p99) = telemetry_probe(arm, &probe_bodies, probe_reqs)?;
-            if arm {
-                on_med = on_med.min(med);
-                on_p99 = on_p99.min(p99);
-            } else {
-                off_med = off_med.min(med);
-                off_p99 = off_p99.min(p99);
-            }
-        }
-    }
+    let ([off_med, off_p99], [on_med, on_p99]) = stats::ab_min_of_reps(probe_reps, |on| {
+        telemetry_probe(on, &probe_bodies, probe_reqs)
+    })?;
     let off_rps = 1.0 / off_med.max(1e-9);
     let on_rps = 1.0 / on_med.max(1e-9);
     let rps_overhead = ((on_med - off_med) / on_med.max(1e-9)).max(0.0);
     let p99_overhead = ((on_p99 - off_p99) / off_p99.max(1e-9)).max(0.0);
 
-    // Determinism: identical request bytes must produce identical 200
-    // bodies, cold or warm.
-    let mut deterministic = true;
-    for d in 0..design_count {
-        let mut expected: Option<&str> = None;
-        for s in samples.iter().filter(|s| s.design == d && s.status == 200) {
-            match expected {
-                None => expected = Some(&s.body),
-                Some(e) if e != s.body => deterministic = false,
-                Some(_) => {}
-            }
-        }
-    }
-
-    // Latency statistics cover successful localizations only; rejected or
-    // failed attempts don't measure the pipeline.
-    let all: Vec<&Sample> = samples.iter().filter(|s| s.status == 200).collect();
-    let cold: Vec<&Sample> = all.iter().copied().filter(|s| !s.warm).collect();
-    let warm: Vec<&Sample> = all.iter().copied().filter(|s| s.warm).collect();
-    let rejected_429: usize = samples.iter().map(|s| s.retries_429).sum();
-    let retry_waits_s: f64 = samples.iter().map(|s| s.wait_s).sum();
-    let (mean, p50, p99) = stats(&all);
-    let (cold_mean, cold_p50, _) = stats(&cold);
-    let (warm_mean, warm_p50, _) = stats(&warm);
-    let server_errors = samples
-        .iter()
-        .filter(|s| s.status >= 500 || s.status == 0)
-        .count();
-    let ok = samples.iter().filter(|s| s.status == 200).count();
     let hit_rate = if hits + misses > 0 {
         hits as f64 / (hits + misses) as f64
     } else {
@@ -431,31 +258,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     };
 
     let mut json = String::from("{\n");
-    let _ = writeln!(json, "  \"connections\": {connections},");
-    let _ = writeln!(json, "  \"requests\": {},", samples.len());
     let _ = writeln!(json, "  \"design_pairs\": {design_count},");
-    let _ = writeln!(json, "  \"wall_clock_s\": {wall:.6},");
-    let _ = writeln!(
-        json,
-        "  \"throughput_rps\": {:.3},",
-        samples.len() as f64 / wall
-    );
-    let _ = writeln!(json, "  \"latency_s\": {{");
-    let _ = writeln!(
-        json,
-        "    \"mean\": {mean:.6}, \"p50\": {p50:.6}, \"p99\": {p99:.6},"
-    );
-    let _ = writeln!(
-        json,
-        "    \"cold_mean\": {cold_mean:.6}, \"cold_p50\": {cold_p50:.6}, \"cold_requests\": {},",
-        cold.len()
-    );
-    let _ = writeln!(
-        json,
-        "    \"warm_mean\": {warm_mean:.6}, \"warm_p50\": {warm_p50:.6}, \"warm_requests\": {}",
-        warm.len()
-    );
-    let _ = writeln!(json, "  }},");
     let _ = writeln!(json, "  \"sequential_latency_s\": {{");
     let _ = writeln!(
         json,
@@ -500,8 +303,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     let _ = writeln!(json, "  }},");
     let _ = writeln!(json, "  \"status_200\": {ok},");
-    let _ = writeln!(json, "  \"rejected_429_retried\": {rejected_429},");
-    let _ = writeln!(json, "  \"retry_waits_s\": {retry_waits_s:.6},");
     let _ = writeln!(json, "  \"status_5xx_or_transport\": {server_errors},");
     let _ = writeln!(json, "  \"deterministic\": {deterministic},");
     let _ = writeln!(json, "  \"drained\": {drained}");
@@ -517,7 +318,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             return Err(format!("smoke FAILED: {server_errors} 5xx/transport failures").into());
         }
         if !deterministic {
-            return Err("smoke FAILED: identical requests produced different bodies".into());
+            return Err(
+                "smoke FAILED: a warm response body differs from its pair's cold body".into(),
+            );
         }
         if !drained {
             return Err("smoke FAILED: server did not drain cleanly".into());
@@ -575,7 +378,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
 /// One arm of the telemetry A/B: boots a fresh server with live tracing
 /// on or off, warms its design cache, then times `reqs` sequential warm
-/// localize requests. Returns (median_s, p99_s); the caller derives
+/// localize requests. Returns `[median_s, p99_s]`; the caller derives
 /// throughput as 1/median rather than reqs/wall-clock — on the
 /// single-core bench host a one-off scheduler stall inside the timed
 /// window swings wall-clock by ~10% but leaves the median untouched. A
@@ -585,7 +388,7 @@ fn telemetry_probe(
     telemetry: bool,
     bodies: &[String],
     reqs: usize,
-) -> Result<(f64, f64), Box<dyn std::error::Error>> {
+) -> Result<[f64; 2], Box<dyn std::error::Error>> {
     let server = Server::bind(ServerConfig {
         telemetry,
         ..ServerConfig::default()
@@ -607,8 +410,9 @@ fn telemetry_probe(
     let (shutdown_status, _, _) = request(addr, "POST", "/v1/shutdown", "")?;
     assert_eq!(shutdown_status, 200, "telemetry probe drain failed");
     let _ = server_thread.join();
-    lat.sort_by(|a, b| a.total_cmp(b));
-    Ok((percentile(&lat, 0.50), percentile(&lat, 0.99)))
+    lat.sort_by(f64::total_cmp);
+    let pick = |p| stats::nearest_rank(&lat, p).expect("reqs >= 1");
+    Ok([pick(50.0), pick(99.0)])
 }
 
 /// One restart probe: boots a fresh server over `store_dir`, times the

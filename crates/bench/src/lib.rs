@@ -8,10 +8,21 @@
 //!   (plus `--ablate-eps` and `--ctx-agg` ablations);
 //! - `exp_table3` — Table III: per-design/per-target top-1 bug coverage
 //!   (plus SBFL baseline columns and `--threshold-sweep`);
-//! - `exp_fig4` — Fig. 4: qualitative heatmaps on the realistic designs.
+//! - `exp_fig4` — Fig. 4: qualitative heatmaps on the realistic designs;
 //!
-//! Criterion micro-benchmarks for each pipeline stage live in
-//! `benches/pipeline.rs`.
+//! and for the harnesses behind the checked-in `BENCH_*.json` files:
+//!
+//! - `bench_pipeline` — per-stage wall-clock at 1/2/4/8 threads with
+//!   determinism verdicts, compiled engine vs interpreter oracle, and the
+//!   observability overhead (`BENCH_pipeline.json`);
+//! - `serve_bench` — the service's sequential cold/warm latency, store
+//!   restart, telemetry overhead and drain (`BENCH_serve.json`);
+//! - `accuracy_bench` — precision@k and MRR over injected mutations
+//!   (`BENCH_accuracy.json`).
+//!
+//! Served latency and throughput under concurrent load are measured by the
+//! standalone `perfbench/` package. Every harness here reduces its samples
+//! through [`stats`].
 
 #![warn(missing_docs)]
 
@@ -217,6 +228,142 @@ pub fn ratio(localized: usize, observable: usize) -> String {
             localized,
             observable
         )
+    }
+}
+
+/// The statistics every harness reports through, so a "p99" or a
+/// "fastest of N reps" means the same thing in every `BENCH_*.json`.
+pub mod stats {
+    use std::time::Instant;
+
+    /// Nearest-rank percentile of an ascending slice: the smallest sample
+    /// with at least `p_percent` percent of all samples at or below it.
+    /// `None` when `sorted` is empty or `p_percent` lies outside `0..=100`.
+    pub fn nearest_rank(sorted: &[f64], p_percent: f64) -> Option<f64> {
+        let n = sorted.len();
+        if n == 0 || !(0.0..=100.0).contains(&p_percent) {
+            return None;
+        }
+        let rank = (p_percent / 100.0 * n as f64).ceil() as usize;
+        Some(sorted[rank.clamp(1, n) - 1])
+    }
+
+    /// Runs `f` `reps` times (at least once) and returns the fastest run's
+    /// wall-clock seconds with the last run's result. The workloads timed
+    /// this way are deterministic, so scheduling noise only ever adds time
+    /// and the minimum is the honest estimate.
+    pub fn min_of_reps<R>(reps: usize, mut f: impl FnMut() -> R) -> (f64, R) {
+        let mut timed = || {
+            let start = Instant::now();
+            let r = f();
+            (start.elapsed().as_secs_f64(), r)
+        };
+        let (mut best, mut last) = timed();
+        for _ in 1..reps {
+            let (secs, r) = timed();
+            best = best.min(secs);
+            last = r;
+        }
+        (best, last)
+    }
+
+    /// Alternating-order A/B min-of-reps. Every rep measures both arms, arm
+    /// A first on even reps and arm B first on odd ones, so slow drift on a
+    /// shared host cannot bias whichever arm would always run second.
+    /// `measure(is_b)` returns one rep's figures for an arm; the result is
+    /// each arm's element-wise minimum over the reps (at least one), as
+    /// `(a, b)`. The first error ends the reps.
+    ///
+    /// # Errors
+    ///
+    /// The first error `measure` returns.
+    pub fn ab_min_of_reps<const N: usize, E>(
+        reps: usize,
+        mut measure: impl FnMut(bool) -> Result<[f64; N], E>,
+    ) -> Result<([f64; N], [f64; N]), E> {
+        let mut best = [[f64::INFINITY; N]; 2];
+        for rep in 0..reps.max(1) {
+            let order = if rep % 2 == 0 {
+                [false, true]
+            } else {
+                [true, false]
+            };
+            for is_b in order {
+                let figures = measure(is_b)?;
+                for (m, f) in best[usize::from(is_b)].iter_mut().zip(figures) {
+                    *m = m.min(f);
+                }
+            }
+        }
+        Ok((best[0], best[1]))
+    }
+
+    #[cfg(test)]
+    mod tests {
+        use super::*;
+
+        fn ramp(n: usize) -> Vec<f64> {
+            (1..=n).map(|i| i as f64).collect()
+        }
+
+        #[test]
+        fn nearest_rank_picks_a_sample() {
+            let v = ramp(10);
+            assert_eq!(nearest_rank(&v, 50.0), Some(5.0));
+            assert_eq!(nearest_rank(&v, 90.0), Some(9.0));
+            assert_eq!(nearest_rank(&v, 91.0), Some(10.0));
+            assert_eq!(nearest_rank(&v, 100.0), Some(10.0));
+            assert_eq!(nearest_rank(&v, 0.0), Some(1.0));
+            assert_eq!(nearest_rank(&[], 50.0), None);
+            assert_eq!(nearest_rank(&v, 101.0), None);
+        }
+
+        #[test]
+        fn min_of_reps_keeps_the_fastest_time_and_the_last_result() {
+            // Rep 1 sleeps, the others return at once: the minimum must be
+            // one of the fast reps, and the result the third rep's.
+            let mut rep = 0;
+            let (best, last) = min_of_reps(3, || {
+                rep += 1;
+                if rep == 1 {
+                    std::thread::sleep(std::time::Duration::from_millis(50));
+                }
+                rep
+            });
+            assert_eq!(last, 3);
+            assert!(best < 0.05, "fastest rep took {best}s");
+            // Zero reps still runs once.
+            let (_, once) = min_of_reps(0, || 7);
+            assert_eq!(once, 7);
+        }
+
+        #[test]
+        fn ab_min_of_reps_alternates_order_and_keeps_each_arms_minimum() {
+            let mut calls = Vec::new();
+            let figures = [[5.0, 50.0], [3.0, 70.0], [4.0, 60.0]];
+            let (a, b) = ab_min_of_reps(3, |is_b| {
+                let rep = calls.len() / 2;
+                calls.push(is_b);
+                let [x, y] = figures[rep];
+                Ok::<_, ()>(if is_b { [x + 10.0, y] } else { [x, y + 10.0] })
+            })
+            .unwrap();
+            assert_eq!(calls, [false, true, true, false, false, true]);
+            assert_eq!(a, [3.0, 60.0]);
+            assert_eq!(b, [13.0, 50.0]);
+            // The first error stops the reps.
+            let mut n = 0;
+            let err = ab_min_of_reps::<1, _>(4, |_| {
+                n += 1;
+                if n == 2 {
+                    Err("boom")
+                } else {
+                    Ok([1.0])
+                }
+            });
+            assert_eq!(err, Err("boom"));
+            assert_eq!(n, 2);
+        }
     }
 }
 

@@ -394,8 +394,7 @@ fn two_pass_campaign_is_bit_identical_to_single_pass_across_threads() {
         misuse: 2,
     };
     let campaign = Campaign::new(0x2BA55);
-    let oracle = campaign
-        .run_single_pass(&module, target, &budget)
+    let oracle = mutate::oracle::run_single_pass(&campaign, &module, target, &budget)
         .expect("single-pass oracle");
     assert!(!oracle.is_empty(), "oracle campaign produced no mutants");
     for threads in [1usize, 2, 8] {
@@ -472,8 +471,8 @@ fn two_pass_localize_report_is_thread_invariant_and_matches_full_cosim() {
         .generate_many(golden_sim.netlist(), opts.cycles, opts.runs);
     let golden_runs = mutate::run_lane_groups(&mut golden_sim, &stimuli).expect("golden traces");
     let mut buggy_sim = Simulator::new(&buggy).expect("elaborates");
-    let labelled =
-        mutate::cosimulate(&golden_runs, &mut buggy_sim, "y", &stimuli).expect("cosimulates");
+    let labelled = mutate::oracle::cosimulate(&golden_runs, &mut buggy_sim, "y", &stimuli)
+        .expect("cosimulates");
     let failing = labelled
         .iter()
         .filter(|r| r.label == sim::TraceLabel::Failing)

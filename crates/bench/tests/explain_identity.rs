@@ -203,7 +203,7 @@ fn rvdg_cases(count: usize) -> Vec<Case> {
         let stimuli = TestbenchGen::new(index).generate_many(golden_sim.netlist(), 12, 16);
         let golden_runs = mutate::run_lane_groups(&mut golden_sim, &stimuli).expect("simulates");
         let mut buggy_sim = sim::Simulator::new(&buggy).expect("elaborates");
-        let runs = mutate::cosimulate(&golden_runs, &mut buggy_sim, &target, &stimuli)
+        let runs = mutate::oracle::cosimulate(&golden_runs, &mut buggy_sim, &target, &stimuli)
             .expect("cosimulates");
         cases.push(Case {
             golden: design.module,

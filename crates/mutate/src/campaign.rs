@@ -7,17 +7,16 @@ use std::collections::BTreeSet;
 
 use crate::mutation::{apply, enumerate_sites, MutationKind, MutationSite};
 use crate::observe::{
-    any_diverged, cosimulate, golden_verdicts, run_lane_groups, run_lane_groups_mode, screen_with,
-    LabelledRun, RunVerdict,
+    any_diverged, golden_verdicts, run_lane_groups_mode, screen_with, LabelledRun, RunVerdict,
 };
 use cdfg::Slice;
-use sim::{SimError, Simulator, Stimulus, StmtExec, TestbenchGen, TraceLabel, TraceMode, Value};
+use sim::{SimError, Simulator, Stimulus, StmtExec, TestbenchGen, TraceMode, Value};
 use verilog::Module;
 
 /// Sites co-simulated per parallel wave. A fixed constant: waves bound the
 /// work wasted past the budget without letting the worker count influence
 /// which sites get considered.
-const WAVE: usize = 8;
+pub(crate) const WAVE: usize = 8;
 
 /// Candidate mutation sites considered (after slice restriction).
 static SITES: obs::LazyCounter = obs::LazyCounter::new("campaign.sites_enumerated");
@@ -110,7 +109,7 @@ pub struct Mutant {
 /// Campaign configuration.
 #[derive(Debug, Clone)]
 pub struct Campaign {
-    seed: u64,
+    pub(crate) seed: u64,
     cycles: usize,
     runs_per_mutant: usize,
     restrict_to_slice: bool,
@@ -161,7 +160,7 @@ impl Campaign {
 
     /// Campaign setup shared by both flows: vetted sites, the golden
     /// simulator, the resolved target, and the seeded stimulus set.
-    fn prelude(&self, golden: &Module, target: &str) -> Result<Prelude, SimError> {
+    pub(crate) fn prelude(&self, golden: &Module, target: &str) -> Result<Prelude, SimError> {
         let restrict: Option<BTreeSet<_>> = if self.restrict_to_slice {
             Some(Slice::of_target(golden, target).stmts)
         } else {
@@ -204,8 +203,9 @@ impl Campaign {
     /// campaign keeps**, in [`sim::TraceMode::records`] of every
     /// assignment: each run's execution records, with no signal snapshots
     /// and no golden simulation. Mutants, labels, failure cycles and
-    /// per-cycle records equal [`run_single_pass`](Self::run_single_pass)'s
-    /// — the differential suite proves it at 1/2/8 threads.
+    /// per-cycle records equal those of the full-trace oracle
+    /// [`crate::oracle::run_single_pass`] — the differential suite proves
+    /// it at 1/2/8 threads.
     ///
     /// Candidate mutants are built and screened in parallel, in fixed-size
     /// waves of shuffled sites. The wave partitioning and the in-order
@@ -368,118 +368,21 @@ impl Campaign {
         }
         Ok(out)
     }
-
-    /// The single-pass flow: every candidate is co-simulated with full
-    /// traces ([`cosimulate`]), kept or not, and labelled from its
-    /// snapshots. Retained as the differential oracle — the suite in
-    /// `crates/bench/tests/differential.rs` proves [`run`](Self::run)
-    /// matches it at 1/2/8 threads — and for benchmarking the elision win.
-    ///
-    /// # Errors
-    ///
-    /// As [`run`](Self::run).
-    pub fn run_single_pass(
-        &self,
-        golden: &Module,
-        target: &str,
-        budget: &BugBudget,
-    ) -> Result<Vec<Mutant>, SimError> {
-        let _span = obs::span("campaign");
-        let mut rng = StdRng::seed_from_u64(self.seed);
-        let Prelude {
-            all_sites,
-            mut golden_sim,
-            target_id: _,
-            stimuli,
-            golden_source,
-        } = self.prelude(golden, target)?;
-        // The golden design is simulated exactly once per stimulus; every
-        // candidate mutant in every wave compares against these shared
-        // traces instead of re-running the golden design.
-        let golden_runs = {
-            let _g = obs::span("campaign.golden");
-            run_lane_groups(&mut golden_sim, &stimuli)?
-        };
-
-        let mut out = Vec::new();
-        for kind in MutationKind::ALL {
-            let mut sites: Vec<&MutationSite> =
-                all_sites.iter().filter(|s| s.kind == kind).collect();
-            shuffle(&mut sites, &mut rng);
-            let want = budget.for_kind(kind);
-            let mut produced = 0;
-            let mut seen_sources: BTreeSet<String> = BTreeSet::new();
-            for wave in sites.chunks(WAVE) {
-                if produced >= want {
-                    break;
-                }
-                // Parallel part: everything that depends only on the site.
-                let _wave_span = obs::span("campaign.wave");
-                let candidates = par::par_map(wave, |site| {
-                    let module = apply(golden, site)?;
-                    let source = verilog::print_module(&module);
-                    if source == golden_source {
-                        return None; // mutation was a source-level no-op
-                    }
-                    // A mutation may e.g. create a combinational loop; skip.
-                    let mut sim = Simulator::new(&module).ok()?;
-                    let runs = cosimulate(&golden_runs, &mut sim, target, &stimuli).ok()?;
-                    let observable = runs.iter().any(|r| r.label == TraceLabel::Failing);
-                    Some((module, source, runs, observable))
-                });
-                // Sequential merge in site order: duplicate and budget
-                // decisions replay exactly as a serial pass would.
-                for (site, cand) in wave.iter().zip(candidates) {
-                    if produced >= want {
-                        break;
-                    }
-                    let Some((module, source, runs, observable)) = cand else {
-                        SKIPPED.incr();
-                        continue;
-                    };
-                    if !seen_sources.insert(source.clone()) {
-                        DUPLICATES.incr();
-                        continue; // duplicate mutant
-                    }
-                    PRODUCED.incr();
-                    if observable {
-                        OBSERVABLE.incr();
-                        if obs::enabled() {
-                            for run in &runs {
-                                if let Some(&first) = run.failure_cycles.first() {
-                                    DIVERGENCE.record(u64::from(first));
-                                }
-                            }
-                        }
-                    }
-                    out.push(Mutant {
-                        module,
-                        source,
-                        site: (*site).clone(),
-                        runs,
-                        observable,
-                    });
-                    produced += 1;
-                }
-            }
-        }
-        Ok(out)
-    }
 }
 
 /// Campaign setup shared by [`Campaign::run`] and
-/// [`Campaign::run_single_pass`], so the two flows cannot drift on sites,
-/// stimuli, or target resolution.
-struct Prelude {
-    all_sites: Vec<MutationSite>,
-    golden_sim: Simulator,
-    target_id: sim::SignalId,
-    stimuli: Vec<Stimulus>,
-    golden_source: String,
+/// [`crate::oracle::run_single_pass`], so the two flows cannot drift on
+/// sites, stimuli, or target resolution.
+pub(crate) struct Prelude {
+    pub(crate) all_sites: Vec<MutationSite>,
+    pub(crate) golden_sim: Simulator,
+    pub(crate) target_id: sim::SignalId,
+    pub(crate) stimuli: Vec<Stimulus>,
+    pub(crate) golden_source: String,
 }
 
 /// Fisher–Yates shuffle (avoids pulling in rand's slice extension trait).
-fn shuffle<T>(items: &mut [T], rng: &mut StdRng) {
+pub(crate) fn shuffle<T>(items: &mut [T], rng: &mut StdRng) {
     for i in (1..items.len()).rev() {
         let j = rng.random_range(0..=i);
         items.swap(i, j);
@@ -639,9 +542,7 @@ endmodule
         };
         let campaign = Campaign::new(29);
         let two_pass = campaign.run(&golden(), "gnt1", &budget).unwrap();
-        let single = campaign
-            .run_single_pass(&golden(), "gnt1", &budget)
-            .unwrap();
+        let single = crate::oracle::run_single_pass(&campaign, &golden(), "gnt1", &budget).unwrap();
         assert!(!two_pass.is_empty());
         assert_eq!(two_pass.len(), single.len());
         for (a, b) in two_pass.iter().zip(&single) {

@@ -9,9 +9,9 @@
 //!
 //! A [`Campaign`] labels runs from verdict-mode screening, which simulates
 //! only the target output, and then records the kept mutants' statement
-//! executions without any signal snapshots. [`cosimulate`] is the one
-//! full-trace reference labelling that tests and benchmarks check this
-//! against.
+//! executions without any signal snapshots. The [`oracle`] module holds
+//! the full-trace reference labelling and single-pass campaign that tests
+//! and benchmarks check this against.
 //!
 //! ## Quick start
 //!
@@ -34,10 +34,11 @@
 pub mod campaign;
 pub mod mutation;
 pub mod observe;
+pub mod oracle;
 
 pub use campaign::{BugBudget, Campaign, Mutant};
 pub use mutation::{apply, enumerate_sites, MutationKind, MutationSite};
 pub use observe::{
-    any_diverged, cosimulate, golden_verdicts, run_lane_groups, run_lane_groups_mode,
-    run_lane_groups_verdict, screen_against, screen_with, LabelledRun, RunVerdict,
+    any_diverged, golden_verdicts, run_lane_groups, run_lane_groups_mode, screen_against,
+    screen_with, LabelledRun, RunVerdict,
 };

@@ -7,10 +7,10 @@
 //! (`T_c`).
 //!
 //! Production labels come from verdict-mode screening ([`screen_with`]),
-//! which simulates only the target column. [`cosimulate`] is the one
-//! full-trace reference: it labels runs from complete signal snapshots,
-//! independently of the verdict path, for tests and benchmarks to check
-//! that path against.
+//! which simulates only the target column. [`crate::oracle::cosimulate`]
+//! is the one full-trace reference: it labels runs from complete signal
+//! snapshots, independently of the verdict path, for tests and benchmarks
+//! to check that path against.
 
 use sim::{SignalSet, SimError, Simulator, Stimulus, Trace, TraceLabel, TraceMode, VerdictTrace};
 use verilog::Module;
@@ -20,7 +20,7 @@ use verilog::Module;
 pub struct LabelledRun {
     /// The mutant's trace (this is what VeriBug analyzes). A campaign
     /// keeps execution records only (empty `signals` snapshots);
-    /// [`cosimulate`] returns the full trace.
+    /// [`crate::oracle::cosimulate`] returns the full trace.
     pub trace: Trace,
     /// Failing when the target output diverged in any cycle.
     pub label: TraceLabel,
@@ -96,7 +96,7 @@ pub fn run_lane_groups(sim: &mut Simulator, stimuli: &[Stimulus]) -> Result<Vec<
 }
 
 /// [`run_lane_groups`] in verdict mode ([`Simulator::run_batch_verdict`]).
-pub fn run_lane_groups_verdict(
+fn run_lane_groups_verdict(
     sim: &mut Simulator,
     stimuli: &[Stimulus],
     observed: &SignalSet,
@@ -156,7 +156,7 @@ pub fn golden_verdicts(
 /// Screens a mutant against precomputed golden verdicts: verdict-mode
 /// co-simulation yielding one [`RunVerdict`] per stimulus. Divergence
 /// verdicts, labels, and divergence cycles are identical to what
-/// full-trace co-simulation ([`cosimulate`]) would produce — verdict mode
+/// full-trace co-simulation ([`crate::oracle::cosimulate`]) would produce — verdict mode
 /// reproduces exactly the observed columns of the full trace — at a
 /// fraction of the memory traffic.
 ///
@@ -208,64 +208,10 @@ pub fn any_diverged(verdicts: &[RunVerdict]) -> bool {
     verdicts.iter().any(RunVerdict::diverged)
 }
 
-/// The full-trace reference labelling: runs the mutant on every stimulus
-/// with full traces and compares the `target` column of each cycle's
-/// snapshot with golden's.
-///
-/// `golden[i]` must be the golden design's full trace on `stimuli[i]`
-/// (from [`run_lane_groups`]); the two slices must have equal length.
-/// `target` is resolved in the mutant's netlist, whose signal ids match
-/// golden's: mutations never touch declarations.
-///
-/// Production code labels runs from verdict-mode screening instead
-/// ([`screen_with`]). This function shares none of that path's
-/// comparison, so tests, the differential suite and `bench_pipeline`
-/// use it as the oracle the verdict path must match, and
-/// [`Campaign::run_single_pass`](crate::Campaign::run_single_pass) builds
-/// on it.
-///
-/// # Errors
-///
-/// [`SimError::UnknownSignal`] when the mutant has no `target`; otherwise
-/// propagates simulation errors (including cancellation) from the mutant.
-pub fn cosimulate(
-    golden: &[Trace],
-    mutant: &mut Simulator,
-    target: &str,
-    stimuli: &[Stimulus],
-) -> Result<Vec<LabelledRun>, SimError> {
-    assert_eq!(
-        golden.len(),
-        stimuli.len(),
-        "one golden trace per stimulus required"
-    );
-    let target = mutant
-        .netlist()
-        .signal_id(target)
-        .ok_or_else(|| SimError::UnknownSignal {
-            name: target.to_owned(),
-        })?;
-    let _span = obs::span("campaign.cosim");
-    let traces = run_lane_groups(mutant, stimuli)?;
-    Ok(traces
-        .into_iter()
-        .zip(golden)
-        .map(|(trace, golden)| {
-            let failure_cycles = trace
-                .cycles
-                .iter()
-                .zip(&golden.cycles)
-                .filter(|(m, g)| m.value(target) != g.value(target))
-                .map(|(m, _)| m.cycle)
-                .collect();
-            LabelledRun::new(trace, failure_cycles)
-        })
-        .collect())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::oracle::cosimulate;
     use sim::TestbenchGen;
 
     fn module(src: &str) -> Module {

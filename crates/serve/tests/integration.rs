@@ -452,6 +452,59 @@ fn fresh_server_body(body: &str) -> String {
     resp.body
 }
 
+/// Eight clients post two design pairs at once to a two-worker server, so
+/// requests queue and race on the cold design cache and golden memo. Every
+/// answer must be a 200 whose body equals a sequential request's for the
+/// same pair.
+#[test]
+fn concurrent_identical_requests_return_identical_bodies() {
+    let (handle, join) = start(ServerConfig {
+        workers: 2,
+        queue_capacity: 16,
+        ..ServerConfig::default()
+    });
+    let addr = handle.addr();
+    // Unique sources so other tests' traffic cannot warm these entries.
+    let bodies: Vec<String> = (0..2)
+        .map(|d| {
+            let golden = format!("// concurrent-test {d}\n{GOLDEN}");
+            let buggy = format!("// concurrent-test {d}\n{BUGGY}");
+            memo_body(&golden, &buggy, "y", "\"runs\":16,\"cycles\":8")
+        })
+        .collect();
+    let clients = 8;
+    let start_line = std::sync::Arc::new(std::sync::Barrier::new(clients));
+    let (tx, rx) = std::sync::mpsc::channel();
+    let threads: Vec<_> = (0..clients)
+        .map(|i| {
+            let (tx, start_line) = (tx.clone(), std::sync::Arc::clone(&start_line));
+            let body = bodies[i % 2].clone();
+            std::thread::spawn(move || {
+                start_line.wait();
+                let resp = request(addr, "POST", "/v1/localize", &body);
+                tx.send((i % 2, resp.status, resp.body))
+                    .expect("receiver alive");
+            })
+        })
+        .collect();
+    drop(tx);
+    let answers: Vec<_> = (0..clients)
+        .map(|_| {
+            rx.recv_timeout(Duration::from_secs(60))
+                .expect("every client answered within 60 s")
+        })
+        .collect();
+    for t in threads {
+        t.join().expect("client thread");
+    }
+    stop(&handle, join);
+    let sequential: Vec<String> = bodies.iter().map(|b| fresh_server_body(b)).collect();
+    for (pair, status, body) in answers {
+        assert_eq!(status, 200, "body: {body}");
+        assert_eq!(body, sequential[pair], "pair {pair}");
+    }
+}
+
 #[test]
 fn golden_memo_misses_on_every_key_field_and_matches_a_fresh_server() {
     let (handle, join) = start(ServerConfig::default());

@@ -192,7 +192,8 @@ proptest! {
         let mut sim = Simulator::new(module).expect("elaborates");
         let stimuli = TestbenchGen::new(seed).generate_many(sim.netlist(), 12, 3);
         let golden = mutate::run_lane_groups(&mut sim, &stimuli).expect("simulates");
-        let runs = mutate::cosimulate(&golden, &mut sim, &target, &stimuli).expect("cosimulates");
+        let runs = mutate::oracle::cosimulate(&golden, &mut sim, &target, &stimuli)
+            .expect("cosimulates");
         prop_assert!(runs.iter().all(|r| r.label == TraceLabel::Correct));
     }
 }
