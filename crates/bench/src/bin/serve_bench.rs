@@ -33,10 +33,9 @@
 //! a faster cache hit — without rewriting the JSON).
 
 use std::fmt::Write as _;
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
+use serve::http::{self, Response};
 use serve::{Server, ServerConfig};
 use veribug_bench::stats;
 
@@ -81,37 +80,10 @@ fn localize_body(golden: &str, buggy: &str, runs: usize, cycles: usize) -> Strin
     body
 }
 
-/// Issues one request and parses status, cache header, and body.
-fn request(
-    addr: SocketAddr,
-    method: &str,
-    path: &str,
-    body: &str,
-) -> std::io::Result<(u16, bool, String)> {
-    let mut stream = TcpStream::connect(addr)?;
-    stream.set_read_timeout(Some(Duration::from_secs(120)))?;
-    write!(
-        stream,
-        "{method} {path} HTTP/1.1\r\nHost: bench\r\nContent-Length: {}\r\n\r\n{body}",
-        body.len()
-    )?;
-    let mut raw = String::new();
-    stream.read_to_string(&mut raw)?;
-    let status: u16 = raw
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0);
-    let head = raw.split("\r\n\r\n").next().unwrap_or("");
-    let warm = head
-        .lines()
-        .find(|l| l.to_ascii_lowercase().starts_with("x-veribug-cache:"))
-        .is_some_and(|l| !l.contains("miss"));
-    let payload = raw
-        .split_once("\r\n\r\n")
-        .map(|(_, b)| b.to_owned())
-        .unwrap_or_default();
-    Ok((status, warm, payload))
+/// Whether the server answered from its design cache.
+fn cache_hit(resp: &Response) -> bool {
+    resp.header("x-veribug-cache")
+        .is_some_and(|v| !v.contains("miss"))
 }
 
 #[allow(clippy::too_many_lines)]
@@ -155,29 +127,33 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for d in 0..design_count {
         let (golden, buggy) = design_pair(1000 + d, stmts);
         let body = localize_body(&golden, &buggy, runs, cycles);
-        let mut cold_body = String::new();
+        let mut cold_body = Vec::new();
         for rep in 0..4 {
             let t0 = Instant::now();
-            // A transport error reads as status 0.
-            let (status, warm, got) =
-                request(addr, "POST", "/v1/localize", &body).unwrap_or_default();
+            let resp = http::send(addr, "POST", "/v1/localize", &[], body.as_bytes());
             let secs = t0.elapsed().as_secs_f64();
-            if status == 0 || status >= 500 {
+            let resp = match resp {
+                Ok(resp) if resp.status < 500 => resp,
                 // The smoke gate reports it; this pair's repeats would not
                 // measure the cache.
-                server_errors += 1;
-                break;
-            }
-            assert_eq!(status, 200, "sequential phase request failed");
+                _ => {
+                    server_errors += 1;
+                    break;
+                }
+            };
+            assert_eq!(resp.status, 200, "sequential phase request failed");
             ok += 1;
             if rep == 0 {
-                assert!(!warm, "first touch of a fresh pair must be a miss");
+                assert!(
+                    !cache_hit(&resp),
+                    "first touch of a fresh pair must be a miss"
+                );
                 seq_cold.push(secs);
-                cold_body = got;
+                cold_body = resp.body;
             } else {
-                assert!(warm, "repeat of a cached pair must be a hit");
+                assert!(cache_hit(&resp), "repeat of a cached pair must be a hit");
                 seq_warm.push(secs);
-                deterministic &= got == cold_body;
+                deterministic &= resp.body == cold_body;
             }
         }
     }
@@ -188,11 +164,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let seq_warm_p50 = stats::nearest_rank(&seq_warm, 50.0).unwrap_or(0.0);
 
     // Cache-hit rate as the server counts it, scraped from /metricsz.
-    let (_, _, metrics) = request(addr, "GET", "/metricsz", "")?;
-    let (hits, misses) = cache_counters(&metrics);
+    let metrics = http::send(addr, "GET", "/metricsz", &[], b"")?;
+    let (hits, misses) = cache_counters(&metrics.text());
 
     // Drain: stop accepting, finish in-flight, and require a clean exit.
-    let (shutdown_status, _, _) = request(addr, "POST", "/v1/shutdown", "")?;
+    let shutdown_status = http::send(addr, "POST", "/v1/shutdown", &[], b"")?.status;
     let drained = shutdown_status == 200 && server_thread.join().is_ok_and(|r| r.is_ok());
 
     // Store-restart phase: what the persistent artifact store buys a
@@ -396,18 +372,27 @@ fn telemetry_probe(
     let addr = server.local_addr()?;
     let server_thread = std::thread::spawn(move || server.run());
     for body in bodies {
-        let (status, _, _) = request(addr, "POST", "/v1/localize", body)?;
-        assert_eq!(status, 200, "telemetry probe warmup failed");
+        let resp = http::send(addr, "POST", "/v1/localize", &[], body.as_bytes())?;
+        assert_eq!(resp.status, 200, "telemetry probe warmup failed");
     }
     let mut lat: Vec<f64> = Vec::with_capacity(reqs);
     for i in 0..reqs {
         let r0 = Instant::now();
-        let (status, warm, _) = request(addr, "POST", "/v1/localize", &bodies[i % bodies.len()])?;
-        assert_eq!(status, 200, "telemetry probe request failed");
-        assert!(warm, "telemetry probe must measure warm requests");
+        let resp = http::send(
+            addr,
+            "POST",
+            "/v1/localize",
+            &[],
+            bodies[i % bodies.len()].as_bytes(),
+        )?;
+        assert_eq!(resp.status, 200, "telemetry probe request failed");
+        assert!(
+            cache_hit(&resp),
+            "telemetry probe must measure warm requests"
+        );
         lat.push(r0.elapsed().as_secs_f64());
     }
-    let (shutdown_status, _, _) = request(addr, "POST", "/v1/shutdown", "")?;
+    let shutdown_status = http::send(addr, "POST", "/v1/shutdown", &[], b"")?.status;
     assert_eq!(shutdown_status, 200, "telemetry probe drain failed");
     let _ = server_thread.join();
     lat.sort_by(f64::total_cmp);
@@ -429,18 +414,18 @@ fn restart_probe(
     let addr = server.local_addr()?;
     let server_thread = std::thread::spawn(move || server.run());
     let t0 = Instant::now();
-    let (status, warm, _) = request(addr, "POST", "/v1/localize", body)?;
+    let resp = http::send(addr, "POST", "/v1/localize", &[], body.as_bytes())?;
     let secs = t0.elapsed().as_secs_f64();
-    assert_eq!(status, 200, "restart probe request failed");
-    let (_, _, statusz) = request(addr, "GET", "/statusz", "")?;
-    let preloaded = obs::json::parse(&statusz)
+    assert_eq!(resp.status, 200, "restart probe request failed");
+    let statusz = http::send(addr, "GET", "/statusz", &[], b"")?;
+    let preloaded = obs::json::parse(&statusz.text())
         .ok()
         .and_then(|doc| doc.get("store")?.get("preloaded")?.as_num())
         .map_or(0, |v| v as u64);
-    let (shutdown_status, _, _) = request(addr, "POST", "/v1/shutdown", "")?;
+    let shutdown_status = http::send(addr, "POST", "/v1/shutdown", &[], b"")?.status;
     assert_eq!(shutdown_status, 200, "restart probe drain failed");
     let _ = server_thread.join();
-    Ok((secs, warm, preloaded))
+    Ok((secs, cache_hit(&resp), preloaded))
 }
 
 /// Pulls `serve.cache.hits` / `serve.cache.misses` out of the `/metricsz`

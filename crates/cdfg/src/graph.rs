@@ -6,8 +6,6 @@
 //! `B`. Guard conditions are accumulated while walking `if`/`case` bodies, so
 //! every node also knows the full set of signals its execution depends on.
 
-use std::collections::HashMap;
-
 use verilog::{AssignKind, CaseStmt, Expr, IfStmt, Item, Module, Span, Stmt, StmtId};
 
 /// Whether a dependency flows through data or control.
@@ -54,7 +52,6 @@ pub struct CdfgEdge {
 pub struct Cdfg {
     nodes: Vec<CdfgNode>,
     edges: Vec<CdfgEdge>,
-    by_stmt: HashMap<StmtId, usize>,
 }
 
 impl Cdfg {
@@ -94,10 +91,6 @@ impl Cdfg {
                 }
             }
         }
-        let mut by_stmt = HashMap::new();
-        for (i, n) in nodes.iter().enumerate() {
-            by_stmt.insert(n.stmt, i);
-        }
         // Def→use edges between statements.
         let mut edges = Vec::new();
         for (from, def) in nodes.iter().enumerate() {
@@ -118,11 +111,7 @@ impl Cdfg {
                 }
             }
         }
-        Cdfg {
-            nodes,
-            edges,
-            by_stmt,
-        }
+        Cdfg { nodes, edges }
     }
 
     /// All statement nodes, indexed by position.
@@ -133,11 +122,6 @@ impl Cdfg {
     /// All dependency edges.
     pub fn edges(&self) -> &[CdfgEdge] {
         &self.edges
-    }
-
-    /// The node for a given statement id, if present.
-    pub fn node_of(&self, stmt: StmtId) -> Option<&CdfgNode> {
-        self.by_stmt.get(&stmt).map(|&i| &self.nodes[i])
     }
 
     /// Statements that define a given signal (a signal may be assigned in

@@ -25,7 +25,7 @@
 
 use std::collections::HashMap;
 
-use neuro::{Adam, Embedding, Graph, Initializer, Lstm, Mlp, NodeId, ParamId, Params, Tensor};
+use neuro::{Embedding, Graph, Initializer, Lstm, Mlp, NodeId, ParamId, Params, Tensor};
 use verilog::{NodeKind, StmtId};
 
 use crate::features::StatementFeatures;
@@ -392,12 +392,6 @@ impl VeriBugModel {
             SCORE_MARGIN.record_f64(f64::from((row[1] - row[0]).abs()));
         }
         (out.logits.argmax_row() == 1, out.attention)
-    }
-
-    /// Creates an Adam optimizer with the paper's settings
-    /// (`lr = 1e-3`, `wd = 1e-5`).
-    pub fn paper_optimizer() -> Adam {
-        Adam::new(1e-3).with_weight_decay(1e-5)
     }
 }
 

@@ -112,7 +112,6 @@ pub struct Campaign {
     pub(crate) seed: u64,
     cycles: usize,
     runs_per_mutant: usize,
-    restrict_to_slice: bool,
     hold_probability: f64,
 }
 
@@ -128,7 +127,6 @@ impl Campaign {
             seed,
             cycles: 16,
             runs_per_mutant: 40,
-            restrict_to_slice: true,
             hold_probability: 0.8,
         }
     }
@@ -152,21 +150,11 @@ impl Campaign {
         self
     }
 
-    /// Allow mutations anywhere in the design, not only the target's slice.
-    pub fn without_slice_restriction(mut self) -> Self {
-        self.restrict_to_slice = false;
-        self
-    }
-
     /// Campaign setup shared by both flows: vetted sites, the golden
     /// simulator, the resolved target, and the seeded stimulus set.
     pub(crate) fn prelude(&self, golden: &Module, target: &str) -> Result<Prelude, SimError> {
-        let restrict: Option<BTreeSet<_>> = if self.restrict_to_slice {
-            Some(Slice::of_target(golden, target).stmts)
-        } else {
-            None
-        };
-        let all_sites = enumerate_sites(golden, restrict.as_ref());
+        let slice = Slice::of_target(golden, target).stmts;
+        let all_sites = enumerate_sites(golden, Some(&slice));
         SITES.add(all_sites.len() as u64);
         let golden_sim = Simulator::new(golden)?;
         let target_id =

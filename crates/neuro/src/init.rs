@@ -28,14 +28,6 @@ impl Initializer {
             .collect();
         Tensor::from_vec(rows, cols, data)
     }
-
-    /// Samples a tensor from `U(-limit, limit)` with an explicit limit.
-    pub fn sample_uniform(&mut self, rows: usize, cols: usize, limit: f32) -> Tensor {
-        let data = (0..rows * cols)
-            .map(|_| self.rng.random_range(-limit..limit))
-            .collect();
-        Tensor::from_vec(rows, cols, data)
-    }
 }
 
 #[cfg(test)]

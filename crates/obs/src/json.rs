@@ -346,7 +346,6 @@ pub fn write_f64(out: &mut String, v: f64) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
 
     #[test]
     fn parses_nested_document() {
@@ -420,19 +419,33 @@ mod tests {
         assert!(parse(r#""\ud83d\u12""#).is_err());
     }
 
+    /// One SplitMix64 step: advances `x` and returns the next output.
+    fn splitmix64(x: &mut u64) -> u64 {
+        *x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *x;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// `(seed, len)` for each of 64 cases: `seed` spans all of `u64`,
+    /// `len` is drawn from `lens`.
+    fn cases(lens: std::ops::Range<usize>) -> impl Iterator<Item = (u64, usize)> {
+        let mut x = 0;
+        (0..64).map(move |_| {
+            let seed = splitmix64(&mut x);
+            let len = lens.start + (splitmix64(&mut x) % lens.len() as u64) as usize;
+            (seed, len)
+        })
+    }
+
     /// Deterministically expands a seed into a string mixing ASCII,
-    /// control characters, BMP scalars, and astral scalars (the vendored
-    /// proptest has no string strategy, so strings grow from integers).
+    /// control characters, BMP scalars, and astral scalars.
     fn seed_to_string(seed: u64, len: usize) -> String {
         let mut x = seed | 1;
         (0..len)
             .map(|_| {
-                // SplitMix64 step.
-                x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-                let mut z = x;
-                z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-                z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-                z ^= z >> 31;
+                let z = splitmix64(&mut x);
                 match z % 4 {
                     0 => char::from_u32((z as u32) % 0x80).unwrap_or('a'),
                     1 => char::from_u32((z as u32) % 0x20).unwrap_or('\u{1}'),
@@ -527,31 +540,31 @@ mod tests {
         );
     }
 
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(64))]
-
-        /// write_str output always parses back to the exact input,
-        /// covering control characters and astral scalars.
-        #[test]
-        fn write_str_round_trips(seed in 0u64..u64::MAX, len in 0usize..64) {
+    /// write_str output always parses back to the exact input, covering
+    /// control characters and astral scalars.
+    #[test]
+    fn write_str_round_trips() {
+        for (seed, len) in cases(0..64) {
             let original = seed_to_string(seed, len);
             let mut rendered = String::new();
             write_str(&mut rendered, &original);
             let back = parse(&rendered).expect("rendered string parses");
-            prop_assert_eq!(back.as_str(), Some(original.as_str()));
+            assert_eq!(back.as_str(), Some(original.as_str()), "seed {seed}");
         }
+    }
 
-        /// Escaped-at-the-source round-trip: rendering a parsed document
-        /// again yields the same value (write → parse → write fixpoint).
-        #[test]
-        fn write_parse_write_is_fixpoint(seed in 0u64..u64::MAX, len in 1usize..48) {
+    /// Escaped-at-the-source round-trip: rendering a parsed document again
+    /// yields the same value (write → parse → write fixpoint).
+    #[test]
+    fn write_parse_write_is_fixpoint() {
+        for (seed, len) in cases(1..48) {
             let original = seed_to_string(seed, len);
             let mut first = String::new();
             write_str(&mut first, &original);
             let parsed = parse(&first).expect("parses");
             let mut second = String::new();
             write_str(&mut second, parsed.as_str().expect("string"));
-            prop_assert_eq!(first, second);
+            assert_eq!(first, second, "seed {seed}");
         }
     }
 }

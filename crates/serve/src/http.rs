@@ -1,14 +1,21 @@
-//! A minimal HTTP/1.1 reader/writer over `std::net::TcpStream`.
+//! A minimal HTTP/1.1 reader/writer over `std::net::TcpStream`, for both
+//! directions of an exchange.
 //!
 //! Supports exactly what the service needs: one request per connection
-//! (`Connection: close` on every response), `Content-Length` bodies, a
-//! configurable body-size cap, and plain status-line responses. No chunked
-//! transfer (any `Transfer-Encoding` header is a 400), no keep-alive, no
-//! TLS — the point is a dependency-free serving surface, not a general web
-//! server.
+//! (`Connection: close` on every request and response), `Content-Length`
+//! bodies, a configurable body-size cap, and plain status-line responses.
+//! No chunked transfer (any `Transfer-Encoding` header is a 400), no
+//! keep-alive, no TLS — the point is a dependency-free serving surface, not
+//! a general web server.
+//!
+//! The server side is [`read_request`] and [`write_response`]. The client
+//! side — [`write_request`], [`read_response`] and the one-shot [`send`] —
+//! is what the shard front forwards with, and what the bench binaries and
+//! test suites talk to a server with.
 
 use std::io::{self, Read, Write};
-use std::net::TcpStream;
+use std::net::{SocketAddr, TcpStream};
+use std::time::Duration;
 
 /// Upper bound on the request line + headers block.
 const MAX_HEAD_BYTES: usize = 16 * 1024;
@@ -29,10 +36,7 @@ pub struct Request {
 impl Request {
     /// First value of a header, by lowercase name.
     pub fn header(&self, name: &str) -> Option<&str> {
-        self.headers
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, v)| v.as_str())
+        first_header(&self.headers, name)
     }
 
     /// First value of a query parameter (`?key=value&...`). Values are
@@ -45,6 +49,36 @@ impl Request {
             (k == key).then_some(v)
         })
     }
+}
+
+/// A parsed HTTP response, as [`read_response`] returns it.
+#[derive(Debug, Clone)]
+pub struct Response {
+    /// The status code.
+    pub status: u16,
+    /// Header `(name, value)` pairs; names lowercased.
+    pub headers: Vec<(String, String)>,
+    /// Everything after the header block.
+    pub body: Vec<u8>,
+}
+
+impl Response {
+    /// First value of a header, by lowercase name.
+    pub fn header(&self, name: &str) -> Option<&str> {
+        first_header(&self.headers, name)
+    }
+
+    /// The body as text (invalid UTF-8 becomes U+FFFD).
+    pub fn text(&self) -> std::borrow::Cow<'_, str> {
+        String::from_utf8_lossy(&self.body)
+    }
+}
+
+fn first_header<'a>(headers: &'a [(String, String)], name: &str) -> Option<&'a str> {
+    headers
+        .iter()
+        .find(|(n, _)| n == name)
+        .map(|(_, v)| v.as_str())
 }
 
 /// Why a request could not be read.
@@ -131,13 +165,7 @@ pub fn read_request(stream: &mut TcpStream, max_body: usize) -> Result<Request, 
             "unsupported protocol `{version}`"
         )));
     }
-    let mut headers = Vec::new();
-    for line in lines {
-        let Some((name, value)) = line.split_once(':') else {
-            return Err(ReadError::BadRequest(format!("malformed header `{line}`")));
-        };
-        headers.push((name.trim().to_ascii_lowercase(), value.trim().to_owned()));
-    }
+    let headers = parse_headers(lines).map_err(ReadError::BadRequest)?;
     let request = Request {
         method: method.to_owned(),
         path: path.to_owned(),
@@ -208,6 +236,20 @@ fn declared_length(request: &Request) -> Result<usize, ReadError> {
     Ok(declared.unwrap_or(0))
 }
 
+/// Header lines as `(lowercased name, trimmed value)` pairs.
+fn parse_headers<'a>(
+    lines: impl Iterator<Item = &'a str>,
+) -> Result<Vec<(String, String)>, String> {
+    lines
+        .map(|line| {
+            let (name, value) = line
+                .split_once(':')
+                .ok_or_else(|| format!("malformed header `{line}`"))?;
+            Ok((name.trim().to_ascii_lowercase(), value.trim().to_owned()))
+        })
+        .collect()
+}
+
 /// Byte offset just past the `\r\n\r\n` terminator, if present.
 fn find_header_end(bytes: &[u8]) -> Option<usize> {
     bytes
@@ -240,7 +282,7 @@ pub fn reason(status: u16) -> &'static str {
 ///
 /// Propagates transport failures.
 pub fn write_response(
-    stream: &mut TcpStream,
+    stream: &mut impl Write,
     status: u16,
     content_type: &str,
     extra_headers: &[(&str, &str)],
@@ -261,6 +303,97 @@ pub fn write_response(
     stream.write_all(head.as_bytes())?;
     stream.write_all(body)?;
     stream.flush()
+}
+
+/// Writes a complete request (request line, `headers`, a `Content-Length`
+/// for `body`, `Connection: close`, then `body`) in one write and flushes.
+/// HTTP/1.1 requires a `host` header; the caller passes it in `headers`.
+///
+/// # Errors
+///
+/// Propagates transport failures.
+pub fn write_request(
+    stream: &mut impl Write,
+    method: &str,
+    path: &str,
+    headers: &[(&str, &str)],
+    body: &[u8],
+) -> io::Result<()> {
+    let mut head = format!("{method} {path} HTTP/1.1\r\n");
+    for (name, value) in headers {
+        head.push_str(name);
+        head.push_str(": ");
+        head.push_str(value);
+        head.push_str("\r\n");
+    }
+    head.push_str(&format!(
+        "Content-Length: {}\r\nConnection: close\r\n\r\n",
+        body.len()
+    ));
+    let mut wire = head.into_bytes();
+    wire.extend_from_slice(body);
+    stream.write_all(&wire)?;
+    stream.flush()
+}
+
+/// Reads one response to the end of the stream: every request
+/// [`write_request`] sends asks for `Connection: close`, so the body is
+/// everything after the header block. The caller sets read timeouts; a
+/// timeout surfaces as an I/O error.
+///
+/// # Errors
+///
+/// `InvalidData` when the bytes hold no complete header block, or the
+/// status line or a header line is malformed; transport failures as
+/// they come.
+pub fn read_response(stream: &mut impl Read) -> io::Result<Response> {
+    let invalid = |detail: String| io::Error::new(io::ErrorKind::InvalidData, detail);
+    let mut raw = Vec::new();
+    stream.read_to_end(&mut raw)?;
+    let end = find_header_end(&raw)
+        .ok_or_else(|| invalid("response has no complete header block".to_owned()))?;
+    let head = std::str::from_utf8(&raw[..end - 4])
+        .map_err(|_| invalid("response headers are not utf-8".to_owned()))?;
+    let mut lines = head.split("\r\n");
+    let status_line = lines.next().unwrap_or_default();
+    let mut parts = status_line.split(' ');
+    let status = match (parts.next(), parts.next().map(str::parse::<u16>)) {
+        (Some(version), Some(Ok(status))) if version.starts_with("HTTP/1.") => status,
+        _ => return Err(invalid(format!("malformed status line `{status_line}`"))),
+    };
+    let headers = parse_headers(lines).map_err(invalid)?;
+    raw.drain(..end);
+    Ok(Response {
+        status,
+        headers,
+        body: raw,
+    })
+}
+
+/// How long [`send`] waits on a silent server before giving up.
+const CLIENT_READ_TIMEOUT: Duration = Duration::from_secs(60);
+
+/// One exchange over a fresh connection to `addr`: connects, writes the
+/// request with a `host` header naming `addr`, and reads the response,
+/// waiting at most a minute on a silent server.
+///
+/// # Errors
+///
+/// Transport failures, and [`read_response`]'s `InvalidData`.
+pub fn send(
+    addr: SocketAddr,
+    method: &str,
+    path: &str,
+    headers: &[(&str, &str)],
+    body: &[u8],
+) -> io::Result<Response> {
+    let mut stream = TcpStream::connect(addr)?;
+    stream.set_read_timeout(Some(CLIENT_READ_TIMEOUT))?;
+    let host = addr.to_string();
+    let mut all = vec![("host", host.as_str())];
+    all.extend_from_slice(headers);
+    write_request(&mut stream, method, path, &all, body)?;
+    read_response(&mut stream)
 }
 
 #[cfg(test)]
@@ -367,5 +500,55 @@ mod tests {
             roundtrip(raw, 1024),
             Err(ReadError::BadRequest(_))
         ));
+    }
+
+    #[test]
+    fn read_response_round_trips_write_response() {
+        for body in [&b""[..], b"{\"ok\":true}\n"] {
+            let mut wire = Vec::new();
+            let extra = [("x-veribug-shard", "local"), ("X-Note", "a: b")];
+            write_response(&mut wire, 422, "text/plain", &extra, body).unwrap();
+            let resp = read_response(&mut wire.as_slice()).unwrap();
+            assert_eq!(resp.status, 422);
+            assert_eq!(resp.header("content-type"), Some("text/plain"));
+            assert_eq!(resp.header("x-veribug-shard"), Some("local"));
+            assert_eq!(resp.header("x-note"), Some("a: b"), "names lowercased");
+            assert_eq!(resp.body, body);
+        }
+    }
+
+    #[test]
+    fn write_request_round_trips_through_read_request() {
+        let mut wire = Vec::new();
+        let headers = [("host", "x"), ("x-veribug-request-id", "r-1")];
+        write_request(&mut wire, "POST", "/v1/analyze?n=2", &headers, b"{}").unwrap();
+        let req = roundtrip(&wire, 1024).unwrap();
+        assert_eq!(
+            (req.method.as_str(), req.path.as_str()),
+            ("POST", "/v1/analyze?n=2")
+        );
+        assert_eq!(req.header("x-veribug-request-id"), Some("r-1"));
+        assert_eq!(req.header("connection"), Some("close"));
+        assert_eq!(req.body, b"{}");
+    }
+
+    #[test]
+    fn malformed_responses_are_invalid_data() {
+        for raw in [
+            &b""[..],
+            b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n",
+            b"garbage\r\n\r\n",
+            b"HTTP/1.1 abc OK\r\n\r\n",
+            b"SMTP/1.1 200 OK\r\n\r\n",
+            b"HTTP/1.1 200 OK\r\nno colon here\r\n\r\n",
+        ] {
+            let err = read_response(&mut &raw[..]).unwrap_err();
+            assert_eq!(
+                err.kind(),
+                io::ErrorKind::InvalidData,
+                "{:?}",
+                String::from_utf8_lossy(raw)
+            );
+        }
     }
 }

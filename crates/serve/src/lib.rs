@@ -19,6 +19,12 @@
 //! - **request isolation** — malformed JSON answers `400`, Verilog parse
 //!   errors `422` (with line/column), oversized bodies `413`, and a
 //!   panicking handler answers `500` without taking down the listener;
+//!   every error body, the shard front's included, is an
+//!   [`api::ApiError`];
+//! - **one HTTP/1.1 reader and writer** ([`http`]) for both directions —
+//!   the server reads requests and writes responses with it, and the
+//!   shard front, `serve_bench` and the test suites write requests and
+//!   read responses with its client half;
 //! - **a blocking accept loop** shared by the server and the shard front —
 //!   a connection reaches a worker the moment it is accepted, with no
 //!   poll interval, and an accept error that concerns one connection
@@ -41,7 +47,7 @@
 //! - **horizontal scale** — [`shard`] is a thin front that
 //!   consistent-hashes design bytes across N backends with health-checked
 //!   failover, so each backend's cache (and store) holds a clean
-//!   partition of the corpus.
+//!   partition of the corpus; it relays backend responses byte for byte.
 //!
 //! ## Endpoints
 //!

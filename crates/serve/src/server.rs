@@ -754,13 +754,17 @@ fn handle_statusz(state: &ServerState, rid: &str, stream: &mut TcpStream) -> u16
         running,
         cache_entries: state.cache.len(),
         cache_capacity: state.config.cache_capacity,
-        store: state.store.as_ref().map(|s| telemetry::StoreStatus {
-            path: s.root().display().to_string(),
-            budget: s.budget(),
-            entries: s.list().map(|l| l.len()).unwrap_or(0),
-            bytes: s.total_bytes().unwrap_or(0),
-            preloaded: state.preloaded,
-            stats: s.stats(),
+        store: state.store.as_ref().map(|s| {
+            // One scan gives both occupancy figures.
+            let listing = s.list().unwrap_or_default();
+            telemetry::StoreStatus {
+                path: s.root().display().to_string(),
+                budget: s.budget(),
+                entries: listing.len(),
+                bytes: listing.iter().map(|e| e.bytes).sum(),
+                preloaded: state.preloaded,
+                stats: s.stats(),
+            }
         }),
         weights_hash: state.weights_hash.clone(),
         model_format: veribug::persist::format_version(),

@@ -23,8 +23,11 @@
 //! Consistent hashing (`replicas` virtual nodes per backend) keeps the
 //! partition stable under membership change: losing one backend of N
 //! moves only ~1/N of the keyspace.
+//!
+//! Forwards and health probes go through [`http`]'s client half, and the
+//! front's own errors (413, 400, 429, 503) are [`ApiError`] bodies, the
+//! same schema a backend answers with.
 
-use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -32,7 +35,8 @@ use std::time::Duration;
 
 use store::hash::fnv1a;
 
-use crate::http::{self, ReadError, Request};
+use crate::api::ApiError;
+use crate::http::{self, ReadError, Request, Response};
 use crate::listen;
 use crate::server::{Server, ServerConfig, ServerHandle};
 
@@ -222,13 +226,9 @@ impl ShardFront {
             if state.inflight.fetch_add(1, Ordering::SeqCst) >= 256 {
                 state.inflight.fetch_sub(1, Ordering::SeqCst);
                 let mut stream = stream;
-                let _ = http::write_response(
-                    &mut stream,
-                    429,
-                    CONTENT_JSON,
-                    &[],
-                    b"{\"error\":\"overloaded\",\"detail\":\"shard front connection limit reached\"}\n",
-                );
+                let limit =
+                    ApiError::new(429, "overloaded", "shard front connection limit reached");
+                respond_error(&mut stream, "", limit);
                 return;
             }
             std::thread::spawn(move || {
@@ -257,18 +257,12 @@ fn spawn_health_thread(state: Arc<ShardState>) {
 
 /// One `GET /healthz` round-trip; any failure means "down".
 fn probe_health(addr: &str, config: &ShardConfig) -> bool {
-    let Ok(mut stream) = connect(addr, config) else {
-        return false;
-    };
-    let req = format!("GET /healthz HTTP/1.1\r\nhost: {addr}\r\nconnection: close\r\n\r\n");
-    if stream.write_all(req.as_bytes()).is_err() {
-        return false;
-    }
-    let mut buf = Vec::new();
-    if stream.read_to_end(&mut buf).is_err() {
-        return false;
-    }
-    parse_status(&buf).is_some_and(|s| s == 200)
+    connect(addr, config)
+        .and_then(|mut stream| {
+            http::write_request(&mut stream, "GET", "/healthz", &[("host", addr)], b"")?;
+            http::read_response(&mut stream)
+        })
+        .is_ok_and(|resp| resp.status == 200)
 }
 
 fn connect(addr: &str, config: &ShardConfig) -> std::io::Result<TcpStream> {
@@ -291,18 +285,17 @@ fn handle_connection(state: &ShardState, stream: &mut TcpStream) {
     let _ = stream.set_write_timeout(Some(Duration::from_secs(10)));
     let req = match http::read_request(stream, state.config.max_body_bytes) {
         Ok(r) => r,
-        Err(ReadError::TooLarge { limit, declared }) => {
-            let body = format!(
-                "{{\"error\":\"too_large\",\"detail\":\"body of {declared} bytes exceeds the {limit}-byte limit\"}}\n"
+        // The request never parsed, so there is no client ID to echo.
+        Err(e @ ReadError::TooLarge { .. }) => {
+            respond_error(
+                stream,
+                "",
+                ApiError::new(413, "body_too_large", e.to_string()),
             );
-            let _ = http::write_response(stream, 413, CONTENT_JSON, &[], body.as_bytes());
             return;
         }
         Err(ReadError::BadRequest(detail)) => {
-            let mut body = String::from("{\"error\":\"bad_request\",\"detail\":");
-            obs::json::write_str(&mut body, &detail);
-            body.push_str("}\n");
-            let _ = http::write_response(stream, 400, CONTENT_JSON, &[], body.as_bytes());
+            respond_error(stream, "", ApiError::new(400, "bad_request", detail));
             return;
         }
         Err(ReadError::Io(_)) => return,
@@ -345,6 +338,24 @@ fn id_header(rid: &str) -> Vec<(&'static str, &str)> {
     } else {
         vec![("x-veribug-request-id", rid)]
     }
+}
+
+/// Answers with `err`'s body, in the same schema a backend uses, echoing
+/// the client's request ID (header and body) when one was sent.
+fn respond_error(stream: &mut TcpStream, rid: &str, err: ApiError) {
+    let err = if rid.is_empty() {
+        err
+    } else {
+        err.with_request_id(rid)
+    };
+    let body = err.body();
+    let _ = http::write_response(
+        stream,
+        err.status,
+        CONTENT_JSON,
+        &id_header(rid),
+        body.as_bytes(),
+    );
 }
 
 /// The front's own `/healthz` / `/statusz` body: role, per-backend
@@ -422,12 +433,12 @@ fn route(state: &ShardState, req: &Request, rid: &str, stream: &mut TcpStream) {
             continue;
         }
         match forward(&backend.addr, req, rid, &state.config) {
-            Ok((status, content_type, body)) => {
+            Ok(resp) => {
                 SHARD_FORWARDED.incr();
                 if nth > 0 || rerouted {
                     SHARD_REROUTED.incr();
                 }
-                respond_as_shard(stream, status, &content_type, rid, &backend.addr, &body);
+                respond_as_shard(stream, &resp, rid, &backend.addr);
                 return;
             }
             Err(_) => {
@@ -441,98 +452,49 @@ fn route(state: &ShardState, req: &Request, rid: &str, stream: &mut TcpStream) {
     // No backend answered: serve from the private local server.
     SHARD_LOCAL.incr();
     match forward(&state.local.addr().to_string(), req, rid, &state.config) {
-        Ok((status, content_type, body)) => {
-            respond_as_shard(stream, status, &content_type, rid, "local", &body);
-        }
+        Ok(resp) => respond_as_shard(stream, &resp, rid, "local"),
         Err(_) => {
-            let _ = http::write_response(
-                stream,
+            let err = ApiError::new(
                 503,
-                CONTENT_JSON,
-                &id_header(rid),
-                b"{\"error\":\"unavailable\",\"detail\":\"no backend reachable and local fallback failed\"}\n",
+                "unavailable",
+                "no backend reachable and local fallback failed",
             );
+            respond_error(stream, rid, err);
         }
     }
 }
 
-fn respond_as_shard(
-    stream: &mut TcpStream,
-    status: u16,
-    content_type: &str,
-    rid: &str,
-    shard: &str,
-    body: &[u8],
-) {
+/// Relays a backend's status, content-type and body byte for byte, plus
+/// `x-veribug-shard` naming who answered.
+fn respond_as_shard(stream: &mut TcpStream, resp: &Response, rid: &str, shard: &str) {
     let mut headers: Vec<(&str, &str)> = vec![("x-veribug-shard", shard)];
     if !rid.is_empty() {
         headers.push(("x-veribug-request-id", rid));
     }
-    let _ = http::write_response(stream, status, content_type, &headers, body);
+    let content_type = resp.header("content-type").unwrap_or(CONTENT_JSON);
+    let _ = http::write_response(stream, resp.status, content_type, &headers, &resp.body);
 }
 
-/// Relays one request to `addr` and returns `(status, content-type,
-/// body)`. The backend speaks `Connection: close`, so the body is
-/// everything after the header block.
+/// Relays one request to `addr` and reads the backend's whole response
+/// (backends answer `Connection: close`).
 fn forward(
     addr: &str,
     req: &Request,
     rid: &str,
     config: &ShardConfig,
-) -> std::io::Result<(u16, String, Vec<u8>)> {
+) -> std::io::Result<Response> {
     let mut stream = connect(addr, config)?;
-    let mut head = format!(
-        "{} {} HTTP/1.1\r\nhost: {addr}\r\nconnection: close\r\ncontent-length: {}\r\n",
-        req.method,
-        req.path,
-        req.body.len()
-    );
+    let mut headers = vec![("host", addr)];
     if let Some(ct) = req.header("content-type") {
-        head.push_str(&format!("content-type: {ct}\r\n"));
+        headers.push(("content-type", ct));
     } else if !req.body.is_empty() {
-        head.push_str("content-type: application/json\r\n");
+        headers.push(("content-type", CONTENT_JSON));
     }
     if !rid.is_empty() {
-        head.push_str(&format!("x-veribug-request-id: {rid}\r\n"));
+        headers.push(("x-veribug-request-id", rid));
     }
-    head.push_str("\r\n");
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(&req.body)?;
-    let mut raw = Vec::new();
-    stream.read_to_end(&mut raw)?;
-    let header_end = find_header_end(&raw).ok_or_else(|| {
-        std::io::Error::new(
-            std::io::ErrorKind::InvalidData,
-            "backend response has no header block",
-        )
-    })?;
-    let status = parse_status(&raw).ok_or_else(|| {
-        std::io::Error::new(
-            std::io::ErrorKind::InvalidData,
-            "backend response has no status line",
-        )
-    })?;
-    let head_text = String::from_utf8_lossy(&raw[..header_end]);
-    let content_type = head_text
-        .lines()
-        .skip(1)
-        .find_map(|l| {
-            let (name, value) = l.split_once(':')?;
-            name.eq_ignore_ascii_case("content-type")
-                .then(|| value.trim().to_owned())
-        })
-        .unwrap_or_else(|| CONTENT_JSON.to_owned());
-    Ok((status, content_type, raw[header_end..].to_vec()))
-}
-
-fn find_header_end(raw: &[u8]) -> Option<usize> {
-    raw.windows(4).position(|w| w == b"\r\n\r\n").map(|i| i + 4)
-}
-
-fn parse_status(raw: &[u8]) -> Option<u16> {
-    let line_end = raw.iter().position(|&b| b == b'\r')?;
-    let line = std::str::from_utf8(&raw[..line_end]).ok()?;
-    line.split_whitespace().nth(1)?.parse().ok()
+    http::write_request(&mut stream, &req.method, &req.path, &headers, &req.body)?;
+    http::read_response(&mut stream)
 }
 
 #[cfg(test)]

@@ -2,18 +2,35 @@
 //! validation, and the localize CLI↔server equivalence (byte-identical
 //! suspect rankings).
 
-use std::io::{BufRead, BufReader, Read, Write};
-use std::net::TcpStream;
+mod common;
+
+use std::io::{BufRead, BufReader};
+use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::process::{Command, Stdio};
-use std::time::Duration;
+
+use common::{encode, request, request_with, ResponseExt, BUGGY, GOLDEN};
 
 const BIN: &str = env!("CARGO_BIN_EXE_veribug");
 
-const GOLDEN: &str = "module m(input a, input b, input c, output y);\n\
-                      wire t;\nassign t = a & b;\nassign y = t | c;\nendmodule";
-const BUGGY: &str = "module m(input a, input b, input c, output y);\n\
-                     wire t;\nassign t = a | b;\nassign y = t | c;\nendmodule";
+/// The `/v1/localize` and `/v1/explain` body matching the CLI flags the
+/// equivalence tests pass.
+fn cli_equivalent_body() -> String {
+    format!(
+        "{{\"golden\":{},\"buggy\":{},\"target\":\"y\",\"options\":{{\"runs\":24,\"cycles\":8,\"threshold\":0.01}}}}",
+        encode(GOLDEN),
+        encode(BUGGY)
+    )
+}
+
+/// Scrapes the bound address from `veribug serve`'s banner line.
+fn banner_addr(line: &str) -> SocketAddr {
+    line.split("listening on ")
+        .nth(1)
+        .and_then(|rest| rest.split_whitespace().next())
+        .and_then(|addr| addr.parse().ok())
+        .expect("address in banner")
+}
 
 fn scratch_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("veribug-cli-{tag}-{}", std::process::id()));
@@ -149,28 +166,11 @@ fn cli_and_server_rank_suspects_identically() {
     let addr = server.local_addr().unwrap();
     let handle = server.handle();
     let join = std::thread::spawn(move || server.run());
-    let mut body = String::from("{\"golden\":");
-    obs::json::write_str(&mut body, GOLDEN);
-    body.push_str(",\"buggy\":");
-    obs::json::write_str(&mut body, BUGGY);
-    body.push_str(",\"target\":\"y\",\"options\":{\"runs\":24,\"cycles\":8,\"threshold\":0.01}}");
-    let mut stream = TcpStream::connect(addr).unwrap();
-    stream
-        .set_read_timeout(Some(Duration::from_secs(60)))
-        .unwrap();
-    write!(
-        stream,
-        "POST /v1/localize HTTP/1.1\r\nHost: x\r\nContent-Length: {}\r\n\r\n{body}",
-        body.len()
-    )
-    .unwrap();
-    let mut raw = String::new();
-    stream.read_to_string(&mut raw).unwrap();
+    let resp = request(addr, "POST", "/v1/localize", &cli_equivalent_body());
     handle.shutdown();
     join.join().unwrap().unwrap();
-    assert!(raw.starts_with("HTTP/1.1 200"), "response: {raw}");
-    let payload = raw.split("\r\n\r\n").nth(1).expect("body");
-    let doc = obs::json::parse(payload).expect("json body");
+    assert_eq!(resp.status, 200, "response: {}", resp.text());
+    let doc = resp.json();
     let server_ranking: Vec<String> = doc
         .get("suspects")
         .unwrap()
@@ -264,29 +264,13 @@ fn explain_attention_is_thread_invariant_and_matches_server() {
     let addr = server.local_addr().unwrap();
     let handle = server.handle();
     let join = std::thread::spawn(move || server.run());
-    let mut body = String::from("{\"golden\":");
-    obs::json::write_str(&mut body, GOLDEN);
-    body.push_str(",\"buggy\":");
-    obs::json::write_str(&mut body, BUGGY);
-    body.push_str(",\"target\":\"y\",\"options\":{\"runs\":24,\"cycles\":8,\"threshold\":0.01}}");
-    let mut stream = TcpStream::connect(addr).unwrap();
-    stream
-        .set_read_timeout(Some(Duration::from_secs(60)))
-        .unwrap();
-    write!(
-        stream,
-        "POST /v1/explain HTTP/1.1\r\nHost: x\r\nContent-Length: {}\r\n\r\n{body}",
-        body.len()
-    )
-    .unwrap();
-    let mut raw = String::new();
-    stream.read_to_string(&mut raw).unwrap();
+    let resp = request(addr, "POST", "/v1/explain", &cli_equivalent_body());
     handle.shutdown();
     join.join().unwrap().unwrap();
-    assert!(raw.starts_with("HTTP/1.1 200"), "response: {raw}");
-    let payload = raw.split("\r\n\r\n").nth(1).expect("body");
+    assert_eq!(resp.status, 200, "response: {}", resp.text());
     assert_eq!(
-        json1, payload,
+        json1,
+        resp.text(),
         "CLI --json and /v1/explain bodies are byte-identical"
     );
     let _ = std::fs::remove_dir_all(&dir);
@@ -314,29 +298,16 @@ fn serve_subcommand_runs_and_drains() {
     let mut reader = BufReader::new(stdout);
     let mut line = String::new();
     reader.read_line(&mut line).expect("banner line");
-    let addr = line
-        .split("listening on ")
-        .nth(1)
-        .and_then(|rest| rest.split_whitespace().next())
-        .expect("address in banner")
-        .to_owned();
+    let addr = banner_addr(&line);
 
-    let get = |path: &str| -> String {
-        let mut s = TcpStream::connect(&addr).expect("connect");
-        s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
-        write!(s, "GET {path} HTTP/1.1\r\nHost: x\r\n\r\n").unwrap();
-        let mut out = String::new();
-        s.read_to_string(&mut out).unwrap();
-        out
-    };
-    assert!(get("/healthz").starts_with("HTTP/1.1 200"), "healthz is up");
+    assert_eq!(
+        request(addr, "GET", "/healthz", "").status,
+        200,
+        "healthz is up"
+    );
 
-    let mut s = TcpStream::connect(&addr).expect("connect");
-    write!(s, "POST /v1/shutdown HTTP/1.1\r\nHost: x\r\n\r\n").unwrap();
-    let mut out = String::new();
-    s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
-    s.read_to_string(&mut out).unwrap();
-    assert!(out.starts_with("HTTP/1.1 200"), "shutdown accepted: {out}");
+    let resp = request(addr, "POST", "/v1/shutdown", "");
+    assert_eq!(resp.status, 200, "shutdown accepted: {}", resp.text());
 
     let status = child.wait().expect("serve exits");
     assert!(status.success(), "serve exits 0 after drain");
@@ -368,36 +339,19 @@ fn serve_renders_the_obs_report_once_and_logs_access() {
     let mut reader = BufReader::new(stdout);
     let mut line = String::new();
     reader.read_line(&mut line).expect("banner line");
-    let addr = line
-        .split("listening on ")
-        .nth(1)
-        .and_then(|rest| rest.split_whitespace().next())
-        .expect("address in banner")
-        .to_owned();
+    let addr = banner_addr(&line);
 
-    let get = |path: &str, rid: &str| -> String {
-        let mut s = TcpStream::connect(&addr).expect("connect");
-        s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
-        write!(
-            s,
-            "GET {path} HTTP/1.1\r\nHost: x\r\nx-veribug-request-id: {rid}\r\n\r\n"
-        )
-        .unwrap();
-        let mut out = String::new();
-        s.read_to_string(&mut out).unwrap();
-        out
-    };
-    assert!(
-        get("/healthz", "cli-access-1").starts_with("HTTP/1.1 200"),
-        "healthz is up"
+    let healthz = request_with(
+        addr,
+        "GET",
+        "/healthz",
+        &[("x-veribug-request-id", "cli-access-1")],
+        "",
     );
+    assert_eq!(healthz.status, 200, "healthz is up");
 
-    let mut s = TcpStream::connect(&addr).expect("connect");
-    write!(s, "POST /v1/shutdown HTTP/1.1\r\nHost: x\r\n\r\n").unwrap();
-    let mut out = String::new();
-    s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
-    s.read_to_string(&mut out).unwrap();
-    assert!(out.starts_with("HTTP/1.1 200"), "shutdown accepted: {out}");
+    let resp = request(addr, "POST", "/v1/shutdown", "");
+    assert_eq!(resp.status, 200, "shutdown accepted: {}", resp.text());
 
     let output = child.wait_with_output().expect("serve exits");
     assert!(output.status.success(), "serve exits 0 after drain");

@@ -4,103 +4,19 @@
 //! queue-full → 429, deadline → 504, cache hits (asserted via obs
 //! counters), and graceful shutdown draining in-flight work.
 
-use std::io::{Read, Write};
+mod common;
+
 use std::net::TcpStream;
 use std::time::Duration;
 
-use obs::json::{self, Json};
-use veribug_serve::{Server, ServerConfig, ServerHandle};
-
-const GOLDEN: &str = "module m(input a, input b, input c, output y);\n\
-                      wire t;\nassign t = a & b;\nassign y = t | c;\nendmodule";
-const BUGGY: &str = "module m(input a, input b, input c, output y);\n\
-                     wire t;\nassign t = a | b;\nassign y = t | c;\nendmodule";
-
-/// A parsed HTTP response.
-struct Response {
-    status: u16,
-    headers: Vec<(String, String)>,
-    body: String,
-}
-
-impl Response {
-    fn header(&self, name: &str) -> Option<&str> {
-        self.headers
-            .iter()
-            .find(|(n, _)| n.eq_ignore_ascii_case(name))
-            .map(|(_, v)| v.as_str())
-    }
-
-    fn json(&self) -> Json {
-        json::parse(&self.body).expect("response body is JSON")
-    }
-}
-
-/// One request over a fresh connection (the server is connection-per-request).
-fn request(addr: std::net::SocketAddr, method: &str, path: &str, body: &str) -> Response {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(60)))
-        .unwrap();
-    let head = format!(
-        "{method} {path} HTTP/1.1\r\nHost: localhost\r\nContent-Length: {}\r\n\r\n",
-        body.len()
-    );
-    stream.write_all(head.as_bytes()).unwrap();
-    stream.write_all(body.as_bytes()).unwrap();
-    let mut raw = String::new();
-    stream.read_to_string(&mut raw).expect("read response");
-    let (head, body) = raw.split_once("\r\n\r\n").expect("response has headers");
-    let mut lines = head.split("\r\n");
-    let status_line = lines.next().expect("status line");
-    let status: u16 = status_line
-        .split(' ')
-        .nth(1)
-        .expect("status code")
-        .parse()
-        .expect("numeric status");
-    let headers = lines
-        .filter_map(|l| l.split_once(':'))
-        .map(|(n, v)| (n.trim().to_owned(), v.trim().to_owned()))
-        .collect();
-    Response {
-        status,
-        headers,
-        body: body.to_owned(),
-    }
-}
-
-fn localize_body(runs: usize, cycles: usize) -> String {
-    format!(
-        "{{\"golden\":{},\"buggy\":{},\"target\":\"y\",\"options\":{{\"runs\":{runs},\"cycles\":{cycles}}}}}",
-        encode(GOLDEN),
-        encode(BUGGY)
-    )
-}
-
-fn encode(s: &str) -> String {
-    let mut out = String::new();
-    json::write_str(&mut out, s);
-    out
-}
-
-fn start(config: ServerConfig) -> (ServerHandle, std::thread::JoinHandle<std::io::Result<()>>) {
-    let server = Server::bind(config).expect("bind");
-    let handle = server.handle();
-    let join = std::thread::spawn(move || server.run());
-    (handle, join)
-}
-
-fn stop(handle: &ServerHandle, join: std::thread::JoinHandle<std::io::Result<()>>) {
-    handle.shutdown();
-    join.join().expect("server thread").expect("clean exit");
-}
+use common::{encode, localize_body, request, start, stop, ResponseExt, BUGGY, GOLDEN};
+use veribug_serve::{Server, ServerConfig};
 
 #[test]
 fn localize_matches_the_library_pipeline() {
     let (handle, join) = start(ServerConfig::default());
     let resp = request(handle.addr(), "POST", "/v1/localize", &localize_body(24, 8));
-    assert_eq!(resp.status, 200, "body: {}", resp.body);
+    assert_eq!(resp.status, 200, "body: {}", resp.text());
     let doc = resp.json();
     assert_eq!(doc.get("module").unwrap().as_str(), Some("m"));
     assert_eq!(doc.get("total_runs").unwrap().as_num(), Some(24.0));
@@ -185,7 +101,7 @@ fn verilog_parse_error_is_422_with_position() {
         encode(BUGGY)
     );
     let resp = request(handle.addr(), "POST", "/v1/localize", &body);
-    assert_eq!(resp.status, 422, "body: {}", resp.body);
+    assert_eq!(resp.status, 422, "body: {}", resp.text());
     let doc = resp.json();
     let err = doc.get("error").unwrap();
     assert_eq!(err.get("kind").unwrap().as_str(), Some("verilog_parse"));
@@ -218,7 +134,7 @@ fn inverted_part_select_is_422_elaboration_not_a_panic() {
         encode("module m(input [3:0] a, output [3:0] y);\nassign y = a[0:3];\nendmodule"),
     );
     let resp = request(handle.addr(), "POST", "/v1/localize", &body);
-    assert_eq!(resp.status, 422, "body: {}", resp.body);
+    assert_eq!(resp.status, 422, "body: {}", resp.text());
     let doc = resp.json();
     let err = doc.get("error").unwrap();
     assert_eq!(err.get("kind").unwrap().as_str(), Some("elaboration"));
@@ -277,7 +193,7 @@ fn oversized_body_is_413_and_queue_full_is_429() {
     let idle2 = TcpStream::connect(handle.addr()).unwrap();
     std::thread::sleep(Duration::from_millis(300)); // idle2 sits in the queue
     let resp = request(handle.addr(), "GET", "/healthz", "");
-    assert_eq!(resp.status, 429, "body: {}", resp.body);
+    assert_eq!(resp.status, 429, "body: {}", resp.text());
     assert!(
         resp.header("x-veribug-request-id").is_some(),
         "backpressure rejections echo a request id too"
@@ -300,7 +216,7 @@ fn expired_deadline_is_504() {
         encode(BUGGY)
     );
     let resp = request(handle.addr(), "POST", "/v1/localize", &body);
-    assert_eq!(resp.status, 504, "body: {}", resp.body);
+    assert_eq!(resp.status, 504, "body: {}", resp.text());
     assert_eq!(
         resp.json()
             .get("error")
@@ -392,7 +308,7 @@ fn analyze_summarizes_the_design() {
     let (handle, join) = start(ServerConfig::default());
     let body = format!("{{\"design\":{},\"target\":\"y\"}}", encode(GOLDEN));
     let resp = request(handle.addr(), "POST", "/v1/analyze", &body);
-    assert_eq!(resp.status, 200, "body: {}", resp.body);
+    assert_eq!(resp.status, 200, "body: {}", resp.text());
     let doc = resp.json();
     assert_eq!(doc.get("module").unwrap().as_str(), Some("m"));
     let dep: Vec<&str> = doc
@@ -443,10 +359,10 @@ fn memo_body(golden: &str, buggy: &str, target: &str, options: &str) -> String {
 }
 
 /// The 200 body a server that never saw any other request gives `body`.
-fn fresh_server_body(body: &str) -> String {
+fn fresh_server_body(body: &str) -> Vec<u8> {
     let (handle, join) = start(ServerConfig::default());
     let resp = request(handle.addr(), "POST", "/v1/localize", body);
-    assert_eq!(resp.status, 200, "body: {}", resp.body);
+    assert_eq!(resp.status, 200, "body: {}", resp.text());
     assert_eq!(resp.header("x-veribug-golden-ref"), Some("miss"));
     stop(&handle, join);
     resp.body
@@ -498,9 +414,9 @@ fn concurrent_identical_requests_return_identical_bodies() {
         t.join().expect("client thread");
     }
     stop(&handle, join);
-    let sequential: Vec<String> = bodies.iter().map(|b| fresh_server_body(b)).collect();
+    let sequential: Vec<Vec<u8>> = bodies.iter().map(|b| fresh_server_body(b)).collect();
     for (pair, status, body) in answers {
-        assert_eq!(status, 200, "body: {body}");
+        assert_eq!(status, 200, "body: {}", String::from_utf8_lossy(&body));
         assert_eq!(body, sequential[pair], "pair {pair}");
     }
 }
@@ -514,7 +430,7 @@ fn golden_memo_misses_on_every_key_field_and_matches_a_fresh_server() {
     let base = "\"runs\":16,\"cycles\":8,\"stim_seed\":5,\"hold_probability\":0.8";
     let body = memo_body(&golden, &buggy, "y", base);
     let cold = request(handle.addr(), "POST", "/v1/localize", &body);
-    assert_eq!(cold.status, 200, "body: {}", cold.body);
+    assert_eq!(cold.status, 200, "body: {}", cold.text());
     assert_eq!(cold.header("x-veribug-golden-ref"), Some("miss"));
     let warm = request(handle.addr(), "POST", "/v1/localize", &body);
     assert_eq!(warm.header("x-veribug-golden-ref"), Some("hit"));
@@ -551,7 +467,7 @@ fn golden_memo_misses_on_every_key_field_and_matches_a_fresh_server() {
     ];
     for variant in &variants {
         let resp = request(handle.addr(), "POST", "/v1/localize", variant);
-        assert_eq!(resp.status, 200, "body: {}", resp.body);
+        assert_eq!(resp.status, 200, "body: {}", resp.text());
         assert_eq!(
             resp.header("x-veribug-golden-ref"),
             Some("miss"),
@@ -578,7 +494,7 @@ fn golden_memo_is_bounded_per_design() {
     };
     let memo = |seed: usize| {
         let resp = request(handle.addr(), "POST", "/v1/localize", &seeded(seed));
-        assert_eq!(resp.status, 200, "body: {}", resp.body);
+        assert_eq!(resp.status, 200, "body: {}", resp.text());
         resp.header("x-veribug-golden-ref").map(str::to_owned)
     };
     // One more key than the bound: the first one is evicted.
@@ -625,13 +541,13 @@ fn expired_deadline_leaves_no_golden_memo_entry() {
     let opts = "\"runs\":64,\"cycles\":32";
     let expired = memo_body(&golden, &buggy, "y", &format!("{opts},\"deadline_ms\":0"));
     let resp = request(handle.addr(), "POST", "/v1/localize", &expired);
-    assert_eq!(resp.status, 504, "body: {}", resp.body);
+    assert_eq!(resp.status, 504, "body: {}", resp.text());
     assert_eq!(resp.header("x-veribug-golden-ref"), Some("miss"));
     // The cancelled build was not memoized: the next identical request
     // builds again and answers what a fresh server answers.
     let body = memo_body(&golden, &buggy, "y", opts);
     let resp = request(handle.addr(), "POST", "/v1/localize", &body);
-    assert_eq!(resp.status, 200, "body: {}", resp.body);
+    assert_eq!(resp.status, 200, "body: {}", resp.text());
     assert_eq!(resp.header("x-veribug-golden-ref"), Some("miss"));
     assert_eq!(resp.body, fresh_server_body(&body));
     let again = request(handle.addr(), "POST", "/v1/localize", &body);

@@ -2,82 +2,33 @@
 //! design always land on the same shard, and killing a backend degrades
 //! gracefully (requests re-route or fall back locally — no 5xx storm).
 
+mod common;
+
 use std::collections::HashMap;
-use std::io::{Read, Write};
+use std::io::Write;
 use std::net::TcpStream;
 use std::time::Duration;
 
+use common::{encode, request, start, ResponseExt, BUGGY, GOLDEN};
 use obs::json;
-use veribug_serve::{Server, ServerConfig, ServerHandle, ShardConfig, ShardFront, ShardHandle};
-
-struct Response {
-    status: u16,
-    headers: Vec<(String, String)>,
-    body: String,
-}
-
-impl Response {
-    fn header(&self, name: &str) -> Option<&str> {
-        self.headers
-            .iter()
-            .find(|(n, _)| n.eq_ignore_ascii_case(name))
-            .map(|(_, v)| v.as_str())
-    }
-}
-
-fn request(addr: std::net::SocketAddr, method: &str, path: &str, body: &str) -> Response {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(60)))
-        .unwrap();
-    let head = format!(
-        "{method} {path} HTTP/1.1\r\nHost: localhost\r\nContent-Length: {}\r\n\r\n",
-        body.len()
-    );
-    stream.write_all(head.as_bytes()).unwrap();
-    stream.write_all(body.as_bytes()).unwrap();
-    let mut raw = String::new();
-    stream.read_to_string(&mut raw).expect("read response");
-    let (head, body) = raw.split_once("\r\n\r\n").expect("response has headers");
-    let mut lines = head.split("\r\n");
-    let status: u16 = lines
-        .next()
-        .and_then(|l| l.split(' ').nth(1))
-        .and_then(|s| s.parse().ok())
-        .expect("numeric status");
-    Response {
-        status,
-        headers: lines
-            .filter_map(|l| l.split_once(':'))
-            .map(|(n, v)| (n.trim().to_owned(), v.trim().to_owned()))
-            .collect(),
-        body: body.to_owned(),
-    }
-}
+use veribug_serve::http;
+use veribug_serve::{ServerConfig, ServerHandle, ShardConfig, ShardFront, ShardHandle};
 
 /// A unique golden/buggy pair per tag, same shape as `serve_bench`.
 fn localize_body(tag: usize) -> String {
-    let golden = format!(
-        "// design {tag}\nmodule m(input a, input b, input c, output y);\n\
-         wire t;\nassign t = a & b;\nassign y = t | c;\nendmodule"
-    );
-    let buggy = golden.replace("a & b", "a | b");
-    let mut g = String::new();
-    json::write_str(&mut g, &golden);
-    let mut b = String::new();
-    json::write_str(&mut b, &buggy);
-    format!("{{\"golden\":{g},\"buggy\":{b},\"target\":\"y\",\"options\":{{\"runs\":12,\"cycles\":8}}}}")
+    let tagged = |src: &str| encode(&format!("// design {tag}\n{src}"));
+    format!(
+        "{{\"golden\":{},\"buggy\":{},\"target\":\"y\",\"options\":{{\"runs\":12,\"cycles\":8}}}}",
+        tagged(GOLDEN),
+        tagged(BUGGY)
+    )
 }
 
 fn start_backend() -> (ServerHandle, std::thread::JoinHandle<std::io::Result<()>>) {
-    let server = Server::bind(ServerConfig {
+    start(ServerConfig {
         workers: 2,
         ..ServerConfig::default()
     })
-    .expect("bind backend");
-    let handle = server.handle();
-    let join = std::thread::spawn(move || server.run());
-    (handle, join)
 }
 
 fn start_front(
@@ -113,7 +64,7 @@ fn three_backends_route_stably_and_survive_losing_one() {
     for round in 0..3 {
         for tag in 0..designs {
             let resp = request(front.addr(), "POST", "/v1/localize", &localize_body(tag));
-            assert_eq!(resp.status, 200, "round {round} tag {tag}: {}", resp.body);
+            assert_eq!(resp.status, 200, "round {round} tag {tag}: {}", resp.text());
             let shard = resp
                 .header("x-veribug-shard")
                 .expect("front names the shard")
@@ -138,7 +89,7 @@ fn three_backends_route_stably_and_survive_losing_one() {
 
     // The front's status page sees all three as healthy.
     let status = request(front.addr(), "GET", "/statusz", "");
-    let doc = json::parse(&status.body).expect("front status is JSON");
+    let doc = json::parse(&status.text()).expect("front status is JSON");
     let healthy = doc
         .get("backends")
         .and_then(|b| b.as_arr())
@@ -164,9 +115,10 @@ fn three_backends_route_stably_and_survive_losing_one() {
         for tag in 0..designs {
             let resp = request(front.addr(), "POST", "/v1/localize", &localize_body(tag));
             assert_eq!(
-                resp.status, 200,
+                resp.status,
+                200,
                 "round {round} tag {tag} after kill: {}",
-                resp.body
+                resp.text()
             );
             let shard = resp.header("x-veribug-shard").expect("shard header");
             assert_ne!(shard, dead_addr, "nothing routes to the dead backend");
@@ -177,7 +129,7 @@ fn three_backends_route_stably_and_survive_losing_one() {
     let deadline = std::time::Instant::now() + Duration::from_secs(5);
     loop {
         let status = request(front.addr(), "GET", "/statusz", "");
-        let doc = json::parse(&status.body).expect("front status is JSON");
+        let doc = json::parse(&status.text()).expect("front status is JSON");
         let healthy = doc
             .get("backends")
             .and_then(|b| b.as_arr())
@@ -221,7 +173,7 @@ fn front_with_no_live_backends_falls_back_to_local() {
 
     let (front, front_join) = start_front(vec![doomed_addr]);
     let resp = request(front.addr(), "POST", "/v1/localize", &localize_body(99));
-    assert_eq!(resp.status, 200, "body: {}", resp.body);
+    assert_eq!(resp.status, 200, "body: {}", resp.text());
     assert_eq!(
         resp.header("x-veribug-shard"),
         Some("local"),
@@ -258,7 +210,7 @@ fn start_reporting_front() -> (ShardHandle, std::sync::mpsc::Receiver<std::io::R
 fn local_fallback_addr(front: &ShardHandle) -> std::net::SocketAddr {
     let resp = request(front.addr(), "GET", "/statusz", "");
     assert_eq!(resp.status, 200);
-    let doc = json::parse(&resp.body).expect("statusz is JSON");
+    let doc = json::parse(&resp.text()).expect("statusz is JSON");
     doc.get("local")
         .and_then(|v| v.as_str())
         .expect("statusz names the local fallback")
@@ -296,4 +248,46 @@ fn shutdown_endpoint_stops_the_front_and_its_local_fallback() {
     let resp = request(front.addr(), "POST", "/v1/shutdown", "");
     assert_eq!(resp.status, 200);
     expect_front_stopped(&done, local);
+}
+
+/// The front's own errors use the backend's schema:
+/// `{"error":{"status":...,"kind":...,"message":...}}`.
+#[test]
+fn front_errors_use_the_backend_error_schema() {
+    let front = ShardFront::bind(ShardConfig {
+        max_body_bytes: 256,
+        local: ServerConfig {
+            workers: 1,
+            ..ServerConfig::default()
+        },
+        ..ShardConfig::default()
+    })
+    .expect("bind front");
+    let handle = front.handle();
+    let join = std::thread::spawn(move || front.run());
+
+    let resp = request(handle.addr(), "POST", "/v1/localize", &"x".repeat(512));
+    assert_eq!(resp.status, 413, "body: {}", resp.text());
+    let doc = resp.json();
+    let err = doc.get("error").expect("error object");
+    assert_eq!(err.get("status").and_then(|s| s.as_num()), Some(413.0));
+    assert_eq!(
+        err.get("kind").and_then(|k| k.as_str()),
+        Some("body_too_large")
+    );
+
+    // A malformed request line, sent raw.
+    let mut stream = TcpStream::connect(handle.addr()).expect("connect");
+    stream.write_all(b"NONSENSE\r\n\r\n").unwrap();
+    let resp = http::read_response(&mut stream).expect("well-formed response");
+    assert_eq!(resp.status, 400);
+    let doc = resp.json();
+    let err = doc.get("error").expect("error object");
+    assert_eq!(
+        err.get("kind").and_then(|k| k.as_str()),
+        Some("bad_request")
+    );
+
+    handle.shutdown();
+    join.join().expect("front thread").expect("clean exit");
 }

@@ -4,20 +4,15 @@
 //! vs store-miss localization reports are byte-identical at 1, 2, and 8
 //! threads.
 
-use std::io::{Read, Write};
-use std::net::TcpStream;
+mod common;
+
 use std::path::PathBuf;
 use std::sync::Arc;
-use std::time::Duration;
 
-use obs::json::{self, Json};
+use common::{localize_body, request, start, stop, ResponseExt, BUGGY, GOLDEN};
+use obs::json::Json;
 use sim::CancelToken;
-use veribug_serve::{DesignCache, Server, ServerConfig, ServerHandle};
-
-const GOLDEN: &str = "module m(input a, input b, input c, output y);\n\
-                      wire t;\nassign t = a & b;\nassign y = t | c;\nendmodule";
-const BUGGY: &str = "module m(input a, input b, input c, output y);\n\
-                     wire t;\nassign t = a | b;\nassign y = t | c;\nendmodule";
+use veribug_serve::{DesignCache, ServerConfig};
 
 fn temp_store(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!(
@@ -26,77 +21,6 @@ fn temp_store(tag: &str) -> PathBuf {
     ));
     let _ = std::fs::remove_dir_all(&dir);
     dir
-}
-
-struct Response {
-    status: u16,
-    headers: Vec<(String, String)>,
-    body: String,
-}
-
-impl Response {
-    fn header(&self, name: &str) -> Option<&str> {
-        self.headers
-            .iter()
-            .find(|(n, _)| n.eq_ignore_ascii_case(name))
-            .map(|(_, v)| v.as_str())
-    }
-
-    fn json(&self) -> Json {
-        json::parse(&self.body).expect("response body is JSON")
-    }
-}
-
-fn request(addr: std::net::SocketAddr, method: &str, path: &str, body: &str) -> Response {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(60)))
-        .unwrap();
-    let head = format!(
-        "{method} {path} HTTP/1.1\r\nHost: localhost\r\nContent-Length: {}\r\n\r\n",
-        body.len()
-    );
-    stream.write_all(head.as_bytes()).unwrap();
-    stream.write_all(body.as_bytes()).unwrap();
-    let mut raw = String::new();
-    stream.read_to_string(&mut raw).expect("read response");
-    let (head, body) = raw.split_once("\r\n\r\n").expect("response has headers");
-    let mut lines = head.split("\r\n");
-    let status: u16 = lines
-        .next()
-        .and_then(|l| l.split(' ').nth(1))
-        .and_then(|s| s.parse().ok())
-        .expect("numeric status");
-    Response {
-        status,
-        headers: lines
-            .filter_map(|l| l.split_once(':'))
-            .map(|(n, v)| (n.trim().to_owned(), v.trim().to_owned()))
-            .collect(),
-        body: body.to_owned(),
-    }
-}
-
-fn localize_body() -> String {
-    let mut golden = String::new();
-    json::write_str(&mut golden, GOLDEN);
-    let mut buggy = String::new();
-    json::write_str(&mut buggy, BUGGY);
-    format!(
-        "{{\"golden\":{golden},\"buggy\":{buggy},\"target\":\"y\",\"options\":{{\"runs\":24,\"cycles\":8}}}}"
-    )
-}
-
-fn start(config: ServerConfig) -> (ServerHandle, std::thread::JoinHandle<std::io::Result<()>>) {
-    let server = Server::bind(config).expect("bind");
-    let handle = server.handle();
-    let join = std::thread::spawn(move || server.run());
-    (handle, join)
-}
-
-fn stop(handle: &ServerHandle, join: std::thread::JoinHandle<std::io::Result<()>>) {
-    handle.shutdown();
-    join.join().expect("server thread").expect("clean exit");
 }
 
 #[test]
@@ -110,8 +34,8 @@ fn restart_over_a_shared_store_is_warm_and_byte_identical() {
 
     // Cold process: first request misses, sources are written through.
     let (handle, join) = start(config());
-    let cold = request(handle.addr(), "POST", "/v1/localize", &localize_body());
-    assert_eq!(cold.status, 200, "body: {}", cold.body);
+    let cold = request(handle.addr(), "POST", "/v1/localize", &localize_body(24, 8));
+    assert_eq!(cold.status, 200, "body: {}", cold.text());
     assert_eq!(
         cold.header("x-veribug-cache"),
         Some("golden=miss,buggy=miss")
@@ -140,8 +64,8 @@ fn restart_over_a_shared_store_is_warm_and_byte_identical() {
         store_block.get("hits").and_then(|v| v.as_num()).unwrap() >= 2.0,
         "preload reads count as store hits"
     );
-    let warm = request(handle.addr(), "POST", "/v1/localize", &localize_body());
-    assert_eq!(warm.status, 200, "body: {}", warm.body);
+    let warm = request(handle.addr(), "POST", "/v1/localize", &localize_body(24, 8));
+    assert_eq!(warm.status, 200, "body: {}", warm.text());
     assert_eq!(
         warm.header("x-veribug-cache"),
         Some("golden=hit,buggy=hit"),
@@ -156,7 +80,7 @@ fn restart_over_a_shared_store_is_warm_and_byte_identical() {
         workers: 2,
         ..ServerConfig::default()
     });
-    let plain = request(handle.addr(), "POST", "/v1/localize", &localize_body());
+    let plain = request(handle.addr(), "POST", "/v1/localize", &localize_body(24, 8));
     assert_eq!(plain.body, cold.body);
     stop(&handle, join);
 

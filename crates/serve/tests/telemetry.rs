@@ -6,112 +6,15 @@
 //! The trace ring and rolling window are process-global, so tests that
 //! assert on their contents serialize on [`LOCK`].
 
-use std::io::{Read, Write};
-use std::net::TcpStream;
-use std::sync::Mutex;
-use std::time::Duration;
+mod common;
 
-use obs::json::{self, Json};
-use veribug_serve::{Server, ServerConfig, ServerHandle};
+use std::sync::Mutex;
+
+use common::{encode, localize_body, request_with, start, stop, ResponseExt, BUGGY, GOLDEN};
+use obs::json::Json;
+use veribug_serve::ServerConfig;
 
 static LOCK: Mutex<()> = Mutex::new(());
-
-const GOLDEN: &str = "module m(input a, input b, input c, output y);\n\
-                      wire t;\nassign t = a & b;\nassign y = t | c;\nendmodule";
-const BUGGY: &str = "module m(input a, input b, input c, output y);\n\
-                     wire t;\nassign t = a | b;\nassign y = t | c;\nendmodule";
-
-struct Response {
-    status: u16,
-    headers: Vec<(String, String)>,
-    body: String,
-}
-
-impl Response {
-    fn header(&self, name: &str) -> Option<&str> {
-        self.headers
-            .iter()
-            .find(|(n, _)| n.eq_ignore_ascii_case(name))
-            .map(|(_, v)| v.as_str())
-    }
-
-    fn request_id(&self) -> &str {
-        self.header("x-veribug-request-id")
-            .expect("every response carries x-veribug-request-id")
-    }
-
-    fn json(&self) -> Json {
-        json::parse(&self.body).expect("response body is JSON")
-    }
-}
-
-/// One request over a fresh connection, with extra request headers.
-fn request(
-    addr: std::net::SocketAddr,
-    method: &str,
-    path: &str,
-    extra_headers: &[(&str, &str)],
-    body: &str,
-) -> Response {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(60)))
-        .unwrap();
-    let mut head = format!("{method} {path} HTTP/1.1\r\nHost: localhost\r\n");
-    for (name, value) in extra_headers {
-        head.push_str(&format!("{name}: {value}\r\n"));
-    }
-    head.push_str(&format!("Content-Length: {}\r\n\r\n", body.len()));
-    stream.write_all(head.as_bytes()).unwrap();
-    stream.write_all(body.as_bytes()).unwrap();
-    let mut raw = String::new();
-    stream.read_to_string(&mut raw).expect("read response");
-    let (head, body) = raw.split_once("\r\n\r\n").expect("response has headers");
-    let mut lines = head.split("\r\n");
-    let status: u16 = lines
-        .next()
-        .expect("status line")
-        .split(' ')
-        .nth(1)
-        .expect("status code")
-        .parse()
-        .expect("numeric status");
-    let headers = lines
-        .filter_map(|l| l.split_once(':'))
-        .map(|(n, v)| (n.trim().to_owned(), v.trim().to_owned()))
-        .collect();
-    Response {
-        status,
-        headers,
-        body: body.to_owned(),
-    }
-}
-
-fn encode(s: &str) -> String {
-    let mut out = String::new();
-    json::write_str(&mut out, s);
-    out
-}
-
-fn localize_body(runs: usize, cycles: usize) -> String {
-    format!(
-        "{{\"golden\":{},\"buggy\":{},\"target\":\"y\",\"options\":{{\"runs\":{runs},\"cycles\":{cycles}}}}}",
-        encode(GOLDEN),
-        encode(BUGGY)
-    )
-}
-
-fn start(config: ServerConfig) -> (ServerHandle, std::thread::JoinHandle<std::io::Result<()>>) {
-    let server = Server::bind(config).expect("bind");
-    let handle = server.handle();
-    let join = std::thread::spawn(move || server.run());
-    (handle, join)
-}
-
-fn stop(handle: &ServerHandle, join: std::thread::JoinHandle<std::io::Result<()>>) {
-    handle.shutdown();
-    join.join().expect("server thread").expect("clean exit");
-}
 
 /// Traces on the `/tracez` page whose id satisfies a predicate.
 fn traces_where(doc: &Json, pred: impl Fn(&str) -> bool) -> Vec<&Json> {
@@ -135,14 +38,14 @@ fn every_response_echoes_a_request_id() {
         ("GET", "/nope", 404),
         ("GET", "/v1/localize", 405),
     ] {
-        let resp = request(addr, method, path, &[], "");
+        let resp = request_with(addr, method, path, &[], "");
         assert_eq!(resp.status, want);
         assert!(!resp.request_id().is_empty(), "{path} echoes an id");
     }
 
     // A well-formed client ID is honored verbatim, and error bodies carry
     // it for /tracez correlation.
-    let resp = request(
+    let resp = request_with(
         addr,
         "GET",
         "/nope",
@@ -162,7 +65,7 @@ fn every_response_echoes_a_request_id() {
     );
 
     // A malformed client ID (illegal characters) is replaced, not echoed.
-    let resp = request(
+    let resp = request_with(
         addr,
         "GET",
         "/healthz",
@@ -174,8 +77,8 @@ fn every_response_echoes_a_request_id() {
 
     // 200 bodies stay byte-identical across requests: the ID never enters
     // them.
-    let a = request(addr, "POST", "/v1/localize", &[], &localize_body(8, 4));
-    let b = request(
+    let a = request_with(addr, "POST", "/v1/localize", &[], &localize_body(8, 4));
+    let b = request_with(
         addr,
         "POST",
         "/v1/localize",
@@ -194,7 +97,7 @@ fn every_response_echoes_a_request_id() {
 fn healthz_reports_build_info() {
     let _g = LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let (handle, join) = start(ServerConfig::default());
-    let resp = request(handle.addr(), "GET", "/healthz", &[], "");
+    let resp = request_with(handle.addr(), "GET", "/healthz", &[], "");
     assert_eq!(resp.status, 200);
     let doc = resp.json();
     assert_eq!(
@@ -224,7 +127,7 @@ fn errored_requests_always_keep_their_span_tree() {
     let addr = handle.addr();
 
     // A handler panic -> 500, retained as an error trace with a full tree.
-    let resp = request(
+    let resp = request_with(
         addr,
         "GET",
         "/debugz/panic",
@@ -240,18 +143,18 @@ fn errored_requests_always_keep_their_span_tree() {
         encode(GOLDEN),
         encode(BUGGY)
     );
-    let resp = request(
+    let resp = request_with(
         addr,
         "POST",
         "/v1/localize",
         &[("x-veribug-request-id", "deadline-trace-1")],
         &body,
     );
-    assert_eq!(resp.status, 504, "body: {}", resp.body);
+    assert_eq!(resp.status, 504, "body: {}", resp.text());
 
-    let page = request(addr, "GET", "/tracez?n=512", &[], "");
+    let page = request_with(addr, "GET", "/tracez?n=512", &[], "");
     assert_eq!(page.status, 200);
-    obs::validate::tracez(&page.body).expect("tracez page validates");
+    obs::validate::tracez(&page.text()).expect("tracez page validates");
     let doc = page.json();
     for (id, status) in [("panic-trace-1", 500.0), ("deadline-trace-1", 504.0)] {
         let matches = traces_where(&doc, |t| t == id);
@@ -269,19 +172,19 @@ fn errored_requests_always_keep_their_span_tree() {
     }
 
     // The 504 trace exports as a valid Perfetto chrome-trace.
-    let export = request(addr, "GET", "/tracez/export?id=deadline-trace-1", &[], "");
-    assert_eq!(export.status, 200, "body: {}", export.body);
-    obs::validate::chrome_trace(&export.body).expect("export validates");
+    let export = request_with(addr, "GET", "/tracez/export?id=deadline-trace-1", &[], "");
+    assert_eq!(export.status, 200, "body: {}", export.text());
+    obs::validate::chrome_trace(&export.text()).expect("export validates");
 
     // Unknown IDs 404 with a structured error.
-    let missing = request(addr, "GET", "/tracez/export?id=never-was", &[], "");
+    let missing = request_with(addr, "GET", "/tracez/export?id=never-was", &[], "");
     assert_eq!(missing.status, 404);
 
     // The text rendering shows the tree too.
-    let text = request(addr, "GET", "/tracez?n=512&fmt=text", &[], "");
+    let text = request_with(addr, "GET", "/tracez?n=512&fmt=text", &[], "");
     assert_eq!(text.status, 200);
-    assert!(text.body.contains("panic-trace-1"));
-    assert!(text.body.contains("serve.request"));
+    assert!(text.text().contains("panic-trace-1"));
+    assert!(text.text().contains("serve.request"));
 
     stop(&handle, join);
 }
@@ -303,7 +206,7 @@ fn debug_pages_hold_up_under_concurrent_traffic() {
                     for i in 0..4 {
                         for path in ["/healthz", "/statusz", "/tracez?n=8", "/metricsz"] {
                             let id = format!("conc-{workers}-{c}-{i}");
-                            let resp = request(
+                            let resp = request_with(
                                 addr,
                                 "GET",
                                 path,
@@ -322,8 +225,8 @@ fn debug_pages_hold_up_under_concurrent_traffic() {
         }
 
         // After the burst both pages are still coherent.
-        let page = request(addr, "GET", "/tracez?n=512", &[], "");
-        obs::validate::tracez(&page.body).expect("tracez validates after burst");
+        let page = request_with(addr, "GET", "/tracez?n=512", &[], "");
+        obs::validate::tracez(&page.text()).expect("tracez validates after burst");
         let page_doc = page.json();
         let conc = traces_where(&page_doc, |t| t.starts_with(&format!("conc-{workers}-")));
         assert!(
@@ -331,7 +234,7 @@ fn debug_pages_hold_up_under_concurrent_traffic() {
             "burst requests landed in the ring at {workers} workers"
         );
 
-        let status = request(addr, "GET", "/statusz", &[], "");
+        let status = request_with(addr, "GET", "/statusz", &[], "");
         assert_eq!(status.status, 200);
         let doc = status.json();
         let endpoints = doc.get("endpoints").and_then(|e| e.as_arr()).unwrap();
@@ -354,7 +257,7 @@ fn the_trace_ring_wraps_keeping_the_newest() {
     // More requests than the ring holds (capacity 128).
     for i in 0..140 {
         let id = format!("wrap-{i:03}");
-        let resp = request(
+        let resp = request_with(
             addr,
             "GET",
             "/healthz",
@@ -363,7 +266,7 @@ fn the_trace_ring_wraps_keeping_the_newest() {
         );
         assert_eq!(resp.status, 200);
     }
-    let page = request(addr, "GET", "/tracez?n=512", &[], "");
+    let page = request_with(addr, "GET", "/tracez?n=512", &[], "");
     let doc = page.json();
     let retained = doc
         .get("ring")

@@ -219,8 +219,13 @@ pub struct TestbenchGen {
     seed: u64,
     hold_probability: f64,
     reset_cycles: usize,
-    couple_probability: f64,
 }
+
+/// The probability that a multi-bit input copies the value of another
+/// same-width input in the same cycle. Coupling makes equality comparisons
+/// (address matches, tag compares) fire at useful rates — the role
+/// GOLDMINE's design-aware testbenches play in the paper.
+const COUPLE_PROBABILITY: f64 = 0.25;
 
 impl TestbenchGen {
     /// Creates a generator with the default hold probability (0.5), a
@@ -230,22 +235,7 @@ impl TestbenchGen {
             seed,
             hold_probability: 0.5,
             reset_cycles: 2,
-            couple_probability: 0.25,
         }
-    }
-
-    /// Sets the probability that a multi-bit input copies the value of
-    /// another same-width input in the same cycle. Coupling makes equality
-    /// comparisons (address matches, tag compares) fire at useful rates —
-    /// the role GOLDMINE's design-aware testbenches play in the paper.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `p` is not within `[0, 1]`.
-    pub fn with_couple_probability(mut self, p: f64) -> Self {
-        assert!((0.0..=1.0).contains(&p), "probability {p} out of [0,1]");
-        self.couple_probability = p;
-        self
     }
 
     /// Sets the probability that an input holds its previous value.
@@ -329,7 +319,7 @@ impl TestbenchGen {
                     u64::from(in_reset != active_low)
                 } else if cycle > 0 && rng.random_bool(self.hold_probability) {
                     prev[slot]
-                } else if input.width > 1 && rng.random_bool(self.couple_probability) {
+                } else if input.width > 1 && rng.random_bool(COUPLE_PROBABILITY) {
                     // Copy another same-width input already driven this
                     // cycle, so equality comparisons can fire.
                     if input.peers.is_empty() {

@@ -724,7 +724,21 @@ mod tests {
         //! segmentations, descriptor re-use at window boundaries, and
         //! empty/full segments.
         use super::*;
-        use proptest::prelude::*;
+        use rand::rngs::StdRng;
+        use rand::{RngExt, SeedableRng};
+
+        /// Cases per property.
+        const CASES: usize = 64;
+
+        /// The case generator for `property`, seeded by the FNV-1a hash of
+        /// its qualified name, so a failing case reproduces exactly.
+        fn case_rng(property: &str) -> StdRng {
+            let name = format!("{}::{property}", module_path!());
+            let hash = name.bytes().fold(0xcbf2_9ce4_8422_2325_u64, |h, b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3)
+            });
+            StdRng::seed_from_u64(hash)
+        }
 
         /// Record arena + descriptor pool + the flat per-segment expansion.
         type BuiltArena = (Arc<Vec<StmtExec>>, Arc<Vec<(u32, u32)>>, Vec<Vec<StmtExec>>);
@@ -766,47 +780,45 @@ mod tests {
             (Arc::new(records), Arc::new(segs), expansions)
         }
 
-        proptest! {
-            #![proptest_config(ProptestConfig::with_cases(64))]
-
-            /// Any descriptor window equals the flat vector of its
-            /// logical expansion, and lengths agree.
-            #[test]
-            fn segmented_equals_flat(
-                arena_len in 1usize..12,
-                nsegs in 1usize..8,
-                seed in 0u64..u64::MAX,
-                window in (0usize..8, 1usize..4),
-            ) {
+        /// Any descriptor window equals the flat vector of its logical
+        /// expansion, and lengths agree.
+        #[test]
+        fn segmented_equals_flat() {
+            let mut rng = case_rng("segmented_equals_flat");
+            for _ in 0..CASES {
+                let arena_len = rng.random_range(1usize..12);
+                let nsegs = rng.random_range(1usize..8);
+                let seed = rng.random_range(0u64..u64::MAX);
+                let window = (rng.random_range(0usize..8), rng.random_range(1usize..4));
+                let case =
+                    format!("arena {arena_len}, segs {nsegs}, seed {seed}, window {window:?}");
                 let (records, segs, expansions) = build(arena_len, nsegs, seed);
                 let seg_start = window.0 % nsegs;
                 let seg_len = window.1.min(nsegs - seg_start);
-                let view = Execs::from_parts(
-                    records,
-                    segs,
-                    seg_start as u32,
-                    seg_len as u32,
-                );
+                let view = Execs::from_parts(records, segs, seg_start as u32, seg_len as u32);
                 let flat: Vec<StmtExec> = expansions[seg_start..seg_start + seg_len]
                     .iter()
                     .flatten()
                     .cloned()
                     .collect();
-                prop_assert_eq!(view.len(), flat.len());
-                prop_assert_eq!(view.is_empty(), flat.is_empty());
-                prop_assert_eq!(view, Execs::from(flat));
+                assert_eq!(view.len(), flat.len(), "{case}");
+                assert_eq!(view.is_empty(), flat.is_empty(), "{case}");
+                assert_eq!(view, Execs::from(flat), "{case}");
             }
+        }
 
-            /// Two adjacent windows sharing a descriptor boundary expand to
-            /// the same records as the combined window — descriptor re-use
-            /// at boundaries never drops or duplicates records.
-            #[test]
-            fn windows_compose_at_boundaries(
-                arena_len in 1usize..10,
-                nsegs in 2usize..8,
-                seed in 0u64..u64::MAX,
-                cut in 1usize..7,
-            ) {
+        /// Two adjacent windows sharing a descriptor boundary expand to the
+        /// same records as the combined window — descriptor re-use at
+        /// boundaries never drops or duplicates records.
+        #[test]
+        fn windows_compose_at_boundaries() {
+            let mut rng = case_rng("windows_compose_at_boundaries");
+            for _ in 0..CASES {
+                let arena_len = rng.random_range(1usize..10);
+                let nsegs = rng.random_range(2usize..8);
+                let seed = rng.random_range(0u64..u64::MAX);
+                let cut = rng.random_range(1usize..7);
+                let case = format!("arena {arena_len}, segs {nsegs}, seed {seed}, cut {cut}");
                 let (records, segs, expansions) = build(arena_len, nsegs, seed);
                 let cut = 1 + (cut % (nsegs - 1));
                 let left = Execs::from_parts(records.clone(), segs.clone(), 0, cut as u32);
@@ -817,36 +829,40 @@ mod tests {
                     (nsegs - cut) as u32,
                 );
                 let whole = Execs::from_parts(records, segs, 0, nsegs as u32);
-                let glued: Vec<StmtExec> =
-                    left.iter().chain(right.iter()).cloned().collect();
-                prop_assert_eq!(whole.len(), left.len() + right.len());
-                prop_assert_eq!(whole, Execs::from(glued));
-                let flat_all: Vec<StmtExec> =
-                    expansions.iter().flatten().cloned().collect();
-                prop_assert_eq!(left.iter().count() + right.iter().count(), flat_all.len());
+                let glued: Vec<StmtExec> = left.iter().chain(right.iter()).cloned().collect();
+                assert_eq!(whole.len(), left.len() + right.len(), "{case}");
+                assert_eq!(whole, Execs::from(glued), "{case}");
+                let flat_all: Vec<StmtExec> = expansions.iter().flatten().cloned().collect();
+                assert_eq!(
+                    left.iter().count() + right.iter().count(),
+                    flat_all.len(),
+                    "{case}"
+                );
             }
+        }
 
-            /// Perturbing any single expanded record breaks equality —
-            /// logical equality is exact, not structural-shape equality.
-            #[test]
-            fn equality_is_exact(
-                arena_len in 1usize..8,
-                nsegs in 1usize..5,
-                seed in 0u64..u64::MAX,
-                victim in 0usize..64,
-            ) {
+        /// Perturbing any single expanded record breaks equality — logical
+        /// equality is exact, not structural-shape equality.
+        #[test]
+        fn equality_is_exact() {
+            let mut rng = case_rng("equality_is_exact");
+            for _ in 0..CASES {
+                let arena_len = rng.random_range(1usize..8);
+                let nsegs = rng.random_range(1usize..5);
+                let seed = rng.random_range(0u64..u64::MAX);
+                let victim = rng.random_range(0usize..64);
+                let case = format!("arena {arena_len}, segs {nsegs}, seed {seed}, victim {victim}");
                 let (records, segs, expansions) = build(arena_len, nsegs, seed);
                 let view = Execs::from_parts(records, segs, 0, nsegs as u32);
-                let mut flat: Vec<StmtExec> =
-                    expansions.iter().flatten().cloned().collect();
+                let mut flat: Vec<StmtExec> = expansions.iter().flatten().cloned().collect();
                 if flat.is_empty() {
                     // All-empty segments: equal to the empty flat vector.
-                    prop_assert_eq!(view, Execs::from(flat));
+                    assert_eq!(view, Execs::from(flat), "{case}");
                 } else {
                     let i = victim % flat.len();
                     let bumped = flat[i].result.bits().wrapping_add(1);
                     flat[i].result = Value::new(bumped, flat[i].result.width());
-                    prop_assert_ne!(view, Execs::from(flat));
+                    assert_ne!(view, Execs::from(flat), "{case}");
                 }
             }
         }

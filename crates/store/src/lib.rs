@@ -388,7 +388,11 @@ impl Store {
     ///
     /// Any `io::Error` from scanning or deleting.
     pub fn gc(&self) -> io::Result<GcReport> {
-        let mut entries = self.list()?;
+        self.evict(self.list()?)
+    }
+
+    /// [`Store::gc`] over an already-scanned listing.
+    fn evict(&self, mut entries: Vec<EntryInfo>) -> io::Result<GcReport> {
         entries.sort_by_key(|e| (e.modified, e.kind.dir_name(), e.key));
         let mut total: u64 = entries.iter().map(|e| e.bytes).sum();
         let mut report = GcReport {
@@ -431,11 +435,16 @@ impl Store {
         }
     }
 
+    /// One directory scan per write: evicts from it when over budget,
+    /// otherwise publishes its total as `store.bytes`.
     fn enforce_budget(&self) -> io::Result<()> {
-        if self.total_bytes()? > self.budget {
-            self.gc()?;
+        let entries = self.list()?;
+        let total: u64 = entries.iter().map(|e| e.bytes).sum();
+        if total > self.budget {
+            self.evict(entries)?;
         } else {
-            self.set_bytes_gauge();
+            #[allow(clippy::cast_precision_loss)]
+            STORE_BYTES.set(total as f64);
         }
         Ok(())
     }
