@@ -152,18 +152,31 @@ struct EngineCompare {
 /// workload (the instrumentation-densest path: per-cycle dirty-gate and
 /// bytecode counters).
 struct ObsOverhead {
+    /// Workload passes timed back to back in one rep.
+    passes: usize,
+    /// Fastest collection-off rep, seconds for all `passes`.
     baseline_s: f64,
+    /// Fastest collection-on rep, seconds for all `passes`.
     enabled_s: f64,
     /// `(enabled - baseline) / baseline`, clamped at 0 (noise can make the
     /// enabled run the faster one).
     overhead_frac: f64,
 }
 
+/// Shortest collection-off rep the overhead gate times. One pass of the
+/// workload is only 10–14 ms on a shared 2-core x86 host, where a single
+/// scheduler stall reads as a double-digit overhead, so a rep repeats the
+/// pass until it is this long.
+const OBS_MIN_REP_S: f64 = 0.1;
+
 /// Times the same single-threaded simulation workload with collection off
 /// and on, fastest of `reps` each. The workload is deterministic, so
 /// min-of-reps makes scheduling noise one-sided; off/on reps interleave,
 /// alternating which runs first, so a transient host slowdown (downclock,
-/// background work) hits both sides rather than biasing either one.
+/// background work) hits both sides rather than biasing either one. Each
+/// rep runs the workload `passes` times, sized from the faster of two
+/// collection-off calibration passes (the first warms up) so a rep lasts
+/// at least [`OBS_MIN_REP_S`].
 fn measure_obs_overhead(
     modules: &[Module],
     cycles: usize,
@@ -182,17 +195,22 @@ fn measure_obs_overhead(
             }
         }
     };
+    obs::set_enabled(false);
+    let (pass_s, ()) = stats::min_of_reps(2, workload);
+    let passes = (OBS_MIN_REP_S / pass_s.max(1e-6)).ceil().max(1.0) as usize;
     let Ok(([baseline_s], [enabled_s])) = stats::ab_min_of_reps(reps, |on| {
         obs::set_enabled(on);
-        Ok::<_, std::convert::Infallible>([stats::min_of_reps(1, workload).0])
+        let rep = || (0..passes).for_each(|_| workload());
+        Ok::<_, std::convert::Infallible>([stats::min_of_reps(1, rep).0])
     });
     obs::set_enabled(was_enabled);
     let overhead_frac = ((enabled_s - baseline_s) / baseline_s.max(1e-12)).max(0.0);
     obs::progress!(
-        "obs_overhead   off={baseline_s:.3}s on={enabled_s:.3}s overhead={:.2}%",
+        "obs_overhead   passes={passes} off={baseline_s:.3}s on={enabled_s:.3}s overhead={:.2}%",
         overhead_frac * 100.0
     );
     ObsOverhead {
+        passes,
         baseline_s,
         enabled_s,
         overhead_frac,
@@ -760,6 +778,7 @@ fn render_json(
     out.push_str(
         "    \"workload\": \"simulation sweep (the instrumentation-densest stage), 1 thread\",\n",
     );
+    let _ = writeln!(out, "    \"passes_per_rep\": {},", overhead.passes);
     let _ = writeln!(out, "    \"baseline_s\": {:.6},", overhead.baseline_s);
     let _ = writeln!(out, "    \"enabled_s\": {:.6},", overhead.enabled_s);
     let _ = writeln!(

@@ -7,7 +7,7 @@
 //! - [`ConeOfInfluence`] — temporal dependence under `n`-cycle unrolling,
 //! - [`dependencies_of`] — the paper's `Dep_t` reverse-DFS analysis,
 //! - [`Slice`] — static and dynamic design slices for a target output,
-//! - [`levelize`] — exposed-read/write summaries and a topological
+//! - [`levelize()`] — exposed-read/write summaries and a topological
 //!   evaluation order for combinational processes (the scheduling layer of
 //!   `veribug-sim`'s compiled engine).
 //!

@@ -291,7 +291,7 @@ pub struct TrainReport {
 /// Trains a model in place.
 ///
 /// Each minibatch is data-parallel over fixed-size shards (see
-/// [`train_batch`]'s internals): shard gradients are accumulated into
+/// `train_batch`'s internals): shard gradients are accumulated into
 /// per-worker buffers and merged in shard order before the optimizer step.
 /// Because no reduction order ever depends on the worker count, the final
 /// parameters — and every reported epoch loss — are bit-identical whether

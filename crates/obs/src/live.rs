@@ -10,7 +10,7 @@
 //! ## Life of a trace
 //!
 //! 1. The server mints (or honors) a request ID and calls [`begin`], which
-//!    registers an [`ActiveTrace`] and installs the trace key in the
+//!    registers an active trace and installs the trace key in the
 //!    calling thread's TLS.
 //! 2. While the key is installed, every completed span is *also* recorded
 //!    into a per-thread trace buffer, and every counter increment lands in
@@ -117,7 +117,7 @@ pub struct CompletedTrace {
     /// Counter deltas attributed to this request, by metric name (empty
     /// for digests).
     pub counters: Vec<(&'static str, u64)>,
-    /// Spans dropped past [`MAX_TRACE_SPANS`].
+    /// Spans dropped past the per-trace span cap (`MAX_TRACE_SPANS`).
     pub dropped_spans: u64,
 }
 

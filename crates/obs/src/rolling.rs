@@ -9,7 +9,7 @@
 //! genuinely recent.
 //!
 //! Per bucket and endpoint we keep a request count, status-class counts,
-//! a power-of-two latency histogram (the same [`HistData`] the batch
+//! a power-of-two latency histogram (the same `HistData` the batch
 //! metrics use, so percentile semantics match `/metricsz`), per-stage
 //! span-time sums, and cache hit/miss attribution. Endpoint labels are
 //! normalized by the caller (the serve router passes known routes

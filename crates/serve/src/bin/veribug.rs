@@ -18,7 +18,7 @@
 //!                  [--access-log] [--debug-endpoints] [--store DIR]
 //! veribug store    ls|gc|rm KEY [--store DIR]
 //! veribug shard-front [--addr HOST:PORT] [--backends H:P,...] [--spawn N]
-//!                  [--replicas N] [--model model.vbm] [--store DIR]
+//!                  [--model model.vbm] [--store DIR]
 //! veribug --version
 //! ```
 //!
@@ -40,7 +40,7 @@ use veribug::model::{ModelConfig, VeriBugModel};
 use veribug::render::render_comparison;
 use veribug::train::{self, Dataset, TrainConfig};
 use veribug::{persist, AttributionReport, DEFAULT_THRESHOLD};
-use veribug_serve::{Server, ServerConfig, ShardConfig, ShardFront};
+use veribug_serve::{Server, ServerConfig};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -143,8 +143,7 @@ USAGE:
                    [--access-log] [--debug-endpoints] [--store DIR]
   veribug store    ls|gc|rm KEY [--store DIR]
   veribug shard-front [--addr HOST:PORT] [--backends H:P,H:P,...]
-                   [--spawn N] [--replicas N] [--model model.vbm]
-                   [--store DIR]
+                   [--spawn N] [--model model.vbm] [--store DIR]
   veribug --version
 
 Persistent artifact store: --store DIR (or the VERIBUG_STORE environment
@@ -247,7 +246,7 @@ const COMMANDS: &[Command] = &[
     },
     Command {
         name: "shard-front",
-        flags: &["addr", "backends", "spawn", "replicas", "model", "store"],
+        flags: &["addr", "backends", "spawn", "model", "store"],
         run: cmd_shard_front,
     },
 ];
@@ -614,6 +613,7 @@ fn cmd_serve(opts: &HashMap<String, String>) -> CmdResult {
         access_log: opts.contains_key("access-log"),
         debug_endpoints: opts.contains_key("debug-endpoints"),
         store_path: store_root(opts),
+        backends: Vec::new(),
     };
     let workers = config.workers;
     let server = Server::bind(config)?;
@@ -709,28 +709,26 @@ fn cmd_shard_front(opts: &HashMap<String, String>) -> CmdResult {
             "no backends: pass --backends HOST:PORT[,HOST:PORT...] and/or --spawn N".into(),
         );
     }
-    let server_defaults = ServerConfig::default();
-    let config = ShardConfig {
+    let n_backends = backends.len();
+    let config = ServerConfig {
         addr: opts
             .get("addr")
             .cloned()
             .unwrap_or_else(|| "127.0.0.1:8081".to_owned()),
+        model_path: opts.get("model").cloned(),
+        store_path: store_root(opts),
         backends,
-        replicas: numeric(opts, "replicas", 64)?,
-        local: ServerConfig {
-            model_path: opts.get("model").cloned(),
-            store_path: store_root(opts),
-            ..server_defaults
-        },
-        ..ShardConfig::default()
+        ..ServerConfig::default()
     };
-    let n_backends = config.backends.len();
-    let front = ShardFront::bind(config)?;
-    let addr = front.local_addr()?;
-    println!("veribug-shard-front listening on {addr} ({n_backends} backends)");
-    use std::io::Write as _;
-    let _ = std::io::stdout().flush();
-    let result = front.run();
+    // Spawned backends are stopped however the front ends, a failed bind
+    // included.
+    let result = Server::bind(config).and_then(|front| {
+        let addr = front.local_addr()?;
+        println!("veribug-shard-front listening on {addr} ({n_backends} backends)");
+        use std::io::Write as _;
+        let _ = std::io::stdout().flush();
+        front.run()
+    });
     for mut child in children {
         let _ = child.kill();
         let _ = child.wait();

@@ -19,17 +19,17 @@
 //! - **request isolation** — malformed JSON answers `400`, Verilog parse
 //!   errors `422` (with line/column), oversized bodies `413`, and a
 //!   panicking handler answers `500` without taking down the listener;
-//!   every error body, the shard front's included, is an
-//!   [`api::ApiError`];
+//!   every error body is an [`api::ApiError`];
 //! - **one HTTP/1.1 reader and writer** ([`http`]) for both directions —
 //!   the server reads requests and writes responses with it, and the
-//!   shard front, `serve_bench` and the test suites write requests and
+//!   shard routing, `serve_bench` and the test suites write requests and
 //!   read responses with its client half;
-//! - **a blocking accept loop** shared by the server and the shard front —
-//!   a connection reaches a worker the moment it is accepted, with no
-//!   poll interval, and an accept error that concerns one connection
-//!   (an aborted handshake, fd exhaustion) is counted in
-//!   `serve.accept_errors` instead of ending the loop;
+//! - **one blocking accept loop and one admission path** — a connection
+//!   reaches the bounded pool the moment it is accepted, with no poll
+//!   interval; a full queue answers `429` on a capped set of threads; an
+//!   accept error that concerns one connection (an aborted handshake, fd
+//!   exhaustion) is counted in `serve.accept_errors` instead of ending the
+//!   loop;
 //! - **graceful shutdown** — `POST /v1/shutdown` sets a flag and wakes the
 //!   blocked accept with a connection to the server's own address; the
 //!   loop stops accepting, drains queued and in-flight requests, then
@@ -44,10 +44,12 @@
 //!   configured, the design cache writes sources through to disk and a
 //!   restarted server precompiles them before accepting traffic, so the
 //!   first request after a restart is already a cache hit;
-//! - **horizontal scale** — [`shard`] is a thin front that
-//!   consistent-hashes design bytes across N backends with health-checked
-//!   failover, so each backend's cache (and store) holds a clean
-//!   partition of the corpus; it relays backend responses byte for byte.
+//! - **horizontal scale** — a server configured with backends
+//!   ([`ServerConfig::backends`]) is a shard front: it consistent-hashes
+//!   design bytes across them with health-checked failover, so each
+//!   backend's cache (and store) holds a clean partition of the corpus,
+//!   relays backend responses byte for byte, and handles a request itself
+//!   when no backend answers.
 //!
 //! ## Endpoints
 //!
@@ -75,10 +77,9 @@ pub mod http;
 mod listen;
 pub mod pool;
 pub mod server;
-pub mod shard;
+mod shard;
 pub mod telemetry;
 
 pub use cache::DesignCache;
 pub use pool::{Pool, SubmitError};
 pub use server::{Server, ServerConfig, ServerHandle};
-pub use shard::{ShardConfig, ShardFront, ShardHandle};

@@ -1,5 +1,6 @@
-//! The accept loop both fronts share: [`Server::run`](crate::Server::run)
-//! and [`ShardFront::run`](crate::ShardFront::run) call [`accept_until`].
+//! The accept loop behind [`Server::run`](crate::Server::run), its one
+//! caller; a shard front is a `Server` with backends, so it is the same
+//! loop.
 //!
 //! The listener stays blocking, so a connection is handed on the moment
 //! the kernel completes it: there is no poll interval for a request to

@@ -10,6 +10,7 @@
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
@@ -156,12 +157,45 @@ fn worker_loop(inner: &Inner) {
     }
 }
 
+/// One place in a capped count of work in flight (`429` threads, a shard
+/// front's forwards per backend and its local fallbacks), given back on
+/// drop: after a panic, or with the closure of a thread that never started.
+pub(crate) struct Slot(Arc<AtomicUsize>);
+
+impl Slot {
+    /// A place in `count`, if fewer than `cap` are taken.
+    pub(crate) fn take(count: &Arc<AtomicUsize>, cap: usize) -> Option<Slot> {
+        if count.fetch_add(1, Ordering::SeqCst) >= cap {
+            count.fetch_sub(1, Ordering::SeqCst);
+            return None;
+        }
+        Some(Slot(Arc::clone(count)))
+    }
+}
+
+impl Drop for Slot {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::SeqCst);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::mpsc;
     use std::time::Duration;
+
+    #[test]
+    fn a_slot_cap_admits_at_most_its_size_and_frees_on_drop() {
+        let count = Arc::default();
+        let first = Slot::take(&count, 2).expect("room for one");
+        let second = Slot::take(&count, 2).expect("room for two");
+        assert!(Slot::take(&count, 2).is_none(), "a full cap refuses");
+        drop(first);
+        assert!(Slot::take(&count, 2).is_some(), "a freed slot is reusable");
+        drop(second);
+        assert_eq!(count.load(Ordering::SeqCst), 0);
+    }
 
     #[test]
     fn runs_submitted_jobs() {

@@ -1,14 +1,15 @@
 //! The accept loop, router, and request lifecycle.
 //!
 //! One thread accepts connections and hands each to the bounded
-//! [`Pool`](crate::pool::Pool); backpressure (queue full) is answered with
-//! `429` directly from the accept loop. Workers read the request, route
-//! it, and write exactly one response. Every request runs under a
-//! `serve.request` span with per-stage child spans (`stimgen`,
-//! `simulate`, `buggy_pass`, `explain` come from the localize pipeline
-//! itself; a memoized golden reference skips the first two), a panic
-//! inside a handler answers `500` without killing the worker, and a fired
-//! deadline answers `504`.
+//! [`Pool`]; backpressure (queue full) is answered with `429` on a
+//! short-lived thread that reads the request first, at most
+//! [`MAX_REJECTING`] at once; past that cap the connection is closed
+//! unanswered. Workers read the request, route it, and write exactly one
+//! response. Every request runs under a `serve.request` span with
+//! per-stage child spans (`stimgen`, `simulate`, `buggy_pass`, `explain`
+//! come from the localize pipeline itself; a memoized golden reference
+//! skips the first two), a panic inside a handler answers `500` without
+//! killing the worker, and a fired deadline answers `504`.
 //!
 //! Every request carries a **request ID** — honored from an
 //! `x-veribug-request-id` header when the client sends a well-formed one,
@@ -19,18 +20,27 @@
 //! tail-sampled into the `/tracez` ring, and its latency/status/stage
 //! breakdown feeds the rolling window `/statusz` serves.
 //!
-//! The accept loop (shared with the shard front) blocks in `accept`, so
-//! a connection reaches the pool as soon as it is accepted. Shutdown is
-//! cooperative: `POST /v1/shutdown` (or [`ServerHandle::shutdown`]) sets
-//! a flag and wakes the blocked `accept` with a connection to the
-//! server's own address; the loop drops that connection and stops
-//! accepting, the pool drains queued and in-flight work, and
-//! [`Server::run`] returns.
+//! A server configured with [`ServerConfig::backends`] is a **shard
+//! front**: the design routes (`POST /v1/localize`, `/v1/explain`,
+//! `/v1/analyze`) go to a backend on a consistent-hash ring under a
+//! `shard.forward` span, with the front's request ID, and come back
+//! relayed byte for byte. When every backend fails, the front runs the
+//! request through its own handlers and tags the response
+//! `x-veribug-shard: local`. Every other route, and every admission
+//! error, is the plain server's.
+//!
+//! The accept loop blocks in `accept`, so a connection reaches the pool
+//! as soon as it is accepted. Shutdown is cooperative:
+//! `POST /v1/shutdown` (or [`ServerHandle::shutdown`]) sets a flag and
+//! wakes the blocked `accept` with a connection to the server's own
+//! address; the loop drops that connection and stops accepting, the pool
+//! drains queued and in-flight work, and [`Server::run`] returns.
 
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use sim::CancelToken;
@@ -45,11 +55,13 @@ use crate::api::{self, ApiError};
 use crate::cache::{BuildError, DesignCache};
 use crate::http::{self, ReadError, Request};
 use crate::listen;
-use crate::pool::Pool;
+use crate::pool::{Pool, Slot};
+use crate::shard::{self, Ring, Routed};
 use crate::telemetry;
 
 static REQUESTS: obs::LazyCounter = obs::LazyCounter::new("serve.requests");
 static REJECTED_FULL: obs::LazyCounter = obs::LazyCounter::new("serve.rejected.queue_full");
+static REJECTED_DROPPED: obs::LazyCounter = obs::LazyCounter::new("serve.rejected.dropped");
 static RESP_2XX: obs::LazyCounter = obs::LazyCounter::new("serve.responses.2xx");
 static RESP_4XX: obs::LazyCounter = obs::LazyCounter::new("serve.responses.4xx");
 static RESP_5XX: obs::LazyCounter = obs::LazyCounter::new("serve.responses.5xx");
@@ -60,15 +72,23 @@ static REQUEST_SECONDS: obs::LazyHistogram =
 
 const CONTENT_JSON: &str = "application/json";
 
+/// Most `429` answers in flight at once. Each one is a thread that reads
+/// the request (up to 2 s) before answering; past this many, the accept
+/// loop closes a rejected connection unanswered.
+pub const MAX_REJECTING: usize = 64;
+
 /// Server tunables. [`Default`] is suitable for localhost use.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
     /// Bind address; port 0 picks an ephemeral port.
     pub addr: String,
     /// Worker threads. Defaults to [`par::max_threads`], so
-    /// `VERIBUG_THREADS` sizes the pool.
+    /// `VERIBUG_THREADS` sizes the pool. On a shard front this is one
+    /// share: the pool gets `workers × (backends + 1)` threads, and at most
+    /// `workers` requests wait on any one backend or run locally.
     pub workers: usize,
-    /// Pending-request queue bound (beyond this, `429`).
+    /// Pending-request queue bound (beyond this, `429`). On a shard front
+    /// it scales with the pool, to `queue_capacity × (backends + 1)`.
     pub queue_capacity: usize,
     /// Compiled designs kept in the LRU cache.
     pub cache_capacity: usize,
@@ -97,6 +117,13 @@ pub struct ServerConfig {
     /// [`store::DEFAULT_BUDGET`]). `veribug serve` resolves `--store`,
     /// then the `VERIBUG_STORE` environment variable, into this field.
     pub store_path: Option<String>,
+    /// Backend addresses (`host:port` of running `veribug serve`
+    /// processes). When non-empty the server is a shard front: it routes
+    /// the design endpoints across these backends by consistent hash and
+    /// answers them itself only when no backend does. A forward waits at
+    /// most the request's deadline plus a short grace for each read or
+    /// write.
+    pub backends: Vec<String>,
 }
 
 impl Default for ServerConfig {
@@ -114,6 +141,7 @@ impl Default for ServerConfig {
             access_log: false,
             debug_endpoints: false,
             store_path: None,
+            backends: Vec::new(),
         }
     }
 }
@@ -129,7 +157,11 @@ pub(crate) struct ServerState {
     store: Option<Arc<Store>>,
     /// Designs compiled into the cache from the store at bind.
     preloaded: usize,
+    /// The backends' hash ring, when this server is a shard front.
+    ring: Option<Ring>,
     pool: Arc<Pool>,
+    /// Live `429` threads, capped at [`MAX_REJECTING`].
+    rejecting: Arc<AtomicUsize>,
     shutdown: AtomicBool,
     /// The listener's bound address, which [`ServerState::begin_shutdown`]
     /// connects to so a blocked `accept` returns.
@@ -172,13 +204,15 @@ impl ServerHandle {
 impl Server {
     /// Binds the listener, loads the model (if configured), spawns the
     /// worker pool, and enables obs collection (the service's `/metricsz`
-    /// is only useful with metrics on).
+    /// is only useful with metrics on). With backends configured it also
+    /// builds the hash ring and sizes the pool and queue to one share per
+    /// backend plus one (see [`ServerConfig::workers`]).
     ///
     /// # Errors
     ///
     /// I/O errors from binding; a model that fails to load surfaces as
     /// [`std::io::ErrorKind::InvalidData`].
-    pub fn bind(config: ServerConfig) -> std::io::Result<Server> {
+    pub fn bind(mut config: ServerConfig) -> std::io::Result<Server> {
         obs::enable();
         let model = match &config.model_path {
             Some(path) => veribug::persist::load(path).map_err(|e| {
@@ -191,6 +225,13 @@ impl Server {
         };
         let listener = TcpListener::bind(&config.addr)?;
         let addr = listener.local_addr()?;
+        let ring = (!config.backends.is_empty()).then(|| {
+            let ring = Ring::new(&config.backends, config.workers);
+            let shares = config.backends.len() + 1;
+            config.workers = config.workers.saturating_mul(shares);
+            config.queue_capacity = config.queue_capacity.saturating_mul(shares);
+            ring
+        });
         let pool = Arc::new(Pool::new(config.workers, config.queue_capacity));
         let weights_hash = veribug::persist::content_hash_hex(&model);
         let store = match &config.store_path {
@@ -212,9 +253,11 @@ impl Server {
             cache,
             store,
             preloaded,
+            ring,
             model,
             weights_hash,
             pool,
+            rejecting: Arc::default(),
             config,
             shutdown: AtomicBool::new(false),
             addr,
@@ -240,19 +283,24 @@ impl Server {
     }
 
     /// Serves until shutdown is requested, then drains queued and
-    /// in-flight requests and returns. Blocks the calling thread.
+    /// in-flight requests and returns. Blocks the calling thread. A shard
+    /// front polls its backends' health on a thread that lives exactly as
+    /// long as the accept loop.
     ///
     /// # Errors
     ///
-    /// Fatal listener errors only; per-connection errors are handled
-    /// in-line.
+    /// Fatal listener errors, or a health thread that cannot start;
+    /// per-connection errors are handled in-line.
     pub fn run(self) -> std::io::Result<()> {
-        listen::accept_until(&self.listener, &self.state.shutdown, |stream| {
+        let health = match self.state.ring {
+            Some(_) => Some(spawn_health_thread(Arc::clone(&self.state))?),
+            None => None,
+        };
+        let accepted = listen::accept_until(&self.listener, &self.state.shutdown, |stream| {
             // The accept loop is the only producer, so this
             // check-then-submit cannot race another submit; workers only
             // shrink the queue in between.
             if self.state.pool.is_full() {
-                REJECTED_FULL.incr();
                 reject(&self.state, stream);
                 return;
             }
@@ -261,7 +309,14 @@ impl Server {
                 handle_connection(&state, stream);
                 obs::flush_thread();
             });
-        })?;
+        });
+        if let Some(health) = health {
+            // Also stops it when the accept loop failed.
+            self.state.shutdown.store(true, Ordering::SeqCst);
+            health.thread().unpark();
+            let _ = health.join();
+        }
+        accepted?;
         obs::progress!("serve: draining in-flight requests");
         self.state.pool.shutdown();
         obs::flush_thread();
@@ -276,32 +331,57 @@ impl Server {
     }
 }
 
+/// Polls the backends' health every [`shard::HEALTH_INTERVAL`] until the
+/// shutdown flag is set; [`Server::run`] unparks it then, so it need not
+/// sleep out the interval.
+fn spawn_health_thread(state: Arc<ServerState>) -> std::io::Result<JoinHandle<()>> {
+    std::thread::Builder::new()
+        .name("veribug-serve-health".to_owned())
+        .spawn(move || {
+            let Some(ring) = &state.ring else { return };
+            while !state.shutdown.load(Ordering::SeqCst) {
+                ring.check_health();
+                std::thread::park_timeout(shard::HEALTH_INTERVAL);
+            }
+        })
+}
+
 /// Answers a connection the pool never saw (backpressure rejections) on a
 /// short-lived throwaway thread: the request is read before the error is
 /// written, so the client never races a connection reset while still
 /// sending — and the accept loop never blocks on a slow client's socket.
 /// Reading the request also recovers the client's request ID (if any), so
-/// even a `429` is echoed and lands in the `/tracez` ring.
+/// even a `429` is echoed and lands in the `/tracez` ring. At most
+/// [`MAX_REJECTING`] such threads live at once; past that the connection
+/// is closed unanswered and counted in `serve.rejected.dropped`.
 fn reject(state: &Arc<ServerState>, stream: TcpStream) {
+    let Some(slot) = Slot::take(&state.rejecting, MAX_REJECTING) else {
+        REJECTED_DROPPED.incr();
+        obs::flush_thread();
+        return;
+    };
+    REJECTED_FULL.incr();
     track_status(429);
     obs::flush_thread();
-    let state = Arc::clone(state);
+    let shared = Arc::clone(state);
     let _ = std::thread::Builder::new()
         .name("veribug-serve-reject".to_owned())
         .spawn(move || {
+            let _slot = slot;
             let started = Instant::now();
             let mut stream = stream;
             let _ = stream.set_read_timeout(Some(Duration::from_secs(2)));
             let _ = stream.set_write_timeout(Some(Duration::from_secs(2)));
             let (rid, method, label) =
-                match http::read_request(&mut stream, state.config.max_body_bytes) {
+                match http::read_request(&mut stream, shared.config.max_body_bytes) {
                     Ok(req) => (request_id(&req), req.method.clone(), route_label(&req)),
                     Err(_) => (live::mint_id(), "-".to_owned(), "other"),
                 };
-            let err =
-                ApiError::new(429, "queue_full", "request queue is full").with_request_id(&rid);
-            respond(&mut stream, &rid, 429, &[], &err.body());
-            if state.config.telemetry {
+            Reply::new(&mut stream, &rid).error(
+                &[],
+                ApiError::new(429, "queue_full", "request queue is full"),
+            );
+            if shared.config.telemetry {
                 live::record_untraced(
                     &rid,
                     &method,
@@ -310,7 +390,7 @@ fn reject(state: &Arc<ServerState>, stream: TcpStream) {
                     started.elapsed().as_micros() as u64,
                 );
             }
-            if state.config.access_log {
+            if shared.config.access_log {
                 access_log_line(&rid, &method, label, 429, started.elapsed(), false);
             }
         });
@@ -339,16 +419,14 @@ fn handle_connection(state: &ServerState, mut stream: TcpStream) {
                 413,
                 "body_too_large",
                 format!("body of {declared} bytes exceeds the {limit}-byte limit"),
-            )
-            .with_request_id(&rid);
-            respond(&mut stream, &rid, 413, &[], &err.body());
+            );
+            Reply::new(&mut stream, &rid).error(&[], err);
             finish_unrouted(state, &rid, 413, started);
             return;
         }
         Err(ReadError::BadRequest(detail)) => {
             let rid = live::mint_id();
-            let err = ApiError::new(400, "bad_request", detail).with_request_id(&rid);
-            respond(&mut stream, &rid, 400, &[], &err.body());
+            Reply::new(&mut stream, &rid).error(&[], ApiError::new(400, "bad_request", detail));
             finish_unrouted(state, &rid, 400, started);
             return;
         }
@@ -364,13 +442,12 @@ fn handle_connection(state: &ServerState, mut stream: TcpStream) {
         // The root span must drop before `scope.finish` so it lands in the
         // trace's span tree.
         let _span = obs::span("serve.request");
-        match catch_unwind(AssertUnwindSafe(|| route(state, &req, &rid, &mut stream))) {
+        let mut reply = Reply::new(&mut stream, &rid);
+        match catch_unwind(AssertUnwindSafe(|| route(state, &req, &mut reply))) {
             Ok(status) => status,
             Err(_) => {
                 PANICS.incr();
-                let err =
-                    ApiError::new(500, "panic", "request handler panicked").with_request_id(&rid);
-                respond(&mut stream, &rid, 500, &[], &err.body())
+                reply.error(&[], ApiError::new(500, "panic", "request handler panicked"))
             }
         }
     };
@@ -465,28 +542,45 @@ fn access_log_line(
     eprintln!("{line}");
 }
 
-/// Dispatches one request, writes one response, returns the status.
-fn route(state: &ServerState, req: &Request, rid: &str, stream: &mut TcpStream) -> u16 {
+/// Dispatches one request, writes one response, returns the status. A
+/// shard front first offers the design routes to its backends and handles
+/// them here only when none answers and its local share has room.
+fn route(state: &ServerState, req: &Request, reply: &mut Reply) -> u16 {
     let path = req.path.split('?').next().unwrap_or(&req.path);
-    match (req.method.as_str(), path) {
-        ("POST", "/v1/localize") => handle_localize(state, &req.body, rid, stream, render_suspects),
-        ("POST", "/v1/explain") => {
-            handle_localize(state, &req.body, rid, stream, render_attributions)
+    if let Some(ring) = &state.ring {
+        if req.method == "POST" && matches!(path, "/v1/localize" | "/v1/explain" | "/v1/analyze") {
+            let routed = {
+                let _span = obs::span("shard.forward");
+                ring.relay(req, reply.rid, reply.stream, state.config.deadline)
+            };
+            match routed {
+                Routed::Relayed(status) => return status,
+                Routed::Local(slot) => reply.local = Some(slot),
+                Routed::Busy => {
+                    REJECTED_FULL.incr();
+                    let err = ApiError::new(429, "queue_full", "request queue is full");
+                    return reply.error(&[], err);
+                }
+            }
         }
-        ("POST", "/v1/analyze") => handle_analyze(&req.body, rid, stream),
+    }
+    match (req.method.as_str(), path) {
+        ("POST", "/v1/localize") => handle_localize(state, &req.body, reply, render_suspects),
+        ("POST", "/v1/explain") => handle_localize(state, &req.body, reply, render_attributions),
+        ("POST", "/v1/analyze") => handle_analyze(&req.body, reply),
         ("POST", "/v1/shutdown") => {
             state.begin_shutdown();
-            respond(stream, rid, 200, &[], "{\"status\":\"draining\"}\n")
+            reply.send(200, &[], "{\"status\":\"draining\"}\n")
         }
-        ("GET", "/healthz") => handle_healthz(state, rid, stream),
+        ("GET", "/healthz") => handle_healthz(state, reply),
         ("GET", "/metricsz") => {
             obs::flush_thread();
             let body = obs::export::metricsz(&obs::snapshot());
-            respond(stream, rid, 200, &[], &body)
+            reply.send(200, &[], &body)
         }
-        ("GET", "/statusz") => handle_statusz(state, rid, stream),
-        ("GET", "/tracez") => handle_tracez(req, rid, stream),
-        ("GET", "/tracez/export") => handle_tracez_export(req, rid, stream),
+        ("GET", "/statusz") => handle_statusz(state, reply),
+        ("GET", "/tracez") => handle_tracez(req, reply),
+        ("GET", "/tracez/export") => handle_tracez_export(req, reply),
         ("GET", "/debugz/panic") if state.config.debug_endpoints => {
             panic!("debug panic endpoint")
         }
@@ -499,30 +593,64 @@ fn route(state: &ServerState, req: &Request, rid: &str, stream: &mut TcpStream) 
                 405,
                 "method_not_allowed",
                 format!("{} is not supported on {path}", req.method),
-            )
-            .with_request_id(rid);
-            respond(stream, rid, 405, &[], &err.body())
+            );
+            reply.error(&[], err)
         }
-        _ => {
-            let err = ApiError::new(404, "not_found", format!("no route for {path}"))
-                .with_request_id(rid);
-            respond(stream, rid, 404, &[], &err.body())
-        }
+        _ => reply.error(
+            &[],
+            ApiError::new(404, "not_found", format!("no route for {path}")),
+        ),
     }
 }
 
-fn respond(
-    stream: &mut TcpStream,
-    rid: &str,
-    status: u16,
-    extra: &[(&str, &str)],
-    body: &str,
-) -> u16 {
-    let mut headers: Vec<(&str, &str)> = Vec::with_capacity(extra.len() + 1);
-    headers.push(("x-veribug-request-id", rid));
-    headers.extend_from_slice(extra);
-    let _ = http::write_response(stream, status, CONTENT_JSON, &headers, body.as_bytes());
-    status
+/// The one response a connection gets: every response carries the request
+/// ID, and one a shard front answers itself for a design route also carries
+/// `x-veribug-shard: local`.
+struct Reply<'a> {
+    stream: &'a mut TcpStream,
+    rid: &'a str,
+    /// The local-fallback slot a shard front holds while it answers a
+    /// design route itself.
+    local: Option<Slot>,
+}
+
+impl<'a> Reply<'a> {
+    fn new(stream: &'a mut TcpStream, rid: &'a str) -> Reply<'a> {
+        Reply {
+            stream,
+            rid,
+            local: None,
+        }
+    }
+
+    /// Writes the response and returns its status.
+    fn write(
+        &mut self,
+        status: u16,
+        content_type: &str,
+        extra: &[(&str, &str)],
+        body: &str,
+    ) -> u16 {
+        let mut headers: Vec<(&str, &str)> = Vec::with_capacity(extra.len() + 2);
+        headers.push(("x-veribug-request-id", self.rid));
+        if self.local.is_some() {
+            headers.push(("x-veribug-shard", "local"));
+        }
+        headers.extend_from_slice(extra);
+        let _ = http::write_response(self.stream, status, content_type, &headers, body.as_bytes());
+        status
+    }
+
+    /// A JSON response.
+    fn send(&mut self, status: u16, extra: &[(&str, &str)], body: &str) -> u16 {
+        self.write(status, CONTENT_JSON, extra, body)
+    }
+
+    /// `err`'s body, tagged with the request ID.
+    fn error(&mut self, extra: &[(&str, &str)], err: ApiError) -> u16 {
+        let err = err.with_request_id(self.rid);
+        self.send(err.status, extra, &err.body())
+    }
 }
 
 fn build_error(which: &'static str, e: BuildError) -> ApiError {
@@ -555,32 +683,22 @@ fn build_error(which: &'static str, e: BuildError) -> ApiError {
 fn handle_localize(
     state: &ServerState,
     body: &[u8],
-    rid: &str,
-    stream: &mut TcpStream,
+    reply: &mut Reply,
     render: fn(&VeriBugModel, &Module, &LocalizeReport) -> String,
 ) -> u16 {
     let parsed = match api::parse_localize(body) {
         Ok(p) => p,
-        Err(e) => {
-            let e = e.with_request_id(rid);
-            return respond(stream, rid, e.status, &[], &e.body());
-        }
+        Err(e) => return reply.error(&[], e),
     };
     let (mut golden, mut buggy) = {
         let _span = obs::span("serve.cache");
         let golden = match state.cache.get(&parsed.golden) {
             Ok(d) => d,
-            Err(e) => {
-                let e = build_error("golden", e).with_request_id(rid);
-                return respond(stream, rid, e.status, &[], &e.body());
-            }
+            Err(e) => return reply.error(&[], build_error("golden", e)),
         };
         let buggy = match state.cache.get(&parsed.buggy) {
             Ok(d) => d,
-            Err(e) => {
-                let e = build_error("buggy", e).with_request_id(rid);
-                return respond(stream, rid, e.status, &[], &e.body());
-            }
+            Err(e) => return reply.error(&[], build_error("buggy", e)),
         };
         (golden, buggy)
     };
@@ -619,13 +737,7 @@ fn handle_localize(
         ("x-veribug-golden-ref", memo_note),
     ];
     match result {
-        Ok(report) => respond(
-            stream,
-            rid,
-            200,
-            extra,
-            &render(&state.model, &buggy.module, &report),
-        ),
+        Ok(report) => reply.send(200, extra, &render(&state.model, &buggy.module, &report)),
         Err(VeriBugError::Sim(sim::SimError::Cancelled { at_cycle })) => {
             DEADLINES.incr();
             let e = ApiError::new(
@@ -635,23 +747,18 @@ fn handle_localize(
                     "deadline of {}ms exceeded (cancelled at cycle {at_cycle}); partial work discarded",
                     deadline.as_millis()
                 ),
-            )
-            .with_request_id(rid);
-            respond(stream, rid, 504, extra, &e.body())
+            );
+            reply.error(extra, e)
         }
         Err(VeriBugError::UnknownTarget { target }) => {
             let e = ApiError::new(
                 422,
                 "unknown_target",
                 format!("target `{target}` is not a signal of the golden design"),
-            )
-            .with_request_id(rid);
-            respond(stream, rid, 422, extra, &e.body())
+            );
+            reply.error(extra, e)
         }
-        Err(other) => {
-            let e = ApiError::new(422, "localize", other.to_string()).with_request_id(rid);
-            respond(stream, rid, 422, extra, &e.body())
-        }
+        Err(other) => reply.error(extra, ApiError::new(422, "localize", other.to_string())),
     }
 }
 
@@ -665,21 +772,17 @@ fn render_attributions(model: &VeriBugModel, buggy: &Module, report: &LocalizeRe
     veribug::AttributionReport::from_localize(model, buggy, report).to_json()
 }
 
-fn handle_analyze(body: &[u8], rid: &str, stream: &mut TcpStream) -> u16 {
+fn handle_analyze(body: &[u8], reply: &mut Reply) -> u16 {
     let parsed = match api::parse_analyze(body) {
         Ok(p) => p,
-        Err(e) => {
-            let e = e.with_request_id(rid);
-            return respond(stream, rid, e.status, &[], &e.body());
-        }
+        Err(e) => return reply.error(&[], e),
     };
     let module = match verilog::parse(&parsed.design) {
         Ok(m) => m.top().clone(),
         Err(p) => {
             let e = ApiError::new(422, "verilog_parse", format!("design does not parse: {p}"))
-                .at(p.span())
-                .with_request_id(rid);
-            return respond(stream, rid, e.status, &[], &e.body());
+                .at(p.span());
+            return reply.error(&[], e);
         }
     };
     let _span = obs::span("serve.analyze");
@@ -720,13 +823,13 @@ fn handle_analyze(body: &[u8], rid: &str, stream: &mut TcpStream) -> u16 {
         &mut out,
         format_args!("],\"statements\":{}}}\n", slice.len()),
     );
-    respond(stream, rid, 200, &[], &out)
+    reply.send(200, &[], &out)
 }
 
-fn handle_healthz(state: &ServerState, rid: &str, stream: &mut TcpStream) -> u16 {
+fn handle_healthz(state: &ServerState, reply: &mut Reply) -> u16 {
     let uptime = state.started.elapsed();
     let body = format!(
-        "{{\"status\":\"ok\",\"version\":\"{}\",\"engines\":[\"batch\"],\"weights_hash\":\"{}\",\"model_format\":\"{}\",\"uptime_ms\":{},\"uptime_s\":{},\"workers\":{},\"queue_capacity\":{},\"cache_entries\":{},\"cache_capacity\":{}}}\n",
+        "{{\"status\":\"ok\",\"version\":\"{}\",\"engines\":[\"batch\"],\"weights_hash\":\"{}\",\"model_format\":\"{}\",\"uptime_ms\":{},\"uptime_s\":{},\"workers\":{},\"queue_capacity\":{},\"cache_entries\":{},\"cache_capacity\":{}{}}}\n",
         env!("CARGO_PKG_VERSION"),
         state.weights_hash,
         veribug::persist::format_version(),
@@ -736,11 +839,22 @@ fn handle_healthz(state: &ServerState, rid: &str, stream: &mut TcpStream) -> u16
         state.config.queue_capacity,
         state.cache.len(),
         state.config.cache_capacity,
+        shard_fields(state),
     );
-    respond(stream, rid, 200, &[], &body)
+    reply.send(200, &[], &body)
 }
 
-fn handle_statusz(state: &ServerState, rid: &str, stream: &mut TcpStream) -> u16 {
+/// The hash ring's `backends` and `ring_points` fields for a shard front's
+/// `/healthz` and `/statusz`; empty otherwise.
+fn shard_fields(state: &ServerState) -> String {
+    state
+        .ring
+        .as_ref()
+        .map(Ring::status_fields)
+        .unwrap_or_default()
+}
+
+fn handle_statusz(state: &ServerState, reply: &mut Reply) -> u16 {
     let (queued, running) = state.pool.depth();
     // Flush this worker's metric shards so the model counters below see
     // evaluations recorded by this very request's predecessors.
@@ -766,6 +880,7 @@ fn handle_statusz(state: &ServerState, rid: &str, stream: &mut TcpStream) -> u16
                 stats: s.stats(),
             }
         }),
+        shard_fields: shard_fields(state),
         weights_hash: state.weights_hash.clone(),
         model_format: veribug::persist::format_version(),
         evals: snapshot
@@ -776,10 +891,10 @@ fn handle_statusz(state: &ServerState, rid: &str, stream: &mut TcpStream) -> u16
         score_margin: snapshot.histograms.get("model.score_margin").copied(),
     };
     let body = telemetry::statusz_json(&info, obs::rolling::WINDOW_SECONDS);
-    respond(stream, rid, 200, &[], &body)
+    reply.send(200, &[], &body)
 }
 
-fn handle_tracez(req: &Request, rid: &str, stream: &mut TcpStream) -> u16 {
+fn handle_tracez(req: &Request, reply: &mut Reply) -> u16 {
     let limit = req
         .query_param("n")
         .and_then(|v| v.parse::<usize>().ok())
@@ -787,47 +902,36 @@ fn handle_tracez(req: &Request, rid: &str, stream: &mut TcpStream) -> u16 {
         .clamp(1, 512);
     if req.query_param("fmt") == Some("text") {
         let body = telemetry::tracez_text(limit);
-        let headers = [("x-veribug-request-id", rid)];
-        let _ = http::write_response(
-            stream,
-            200,
-            "text/plain; charset=utf-8",
-            &headers,
-            body.as_bytes(),
-        );
-        200
+        reply.write(200, "text/plain; charset=utf-8", &[], &body)
     } else {
-        respond(stream, rid, 200, &[], &telemetry::tracez_json(limit))
+        reply.send(200, &[], &telemetry::tracez_json(limit))
     }
 }
 
-fn handle_tracez_export(req: &Request, rid: &str, stream: &mut TcpStream) -> u16 {
+fn handle_tracez_export(req: &Request, reply: &mut Reply) -> u16 {
     let Some(id) = req.query_param("id") else {
         let err = ApiError::new(
             400,
             "missing_param",
             "`/tracez/export` needs an `id` query parameter",
-        )
-        .with_request_id(rid);
-        return respond(stream, rid, 400, &[], &err.body());
+        );
+        return reply.error(&[], err);
     };
     let Some(trace) = live::find(id) else {
         let err = ApiError::new(
             404,
             "trace_not_found",
             format!("no retained trace with id `{id}` (evicted or never recorded)"),
-        )
-        .with_request_id(rid);
-        return respond(stream, rid, 404, &[], &err.body());
+        );
+        return reply.error(&[], err);
     };
     if !trace.sampled() {
         let err = ApiError::new(
             404,
             "trace_not_sampled",
             format!("trace `{id}` was retained as a digest; only error and slow traces keep a span tree"),
-        )
-        .with_request_id(rid);
-        return respond(stream, rid, 404, &[], &err.body());
+        );
+        return reply.error(&[], err);
     }
-    respond(stream, rid, 200, &[], &live::chrome_trace_of(&trace))
+    reply.send(200, &[], &live::chrome_trace_of(&trace))
 }

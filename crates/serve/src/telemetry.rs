@@ -154,6 +154,9 @@ pub(crate) struct StatusInfo {
     pub(crate) cache_capacity: usize,
     /// Persistent artifact store occupancy, when one is configured.
     pub(crate) store: Option<StoreStatus>,
+    /// A shard front's `,"backends":[…],"ring_points":N` fields, appended
+    /// to the top-level object; empty without backends.
+    pub(crate) shard_fields: String,
     /// Content hash of the served model's weights.
     pub(crate) weights_hash: String,
     /// Persist-format version of those weights.
@@ -243,6 +246,7 @@ pub(crate) fn statusz_json(info: &StatusInfo, window_s: u64) -> String {
         None => out.push_str("null"),
     }
     out.push('}');
+    out.push_str(&info.shard_fields);
     let _ = write!(
         out,
         ",\"ring\":{{\"retained\":{retained},\"sampled\":{sampled},\"active\":{active}}}"
@@ -359,6 +363,7 @@ mod tests {
                     corrupt: 0,
                 },
             }),
+            shard_fields: String::new(),
             weights_hash: "00f1e2d3c4b5a697".to_owned(),
             model_format: "veribug-model v1",
             evals: 42,

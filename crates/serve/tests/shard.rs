@@ -1,18 +1,19 @@
 //! Shard-front integration: 3 live backends, requests for the same
-//! design always land on the same shard, and killing a backend degrades
-//! gracefully (requests re-route or fall back locally — no 5xx storm).
+//! design always land on the same shard, killing a backend degrades
+//! gracefully (requests re-route or fall back locally — no 5xx storm),
+//! and one request ID names a request on both hops.
 
 mod common;
 
 use std::collections::HashMap;
 use std::io::Write;
-use std::net::TcpStream;
-use std::time::Duration;
+use std::net::{TcpListener, TcpStream};
+use std::time::{Duration, Instant};
 
-use common::{encode, request, start, ResponseExt, BUGGY, GOLDEN};
+use common::{encode, request, request_with, start, stop, ResponseExt, BUGGY, GOLDEN};
 use obs::json;
 use veribug_serve::http;
-use veribug_serve::{ServerConfig, ServerHandle, ShardConfig, ShardFront, ShardHandle};
+use veribug_serve::{Server, ServerConfig, ServerHandle};
 
 /// A unique golden/buggy pair per tag, same shape as `serve_bench`.
 fn localize_body(tag: usize) -> String {
@@ -33,20 +34,24 @@ fn start_backend() -> (ServerHandle, std::thread::JoinHandle<std::io::Result<()>
 
 fn start_front(
     backends: Vec<String>,
-) -> (ShardHandle, std::thread::JoinHandle<std::io::Result<()>>) {
-    let front = ShardFront::bind(ShardConfig {
+) -> (ServerHandle, std::thread::JoinHandle<std::io::Result<()>>) {
+    start(ServerConfig {
         backends,
-        health_interval: Duration::from_millis(100),
-        local: ServerConfig {
-            workers: 2,
-            ..ServerConfig::default()
-        },
-        ..ShardConfig::default()
+        workers: 2,
+        ..ServerConfig::default()
     })
-    .expect("bind front");
-    let handle = front.handle();
-    let join = std::thread::spawn(move || front.run());
-    (handle, join)
+}
+
+/// Backends the front's `/statusz` lists as healthy.
+fn healthy_backends(front: std::net::SocketAddr) -> usize {
+    let status = request(front, "GET", "/statusz", "");
+    let doc = json::parse(&status.text()).expect("front status is JSON");
+    doc.get("backends")
+        .and_then(|b| b.as_arr())
+        .expect("backends array")
+        .iter()
+        .filter(|b| b.get("healthy").and_then(|h| h.as_bool()) == Some(true))
+        .count()
 }
 
 #[test]
@@ -88,16 +93,7 @@ fn three_backends_route_stably_and_survive_losing_one() {
     );
 
     // The front's status page sees all three as healthy.
-    let status = request(front.addr(), "GET", "/statusz", "");
-    let doc = json::parse(&status.text()).expect("front status is JSON");
-    let healthy = doc
-        .get("backends")
-        .and_then(|b| b.as_arr())
-        .expect("backends array")
-        .iter()
-        .filter(|b| b.get("healthy").and_then(|h| h.as_bool()) == Some(true))
-        .count();
-    assert_eq!(healthy, 3);
+    assert_eq!(healthy_backends(front.addr()), 3);
 
     // Kill one backend that owns at least one design. Every design must
     // still answer 200 — rerouted to a surviving backend or the local
@@ -105,11 +101,7 @@ fn three_backends_route_stably_and_survive_losing_one() {
     let dead_addr = owner.values().next().unwrap().clone();
     let dead_idx = addrs.iter().position(|a| *a == dead_addr).unwrap();
     let (dead_handle, dead_join) = backends.remove(dead_idx);
-    dead_handle.shutdown();
-    dead_join
-        .join()
-        .expect("backend thread")
-        .expect("clean exit");
+    stop(&dead_handle, dead_join);
 
     for round in 0..2 {
         for tag in 0..designs {
@@ -126,35 +118,21 @@ fn three_backends_route_stably_and_survive_losing_one() {
     }
 
     // Health checks converge on 2/3 healthy.
-    let deadline = std::time::Instant::now() + Duration::from_secs(5);
+    let deadline = Instant::now() + Duration::from_secs(5);
     loop {
-        let status = request(front.addr(), "GET", "/statusz", "");
-        let doc = json::parse(&status.text()).expect("front status is JSON");
-        let healthy = doc
-            .get("backends")
-            .and_then(|b| b.as_arr())
-            .expect("backends array")
-            .iter()
-            .filter(|b| b.get("healthy").and_then(|h| h.as_bool()) == Some(true))
-            .count();
-        if healthy == 2 {
+        if healthy_backends(front.addr()) == 2 {
             break;
         }
         assert!(
-            std::time::Instant::now() < deadline,
+            Instant::now() < deadline,
             "health thread never marked the dead backend down"
         );
         std::thread::sleep(Duration::from_millis(50));
     }
 
-    front.shutdown();
-    front_join
-        .join()
-        .expect("front thread")
-        .expect("clean exit");
+    stop(&front, front_join);
     for (handle, join) in backends {
-        handle.shutdown();
-        join.join().expect("backend thread").expect("clean exit");
+        stop(&handle, join);
     }
 }
 
@@ -163,15 +141,7 @@ fn front_with_no_live_backends_falls_back_to_local() {
     // One backend that is already gone by the time the first request
     // arrives: the ring routes to it, the forward fails, and the local
     // fallback answers.
-    let (doomed, doomed_join) = start_backend();
-    let doomed_addr = doomed.addr().to_string();
-    doomed.shutdown();
-    doomed_join
-        .join()
-        .expect("backend thread")
-        .expect("clean exit");
-
-    let (front, front_join) = start_front(vec![doomed_addr]);
+    let (front, front_join) = start_front(vec![dead_backend()]);
     let resp = request(front.addr(), "POST", "/v1/localize", &localize_body(99));
     assert_eq!(resp.status, 200, "body: {}", resp.text());
     assert_eq!(
@@ -179,23 +149,76 @@ fn front_with_no_live_backends_falls_back_to_local() {
         Some("local"),
         "dead fleet degrades to local execution"
     );
-    front.shutdown();
-    front_join
-        .join()
-        .expect("front thread")
-        .expect("clean exit");
+    stop(&front, front_join);
 }
 
-/// Starts a front with no backends (every request is answered by its local
-/// fallback server) and reports `run`'s result through a channel, so a
-/// lost shutdown fails the test at a `recv_timeout` instead of hanging it.
-fn start_reporting_front() -> (ShardHandle, std::sync::mpsc::Receiver<std::io::Result<()>>) {
-    let front = ShardFront::bind(ShardConfig {
-        local: ServerConfig {
-            workers: 1,
-            ..ServerConfig::default()
-        },
-        ..ShardConfig::default()
+/// A backend that accepts connections and never answers ties up only its
+/// share of the front's workers (one here): designs it owns spill to the
+/// live backend or the local fallback, and every request is answered 200
+/// by someone else, all but at most one of them before the stalled forward
+/// gives up.
+#[test]
+fn a_stalled_backend_holds_only_its_share_of_the_front() {
+    let stalled = TcpListener::bind("127.0.0.1:0").expect("bind stalled backend");
+    let stalled_addr = stalled.local_addr().unwrap();
+    // Holds every connection open, unanswered, until the test binary exits.
+    std::thread::spawn(move || stalled.incoming().flatten().collect::<Vec<_>>());
+    let (live, live_join) = start_backend();
+    // A forward gives up after the front's 3 s deadline plus a 2 s grace.
+    let forward_wait = Duration::from_secs(5);
+    let (front, front_join) = start(ServerConfig {
+        backends: vec![stalled_addr.to_string(), live.addr().to_string()],
+        workers: 1,
+        queue_capacity: 8,
+        deadline: Duration::from_secs(3),
+        ..ServerConfig::default()
+    });
+
+    let clients: Vec<_> = (0..8)
+        .map(|tag| {
+            let addr = front.addr();
+            std::thread::spawn(move || {
+                let started = Instant::now();
+                let resp = request(addr, "POST", "/v1/localize", &localize_body(200 + tag));
+                (tag, resp, started.elapsed())
+            })
+        })
+        .collect();
+    let mut waited_out = 0;
+    for client in clients {
+        let (tag, resp, elapsed) = client.join().expect("client thread");
+        assert_eq!(resp.status, 200, "tag {tag}: {}", resp.text());
+        let shard = resp.header("x-veribug-shard").expect("shard header");
+        assert_ne!(shard, stalled_addr.to_string(), "tag {tag}");
+        if elapsed >= forward_wait {
+            waited_out += 1;
+        }
+    }
+    assert!(
+        waited_out <= 1,
+        "{waited_out} requests waited on the stalled backend; its share is 1"
+    );
+
+    stop(&front, front_join);
+    stop(&live, live_join);
+}
+
+/// The address of a backend that has already stopped.
+fn dead_backend() -> String {
+    let (doomed, doomed_join) = start_backend();
+    let addr = doomed.addr().to_string();
+    stop(&doomed, doomed_join);
+    addr
+}
+
+/// Starts a front whose one backend is already gone and reports `run`'s
+/// result through a channel, so a lost shutdown fails the test at a
+/// `recv_timeout` instead of hanging it.
+fn start_reporting_front() -> (ServerHandle, std::sync::mpsc::Receiver<std::io::Result<()>>) {
+    let front = Server::bind(ServerConfig {
+        backends: vec![dead_backend()],
+        workers: 1,
+        ..ServerConfig::default()
     })
     .expect("bind front");
     let handle = front.handle();
@@ -206,65 +229,46 @@ fn start_reporting_front() -> (ShardHandle, std::sync::mpsc::Receiver<std::io::R
     (handle, rx)
 }
 
-/// The local fallback server's address, as the front's `/statusz` reports it.
-fn local_fallback_addr(front: &ShardHandle) -> std::net::SocketAddr {
-    let resp = request(front.addr(), "GET", "/statusz", "");
-    assert_eq!(resp.status, 200);
-    let doc = json::parse(&resp.text()).expect("statusz is JSON");
-    doc.get("local")
-        .and_then(|v| v.as_str())
-        .expect("statusz names the local fallback")
-        .parse()
-        .expect("local fallback address")
-}
-
-/// `run` returned in time, which means it joined the local fallback
-/// server's thread; that server's listener is then closed.
+/// `run` returned in time, and the front's own listener is closed.
 fn expect_front_stopped(
     done: &std::sync::mpsc::Receiver<std::io::Result<()>>,
-    local: std::net::SocketAddr,
+    front: std::net::SocketAddr,
 ) {
     done.recv_timeout(Duration::from_secs(5))
         .expect("front run() returned within 5 s of shutdown")
         .expect("clean exit");
     assert!(
-        TcpStream::connect(local).is_err(),
-        "local fallback server stopped"
+        TcpStream::connect(front).is_err(),
+        "front address refuses connections"
     );
 }
 
 #[test]
 fn handle_shutdown_stops_the_front_and_its_local_fallback() {
     let (front, done) = start_reporting_front();
-    let local = local_fallback_addr(&front);
     front.shutdown();
-    expect_front_stopped(&done, local);
+    expect_front_stopped(&done, front.addr());
 }
 
 #[test]
 fn shutdown_endpoint_stops_the_front_and_its_local_fallback() {
     let (front, done) = start_reporting_front();
-    let local = local_fallback_addr(&front);
     let resp = request(front.addr(), "POST", "/v1/shutdown", "");
     assert_eq!(resp.status, 200);
-    expect_front_stopped(&done, local);
+    expect_front_stopped(&done, front.addr());
 }
 
 /// The front's own errors use the backend's schema:
 /// `{"error":{"status":...,"kind":...,"message":...}}`.
 #[test]
 fn front_errors_use_the_backend_error_schema() {
-    let front = ShardFront::bind(ShardConfig {
+    let (backend, backend_join) = start_backend();
+    let (handle, join) = start(ServerConfig {
+        backends: vec![backend.addr().to_string()],
+        workers: 1,
         max_body_bytes: 256,
-        local: ServerConfig {
-            workers: 1,
-            ..ServerConfig::default()
-        },
-        ..ShardConfig::default()
-    })
-    .expect("bind front");
-    let handle = front.handle();
-    let join = std::thread::spawn(move || front.run());
+        ..ServerConfig::default()
+    });
 
     let resp = request(handle.addr(), "POST", "/v1/localize", &"x".repeat(512));
     assert_eq!(resp.status, 413, "body: {}", resp.text());
@@ -288,6 +292,59 @@ fn front_errors_use_the_backend_error_schema() {
         Some("bad_request")
     );
 
-    handle.shutdown();
-    join.join().expect("front thread").expect("clean exit");
+    stop(&handle, join);
+    stop(&backend, backend_join);
+}
+
+/// Traces on a `/tracez` page under request ID `id`.
+fn traces_with_id(addr: std::net::SocketAddr, id: &str) -> usize {
+    let page = request(addr, "GET", "/tracez?n=64", "");
+    assert_eq!(page.status, 200);
+    page.json()
+        .get("traces")
+        .and_then(|t| t.as_arr())
+        .expect("traces array")
+        .iter()
+        .filter(|t| t.get("id").and_then(|i| i.as_str()) == Some(id))
+        .count()
+}
+
+/// The front forwards its own request ID, minted or the client's, so one ID
+/// names the request on both hops. Both servers share this process's trace
+/// ring, so the backend's `/tracez` lists the ID twice: once for the
+/// front's hop and once for the backend's.
+#[test]
+fn one_request_id_names_both_hops() {
+    let (backend, backend_join) = start_backend();
+    let (front, front_join) = start_front(vec![backend.addr().to_string()]);
+    for client_id in [None, Some("client-hop-id.7")] {
+        let headers: Vec<(&str, &str)> = client_id
+            .map(|id| vec![("x-veribug-request-id", id)])
+            .unwrap_or_default();
+        let resp = request_with(
+            front.addr(),
+            "POST",
+            "/v1/localize",
+            &headers,
+            &localize_body(7),
+        );
+        assert_eq!(resp.status, 200, "body: {}", resp.text());
+        assert_eq!(
+            resp.header("x-veribug-shard"),
+            Some(backend.addr().to_string().as_str())
+        );
+        let rid = resp.request_id().to_owned();
+        if let Some(id) = client_id {
+            assert_eq!(rid, id, "the client's ID is echoed");
+        }
+        // A trace lands in the ring just after its response is written.
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while traces_with_id(backend.addr(), &rid) < 2 {
+            assert!(Instant::now() < deadline, "no backend trace under {rid}");
+            std::thread::sleep(Duration::from_millis(20));
+        }
+        assert_eq!(traces_with_id(backend.addr(), &rid), 2, "one trace per hop");
+    }
+    stop(&front, front_join);
+    stop(&backend, backend_join);
 }
