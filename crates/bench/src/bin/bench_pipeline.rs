@@ -38,7 +38,7 @@ use std::time::Instant;
 use rvdg::{Generator, RvdgConfig};
 use sim::{
     EngineKind, SignalRole, SignalSet, Simulator, Stimulus, TestbenchGen, Trace, TraceLabel,
-    VerdictTrace,
+    TraceMode, VerdictTrace,
 };
 use veribug::model::{ModelConfig, VeriBugModel};
 use veribug::train::{self, Dataset, TrainConfig};
@@ -119,9 +119,9 @@ fn corpus(n: usize) -> Vec<Module> {
 
 /// Compiled-vs-interpreted engine timing on the campaign co-simulation
 /// workload: every Table I design simulated on many short, calm stimuli,
-/// single-threaded, fastest of `reps`. Also cross-checks every compiled
-/// result against the interpreter's — a cheap inline version of the
-/// differential test suite.
+/// single-threaded, seconds per pass (see [`time_engine`]). Also
+/// cross-checks every compiled result against the interpreter's — a cheap
+/// inline version of the differential test suite.
 struct EngineCompare {
     /// Compiled-engine time running one stimulus per `Simulator::run` call
     /// (one-lane batches).
@@ -130,8 +130,8 @@ struct EngineCompare {
     /// One-stimulus compiled traces bit-identical to the interpreter's.
     traces_identical: bool,
     /// Compiled-engine time on the same workload as full batches (one
-    /// `run_batch` call per design; `runs` stimuli fill `runs` of the 64
-    /// lanes).
+    /// full-mode `run_batch_mode` call per design; `runs` stimuli fill
+    /// `runs` of the 64 lanes).
     batch_s: f64,
     /// Lanes occupied per batch (the per-design run count).
     lane_fill: usize,
@@ -163,20 +163,27 @@ struct ObsOverhead {
     overhead_frac: f64,
 }
 
-/// Shortest collection-off rep the overhead gate times. One pass of the
-/// workload is only 10–14 ms on a shared 2-core x86 host, where a single
-/// scheduler stall reads as a double-digit overhead, so a rep repeats the
-/// pass until it is this long.
-const OBS_MIN_REP_S: f64 = 0.1;
+/// Shortest rep the overhead gate and the engine comparison time. One pass
+/// of a workload is only 3–40 ms on a shared 2-core x86 host, where a
+/// single scheduler stall reads as a double-digit overhead or a swing in an
+/// engine ratio, so a rep repeats the pass until it is this long.
+const MIN_REP_S: f64 = 0.1;
+
+/// How many back-to-back passes of `pass` make one rep last at least
+/// [`MIN_REP_S`], sized from the faster of two calibration passes (the
+/// first warms up).
+fn passes_per_rep<R>(pass: impl FnMut() -> R) -> usize {
+    let (pass_s, _) = stats::min_of_reps(2, pass);
+    (MIN_REP_S / pass_s.max(1e-6)).ceil().max(1.0) as usize
+}
 
 /// Times the same single-threaded simulation workload with collection off
 /// and on, fastest of `reps` each. The workload is deterministic, so
 /// min-of-reps makes scheduling noise one-sided; off/on reps interleave,
 /// alternating which runs first, so a transient host slowdown (downclock,
 /// background work) hits both sides rather than biasing either one. Each
-/// rep runs the workload `passes` times, sized from the faster of two
-/// collection-off calibration passes (the first warms up) so a rep lasts
-/// at least [`OBS_MIN_REP_S`].
+/// rep runs the workload [`passes_per_rep`] times, calibrated with
+/// collection off.
 fn measure_obs_overhead(
     modules: &[Module],
     cycles: usize,
@@ -196,8 +203,7 @@ fn measure_obs_overhead(
         }
     };
     obs::set_enabled(false);
-    let (pass_s, ()) = stats::min_of_reps(2, workload);
-    let passes = (OBS_MIN_REP_S / pass_s.max(1e-6)).ceil().max(1.0) as usize;
+    let passes = passes_per_rep(workload);
     let Ok(([baseline_s], [enabled_s])) = stats::ab_min_of_reps(reps, |on| {
         obs::set_enabled(on);
         let rep = || (0..passes).for_each(|_| workload());
@@ -217,8 +223,10 @@ fn measure_obs_overhead(
     }
 }
 
-/// Times `run` over every design of `workload`, fastest of `reps`, and
-/// returns the results in workload order. Simulators are built outside the
+/// Times `run` over every design of `workload` and returns the seconds
+/// per pass with the last pass's results in workload order. A rep runs
+/// [`passes_per_rep`] passes back to back; the time is the fastest of
+/// `reps` reps divided by its passes. Simulators are built outside the
 /// timed region, fresh for each engine: a campaign compiles each design
 /// once and then runs hundreds of stimuli against it, so steady-state
 /// stimuli/sec is the comparison that matters.
@@ -231,12 +239,18 @@ fn time_engine<T>(
         .iter()
         .map(|(module, _, _)| Simulator::new(module).expect("elaborates"))
         .collect();
-    stats::min_of_reps(reps, || {
+    let mut pass = || -> Vec<T> {
         let designs = workload.iter().zip(&mut sims);
         designs
             .flat_map(|((_, stimuli, observed), s)| run(s, stimuli, observed))
             .collect()
-    })
+    };
+    let passes = passes_per_rep(&mut pass);
+    let (rep_s, results) = stats::min_of_reps(reps, || {
+        (1..passes).for_each(|_| drop(std::hint::black_box(pass())));
+        pass()
+    });
+    (rep_s / passes as f64, results)
 }
 
 fn compare_engines(cycles: usize, runs: usize, reps: usize) -> EngineCompare {
@@ -269,10 +283,14 @@ fn compare_engines(cycles: usize, runs: usize, reps: usize) -> EngineCompare {
             .collect()
     });
     let (batch_s, batch_traces) = time_engine(&workload, reps, |s, st, _| {
-        s.run_batch(st).expect("simulates")
+        let runs = s.run_batch_mode(st, TraceMode::full()).expect("simulates");
+        runs.into_iter().map(|(trace, _)| trace).collect()
     });
     let (verdict_s, verdicts) = time_engine(&workload, reps, |s, st, observed| {
-        s.run_batch_verdict(st, observed).expect("simulates")
+        let runs = s
+            .run_batch_mode(st, TraceMode::verdict(observed))
+            .expect("simulates");
+        runs.into_iter().map(|(_, verdict)| verdict).collect()
     });
     let traces_identical = compiled_traces == interpreted_traces;
     let batch_identical = batch_traces == interpreted_traces;
@@ -375,7 +393,9 @@ fn fuzz_verdicts(budget_s: f64) -> VerdictFuzz {
                     };
                     // Both flows must agree even on which mutants simulate
                     // at all (e.g. injected combinational loops).
-                    let screened = mutate::screen_against(&golden_vs, target_id, &mutant, &stimuli);
+                    let screened = Simulator::new(&mutant).and_then(|mut sim| {
+                        mutate::screen_with(&mut sim, &golden_vs, target_id, &stimuli)
+                    });
                     let full = Simulator::new(&mutant).and_then(|mut sim| {
                         mutate::oracle::cosimulate(&golden_runs, &mut sim, target, &stimuli)
                     });

@@ -120,7 +120,7 @@ pub fn train_model(
 /// The artifact-store key for a training run: an FNV-1a hash of the seed
 /// manifest — everything that determines the resulting weights, including
 /// the persist format version so a format bump invalidates old entries.
-pub fn weights_key(scale: &ExperimentScale, alpha: f32, seed: u64) -> u64 {
+fn weights_key(scale: &ExperimentScale, alpha: f32, seed: u64) -> u64 {
     store::hash::fnv1a(
         format!(
             "veribug-bench weights v1\nscale {} {} {} {} {}\nalpha {alpha:e}\nseed {seed}\nformat {}\n",

@@ -25,6 +25,22 @@ const CYCLES: usize = 48;
 /// Independent stimuli per design.
 const STIMULI: usize = 3;
 
+/// The compiled engine's full traces for `stimuli`, one per stimulus.
+fn traces(sim: &mut Simulator, stimuli: &[Stimulus]) -> Result<Vec<Trace>, SimError> {
+    let runs = sim.run_batch_mode(stimuli, TraceMode::full())?;
+    Ok(runs.into_iter().map(|(trace, _)| trace).collect())
+}
+
+/// The compiled engine's `observed` columns for `stimuli`, one per stimulus.
+fn verdicts(
+    sim: &mut Simulator,
+    stimuli: &[Stimulus],
+    observed: &SignalSet,
+) -> Result<Vec<VerdictTrace>, SimError> {
+    let runs = sim.run_batch_mode(stimuli, TraceMode::verdict(observed))?;
+    Ok(runs.into_iter().map(|(_, verdict)| verdict).collect())
+}
+
 /// The oracle's traces for `stimuli`, one run per stimulus: what every
 /// compiled result is held to.
 fn interpreted_traces(sim: &Simulator, stimuli: &[Stimulus]) -> Vec<Trace> {
@@ -53,7 +69,7 @@ fn check_full_traces(name: &str, module: &Module, seed: u64) {
     let mut compiled = Simulator::new(module).expect("elaborates");
     let stimuli = TestbenchGen::new(seed).generate_many(compiled.netlist(), CYCLES, STIMULI);
     let oracle = interpreted_traces(&compiled, &stimuli);
-    let batched = compiled.run_batch(&stimuli).expect("batch run");
+    let batched = traces(&mut compiled, &stimuli).expect("batch run");
     assert_matches_interpreter(&format!("{name} batch"), &batched, &oracle);
     let single: Vec<Trace> = stimuli
         .iter()
@@ -124,7 +140,7 @@ fn pipeline_fingerprint(corpus: &[Module]) -> (Vec<Trace>, Vec<u32>) {
         let stimuli = TestbenchGen::new(0xAB5)
             .with_hold_probability(0.8)
             .generate_many(s.netlist(), 24, 2);
-        s.run_batch(&stimuli).expect("simulates")
+        traces(&mut s, &stimuli).expect("simulates")
     })
     .into_iter()
     .flatten()
@@ -190,7 +206,7 @@ fn obs_collection_never_perturbs_results() {
 fn run_batch_vs_interpreter(module: &Module, seed: u64, n: usize) -> (Vec<Trace>, Vec<Trace>) {
     let mut compiled = Simulator::new(module).expect("elaborates");
     let stimuli = TestbenchGen::new(seed).generate_many(compiled.netlist(), CYCLES, n);
-    let batched = compiled.run_batch(&stimuli).expect("batch run");
+    let batched = traces(&mut compiled, &stimuli).expect("batch run");
     (batched, interpreted_traces(&compiled, &stimuli))
 }
 
@@ -241,15 +257,13 @@ fn batch_cancellation_mid_batch_is_deterministic_and_recoverable() {
     let mut sim = Simulator::new(&module).expect("elaborates");
     let stimuli = TestbenchGen::new(0xCA4C).generate_many(sim.netlist(), CYCLES, 10);
     sim.set_cancel(CancelToken::after_polls(3));
-    let err = sim
-        .run_batch(&stimuli)
-        .expect_err("budget must fire mid-batch");
+    let err = traces(&mut sim, &stimuli).expect_err("budget must fire mid-batch");
     assert!(
         matches!(err, SimError::Cancelled { at_cycle: 3 }),
         "expected deterministic cancellation at cycle 3, got {err:?}"
     );
     sim.set_cancel(CancelToken::new());
-    let batched = sim.run_batch(&stimuli).expect("rerun after cancel");
+    let batched = traces(&mut sim, &stimuli).expect("rerun after cancel");
     let oracle = interpreted_traces(&sim, &stimuli);
     assert_matches_interpreter("post-cancel rerun", &batched, &oracle);
 }
@@ -336,14 +350,10 @@ fn assert_verdicts_match_full(name: &str, module: &Module, seed: u64, n: usize) 
     for (i, (st, t)) in stimuli.iter().zip(&full).enumerate() {
         let expect = [expected_verdict(t, &observed)];
         let one = std::slice::from_ref(st);
-        let single = compiled
-            .run_batch_verdict(one, &observed)
-            .expect("single-stimulus verdict");
+        let single = verdicts(&mut compiled, one, &observed).expect("single-stimulus verdict");
         assert_eq!(single, expect, "{name}: stimulus {i} single verdict");
     }
-    let batched = compiled
-        .run_batch_verdict(&stimuli, &observed)
-        .expect("batch verdict");
+    let batched = verdicts(&mut compiled, &stimuli, &observed).expect("batch verdict");
     assert_eq!(batched.len(), full.len(), "{name}: verdict count");
     for (i, (v, t)) in batched.iter().zip(&full).enumerate() {
         assert_eq!(
@@ -600,7 +610,7 @@ fn check_records_only(name: &str, module: &Module, target: &str, seed: u64) -> u
     let set = &sets[2].1;
     let combined = TraceMode::records_observing(set, &observed);
     let stimuli = &stimuli[..70];
-    let full_cancel = cancelled_after_two_polls(&mut sim, |s| s.run_batch(stimuli));
+    let full_cancel = cancelled_after_two_polls(&mut sim, |s| traces(s, stimuli));
     assert_eq!(
         cancelled_after_two_polls(&mut sim, |s| s
             .run_batch_mode(stimuli, TraceMode::records(set))),
@@ -625,7 +635,7 @@ fn check_records_only(name: &str, module: &Module, target: &str, seed: u64) -> u
             stimuli[0].clone(),
             Stimulus::from_named(vec![vec![(port, 1)]; RECORDS_CYCLES]),
         ];
-        let full_err = sim.run_batch(&bad).unwrap_err();
+        let full_err = traces(&mut sim, &bad).unwrap_err();
         assert_eq!(
             sim.run_batch_mode(&bad, TraceMode::records(set))
                 .unwrap_err(),

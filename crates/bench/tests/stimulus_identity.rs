@@ -11,7 +11,7 @@
 //! stimulus layout must leave every digest unchanged.
 
 use rvdg::{Generator, RvdgConfig};
-use sim::{SignalSet, Simulator, Stimulus, TestbenchGen};
+use sim::{SignalSet, Simulator, Stimulus, TestbenchGen, TraceMode};
 use store::hash::Fnv1a;
 use veribug::LocalizeOptions;
 use verilog::Module;
@@ -41,10 +41,10 @@ fn fold(fnv: &mut Fnv1a, sim: &mut Simulator, stimuli: &[Stimulus]) {
         fnv.update(name.as_bytes());
     }
     fnv.update(&(stimuli.len() as u64).to_le_bytes());
-    for (stim, verdict) in stimuli
-        .iter()
-        .zip(sim.run_batch_verdict(stimuli, &inputs).expect("simulates"))
-    {
+    let runs = sim
+        .run_batch_mode(stimuli, TraceMode::verdict(&inputs))
+        .expect("simulates");
+    for (stim, (_, verdict)) in stimuli.iter().zip(runs) {
         fnv.update(&(stim.len() as u64).to_le_bytes());
         for v in &verdict.values {
             fnv.update(&v.bits().to_le_bytes());

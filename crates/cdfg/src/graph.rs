@@ -123,13 +123,6 @@ impl Cdfg {
     pub fn edges(&self) -> &[CdfgEdge] {
         &self.edges
     }
-
-    /// Statements that define a given signal (a signal may be assigned in
-    /// several branches).
-    pub fn defs_of<'g>(&'g self, signal: &str) -> impl Iterator<Item = &'g CdfgNode> {
-        let signal = signal.to_owned();
-        self.nodes.iter().filter(move |n| n.lhs == signal)
-    }
 }
 
 fn rhs_reads(a: &verilog::Assignment) -> Vec<String> {
@@ -286,7 +279,7 @@ mod tests {
              always @(*) begin\nif (c) y = a; else y = b;\nend\nendmodule",
         );
         let g = Cdfg::build(&m);
-        assert_eq!(g.defs_of("y").count(), 2);
+        assert_eq!(g.nodes().iter().filter(|n| n.lhs == "y").count(), 2);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! - [`Vdg`] — variable dependency graph abstracting operation detail,
 //! - [`ConeOfInfluence`] — temporal dependence under `n`-cycle unrolling,
 //! - [`dependencies_of`] — the paper's `Dep_t` reverse-DFS analysis,
-//! - [`Slice`] — static and dynamic design slices for a target output,
+//! - [`Slice`] — the static design slice for a target output,
 //! - [`levelize()`] — exposed-read/write summaries and a topological
 //!   evaluation order for combinational processes (the scheduling layer of
 //!   `veribug-sim`'s compiled engine).
@@ -38,12 +38,12 @@
 
 #![warn(missing_docs)]
 
-pub mod coi;
-pub mod depend;
-pub mod graph;
+mod coi;
+mod depend;
+mod graph;
 pub mod levelize;
-pub mod slice;
-pub mod vdg;
+mod slice;
+mod vdg;
 
 pub use coi::ConeOfInfluence;
 pub use depend::dependencies_of;

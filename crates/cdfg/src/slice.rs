@@ -5,6 +5,8 @@
 //! intersects the static slice with the statements actually executed by a
 //! concrete input stimulus — "if a statement is not executed by `I_n`, it is
 //! certainly not the cause of a bug symptomatized at one of the outputs".
+//! The explainer takes it per run: it reads only the execution records of
+//! static-slice statements, and a statement that did not execute has none.
 
 use std::collections::BTreeSet;
 
@@ -62,16 +64,6 @@ impl Slice {
         }
     }
 
-    /// Restricts this slice to the statements in `executed` (the statements
-    /// a concrete stimulus actually drove), yielding the **dynamic** slice.
-    pub fn restrict_to_executed(&self, executed: &BTreeSet<StmtId>) -> Slice {
-        Slice {
-            target: self.target.clone(),
-            dep: self.dep.clone(),
-            stmts: self.stmts.intersection(executed).copied().collect(),
-        }
-    }
-
     /// True when the slice contains the statement.
     pub fn contains(&self, stmt: StmtId) -> bool {
         self.stmts.contains(&stmt)
@@ -124,22 +116,6 @@ mod tests {
         // sel's definition is in the slice because y is control-dependent on it.
         assert!(s.contains(StmtId(0)));
         assert_eq!(s.len(), 3);
-    }
-
-    #[test]
-    fn dynamic_slice_drops_unexecuted_statements() {
-        let m = module(
-            "module m(input c, input a, input b, output reg y);\n\
-             always @(*) begin\nif (c) y = a; else y = b;\nend\nendmodule",
-        );
-        let s = Slice::of_target(&m, "y");
-        assert_eq!(s.len(), 2);
-        // Pretend only the then-branch executed.
-        let executed: BTreeSet<_> = [StmtId(0)].into_iter().collect();
-        let d = s.restrict_to_executed(&executed);
-        assert_eq!(d.len(), 1);
-        assert!(d.contains(StmtId(0)));
-        assert!(!d.contains(StmtId(1)));
     }
 
     #[test]

@@ -359,17 +359,6 @@ impl<'m> Explainer<'m> {
         self.slots.iter().map(|s| s.features.stmt).collect()
     }
 
-    /// Aggregates attention over every execution (within the target's
-    /// dynamic slice) across `traces`, producing one attention map.
-    pub fn attention_map(&mut self, traces: &[&Trace]) -> AttentionMap {
-        let runs: Vec<LabelledTrace<'_>> = traces
-            .iter()
-            .map(|t| LabelledTrace::new(TraceLabel::Correct, t))
-            .collect();
-        let resolved = self.resolve(&runs, |_| true);
-        self.to_map(&self.mean_map(resolved.runs.iter().map(|r| &r.c[..])))
-    }
-
     /// Builds the heatmap `H_t` from failing and correct attention maps
     /// using the paper's three-case comparison and the given threshold.
     pub fn heatmap(failing: &AttentionMap, correct: &AttentionMap, threshold: f32) -> Heatmap {
@@ -829,15 +818,21 @@ mod tests {
         let stim = TestbenchGen::new(3).generate(sim.netlist(), 32);
         let trace = sim.run(&stim).unwrap();
         let mut ex = Explainer::new(&model, &module, "gnt1");
-        let map = ex.attention_map(&[&trace]);
-        // gnt2's statement (id 3) is outside gnt1's slice.
-        assert!(!map.per_stmt.contains_key(&StmtId(3)));
-        assert!(!map.is_empty());
-        // Every weight vector is a distribution.
-        for att in map.per_stmt.values() {
-            let sum: f32 = att.weights.iter().sum();
-            assert!((sum - 1.0).abs() < 1e-4, "not a distribution: {att:?}");
-            assert!(att.count > 0);
+        let runs = [
+            LabelledTrace::new(TraceLabel::Failing, &trace),
+            LabelledTrace::new(TraceLabel::Correct, &trace),
+        ];
+        let (_, f_map, c_map) = ex.explain(&runs, DEFAULT_THRESHOLD);
+        for map in [&f_map, &c_map] {
+            // gnt2's statement (id 3) is outside gnt1's slice.
+            assert!(!map.per_stmt.contains_key(&StmtId(3)));
+            assert!(!map.is_empty());
+            // Every weight vector is a distribution.
+            for att in map.per_stmt.values() {
+                let sum: f32 = att.weights.iter().sum();
+                assert!((sum - 1.0).abs() < 1e-4, "not a distribution: {att:?}");
+                assert!(att.count > 0);
+            }
         }
     }
 

@@ -79,7 +79,7 @@ pub struct AttributionReport {
 }
 
 /// Stable machine-readable label for a [`SuspicionReason`].
-pub fn reason_label(reason: SuspicionReason) -> &'static str {
+fn reason_label(reason: SuspicionReason) -> &'static str {
     match reason {
         SuspicionReason::OnlyInFailing => "only_in_failing",
         SuspicionReason::DivergentAttention => "divergent_attention",

@@ -12,7 +12,7 @@
 //!
 //! The pipeline, end to end:
 //!
-//! 1. [`features`] — dynamic slicing + operand contexts (leaf-to-leaf AST
+//! 1. [`StatementFeatures`] — dynamic slicing + operand contexts (leaf-to-leaf AST
 //!    paths), paper Sec. IV-B;
 //! 2. [`model`] — PathRNN (LSTM) context embeddings, the aggregation layer
 //!    with learnable ε-skip, dot-product attention, and the output-bit
@@ -63,9 +63,9 @@
 #![warn(missing_docs)]
 
 pub mod coverage;
-pub mod error;
+mod error;
 pub mod explain;
-pub mod features;
+mod features;
 pub mod introspect;
 pub mod localize;
 pub mod model;

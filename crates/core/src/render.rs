@@ -43,7 +43,7 @@ impl Default for RenderOptions {
 }
 
 /// Discretizes a score in `[0, 1]` into `0..bins`.
-pub fn bin_of(score: f32, bins: usize) -> usize {
+fn bin_of(score: f32, bins: usize) -> usize {
     let clamped = score.clamp(0.0, 1.0);
     ((clamped * bins as f32) as usize).min(bins - 1)
 }

@@ -206,7 +206,7 @@ pub fn operand_positions(f: &StatementFeatures, netlist: &sim::Netlist) -> Vec<O
 /// using a position map from [`operand_positions`]. Returns `None` when a
 /// feature operand was not recorded (should not happen for executions
 /// produced by `veribug-sim`).
-pub fn operand_values(positions: &[Option<usize>], exec: &sim::StmtExec) -> Option<Vec<bool>> {
+fn operand_values(positions: &[Option<usize>], exec: &sim::StmtExec) -> Option<Vec<bool>> {
     positions
         .iter()
         .map(|p| p.and_then(|i| exec.operand(i)).map(|v| v.is_truthy()))
@@ -673,7 +673,7 @@ mod tests {
     }
 
     /// The records-only harvest yields exactly the entries a harvest of
-    /// full [`Simulator::run_batch`] traces does: the same records, first
+    /// full traces ([`TraceMode::full`]) does: the same records, first
     /// seen in the same order, deduplicated alike.
     #[test]
     fn records_only_harvest_matches_full_trace_harvest() {
@@ -693,7 +693,8 @@ mod tests {
                 runs,
             );
             let mut seen = BTreeSet::new();
-            for trace in sim.run_batch(&stimuli).unwrap() {
+            let runs = sim.run_batch_mode(&stimuli, TraceMode::full()).unwrap();
+            for (trace, _) in runs {
                 for exec in trace.cycles.iter().flat_map(|c| c.execs.iter()) {
                     let Some(idx) = stmts.iter().position(|f| f.stmt == exec.stmt) else {
                         continue;

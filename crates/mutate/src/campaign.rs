@@ -6,9 +6,7 @@ use rand::{RngExt, SeedableRng};
 use std::collections::BTreeSet;
 
 use crate::mutation::{apply, enumerate_sites, MutationKind, MutationSite};
-use crate::observe::{
-    any_diverged, golden_verdicts, run_lane_groups_mode, screen_with, LabelledRun, RunVerdict,
-};
+use crate::observe::{golden_verdicts, run_lane_groups_mode, screen_with, LabelledRun, RunVerdict};
 use cdfg::Slice;
 use sim::{SimError, Simulator, Stimulus, StmtExec, TestbenchGen, TraceMode, Value};
 use verilog::Module;
@@ -278,7 +276,7 @@ impl Campaign {
                     // this skip set matches the single-pass flow's.
                     let mut sim = Simulator::new(&module).ok()?;
                     let verdicts = screen_with(&mut sim, &golden_vs, target_id, &stimuli).ok()?;
-                    let observable = any_diverged(&verdicts);
+                    let observable = verdicts.iter().any(RunVerdict::diverged);
                     Some((module, source, sim, verdicts, observable))
                 });
                 // Sequential merge in site order: duplicate and budget

@@ -31,14 +31,13 @@
 
 #![warn(missing_docs)]
 
-pub mod campaign;
-pub mod mutation;
-pub mod observe;
+mod campaign;
+mod mutation;
+mod observe;
 pub mod oracle;
 
 pub use campaign::{BugBudget, Campaign, Mutant};
 pub use mutation::{apply, enumerate_sites, MutationKind, MutationSite};
 pub use observe::{
-    any_diverged, golden_verdicts, run_lane_groups, run_lane_groups_mode, screen_against,
-    screen_with, LabelledRun, RunVerdict,
+    golden_verdicts, run_lane_groups, run_lane_groups_mode, screen_with, LabelledRun, RunVerdict,
 };

@@ -194,10 +194,7 @@ fn substitutions_for(op: BinaryOp) -> Vec<BinaryOp> {
 
 /// Calls `f` on every assignment of the module (mutably). `f` returning
 /// `Some(())` is ignored; it exists so callers can use `?` internally.
-pub fn for_each_assignment_mut(
-    module: &mut Module,
-    mut f: impl FnMut(&mut Assignment) -> Option<()>,
-) {
+fn for_each_assignment_mut(module: &mut Module, mut f: impl FnMut(&mut Assignment) -> Option<()>) {
     fn walk(stmts: &mut [Stmt], f: &mut impl FnMut(&mut Assignment) -> Option<()>) {
         for s in stmts {
             match s {

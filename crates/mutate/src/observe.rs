@@ -13,7 +13,6 @@
 //! to check that path against.
 
 use sim::{SignalSet, SimError, Simulator, Stimulus, Trace, TraceLabel, TraceMode, VerdictTrace};
-use verilog::Module;
 
 /// One mutant run on one stimulus, with its failure label.
 #[derive(Debug, Clone, PartialEq)]
@@ -92,16 +91,18 @@ fn label_of(divergence_cycles: &[u32]) -> TraceLabel {
 /// cancel token re-installed (forks reset to inert) — and merge results in
 /// stimulus order, so the output is identical at any thread count.
 pub fn run_lane_groups(sim: &mut Simulator, stimuli: &[Stimulus]) -> Result<Vec<Trace>, SimError> {
-    fan_out(sim, stimuli, Simulator::run_batch)
+    let runs = run_lane_groups_mode(sim, stimuli, TraceMode::full())?;
+    Ok(runs.into_iter().map(|(trace, _)| trace).collect())
 }
 
-/// [`run_lane_groups`] in verdict mode ([`Simulator::run_batch_verdict`]).
+/// [`run_lane_groups`] in verdict mode ([`TraceMode::verdict`]).
 fn run_lane_groups_verdict(
     sim: &mut Simulator,
     stimuli: &[Stimulus],
     observed: &SignalSet,
 ) -> Result<Vec<VerdictTrace>, SimError> {
-    fan_out(sim, stimuli, |s, g| s.run_batch_verdict(g, observed))
+    let runs = run_lane_groups_mode(sim, stimuli, TraceMode::verdict(observed))?;
+    Ok(runs.into_iter().map(|(_, verdict)| verdict).collect())
 }
 
 /// [`run_lane_groups`] under any [`TraceMode`]
@@ -113,23 +114,14 @@ pub fn run_lane_groups_mode(
     stimuli: &[Stimulus],
     mode: TraceMode<'_>,
 ) -> Result<Vec<(Trace, VerdictTrace)>, SimError> {
-    fan_out(sim, stimuli, |s, g| s.run_batch_mode(g, mode))
-}
-
-/// The lane-group fan-out behind every `run_lane_groups*` function.
-fn fan_out<T: Send>(
-    sim: &mut Simulator,
-    stimuli: &[Stimulus],
-    run: impl Fn(&mut Simulator, &[Stimulus]) -> Result<Vec<T>, SimError> + Sync,
-) -> Result<Vec<T>, SimError> {
     if stimuli.len() <= sim::LANES {
-        return run(sim, stimuli);
+        return sim.run_batch_mode(stimuli, mode);
     }
     let shared = &*sim;
     let results = par::par_chunk_map(stimuli, sim::LANES, |_, group| {
         let mut fork = shared.fork();
         fork.set_cancel(shared.cancel_token().clone());
-        run(&mut fork, group)
+        fork.run_batch_mode(group, mode)
     });
     let mut out = Vec::with_capacity(stimuli.len());
     for r in results {
@@ -153,32 +145,18 @@ pub fn golden_verdicts(
     run_lane_groups_verdict(sim, stimuli, &SignalSet::from_ids([target]))
 }
 
-/// Screens a mutant against precomputed golden verdicts: verdict-mode
-/// co-simulation yielding one [`RunVerdict`] per stimulus. Divergence
-/// verdicts, labels, and divergence cycles are identical to what
-/// full-trace co-simulation ([`crate::oracle::cosimulate`]) would produce — verdict mode
-/// reproduces exactly the observed columns of the full trace — at a
-/// fraction of the memory traffic.
+/// Screens a mutant, simulated by `mutant_sim`, against precomputed golden
+/// verdicts: verdict-mode co-simulation yielding one [`RunVerdict`] per
+/// stimulus. Divergence verdicts, labels, and divergence cycles are
+/// identical to what full-trace co-simulation
+/// ([`crate::oracle::cosimulate`]) would produce — verdict mode reproduces
+/// exactly the observed columns of the full trace — at a fraction of the
+/// memory traffic.
 ///
 /// # Errors
 ///
-/// Propagates elaboration or simulation errors from the mutant (the same
-/// errors, at the same points, as the full-trace pass).
-pub fn screen_against(
-    golden: &[VerdictTrace],
-    target: sim::SignalId,
-    mutant: &Module,
-    stimuli: &[Stimulus],
-) -> Result<Vec<RunVerdict>, SimError> {
-    let mut mutant_sim = Simulator::new(mutant)?;
-    screen_with(&mut mutant_sim, golden, target, stimuli)
-}
-
-/// [`screen_against`] with a caller-supplied mutant simulator.
-///
-/// # Errors
-///
-/// Propagates simulation errors (including cancellation) from the mutant.
+/// Propagates simulation errors (including cancellation) from the mutant
+/// (the same errors, at the same points, as the full-trace pass).
 pub fn screen_with(
     mutant_sim: &mut Simulator,
     golden: &[VerdictTrace],
@@ -202,17 +180,12 @@ pub fn screen_with(
         .collect())
 }
 
-/// True when any screening run diverged: the bug is observable at the
-/// target.
-pub fn any_diverged(verdicts: &[RunVerdict]) -> bool {
-    verdicts.iter().any(RunVerdict::diverged)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::oracle::cosimulate;
     use sim::TestbenchGen;
+    use verilog::Module;
 
     fn module(src: &str) -> Module {
         verilog::parse(src).unwrap().top().clone()
@@ -290,11 +263,12 @@ mod tests {
         let stimuli = TestbenchGen::new(5).generate_many(golden_sim.netlist(), 12, 70);
 
         let gv = golden_verdicts(&mut golden_sim, &stimuli, target).unwrap();
-        let verdicts = screen_against(&gv, target, &mutant, &stimuli).unwrap();
+        let mut mutant_sim = Simulator::new(&mutant).unwrap();
+        let verdicts = screen_with(&mut mutant_sim, &gv, target, &stimuli).unwrap();
         let runs = cosim(&golden, &mutant, "y", &stimuli);
 
         assert_eq!(verdicts.len(), runs.len());
-        assert_eq!(any_diverged(&verdicts), observable(&runs));
+        assert_eq!(verdicts.iter().any(RunVerdict::diverged), observable(&runs));
         for (v, r) in verdicts.iter().zip(&runs) {
             assert_eq!(v.label(), r.label);
             assert_eq!(v.divergence_cycles, r.failure_cycles);

@@ -39,16 +39,6 @@ impl Adam {
         self
     }
 
-    /// The configured learning rate.
-    pub fn learning_rate(&self) -> f32 {
-        self.lr
-    }
-
-    /// Steps completed so far.
-    pub fn steps(&self) -> u64 {
-        self.t
-    }
-
     /// Applies one update using the gradients accumulated in `params`,
     /// dividing them by `batch_size` first, then **zeroes the gradients**.
     ///
@@ -139,6 +129,5 @@ mod tests {
         let mut adam = Adam::new(0.01);
         adam.step(&mut params, 1.0);
         assert_eq!(params.grad(pid).item(), 0.0);
-        assert_eq!(adam.steps(), 1);
     }
 }

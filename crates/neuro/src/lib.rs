@@ -7,8 +7,8 @@
 //! The VeriBug paper's model is small (context dim 16, attention dim 32, one
 //! LSTM, two MLPs); this crate reproduces exactly the operations that model
 //! needs rather than a general framework (DESIGN.md, substitution #2).
-//! Gradient correctness is enforced by finite-difference tests in
-//! [`graph`]. Every layer also has a tape-free `infer` for inference, built
+//! Gradient correctness is enforced by finite-difference tests of the ops on
+//! [`Graph`]. Every layer also has a tape-free `infer` for inference, built
 //! on the same [`Tensor`] functions as the tape's ops.
 //!
 //! ## Quick start — fit a tiny classifier
@@ -48,14 +48,14 @@
 
 #![warn(missing_docs)]
 
-pub mod adam;
-pub mod attention;
-pub mod graph;
-pub mod init;
-pub mod lstm;
-pub mod mlp;
-pub mod params;
-pub mod tensor;
+mod adam;
+mod attention;
+mod graph;
+mod init;
+mod lstm;
+mod mlp;
+mod params;
+mod tensor;
 
 pub use adam::Adam;
 pub use attention::{attend, dot_product_attention};

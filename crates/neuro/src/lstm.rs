@@ -58,16 +58,6 @@ impl Lstm {
         }
     }
 
-    /// Hidden state dimension.
-    pub fn hidden_dim(&self) -> usize {
-        self.hidden_dim
-    }
-
-    /// Input dimension.
-    pub fn input_dim(&self) -> usize {
-        self.input_dim
-    }
-
     /// One LSTM step: `(h, c) -> (h', c')` given input `x` (`1×input_dim`).
     pub fn step(
         &self,
@@ -104,13 +94,7 @@ impl Lstm {
 
     /// Tape-free [`Lstm::step`]: the same arithmetic, reading the weights
     /// in place. Returns `(h', c')`.
-    pub fn step_infer(
-        &self,
-        params: &Params,
-        x: &Tensor,
-        h: &Tensor,
-        c: &Tensor,
-    ) -> (Tensor, Tensor) {
+    fn step_infer(&self, params: &Params, x: &Tensor, h: &Tensor, c: &Tensor) -> (Tensor, Tensor) {
         let gate = |w: ParamId, u: ParamId, b: ParamId| {
             x.matmul(params.value(w))
                 .add(&h.matmul(params.value(u)))

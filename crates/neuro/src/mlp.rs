@@ -176,11 +176,6 @@ impl Embedding {
     pub fn dim(&self) -> usize {
         self.dim
     }
-
-    /// Vocabulary size.
-    pub fn vocab(&self) -> usize {
-        self.vocab
-    }
 }
 
 #[cfg(test)]

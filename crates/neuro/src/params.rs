@@ -107,11 +107,6 @@ impl Params {
     pub fn is_empty(&self) -> bool {
         self.tensors.is_empty()
     }
-
-    /// Total scalar count across all parameter tensors.
-    pub fn scalar_count(&self) -> usize {
-        self.tensors.iter().map(|t| t.rows() * t.cols()).sum()
-    }
 }
 
 impl Default for Params {
@@ -202,7 +197,8 @@ mod tests {
         let w = p.register("w", Tensor::zeros(2, 3));
         assert_eq!(p.id_of("w"), Some(w));
         assert_eq!(p.name(w), "w");
-        assert_eq!(p.scalar_count(), 6);
+        assert_eq!(p.len(), 1);
+        assert_eq!((p.value(w).rows(), p.value(w).cols()), (2, 3));
     }
 
     #[test]

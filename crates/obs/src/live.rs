@@ -129,7 +129,7 @@ impl CompletedTrace {
 
     /// Sums span durations by name — the per-stage breakdown the rolling
     /// windows and `/statusz` aggregate.
-    pub fn stage_us(&self) -> Vec<(Name, u64)> {
+    fn stage_us(&self) -> Vec<(Name, u64)> {
         let mut agg: Vec<(Name, u64)> = Vec::new();
         for s in &self.spans {
             match agg.iter_mut().find(|(n, _)| *n == s.name) {

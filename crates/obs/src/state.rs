@@ -112,11 +112,6 @@ impl Report {
         self.counters.get(name).copied()
     }
 
-    /// Looks up a gauge value.
-    pub fn gauge(&self, name: &str) -> Option<f64> {
-        self.gauges.get(name).copied()
-    }
-
     /// Looks up a histogram summary.
     pub fn histogram(&self, name: &str) -> Option<&HistSummary> {
         self.histograms.get(name)

@@ -94,11 +94,6 @@ impl Generator {
         Generator { cfg, seed }
     }
 
-    /// The generator's configuration.
-    pub fn config(&self) -> &RvdgConfig {
-        &self.cfg
-    }
-
     /// Generates the `index`-th design of the corpus.
     ///
     /// # Errors
@@ -257,7 +252,8 @@ mod tests {
         let gen = Generator::new(RvdgConfig::default(), 11);
         let d = gen.generate(0).unwrap();
         let m = &d.module;
-        assert_eq!(m.input_names().len(), 7); // clk + 4 bit inputs + 2 wide
+        let inputs = m.ports.iter().filter(|p| p.dir == verilog::PortDir::Input);
+        assert_eq!(inputs.count(), 7); // clk + 4 bit inputs + 2 wide
         assert_eq!(m.output_names().len(), 2);
         assert_eq!(m.items.len(), 2, "one clocked + one combinational block");
     }

@@ -26,9 +26,9 @@
 
 #![warn(missing_docs)]
 
-pub mod expr;
-pub mod generator;
-pub mod template;
+mod expr;
+mod generator;
+mod template;
 
 pub use expr::{random_expr, ExprConfig};
 pub use generator::{GeneratedDesign, Generator, RvdgConfig};

@@ -22,11 +22,6 @@ pub struct SignalPool {
 }
 
 impl SignalPool {
-    /// True when no one-bit signals are available.
-    pub fn no_bits(&self) -> bool {
-        self.bits.is_empty()
-    }
-
     fn random_bit(&self, rng: &mut StdRng) -> &str {
         &self.bits[rng.random_range(0..self.bits.len())]
     }
@@ -89,7 +84,7 @@ pub fn random_bool_expr(
     cfg: &ExprConfig,
     mix: &TemplateMix,
 ) -> String {
-    assert!(!pool.no_bits(), "empty one-bit signal pool");
+    assert!(!pool.bits.is_empty(), "empty one-bit signal pool");
     let have_wide = !pool.wide.is_empty();
     let weights = [
         mix.boolean,

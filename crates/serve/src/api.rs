@@ -9,6 +9,7 @@
 
 use obs::json::{self, Json};
 use veribug::{LocalizeOptions, LocalizeReport};
+use verilog::{Module, StmtId};
 
 /// A structured error answer; rendered as
 /// `{"error":{"status":...,"kind":...,"message":...[,"line":...,"col":...][,"request_id":...]}}`.
@@ -218,6 +219,86 @@ pub fn parse_analyze(body: &[u8]) -> Result<AnalyzeRequest, ApiError> {
         target: str_field(&doc, "target")?,
         depth: usize_field(&doc, "depth", 8)?.min(u32::MAX as usize) as u32,
     })
+}
+
+/// The dependence summary of one target that `/v1/analyze` and
+/// `veribug analyze` both print.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct AnalyzeSummary {
+    /// The module's name.
+    pub module: String,
+    /// The target signal.
+    pub target: String,
+    /// `Dep_t`: the signals that influence the target, in name order.
+    pub dep: Vec<String>,
+    /// The target's static slice in statement order, each assignment with
+    /// the cone-of-influence depth of its left-hand side (0 when the cone
+    /// does not reach it) and its `lhs = rhs` source.
+    pub slice: Vec<(StmtId, Option<(u32, String)>)>,
+}
+
+/// Summarizes `module` for `target`: `Dep_t`, the static slice, and the
+/// cone-of-influence depth of each slice assignment, unrolled `depth`
+/// cycles.
+pub fn analyze(module: &Module, target: &str, depth: u32) -> AnalyzeSummary {
+    let cdfg = cdfg::Cdfg::build(module);
+    let vdg = cdfg::Vdg::from_cdfg(module, &cdfg);
+    let slice = cdfg::Slice::of_target_with(&cdfg, &vdg, target);
+    let coi = cdfg::ConeOfInfluence::compute(&vdg, target, depth);
+    let slice_stmts = slice
+        .stmts
+        .iter()
+        .map(|&stmt| {
+            let assignment = module.assignment(stmt).map(|a| {
+                let depth = coi.min_cycles.get(&a.lhs.base).copied().unwrap_or(0);
+                (
+                    depth,
+                    format!("{} = {}", a.lhs.base, verilog::print_expr(&a.rhs)),
+                )
+            });
+            (stmt, assignment)
+        })
+        .collect();
+    AnalyzeSummary {
+        module: module.name.clone(),
+        target: target.to_owned(),
+        dep: slice.dep.into_iter().collect(),
+        slice: slice_stmts,
+    }
+}
+
+/// Renders an [`AnalyzeSummary`] as the `/v1/analyze` 200 body.
+pub fn render_analyze(summary: &AnalyzeSummary) -> String {
+    let mut out = String::from("{\"module\":");
+    json::write_str(&mut out, &summary.module);
+    out.push_str(",\"target\":");
+    json::write_str(&mut out, &summary.target);
+    out.push_str(",\"dep\":[");
+    for (i, d) in summary.dep.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        json::write_str(&mut out, d);
+    }
+    out.push_str("],\"slice\":[");
+    for (i, (stmt, assignment)) in summary.slice.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push_str("{\"stmt\":");
+        json::write_str(&mut out, &stmt.to_string());
+        if let Some((depth, source)) = assignment {
+            let _ = std::fmt::Write::write_fmt(&mut out, format_args!(",\"depth\":{depth}"));
+            out.push_str(",\"source\":");
+            json::write_str(&mut out, source);
+        }
+        out.push('}');
+    }
+    let _ = std::fmt::Write::write_fmt(
+        &mut out,
+        format_args!("],\"statements\":{}}}\n", summary.slice.len()),
+    );
+    out
 }
 
 /// Renders a [`LocalizeReport`] as the `/v1/localize` 200 body.

@@ -40,7 +40,7 @@ use veribug::model::{ModelConfig, VeriBugModel};
 use veribug::render::render_comparison;
 use veribug::train::{self, Dataset, TrainConfig};
 use veribug::{persist, AttributionReport, DEFAULT_THRESHOLD};
-use veribug_serve::{Server, ServerConfig};
+use veribug_serve::{api, Server, ServerConfig};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -553,27 +553,14 @@ fn cmd_inject(opts: &HashMap<String, String>) -> CmdResult {
 
 fn cmd_analyze(opts: &HashMap<String, String>) -> CmdResult {
     let design = load_module(required(opts, "design")?)?;
-    let target = required(opts, "target")?;
-    let vdg = cdfg::Vdg::build(&design);
-    let dep = cdfg::dependencies_of(&vdg, target);
-    let slice = cdfg::Slice::of_target(&design, target);
-    let coi = cdfg::ConeOfInfluence::compute(&vdg, target, 8);
-    println!("module {}", design.name);
-    println!("target {target}");
-    println!(
-        "Dep_t ({}): {}",
-        dep.len(),
-        dep.iter().cloned().collect::<Vec<_>>().join(", ")
-    );
-    println!("static slice ({} statements):", slice.len());
-    for stmt in &slice.stmts {
-        if let Some(a) = design.assignment(*stmt) {
-            let depth = coi.min_cycles.get(&a.lhs.base).copied().unwrap_or(0);
-            println!(
-                "  {stmt} (depth {depth}): {} = {}",
-                a.lhs.base,
-                verilog::print_expr(&a.rhs)
-            );
+    let summary = api::analyze(&design, required(opts, "target")?, 8);
+    println!("module {}", summary.module);
+    println!("target {}", summary.target);
+    println!("Dep_t ({}): {}", summary.dep.len(), summary.dep.join(", "));
+    println!("static slice ({} statements):", summary.slice.len());
+    for (stmt, assignment) in &summary.slice {
+        if let Some((depth, source)) = assignment {
+            println!("  {stmt} (depth {depth}): {source}");
         }
     }
     Ok(())

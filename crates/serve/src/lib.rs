@@ -6,7 +6,7 @@
 //! [`veribug::localize`]), wrapped in the machinery a long-running process
 //! needs:
 //!
-//! - a **bounded worker pool** ([`pool`]) fed by a bounded queue —
+//! - a **bounded worker pool** ([`Pool`]) fed by a bounded queue —
 //!   saturation answers `429` instead of queueing unboundedly;
 //! - a **content-addressed LRU cache** ([`cache`]) of parsed, elaborated,
 //!   and compiled designs — repeat requests skip parse → levelize →
@@ -38,8 +38,7 @@
 //!   from `x-veribug-request-id` or minted), echoed on every response and
 //!   attached to error bodies; completed requests are tail-sampled into an
 //!   in-memory ring of span trees and folded into rolling per-endpoint
-//!   windows, served by the `/tracez` and `/statusz` debug pages
-//!   ([`telemetry`]);
+//!   windows, served by the `/tracez` and `/statusz` debug pages;
 //! - **warm restarts** — with a persistent `veribug-store` root
 //!   configured, the design cache writes sources through to disk and a
 //!   restarted server precompiles them before accepting traffic, so the
@@ -75,10 +74,10 @@ pub mod api;
 pub mod cache;
 pub mod http;
 mod listen;
-pub mod pool;
+mod pool;
 pub mod server;
 mod shard;
-pub mod telemetry;
+mod telemetry;
 
 pub use cache::DesignCache;
 pub use pool::{Pool, SubmitError};

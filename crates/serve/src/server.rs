@@ -786,44 +786,8 @@ fn handle_analyze(body: &[u8], reply: &mut Reply) -> u16 {
         }
     };
     let _span = obs::span("serve.analyze");
-    let vdg = cdfg::Vdg::build(&module);
-    let dep = cdfg::dependencies_of(&vdg, &parsed.target);
-    let slice = cdfg::Slice::of_target(&module, &parsed.target);
-    let coi = cdfg::ConeOfInfluence::compute(&vdg, &parsed.target, parsed.depth);
-    let mut out = String::from("{\"module\":");
-    obs::json::write_str(&mut out, &module.name);
-    out.push_str(",\"target\":");
-    obs::json::write_str(&mut out, &parsed.target);
-    out.push_str(",\"dep\":[");
-    for (i, d) in dep.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        obs::json::write_str(&mut out, d);
-    }
-    out.push_str("],\"slice\":[");
-    for (i, stmt) in slice.stmts.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str("{\"stmt\":");
-        obs::json::write_str(&mut out, &stmt.to_string());
-        if let Some(a) = module.assignment(*stmt) {
-            let depth = coi.min_cycles.get(&a.lhs.base).copied().unwrap_or(0);
-            let _ = std::fmt::Write::write_fmt(&mut out, format_args!(",\"depth\":{depth}"));
-            out.push_str(",\"source\":");
-            obs::json::write_str(
-                &mut out,
-                &format!("{} = {}", a.lhs.base, verilog::print_expr(&a.rhs)),
-            );
-        }
-        out.push('}');
-    }
-    let _ = std::fmt::Write::write_fmt(
-        &mut out,
-        format_args!("],\"statements\":{}}}\n", slice.len()),
-    );
-    reply.send(200, &[], &out)
+    let body = api::render_analyze(&api::analyze(&module, &parsed.target, parsed.depth));
+    reply.send(200, &[], &body)
 }
 
 fn handle_healthz(state: &ServerState, reply: &mut Reply) -> u16 {

@@ -100,6 +100,16 @@ pub(crate) enum Routed {
     Busy,
 }
 
+/// SplitMix64's finalizer. FNV-1a of addresses that differ only in a few
+/// port digits leaves the ring points clustered, so that one backend can own
+/// most of the keyspace; the finalizer spreads them evenly. Shard keys stay
+/// plain FNV-1a, the design cache's key.
+fn mix(mut z: u64) -> u64 {
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
 impl Ring {
     /// A ring of [`REPLICAS`] points per backend, each backend and the
     /// local fallback allowed `share` requests in flight; every backend
@@ -116,7 +126,8 @@ impl Ring {
         let mut points = Vec::with_capacity(backends.len() * REPLICAS);
         for (i, b) in backends.iter().enumerate() {
             for r in 0..REPLICAS {
-                points.push((fnv1a(format!("{}#{r}", b.addr).as_bytes()), i));
+                let point = fnv1a(format!("{}#{r}", b.addr).as_bytes());
+                points.push((mix(point), i));
             }
         }
         points.sort_unstable();
@@ -329,6 +340,37 @@ mod tests {
         }
         for (i, &c) in counts.iter().enumerate() {
             assert!(c > 60, "backend {i} owns a real share, got {c}/600");
+        }
+    }
+
+    /// Each backend's share of the 64-bit keyspace: a point owns the keys
+    /// from just past the previous point up to itself.
+    fn keyspace_shares(ring: &Ring) -> Vec<f64> {
+        let mut owned = vec![0u128; ring.backends.len()];
+        let mut prev = ring.points.last().expect("points").0;
+        for &(point, idx) in &ring.points {
+            owned[idx] += u128::from(point.wrapping_sub(prev));
+            prev = point;
+        }
+        let total = owned.iter().sum::<u128>() as f64;
+        owned.iter().map(|&o| o as f64 / total).collect()
+    }
+
+    #[test]
+    fn no_loopback_backend_owns_most_of_the_keyspace() {
+        // Loopback backends differ only in their ephemeral port.
+        let mut port = 40_961u32;
+        let mut next_port = || {
+            port = (port * 7_919 + 104_729) % 28_000;
+            32_768 + port
+        };
+        for _ in 0..40 {
+            let addrs: Vec<String> = (0..3)
+                .map(|_| format!("127.0.0.1:{}", next_port()))
+                .collect();
+            let shares = keyspace_shares(&Ring::new(&addrs, 1));
+            let max = shares.iter().copied().fold(0.0, f64::max);
+            assert!(max <= 0.5, "{addrs:?} split the keyspace {shares:?}");
         }
     }
 

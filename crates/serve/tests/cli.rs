@@ -9,7 +9,7 @@ use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::process::{Command, Stdio};
 
-use common::{encode, request, request_with, ResponseExt, BUGGY, GOLDEN};
+use common::{encode, request, request_with, start, stop, ResponseExt, BUGGY, GOLDEN};
 
 const BIN: &str = env!("CARGO_BIN_EXE_veribug");
 
@@ -107,6 +107,60 @@ fn help_prints_usage_and_succeeds() {
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("USAGE"), "{stdout}");
     assert!(stdout.contains("veribug serve"), "{stdout}");
+}
+
+/// `veribug analyze` and `POST /v1/analyze` print one summary: the CLI's
+/// `Dep_t` list is the body's `dep`, and every statement the CLI lists is a
+/// `slice` entry of the body with the same id, depth and source.
+#[test]
+fn cli_and_server_analyze_agree() {
+    let dir = scratch_dir("analyze");
+    let design = dir.join("golden.v");
+    std::fs::write(&design, GOLDEN).unwrap();
+    let out = Command::new(BIN)
+        .args(["analyze", "--target", "y", "--design"])
+        .arg(&design)
+        .output()
+        .expect("run analyze");
+    let _ = std::fs::remove_dir_all(&dir);
+    assert!(out.status.success(), "{out:?}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let (_, cli_dep) = stdout
+        .lines()
+        .find_map(|l| l.strip_prefix("Dep_t (")?.split_once("): "))
+        .expect("a Dep_t line");
+    let cli_stmts: Vec<&str> = stdout
+        .lines()
+        .skip_while(|l| !l.starts_with("static slice"))
+        .skip(1)
+        .collect();
+    assert!(!cli_stmts.is_empty(), "CLI lists the slice: {stdout}");
+
+    let (handle, join) = start(Default::default());
+    let body = format!("{{\"design\":{},\"target\":\"y\"}}", encode(GOLDEN));
+    let resp = request(handle.addr(), "POST", "/v1/analyze", &body);
+    stop(&handle, join);
+    assert_eq!(resp.status, 200, "body: {}", resp.text());
+    let doc = resp.json();
+    let array = |key| doc.get(key).and_then(|a| a.as_arr()).unwrap().iter();
+    let http_dep: Vec<&str> = array("dep").map(|d| d.as_str().unwrap()).collect();
+    assert_eq!(cli_dep, http_dep.join(", "));
+    let http_stmts: Vec<String> = array("slice")
+        .filter_map(|e| {
+            let (stmt, depth) = (e.get("stmt")?.as_str()?, e.get("depth")?.as_num()?);
+            Some(format!(
+                "  {stmt} (depth {depth}): {}",
+                e.get("source")?.as_str()?
+            ))
+        })
+        .collect();
+    for line in cli_stmts {
+        assert!(
+            http_stmts.iter().any(|h| h == line),
+            "`{line}` not in {}",
+            resp.text()
+        );
+    }
 }
 
 /// The acceptance check: the CLI and the server produce byte-identical

@@ -24,7 +24,7 @@ use std::collections::BTreeSet;
 use crate::error::SimError;
 use crate::netlist::{Netlist, Process, SignalId, SignalRole};
 use crate::value::Value;
-use verilog::token::Span;
+use verilog::Span;
 use verilog::{Assignment, BinaryOp, Expr, Select, Stmt, StmtId, UnaryOp};
 
 /// One expression instruction. Slots index the value slab; `sig` fields

@@ -36,23 +36,23 @@
 #![warn(missing_docs)]
 
 mod batch;
-pub mod cancel;
+mod cancel;
 mod compile;
-pub mod error;
-pub mod eval;
+mod error;
+mod eval;
 mod metrics;
-pub mod netlist;
+mod netlist;
 pub mod oracle;
-pub mod sched;
-pub mod testbench;
-pub mod trace;
-pub mod value;
-pub mod vcd;
+mod sched;
+mod testbench;
+mod trace;
+mod value;
+mod vcd;
 
 pub use cancel::CancelToken;
 pub use error::SimError;
 pub use eval::Write;
-pub use netlist::{Netlist, Process, Signal, SignalId, SignalRole};
+pub use netlist::{AssignInfo, Netlist, Process, Signal, SignalId, SignalRole};
 pub use sched::{EngineKind, Simulator};
 pub use testbench::{Stimulus, TestbenchGen};
 pub use trace::{

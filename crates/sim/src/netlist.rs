@@ -271,14 +271,6 @@ impl Netlist {
             .collect()
     }
 
-    /// Ids of all output ports.
-    pub fn outputs(&self) -> Vec<SignalId> {
-        (0..self.signals.len() as u32)
-            .map(SignalId)
-            .filter(|id| self.signal(*id).role == SignalRole::Output)
-            .collect()
-    }
-
     /// Input ports the testbench should randomize: inputs minus the clock.
     pub fn stimulus_inputs(&self) -> Vec<SignalId> {
         self.inputs()

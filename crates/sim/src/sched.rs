@@ -6,7 +6,7 @@ use crate::cancel::CancelToken;
 use crate::error::SimError;
 use crate::netlist::Netlist;
 use crate::testbench::Stimulus;
-use crate::trace::{SignalSet, Trace, TraceMode, VerdictTrace};
+use crate::trace::{Trace, TraceMode, VerdictTrace};
 use crate::value::LANES;
 use verilog::Module;
 
@@ -128,49 +128,8 @@ impl Simulator {
     /// settle, and [`SimError::Cancelled`] when an installed
     /// [`CancelToken`] fires.
     pub fn run(&mut self, stimulus: &Stimulus) -> Result<Trace, SimError> {
-        let mut traces = self.run_batch(std::slice::from_ref(stimulus))?;
-        Ok(traces.pop().expect("one trace per stimulus"))
-    }
-
-    /// Runs many stimuli and returns one trace per stimulus, in order.
-    ///
-    /// Consecutive stimuli of equal cycle count are grouped into batches of
-    /// up to [`LANES`] and simulated bit-parallel — one bytecode op
-    /// evaluates every lane at once — which is how campaigns, dataset
-    /// builds, and localization amortize per-stimulus cost. Traces,
-    /// snapshots, and [`crate::StmtExec`] records are bit-identical to the
-    /// oracle's, whatever the grouping.
-    ///
-    /// # Errors
-    ///
-    /// The same errors as [`run`](Self::run); the first failing stimulus
-    /// (in order) aborts the remainder, and any partial results are
-    /// discarded.
-    pub fn run_batch(&mut self, stimuli: &[Stimulus]) -> Result<Vec<Trace>, SimError> {
-        let runs = self.run_batch_mode(stimuli, TraceMode::full())?;
-        Ok(runs.into_iter().map(|(trace, _)| trace).collect())
-    }
-
-    /// Runs many stimuli in verdict mode ([`TraceMode::verdict`]), one
-    /// [`VerdictTrace`] per stimulus in order, batched exactly as
-    /// [`run_batch`](Self::run_batch). Value evolution, input validation,
-    /// and cancellation behave as in full mode, but no [`crate::StmtExec`] records
-    /// are materialized and only `observed` signals are snapshotted per
-    /// cycle: each result is exactly the observed columns of the full
-    /// trace. This is the campaign screening pass: the 64-lane compute win
-    /// with none of the trace-production memory traffic.
-    ///
-    /// # Errors
-    ///
-    /// The same errors as [`run_batch`](Self::run_batch); the first failing
-    /// stimulus aborts the remainder.
-    pub fn run_batch_verdict(
-        &mut self,
-        stimuli: &[Stimulus],
-        observed: &SignalSet,
-    ) -> Result<Vec<VerdictTrace>, SimError> {
-        let runs = self.run_batch_mode(stimuli, TraceMode::verdict(observed))?;
-        Ok(runs.into_iter().map(|(_, verdict)| verdict).collect())
+        let mut runs = self.run_batch_mode(std::slice::from_ref(stimulus), TraceMode::full())?;
+        Ok(runs.pop().expect("one trace per stimulus").0)
     }
 
     /// Runs many stimuli under `mode` and returns one `(trace, observed
@@ -178,8 +137,18 @@ impl Simulator {
     /// records (no cycles when it records nothing); the [`VerdictTrace`]
     /// holds the observed signals' per-cycle values (none when it observes
     /// nothing). The engine runs one cycle loop for every mode, so each
-    /// product equals the corresponding part of the full trace. Stimuli
-    /// are batched exactly as in [`run_batch`](Self::run_batch).
+    /// product equals the corresponding part of the full trace:
+    /// [`TraceMode::full`] gives the traces [`run`](Self::run) would, and
+    /// [`TraceMode::verdict`] — the campaign screening pass — gives exactly
+    /// their observed columns with no [`crate::StmtExec`] records
+    /// materialized.
+    ///
+    /// Consecutive stimuli of equal cycle count are grouped into batches of
+    /// up to [`LANES`] and simulated bit-parallel — one bytecode op
+    /// evaluates every lane at once — which is how campaigns, dataset
+    /// builds, and localization amortize per-stimulus cost. Traces,
+    /// snapshots, and records are bit-identical to the oracle's, whatever
+    /// the grouping.
     ///
     /// # Errors
     ///
@@ -220,10 +189,26 @@ mod tests {
     use super::*;
     use crate::oracle::interpret;
     use crate::testbench::Stimulus;
-    use crate::trace::StmtExec;
+    use crate::trace::{SignalSet, StmtExec};
 
     fn stim(vectors: Vec<Vec<(&str, u64)>>) -> Stimulus {
         Stimulus::from_named(vectors)
+    }
+
+    /// The full traces of `stimuli`, one per stimulus.
+    fn traces(sim: &mut Simulator, stimuli: &[Stimulus]) -> Result<Vec<Trace>, SimError> {
+        let runs = sim.run_batch_mode(stimuli, TraceMode::full())?;
+        Ok(runs.into_iter().map(|(trace, _)| trace).collect())
+    }
+
+    /// The `observed` columns of `stimuli`'s traces, one per stimulus.
+    fn verdicts(
+        sim: &mut Simulator,
+        stimuli: &[Stimulus],
+        observed: &SignalSet,
+    ) -> Result<Vec<VerdictTrace>, SimError> {
+        let runs = sim.run_batch_mode(stimuli, TraceMode::verdict(observed))?;
+        Ok(runs.into_iter().map(|(_, verdict)| verdict).collect())
     }
 
     fn run(src: &str, vectors: Vec<Vec<(&str, u64)>>) -> (Simulator, Trace) {
@@ -421,7 +406,7 @@ mod tests {
         let mut sim = Simulator::new(unit.top()).unwrap();
         let gen = crate::testbench::TestbenchGen::new(11);
         let stimuli = gen.generate_many(sim.netlist(), 9, 7);
-        let batched = sim.run_batch(&stimuli).unwrap();
+        let batched = traces(&mut sim, &stimuli).unwrap();
         let sequential: Vec<Trace> = stimuli
             .iter()
             .map(|s| interpret(sim.netlist(), s).unwrap())
@@ -445,14 +430,14 @@ mod tests {
             stim(vec![vec![("d", 1)]; 5]),
             stim(vec![vec![("d", 1)]; 3]),
         ];
-        let batched = sim.run_batch(&stimuli).unwrap();
+        let batched = traces(&mut sim, &stimuli).unwrap();
         assert_eq!(batched.len(), 4);
         for (t, s) in batched.iter().zip(&stimuli) {
             assert_eq!(t.len(), s.len());
             assert_eq!(t, &interpret(sim.netlist(), s).unwrap());
         }
         // Empty input is a no-op.
-        assert!(sim.run_batch(&[]).unwrap().is_empty());
+        assert!(traces(&mut sim, &[]).unwrap().is_empty());
     }
 
     #[test]
@@ -477,7 +462,7 @@ mod tests {
                 .iter()
                 .map(|s| interpret(sim.netlist(), s).unwrap())
                 .collect();
-            assert_eq!(sim.run_batch(&stimuli).unwrap(), oracle, "{src}");
+            assert_eq!(traces(&mut sim, &stimuli).unwrap(), oracle, "{src}");
             assert_eq!(sim.run(&stimuli[0]).unwrap(), oracle[0], "{src}");
         }
     }
@@ -488,11 +473,11 @@ mod tests {
         let unit = verilog::parse(src).unwrap();
         let mut sim = Simulator::new(unit.top()).unwrap();
         let stimuli = vec![stim(vec![vec![("a", 1)]]), stim(vec![vec![("ghost", 1)]])];
-        let err = sim.run_batch(&stimuli).unwrap_err();
+        let err = traces(&mut sim, &stimuli).unwrap_err();
         assert!(matches!(err, SimError::UnknownSignal { name } if name == "ghost"));
         let stimuli = vec![stim(vec![vec![("y", 1)]])];
         assert!(matches!(
-            sim.run_batch(&stimuli).unwrap_err(),
+            traces(&mut sim, &stimuli).unwrap_err(),
             SimError::NotAnInput { .. }
         ));
     }
@@ -507,11 +492,11 @@ mod tests {
         // The batch engine polls once per cycle per chunk; a 2-poll budget
         // cancels at cycle 2 of the single 5-lane chunk.
         sim.set_cancel(CancelToken::after_polls(2));
-        let err = sim.run_batch(&stimuli).unwrap_err();
+        let err = traces(&mut sim, &stimuli).unwrap_err();
         assert!(matches!(err, SimError::Cancelled { at_cycle: 2 }));
         // Clearing the token makes the batch runnable again.
         sim.set_cancel(CancelToken::inert());
-        assert_eq!(sim.run_batch(&stimuli).unwrap().len(), 5);
+        assert_eq!(traces(&mut sim, &stimuli).unwrap().len(), 5);
     }
 
     #[test]
@@ -546,9 +531,9 @@ mod tests {
         // the observed columns of the oracle's full trace.
         for (s, t) in stimuli.iter().zip(&full) {
             let one = std::slice::from_ref(s);
-            assert_eq!(sim.run_batch_verdict(one, &observed).unwrap(), [expect(t)]);
+            assert_eq!(verdicts(&mut sim, one, &observed).unwrap(), [expect(t)]);
         }
-        let batched = sim.run_batch_verdict(&stimuli, &observed).unwrap();
+        let batched = verdicts(&mut sim, &stimuli, &observed).unwrap();
         assert_eq!(batched.len(), full.len());
         for (v, t) in batched.iter().zip(&full) {
             assert_eq!(v, &expect(t));
@@ -566,19 +551,18 @@ mod tests {
         let observed = SignalSet::from_ids([q]);
         let stimuli = vec![stim(vec![vec![("d", 1)]; 8]); 5];
         sim.set_cancel(CancelToken::after_polls(2));
-        let err = sim.run_batch_verdict(&stimuli, &observed).unwrap_err();
+        let err = verdicts(&mut sim, &stimuli, &observed).unwrap_err();
         assert!(matches!(err, SimError::Cancelled { at_cycle: 2 }));
         sim.set_cancel(CancelToken::inert());
-        assert_eq!(sim.run_batch_verdict(&stimuli, &observed).unwrap().len(), 5);
+        assert_eq!(verdicts(&mut sim, &stimuli, &observed).unwrap().len(), 5);
         // Input validation errors match full mode.
         let bad = vec![stim(vec![vec![("ghost", 1)]])];
         assert!(matches!(
-            sim.run_batch_verdict(&bad, &observed).unwrap_err(),
+            verdicts(&mut sim, &bad, &observed).unwrap_err(),
             SimError::UnknownSignal { name } if name == "ghost"
         ));
         assert!(matches!(
-            sim.run_batch_verdict(&[stim(vec![vec![("q", 1)]])], &observed)
-                .unwrap_err(),
+            verdicts(&mut sim, &[stim(vec![vec![("q", 1)]])], &observed).unwrap_err(),
             SimError::NotAnInput { .. }
         ));
     }
@@ -598,7 +582,7 @@ mod tests {
             let unit = verilog::parse(src).unwrap();
             let mut sim = Simulator::new(unit.top()).unwrap();
             let stimuli = crate::testbench::TestbenchGen::new(5).generate_many(sim.netlist(), 9, 7);
-            let full = sim.run_batch(&stimuli).unwrap();
+            let full = traces(&mut sim, &stimuli).unwrap();
             let before = skipped();
             let records = sim
                 .run_batch_mode(&stimuli, TraceMode::records(&keep))

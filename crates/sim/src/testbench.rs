@@ -218,8 +218,10 @@ impl Plan {
 pub struct TestbenchGen {
     seed: u64,
     hold_probability: f64,
-    reset_cycles: usize,
 }
+
+/// How many leading cycles reset-like inputs stay asserted.
+const RESET_CYCLES: usize = 2;
 
 /// The probability that a multi-bit input copies the value of another
 /// same-width input in the same cycle. Coupling makes equality comparisons
@@ -234,7 +236,6 @@ impl TestbenchGen {
         TestbenchGen {
             seed,
             hold_probability: 0.5,
-            reset_cycles: 2,
         }
     }
 
@@ -246,12 +247,6 @@ impl TestbenchGen {
     pub fn with_hold_probability(mut self, p: f64) -> Self {
         assert!((0.0..=1.0).contains(&p), "probability {p} out of [0,1]");
         self.hold_probability = p;
-        self
-    }
-
-    /// Sets how many leading cycles reset-like inputs stay asserted.
-    pub fn with_reset_cycles(mut self, cycles: usize) -> Self {
-        self.reset_cycles = cycles;
         self
     }
 
@@ -314,7 +309,7 @@ impl TestbenchGen {
             let row = &mut rest[..n];
             for (slot, input) in plan.inputs.iter().enumerate() {
                 row[slot] = if let Some(active_low) = input.reset {
-                    let in_reset = cycle < self.reset_cycles;
+                    let in_reset = cycle < RESET_CYCLES;
                     // Active-low reset: 0 while resetting. Active-high: 1.
                     u64::from(in_reset != active_low)
                 } else if cycle > 0 && rng.random_bool(self.hold_probability) {
@@ -408,12 +403,12 @@ mod tests {
             "module m(input clk, input rst, input rst_n, input d, output reg q);\n\
              always @(posedge clk) q <= d & rst_n & ~rst;\nendmodule",
         );
-        let s = TestbenchGen::new(5).with_reset_cycles(3).generate(&n, 6);
-        for c in 0..3 {
+        let s = TestbenchGen::new(5).generate(&n, 6);
+        for c in 0..RESET_CYCLES {
             assert_eq!(word(&s, c, "rst"), 1, "active-high asserted");
             assert_eq!(word(&s, c, "rst_n"), 0, "active-low asserted");
         }
-        for c in 3..6 {
+        for c in RESET_CYCLES..6 {
             assert_eq!(word(&s, c, "rst"), 0);
             assert_eq!(word(&s, c, "rst_n"), 1);
         }

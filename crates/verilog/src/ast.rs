@@ -158,15 +158,6 @@ impl Module {
         self.assignments().into_iter().find(|a| a.id == id)
     }
 
-    /// Names of all input ports.
-    pub fn input_names(&self) -> Vec<&str> {
-        self.ports
-            .iter()
-            .filter(|p| p.dir == PortDir::Input)
-            .map(|p| p.name.as_str())
-            .collect()
-    }
-
     /// Names of all output ports.
     pub fn output_names(&self) -> Vec<&str> {
         self.ports

@@ -32,12 +32,12 @@
 
 #![warn(missing_docs)]
 
-pub mod ast;
-pub mod error;
-pub mod lexer;
-pub mod parser;
-pub mod pretty;
-pub mod token;
+mod ast;
+mod error;
+mod lexer;
+mod parser;
+mod pretty;
+mod token;
 
 pub use ast::{
     AlwaysBlock, AssignKind, Assignment, BinaryOp, CaseArm, CaseStmt, Decl, EdgeKind, Expr, IfStmt,
@@ -48,4 +48,4 @@ pub use error::ParseError;
 pub use lexer::lex;
 pub use parser::parse;
 pub use pretty::{print_expr, print_module};
-pub use token::{Span, Token, TokenKind};
+pub use token::{Keyword, Span, Token, TokenKind};
