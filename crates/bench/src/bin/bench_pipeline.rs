@@ -119,7 +119,7 @@ fn corpus(n: usize) -> Vec<Module> {
 
 /// Compiled-vs-interpreted engine timing on the campaign co-simulation
 /// workload: every Table I design simulated on many short, calm stimuli,
-/// single-threaded, seconds per pass (see [`time_engine`]). Also
+/// single-threaded, seconds per pass (see [`compare_engines`]). Also
 /// cross-checks every compiled result against the interpreter's — a cheap
 /// inline version of the differential test suite.
 struct EngineCompare {
@@ -204,8 +204,8 @@ fn measure_obs_overhead(
     };
     obs::set_enabled(false);
     let passes = passes_per_rep(workload);
-    let Ok(([baseline_s], [enabled_s])) = stats::ab_min_of_reps(reps, |on| {
-        obs::set_enabled(on);
+    let Ok([[baseline_s], [enabled_s]]) = stats::interleaved_min_of_reps(reps, |arm| {
+        obs::set_enabled(arm == 1);
         let rep = || (0..passes).for_each(|_| workload());
         Ok::<_, std::convert::Infallible>([stats::min_of_reps(1, rep).0])
     });
@@ -223,36 +223,71 @@ fn measure_obs_overhead(
     }
 }
 
-/// Times `run` over every design of `workload` and returns the seconds
-/// per pass with the last pass's results in workload order. A rep runs
-/// [`passes_per_rep`] passes back to back; the time is the fastest of
-/// `reps` reps divided by its passes. Simulators are built outside the
-/// timed region, fresh for each engine: a campaign compiles each design
-/// once and then runs hundreds of stimuli against it, so steady-state
-/// stimuli/sec is the comparison that matters.
-fn time_engine<T>(
-    workload: &[(Module, Vec<Stimulus>, SignalSet)],
-    reps: usize,
-    mut run: impl FnMut(&mut Simulator, &[Stimulus], &SignalSet) -> Vec<T>,
-) -> (f64, Vec<T>) {
-    let mut sims: Vec<Simulator> = workload
-        .iter()
-        .map(|(module, _, _)| Simulator::new(module).expect("elaborates"))
-        .collect();
-    let mut pass = || -> Vec<T> {
-        let designs = workload.iter().zip(&mut sims);
-        designs
-            .flat_map(|((_, stimuli, observed), s)| run(s, stimuli, observed))
-            .collect()
-    };
-    let passes = passes_per_rep(&mut pass);
-    let (rep_s, results) = stats::min_of_reps(reps, || {
-        (1..passes).for_each(|_| drop(std::hint::black_box(pass())));
-        pass()
-    });
-    (rep_s / passes as f64, results)
+/// One engine arm of [`compare_engines`]: its own simulators, built
+/// outside the timed region (a campaign compiles each design once and then
+/// runs hundreds of stimuli against it, so steady-state stimuli/sec is the
+/// comparison that matters), the pass it times over every design of the
+/// workload, and the last pass's results in workload order.
+struct EngineArm<'w, T, F> {
+    workload: &'w [(Module, Vec<Stimulus>, SignalSet)],
+    sims: Vec<Simulator>,
+    run: F,
+    /// Passes per rep, from [`passes_per_rep`].
+    passes: usize,
+    results: Vec<T>,
 }
 
+impl<'w, T, F> EngineArm<'w, T, F>
+where
+    F: FnMut(&mut Simulator, &[Stimulus], &SignalSet) -> Vec<T>,
+{
+    fn new(workload: &'w [(Module, Vec<Stimulus>, SignalSet)], run: F) -> Self {
+        let sims = workload
+            .iter()
+            .map(|(module, _, _)| Simulator::new(module).expect("elaborates"))
+            .collect();
+        let mut arm = EngineArm {
+            workload,
+            sims,
+            run,
+            passes: 1,
+            results: Vec::new(),
+        };
+        arm.passes = passes_per_rep(|| arm.pass());
+        arm
+    }
+
+    fn pass(&mut self) -> Vec<T> {
+        let EngineArm {
+            workload,
+            sims,
+            run,
+            ..
+        } = self;
+        workload
+            .iter()
+            .zip(sims)
+            .flat_map(|((_, stimuli, observed), s)| run(s, stimuli, observed))
+            .collect()
+    }
+
+    /// Times one rep, [`passes_per_rep`] passes back to back, and returns
+    /// its seconds per pass.
+    fn rep(&mut self) -> f64 {
+        let (rep_s, results) = stats::min_of_reps(1, || {
+            (1..self.passes).for_each(|_| drop(std::hint::black_box(self.pass())));
+            self.pass()
+        });
+        self.results = results;
+        rep_s / self.passes as f64
+    }
+}
+
+/// Times the engines against each other on the catalog's co-simulation
+/// workload, single-threaded. The four arms interleave within every rep
+/// (rotating which runs first), so host speed drift between reps moves
+/// every arm alike instead of skewing their ratios; each keeps its fastest
+/// rep.
 fn compare_engines(cycles: usize, runs: usize, reps: usize) -> EngineCompare {
     let workload: Vec<(Module, Vec<Stimulus>, SignalSet)> = designs::catalog()
         .iter()
@@ -272,26 +307,37 @@ fn compare_engines(cycles: usize, runs: usize, reps: usize) -> EngineCompare {
             (module, stimuli, SignalSet::from_ids([target]))
         })
         .collect();
-    let (compiled_s, compiled_traces) = time_engine(&workload, reps, |s, st, _| {
+    let mut compiled = EngineArm::new(&workload, |s, st, _| {
         st.iter()
             .map(|stim| s.run(stim).expect("simulates"))
             .collect()
     });
-    let (interpreted_s, interpreted_traces) = time_engine(&workload, reps, |s, st, _| {
+    let mut interpreted = EngineArm::new(&workload, |s, st, _| {
         st.iter()
             .map(|stim| sim::oracle::interpret(s.netlist(), stim).expect("simulates"))
             .collect()
     });
-    let (batch_s, batch_traces) = time_engine(&workload, reps, |s, st, _| {
+    let mut batch = EngineArm::new(&workload, |s, st, _| {
         let runs = s.run_batch_mode(st, TraceMode::full()).expect("simulates");
         runs.into_iter().map(|(trace, _)| trace).collect()
     });
-    let (verdict_s, verdicts) = time_engine(&workload, reps, |s, st, observed| {
+    let mut verdict = EngineArm::new(&workload, |s, st, observed| {
         let runs = s
             .run_batch_mode(st, TraceMode::verdict(observed))
             .expect("simulates");
         runs.into_iter().map(|(_, verdict)| verdict).collect()
     });
+    let Ok([[compiled_s], [interpreted_s], [batch_s], [verdict_s]]) =
+        stats::interleaved_min_of_reps(reps, |arm| {
+            Ok::<_, std::convert::Infallible>([match arm {
+                0 => compiled.rep(),
+                1 => interpreted.rep(),
+                2 => batch.rep(),
+                _ => verdict.rep(),
+            }])
+        });
+    let (compiled_traces, interpreted_traces) = (compiled.results, interpreted.results);
+    let (batch_traces, verdicts) = (batch.results, verdict.results);
     let traces_identical = compiled_traces == interpreted_traces;
     let batch_identical = batch_traces == interpreted_traces;
     // Verdict values must equal the observed columns of the full traces —

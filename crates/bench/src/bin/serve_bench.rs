@@ -187,9 +187,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     };
     let mut warm_hit = true;
     let mut warm_preloaded = 0u64;
-    let ([restart_cold_s], [restart_warm_s]) = stats::ab_min_of_reps(
+    let [[restart_cold_s], [restart_warm_s]] = stats::interleaved_min_of_reps(
         restart_reps,
-        |warm| -> Result<_, Box<dyn std::error::Error>> {
+        |arm| -> Result<_, Box<dyn std::error::Error>> {
+            let warm = arm == 1;
             if !warm {
                 std::fs::remove_dir_all(&store_dir).ok();
             }
@@ -219,9 +220,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             localize_body(&golden, &buggy, runs, cycles)
         })
         .collect();
-    let ([off_med, off_p99], [on_med, on_p99]) = stats::ab_min_of_reps(probe_reps, |on| {
-        telemetry_probe(on, &probe_bodies, probe_reqs)
-    })?;
+    let [[off_med, off_p99], [on_med, on_p99]] =
+        stats::interleaved_min_of_reps(probe_reps, |arm| {
+            telemetry_probe(arm == 1, &probe_bodies, probe_reqs)
+        })?;
     let off_rps = 1.0 / off_med.max(1e-9);
     let on_rps = 1.0 / on_med.max(1e-9);
     let rps_overhead = ((on_med - off_med) / on_med.max(1e-9)).max(0.0);

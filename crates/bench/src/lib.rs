@@ -267,35 +267,32 @@ pub mod stats {
         (best, last)
     }
 
-    /// Alternating-order A/B min-of-reps. Every rep measures both arms, arm
-    /// A first on even reps and arm B first on odd ones, so slow drift on a
-    /// shared host cannot bias whichever arm would always run second.
-    /// `measure(is_b)` returns one rep's figures for an arm; the result is
-    /// each arm's element-wise minimum over the reps (at least one), as
-    /// `(a, b)`. The first error ends the reps.
+    /// Interleaved min-of-reps over `K` arms. Every rep measures every arm,
+    /// starting at arm `rep % K` and rotating (for two arms: A then B on
+    /// even reps, B then A on odd ones), so slow drift on a shared host
+    /// hits every arm alike instead of biasing whichever would always run
+    /// last. `measure(arm)` returns one rep's figures for an arm; the
+    /// result is each arm's element-wise minimum over the reps (at least
+    /// one), indexed by arm. The first error ends the reps.
     ///
     /// # Errors
     ///
     /// The first error `measure` returns.
-    pub fn ab_min_of_reps<const N: usize, E>(
+    pub fn interleaved_min_of_reps<const K: usize, const N: usize, E>(
         reps: usize,
-        mut measure: impl FnMut(bool) -> Result<[f64; N], E>,
-    ) -> Result<([f64; N], [f64; N]), E> {
-        let mut best = [[f64::INFINITY; N]; 2];
+        mut measure: impl FnMut(usize) -> Result<[f64; N], E>,
+    ) -> Result<[[f64; N]; K], E> {
+        let mut best = [[f64::INFINITY; N]; K];
         for rep in 0..reps.max(1) {
-            let order = if rep % 2 == 0 {
-                [false, true]
-            } else {
-                [true, false]
-            };
-            for is_b in order {
-                let figures = measure(is_b)?;
-                for (m, f) in best[usize::from(is_b)].iter_mut().zip(figures) {
+            for i in 0..K {
+                let arm = (rep + i) % K;
+                let figures = measure(arm)?;
+                for (m, f) in best[arm].iter_mut().zip(figures) {
                     *m = m.min(f);
                 }
             }
         }
-        Ok((best[0], best[1]))
+        Ok(best)
     }
 
     #[cfg(test)]
@@ -338,22 +335,36 @@ pub mod stats {
         }
 
         #[test]
-        fn ab_min_of_reps_alternates_order_and_keeps_each_arms_minimum() {
+        fn interleaved_min_of_reps_rotates_order_and_keeps_each_arms_minimum() {
             let mut calls = Vec::new();
             let figures = [[5.0, 50.0], [3.0, 70.0], [4.0, 60.0]];
-            let (a, b) = ab_min_of_reps(3, |is_b| {
+            let [a, b] = interleaved_min_of_reps(3, |arm| {
                 let rep = calls.len() / 2;
-                calls.push(is_b);
+                calls.push(arm);
                 let [x, y] = figures[rep];
-                Ok::<_, ()>(if is_b { [x + 10.0, y] } else { [x, y + 10.0] })
+                Ok::<_, ()>(if arm == 1 {
+                    [x + 10.0, y]
+                } else {
+                    [x, y + 10.0]
+                })
             })
             .unwrap();
-            assert_eq!(calls, [false, true, true, false, false, true]);
+            assert_eq!(calls, [0, 1, 1, 0, 0, 1]);
             assert_eq!(a, [3.0, 60.0]);
             assert_eq!(b, [13.0, 50.0]);
+            // Three arms rotate their starting point: each runs first,
+            // second and last once over three reps.
+            let mut calls = Vec::new();
+            let [x, y, z] = interleaved_min_of_reps(3, |arm| {
+                calls.push(arm);
+                Ok::<_, ()>([(arm * 10 + calls.len()) as f64])
+            })
+            .unwrap();
+            assert_eq!(calls, [0, 1, 2, 1, 2, 0, 2, 0, 1]);
+            assert_eq!((x, y, z), ([1.0], [12.0], [23.0]));
             // The first error stops the reps.
             let mut n = 0;
-            let err = ab_min_of_reps::<1, _>(4, |_| {
+            let err = interleaved_min_of_reps::<2, 1, _>(4, |_| {
                 n += 1;
                 if n == 2 {
                     Err("boom")

@@ -96,6 +96,42 @@ fn collection_leaves_explanations_unchanged_and_counts_resolved_records() {
             snapshot.events.iter().any(|e| e.name() == "stimgen"),
             "no stimgen span"
         );
+
+        // A localization handed the explainer state of an earlier one of
+        // the same design and target answers alike without evaluating the
+        // model once.
+        let inert = sim::CancelToken::inert();
+        let mut golden_sim = sim::Simulator::new(&golden).expect("elaborates");
+        let reference = veribug::GoldenRef::build(&mut golden_sim, target, &opts, &inert)
+            .expect("golden reference");
+        let buggy_sim = sim::Simulator::new(&m.module).expect("elaborates");
+        let mut state = veribug::ExplainerState::new(&m.module, target);
+        let mut localize_counting_evals = || {
+            obs::set_enabled(true);
+            obs::reset();
+            let report = veribug::localize::run_with_sims(
+                &model,
+                &reference,
+                &mut buggy_sim.fork(),
+                &mut state,
+                target,
+                &opts,
+                &inert,
+            )
+            .expect("localizes");
+            let evals = counter("model.evals");
+            obs::set_enabled(false);
+            (report, evals)
+        };
+        let (cold, cold_evals) = localize_counting_evals();
+        let (warm, warm_evals) = localize_counting_evals();
+        assert!(cold_evals > 0, "a fresh state evaluates the model");
+        assert_eq!(warm_evals, 0, "a warm state evaluated the model");
+        for report in [&cold, &warm] {
+            assert_eq!(report.suspects, report_off.suspects);
+            assert_eq!(report.heatmap, report_off.heatmap);
+            assert_eq!(report.correct_map, report_off.correct_map);
+        }
         explained += 1;
     }
     assert!(explained > 0, "no observable mutant");

@@ -142,7 +142,7 @@ impl Heatmap {
 const NO_SLOT: u32 = u32::MAX;
 
 /// One statement the explainer attributes: executed records of it are in
-/// the target's dynamic slice. Resolved once in [`Explainer::new`].
+/// the target's dynamic slice. Resolved once in [`ExplainerState::new`].
 #[derive(Debug)]
 struct Slot {
     features: StatementFeatures,
@@ -162,7 +162,7 @@ struct Slot {
     /// Memoized attention per operand value vector, bit-packed (operand
     /// `i` is bit `i`): executions of a statement with the same values
     /// always produce the same weights, and traces repeat them constantly.
-    /// Values index [`Explainer`]'s weight arena.
+    /// Values index [`ExplainerState`]'s weight arena.
     memo: HashMap<u64, u32, BuildHasherDefault<KeyHasher>>,
     /// The same memo for statements with more than 64 operands, keyed by
     /// the unpacked values.
@@ -228,7 +228,7 @@ struct ResolvedRun {
     c: Vec<Record>,
 }
 
-/// A run set resolved by [`Explainer::resolve`], in run order.
+/// A run set resolved by [`ExplainerState::resolve`], in run order.
 #[derive(Debug)]
 pub(crate) struct Resolved {
     runs: Vec<ResolvedRun>,
@@ -249,11 +249,30 @@ struct DenseMap {
 /// statement-indexed tables, classified into the `F_t` and/or `C_t`
 /// aggregation it feeds, and paired with its memoized attention vector.
 /// All maps and heatmaps are then aggregated from those compact records.
+/// Everything but the model reference and the failure window lives in an
+/// [`ExplainerState`].
 #[derive(Debug)]
 pub struct Explainer<'m> {
     model: &'m VeriBugModel,
-    slice: Slice,
     failure_window: u32,
+    state: ExplainerState,
+}
+
+/// The part of an [`Explainer`] that does not borrow the model: the
+/// target's static slice, the slot tables with their lazily embedded
+/// operand contexts and attention memo, and the memo's weight arena.
+///
+/// It is a function of the design, the target and the model's weights
+/// alone, so a caller that localizes the same design and target again
+/// under the same weights can hand the state of the last run to the next
+/// ([`run_with_sims`](crate::localize::run_with_sims)): that run skips
+/// building the tables and every model evaluation the memo already holds.
+/// A memoized vector equals a fresh evaluation over the same contexts and
+/// aggregation order does not depend on the memo, so reuse never changes
+/// a result.
+#[derive(Debug)]
+pub struct ExplainerState {
+    slice: Slice,
     /// Statement id → slot index, [`NO_SLOT`] for statements outside the
     /// slice or without attributable operands.
     slot_of: Vec<u32>,
@@ -267,6 +286,104 @@ pub struct Explainer<'m> {
 impl<'m> Explainer<'m> {
     /// Prepares an explainer for `module` and target output `t`.
     pub fn new(model: &'m VeriBugModel, module: &Module, target: &str) -> Self {
+        Explainer {
+            model,
+            failure_window: DEFAULT_FAILURE_WINDOW,
+            state: ExplainerState::new(module, target),
+        }
+    }
+
+    /// Overrides the failure-window width (cycles before a divergence that
+    /// still count as failure-relevant).
+    pub fn with_failure_window(mut self, window: u32) -> Self {
+        self.failure_window = window;
+        self
+    }
+
+    /// The static slice the explainer restricts attention to.
+    pub fn slice(&self) -> &Slice {
+        &self.state.slice
+    }
+
+    /// The statements the explainer attributes (see
+    /// [`ExplainerState::attributed`]).
+    pub fn attributed(&self) -> BTreeSet<StmtId> {
+        self.state.attributed()
+    }
+
+    /// Builds the heatmap `H_t` from failing and correct attention maps
+    /// using the paper's three-case comparison and the given threshold.
+    pub fn heatmap(failing: &AttentionMap, correct: &AttentionMap, threshold: f32) -> Heatmap {
+        let mut entries = BTreeMap::new();
+        for (id, f_att) in &failing.per_stmt {
+            let c_weights = correct.per_stmt.get(id).map(|c| &c.weights[..]);
+            if let Some((score, reason)) = suspicion(&f_att.weights, c_weights, threshold) {
+                entries.insert(
+                    *id,
+                    HeatmapEntry {
+                        operands: f_att.operands.clone(),
+                        weights: f_att.weights.clone(),
+                        suspiciousness: score,
+                        reason,
+                    },
+                );
+            }
+        }
+        Heatmap { entries, threshold }
+    }
+
+    /// End-to-end explanation: split labelled runs into `T_f`/`T_c`,
+    /// aggregate both maps, and produce the heatmap.
+    ///
+    /// Two refinements over the plain trace-level scheme (both documented
+    /// in DESIGN.md):
+    ///
+    /// - **Failure-centered aggregation.** When a failing trace carries its
+    ///   divergence cycles, only executions within
+    ///   [`DEFAULT_FAILURE_WINDOW`] cycles *before* (and including) a
+    ///   divergence contribute to `F_t`. Executions far from any symptom
+    ///   carry correct-behavior statistics and would dilute the comparison.
+    /// - **Masked-cycle fallback for `C_t`.** When *no* run is fully
+    ///   correct (short aggressive stimuli can expose a bug in every run),
+    ///   the correct map is built from the non-divergent cycles of the
+    ///   failing traces instead of being empty, which would otherwise mark
+    ///   every statement "only-in-failing" and destroy the ranking.
+    pub fn explain(
+        &mut self,
+        runs: &[LabelledTrace<'_>],
+        threshold: f32,
+    ) -> (Heatmap, AttentionMap, AttentionMap) {
+        let resolved = self.resolve(runs, |_| true);
+        let _span = obs::span("explain.aggregate");
+        let state = &self.state;
+        let runs: Vec<&ResolvedRun> = resolved.runs.iter().collect();
+        let f_map = state.to_map(&state.failing_dense(&runs));
+        let c_map = state.to_map(&state.correct_dense(&runs));
+        let heatmap = Self::heatmap(&f_map, &c_map, threshold);
+        (heatmap, f_map, c_map)
+    }
+
+    /// [`ExplainerState::resolve`] under this explainer's model and
+    /// failure window.
+    pub(crate) fn resolve(
+        &mut self,
+        runs: &[LabelledTrace<'_>],
+        keep: impl Fn(usize) -> bool,
+    ) -> Resolved {
+        self.state
+            .resolve(self.model, self.failure_window, runs, keep)
+    }
+
+    /// [`ExplainerState::grouped`].
+    pub(crate) fn grouped(&self, resolved: &Resolved, threshold: f32, groups: usize) -> Heatmap {
+        self.state.grouped(resolved, threshold, groups)
+    }
+}
+
+impl ExplainerState {
+    /// Builds the slice and slot tables of `module` for target output
+    /// `target`, with an empty memo.
+    pub fn new(module: &Module, target: &str) -> ExplainerState {
         let cdfg = Cdfg::build(module);
         let vdg = Vdg::from_cdfg(module, &cdfg);
         let slice = Slice::of_target_with(&cdfg, &vdg, target);
@@ -328,27 +445,13 @@ impl<'m> Explainer<'m> {
                 slots.push(slot);
             }
         }
-        Explainer {
-            model,
+        ExplainerState {
             slice,
-            failure_window: DEFAULT_FAILURE_WINDOW,
             slot_of,
             slots,
             width,
             arena: Vec::new(),
         }
-    }
-
-    /// Overrides the failure-window width (cycles before a divergence that
-    /// still count as failure-relevant).
-    pub fn with_failure_window(mut self, window: u32) -> Self {
-        self.failure_window = window;
-        self
-    }
-
-    /// The static slice the explainer restricts attention to.
-    pub fn slice(&self) -> &Slice {
-        &self.slice
     }
 
     /// The statements the explainer attributes: slice statements whose
@@ -359,62 +462,20 @@ impl<'m> Explainer<'m> {
         self.slots.iter().map(|s| s.features.stmt).collect()
     }
 
-    /// Builds the heatmap `H_t` from failing and correct attention maps
-    /// using the paper's three-case comparison and the given threshold.
-    pub fn heatmap(failing: &AttentionMap, correct: &AttentionMap, threshold: f32) -> Heatmap {
-        let mut entries = BTreeMap::new();
-        for (id, f_att) in &failing.per_stmt {
-            let c_weights = correct.per_stmt.get(id).map(|c| &c.weights[..]);
-            if let Some((score, reason)) = suspicion(&f_att.weights, c_weights, threshold) {
-                entries.insert(
-                    *id,
-                    HeatmapEntry {
-                        operands: f_att.operands.clone(),
-                        weights: f_att.weights.clone(),
-                        suspiciousness: score,
-                        reason,
-                    },
-                );
-            }
-        }
-        Heatmap { entries, threshold }
-    }
-
-    /// End-to-end explanation: split labelled runs into `T_f`/`T_c`,
-    /// aggregate both maps, and produce the heatmap.
-    ///
-    /// Two refinements over the plain trace-level scheme (both documented
-    /// in DESIGN.md):
-    ///
-    /// - **Failure-centered aggregation.** When a failing trace carries its
-    ///   divergence cycles, only executions within
-    ///   [`DEFAULT_FAILURE_WINDOW`] cycles *before* (and including) a
-    ///   divergence contribute to `F_t`. Executions far from any symptom
-    ///   carry correct-behavior statistics and would dilute the comparison.
-    /// - **Masked-cycle fallback for `C_t`.** When *no* run is fully
-    ///   correct (short aggressive stimuli can expose a bug in every run),
-    ///   the correct map is built from the non-divergent cycles of the
-    ///   failing traces instead of being empty, which would otherwise mark
-    ///   every statement "only-in-failing" and destroy the ranking.
-    pub fn explain(
-        &mut self,
-        runs: &[LabelledTrace<'_>],
-        threshold: f32,
-    ) -> (Heatmap, AttentionMap, AttentionMap) {
-        let resolved = self.resolve(runs, |_| true);
-        let _span = obs::span("explain.aggregate");
-        let runs: Vec<&ResolvedRun> = resolved.runs.iter().collect();
-        let f_map = self.to_map(&self.failing_dense(&runs));
-        let c_map = self.to_map(&self.correct_dense(&runs));
-        let heatmap = Self::heatmap(&f_map, &c_map, threshold);
-        (heatmap, f_map, c_map)
+    /// How many `f32`s the attention memo holds: it grows by one
+    /// statement's operand count per model evaluation, and never shrinks.
+    pub fn arena_len(&self) -> usize {
+        self.arena.len()
     }
 
     /// Walks each labelled trace once, resolving every attributable record
     /// of the runs `keep` selects (by index) into the maps it feeds and its
-    /// memoized attention. Runs not kept resolve to no records.
+    /// memoized attention, evaluating `model` on memo misses. Runs not kept
+    /// resolve to no records.
     pub(crate) fn resolve(
         &mut self,
+        model: &VeriBugModel,
+        failure_window: u32,
         runs: &[LabelledTrace<'_>],
         keep: impl Fn(usize) -> bool,
     ) -> Resolved {
@@ -425,7 +486,7 @@ impl<'m> Explainer<'m> {
                 .enumerate()
                 .map(|(i, run)| {
                     if keep(i) {
-                        self.resolve_run(run)
+                        self.resolve_run(model, failure_window, run)
                     } else {
                         ResolvedRun::default()
                     }
@@ -434,11 +495,15 @@ impl<'m> Explainer<'m> {
         }
     }
 
-    fn resolve_run(&mut self, run: &LabelledTrace<'_>) -> ResolvedRun {
+    fn resolve_run(
+        &mut self,
+        model: &VeriBugModel,
+        window: u32,
+        run: &LabelledTrace<'_>,
+    ) -> ResolvedRun {
         static CACHE_HITS: obs::LazyCounter = obs::LazyCounter::new("explain.attention_cache_hits");
         let failing = run.label == TraceLabel::Failing;
         let divergences = &run.failure_cycles;
-        let window = self.failure_window;
         let mut out = ResolvedRun {
             failing,
             ..ResolvedRun::default()
@@ -472,7 +537,7 @@ impl<'m> Explainer<'m> {
                 if !(into_f || into_c) {
                     continue;
                 }
-                let Some((weights, hit)) = self.attention_of(slot, exec) else {
+                let Some((weights, hit)) = self.attention_of(model, slot, exec) else {
                     continue;
                 };
                 hits += u64::from(hit);
@@ -493,8 +558,12 @@ impl<'m> Explainer<'m> {
     /// and whether the memo already held it. `None` when a feature operand
     /// was not recorded (should not happen for executions produced by
     /// `veribug-sim`).
-    fn attention_of(&mut self, slot: u32, exec: &StmtExec) -> Option<(u32, bool)> {
-        let model = self.model;
+    fn attention_of(
+        &mut self,
+        model: &VeriBugModel,
+        slot: u32,
+        exec: &StmtExec,
+    ) -> Option<(u32, bool)> {
         let arena = &mut self.arena;
         let slot = &mut self.slots[slot as usize];
         let recorded = exec.operands.values();

@@ -76,8 +76,8 @@ pub mod train;
 pub use coverage::{coverage_for_mutants, localize_mutant, Coverage, LocalizationOutcome};
 pub use error::VeriBugError;
 pub use explain::{
-    suspiciousness, AttentionMap, Explainer, Heatmap, HeatmapEntry, StmtAttention, SuspicionReason,
-    DEFAULT_THRESHOLD,
+    suspiciousness, AttentionMap, Explainer, ExplainerState, Heatmap, HeatmapEntry, StmtAttention,
+    SuspicionReason, DEFAULT_THRESHOLD,
 };
 pub use features::{OperandContext, Path, StatementFeatures};
 pub use introspect::{AttributionReport, OperandAttribution, StmtAttribution};

@@ -10,15 +10,19 @@
 //! - [`run`] elaborates both designs and builds the [`GoldenRef`] itself
 //!   (the CLI path);
 //! - [`run_with_sims`] accepts a caller's [`GoldenRef`], a pre-built buggy
-//!   simulator and a [`sim::CancelToken`], so a server can reuse cached
-//!   compiled designs and memoized golden references (see
+//!   simulator, the buggy design's [`ExplainerState`] and a
+//!   [`sim::CancelToken`], so a server can reuse cached compiled designs,
+//!   memoized golden references and memoized explainers (see
 //!   `veribug-serve`) and enforce per-request deadlines.
 //!
 //! The golden side of a localization — the seeded stimuli and the golden
 //! design's values at the target — is a [`GoldenRef`]: one values-only
 //! verdict simulation of the golden design, a pure function of the golden
 //! source and its [`GoldenKey`], so `veribug-serve` memoizes it in the
-//! golden design's cache entry (DESIGN.md §2e). The buggy design is
+//! golden design's cache entry (DESIGN.md §2e). The explainer's tables and
+//! attention memo are likewise a pure function of the buggy design, the
+//! target and the weights ([`ExplainerState`]), so it memoizes those in the
+//! buggy design's entry. The buggy design is
 //! simulated **once** per localization (DESIGN.md §2c): one pass records
 //! only the statements the explainer attributes and observes the target,
 //! whose per-cycle values label each run against the golden column. The
@@ -28,9 +32,11 @@
 //! to the full trace's.
 
 use crate::coverage::DEFAULT_RUN_GROUPS;
-use crate::explain::{AttentionMap, Heatmap, LabelledTrace};
+use crate::explain::{
+    AttentionMap, ExplainerState, Heatmap, LabelledTrace, DEFAULT_FAILURE_WINDOW,
+};
 use crate::model::VeriBugModel;
-use crate::{Explainer, VeriBugError, DEFAULT_THRESHOLD};
+use crate::{VeriBugError, DEFAULT_THRESHOLD};
 use mutate::{golden_verdicts, run_lane_groups_mode};
 use sim::{
     CancelToken, EngineKind, SignalSet, Simulator, Stimulus, TestbenchGen, TraceLabel, TraceMode,
@@ -138,7 +144,19 @@ pub fn run(
     };
     let inert = CancelToken::inert();
     let reference = GoldenRef::build(&mut golden_sim, target, opts, &inert)?;
-    run_with_sims(model, &reference, &mut buggy_sim, target, opts, &inert)
+    let mut explainer = {
+        let _span = obs::span("explain");
+        ExplainerState::new(buggy, target)
+    };
+    run_with_sims(
+        model,
+        &reference,
+        &mut buggy_sim,
+        &mut explainer,
+        target,
+        opts,
+        &inert,
+    )
 }
 
 /// The golden side of one localization: the seeded stimuli and the golden
@@ -225,8 +243,8 @@ impl GoldenKey {
     }
 }
 
-/// [`run`] against a caller-supplied golden reference and buggy
-/// simulator, under a cancellation token.
+/// [`run`] against a caller-supplied golden reference, buggy simulator and
+/// explainer state, under a cancellation token.
 ///
 /// `golden` must have been built for `target` and `opts` (see
 /// [`GoldenKey`]); a server takes it from a memo next to the compiled
@@ -234,6 +252,13 @@ impl GoldenKey {
 /// [`sim::Simulator::fork`]); `cancel` is installed on it for the duration
 /// of the call (and cleared afterwards), so a fired deadline stops the
 /// cycle loop at the next cycle boundary.
+///
+/// `explainer` must have been built for the buggy design and `target`
+/// ([`ExplainerState::new`]) and only ever used with `model`'s weights.
+/// The call extends its attention memo, so handing the same state to the
+/// next localization of that design and target skips every model
+/// evaluation already made; the report is the same either way. A failed
+/// or cancelled call leaves the state as valid as it found it.
 ///
 /// # Errors
 ///
@@ -243,12 +268,13 @@ pub fn run_with_sims(
     model: &VeriBugModel,
     golden: &GoldenRef,
     buggy_sim: &mut Simulator,
+    explainer: &mut ExplainerState,
     target: &str,
     opts: &LocalizeOptions,
     cancel: &CancelToken,
 ) -> Result<LocalizeReport, VeriBugError> {
     buggy_sim.set_cancel(cancel.clone());
-    let result = localize_inner(model, golden, buggy_sim, target, opts);
+    let result = localize_inner(model, golden, buggy_sim, explainer, target, opts);
     buggy_sim.set_cancel(CancelToken::inert());
     result
 }
@@ -257,15 +283,10 @@ fn localize_inner(
     model: &VeriBugModel,
     golden: &GoldenRef,
     buggy_sim: &mut Simulator,
+    explainer: &mut ExplainerState,
     target: &str,
     opts: &LocalizeOptions,
 ) -> Result<LocalizeReport, VeriBugError> {
-    // The attributed set depends only on the buggy module and the target,
-    // so the explainer is built before anything is simulated.
-    let mut explainer = {
-        let _span = obs::span("explain");
-        Explainer::new(model, &buggy_sim.netlist().module, target)
-    };
     // One buggy pass: records of the statements the explainer attributes
     // (no signal snapshots) plus the target's per-cycle values, which
     // label each run against the golden column. Records are a pure
@@ -323,7 +344,7 @@ fn localize_inner(
     let _explain_span = obs::span("explain");
     // Each trace is walked once; the grouped heatmap and the correct-trace
     // map both aggregate the same resolved records.
-    let resolved = explainer.resolve(&runs_view, |_| true);
+    let resolved = explainer.resolve(model, DEFAULT_FAILURE_WINDOW, &runs_view, |_| true);
     report.heatmap = explainer.grouped(&resolved, opts.threshold, opts.run_groups);
     report.correct_map = explainer.correct_map(&resolved);
     report.suspects = report
@@ -409,6 +430,7 @@ mod tests {
                 &model,
                 &reference,
                 &mut buggy_template.fork(),
+                &mut ExplainerState::new(&buggy, "y"),
                 "y",
                 &small_opts(),
                 &inert,
@@ -476,11 +498,62 @@ mod tests {
         // The token is cleared afterwards: the golden sim stays usable.
         let inert = CancelToken::inert();
         let reference = GoldenRef::build(&mut gs, "y", &small_opts(), &inert).unwrap();
-        let err =
-            run_with_sims(&model, &reference, &mut bs, "y", &small_opts(), &expired).unwrap_err();
-        assert!(is_cancelled(err));
-        // So does the buggy sim.
-        let ok = run_with_sims(&model, &reference, &mut bs, "y", &small_opts(), &inert);
-        assert!(ok.is_ok());
+        let mut explainer = ExplainerState::new(&buggy, "y");
+        let mut localize = |cancel: &CancelToken| {
+            let opts = small_opts();
+            run_with_sims(
+                &model,
+                &reference,
+                &mut bs,
+                &mut explainer,
+                "y",
+                &opts,
+                cancel,
+            )
+        };
+        assert!(is_cancelled(localize(&expired).unwrap_err()));
+        // So does the buggy sim, and the explainer state stays usable.
+        assert!(localize(&inert).is_ok());
+    }
+
+    #[test]
+    fn a_reused_explainer_state_answers_like_a_cold_one_without_evaluating() {
+        let (golden, buggy) = modules();
+        let model = VeriBugModel::new(ModelConfig::default());
+        let cold = run(&model, &golden, &buggy, "y", &small_opts()).unwrap();
+        assert!(cold.has_failures());
+        let inert = CancelToken::inert();
+        let reference = GoldenRef::build(
+            &mut Simulator::new(&golden).unwrap(),
+            "y",
+            &small_opts(),
+            &inert,
+        )
+        .unwrap();
+        let buggy_template = Simulator::new(&buggy).unwrap();
+        let mut explainer = ExplainerState::new(&buggy, "y");
+        let mut arena = Vec::new();
+        for _ in 0..3 {
+            let report = run_with_sims(
+                &model,
+                &reference,
+                &mut buggy_template.fork(),
+                &mut explainer,
+                "y",
+                &small_opts(),
+                &inert,
+            )
+            .unwrap();
+            assert_eq!(report.suspects, cold.suspects);
+            assert_eq!(report.heatmap, cold.heatmap);
+            assert_eq!(report.correct_map, cold.correct_map);
+            arena.push(explainer.arena_len());
+        }
+        // The first run fills the memo; every model evaluation appends to
+        // the arena, so a later run that leaves it as it was evaluated
+        // nothing (the `model.evals` counter itself is checked in
+        // `crates/bench/tests/explain_obs.rs`, a binary of its own).
+        assert!(arena[0] > 0);
+        assert_eq!(arena, [arena[0]; 3]);
     }
 }

@@ -14,14 +14,19 @@
 //! references ([`veribug::GoldenRef`]: stimuli plus golden target values,
 //! keyed by [`veribug::GoldenKey`]) for the design used as a golden, so a
 //! repeated localization neither regenerates stimuli nor re-simulates the
-//! golden design ([`DesignCache::golden_ref`]).
+//! golden design ([`DesignCache::golden_ref`]). For the design used as the
+//! buggy one it memoizes, beside them, up to as many explainer states
+//! ([`veribug::ExplainerState`]: slot tables plus attention memo, keyed by
+//! target and weights), so a repeated localization neither rebuilds the
+//! explainer nor re-evaluates the model on operand values it has seen
+//! ([`DesignCache::explainer`]).
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
 use sim::Simulator;
 use store::{ArtifactKind, Store};
-use veribug::{GoldenKey, GoldenRef};
+use veribug::{ExplainerState, GoldenKey, GoldenRef};
 use verilog::Module;
 
 /// The cache key function, re-exported from the workspace's single
@@ -33,10 +38,20 @@ static CACHE_MISSES: obs::LazyCounter = obs::LazyCounter::new("serve.cache.misse
 static CACHE_EVICTIONS: obs::LazyCounter = obs::LazyCounter::new("serve.cache.evictions");
 static GOLDEN_HITS: obs::LazyCounter = obs::LazyCounter::new("serve.golden_ref.hits");
 static GOLDEN_MISSES: obs::LazyCounter = obs::LazyCounter::new("serve.golden_ref.misses");
+static EXPLAINER_HITS: obs::LazyCounter = obs::LazyCounter::new("serve.explainer.hits");
+static EXPLAINER_MISSES: obs::LazyCounter = obs::LazyCounter::new("serve.explainer.misses");
 
-/// Golden references memoized per cached design; the least recently used
-/// one is dropped to make room.
+/// Golden references, and explainer states, memoized per cached design;
+/// the least recently used one is dropped to make room.
 pub const GOLDEN_REFS_PER_DESIGN: usize = 4;
+
+/// The largest attention memo, in `f32`s ([`ExplainerState::arena_len`]),
+/// an explainer state may hold and still be memoized: 256 KiB. A memo
+/// grows with every operand-value combination it sees, so without a cap a
+/// client varying `stim_seed` on a wide statement could grow one without
+/// limit. A state past the cap still answers its own request; it is just
+/// not put back.
+pub const EXPLAINER_ARENA_CAP: usize = 1 << 16;
 
 /// Why a design could not enter the cache.
 #[derive(Debug)]
@@ -75,7 +90,14 @@ struct Entry {
     last_used: u64,
     /// Memoized golden references, least recently used first.
     golden_refs: Vec<(GoldenKey, Arc<GoldenRef>)>,
+    /// Memoized explainer states by (target, weights hash), least
+    /// recently used first.
+    explainers: Vec<(ExplainerKey, ExplainerState)>,
 }
+
+/// What a memoized explainer state depends on besides the buggy source:
+/// the target and the weights' content hash.
+type ExplainerKey = (String, String);
 
 impl Entry {
     fn new(module: Arc<Module>, template: Simulator, last_used: u64) -> Entry {
@@ -84,6 +106,7 @@ impl Entry {
             template,
             last_used,
             golden_refs: Vec::new(),
+            explainers: Vec::new(),
         }
     }
 }
@@ -102,6 +125,8 @@ pub struct DesignCache {
     /// [`preload`](DesignCache::preload) compiles stored sources back into
     /// the LRU so a restarted server answers its first request warm.
     store: Option<Arc<Store>>,
+    /// [`EXPLAINER_ARENA_CAP`], a field so the unit tests can lower it.
+    explainer_arena_cap: usize,
 }
 
 impl DesignCache {
@@ -114,6 +139,7 @@ impl DesignCache {
                 tick: 0,
             }),
             store: None,
+            explainer_arena_cap: EXPLAINER_ARENA_CAP,
         }
     }
 
@@ -286,6 +312,68 @@ impl DesignCache {
         Ok((golden, false))
     }
 
+    /// Runs `run` on the explainer state memoized in `source`'s entry for
+    /// `target` under the weights hashed `weights`, or on the one `build`
+    /// returns on a miss; the flag is true on a hit.
+    ///
+    /// The state is checked out for the call: it leaves the entry before
+    /// `run` and is put back afterwards, so the lock is never held while
+    /// `run` simulates, and a concurrent call for the same key misses and
+    /// builds its own. The state goes back only while `source` is still
+    /// cached and its memo is within [`EXPLAINER_ARENA_CAP`], as the
+    /// entry's most recently used one, evicting the least recently used
+    /// beyond [`GOLDEN_REFS_PER_DESIGN`]. `run` must leave a state that
+    /// still matches the key, which [`veribug::localize::run_with_sims`]
+    /// does even when it fails.
+    pub fn explainer<R>(
+        &self,
+        source: &str,
+        target: &str,
+        weights: &str,
+        build: impl FnOnce() -> ExplainerState,
+        run: impl FnOnce(&mut ExplainerState) -> R,
+    ) -> (R, bool) {
+        let design = fnv1a(source.as_bytes());
+        let key = (target.to_owned(), weights.to_owned());
+        let found = {
+            let mut c = self.inner.lock().expect("design cache lock");
+            c.entries.get_mut(&design).and_then(|e| {
+                let i = e.explainers.iter().position(|(k, _)| *k == key)?;
+                Some(e.explainers.remove(i).1)
+            })
+        };
+        let hit = found.is_some();
+        if hit {
+            EXPLAINER_HITS.incr();
+        } else {
+            EXPLAINER_MISSES.incr();
+        }
+        let mut state = found.unwrap_or_else(build);
+        let result = run(&mut state);
+        if state.arena_len() <= self.explainer_arena_cap {
+            let mut c = self.inner.lock().expect("design cache lock");
+            if let Some(memo) = c.entries.get_mut(&design).map(|e| &mut e.explainers) {
+                // A concurrent call may have put its own state back
+                // meanwhile; this one is the more recently used.
+                memo.retain(|(k, _)| *k != key);
+                if memo.len() >= GOLDEN_REFS_PER_DESIGN {
+                    memo.remove(0);
+                }
+                memo.push((key, state));
+            }
+        }
+        (result, hit)
+    }
+
+    /// How many explainer states `source`'s entry memoizes (0 when the
+    /// design is not cached).
+    pub fn explainers(&self, source: &str) -> usize {
+        let c = self.inner.lock().expect("design cache lock");
+        c.entries
+            .get(&fnv1a(source.as_bytes()))
+            .map_or(0, |e| e.explainers.len())
+    }
+
     /// How many golden references `source`'s entry memoizes (0 when the
     /// design is not cached).
     pub fn golden_refs(&self, source: &str) -> usize {
@@ -395,6 +483,101 @@ mod tests {
         assert_eq!(third.preload(), 1, "only the intact design loads");
         assert!(!third.get(SRC_A).unwrap().hit);
         std::fs::remove_dir_all(&root).unwrap();
+    }
+
+    /// Checks out `source`'s explainer state for `target` under `weights`
+    /// and puts it back untouched; true on a hit.
+    fn touch_explainer(cache: &DesignCache, source: &str, target: &str, weights: &str) -> bool {
+        let module = cache.get(source).unwrap().module;
+        let build = || ExplainerState::new(&module, target);
+        cache.explainer(source, target, weights, build, |_| ()).1
+    }
+
+    #[test]
+    fn explainer_memo_is_reused_and_bounded_per_design() {
+        let cache = DesignCache::new(4);
+        assert!(!touch_explainer(&cache, SRC_A, "z", "w0"));
+        assert!(touch_explainer(&cache, SRC_A, "z", "w0"));
+        // Target and weights are both part of the key.
+        assert!(!touch_explainer(&cache, SRC_A, "x", "w0"));
+        assert_eq!(cache.explainers(SRC_A), 2);
+        assert!(touch_explainer(&cache, SRC_A, "z", "w0"));
+        // One more key than the bound: the least recently used one,
+        // target `x`, is dropped.
+        for w in 1..GOLDEN_REFS_PER_DESIGN {
+            assert!(!touch_explainer(&cache, SRC_A, "z", &format!("w{w}")));
+            assert!(cache.explainers(SRC_A) <= GOLDEN_REFS_PER_DESIGN);
+        }
+        assert_eq!(cache.explainers(SRC_A), GOLDEN_REFS_PER_DESIGN);
+        for w in 0..GOLDEN_REFS_PER_DESIGN {
+            assert!(touch_explainer(&cache, SRC_A, "z", &format!("w{w}")));
+        }
+        assert!(!touch_explainer(&cache, SRC_A, "x", "w0"), "x was evicted");
+        assert_eq!(cache.explainers(SRC_A), GOLDEN_REFS_PER_DESIGN);
+        // Nothing is memoized for a design that is not cached.
+        let module = verilog::parse(SRC_C).unwrap().top().clone();
+        let build = || ExplainerState::new(&module, "z");
+        for _ in 0..2 {
+            assert!(!cache.explainer(SRC_C, "z", "w0", build, |_| ()).1);
+        }
+        assert_eq!(cache.explainers(SRC_C), 0);
+    }
+
+    #[test]
+    fn evicting_a_design_drops_its_explainer_memo() {
+        let cache = DesignCache::new(1);
+        assert!(!touch_explainer(&cache, SRC_A, "z", "w0"));
+        assert_eq!(cache.explainers(SRC_A), 1);
+        cache.get(SRC_B).unwrap(); // evicts A
+        assert_eq!(cache.explainers(SRC_A), 0);
+        assert!(!cache.get(SRC_A).unwrap().hit);
+        assert!(!touch_explainer(&cache, SRC_A, "z", "w0"));
+    }
+
+    #[test]
+    fn an_explainer_past_the_arena_cap_is_not_put_back() {
+        let model = veribug::VeriBugModel::new(veribug::ModelConfig::default());
+        let opts = veribug::LocalizeOptions {
+            runs: 16,
+            cycles: 4,
+            ..Default::default()
+        };
+        let localize = |cache: &DesignCache| {
+            let mut golden = cache.get(SRC_A).unwrap();
+            let mut buggy = cache.get(SRC_B).unwrap();
+            let inert = sim::CancelToken::inert();
+            let reference = GoldenRef::build(&mut golden.sim, "z", &opts, &inert).unwrap();
+            let build = || ExplainerState::new(&buggy.module, "z");
+            let (arena, hit) = cache.explainer(SRC_B, "z", "w0", build, |state| {
+                let report = veribug::localize::run_with_sims(
+                    &model,
+                    &reference,
+                    &mut buggy.sim,
+                    state,
+                    "z",
+                    &opts,
+                    &inert,
+                )
+                .unwrap();
+                assert!(report.has_failures());
+                state.arena_len()
+            });
+            (arena, hit)
+        };
+        let roomy = DesignCache::new(4);
+        let (arena, hit) = localize(&roomy);
+        assert!(!hit && arena > 0);
+        assert_eq!(roomy.explainers(SRC_B), 1);
+        assert_eq!(localize(&roomy), (arena, true));
+
+        let mut tight = DesignCache::new(4);
+        tight.explainer_arena_cap = arena - 1;
+        assert_eq!(localize(&tight), (arena, false));
+        assert_eq!(tight.explainers(SRC_B), 0, "an over-cap memo is dropped");
+        assert_eq!(localize(&tight), (arena, false));
+        tight.explainer_arena_cap = arena;
+        assert_eq!(localize(&tight), (arena, false));
+        assert_eq!(localize(&tight), (arena, true), "a memo at the cap is kept");
     }
 
     #[test]

@@ -65,8 +65,9 @@
 //!
 //! Responses are deterministic: two identical `/v1/localize` requests
 //! produce byte-identical bodies whether they hit the design cache or not
-//! (cache status travels in the `x-veribug-cache` response *header*, and
-//! the request ID in `x-veribug-request-id` — never a 200 body).
+//! (cache status travels in the `x-veribug-cache` response *header*, memo
+//! status in `x-veribug-golden-ref` and `x-veribug-explainer`, and the
+//! request ID in `x-veribug-request-id` — never a 200 body).
 
 #![warn(missing_docs)]
 

@@ -8,7 +8,9 @@
 //! response. Every request runs under a `serve.request` span with
 //! per-stage child spans (`stimgen`, `simulate`, `buggy_pass`, `explain`
 //! come from the localize pipeline itself; a memoized golden reference
-//! skips the first two), a panic inside a handler answers `500` without
+//! skips the first two, and a memoized explainer state skips building the
+//! explainer and every model evaluation it has already made), a panic
+//! inside a handler answers `500` without
 //! killing the worker, and a fired deadline answers `504`.
 //!
 //! Every request carries a **request ID** — honored from an
@@ -46,7 +48,7 @@ use std::time::{Duration, Instant};
 use sim::CancelToken;
 use store::Store;
 use veribug::model::{ModelConfig, VeriBugModel};
-use veribug::{GoldenKey, GoldenRef, LocalizeReport, VeriBugError};
+use veribug::{ExplainerState, GoldenKey, GoldenRef, LocalizeReport, VeriBugError};
 use verilog::Module;
 
 use obs::live;
@@ -677,9 +679,11 @@ fn build_error(which: &'static str, e: BuildError) -> ApiError {
 /// attributions are identical by construction).
 ///
 /// The golden reference comes from the golden design's cache entry
-/// ([`DesignCache::golden_ref`]); its status travels in the
-/// `x-veribug-golden-ref` header, like design-cache status in
-/// `x-veribug-cache`, so bodies stay byte-identical hit or miss.
+/// ([`DesignCache::golden_ref`]) and the explainer state from the buggy
+/// design's ([`DesignCache::explainer`]); their status travels in the
+/// `x-veribug-golden-ref` and `x-veribug-explainer` headers, like
+/// design-cache status in `x-veribug-cache`, so bodies stay
+/// byte-identical hit or miss.
 fn handle_localize(
     state: &ServerState,
     body: &[u8],
@@ -715,15 +719,31 @@ fn handle_localize(
         Ok((_, true)) => "hit",
         _ => "miss",
     };
+    let mut explainer_hit = false;
     let result = reference.and_then(|(reference, _)| {
-        veribug::localize::run_with_sims(
-            &state.model,
-            &reference,
-            &mut buggy.sim,
+        let build = || {
+            let _span = obs::span("explain");
+            ExplainerState::new(&buggy.module, &parsed.target)
+        };
+        let (result, hit) = state.cache.explainer(
+            &parsed.buggy,
             &parsed.target,
-            &parsed.opts,
-            &cancel,
-        )
+            &state.weights_hash,
+            build,
+            |explainer| {
+                veribug::localize::run_with_sims(
+                    &state.model,
+                    &reference,
+                    &mut buggy.sim,
+                    explainer,
+                    &parsed.target,
+                    &parsed.opts,
+                    &cancel,
+                )
+            },
+        );
+        explainer_hit = hit;
+        result
     });
     // Cache status travels in headers, never the body, so identical
     // requests stay byte-identical cold or warm.
@@ -735,6 +755,10 @@ fn handle_localize(
     let extra: &[(&str, &str)] = &[
         ("x-veribug-cache", &cache_note),
         ("x-veribug-golden-ref", memo_note),
+        (
+            "x-veribug-explainer",
+            if explainer_hit { "hit" } else { "miss" },
+        ),
     ];
     match result {
         Ok(report) => reply.send(200, extra, &render(&state.model, &buggy.module, &report)),

@@ -247,9 +247,11 @@ fn repeat_request_hits_the_cache_and_stays_byte_identical() {
         cold.header("x-veribug-cache"),
         Some("golden=miss,buggy=miss")
     );
+    assert_eq!(cold.header("x-veribug-explainer"), Some("miss"));
     let warm = request(handle.addr(), "POST", "/v1/localize", &body);
     assert_eq!(warm.status, 200);
     assert_eq!(warm.header("x-veribug-cache"), Some("golden=hit,buggy=hit"));
+    assert_eq!(warm.header("x-veribug-explainer"), Some("hit"));
     assert_eq!(
         cold.body, warm.body,
         "cache state never leaks into the body"
@@ -421,6 +423,123 @@ fn concurrent_identical_requests_return_identical_bodies() {
     }
 }
 
+/// GOLDEN → BUGGY at `y` through `cache`'s golden-reference and explainer
+/// memos, calling `while_checked_out` while the explainer state is out of
+/// the cache: the rendered body and whether the explainer was a memo hit.
+fn localize_through_memos(
+    cache: &veribug_serve::DesignCache,
+    model: &veribug::VeriBugModel,
+    opts: &veribug::LocalizeOptions,
+    while_checked_out: impl FnOnce(),
+) -> (String, bool) {
+    let mut golden = cache.get(GOLDEN).unwrap();
+    let mut buggy = cache.get(BUGGY).unwrap();
+    let cancel = sim::CancelToken::inert();
+    let (reference, _) = cache
+        .golden_ref(GOLDEN, &veribug::GoldenKey::new("y", opts), || {
+            veribug::GoldenRef::build(&mut golden.sim, "y", opts, &cancel)
+        })
+        .unwrap();
+    let weights = veribug::persist::content_hash_hex(model);
+    let build = || veribug::ExplainerState::new(&buggy.module, "y");
+    let (report, hit) = cache.explainer(BUGGY, "y", &weights, build, |explainer| {
+        while_checked_out();
+        veribug::localize::run_with_sims(
+            model,
+            &reference,
+            &mut buggy.sim,
+            explainer,
+            "y",
+            opts,
+            &cancel,
+        )
+    });
+    (veribug_serve::api::render_report(&report.unwrap()), hit)
+}
+
+/// Identical requests that collide on the explainer checkout: while one
+/// holds the memoized state, another builds its own. Every answer must
+/// equal a fresh localization's, byte for byte.
+#[test]
+fn concurrent_explainer_checkouts_return_identical_bodies() {
+    // In process, the collision is forced: a second localization runs
+    // while the first holds the state.
+    let model = veribug::VeriBugModel::new(veribug::ModelConfig::default());
+    let opts = veribug::LocalizeOptions {
+        runs: 24,
+        cycles: 8,
+        ..Default::default()
+    };
+    let expected = {
+        let golden = verilog::parse(GOLDEN).unwrap().top().clone();
+        let buggy = verilog::parse(BUGGY).unwrap().top().clone();
+        let report = veribug::localize::run(&model, &golden, &buggy, "y", &opts).unwrap();
+        veribug_serve::api::render_report(&report)
+    };
+    let cache = veribug_serve::DesignCache::new(4);
+    assert_eq!(
+        localize_through_memos(&cache, &model, &opts, || {}),
+        (expected.clone(), false)
+    );
+    let outer = localize_through_memos(&cache, &model, &opts, || {
+        let inner = localize_through_memos(&cache, &model, &opts, || {});
+        assert_eq!(
+            inner,
+            (expected.clone(), false),
+            "a checked-out state is not shared"
+        );
+    });
+    assert_eq!(outer, (expected.clone(), true));
+    assert_eq!(cache.explainers(BUGGY), 1);
+    assert_eq!(
+        localize_through_memos(&cache, &model, &opts, || {}),
+        (expected, true)
+    );
+
+    // Over HTTP, with a warm memo: eight clients at once on two workers.
+    let (handle, join) = start(ServerConfig {
+        workers: 2,
+        queue_capacity: 16,
+        ..ServerConfig::default()
+    });
+    let addr = handle.addr();
+    let golden = format!("// explainer-checkout-test\n{GOLDEN}");
+    let buggy = format!("// explainer-checkout-test\n{BUGGY}");
+    let body = memo_body(&golden, &buggy, "y", "\"runs\":16,\"cycles\":8");
+    let warm_up = request(addr, "POST", "/v1/localize", &body);
+    assert_eq!(warm_up.status, 200, "body: {}", warm_up.text());
+    assert_eq!(warm_up.header("x-veribug-explainer"), Some("miss"));
+    let clients = 8;
+    let start_line = std::sync::Arc::new(std::sync::Barrier::new(clients));
+    let threads: Vec<_> = (0..clients)
+        .map(|_| {
+            let (body, start_line) = (body.clone(), std::sync::Arc::clone(&start_line));
+            std::thread::spawn(move || {
+                start_line.wait();
+                request(addr, "POST", "/v1/localize", &body)
+            })
+        })
+        .collect();
+    let answers: Vec<_> = threads
+        .into_iter()
+        .map(|t| t.join().expect("client thread"))
+        .collect();
+    stop(&handle, join);
+    let fresh = fresh_server_body(&body);
+    assert_eq!(warm_up.body, fresh);
+    let mut hits = 0;
+    for resp in &answers {
+        assert_eq!(resp.status, 200, "body: {}", resp.text());
+        assert_eq!(resp.body, fresh, "a concurrent answer differs");
+        match resp.header("x-veribug-explainer") {
+            Some("hit") => hits += 1,
+            Some("miss") => {}
+            other => panic!("x-veribug-explainer: {other:?}"),
+        }
+    }
+    assert!(hits >= 1, "the first checkout after warm-up hits");
+}
+
 #[test]
 fn golden_memo_misses_on_every_key_field_and_matches_a_fresh_server() {
     let (handle, join) = start(ServerConfig::default());
@@ -589,6 +708,7 @@ fn golden_memo_hit_and_miss_bodies_match_at_any_thread_count() {
         veribug_serve::api::render_report(&report)
     };
     let key = veribug::GoldenKey::new("y", &opts);
+    let weights = veribug::persist::content_hash_hex(&model);
     for threads in [1usize, 2, 8] {
         par::with_threads(threads, || {
             let cache = veribug_serve::DesignCache::new(4);
@@ -602,17 +722,26 @@ fn golden_memo_hit_and_miss_bodies_match_at_any_thread_count() {
                     })
                     .unwrap();
                 assert_eq!(hit, expect_hit);
-                let report = veribug::localize::run_with_sims(
-                    &model,
-                    &reference,
-                    &mut buggy.sim,
+                let (report, explainer_hit) = cache.explainer(
+                    BUGGY,
                     "y",
-                    &opts,
-                    &cancel,
-                )
-                .unwrap();
+                    &weights,
+                    || veribug::ExplainerState::new(&buggy.module, "y"),
+                    |explainer| {
+                        veribug::localize::run_with_sims(
+                            &model,
+                            &reference,
+                            &mut buggy.sim,
+                            explainer,
+                            "y",
+                            &opts,
+                            &cancel,
+                        )
+                    },
+                );
+                assert_eq!(explainer_hit, expect_hit);
                 assert_eq!(
-                    veribug_serve::api::render_report(&report),
+                    veribug_serve::api::render_report(&report.unwrap()),
                     expected,
                     "threads {threads}, memo hit {hit}"
                 );

@@ -132,6 +132,7 @@ fn store_hit_and_miss_reports_are_byte_identical_at_1_2_8_threads() {
             &model,
             &reference,
             &mut buggy.sim,
+            &mut veribug::ExplainerState::new(&buggy.module, "y"),
             "y",
             &opts,
             &cancel,
