@@ -5,7 +5,8 @@
 use std::fmt::Write as _;
 
 use crate::json::{write_f64, write_str};
-use crate::state::{Event, Report};
+use crate::metrics::HistSummary;
+use crate::state::{Event, Report, Span};
 
 /// Renders the Chrome `trace_event` JSON object format:
 ///
@@ -15,8 +16,9 @@ use crate::state::{Event, Report};
 ///
 /// Spans become complete (`"ph": "X"`) events, instants become `"ph": "i"`
 /// events, and thread-name metadata rows out the flame chart. The
-/// `"metrics"` block (counters / gauges / histogram summaries) is ignored
-/// by trace viewers but carries the campaign's numeric diagnostics.
+/// `"metrics"` block — the [`metricsz`] object: counters, gauges,
+/// histogram summaries and `dropped_events` — is ignored by trace viewers
+/// but carries the campaign's numeric diagnostics.
 pub fn chrome_trace(report: &Report) -> String {
     let pid = std::process::id();
     let mut out = String::with_capacity(4096 + report.events.len() * 160);
@@ -34,7 +36,7 @@ pub fn chrome_trace(report: &Report) -> String {
         .events
         .iter()
         .map(|e| match e {
-            Event::Span { tid, .. } | Event::Instant { tid, .. } => *tid,
+            Event::Span(Span { tid, .. }) | Event::Instant { tid, .. } => *tid,
         })
         .collect();
     tids.sort_unstable();
@@ -57,14 +59,14 @@ pub fn chrome_trace(report: &Report) -> String {
     for e in &report.events {
         push_sep(&mut out, &mut first);
         match e {
-            Event::Span {
+            Event::Span(Span {
                 name,
                 tid,
                 id,
                 parent,
                 ts_us,
                 dur_us,
-            } => {
+            }) => {
                 out.push_str("{\"name\":");
                 write_str(&mut out, name);
                 let _ = write!(
@@ -100,66 +102,10 @@ pub fn chrome_trace(report: &Report) -> String {
             }
         }
     }
-    out.push_str("\n],\n\"displayTimeUnit\": \"ms\",\n");
-    let _ = writeln!(out, "\"droppedEvents\": {},", report.dropped_events);
-    out.push_str("\"metrics\": ");
-    metrics_block(&mut out, report);
+    out.push_str("\n],\n\"displayTimeUnit\": \"ms\",\n\"metrics\": ");
+    write_metrics(&mut out, report);
     out.push_str("\n}\n");
     out
-}
-
-/// Renders the `"metrics"` object shared by the Chrome and JSON-lines
-/// exporters.
-fn metrics_block(out: &mut String, report: &Report) {
-    out.push_str("{\n  \"counters\": {");
-    let mut first = true;
-    for (name, v) in &report.counters {
-        if !first {
-            out.push(',');
-        }
-        first = false;
-        out.push_str("\n    ");
-        write_str(out, name);
-        let _ = write!(out, ": {v}");
-    }
-    out.push_str("\n  },\n  \"gauges\": {");
-    first = true;
-    for (name, v) in &report.gauges {
-        if !first {
-            out.push(',');
-        }
-        first = false;
-        out.push_str("\n    ");
-        write_str(out, name);
-        out.push_str(": ");
-        write_f64(out, *v);
-    }
-    out.push_str("\n  },\n  \"histograms\": {");
-    first = true;
-    for (name, h) in &report.histograms {
-        if !first {
-            out.push(',');
-        }
-        first = false;
-        out.push_str("\n    ");
-        write_str(out, name);
-        let _ = write!(out, ": {{\"count\": {}, \"sum\": ", h.count);
-        write_f64(out, h.sum);
-        out.push_str(", \"min\": ");
-        write_f64(out, h.min);
-        out.push_str(", \"max\": ");
-        write_f64(out, h.max);
-        out.push_str(", \"mean\": ");
-        write_f64(out, h.mean);
-        out.push_str(", \"p50\": ");
-        write_f64(out, h.p50);
-        out.push_str(", \"p90\": ");
-        write_f64(out, h.p90);
-        out.push_str(", \"p99\": ");
-        write_f64(out, h.p99);
-        out.push('}');
-    }
-    out.push_str("\n  }\n}");
 }
 
 /// Renders JSON-lines: one event object per line (`"type"` is `"span"` or
@@ -169,14 +115,14 @@ pub fn jsonl(report: &Report) -> String {
     let mut out = String::with_capacity(report.events.len() * 120);
     for e in &report.events {
         match e {
-            Event::Span {
+            Event::Span(Span {
                 name,
                 tid,
                 id,
                 parent,
                 ts_us,
                 dur_us,
-            } => {
+            }) => {
                 out.push_str("{\"type\":\"span\",\"name\":");
                 write_str(&mut out, name);
                 let _ = writeln!(
@@ -222,20 +168,8 @@ pub fn jsonl(report: &Report) -> String {
     for (name, h) in &report.histograms {
         out.push_str("{\"type\":\"histogram\",\"name\":");
         write_str(&mut out, name);
-        let _ = write!(out, ",\"count\":{},\"sum\":", h.count);
-        write_f64(&mut out, h.sum);
-        out.push_str(",\"mean\":");
-        write_f64(&mut out, h.mean);
-        out.push_str(",\"min\":");
-        write_f64(&mut out, h.min);
-        out.push_str(",\"max\":");
-        write_f64(&mut out, h.max);
-        out.push_str(",\"p50\":");
-        write_f64(&mut out, h.p50);
-        out.push_str(",\"p90\":");
-        write_f64(&mut out, h.p90);
-        out.push_str(",\"p99\":");
-        write_f64(&mut out, h.p99);
+        out.push(',');
+        write_hist_fields(&mut out, h);
         out.push_str("}\n");
     }
     out
@@ -244,15 +178,22 @@ pub fn jsonl(report: &Report) -> String {
 /// Renders the metrics-only snapshot a monitoring endpoint wants (the
 /// `GET /metricsz` body of `veribug serve`): one JSON object with
 /// `counters`, `gauges`, `histograms`, and `dropped_events` — no span
-/// events, so the payload stays small on long-lived processes.
+/// events, so the payload stays small on long-lived processes. The Chrome
+/// exporter embeds the same object as its `"metrics"` block.
 pub fn metricsz(report: &Report) -> String {
     let mut out = String::with_capacity(256);
+    write_metrics(&mut out, report);
+    out.push('\n');
+    out
+}
+
+fn write_metrics(out: &mut String, report: &Report) {
     out.push_str("{\"counters\":{");
     for (i, (name, v)) in report.counters.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
-        write_str(&mut out, name);
+        write_str(out, name);
         let _ = write!(out, ":{v}");
     }
     out.push_str("},\"gauges\":{");
@@ -260,34 +201,40 @@ pub fn metricsz(report: &Report) -> String {
         if i > 0 {
             out.push(',');
         }
-        write_str(&mut out, name);
+        write_str(out, name);
         out.push(':');
-        write_f64(&mut out, *v);
+        write_f64(out, *v);
     }
     out.push_str("},\"histograms\":{");
     for (i, (name, h)) in report.histograms.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
-        write_str(&mut out, name);
-        let _ = write!(out, ":{{\"count\":{},\"sum\":", h.count);
-        write_f64(&mut out, h.sum);
-        out.push_str(",\"mean\":");
-        write_f64(&mut out, h.mean);
-        out.push_str(",\"min\":");
-        write_f64(&mut out, h.min);
-        out.push_str(",\"max\":");
-        write_f64(&mut out, h.max);
-        out.push_str(",\"p50\":");
-        write_f64(&mut out, h.p50);
-        out.push_str(",\"p90\":");
-        write_f64(&mut out, h.p90);
-        out.push_str(",\"p99\":");
-        write_f64(&mut out, h.p99);
+        write_str(out, name);
+        out.push_str(":{");
+        write_hist_fields(out, h);
         out.push('}');
     }
-    let _ = writeln!(out, "}},\"dropped_events\":{}}}", report.dropped_events);
-    out
+    let _ = write!(out, "}},\"dropped_events\":{}}}", report.dropped_events);
+}
+
+/// Writes a histogram summary's fields (`"count":…,"sum":…,"mean":…,
+/// "min":…,"max":…,"p50":…,"p90":…,"p99":…`) without the enclosing braces,
+/// so every exporter and debug page writes the same field set.
+pub fn write_hist_fields(out: &mut String, h: &HistSummary) {
+    let _ = write!(out, "\"count\":{}", h.count);
+    for (field, v) in [
+        ("sum", h.sum),
+        ("mean", h.mean),
+        ("min", h.min),
+        ("max", h.max),
+        ("p50", h.p50),
+        ("p90", h.p90),
+        ("p99", h.p99),
+    ] {
+        let _ = write!(out, ",\"{field}\":");
+        write_f64(out, v);
+    }
 }
 
 /// Renders the human-readable summary: top spans by total self-recorded
@@ -299,7 +246,7 @@ pub fn summary(report: &Report) -> String {
     // Aggregate span durations by name.
     let mut agg: std::collections::BTreeMap<&str, (u64, u64)> = Default::default();
     for e in &report.events {
-        if let Event::Span { name, dur_us, .. } = e {
+        if let Event::Span(Span { name, dur_us, .. }) = e {
             let slot = agg.entry(name).or_insert((0, 0));
             slot.0 += 1;
             slot.1 += dur_us;
@@ -358,14 +305,14 @@ mod tests {
 
     fn sample_report() -> Report {
         let mut r = Report::default();
-        r.events.push(Event::Span {
+        r.events.push(Event::Span(Span {
             name: "stage.one".into(),
             tid: 0,
             id: 1,
             parent: 0,
             ts_us: 10,
             dur_us: 500,
-        });
+        }));
         r.events.push(Event::Instant {
             name: "progress".into(),
             tid: 0,

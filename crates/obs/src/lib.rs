@@ -54,7 +54,7 @@ use std::sync::Mutex;
 
 pub use metrics::{HistSummary, LazyCounter, LazyGauge, LazyHistogram};
 pub use span::{current_context, span, span_dyn, with_context, SpanContext, SpanGuard};
-pub use state::{flush_thread, instant, Report};
+pub use state::{flush_thread, instant, Report, Span};
 
 /// Process-global master switch. All instrumentation is a no-op while this
 /// is false.
@@ -116,19 +116,20 @@ pub fn quiet() -> bool {
 }
 
 /// Emits one progress line: echoed to stderr unless [`quiet`], and recorded
-/// as an instant event when collection is enabled. Prefer the
+/// as an instant event when collection is enabled and a report file will be
+/// written (only the file exporters read instants). Prefer the
 /// [`progress!`](crate::progress) macro.
 pub fn progress_str(msg: &str) {
     if !quiet() {
         eprintln!("{msg}");
     }
-    if enabled() {
+    if enabled() && output_configured() {
         state::instant_msg("progress", msg);
     }
 }
 
 /// `eprintln!`-style progress reporting that respects `--quiet` and records
-/// an instant event in the trace when collection is enabled.
+/// an instant event in the `--obs` trace.
 #[macro_export]
 macro_rules! progress {
     ($($arg:tt)*) => {
@@ -154,23 +155,25 @@ pub fn reset() {
 }
 
 /// True when [`init`] configured an output path that [`report`] will
-/// write. Lets embedders that *might* report early (e.g. a server drain
-/// path) decide whether reporting is worthwhile at all.
+/// write. Spans of finished live traces and progress instants reach the
+/// process log only then.
 pub fn output_configured() -> bool {
     OUT_PATH.lock().expect("obs path lock").is_some()
 }
 
-/// Writes the configured report file (if [`init`] configured one) and
-/// prints the human-readable summary table to stderr (unless quiet).
+/// Writes the report file [`init`] configured and prints the
+/// human-readable summary table to stderr (unless quiet). Renders nothing
+/// without a configured path: the report is the `--obs` report.
 ///
 /// Returns the path written, if any. Emission is idempotent: the first
-/// call that runs with collection enabled emits, every later call is a
-/// no-op returning `None` — so a drain path and the at-exit path can both
-/// call this without double-rendering the summary.
+/// call that runs with collection enabled and a path configured emits,
+/// every later call is a no-op returning `None` — so a drain path and the
+/// at-exit path can both call this without double-rendering the summary.
 pub fn report() -> Option<String> {
     if !enabled() {
         return None;
     }
+    let path = OUT_PATH.lock().expect("obs path lock").clone()?;
     if REPORTED.swap(true, Ordering::SeqCst) {
         return None;
     }
@@ -178,7 +181,6 @@ pub fn report() -> Option<String> {
     if !quiet() {
         eprint!("{}", export::summary(&report));
     }
-    let path = OUT_PATH.lock().expect("obs path lock").clone()?;
     let rendered = if path.ends_with(".jsonl") {
         export::jsonl(&report)
     } else {

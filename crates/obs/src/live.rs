@@ -12,15 +12,18 @@
 //! 1. The server mints (or honors) a request ID and calls [`begin`], which
 //!    registers an active trace and installs the trace key in the
 //!    calling thread's TLS.
-//! 2. While the key is installed, every completed span is *also* recorded
-//!    into a per-thread trace buffer, and every counter increment lands in
-//!    a per-thread per-trace shard. [`crate::current_context`] carries the
-//!    key across `veribug-par` fan-outs, so worker spans and counter
-//!    deltas attribute to the request that spawned them. Buffers route to
-//!    the trace's entry on the existing [`crate::flush_thread`] path — the
-//!    hot path stays thread-local.
+//! 2. While the key is installed, every completed span is recorded into a
+//!    per-thread trace buffer *instead of* the process event log, and every
+//!    counter increment also lands in a per-thread per-trace shard.
+//!    [`crate::current_context`] carries the key across `veribug-par`
+//!    fan-outs, so worker spans and counter deltas attribute to the request
+//!    that spawned them. Buffers route to the trace's entry on the existing
+//!    [`crate::flush_thread`] path — the hot path stays thread-local.
 //! 3. [`TraceScope::finish`] assembles the completed span tree, makes the
-//!    tail-sampling decision, and pushes the result into the ring.
+//!    tail-sampling decision, and pushes the result into the ring. Only when
+//!    a `--obs` report will be written ([`crate::output_configured`]) does
+//!    it also hand the tree to the process log, so a server without `--obs`
+//!    keeps nothing per request outside the ring and the rolling windows.
 //!
 //! ## Tail-based sampling
 //!
@@ -37,7 +40,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use crate::metrics::{registry_kinds, MetricKind};
-use crate::state::{self, Name};
+use crate::state::{self, Event, Name, Span};
 
 /// Traces the ring retains (digest or sampled).
 const RING_CAPACITY: usize = 128;
@@ -50,25 +53,6 @@ const MAX_TRACE_SPANS: usize = 4096;
 /// Concurrent active traces tracked; beyond it [`begin`] hands out inert
 /// scopes (the request still runs, it just isn't traced).
 const MAX_ACTIVE: usize = 1024;
-
-/// One span inside a completed trace. `parent` is 0 for the root; ids are
-/// the process-global span ids, so the tree reconstructs by matching
-/// `parent` to `id`.
-#[derive(Debug, Clone)]
-pub struct TraceSpan {
-    /// Span name.
-    pub name: Name,
-    /// Stable small thread id (0 = first thread seen).
-    pub tid: u64,
-    /// Unique span id.
-    pub id: u64,
-    /// Parent span id (0 = root).
-    pub parent: u64,
-    /// Start, microseconds since process epoch.
-    pub ts_us: u64,
-    /// Duration in microseconds.
-    pub dur_us: u64,
-}
 
 /// Why a completed trace kept (or lost) its span tree.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -113,7 +97,7 @@ pub struct CompletedTrace {
     /// Sampling verdict.
     pub keep: Keep,
     /// The span tree (empty for digests).
-    pub spans: Vec<TraceSpan>,
+    pub spans: Vec<Span>,
     /// Counter deltas attributed to this request, by metric name (empty
     /// for digests).
     pub counters: Vec<(&'static str, u64)>,
@@ -156,7 +140,7 @@ struct ActiveTrace {
     method: String,
     path: String,
     start_us: u64,
-    spans: Vec<TraceSpan>,
+    spans: Vec<Span>,
     /// Counter deltas indexed by metric-registry slot.
     counters: Vec<u64>,
     dropped_spans: u64,
@@ -374,6 +358,12 @@ impl TraceScope {
     /// span tree and counter deltas, applies the tail-sampling decision,
     /// records the rolling-window sample, and returns the completed trace
     /// (`None` for inert scopes).
+    ///
+    /// The trace's spans live only in the trace. When a report path is
+    /// configured, the whole tree (sampled or not) is also appended to the
+    /// process log for the `--obs` file, with spans dropped past the
+    /// per-trace cap counted as dropped events; that append takes the
+    /// global sink lock after the live lock is released.
     pub fn finish(mut self, status: u16) -> Option<CompletedTrace> {
         if self.key == 0 {
             return None;
@@ -389,7 +379,7 @@ impl TraceScope {
         drop(self);
         let end_us = state::now_us();
         let names: Vec<(&'static str, MetricKind, usize)> = registry_kinds();
-        with_live(|l| {
+        let mut t = with_live(|l| {
             let active = l.active.remove(&key)?;
             let counters: Vec<(&'static str, u64)> = names
                 .iter()
@@ -401,7 +391,7 @@ impl TraceScope {
                     }
                 })
                 .collect();
-            let t = CompletedTrace {
+            let mut t = CompletedTrace {
                 id: active.id,
                 seq: 0,
                 method: active.method,
@@ -432,17 +422,19 @@ impl TraceScope {
                 cache_hits,
                 cache_misses,
             );
-            let mut t = t;
-            // push() decides the final verdict; recompute on the returned
+            // push() decides the final verdict; record it on the returned
             // copy so callers see what the ring retained.
-            let keep = l.ring.push(t.clone());
-            t.keep = keep;
-            if keep == Keep::Digest {
-                t.spans = Vec::new();
-                t.counters = Vec::new();
-            }
+            t.keep = l.ring.push(t.clone());
             Some(t)
-        })
+        })?;
+        if crate::output_configured() {
+            state::append_spans(&t.spans, t.dropped_spans);
+        }
+        if t.keep == Keep::Digest {
+            t.spans = Vec::new();
+            t.counters = Vec::new();
+        }
+        Some(t)
     }
 }
 
@@ -491,7 +483,7 @@ pub fn record_untraced(id: &str, method: &str, path: &str, status: u16, dur_us: 
 
 /// Routes a flushed per-thread trace-span batch and per-trace counter
 /// shard into the matching active traces. Called under no other obs lock.
-pub(crate) fn absorb(spans: Vec<(u64, TraceSpan)>, counter_shard: Option<(u64, Vec<u64>)>) {
+pub(crate) fn absorb(spans: Vec<(u64, Span)>, counter_shard: Option<(u64, Vec<u64>)>) {
     if spans.is_empty() && counter_shard.is_none() {
         return;
     }
@@ -538,17 +530,10 @@ pub fn occupancy() -> (usize, usize, usize) {
 /// block viewers ignore anyway), so a single request can be dropped into
 /// Perfetto.
 pub fn chrome_trace_of(t: &CompletedTrace) -> String {
-    let mut report = crate::Report::default();
-    for s in &t.spans {
-        report.events.push(crate::state::Event::Span {
-            name: s.name.clone(),
-            tid: s.tid,
-            id: s.id,
-            parent: s.parent,
-            ts_us: s.ts_us,
-            dur_us: s.dur_us,
-        });
-    }
+    let mut report = crate::Report {
+        events: t.spans.iter().cloned().map(Event::Span).collect(),
+        ..crate::Report::default()
+    };
     report.events.sort_by_key(|e| (e.ts_us(), e.id()));
     crate::export::chrome_trace(&report)
 }
@@ -568,7 +553,7 @@ mod tests {
             dur_us,
             keep: Keep::Digest,
             spans: (0..nspans)
-                .map(|i| TraceSpan {
+                .map(|i| Span {
                     name: Name::Borrowed("stage"),
                     tid: 0,
                     id: i as u64 + 1,
@@ -692,6 +677,28 @@ mod tests {
         // The thread trace is restored: spans recorded now attribute to
         // nothing.
         let _stray = crate::span("livetest.stray");
+    }
+
+    #[test]
+    fn a_span_is_recorded_once_in_the_trace_or_the_log() {
+        crate::enable();
+        let scope = begin("livetest-once", "POST", "/v1/localize");
+        assert_ne!(scope.key(), 0);
+        drop(crate::span("livetest.once.traced"));
+        // 5xx always keeps its tree, whatever else is in the ring.
+        let done = scope.finish(500).expect("real scope finishes");
+        drop(crate::span("livetest.once.untraced"));
+        let in_trace = |name: &str| done.spans.iter().filter(|s| s.name == name).count();
+        assert_eq!(in_trace("livetest.once.traced"), 1);
+        assert_eq!(in_trace("livetest.once.untraced"), 0);
+        let log = crate::snapshot();
+        let in_log = |name: &str| log.events.iter().filter(|e| e.name() == name).count();
+        assert_eq!(
+            in_log("livetest.once.traced"),
+            0,
+            "traced span copied to the log"
+        );
+        assert_eq!(in_log("livetest.once.untraced"), 1);
     }
 
     #[test]

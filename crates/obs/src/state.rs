@@ -13,7 +13,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
-use crate::live::TraceSpan;
 use crate::metrics::{registry_kinds, HistData, HistSummary, MetricKind};
 
 /// A span or event name: almost always a `&'static str`, occasionally
@@ -24,24 +23,29 @@ pub(crate) type Name = Cow<'static, str>;
 /// dropped, so a runaway instrumentation loop cannot exhaust memory.
 const MAX_EVENTS: usize = 1 << 20;
 
+/// One completed span. Ids are process-global, so a span tree
+/// reconstructs by matching `parent` to `id` (`parent` is 0 for a root).
+#[derive(Debug, Clone)]
+pub struct Span {
+    /// Span name.
+    pub name: Name,
+    /// Stable small thread id (0 = first thread seen).
+    pub tid: u64,
+    /// Unique span id.
+    pub id: u64,
+    /// Parent span id (0 = root).
+    pub parent: u64,
+    /// Start, microseconds since process epoch.
+    pub ts_us: u64,
+    /// Duration in microseconds.
+    pub dur_us: u64,
+}
+
 /// One recorded event.
 #[derive(Debug, Clone)]
 pub enum Event {
     /// A completed span.
-    Span {
-        /// Span name.
-        name: Name,
-        /// Stable small thread id (0 = first thread seen).
-        tid: u64,
-        /// Unique span id.
-        id: u64,
-        /// Parent span id (0 = root).
-        parent: u64,
-        /// Start, microseconds since process epoch.
-        ts_us: u64,
-        /// Duration in microseconds.
-        dur_us: u64,
-    },
+    Span(Span),
     /// A point-in-time measurement or progress message.
     Instant {
         /// Event name.
@@ -63,14 +67,14 @@ impl Event {
     /// The event's name.
     pub fn name(&self) -> &str {
         match self {
-            Event::Span { name, .. } | Event::Instant { name, .. } => name,
+            Event::Span(Span { name, .. }) | Event::Instant { name, .. } => name,
         }
     }
 
     /// The span id (0 for instants).
     pub fn id(&self) -> u64 {
         match self {
-            Event::Span { id, .. } => *id,
+            Event::Span(s) => s.id,
             Event::Instant { .. } => 0,
         }
     }
@@ -78,14 +82,14 @@ impl Event {
     /// The parent span id (0 = root).
     pub fn parent(&self) -> u64 {
         match self {
-            Event::Span { parent, .. } | Event::Instant { parent, .. } => *parent,
+            Event::Span(Span { parent, .. }) | Event::Instant { parent, .. } => *parent,
         }
     }
 
     /// Start timestamp in microseconds since the process epoch.
     pub fn ts_us(&self) -> u64 {
         match self {
-            Event::Span { ts_us, .. } | Event::Instant { ts_us, .. } => *ts_us,
+            Event::Span(Span { ts_us, .. }) | Event::Instant { ts_us, .. } => *ts_us,
         }
     }
 }
@@ -122,7 +126,7 @@ impl Report {
         let mut names: Vec<&str> = self
             .events
             .iter()
-            .filter(|e| matches!(e, Event::Span { .. }))
+            .filter(|e| matches!(e, Event::Span(_)))
             .map(Event::name)
             .collect();
         names.sort_unstable();
@@ -166,7 +170,7 @@ pub(crate) fn next_span_id() -> u64 {
 
 /// Trace data drained from one thread: spans tagged with their trace key,
 /// plus the per-trace counter shard (if any delta accumulated).
-pub(crate) type TraceDrain = (Vec<(u64, TraceSpan)>, Option<(u64, Vec<u64>)>);
+pub(crate) type TraceDrain = (Vec<(u64, Span)>, Option<(u64, Vec<u64>)>);
 
 /// Per-thread trace-span buffer flush threshold: keeps the buffer bounded
 /// while a long request runs, without touching the live-trace lock on
@@ -188,7 +192,7 @@ pub(crate) struct ThreadBuf {
     pub(crate) trace: u64,
     /// Completed spans awaiting routing into their trace, each tagged with
     /// the trace key current when it was recorded.
-    trace_spans: Vec<(u64, TraceSpan)>,
+    trace_spans: Vec<(u64, Span)>,
     /// Per-trace counter shard, indexed by metric registry index;
     /// attributed to `trace` and flushed on trace switch.
     trace_counters: Vec<u64>,
@@ -265,43 +269,43 @@ thread_local! {
     pub(crate) static TLS: RefCell<ThreadBuf> = RefCell::new(ThreadBuf::new());
 }
 
-/// Records a completed span into the calling thread's buffer (and, when a
-/// live trace is installed, into the thread's trace buffer as well).
+/// Records a completed span into exactly one buffer: the calling thread's
+/// trace buffer when a live trace is installed (the trace owns it), the
+/// thread's event buffer otherwise.
 pub(crate) fn record_span(name: Name, id: u64, parent: u64, ts_us: u64, dur_us: u64) {
     let overflow = TLS.with(|t| {
         let mut t = t.borrow_mut();
-        let tid = t.tid;
-        if t.trace != 0 {
-            let trace = t.trace;
-            t.trace_spans.push((
-                trace,
-                TraceSpan {
-                    name: name.clone(),
-                    tid,
-                    id,
-                    parent,
-                    ts_us,
-                    dur_us,
-                },
-            ));
-        }
-        t.events.push(Event::Span {
+        let span = Span {
             name,
-            tid,
+            tid: t.tid,
             id,
             parent,
             ts_us,
             dur_us,
-        });
-        if t.trace_spans.len() >= TRACE_SPAN_FLUSH {
-            Some(std::mem::take(&mut t.trace_spans))
-        } else {
-            None
+        };
+        if t.trace == 0 {
+            t.events.push(Event::Span(span));
+            return None;
         }
+        let trace = t.trace;
+        t.trace_spans.push((trace, span));
+        (t.trace_spans.len() >= TRACE_SPAN_FLUSH).then(|| std::mem::take(&mut t.trace_spans))
     });
     if let Some(spans) = overflow {
         crate::live::absorb(spans, None);
     }
+}
+
+/// Appends a finished trace's spans to the process log under the
+/// [`MAX_EVENTS`] cap, counting `dropped` (spans the trace itself shed past
+/// its own cap) and any overflow as dropped events. Takes the global sink
+/// lock, so callers must not hold the live lock.
+pub(crate) fn append_spans(spans: &[Span], dropped: u64) {
+    let mut g = GLOBAL.lock().expect("obs global lock");
+    let room = MAX_EVENTS.saturating_sub(g.events.len()).min(spans.len());
+    g.dropped += dropped + (spans.len() - room) as u64;
+    g.events
+        .extend(spans[..room].iter().cloned().map(Event::Span));
 }
 
 /// Installs `key` as the calling thread's live-trace key, returning the

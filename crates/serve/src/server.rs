@@ -322,12 +322,9 @@ impl Server {
         obs::progress!("serve: draining in-flight requests");
         self.state.pool.shutdown();
         obs::flush_thread();
-        // Render the obs report on drain only when an output file was
-        // configured (the CLI's own at-exit `report()` is a no-op after
-        // this — `report` renders at most once per process).
-        if obs::output_configured() {
-            let _ = obs::report();
-        }
+        // Renders only under `--obs`, and at most once per process: the
+        // CLI's own at-exit `report()` is a no-op after this.
+        let _ = obs::report();
         obs::progress!("serve: drained, listener closed");
         Ok(())
     }

@@ -9,8 +9,8 @@
 use std::fmt::Write as _;
 
 use obs::json;
-use obs::live::{self, CompletedTrace, TraceSpan};
-use obs::rolling;
+use obs::live::{self, CompletedTrace};
+use obs::{rolling, Span};
 
 /// Renders the `/tracez` JSON page: ring occupancy plus the most recent
 /// `limit` retained traces, newest first.
@@ -109,11 +109,11 @@ pub(crate) fn tracez_text(limit: usize) -> String {
     out
 }
 
-fn write_span_tree(out: &mut String, spans: &[TraceSpan]) {
+fn write_span_tree(out: &mut String, spans: &[Span]) {
     // Roots are spans whose parent is not itself in the trace (the request
     // root has parent 0; a worker span's parent is an in-trace span).
     let in_trace = |id: u64| spans.iter().any(|s| s.id == id);
-    fn emit(out: &mut String, spans: &[TraceSpan], parent: u64, depth: usize) {
+    fn emit(out: &mut String, spans: &[Span], parent: u64, depth: usize) {
         if depth > 16 {
             return;
         }
@@ -233,14 +233,8 @@ pub(crate) fn statusz_json(info: &StatusInfo, window_s: u64) -> String {
     out.push_str(",\"score_margin\":");
     match &info.score_margin {
         Some(h) => {
-            let _ = write!(out, "{{\"count\":{},\"mean\":", h.count);
-            json::write_f64(&mut out, h.mean);
-            out.push_str(",\"p50\":");
-            json::write_f64(&mut out, h.p50);
-            out.push_str(",\"p99\":");
-            json::write_f64(&mut out, h.p99);
-            out.push_str(",\"max\":");
-            json::write_f64(&mut out, h.max);
+            out.push('{');
+            obs::export::write_hist_fields(&mut out, h);
             out.push('}');
         }
         None => out.push_str("null"),

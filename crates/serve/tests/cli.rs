@@ -367,9 +367,10 @@ fn serve_subcommand_runs_and_drains() {
     assert!(status.success(), "serve exits 0 after drain");
 }
 
-/// With `--obs` the drain path renders the report; the CLI's at-exit
-/// report must then be a no-op (exactly one render per process), and
-/// `--access-log` emits one JSON line per request on stderr.
+/// With `--obs` the drain path renders the report, holding the served
+/// request's spans; the CLI's at-exit report must then be a no-op (exactly
+/// one render per process), and `--access-log` emits one JSON line per
+/// request on stderr.
 #[test]
 fn serve_renders_the_obs_report_once_and_logs_access() {
     let dir = scratch_dir("serve-obs");
@@ -403,6 +404,8 @@ fn serve_renders_the_obs_report_once_and_logs_access() {
         "",
     );
     assert_eq!(healthz.status, 200, "healthz is up");
+    let localize = request(addr, "POST", "/v1/localize", &cli_equivalent_body());
+    assert_eq!(localize.status, 200, "{}", localize.text());
 
     let resp = request(addr, "POST", "/v1/shutdown", "");
     assert_eq!(resp.status, 200, "shutdown accepted: {}", resp.text());
@@ -423,12 +426,17 @@ fn serve_renders_the_obs_report_once_and_logs_access() {
         1,
         "summary rendered exactly once, stderr:\n{stderr}"
     );
-    assert!(
-        std::fs::read_to_string(&trace_path)
-            .map(|s| !s.is_empty())
-            .unwrap_or(false),
-        "trace file written"
-    );
+    // The request's spans lived in its live trace and were handed to the
+    // process log for the `--obs` file.
+    let trace = std::fs::read_to_string(&trace_path).expect("trace file written");
+    let v = obs::validate::chrome_trace(&trace).expect("trace validates");
+    for name in ["serve.request", "explain.resolve"] {
+        assert!(
+            v.span_names.iter().any(|n| n == name),
+            "{name} missing from {:?}",
+            v.span_names
+        );
+    }
 
     // The access log carried the healthz request with the client's ID.
     let access = stderr
