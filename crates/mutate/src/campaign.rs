@@ -197,8 +197,8 @@ impl Campaign {
     /// waves of shuffled sites. The wave partitioning and the in-order
     /// merge depend only on the seed — never on the worker count — so the
     /// returned mutant list is identical at any thread count (and to a
-    /// fully serial pass). Thread count follows `VERIBUG_THREADS` /
-    /// `RAYON_NUM_THREADS` (see [`par::max_threads`]).
+    /// fully serial pass). Thread count follows `VERIBUG_THREADS` (see
+    /// [`par::max_threads`]).
     ///
     /// # Errors
     ///

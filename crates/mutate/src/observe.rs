@@ -85,11 +85,11 @@ fn label_of(divergence_cycles: &[u32]) -> TraceLabel {
 /// Runs a simulator over a stimulus set bit-parallel, partitioning the set
 /// into lane groups of up to [`sim::LANES`] stimuli.
 ///
-/// A single group runs on the caller's simulator directly; larger sets fan
-/// the groups out with [`par::par_chunk_map`] — one lane group per
-/// partition, on a fork sharing the compiled code, with the parent's
-/// cancel token re-installed (forks reset to inert) — and merge results in
-/// stimulus order, so the output is identical at any thread count.
+/// The groups fan out with [`par::par_chunk_map`] — one lane group per
+/// partition (a single group runs inline on the calling thread), on a fork
+/// sharing the netlist and compiled code, with the parent's cancel token
+/// re-installed (forks reset to inert) — and results merge in stimulus
+/// order, so the output is identical at any thread count.
 pub fn run_lane_groups(sim: &mut Simulator, stimuli: &[Stimulus]) -> Result<Vec<Trace>, SimError> {
     let runs = run_lane_groups_mode(sim, stimuli, TraceMode::full())?;
     Ok(runs.into_iter().map(|(trace, _)| trace).collect())
@@ -114,13 +114,9 @@ pub fn run_lane_groups_mode(
     stimuli: &[Stimulus],
     mode: TraceMode<'_>,
 ) -> Result<Vec<(Trace, VerdictTrace)>, SimError> {
-    if stimuli.len() <= sim::LANES {
-        return sim.run_batch_mode(stimuli, mode);
-    }
-    let shared = &*sim;
     let results = par::par_chunk_map(stimuli, sim::LANES, |_, group| {
-        let mut fork = shared.fork();
-        fork.set_cancel(shared.cancel_token().clone());
+        let mut fork = sim.fork();
+        fork.set_cancel(sim.cancel_token().clone());
         fork.run_batch_mode(group, mode)
     });
     let mut out = Vec::with_capacity(stimuli.len());

@@ -50,7 +50,7 @@ mod state;
 pub mod validate;
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Mutex;
+use std::sync::OnceLock;
 
 pub use metrics::{HistSummary, LazyCounter, LazyGauge, LazyHistogram};
 pub use span::{current_context, span, span_dyn, with_context, SpanContext, SpanGuard};
@@ -59,10 +59,11 @@ pub use state::{flush_thread, instant, Report, Span};
 /// Process-global master switch. All instrumentation is a no-op while this
 /// is false.
 static ENABLED: AtomicBool = AtomicBool::new(false);
-/// Suppresses [`progress_str`] stderr echo when set (`--quiet`).
+/// Suppresses [`progress_fmt`] stderr echo when set (`--quiet`).
 static QUIET: AtomicBool = AtomicBool::new(false);
-/// Output path configured by [`init`]; consumed by [`report`].
-static OUT_PATH: Mutex<Option<String>> = Mutex::new(None);
+/// Output path configured by the first [`init`] that found one; consumed
+/// by [`report`]. Read lock-free, since every progress line checks it.
+static OUT_PATH: OnceLock<String> = OnceLock::new();
 /// Set once [`report`] has emitted; later calls are no-ops. Makes at-exit
 /// reporting idempotent when more than one path reaches it (e.g. `veribug
 /// serve` draining via `/v1/shutdown` and then returning through `main`'s
@@ -92,14 +93,15 @@ pub fn set_enabled(on: bool) {
 ///
 /// `path_arg` is the value of a `--obs <path>` flag when the caller saw
 /// one; otherwise the `VERIBUG_OBS` environment variable is consulted.
-/// When neither is present this is a no-op and collection stays off.
+/// When neither is present this is a no-op and collection stays off. The
+/// first path found is kept for the life of the process.
 pub fn init(path_arg: Option<&str>) {
     let path = path_arg
         .map(str::to_owned)
         .or_else(|| std::env::var("VERIBUG_OBS").ok())
         .filter(|p| !p.is_empty());
     if let Some(path) = path {
-        *OUT_PATH.lock().expect("obs path lock") = Some(path);
+        let _ = OUT_PATH.set(path);
         enable();
     }
 }
@@ -117,14 +119,15 @@ pub fn quiet() -> bool {
 
 /// Emits one progress line: echoed to stderr unless [`quiet`], and recorded
 /// as an instant event when collection is enabled and a report file will be
-/// written (only the file exporters read instants). Prefer the
-/// [`progress!`](crate::progress) macro.
-pub fn progress_str(msg: &str) {
+/// written (only the file exporters read instants). `args` is formatted only
+/// for those, so a quiet process without a report path pays two relaxed
+/// loads and no lock. Prefer the [`progress!`](crate::progress) macro.
+pub fn progress_fmt(args: std::fmt::Arguments<'_>) {
     if !quiet() {
-        eprintln!("{msg}");
+        eprintln!("{args}");
     }
     if enabled() && output_configured() {
-        state::instant_msg("progress", msg);
+        state::instant_msg("progress", &args.to_string());
     }
 }
 
@@ -133,7 +136,7 @@ pub fn progress_str(msg: &str) {
 #[macro_export]
 macro_rules! progress {
     ($($arg:tt)*) => {
-        $crate::progress_str(&format!($($arg)*))
+        $crate::progress_fmt(format_args!($($arg)*))
     };
 }
 
@@ -158,7 +161,7 @@ pub fn reset() {
 /// write. Spans of finished live traces and progress instants reach the
 /// process log only then.
 pub fn output_configured() -> bool {
-    OUT_PATH.lock().expect("obs path lock").is_some()
+    OUT_PATH.get().is_some()
 }
 
 /// Writes the report file [`init`] configured and prints the
@@ -173,7 +176,7 @@ pub fn report() -> Option<String> {
     if !enabled() {
         return None;
     }
-    let path = OUT_PATH.lock().expect("obs path lock").clone()?;
+    let path = OUT_PATH.get()?;
     if REPORTED.swap(true, Ordering::SeqCst) {
         return None;
     }
@@ -186,12 +189,12 @@ pub fn report() -> Option<String> {
     } else {
         export::chrome_trace(&report)
     };
-    match std::fs::write(&path, rendered) {
+    match std::fs::write(path, rendered) {
         Ok(()) => {
             if !quiet() {
                 eprintln!("obs: trace written to {path}");
             }
-            Some(path)
+            Some(path.clone())
         }
         Err(e) => {
             eprintln!("obs: cannot write {path}: {e}");
@@ -273,5 +276,29 @@ mod tests {
     fn report_without_path_is_none() {
         enable();
         assert_eq!(report(), None);
+    }
+
+    /// Counts how often it is formatted.
+    struct Counted<'a>(&'a std::cell::Cell<usize>);
+
+    impl std::fmt::Display for Counted<'_> {
+        fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+            self.0.set(self.0.get() + 1);
+            f.write_str("counted")
+        }
+    }
+
+    #[test]
+    fn progress_formats_only_when_read() {
+        // No test here configures a report path, so a quiet process
+        // drops the line before formatting it, enabled or not.
+        enable();
+        let formatted = std::cell::Cell::new(0);
+        set_quiet(true);
+        crate::progress!("test.progress {}", Counted(&formatted));
+        assert_eq!(formatted.get(), 0, "a quiet line is never formatted");
+        set_quiet(false);
+        crate::progress!("test.progress {}", Counted(&formatted));
+        assert_eq!(formatted.get(), 1, "an echoed line is formatted once");
     }
 }

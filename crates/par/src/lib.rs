@@ -12,9 +12,7 @@
 //! Thread count resolution, highest priority first:
 //! 1. a [`with_threads`] override on the calling thread (used by tests),
 //! 2. the `VERIBUG_THREADS` environment variable,
-//! 3. the `RAYON_NUM_THREADS` environment variable (honoured for
-//!    compatibility with rayon-based tooling),
-//! 4. [`std::thread::available_parallelism`].
+//! 3. [`std::thread::available_parallelism`].
 //!
 //! Built on `std::thread::scope` only — no external dependencies, which
 //! keeps the workspace buildable in offline environments.
@@ -57,16 +55,11 @@ pub fn max_threads() -> usize {
     if let Some(n) = THREAD_OVERRIDE.with(|o| o.get()) {
         return n;
     }
-    for var in ["VERIBUG_THREADS", "RAYON_NUM_THREADS"] {
-        if let Ok(s) = std::env::var(var) {
-            if let Ok(n) = s.trim().parse::<usize>() {
-                if n > 0 {
-                    return n;
-                }
-            }
-        }
-    }
-    std::thread::available_parallelism().map_or(1, |n| n.get())
+    std::env::var("VERIBUG_THREADS")
+        .ok()
+        .and_then(|s| s.trim().parse::<usize>().ok())
+        .filter(|&n| n > 0)
+        .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
 /// Runs `f(0..n)` across the available worker threads and returns the

@@ -11,6 +11,11 @@ use obs::json::{self, Json};
 use veribug::{LocalizeOptions, LocalizeReport};
 use verilog::{Module, StmtId};
 
+/// The most simulated cycles one localize request may ask for: `runs` ×
+/// `cycles`, a run counting at least one. 25× the default 160 × 16; it bounds
+/// the work done before the first per-cycle deadline check.
+pub const MAX_RUN_CYCLES: usize = 1 << 16;
+
 /// A structured error answer; rendered as
 /// `{"error":{"status":...,"kind":...,"message":...[,"line":...,"col":...][,"request_id":...]}}`.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -112,14 +117,14 @@ fn parse_body(body: &[u8]) -> Result<Json, ApiError> {
     json::parse(text).map_err(|e| ApiError::new(400, "bad_json", e))
 }
 
+fn bad_field(message: impl Into<String>) -> ApiError {
+    ApiError::new(400, "bad_field", message)
+}
+
 fn str_field(obj: &Json, key: &str) -> Result<String, ApiError> {
     match obj.get(key) {
         Some(Json::Str(s)) => Ok(s.clone()),
-        Some(_) => Err(ApiError::new(
-            400,
-            "bad_field",
-            format!("field `{key}` must be a string"),
-        )),
+        Some(_) => Err(bad_field(format!("field `{key}` must be a string"))),
         None => Err(ApiError::new(
             400,
             "missing_field",
@@ -132,11 +137,7 @@ fn num_field(obj: &Json, key: &str) -> Result<Option<f64>, ApiError> {
     match obj.get(key) {
         None => Ok(None),
         Some(Json::Num(n)) => Ok(Some(*n)),
-        Some(_) => Err(ApiError::new(
-            400,
-            "bad_field",
-            format!("field `{key}` must be a number"),
-        )),
+        Some(_) => Err(bad_field(format!("field `{key}` must be a number"))),
     }
 }
 
@@ -144,11 +145,9 @@ fn usize_field(obj: &Json, key: &str, default: usize) -> Result<usize, ApiError>
     match num_field(obj, key)? {
         None => Ok(default),
         Some(n) if n >= 0.0 && n.fract() == 0.0 => Ok(n as usize),
-        Some(_) => Err(ApiError::new(
-            400,
-            "bad_field",
-            format!("field `{key}` must be a non-negative integer"),
-        )),
+        Some(_) => Err(bad_field(format!(
+            "field `{key}` must be a non-negative integer"
+        ))),
     }
 }
 
@@ -159,8 +158,9 @@ fn usize_field(obj: &Json, key: &str, default: usize) -> Result<usize, ApiError>
 ///
 /// # Errors
 ///
-/// `400` [`ApiError`]s for malformed JSON, missing required fields, or
-/// wrongly-typed options.
+/// `400` [`ApiError`]s for malformed JSON, missing required fields,
+/// wrongly-typed options, `runs × cycles` above [`MAX_RUN_CYCLES`], or a
+/// `hold_probability` outside `[0, 1]`.
 pub fn parse_localize(body: &[u8]) -> Result<LocalizeRequest, ApiError> {
     let doc = parse_body(body)?;
     if doc.as_obj().is_none() {
@@ -173,11 +173,7 @@ pub fn parse_localize(body: &[u8]) -> Result<LocalizeRequest, ApiError> {
     let mut deadline_ms = None;
     if let Some(o) = doc.get("options") {
         if o.as_obj().is_none() {
-            return Err(ApiError::new(
-                400,
-                "bad_field",
-                "`options` must be an object",
-            ));
+            return Err(bad_field("`options` must be an object"));
         }
         opts.runs = usize_field(o, "runs", opts.runs)?;
         opts.cycles = usize_field(o, "cycles", opts.cycles)?;
@@ -189,10 +185,22 @@ pub fn parse_localize(body: &[u8]) -> Result<LocalizeRequest, ApiError> {
             opts.stim_seed = s as u64;
         }
         if let Some(h) = num_field(o, "hold_probability")? {
+            if !(0.0..=1.0).contains(&h) {
+                return Err(bad_field(format!(
+                    "field `hold_probability` must be within [0, 1], got {h}"
+                )));
+            }
             opts.hold_probability = h;
         }
         if let Some(d) = num_field(o, "deadline_ms")? {
             deadline_ms = Some(d as u64);
+        }
+        let run_cycles = opts.runs.checked_mul(opts.cycles.max(1));
+        if run_cycles.is_none_or(|n| n > MAX_RUN_CYCLES) {
+            return Err(bad_field(format!(
+                "`runs` × `cycles` must be at most {MAX_RUN_CYCLES}, got {} × {}",
+                opts.runs, opts.cycles
+            )));
         }
     }
     Ok(LocalizeRequest {
@@ -380,6 +388,45 @@ mod tests {
                 .unwrap_err();
         assert_eq!(err.status, 400);
         assert_eq!(err.kind, "bad_field");
+    }
+
+    #[test]
+    fn oversized_simulation_is_400() {
+        let body = |opts: &str| {
+            format!(r#"{{"golden":"g","buggy":"b","target":"y","options":{{{opts}}}}}"#)
+        };
+        for opts in [
+            r#""runs":1e13"#,
+            r#""runs":1e30,"cycles":1e30"#,
+            r#""runs":65537,"cycles":0"#,
+            r#""runs":4097,"cycles":16"#,
+        ] {
+            let err = parse_localize(body(opts).as_bytes()).unwrap_err();
+            assert_eq!((err.status, err.kind), (400, "bad_field"), "{opts}");
+            assert!(err.message.contains("65536"), "{}", err.message);
+        }
+        // The heaviest shape the benches send, and the limit itself, pass.
+        for opts in [r#""runs":512,"cycles":64"#, r#""runs":4096,"cycles":16"#] {
+            assert!(parse_localize(body(opts).as_bytes()).is_ok(), "{opts}");
+        }
+    }
+
+    #[test]
+    fn hold_probability_outside_unit_interval_is_400() {
+        let body = |h: &str| {
+            format!(
+                r#"{{"golden":"g","buggy":"b","target":"y","options":{{"hold_probability":{h}}}}}"#
+            )
+        };
+        for h in ["1.5", "-0.1", "1e400"] {
+            let err = parse_localize(body(h).as_bytes()).unwrap_err();
+            assert_eq!((err.status, err.kind), (400, "bad_field"), "{h}");
+            assert!(err.message.contains("[0, 1]"), "{}", err.message);
+        }
+        for h in ["0", "0.8", "1"] {
+            let req = parse_localize(body(h).as_bytes()).unwrap();
+            assert_eq!(req.opts.hold_probability, h.parse::<f64>().unwrap());
+        }
     }
 
     #[test]

@@ -1,11 +1,14 @@
 //! A content-addressed LRU cache of parsed, elaborated, compiled designs.
 //!
 //! Keys are the FNV-1a hash of the Verilog source text, so two requests
-//! carrying the same bytes share one parse → levelize → compile. A hit
-//! costs one [`sim::Simulator::fork`] — the compiled bytecode is behind an
-//! `Arc` and only the mutable evaluation state is reallocated. Eviction is
-//! least-recently-used under a single mutex; builds happen *outside* the
-//! lock so a slow compile never blocks hits on other designs.
+//! carrying the same bytes share one parse → levelize → compile. An entry
+//! holds one template [`sim::Simulator`] — the design's only copy, its
+//! module reachable as `sim.netlist().module` — and a hit costs one
+//! [`sim::Simulator::fork`]: the netlist and the compiled bytecode are
+//! behind `Arc`s, so a fork bumps two refcounts and allocates only fresh
+//! evaluation state. Eviction is least-recently-used under a single mutex;
+//! builds happen *outside* the lock so a slow compile never blocks hits on
+//! other designs.
 //!
 //! Failures (parse or elaboration errors) are not cached: they are cheap
 //! to reproduce and the offending source is unlikely to repeat.
@@ -27,7 +30,6 @@ use std::sync::{Arc, Mutex};
 use sim::Simulator;
 use store::{ArtifactKind, Store};
 use veribug::{ExplainerState, GoldenKey, GoldenRef};
-use verilog::Module;
 
 /// The cache key function, re-exported from the workspace's single
 /// FNV-1a implementation ([`store::hash`]).
@@ -75,17 +77,15 @@ impl std::fmt::Display for BuildError {
 /// What a cache lookup hands back.
 #[derive(Debug)]
 pub struct CachedDesign {
-    /// The parsed module.
-    pub module: Arc<Module>,
     /// A private simulator forked off the cached template: shares the
-    /// compiled bytecode, owns its evaluation state.
+    /// netlist (and through it the parsed module) and the compiled
+    /// bytecode, owns its evaluation state.
     pub sim: Simulator,
     /// True when the compiled design was already cached.
     pub hit: bool,
 }
 
 struct Entry {
-    module: Arc<Module>,
     template: Simulator,
     last_used: u64,
     /// Memoized golden references, least recently used first.
@@ -100,9 +100,8 @@ struct Entry {
 type ExplainerKey = (String, String);
 
 impl Entry {
-    fn new(module: Arc<Module>, template: Simulator, last_used: u64) -> Entry {
+    fn new(template: Simulator, last_used: u64) -> Entry {
         Entry {
-            module,
             template,
             last_used,
             golden_refs: Vec::new(),
@@ -188,8 +187,7 @@ impl DesignCache {
             let Ok(parsed) = verilog::parse(&source) else {
                 continue;
             };
-            let module = Arc::new(parsed.top().clone());
-            let Ok(template) = Simulator::new(&module) else {
+            let Ok(template) = Simulator::new(parsed.top()) else {
                 continue;
             };
             let mut c = self.inner.lock().expect("design cache lock");
@@ -198,7 +196,7 @@ impl DesignCache {
             if c.entries.len() < self.capacity {
                 c.entries
                     .entry(entry.key)
-                    .or_insert_with(|| Entry::new(module, template, tick));
+                    .or_insert_with(|| Entry::new(template, tick));
                 loaded += 1;
             }
         }
@@ -221,20 +219,14 @@ impl DesignCache {
                 e.last_used = tick;
                 CACHE_HITS.incr();
                 return Ok(CachedDesign {
-                    module: Arc::clone(&e.module),
                     sim: e.template.fork(),
                     hit: true,
                 });
             }
         }
         CACHE_MISSES.incr();
-        let module = Arc::new(
-            verilog::parse(source)
-                .map_err(BuildError::Parse)?
-                .top()
-                .clone(),
-        );
-        let template = Simulator::new(&module).map_err(BuildError::Elab)?;
+        let parsed = verilog::parse(source).map_err(BuildError::Parse)?;
+        let template = Simulator::new(parsed.top()).map_err(BuildError::Elab)?;
         let sim = template.fork();
         // Write the source through to the persistent store (outside the
         // lock; a full disk must not take down the serving path).
@@ -259,13 +251,9 @@ impl DesignCache {
         // its entry (and any golden references memoized in it).
         c.entries
             .entry(key)
-            .or_insert_with(|| Entry::new(Arc::clone(&module), template, tick))
+            .or_insert_with(|| Entry::new(template, tick))
             .last_used = tick;
-        Ok(CachedDesign {
-            module,
-            sim,
-            hit: false,
-        })
+        Ok(CachedDesign { sim, hit: false })
     }
 
     /// The golden reference for `key` memoized in `source`'s entry, or
@@ -414,7 +402,11 @@ mod tests {
         assert!(!first.hit);
         let second = cache.get(SRC_A).unwrap();
         assert!(second.hit);
-        assert_eq!(first.module.name, second.module.name);
+        let (a, b): (&sim::Netlist, &sim::Netlist) = (first.sim.netlist(), second.sim.netlist());
+        assert!(
+            std::ptr::eq(a, b),
+            "both forks read the entry's one netlist"
+        );
         assert_eq!(cache.len(), 1);
     }
 
@@ -488,8 +480,8 @@ mod tests {
     /// Checks out `source`'s explainer state for `target` under `weights`
     /// and puts it back untouched; true on a hit.
     fn touch_explainer(cache: &DesignCache, source: &str, target: &str, weights: &str) -> bool {
-        let module = cache.get(source).unwrap().module;
-        let build = || ExplainerState::new(&module, target);
+        let sim = cache.get(source).unwrap().sim;
+        let build = || ExplainerState::new(&sim.netlist().module, target);
         cache.explainer(source, target, weights, build, |_| ()).1
     }
 
@@ -547,7 +539,8 @@ mod tests {
             let mut buggy = cache.get(SRC_B).unwrap();
             let inert = sim::CancelToken::inert();
             let reference = GoldenRef::build(&mut golden.sim, "z", &opts, &inert).unwrap();
-            let build = || ExplainerState::new(&buggy.module, "z");
+            let netlist = Arc::clone(buggy.sim.netlist());
+            let build = || ExplainerState::new(&netlist.module, "z");
             let (arena, hit) = cache.explainer(SRC_B, "z", "w0", build, |state| {
                 let report = veribug::localize::run_with_sims(
                     &model,

@@ -717,10 +717,12 @@ fn handle_localize(
         _ => "miss",
     };
     let mut explainer_hit = false;
+    // `run` holds `buggy.sim` mutably; `build` and `render` read this handle.
+    let netlist = Arc::clone(buggy.sim.netlist());
     let result = reference.and_then(|(reference, _)| {
         let build = || {
             let _span = obs::span("explain");
-            ExplainerState::new(&buggy.module, &parsed.target)
+            ExplainerState::new(&netlist.module, &parsed.target)
         };
         let (result, hit) = state.cache.explainer(
             &parsed.buggy,
@@ -758,7 +760,7 @@ fn handle_localize(
         ),
     ];
     match result {
-        Ok(report) => reply.send(200, extra, &render(&state.model, &buggy.module, &report)),
+        Ok(report) => reply.send(200, extra, &render(&state.model, &netlist.module, &report)),
         Err(VeriBugError::Sim(sim::SimError::Cancelled { at_cycle })) => {
             DEADLINES.incr();
             let e = ApiError::new(

@@ -7,7 +7,7 @@ mod common;
 use std::io::{BufRead, BufReader};
 use std::net::SocketAddr;
 use std::path::PathBuf;
-use std::process::{Command, Stdio};
+use std::process::{Child, ChildStdout, Command, Stdio};
 
 use common::{encode, request, request_with, start, stop, ResponseExt, BUGGY, GOLDEN};
 
@@ -30,6 +30,25 @@ fn banner_addr(line: &str) -> SocketAddr {
         .and_then(|rest| rest.split_whitespace().next())
         .and_then(|addr| addr.parse().ok())
         .expect("address in banner")
+}
+
+/// Spawns `veribug serve` on an ephemeral port with `args` appended and
+/// returns the child, its stdout (kept open so late output never hits a
+/// closed pipe) and the address scraped from the banner.
+fn spawn_serve(args: &[&str], stderr: Stdio) -> (Child, BufReader<ChildStdout>, SocketAddr) {
+    let mut child = Command::new(BIN)
+        .args(["serve", "--addr", "127.0.0.1:0", "--workers", "2"])
+        .args(args)
+        .stdout(Stdio::piped())
+        .stderr(stderr)
+        .spawn()
+        .expect("spawn serve");
+    let stdout = child.stdout.take().expect("piped stdout");
+    let mut reader = BufReader::new(stdout);
+    let mut line = String::new();
+    reader.read_line(&mut line).expect("banner line");
+    let addr = banner_addr(&line);
+    (child, reader, addr)
 }
 
 fn scratch_dir(tag: &str) -> PathBuf {
@@ -335,24 +354,7 @@ fn explain_attention_is_thread_invariant_and_matches_server() {
 /// exit.
 #[test]
 fn serve_subcommand_runs_and_drains() {
-    let mut child = Command::new(BIN)
-        .args([
-            "serve",
-            "--addr",
-            "127.0.0.1:0",
-            "--workers",
-            "2",
-            "--quiet",
-        ])
-        .stdout(Stdio::piped())
-        .stderr(Stdio::null())
-        .spawn()
-        .expect("spawn serve");
-    let stdout = child.stdout.take().expect("piped stdout");
-    let mut reader = BufReader::new(stdout);
-    let mut line = String::new();
-    reader.read_line(&mut line).expect("banner line");
-    let addr = banner_addr(&line);
+    let (mut child, _stdout, addr) = spawn_serve(&["--quiet"], Stdio::null());
 
     assert_eq!(
         request(addr, "GET", "/healthz", "").status,
@@ -367,6 +369,28 @@ fn serve_subcommand_runs_and_drains() {
     assert!(status.success(), "serve exits 0 after drain");
 }
 
+/// A localize asking for more simulation than the server bounds is a 400
+/// answered before any stimulus is generated, and the server stays up.
+/// Unbounded, `runs: 1e13` aborts the process on its stimulus allocation.
+#[test]
+fn serve_refuses_oversized_localize_and_stays_up() {
+    let (mut child, _stdout, addr) = spawn_serve(&["--quiet"], Stdio::null());
+
+    let body = format!(
+        "{{\"golden\":{},\"buggy\":{},\"target\":\"y\",\"options\":{{\"runs\":1e13}}}}",
+        encode(GOLDEN),
+        encode(BUGGY)
+    );
+    let resp = request(addr, "POST", "/v1/localize", &body);
+    assert_eq!(resp.status, 400, "{}", resp.text());
+    assert!(resp.text().contains("bad_field"), "{}", resp.text());
+    assert_eq!(request(addr, "GET", "/healthz", "").status, 200);
+
+    let resp = request(addr, "POST", "/v1/shutdown", "");
+    assert_eq!(resp.status, 200, "shutdown accepted: {}", resp.text());
+    assert!(child.wait().expect("serve exits").success());
+}
+
 /// With `--obs` the drain path renders the report, holding the served
 /// request's spans; the CLI's at-exit report must then be a no-op (exactly
 /// one render per process), and `--access-log` emits one JSON line per
@@ -375,26 +399,14 @@ fn serve_subcommand_runs_and_drains() {
 fn serve_renders_the_obs_report_once_and_logs_access() {
     let dir = scratch_dir("serve-obs");
     let trace_path = dir.join("serve-trace.json");
-    let mut child = Command::new(BIN)
-        .args([
-            "serve",
-            "--addr",
-            "127.0.0.1:0",
-            "--workers",
-            "2",
+    let (child, _stdout, addr) = spawn_serve(
+        &[
             "--access-log",
             "--obs",
-        ])
-        .arg(&trace_path)
-        .stdout(Stdio::piped())
-        .stderr(Stdio::piped())
-        .spawn()
-        .expect("spawn serve");
-    let stdout = child.stdout.take().expect("piped stdout");
-    let mut reader = BufReader::new(stdout);
-    let mut line = String::new();
-    reader.read_line(&mut line).expect("banner line");
-    let addr = banner_addr(&line);
+            trace_path.to_str().expect("utf-8 path"),
+        ],
+        Stdio::piped(),
+    );
 
     let healthz = request_with(
         addr,

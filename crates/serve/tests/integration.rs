@@ -441,7 +441,8 @@ fn localize_through_memos(
         })
         .unwrap();
     let weights = veribug::persist::content_hash_hex(model);
-    let build = || veribug::ExplainerState::new(&buggy.module, "y");
+    let netlist = std::sync::Arc::clone(buggy.sim.netlist());
+    let build = || veribug::ExplainerState::new(&netlist.module, "y");
     let (report, hit) = cache.explainer(BUGGY, "y", &weights, build, |explainer| {
         while_checked_out();
         veribug::localize::run_with_sims(
@@ -715,6 +716,7 @@ fn golden_memo_hit_and_miss_bodies_match_at_any_thread_count() {
             for expect_hit in [false, true] {
                 let mut golden = cache.get(GOLDEN).unwrap();
                 let mut buggy = cache.get(BUGGY).unwrap();
+                let netlist = std::sync::Arc::clone(buggy.sim.netlist());
                 let cancel = sim::CancelToken::inert();
                 let (reference, hit) = cache
                     .golden_ref(GOLDEN, &key, || {
@@ -726,7 +728,7 @@ fn golden_memo_hit_and_miss_bodies_match_at_any_thread_count() {
                     BUGGY,
                     "y",
                     &weights,
-                    || veribug::ExplainerState::new(&buggy.module, "y"),
+                    || veribug::ExplainerState::new(&netlist.module, "y"),
                     |explainer| {
                         veribug::localize::run_with_sims(
                             &model,

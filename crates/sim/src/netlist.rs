@@ -67,8 +67,9 @@ pub struct AssignInfo {
     pub target: Option<SignalId>,
 }
 
-/// A simulatable, flattened design.
-#[derive(Debug, Clone)]
+/// A simulatable, flattened design. Not `Clone`: a [`crate::Simulator`]
+/// holds its netlist behind an `Arc` that every fork shares.
+#[derive(Debug)]
 pub struct Netlist {
     /// The source module (used for spans and feature extraction).
     pub module: Module,

@@ -1,6 +1,8 @@
 //! The simulator front end: [`Simulator`] elaborates a design, compiles it
 //! into the batch engine, and groups stimuli into lane batches.
 
+use std::sync::Arc;
+
 use crate::batch::BatchEngine;
 use crate::cancel::CancelToken;
 use crate::error::SimError;
@@ -35,7 +37,7 @@ pub enum EngineKind {
 /// bit-identical to the oracle's.
 #[derive(Debug)]
 pub struct Simulator {
-    netlist: Netlist,
+    netlist: Arc<Netlist>,
     engine: BatchEngine,
     cancel: CancelToken,
 }
@@ -73,21 +75,21 @@ impl Simulator {
         let netlist = Netlist::elaborate(module)?;
         let engine = BatchEngine::build(&netlist)?;
         Ok(Simulator {
-            netlist,
+            netlist: Arc::new(netlist),
             engine,
             cancel: CancelToken::inert(),
         })
     }
 
     /// An independent simulator for the same design that shares this one's
-    /// compiled bytecode (an `Arc` bump instead of a parse→levelize→compile
-    /// pass). Runtime state is fresh and the cancel token is reset to
-    /// inert, so forks are safe to run concurrently on other threads. This
-    /// is what the serving layer's compiled-design cache hands out per
-    /// request.
+    /// elaborated netlist and compiled bytecode (two `Arc` bumps instead of
+    /// a parse→levelize→compile pass or any copy of the design). Runtime
+    /// state is fresh and the cancel token is reset to inert, so forks are
+    /// safe to run concurrently on other threads. This is what the serving
+    /// layer's compiled-design cache hands out per request.
     pub fn fork(&self) -> Simulator {
         Simulator {
-            netlist: self.netlist.clone(),
+            netlist: Arc::clone(&self.netlist),
             engine: self.engine.fork(),
             cancel: CancelToken::inert(),
         }
@@ -114,8 +116,8 @@ impl Simulator {
         &self.cancel
     }
 
-    /// The elaborated design.
-    pub fn netlist(&self) -> &Netlist {
+    /// The elaborated design, shared by every fork of this simulator.
+    pub fn netlist(&self) -> &Arc<Netlist> {
         &self.netlist
     }
 
@@ -380,6 +382,11 @@ mod tests {
         let mut original = Simulator::new(unit.top()).unwrap();
         let mut forked = original.fork();
         assert_eq!(original.batch_engine_kind(), forked.batch_engine_kind());
+        let (parent, child): (&Netlist, &Netlist) = (original.netlist(), forked.netlist());
+        assert!(
+            std::ptr::eq(parent, child),
+            "a fork shares its parent's netlist instead of copying it"
+        );
         let vectors = stim(vec![vec![("en", 1)], vec![("en", 1)], vec![("en", 0)]]);
         let a = original.run(&vectors).unwrap();
         let b = forked.run(&vectors).unwrap();
