@@ -587,7 +587,7 @@ fn check_records_only(name: &str, module: &Module, target: &str, seed: u64) -> u
         for (set_name, set) in &sets {
             let label = format!("{name} n={n} {set_name}");
             let records: Vec<Trace> =
-                mutate::run_lane_groups_mode(&mut sim, stimuli, TraceMode::records(set))
+                mutate::run_lane_groups_mode(&sim, stimuli, TraceMode::records(set))
                     .expect("records run")
                     .into_iter()
                     .map(|(trace, _)| trace)
@@ -595,7 +595,7 @@ fn check_records_only(name: &str, module: &Module, target: &str, seed: u64) -> u
             assert_records_are_filtered_full(&label, &records, full, set);
             let mode = TraceMode::records_observing(set, &observed);
             let (records, columns): (Vec<Trace>, Vec<VerdictTrace>) =
-                mutate::run_lane_groups_mode(&mut sim, stimuli, mode)
+                mutate::run_lane_groups_mode(&sim, stimuli, mode)
                     .expect("combined run")
                     .into_iter()
                     .unzip();
@@ -721,17 +721,15 @@ fn check_against_oracle(name: &str, module: &Module, seed: u64) -> bool {
             (got, want) => assert_eq!(got.err(), want.clone().err(), "{label}: errors"),
         }
         let mode = TraceMode::records_observing(&every_other, &outputs);
-        let (records, columns): (Vec<Trace>, Vec<VerdictTrace>) = match (
-            mutate::run_lane_groups_mode(&mut sim, stimuli, mode),
-            &expected,
-        ) {
-            (Ok(runs), Ok(_)) => runs.into_iter().unzip(),
-            (got, want) => {
-                let got = got.err();
-                assert_eq!(got, want.clone().err(), "{label}: combined-mode errors");
-                continue;
-            }
-        };
+        let (records, columns): (Vec<Trace>, Vec<VerdictTrace>) =
+            match (mutate::run_lane_groups_mode(&sim, stimuli, mode), &expected) {
+                (Ok(runs), Ok(_)) => runs.into_iter().unzip(),
+                (got, want) => {
+                    let got = got.err();
+                    assert_eq!(got, want.clone().err(), "{label}: combined-mode errors");
+                    continue;
+                }
+            };
         let expected = expected.expect("oracle succeeded");
         let label = format!("{label} combined");
         assert_records_are_filtered_full(&label, &records, &expected, &every_other);

@@ -105,7 +105,7 @@ fn collection_leaves_explanations_unchanged_and_counts_resolved_records() {
         let reference = veribug::GoldenRef::build(&mut golden_sim, target, &opts, &inert)
             .expect("golden reference");
         let buggy_sim = sim::Simulator::new(&m.module).expect("elaborates");
-        let mut state = veribug::ExplainerState::new(&m.module, target);
+        let mut state = veribug::ExplainerState::new(buggy_sim.netlist(), target);
         let mut localize_counting_evals = || {
             obs::set_enabled(true);
             obs::reset();

@@ -284,12 +284,14 @@ pub struct ExplainerState {
 }
 
 impl<'m> Explainer<'m> {
-    /// Prepares an explainer for `module` and target output `t`.
+    /// Prepares an explainer for `module` and target output `t`,
+    /// elaborating `module` for operand read order.
     pub fn new(model: &'m VeriBugModel, module: &Module, target: &str) -> Self {
+        let netlist = sim::Netlist::elaborate(module).ok();
         Explainer {
             model,
             failure_window: DEFAULT_FAILURE_WINDOW,
-            state: ExplainerState::new(module, target),
+            state: ExplainerState::build(module, netlist.as_ref(), target),
         }
     }
 
@@ -381,9 +383,14 @@ impl<'m> Explainer<'m> {
 }
 
 impl ExplainerState {
-    /// Builds the slice and slot tables of `module` for target output
-    /// `target`, with an empty memo.
-    pub fn new(module: &Module, target: &str) -> ExplainerState {
+    /// Builds the slice and slot tables of `netlist.module` for `target`,
+    /// with an empty memo; operand read order comes from the netlist.
+    pub fn new(netlist: &sim::Netlist, target: &str) -> ExplainerState {
+        ExplainerState::build(&netlist.module, Some(netlist), target)
+    }
+
+    /// [`ExplainerState::new`]; `netlist` is `None` when elaboration failed.
+    fn build(module: &Module, netlist: Option<&sim::Netlist>, target: &str) -> ExplainerState {
         let cdfg = Cdfg::build(module);
         let vdg = Vdg::from_cdfg(module, &cdfg);
         let slice = Slice::of_target_with(&cdfg, &vdg, target);
@@ -405,14 +412,13 @@ impl ExplainerState {
             depth.insert(node.stmt, signal_depth + commit_delay);
         }
         // Records carry positional operand values; resolve each feature
-        // operand's position once, against the same elaboration the
-        // simulator records under. Designs that fail to elaborate produce
-        // no traces, so they need no slots; neither do statements with an
-        // operand the simulator never records.
+        // operand's position once, against the netlist's read order. Designs
+        // that fail to elaborate produce no traces, so they need no slots;
+        // neither do statements with an operand the simulator never records.
         let mut slot_of = Vec::new();
         let mut slots = Vec::new();
         let mut width = 0;
-        if let Ok(netlist) = sim::Netlist::elaborate(module) {
+        if let Some(netlist) = netlist {
             for a in module.assignments() {
                 let id = a.id;
                 if !slice.contains(id) {
@@ -421,7 +427,7 @@ impl ExplainerState {
                 let Some(features) = StatementFeatures::extract(a) else {
                     continue;
                 };
-                let Some(positions) = operand_positions(&features, &netlist)
+                let Some(positions) = operand_positions(&features, netlist)
                     .into_iter()
                     .collect::<Option<Vec<usize>>>()
                 else {

@@ -146,7 +146,7 @@ pub fn run(
     let reference = GoldenRef::build(&mut golden_sim, target, opts, &inert)?;
     let mut explainer = {
         let _span = obs::span("explain");
-        ExplainerState::new(buggy, target)
+        ExplainerState::new(buggy_sim.netlist(), target)
     };
     run_with_sims(
         model,
@@ -430,7 +430,7 @@ mod tests {
                 &model,
                 &reference,
                 &mut buggy_template.fork(),
-                &mut ExplainerState::new(&buggy, "y"),
+                &mut ExplainerState::new(buggy_template.netlist(), "y"),
                 "y",
                 &small_opts(),
                 &inert,
@@ -498,7 +498,7 @@ mod tests {
         // The token is cleared afterwards: the golden sim stays usable.
         let inert = CancelToken::inert();
         let reference = GoldenRef::build(&mut gs, "y", &small_opts(), &inert).unwrap();
-        let mut explainer = ExplainerState::new(&buggy, "y");
+        let mut explainer = ExplainerState::new(bs.netlist(), "y");
         let mut localize = |cancel: &CancelToken| {
             let opts = small_opts();
             run_with_sims(
@@ -531,7 +531,7 @@ mod tests {
         )
         .unwrap();
         let buggy_template = Simulator::new(&buggy).unwrap();
-        let mut explainer = ExplainerState::new(&buggy, "y");
+        let mut explainer = ExplainerState::new(buggy_template.netlist(), "y");
         let mut arena = Vec::new();
         for _ in 0..3 {
             let report = run_with_sims(

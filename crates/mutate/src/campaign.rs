@@ -240,11 +240,10 @@ impl Campaign {
         ));
 
         /// One screened-and-accepted candidate awaiting its records pass.
-        /// Keeps the pass-1 simulator so pass 2 can [`Simulator::fork`] it
-        /// instead of re-elaborating the mutant, and the pass-1 verdicts
-        /// that label its runs.
+        /// Keeps the pass-1 simulator, whose netlist holds the mutant's one
+        /// module, so pass 2 forks it instead of re-elaborating the mutant,
+        /// and the pass-1 verdicts that label its runs.
         struct Accepted {
-            module: Module,
             source: String,
             site: MutationSite,
             sim: Simulator,
@@ -277,7 +276,7 @@ impl Campaign {
                     let mut sim = Simulator::new(&module).ok()?;
                     let verdicts = screen_with(&mut sim, &golden_vs, target_id, &stimuli).ok()?;
                     let observable = verdicts.iter().any(RunVerdict::diverged);
-                    Some((module, source, sim, verdicts, observable))
+                    Some((source, sim, verdicts, observable))
                 });
                 // Sequential merge in site order: duplicate and budget
                 // decisions replay exactly as a serial pass would.
@@ -285,7 +284,7 @@ impl Campaign {
                     if produced >= want {
                         break;
                     }
-                    let Some((module, source, sim, verdicts, observable)) = cand else {
+                    let Some((source, sim, verdicts, observable)) = cand else {
                         SKIPPED.incr();
                         continue;
                     };
@@ -313,7 +312,6 @@ impl Campaign {
                         }
                     }
                     accepted.push(Accepted {
-                        module,
                         source,
                         site: (*site).clone(),
                         sim,
@@ -331,9 +329,9 @@ impl Campaign {
         let stmts: BTreeSet<_> = golden.assignments().iter().map(|a| a.id).collect();
         let _records_span = obs::span("campaign.records_pass");
         let records = par::par_map(&accepted, |a| {
-            // Forking reuses the screened mutant's compiled artifacts —
-            // pass 2 pays for record production, never for re-elaboration.
-            run_lane_groups_mode(&mut a.sim.fork(), &stimuli, TraceMode::records(&stmts))
+            // Each lane group forks the screened mutant's simulator — pass 2
+            // pays for record production, never for re-elaboration.
+            run_lane_groups_mode(&a.sim, &stimuli, TraceMode::records(&stmts))
         });
         let mut out = Vec::with_capacity(accepted.len());
         for (a, traces) in accepted.into_iter().zip(records) {
@@ -345,7 +343,7 @@ impl Campaign {
                 .map(|((trace, _), v)| LabelledRun::new(trace, v.divergence_cycles))
                 .collect();
             out.push(Mutant {
-                module: a.module,
+                module: a.sim.netlist().module.clone(),
                 source: a.source,
                 site: a.site,
                 runs,

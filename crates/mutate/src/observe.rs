@@ -95,22 +95,12 @@ pub fn run_lane_groups(sim: &mut Simulator, stimuli: &[Stimulus]) -> Result<Vec<
     Ok(runs.into_iter().map(|(trace, _)| trace).collect())
 }
 
-/// [`run_lane_groups`] in verdict mode ([`TraceMode::verdict`]).
-fn run_lane_groups_verdict(
-    sim: &mut Simulator,
-    stimuli: &[Stimulus],
-    observed: &SignalSet,
-) -> Result<Vec<VerdictTrace>, SimError> {
-    let runs = run_lane_groups_mode(sim, stimuli, TraceMode::verdict(observed))?;
-    Ok(runs.into_iter().map(|(_, verdict)| verdict).collect())
-}
-
 /// [`run_lane_groups`] under any [`TraceMode`]
 /// ([`Simulator::run_batch_mode`]): one `(trace, observed values)` pair per
 /// stimulus. With [`TraceMode::records_observing`] this is one simulation
 /// that both labels each run and records what explaining it reads.
 pub fn run_lane_groups_mode(
-    sim: &mut Simulator,
+    sim: &Simulator,
     stimuli: &[Stimulus],
     mode: TraceMode<'_>,
 ) -> Result<Vec<(Trace, VerdictTrace)>, SimError> {
@@ -138,7 +128,9 @@ pub fn golden_verdicts(
     stimuli: &[Stimulus],
     target: sim::SignalId,
 ) -> Result<Vec<VerdictTrace>, SimError> {
-    run_lane_groups_verdict(sim, stimuli, &SignalSet::from_ids([target]))
+    let observed = SignalSet::from_ids([target]);
+    let runs = run_lane_groups_mode(sim, stimuli, TraceMode::verdict(&observed))?;
+    Ok(runs.into_iter().map(|(_, verdict)| verdict).collect())
 }
 
 /// Screens a mutant, simulated by `mutant_sim`, against precomputed golden
@@ -165,7 +157,8 @@ pub fn screen_with(
         "one golden verdict per stimulus required"
     );
     let _span = obs::span("campaign.screen");
-    let verdicts = run_lane_groups_verdict(mutant_sim, stimuli, &SignalSet::from_ids([target]))?;
+    // The mutant's verdicts observe the target exactly as golden's do.
+    let verdicts = golden_verdicts(mutant_sim, stimuli, target)?;
     Ok(verdicts
         .into_iter()
         .zip(golden)

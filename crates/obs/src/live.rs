@@ -599,6 +599,28 @@ mod tests {
     }
 
     #[test]
+    fn an_untraced_listing_slower_than_the_slow_set_demotes_nothing() {
+        let mut ring = Ring::new(64, 16);
+        for i in 0..16 {
+            let keep = ring.push(trace(&format!("loc{i}"), 200, 900 + i, 3));
+            assert_eq!(keep, Keep::Slow);
+        }
+        // A `/tracez` listing slower than every localize in the full slow
+        // set, booked as the server books introspection routes
+        // (`record_untraced`: no spans).
+        let listing = CompletedTrace {
+            method: "GET".to_owned(),
+            path: "/tracez".to_owned(),
+            ..trace("list", 200, 1_130, 0)
+        };
+        assert_eq!(ring.push(listing), Keep::Digest);
+        for i in 0..16 {
+            let t = ring.find(&format!("loc{i}")).expect("retained");
+            assert!(t.sampled(), "loc{i} was demoted");
+        }
+    }
+
+    #[test]
     fn ring_wraps_at_capacity_keeping_newest() {
         let mut ring = Ring::new(4, 4);
         for i in 0..11 {

@@ -481,7 +481,7 @@ mod tests {
     /// and puts it back untouched; true on a hit.
     fn touch_explainer(cache: &DesignCache, source: &str, target: &str, weights: &str) -> bool {
         let sim = cache.get(source).unwrap().sim;
-        let build = || ExplainerState::new(&sim.netlist().module, target);
+        let build = || ExplainerState::new(sim.netlist(), target);
         cache.explainer(source, target, weights, build, |_| ()).1
     }
 
@@ -507,8 +507,8 @@ mod tests {
         assert!(!touch_explainer(&cache, SRC_A, "x", "w0"), "x was evicted");
         assert_eq!(cache.explainers(SRC_A), GOLDEN_REFS_PER_DESIGN);
         // Nothing is memoized for a design that is not cached.
-        let module = verilog::parse(SRC_C).unwrap().top().clone();
-        let build = || ExplainerState::new(&module, "z");
+        let sim = Simulator::new(verilog::parse(SRC_C).unwrap().top()).unwrap();
+        let build = || ExplainerState::new(sim.netlist(), "z");
         for _ in 0..2 {
             assert!(!cache.explainer(SRC_C, "z", "w0", build, |_| ()).1);
         }
@@ -540,7 +540,7 @@ mod tests {
             let inert = sim::CancelToken::inert();
             let reference = GoldenRef::build(&mut golden.sim, "z", &opts, &inert).unwrap();
             let netlist = Arc::clone(buggy.sim.netlist());
-            let build = || ExplainerState::new(&netlist.module, "z");
+            let build = || ExplainerState::new(&netlist, "z");
             let (arena, hit) = cache.explainer(SRC_B, "z", "w0", build, |state| {
                 let report = veribug::localize::run_with_sims(
                     &model,

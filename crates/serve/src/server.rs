@@ -420,27 +420,30 @@ fn handle_connection(state: &ServerState, mut stream: TcpStream) {
                 format!("body of {declared} bytes exceeds the {limit}-byte limit"),
             );
             Reply::new(&mut stream, &rid).error(&[], err);
-            finish_unrouted(state, &rid, 413, started);
+            finish_request(state, &rid, "-", "other", 413, started, None);
             return;
         }
         Err(ReadError::BadRequest(detail)) => {
             let rid = live::mint_id();
             Reply::new(&mut stream, &rid).error(&[], ApiError::new(400, "bad_request", detail));
-            finish_unrouted(state, &rid, 400, started);
+            finish_request(state, &rid, "-", "other", 400, started, None);
             return;
         }
         Err(ReadError::Io(_)) => return,
     };
     let rid = request_id(&req);
     let label = route_label(&req);
-    let scope = state
-        .config
-        .telemetry
-        .then(|| live::begin(&rid, &req.method, label));
+    // Introspection routes say nothing about the pipeline: no span tree,
+    // so a slow `/tracez` cannot take the slow-set place of what it lists.
+    let traced = !matches!(
+        label,
+        "/healthz" | "/metricsz" | "/statusz" | "/tracez" | "/tracez/export"
+    );
+    let scope = (state.config.telemetry && traced).then(|| live::begin(&rid, &req.method, label));
     let status = {
         // The root span must drop before `scope.finish` so it lands in the
         // trace's span tree.
-        let _span = obs::span("serve.request");
+        let _span = traced.then(|| obs::span("serve.request"));
         let mut reply = Reply::new(&mut stream, &rid);
         match catch_unwind(AssertUnwindSafe(|| route(state, &req, &mut reply))) {
             Ok(status) => status,
@@ -450,15 +453,7 @@ fn handle_connection(state: &ServerState, mut stream: TcpStream) {
             }
         }
     };
-    let sampled = scope
-        .and_then(|s| s.finish(status))
-        .is_some_and(|t| t.sampled());
-    track_status(status);
-    let elapsed = started.elapsed();
-    REQUEST_SECONDS.record_f64(elapsed.as_secs_f64());
-    if state.config.access_log {
-        access_log_line(&rid, &req.method, label, status, elapsed, sampled);
-    }
+    let elapsed = finish_request(state, &rid, &req.method, label, status, started, scope);
     obs::progress!(
         "serve: {} {} -> {} in {:.1}ms [{}]",
         req.method,
@@ -469,19 +464,31 @@ fn handle_connection(state: &ServerState, mut stream: TcpStream) {
     );
 }
 
-/// Books an early-failure request (unreadable head or oversized body) into
-/// counters, the trace ring, and the access log — the route is unknown, so
-/// it books under `"other"`.
-fn finish_unrouted(state: &ServerState, rid: &str, status: u16, started: Instant) {
+/// Books a finished request into counters, the ring and the access log; one
+/// without a trace `scope` enters the ring as a span-less digest.
+fn finish_request(
+    state: &ServerState,
+    rid: &str,
+    method: &str,
+    label: &str,
+    status: u16,
+    started: Instant,
+    scope: Option<live::TraceScope>,
+) -> Duration {
+    let traced = scope.is_some();
+    let sampled = scope
+        .and_then(|s| s.finish(status))
+        .is_some_and(|t| t.sampled());
     track_status(status);
     let elapsed = started.elapsed();
     REQUEST_SECONDS.record_f64(elapsed.as_secs_f64());
-    if state.config.telemetry {
-        live::record_untraced(rid, "-", "other", status, elapsed.as_micros() as u64);
+    if state.config.telemetry && !traced {
+        live::record_untraced(rid, method, label, status, elapsed.as_micros() as u64);
     }
     if state.config.access_log {
-        access_log_line(rid, "-", "other", status, elapsed, false);
+        access_log_line(rid, method, label, status, elapsed, sampled);
     }
+    elapsed
 }
 
 /// The request's ID: the client's `x-veribug-request-id` when well-formed,
@@ -722,7 +729,7 @@ fn handle_localize(
     let result = reference.and_then(|(reference, _)| {
         let build = || {
             let _span = obs::span("explain");
-            ExplainerState::new(&netlist.module, &parsed.target)
+            ExplainerState::new(&netlist, &parsed.target)
         };
         let (result, hit) = state.cache.explainer(
             &parsed.buggy,

@@ -442,7 +442,7 @@ fn localize_through_memos(
         .unwrap();
     let weights = veribug::persist::content_hash_hex(model);
     let netlist = std::sync::Arc::clone(buggy.sim.netlist());
-    let build = || veribug::ExplainerState::new(&netlist.module, "y");
+    let build = || veribug::ExplainerState::new(&netlist, "y");
     let (report, hit) = cache.explainer(BUGGY, "y", &weights, build, |explainer| {
         while_checked_out();
         veribug::localize::run_with_sims(
@@ -728,7 +728,7 @@ fn golden_memo_hit_and_miss_bodies_match_at_any_thread_count() {
                     BUGGY,
                     "y",
                     &weights,
-                    || veribug::ExplainerState::new(&netlist.module, "y"),
+                    || veribug::ExplainerState::new(&netlist, "y"),
                     |explainer| {
                         veribug::localize::run_with_sims(
                             &model,

@@ -122,7 +122,7 @@ fn store_hit_and_miss_reports_are_byte_identical_at_1_2_8_threads() {
     let render = |cache: &DesignCache| {
         let mut golden = cache.get(GOLDEN).unwrap();
         let mut buggy = cache.get(BUGGY).unwrap();
-        let mut state = veribug::ExplainerState::new(&buggy.sim.netlist().module, "y");
+        let mut state = veribug::ExplainerState::new(buggy.sim.netlist(), "y");
         let cancel = CancelToken::new();
         let (reference, _) = cache
             .golden_ref(GOLDEN, &veribug::GoldenKey::new("y", &opts), || {

@@ -1,7 +1,8 @@
 //! Live-telemetry integration tests: request-ID echo on every path, the
 //! acceptance guarantee that 500/504 requests are always retained in
-//! `/tracez` with their full span tree, debug pages under concurrent
-//! traffic at 1/2/8 workers, and ring wraparound.
+//! `/tracez` with their full span tree, introspection requests booked as
+//! span-less digests, debug pages under concurrent traffic at 1/2/8
+//! workers, and ring wraparound.
 //!
 //! The trace ring and rolling window are process-global, so tests that
 //! assert on their contents serialize on [`LOCK`].
@@ -186,6 +187,35 @@ fn errored_requests_always_keep_their_span_tree() {
     assert!(text.text().contains("panic-trace-1"));
     assert!(text.text().contains("serve.request"));
 
+    stop(&handle, join);
+}
+
+#[test]
+fn introspection_requests_never_enter_the_slow_set() {
+    let _g = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let (handle, join) = start(ServerConfig::default());
+    let addr = handle.addr();
+    // More requests than the ring's 128 slots, so the ring ends up holding
+    // only these. Had they span trees, the slow set could not stay empty.
+    let paths = ["/healthz", "/metricsz", "/statusz", "/tracez"];
+    for i in 0..130 {
+        let id = format!("introspect-{i}");
+        let path = paths[i % paths.len()];
+        let resp = request_with(addr, "GET", path, &[("x-veribug-request-id", &id)], "");
+        assert_eq!(resp.status, 200, "{path}");
+    }
+    let doc = request_with(addr, "GET", "/tracez?n=512", &[], "").json();
+    let ours = traces_where(&doc, |t| t.starts_with("introspect-"));
+    assert!(ours.len() >= 100, "only {} retained", ours.len());
+    for t in ours {
+        assert_eq!(
+            t.get("keep").and_then(Json::as_str),
+            Some("digest"),
+            "{t:?}"
+        );
+        let spans = t.get("spans").and_then(Json::as_arr).expect("spans");
+        assert!(spans.is_empty(), "{t:?}");
+    }
     stop(&handle, join);
 }
 

@@ -44,13 +44,13 @@ use crate::compile::{analyze, Analysis, AssignMeta, Compiler, Op, SelKind};
 use crate::error::SimError;
 use crate::eval::{eval_binary_batch, eval_unary_batch, Write};
 use crate::metrics;
-use crate::netlist::{Netlist, Process, SignalId};
+use crate::netlist::{Netlist, SignalId};
 use crate::testbench::{PortResolver, Stimulus};
 use crate::trace::{
     CycleRecord, Execs, Operands, Records, Snapshot, StmtExec, Trace, TraceMode, VerdictTrace,
 };
 use crate::value::{BatchValue, Value, LANES};
-use verilog::Stmt;
+use verilog::{Item, Stmt};
 
 /// One batch instruction: an expression op evaluated lane-wise, a masked
 /// assignment, or a structured mask-control op.
@@ -163,7 +163,7 @@ impl BatchEngine {
         let mut metas = Vec::new();
         let mut case_labels = Vec::new();
         let mut slots = 0usize;
-        let mut compile = |body: &Process| -> Result<Vec<BOp>, SimError> {
+        let mut compile = |&item: &usize| -> Result<Vec<BOp>, SimError> {
             let mut c = BatchCompiler {
                 inner: Compiler {
                     netlist,
@@ -175,9 +175,9 @@ impl BatchEngine {
                 case_labels: &mut case_labels,
                 synced: 0,
             };
-            match body {
-                Process::Assign(a) => c.assign(a)?,
-                Process::Comb(blk) | Process::Seq(blk) => c.stmts(&blk.body)?,
+            match &netlist.module.items[item] {
+                Item::Assign(a) => c.assign(a)?,
+                Item::Always(blk) => c.stmts(&blk.body)?,
             }
             slots = slots.max(c.inner.next_slot as usize);
             Ok(c.bops)

@@ -22,10 +22,10 @@
 use std::collections::BTreeSet;
 
 use crate::error::SimError;
-use crate::netlist::{Netlist, Process, SignalId, SignalRole};
+use crate::netlist::{Netlist, SignalId, SignalRole};
 use crate::value::Value;
 use verilog::Span;
-use verilog::{Assignment, BinaryOp, Expr, Select, Stmt, StmtId, UnaryOp};
+use verilog::{Assignment, BinaryOp, Expr, Item, Select, Stmt, StmtId, UnaryOp};
 
 /// One expression instruction. Slots index the value slab; `sig` fields
 /// index the netlist's signal values. The batch engine evaluates each op on
@@ -113,7 +113,9 @@ pub(crate) fn analyze(netlist: &Netlist) -> Analysis {
 /// fixpoint settle cannot be proven.
 fn levelized(netlist: &Netlist) -> Option<Analysis> {
     let lev = cdfg::levelize(&netlist.module);
-    if lev.processes.len() != netlist.comb.len() {
+    // Both must classify the same items as combinational, in source order.
+    let items = lev.processes.iter().map(|p| p.item);
+    if !items.eq(netlist.comb.iter().copied()) {
         return None;
     }
     let order: Vec<u32> = lev.order.as_ref()?.iter().map(|&i| i as u32).collect();
@@ -139,10 +141,12 @@ fn levelized(netlist: &Netlist) -> Option<Analysis> {
             }
         }
     }
-    for p in &netlist.seq {
-        let Process::Seq(blk) = p else { continue };
+    for &i in &netlist.seq {
         let mut bases = Vec::new();
-        collect_write_bases(&blk.body, &mut bases);
+        match &netlist.module.items[i] {
+            Item::Assign(a) => bases.push(a.lhs.base.as_str()),
+            Item::Always(blk) => collect_write_bases(&blk.body, &mut bases),
+        }
         for base in bases {
             let id = netlist.signal_id(base)?;
             if comb_written.contains(&id.0) {

@@ -52,7 +52,7 @@ mod vcd;
 pub use cancel::CancelToken;
 pub use error::SimError;
 pub use eval::Write;
-pub use netlist::{AssignInfo, Netlist, Process, Signal, SignalId, SignalRole};
+pub use netlist::{AssignInfo, Netlist, Signal, SignalId, SignalRole};
 pub use sched::{EngineKind, Simulator};
 pub use testbench::{Stimulus, TestbenchGen};
 pub use trace::{

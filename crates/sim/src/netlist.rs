@@ -36,18 +36,6 @@ pub struct Signal {
     pub is_reg: bool,
 }
 
-/// One elaborated process.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Process {
-    /// A continuous assignment.
-    Assign(verilog::Assignment),
-    /// A combinational always block (`@(*)` or level list).
-    Comb(verilog::AlwaysBlock),
-    /// An edge-sensitive always block (clocked, possibly with async reset
-    /// expressed as an extra edge on a reset signal).
-    Seq(verilog::AlwaysBlock),
-}
-
 /// Precomputed execution info for one assignment statement — resolved at
 /// elaboration so the simulator's hot loop never re-walks expression trees
 /// or re-hashes signal names.
@@ -76,10 +64,12 @@ pub struct Netlist {
     signals: Vec<Signal>,
     index: HashMap<String, SignalId>,
     assign_info: HashMap<StmtId, AssignInfo>,
-    /// Combinational processes (continuous assigns + comb always) in source order.
-    pub comb: Vec<Process>,
-    /// Sequential processes in source order.
-    pub seq: Vec<Process>,
+    /// Combinational processes (continuous assigns and `@(*)`/level
+    /// always blocks) as indices into `module.items`, in source order.
+    pub comb: Vec<usize>,
+    /// Edge-sensitive always blocks (clocked, possibly with an async reset
+    /// as an extra edge) as indices into `module.items`, in source order.
+    pub seq: Vec<usize>,
     /// The single clock signal, if the design is sequential.
     pub clock: Option<SignalId>,
     /// Signals used as async-reset edges (excluded from random stimulus
@@ -140,13 +130,11 @@ impl Netlist {
         let mut seq = Vec::new();
         let mut clock: Option<SignalId> = None;
         let mut resets: Vec<SignalId> = Vec::new();
-        for item in &module.items {
+        for (i, item) in module.items.iter().enumerate() {
             match item {
-                Item::Assign(a) => comb.push(Process::Assign(a.clone())),
+                Item::Assign(_) => comb.push(i),
                 Item::Always(blk) => match &blk.sensitivity {
-                    Sensitivity::Star | Sensitivity::Level(_) => {
-                        comb.push(Process::Comb(blk.clone()));
-                    }
+                    Sensitivity::Star | Sensitivity::Level(_) => comb.push(i),
                     Sensitivity::Edges(edges) => {
                         // First posedge is the clock; any other edge signal
                         // is an async reset.
@@ -190,7 +178,7 @@ impl Netlist {
                             }
                             resets.retain(|r| *r != id);
                         }
-                        seq.push(Process::Seq(blk.clone()));
+                        seq.push(i);
                     }
                 },
             }
@@ -264,19 +252,11 @@ impl Netlist {
         &self.signals[id.0 as usize]
     }
 
-    /// Ids of all input ports (including the clock, if it is a port).
-    pub fn inputs(&self) -> Vec<SignalId> {
-        (0..self.signals.len() as u32)
-            .map(SignalId)
-            .filter(|id| self.signal(*id).role == SignalRole::Input)
-            .collect()
-    }
-
     /// Input ports the testbench should randomize: inputs minus the clock.
     pub fn stimulus_inputs(&self) -> Vec<SignalId> {
-        self.inputs()
-            .into_iter()
-            .filter(|id| Some(*id) != self.clock)
+        (0..self.signals.len() as u32)
+            .map(SignalId)
+            .filter(|&id| self.signal(id).role == SignalRole::Input && Some(id) != self.clock)
             .collect()
     }
 
@@ -302,8 +282,8 @@ mod tests {
              always @(posedge clk) q <= a;\n\
              endmodule",
         );
-        assert_eq!(n.comb.len(), 1);
-        assert_eq!(n.seq.len(), 1);
+        assert_eq!(n.comb, vec![0], "the assign is item 0");
+        assert_eq!(n.seq, vec![1], "the clocked block is item 1");
         assert_eq!(n.clock, n.signal_id("clk"));
     }
 

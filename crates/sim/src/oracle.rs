@@ -24,11 +24,11 @@
 use crate::compile::part_width;
 use crate::error::SimError;
 use crate::eval::{eval_binary, eval_unary, Write};
-use crate::netlist::{Netlist, Process, SignalId};
+use crate::netlist::{Netlist, SignalId};
 use crate::testbench::{PortResolver, Stimulus};
 use crate::trace::{Operands, StmtExec, Trace};
 use crate::value::Value;
-use verilog::{Assignment, CaseStmt, Expr, IfStmt, LValue, Select, Stmt};
+use verilog::{Assignment, CaseStmt, Expr, IfStmt, Item, LValue, Select, Stmt};
 
 /// Simulates one stimulus from the all-zero reset state and returns its
 /// full trace: every signal's per-cycle snapshot and every execution
@@ -52,14 +52,13 @@ pub fn interpret(netlist: &Netlist, stimulus: &Stimulus) -> Result<Trace, SimErr
         }
         let mut execs: Vec<StmtExec> = Vec::new();
         ctx.settle()?;
-        for p in &netlist.comb {
-            ctx.run_comb(p, Some(&mut execs))?;
+        for &i in &netlist.comb {
+            ctx.exec_item(i, None, Some(&mut execs))?;
         }
         arena.extend_from_slice(&ctx.values);
         let mut deferred: Vec<Write> = Vec::new();
-        for p in &netlist.seq {
-            let Process::Seq(blk) = p else { continue };
-            ctx.exec_stmts(&blk.body, Some(&mut deferred), Some(&mut execs))?;
+        for &i in &netlist.seq {
+            ctx.exec_item(i, Some(&mut deferred), Some(&mut execs))?;
         }
         for w in deferred {
             let cur = ctx.values[w.target.0 as usize];
@@ -312,15 +311,16 @@ impl<'n> EvalCtx<'n> {
         Ok(())
     }
 
-    fn run_comb(
+    /// Executes item `i` of the netlist's module.
+    fn exec_item(
         &mut self,
-        p: &Process,
+        i: usize,
+        defer: Option<&mut Vec<Write>>,
         recorder: Option<&mut Vec<StmtExec>>,
     ) -> Result<(), SimError> {
-        match p {
-            Process::Assign(a) => self.exec_assign(a, None, recorder),
-            Process::Comb(blk) => self.exec_stmts(&blk.body, None, recorder),
-            Process::Seq(_) => Ok(()),
+        match &self.netlist.module.items[i] {
+            Item::Assign(a) => self.exec_assign(a, defer, recorder),
+            Item::Always(blk) => self.exec_stmts(&blk.body, defer, recorder),
         }
     }
 
@@ -331,8 +331,8 @@ impl<'n> EvalCtx<'n> {
         let mut before = Vec::new();
         for _ in 0..max_iters {
             before.clone_from(&self.values);
-            for p in &netlist.comb {
-                self.run_comb(p, None)?;
+            for &i in &netlist.comb {
+                self.exec_item(i, None, None)?;
             }
             if self.values == before {
                 return Ok(());
