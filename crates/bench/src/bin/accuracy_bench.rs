@@ -23,13 +23,11 @@
 //!   checked-in `BENCH_accuracy.json` (pass `--out PATH` to keep a copy)
 //!   and exits non-zero when precision@5 falls below the CI floor or any
 //!   number differs across thread counts;
-//! - `--out PATH`: write the JSON to `PATH` instead of the default;
-//! - `--store PATH`: persistent artifact store (defaults to the
-//!   `VERIBUG_STORE` environment variable). Trained weights and the full
-//!   evaluation (ranks, entropies, margins — floats stored bit-exact) are
-//!   keyed by the seed manifest, so a repeat run at the same scale reuses
-//!   both and renders byte-identical JSON without recomputing. `--smoke`
-//!   ignores the store: its determinism gate must re-measure, not replay.
+//! - `--out PATH`: write the JSON to `PATH` instead of the default.
+//!
+//! Every run trains, runs the campaigns and evaluates at every checked
+//! thread count: nothing is read back from an earlier run, so the file
+//! always measures the code that wrote it.
 
 use std::fmt::Write as _;
 
@@ -229,119 +227,6 @@ fn evaluate(
     }
 }
 
-/// The artifact-store key for the evaluation: everything that determines
-/// its numbers — weights, every seed, the scale, the budget, and the
-/// thread counts cross-checked.
-fn eval_key(scale: &ExperimentScale, budget: &BugBudget, weights_hash: &str) -> u64 {
-    store::hash::fnv1a(
-        format!(
-            "accuracy-eval v1\nweights {weights_hash}\n\
-             seeds {TRAIN_SEED} {CAMPAIGN_SEED} {RVDG_SEED}\n\
-             scale {} {} {} {} {} {}\nbudget {} {} {}\nthreads {THREADS_CHECKED:?}\n",
-            scale.train_designs,
-            scale.holdout_designs,
-            scale.cycles,
-            scale.runs_per_design,
-            scale.epochs,
-            scale.runs_per_mutant,
-            budget.negation,
-            budget.operation,
-            budget.misuse,
-        )
-        .as_bytes(),
-    )
-}
-
-/// Serializes the evaluation for the artifact store. Floats go through
-/// `f64::to_bits` as fixed-width hex, so a decoded evaluation renders the
-/// exact same JSON bytes as the run that produced it.
-fn encode_eval(deterministic: bool, ev: &EvalOut) -> String {
-    let mut out = String::from("accuracy-eval v1\n");
-    let _ = writeln!(out, "deterministic {deterministic}");
-    let _ = writeln!(out, "mutants {}", ev.mutants.len());
-    for m in &ev.mutants {
-        let _ = write!(
-            out,
-            "{} {} {} {} {}",
-            m.case_idx,
-            m.kind,
-            u8::from(m.observable),
-            m.rank.unwrap_or(0),
-            m.entropies.len()
-        );
-        for e in &m.entropies {
-            let _ = write!(out, " {:016x}", e.to_bits());
-        }
-        out.push('\n');
-    }
-    let _ = writeln!(out, "margins {}", ev.margins.len());
-    for m in &ev.margins {
-        let _ = writeln!(out, "{:016x}", m.to_bits());
-    }
-    out.push_str("end\n");
-    out
-}
-
-/// Inverse of [`encode_eval`]. Any malformed line (including a `case_idx`
-/// beyond the current case list) returns `None`, which callers treat as a
-/// plain store miss.
-fn decode_eval(text: &str, case_count: usize) -> Option<(bool, EvalOut)> {
-    let mut lines = text.lines();
-    if lines.next()? != "accuracy-eval v1" {
-        return None;
-    }
-    let deterministic = match lines.next()? {
-        "deterministic true" => true,
-        "deterministic false" => false,
-        _ => return None,
-    };
-    let hex = |tok: &str| u64::from_str_radix(tok, 16).ok().map(f64::from_bits);
-    let count = |line: &str, tag: &str| {
-        line.strip_prefix(tag)
-            .and_then(|n| n.trim().parse::<usize>().ok())
-    };
-    let n = count(lines.next()?, "mutants ")?;
-    let mut mutants = Vec::with_capacity(n);
-    for _ in 0..n {
-        let mut toks = lines.next()?.split_whitespace();
-        let case_idx: usize = toks.next()?.parse().ok()?;
-        if case_idx >= case_count {
-            return None;
-        }
-        let kind_name = toks.next()?;
-        let kind = *MutationKind::ALL
-            .iter()
-            .find(|k| k.to_string() == kind_name)?;
-        let observable = match toks.next()? {
-            "1" => true,
-            "0" => false,
-            _ => return None,
-        };
-        let rank: usize = toks.next()?.parse().ok()?;
-        let k: usize = toks.next()?.parse().ok()?;
-        let entropies: Vec<f64> = toks.by_ref().filter_map(hex).collect();
-        if entropies.len() != k || toks.next().is_some() {
-            return None;
-        }
-        mutants.push(MutantEval {
-            case_idx,
-            kind,
-            observable,
-            rank: (rank > 0).then_some(rank),
-            entropies,
-        });
-    }
-    let n = count(lines.next()?, "margins ")?;
-    let mut margins = Vec::with_capacity(n);
-    for _ in 0..n {
-        margins.push(hex(lines.next()?)?);
-    }
-    if lines.next()? != "end" || lines.next().is_some() {
-        return None;
-    }
-    Some((deterministic, EvalOut { mutants, margins }))
-}
-
 /// Bit-exact fingerprint of every number the evaluation produced.
 fn fingerprint(ev: &EvalOut) -> Vec<u64> {
     let mut fp = Vec::new();
@@ -373,24 +258,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     } else {
         ExperimentScale::full()
     };
-    // Smoke bypasses the store: its whole point is to re-measure the
-    // determinism and precision gates, not replay a cached verdict.
-    let artifact_store = if smoke {
-        None
-    } else {
-        match args
-            .iter()
-            .position(|a| a == "--store")
-            .and_then(|i| args.get(i + 1))
-        {
-            Some(path) => Some(store::Store::open(path, store::env_budget()?)?),
-            None => store::Store::from_env()?,
-        }
-    };
 
     obs::progress!("training the VeriBug model on RVDG synthetic designs...");
-    let (model, _train_set, holdout) =
-        veribug_bench::train_model_cached(&scale, 0.10, TRAIN_SEED, artifact_store.as_ref())?;
+    let (model, _train_set, holdout) = veribug_bench::train_model(&scale, 0.10, TRAIN_SEED)?;
     let weights_hash = veribug::persist::content_hash_hex(&model);
 
     // Ground-truth cases: the Table I catalog (first target each, matching
@@ -441,63 +311,28 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
     };
 
-    // With a store, the whole evaluation (campaigns included) is keyed by
-    // its seed manifest: a hit replays the bit-exact numbers of the run
-    // that produced it and renders the same JSON bytes.
-    let key = eval_key(&scale, &budget, &weights_hash);
-    let cached = artifact_store.as_ref().and_then(|s| {
-        s.get(store::ArtifactKind::Campaign, key)
-            .and_then(|bytes| String::from_utf8(bytes).ok())
-            .and_then(|text| decode_eval(&text, cases.len()))
-    });
-    let (deterministic, ev) = match cached {
-        Some((deterministic, ev)) => {
-            obs::progress!(
-                "reusing stored evaluation {} ({} mutants, {} margins)",
-                store::hash::key_hex(key),
-                ev.mutants.len(),
-                ev.margins.len()
-            );
-            (deterministic, ev)
-        }
-        None => {
-            // Campaigns run once (they are deterministic; bench_pipeline
-            // --smoke cross-checks the campaign stage across thread
-            // counts), then the localization/margin evaluation reruns at
-            // every checked thread count.
-            let mut campaigns: Vec<Vec<Mutant>> = Vec::new();
-            for (ci, case) in cases.iter().enumerate() {
-                obs::progress!("campaign: {} / {} ...", case.name, case.target);
-                let mutants = Campaign::new(CAMPAIGN_SEED + ci as u64)
-                    .with_runs_per_mutant(scale.runs_per_mutant)
-                    .run(&case.module, &case.target, &budget)?;
-                campaigns.push(mutants);
-            }
+    // Campaigns run once (they are deterministic; bench_pipeline --smoke
+    // cross-checks the campaign stage across thread counts), then the
+    // localization/margin evaluation reruns at every checked thread count.
+    let mut campaigns: Vec<Vec<Mutant>> = Vec::new();
+    for (ci, case) in cases.iter().enumerate() {
+        obs::progress!("campaign: {} / {} ...", case.name, case.target);
+        let mutants = Campaign::new(CAMPAIGN_SEED + ci as u64)
+            .with_runs_per_mutant(scale.runs_per_mutant)
+            .run(&case.module, &case.target, &budget)?;
+        campaigns.push(mutants);
+    }
 
-            let mut evals: Vec<EvalOut> = Vec::new();
-            for &threads in &THREADS_CHECKED {
-                par::with_threads(threads, || {
-                    evals.push(evaluate(&model, &cases, &campaigns, &holdout));
-                });
-                obs::progress!("evaluated at {threads} thread(s)");
-            }
-            let fp0 = fingerprint(&evals[0]);
-            let deterministic = evals.iter().all(|e| fingerprint(e) == fp0);
-            let ev = evals.swap_remove(0);
-            if let Some(s) = &artifact_store {
-                // A failed cache write only costs the next run a recompute.
-                if let Err(e) = s.put(
-                    store::ArtifactKind::Campaign,
-                    key,
-                    encode_eval(deterministic, &ev).as_bytes(),
-                ) {
-                    obs::progress!("warning: evaluation store write failed: {e}");
-                }
-            }
-            (deterministic, ev)
-        }
-    };
-    let ev = &ev;
+    let mut evals: Vec<EvalOut> = Vec::new();
+    for &threads in &THREADS_CHECKED {
+        par::with_threads(threads, || {
+            evals.push(evaluate(&model, &cases, &campaigns, &holdout));
+        });
+        obs::progress!("evaluated at {threads} thread(s)");
+    }
+    let fp0 = fingerprint(&evals[0]);
+    let deterministic = evals.iter().all(|e| fingerprint(e) == fp0);
+    let ev = &evals[0];
 
     let mut overall = Agg::default();
     let mut by_case: Vec<Agg> = vec![Agg::default(); cases.len()];

@@ -114,42 +114,6 @@ pub fn train_model(
     alpha: f32,
     seed: u64,
 ) -> Result<(VeriBugModel, Dataset, Dataset), VeriBugError> {
-    train_model_cached(scale, alpha, seed, None)
-}
-
-/// The artifact-store key for a training run: an FNV-1a hash of the seed
-/// manifest — everything that determines the resulting weights, including
-/// the persist format version so a format bump invalidates old entries.
-fn weights_key(scale: &ExperimentScale, alpha: f32, seed: u64) -> u64 {
-    store::hash::fnv1a(
-        format!(
-            "veribug-bench weights v1\nscale {} {} {} {} {}\nalpha {alpha:e}\nseed {seed}\nformat {}\n",
-            scale.train_designs,
-            scale.holdout_designs,
-            scale.cycles,
-            scale.runs_per_design,
-            scale.epochs,
-            veribug::persist::format_version()
-        )
-        .as_bytes(),
-    )
-}
-
-/// [`train_model`] with optional weight reuse through a persistent
-/// artifact store: a hit on the seed-manifest key skips the training loop
-/// (the datasets are still built — callers need them for evaluation), a
-/// miss trains and writes the weights through. Training is deterministic,
-/// so reused weights are byte-identical to a fresh run's.
-///
-/// # Errors
-///
-/// Propagates dataset/simulation failures and store write failures.
-pub fn train_model_cached(
-    scale: &ExperimentScale,
-    alpha: f32,
-    seed: u64,
-    artifact_store: Option<&store::Store>,
-) -> Result<(VeriBugModel, Dataset, Dataset), VeriBugError> {
     let (train_modules, holdout_modules) = corpora(scale, seed)?;
     let train_set = Dataset::from_designs(
         &train_modules,
@@ -163,20 +127,6 @@ pub fn train_model_cached(
         scale.cycles,
         scale.runs_per_design,
     )?;
-    let key = weights_key(scale, alpha, seed);
-    if let Some(s) = artifact_store {
-        if let Some(model) = s
-            .get(store::ArtifactKind::Weights, key)
-            .and_then(|bytes| String::from_utf8(bytes).ok())
-            .and_then(|text| veribug::persist::from_str(&text).ok())
-        {
-            obs::progress!(
-                "reusing stored weights {} (seed {seed})",
-                store::hash::key_hex(key)
-            );
-            return Ok((model, train_set, holdout_set));
-        }
-    }
     let mut model = VeriBugModel::new(ModelConfig::default());
     train::train(
         &mut model,
@@ -187,16 +137,6 @@ pub fn train_model_cached(
             ..TrainConfig::default()
         },
     )?;
-    if let Some(s) = artifact_store {
-        // A failed cache write costs the next run a retrain, nothing more.
-        if let Err(e) = s.put(
-            store::ArtifactKind::Weights,
-            key,
-            veribug::persist::to_string(&model).as_bytes(),
-        ) {
-            obs::progress!("warning: weight store write failed: {e}");
-        }
-    }
     Ok((model, train_set, holdout_set))
 }
 

@@ -354,8 +354,8 @@ fn cmd_train(opts: &HashMap<String, String>) -> CmdResult {
 
     // With a store configured, a training run is content-addressed by its
     // seed manifest: identical (designs, epochs, seed) reuses the stored
-    // weights instead of retraining. Training is deterministic, so the
-    // reused bytes are exactly what a fresh run would produce.
+    // weights instead of retraining. The key does not cover the binary, so
+    // a rebuilt binary reuses weights an older one trained.
     let artifact_store = match store_root(opts) {
         Some(root) => Some(store::Store::open(root, store::env_budget()?)?),
         None => None,

@@ -1,10 +1,10 @@
 //! The compiled execution engine: bit-parallel bytecode over up to
 //! [`LANES`] stimuli per op.
 //!
-//! [`BatchEngine::build`] lowers a netlist at elaboration time: it drives
-//! [`crate::compile::Compiler`] for expressions and assignments, so slot
-//! allocation, static widths, and every rejected construct are decided in
-//! one place, and lowers `if`/`case` into **structured mask operations**.
+//! [`BatchEngine::build`] lowers a netlist at elaboration time through
+//! [`crate::compile::Compiler`], which decides slot allocation, static
+//! widths and every rejected construct, and lowers `if`/`case` into
+//! **structured mask operations**.
 //! Each signal and slab slot holds a [`BatchValue`] (one `u64` word per
 //! lane); one ALU op evaluates all lanes at once. Data-dependent control
 //! flow keeps a per-lane activity mask: when lanes disagree on a branch
@@ -40,7 +40,7 @@
 use std::sync::Arc;
 
 use crate::cancel::CancelToken;
-use crate::compile::{analyze, Analysis, AssignMeta, Compiler, Op, SelKind};
+use crate::compile::{analyze, Analysis, AssignMeta, BOp, Compiler, Op, SelKind};
 use crate::error::SimError;
 use crate::eval::{eval_binary_batch, eval_unary_batch, Write};
 use crate::metrics;
@@ -50,43 +50,7 @@ use crate::trace::{
     CycleRecord, Execs, Operands, Records, Snapshot, StmtExec, Trace, TraceMode, VerdictTrace,
 };
 use crate::value::{BatchValue, Value, LANES};
-use verilog::{Item, Stmt};
-
-/// One batch instruction: an expression op evaluated lane-wise, a masked
-/// assignment, or a structured mask-control op.
-#[derive(Debug, Clone, Copy)]
-enum BOp {
-    /// An expression [`Op`], evaluated on all lanes.
-    Expr(Op),
-    /// Masked assignment: resolve + record + apply per active lane.
-    Assign { rhs: u16, meta: u32 },
-    /// `if`: split the current mask on `slab[cond]`'s per-lane truthiness.
-    /// When no lane takes the then-side, jump to `else_at` (the matching
-    /// [`BOp::Else`]).
-    BranchIf { cond: u16, else_at: u32 },
-    /// Swap to the else-side mask; jump to `end_at` (the matching
-    /// [`BOp::EndIf`]) when no lane takes it.
-    Else { end_at: u32 },
-    /// Pop the `if` frame and restore the enclosing mask.
-    EndIf,
-    /// `case`: open a frame remembering the subject slot and the lanes
-    /// still unmatched.
-    CaseBegin { subj: u16 },
-    /// One arm: lanes whose subject equals any of
-    /// `case_labels[labels_start..labels_start + labels_len]` (raw-bit
-    /// compare) become active; they are removed from the unmatched set.
-    /// Jump to `next_at` (the next arm/default) when no lane matches.
-    CaseArm {
-        labels_start: u32,
-        labels_len: u32,
-        next_at: u32,
-    },
-    /// The default arm: all still-unmatched lanes become active; jump to
-    /// `end_at` (the matching [`BOp::CaseEnd`]) when there are none.
-    CaseDefault { end_at: u32 },
-    /// Pop the `case` frame and restore the enclosing mask.
-    CaseEnd,
-}
+use verilog::Item;
 
 /// A control-flow frame on the mask stack.
 #[derive(Debug, Clone, Copy)]
@@ -164,23 +128,19 @@ impl BatchEngine {
         let mut case_labels = Vec::new();
         let mut slots = 0usize;
         let mut compile = |&item: &usize| -> Result<Vec<BOp>, SimError> {
-            let mut c = BatchCompiler {
-                inner: Compiler {
-                    netlist,
-                    ops: Vec::new(),
-                    metas: &mut metas,
-                    next_slot: 0,
-                },
-                bops: Vec::new(),
+            let mut c = Compiler {
+                netlist,
+                code: Vec::new(),
+                metas: &mut metas,
                 case_labels: &mut case_labels,
-                synced: 0,
+                next_slot: 0,
             };
             match &netlist.module.items[item] {
                 Item::Assign(a) => c.assign(a)?,
                 Item::Always(blk) => c.stmts(&blk.body)?,
             }
-            slots = slots.max(c.inner.next_slot as usize);
-            Ok(c.bops)
+            slots = slots.max(c.next_slot as usize);
+            Ok(c.code)
         };
         let comb: Vec<Vec<BOp>> = netlist
             .comb
@@ -917,107 +877,6 @@ fn exec_expr(op: Op, slab: &mut [BatchValue], values: &[BatchValue], n: usize) {
                 *o = (hi_word << lw) | lo_word;
             }
             d[0].set_width(h.width() + lw);
-        }
-    }
-}
-
-/// Lowers one process body into batch bytecode, reusing [`Compiler`] for
-/// expressions and assignments (ops it emits are drained through
-/// [`BatchCompiler::sync`]) and emitting structured mask ops for
-/// `if`/`case`.
-struct BatchCompiler<'a, 'n> {
-    inner: Compiler<'n>,
-    bops: Vec<BOp>,
-    case_labels: &'a mut Vec<u16>,
-    /// How many of `inner.ops` have been converted into `bops`.
-    synced: usize,
-}
-
-impl BatchCompiler<'_, '_> {
-    /// Wraps every expression op the inner compiler emitted since the last
-    /// sync.
-    fn sync(&mut self) {
-        let fresh = &self.inner.ops[self.synced..];
-        self.bops.extend(fresh.iter().map(|&op| BOp::Expr(op)));
-        self.synced = self.inner.ops.len();
-    }
-
-    fn assign(&mut self, a: &verilog::Assignment) -> Result<(), SimError> {
-        let (rhs, meta) = self.inner.assign(a)?;
-        self.sync();
-        self.bops.push(BOp::Assign { rhs, meta });
-        Ok(())
-    }
-
-    fn stmts(&mut self, stmts: &[Stmt]) -> Result<(), SimError> {
-        for s in stmts {
-            match s {
-                Stmt::Assign(a) => self.assign(a)?,
-                Stmt::If(i) => {
-                    let (cond, _) = self.inner.expr(&i.cond)?;
-                    self.sync();
-                    let branch_at = self.bops.len();
-                    self.bops.push(BOp::BranchIf { cond, else_at: 0 });
-                    self.stmts(&i.then_branch)?;
-                    let else_at = self.bops.len();
-                    // An `Else` op is emitted even for if-without-else: the
-                    // executor restores the else mask there (running zero
-                    // statements under it), keeping the frame protocol
-                    // uniform.
-                    self.bops.push(BOp::Else { end_at: 0 });
-                    self.patch(branch_at, else_at);
-                    self.stmts(&i.else_branch)?;
-                    let end_at = self.bops.len();
-                    self.bops.push(BOp::EndIf);
-                    self.patch(else_at, end_at);
-                }
-                Stmt::Case(c) => {
-                    let (subj, _) = self.inner.expr(&c.subject)?;
-                    // Evaluate ALL labels before any body (labels are pure,
-                    // so evaluating ones past the interpreter's first match
-                    // is unobservable; slots are never reused within a
-                    // program, so label slots stay live).
-                    let mut ranges = Vec::with_capacity(c.arms.len());
-                    for arm in &c.arms {
-                        let start = self.case_labels.len();
-                        for label in &arm.labels {
-                            let (slot, _) = self.inner.expr(label)?;
-                            self.case_labels.push(slot);
-                        }
-                        ranges.push((start as u32, arm.labels.len() as u32));
-                    }
-                    self.sync();
-                    self.bops.push(BOp::CaseBegin { subj });
-                    for (arm, (labels_start, labels_len)) in c.arms.iter().zip(ranges) {
-                        let arm_at = self.bops.len();
-                        self.bops.push(BOp::CaseArm {
-                            labels_start,
-                            labels_len,
-                            next_at: 0,
-                        });
-                        self.stmts(&arm.body)?;
-                        self.patch(arm_at, self.bops.len());
-                    }
-                    let default_at = self.bops.len();
-                    self.bops.push(BOp::CaseDefault { end_at: 0 });
-                    self.stmts(&c.default)?;
-                    self.patch(default_at, self.bops.len());
-                    self.bops.push(BOp::CaseEnd);
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Redirects the forward offset of the structured op at `at` to `to`.
-    fn patch(&mut self, at: usize, to: usize) {
-        let to = to as u32;
-        match &mut self.bops[at] {
-            BOp::BranchIf { else_at: t, .. }
-            | BOp::Else { end_at: t }
-            | BOp::CaseArm { next_at: t, .. }
-            | BOp::CaseDefault { end_at: t } => *t = to,
-            _ => unreachable!("patch target is a structured control op"),
         }
     }
 }

@@ -1,5 +1,5 @@
 //! Compilation front end of the batch engine: static analysis plus
-//! expression and assignment lowering.
+//! lowering to batch bytecode.
 //!
 //! [`analyze`] levelizes a netlist's combinational processes with
 //! [`cdfg::levelize`]. When it proves that one ordered pass per cycle
@@ -11,13 +11,14 @@
 //! a **settle plan**, which `crate::batch` iterates to a fixpoint each
 //! cycle like the interpreter oracle ([`crate::oracle`]).
 //!
-//! [`Compiler`] lowers expressions into a flat register-machine [`Op`]
-//! sequence over a value slab and assignments into [`AssignMeta`]
-//! side-table entries; `crate::batch` drives it and adds the structured
-//! `if`/`case` mask operations. A construct with no simulated value (an
-//! inverted or over-64-bit part select, an over-64-bit concatenation or
-//! replication, a zero-width literal, slot overflow) is rejected with the
-//! [`SimError::Unsupported`] that [`crate::Simulator::new`] reports.
+//! [`Compiler`] lowers each process body into one [`BOp`] program:
+//! expressions into flat register-machine [`Op`]s over a value slab,
+//! assignments into [`AssignMeta`] side-table entries, and `if`/`case`
+//! into structured mask operations that `crate::batch` executes. A
+//! construct with no simulated value (an inverted or over-64-bit part
+//! select, an over-64-bit concatenation or replication, a zero-width
+//! literal, slot overflow) is rejected with the [`SimError::Unsupported`]
+//! that [`crate::Simulator::new`] reports.
 
 use std::collections::BTreeSet;
 
@@ -58,6 +59,42 @@ pub(crate) enum Op {
     },
     /// `slab[dst] = {slab[hi], slab[lo]}`
     Concat { dst: u16, hi: u16, lo: u16 },
+}
+
+/// One batch instruction: an expression op evaluated lane-wise, a masked
+/// assignment, or a structured mask-control op.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum BOp {
+    /// An expression [`Op`], evaluated on all lanes.
+    Expr(Op),
+    /// Masked assignment: resolve + record + apply per active lane.
+    Assign { rhs: u16, meta: u32 },
+    /// `if`: split the current mask on `slab[cond]`'s per-lane truthiness.
+    /// When no lane takes the then-side, jump to `else_at` (the matching
+    /// [`BOp::Else`]).
+    BranchIf { cond: u16, else_at: u32 },
+    /// Swap to the else-side mask; jump to `end_at` (the matching
+    /// [`BOp::EndIf`]) when no lane takes it.
+    Else { end_at: u32 },
+    /// Pop the `if` frame and restore the enclosing mask.
+    EndIf,
+    /// `case`: open a frame remembering the subject slot and the lanes
+    /// still unmatched.
+    CaseBegin { subj: u16 },
+    /// One arm: lanes whose subject equals any of
+    /// `case_labels[labels_start..labels_start + labels_len]` (raw-bit
+    /// compare) become active; they are removed from the unmatched set.
+    /// Jump to `next_at` (the next arm/default) when no lane matches.
+    CaseArm {
+        labels_start: u32,
+        labels_len: u32,
+        next_at: u32,
+    },
+    /// The default arm: all still-unmatched lanes become active; jump to
+    /// `end_at` (the matching [`BOp::CaseEnd`]) when there are none.
+    CaseDefault { end_at: u32 },
+    /// Pop the `case` frame and restore the enclosing mask.
+    CaseEnd,
 }
 
 /// How an assignment's target bits are selected.
@@ -200,19 +237,25 @@ fn unsupported(detail: String) -> SimError {
     SimError::Unsupported { detail }
 }
 
-/// Lowers expressions and assignments into bytecode. Every method fails
-/// with the [`SimError`] that rejects the design.
-///
-/// The batch engine drives this lowerer and wraps the emitted ops; it
-/// lowers `if`/`case` control flow itself.
+/// Lowers one process body into batch bytecode: expressions into
+/// [`BOp::Expr`] ops, assignments into [`BOp::Assign`] plus an
+/// [`AssignMeta`], and `if`/`case` into structured mask ops. Every method
+/// fails with the [`SimError`] that rejects the design.
 pub(crate) struct Compiler<'a> {
     pub(crate) netlist: &'a Netlist,
-    pub(crate) ops: Vec<Op>,
+    /// The process's program, in emission order.
+    pub(crate) code: Vec<BOp>,
     pub(crate) metas: &'a mut Vec<AssignMeta>,
+    /// Side pool of case-label slot indices referenced by [`BOp::CaseArm`].
+    pub(crate) case_labels: &'a mut Vec<u16>,
     pub(crate) next_slot: u32,
 }
 
 impl Compiler<'_> {
+    fn emit(&mut self, op: Op) {
+        self.code.push(BOp::Expr(op));
+    }
+
     fn slot(&mut self) -> Result<u16, SimError> {
         let s = u16::try_from(self.next_slot).map_err(|_| {
             unsupported(format!(
@@ -237,12 +280,12 @@ impl Compiler<'_> {
     /// Compiles an expression; returns its result slot and static width
     /// (widths are fully static in this Verilog subset, so the returned
     /// width always equals the runtime `Value` width).
-    pub(crate) fn expr(&mut self, e: &Expr) -> Result<(u16, u8), SimError> {
+    fn expr(&mut self, e: &Expr) -> Result<(u16, u8), SimError> {
         match e {
             Expr::Ident { name, .. } => {
                 let (sig, w) = self.signal(name)?;
                 let dst = self.slot()?;
-                self.ops.push(Op::Load { dst, sig });
+                self.emit(Op::Load { dst, sig });
                 Ok((dst, w))
             }
             Expr::Literal { width, value, span } => {
@@ -251,7 +294,7 @@ impl Compiler<'_> {
                     return Err(unsupported(format!("zero-width literal at {span}")));
                 }
                 let dst = self.slot()?;
-                self.ops.push(Op::Const {
+                self.emit(Op::Const {
                     dst,
                     val: Value::new(*value, w),
                 });
@@ -260,7 +303,7 @@ impl Compiler<'_> {
             Expr::Unary { op, operand, .. } => {
                 let (a, wa) = self.expr(operand)?;
                 let dst = self.slot()?;
-                self.ops.push(Op::Unary { dst, op: *op, a });
+                self.emit(Op::Unary { dst, op: *op, a });
                 let w = match op {
                     UnaryOp::Not | UnaryOp::Negate => wa,
                     _ => 1,
@@ -271,7 +314,7 @@ impl Compiler<'_> {
                 let (a, wa) = self.expr(lhs)?;
                 let (b, wb) = self.expr(rhs)?;
                 let dst = self.slot()?;
-                self.ops.push(Op::Binary { dst, op: *op, a, b });
+                self.emit(Op::Binary { dst, op: *op, a, b });
                 let w = match op {
                     BinaryOp::And
                     | BinaryOp::Or
@@ -297,14 +340,14 @@ impl Compiler<'_> {
                 let (t, wt) = self.expr(then_expr)?;
                 let (f, wf) = self.expr(else_expr)?;
                 let dst = self.slot()?;
-                self.ops.push(Op::Ternary { dst, cond: c, t, f });
+                self.emit(Op::Ternary { dst, cond: c, t, f });
                 Ok((dst, wt.max(wf)))
             }
             Expr::Index { base, index, .. } => {
                 let (sig, _) = self.signal(base)?;
                 let (idx, _) = self.expr(index)?;
                 let dst = self.slot()?;
-                self.ops.push(Op::Index { dst, sig, idx });
+                self.emit(Op::Index { dst, sig, idx });
                 Ok((dst, 1))
             }
             Expr::Part {
@@ -316,7 +359,7 @@ impl Compiler<'_> {
                 let (sig, _) = self.signal(base)?;
                 let width = part_width(base, *msb, *lsb, *span)?;
                 let dst = self.slot()?;
-                self.ops.push(Op::Part {
+                self.emit(Op::Part {
                     dst,
                     sig,
                     lsb: *lsb,
@@ -356,7 +399,7 @@ impl Compiler<'_> {
         let (&(mut acc, mut width), rest) = parts.split_first().expect("non-empty parts");
         for &(slot, w) in rest {
             let dst = self.slot()?;
-            self.ops.push(Op::Concat {
+            self.emit(Op::Concat {
                 dst,
                 hi: acc,
                 lo: slot,
@@ -367,10 +410,9 @@ impl Compiler<'_> {
         Ok((acc, width))
     }
 
-    /// Lowers an assignment's right-hand side and bit-select index and
-    /// registers its [`AssignMeta`]; returns the right-hand-side slot and
-    /// the meta index.
-    pub(crate) fn assign(&mut self, a: &Assignment) -> Result<(u16, u32), SimError> {
+    /// Lowers an assignment's right-hand side and bit-select index,
+    /// registers its [`AssignMeta`] and emits the [`BOp::Assign`].
+    pub(crate) fn assign(&mut self, a: &Assignment) -> Result<(), SimError> {
         let (rhs, _) = self.expr(&a.rhs)?;
         let unknown = || SimError::UnknownSignal {
             name: a.lhs.base.clone(),
@@ -399,7 +441,80 @@ impl Compiler<'_> {
             nonblocking: a.kind == verilog::AssignKind::NonBlocking,
             read_ids: info.read_ids.clone(),
         });
-        Ok((rhs, meta))
+        self.code.push(BOp::Assign { rhs, meta });
+        Ok(())
+    }
+
+    /// Lowers a statement list, emitting structured mask ops for
+    /// `if`/`case`.
+    pub(crate) fn stmts(&mut self, stmts: &[Stmt]) -> Result<(), SimError> {
+        for s in stmts {
+            match s {
+                Stmt::Assign(a) => self.assign(a)?,
+                Stmt::If(i) => {
+                    let (cond, _) = self.expr(&i.cond)?;
+                    let branch_at = self.code.len();
+                    self.code.push(BOp::BranchIf { cond, else_at: 0 });
+                    self.stmts(&i.then_branch)?;
+                    let else_at = self.code.len();
+                    // An `Else` op is emitted even for if-without-else: the
+                    // executor restores the else mask there (running zero
+                    // statements under it), keeping the frame protocol
+                    // uniform.
+                    self.code.push(BOp::Else { end_at: 0 });
+                    self.patch(branch_at, else_at);
+                    self.stmts(&i.else_branch)?;
+                    let end_at = self.code.len();
+                    self.code.push(BOp::EndIf);
+                    self.patch(else_at, end_at);
+                }
+                Stmt::Case(c) => {
+                    let (subj, _) = self.expr(&c.subject)?;
+                    // Evaluate ALL labels before any body (labels are pure,
+                    // so evaluating ones past the interpreter's first match
+                    // is unobservable; slots are never reused within a
+                    // program, so label slots stay live).
+                    let mut ranges = Vec::with_capacity(c.arms.len());
+                    for arm in &c.arms {
+                        let start = self.case_labels.len();
+                        for label in &arm.labels {
+                            let (slot, _) = self.expr(label)?;
+                            self.case_labels.push(slot);
+                        }
+                        ranges.push((start as u32, arm.labels.len() as u32));
+                    }
+                    self.code.push(BOp::CaseBegin { subj });
+                    for (arm, (labels_start, labels_len)) in c.arms.iter().zip(ranges) {
+                        let arm_at = self.code.len();
+                        self.code.push(BOp::CaseArm {
+                            labels_start,
+                            labels_len,
+                            next_at: 0,
+                        });
+                        self.stmts(&arm.body)?;
+                        self.patch(arm_at, self.code.len());
+                    }
+                    let default_at = self.code.len();
+                    self.code.push(BOp::CaseDefault { end_at: 0 });
+                    self.stmts(&c.default)?;
+                    self.patch(default_at, self.code.len());
+                    self.code.push(BOp::CaseEnd);
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Redirects the forward offset of the structured op at `at` to `to`.
+    fn patch(&mut self, at: usize, to: usize) {
+        let to = to as u32;
+        match &mut self.code[at] {
+            BOp::BranchIf { else_at: t, .. }
+            | BOp::Else { end_at: t }
+            | BOp::CaseArm { next_at: t, .. }
+            | BOp::CaseDefault { end_at: t } => *t = to,
+            _ => unreachable!("patch target is a structured control op"),
+        }
     }
 }
 

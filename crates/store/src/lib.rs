@@ -1,9 +1,9 @@
 //! `veribug-store`: a persistent, content-addressed artifact store.
 //!
-//! Every artifact the pipeline produces that is expensive to recompute —
-//! design sources worth precompiling, trained model weights, campaign
-//! evaluation results — can be parked on disk under a content hash and
-//! found again by any later process. The store is deliberately primitive:
+//! Artifacts the service and the CLI reuse across processes — design
+//! sources worth precompiling and trained model weights — are parked on
+//! disk under a content hash and found again by any later process. The
+//! store is deliberately primitive:
 //!
 //! * **Layout is the index.** Entries live at `<root>/<kind>/<key>.art`
 //!   where `key` is 16 lowercase hex digits ([`hash::key_hex`]). There is
@@ -68,18 +68,11 @@ pub enum ArtifactKind {
     /// Trained model weights in the `persist` text format. The key is the
     /// hash of the training manifest (corpus, epochs, seed, format).
     Weights,
-    /// Campaign / evaluation results. The key is the hash of the
-    /// evaluation manifest (weights hash, seeds, budgets).
-    Campaign,
 }
 
 impl ArtifactKind {
     /// Every kind, in the canonical listing order.
-    pub const ALL: [ArtifactKind; 3] = [
-        ArtifactKind::Design,
-        ArtifactKind::Weights,
-        ArtifactKind::Campaign,
-    ];
+    pub const ALL: [ArtifactKind; 2] = [ArtifactKind::Design, ArtifactKind::Weights];
 
     /// The subdirectory (and header token) for this kind.
     #[must_use]
@@ -87,7 +80,6 @@ impl ArtifactKind {
         match self {
             ArtifactKind::Design => "design",
             ArtifactKind::Weights => "weights",
-            ArtifactKind::Campaign => "campaign",
         }
     }
 
@@ -197,24 +189,6 @@ impl Store {
         // restart that never writes) still reports `store.bytes`.
         store.set_bytes_gauge();
         Ok(store)
-    }
-
-    /// Opens the store named by the `VERIBUG_STORE` environment variable,
-    /// or returns `Ok(None)` when the variable is unset or empty. The
-    /// budget comes from `VERIBUG_STORE_BUDGET` (decimal bytes, default
-    /// [`DEFAULT_BUDGET`]).
-    ///
-    /// # Errors
-    ///
-    /// Directory-creation failures from [`Store::open`], or
-    /// `InvalidInput` when `VERIBUG_STORE_BUDGET` is not a decimal
-    /// integer.
-    pub fn from_env() -> io::Result<Option<Store>> {
-        let root = match std::env::var(ENV_ROOT) {
-            Ok(v) if !v.is_empty() => v,
-            _ => return Ok(None),
-        };
-        Store::open(root, env_budget()?).map(Some)
     }
 
     /// The store root directory.
