@@ -144,8 +144,6 @@ struct EngineCompare {
     verdict_s: f64,
     /// Verdict values equal the observed columns of the full traces.
     verdict_identical: bool,
-    /// Execution records the verdict pass never materialized.
-    verdict_records_elided: u64,
 }
 
 /// Relative cost of leaving metrics collection enabled on the simulation
@@ -353,11 +351,9 @@ fn compare_engines(cycles: usize, runs: usize, reps: usize) -> EngineCompare {
                 .flat_map(|c| observed.ids().iter().map(|&id| c.value(id)))
                 .collect(),
             nobs: observed.len(),
-            records_elided: 0,
         })
         .collect();
     let verdict_identical = verdicts == expected_verdicts;
-    let verdict_records_elided: u64 = verdicts.iter().map(|v| v.records_elided).sum();
     let stimuli: usize = workload.iter().map(|(_, st, _)| st.len()).sum();
     obs::progress!(
         "engine         verdict={verdict_s:.3}s batch={batch_s:.3}s compiled={compiled_s:.3}s \
@@ -376,7 +372,6 @@ fn compare_engines(cycles: usize, runs: usize, reps: usize) -> EngineCompare {
         batch_identical,
         verdict_s,
         verdict_identical,
-        verdict_records_elided,
     }
 }
 
@@ -810,11 +805,6 @@ fn render_json(
         out,
         "    \"speedup_vs_interpreted\": {:.3},",
         engine.interpreted_s / engine.verdict_s.max(1e-12)
-    );
-    let _ = writeln!(
-        out,
-        "    \"records_elided\": {},",
-        engine.verdict_records_elided
     );
     let _ = writeln!(
         out,

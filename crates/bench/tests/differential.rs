@@ -323,8 +323,7 @@ fn output_set(sim: &Simulator) -> SignalSet {
 }
 
 /// The verdict a full trace implies for `observed`: its observed columns,
-/// cycle-major. `records_elided` is engine bookkeeping and excluded from
-/// `VerdictTrace` equality, so zero is fine here.
+/// cycle-major.
 fn expected_verdict(trace: &Trace, observed: &SignalSet) -> VerdictTrace {
     VerdictTrace {
         values: trace
@@ -333,7 +332,6 @@ fn expected_verdict(trace: &Trace, observed: &SignalSet) -> VerdictTrace {
             .flat_map(|c| observed.ids().iter().map(|&id| c.value(id)))
             .collect(),
         nobs: observed.len(),
-        records_elided: 0,
     }
 }
 

@@ -536,8 +536,8 @@ pub fn evaluate(model: &VeriBugModel, dataset: &Dataset) -> EvalMetrics {
 }
 
 /// Appends one JSON line per epoch of `report` to the training log at
-/// `path` (created if absent, never truncated), in the obs JSON-lines
-/// event idiom: each line is a self-contained object with a `"type"` tag.
+/// `path` (created if absent, never truncated): each line is a
+/// self-contained object with a `"type"` tag.
 ///
 /// ```json
 /// {"type":"train_epoch","epoch":0,"loss":0.61,"grad_norm":2.3,

@@ -8,7 +8,7 @@ use std::collections::BTreeSet;
 use crate::mutation::{apply, enumerate_sites, MutationKind, MutationSite};
 use crate::observe::{golden_verdicts, run_lane_groups_mode, screen_with, LabelledRun, RunVerdict};
 use cdfg::Slice;
-use sim::{SimError, Simulator, Stimulus, StmtExec, TestbenchGen, TraceMode, Value};
+use sim::{SimError, Simulator, Stimulus, TestbenchGen, TraceMode};
 use verilog::Module;
 
 /// Sites co-simulated per parallel wave. A fixed constant: waves bound the
@@ -28,37 +28,6 @@ static DUPLICATES: obs::LazyCounter = obs::LazyCounter::new("campaign.duplicates
 static SKIPPED: obs::LazyCounter = obs::LazyCounter::new("campaign.skipped");
 /// First cycle at which a failing co-simulation run diverged.
 static DIVERGENCE: obs::LazyHistogram = obs::LazyHistogram::new("campaign.divergence_cycle");
-/// Fraction of batch-engine lanes occupied by campaign stimuli
-/// (1.0 = every 64-lane group runs full).
-static BATCH_FILL: obs::LazyGauge = obs::LazyGauge::new("campaign.batch_fill_ratio");
-/// Bytes of trace the verdict screening pass declined to materialize:
-/// elided `StmtExec` records plus the unobserved part of every per-cycle
-/// snapshot, summed over golden-verdict and candidate-screening runs.
-/// Mutants the campaign keeps are re-simulated afterwards for their
-/// execution records only, still without snapshots.
-static TRACE_BYTES_ELIDED: obs::LazyCounter = obs::LazyCounter::new("campaign.trace_bytes_elided");
-/// Lane fill of every verdict-pass batch group (64 = full batch).
-static VERDICT_LANES: obs::LazyHistogram = obs::LazyHistogram::new("campaign.verdict_pass_lanes");
-
-/// Records the lane fills a verdict pass over `n` stimuli produces (maximal
-/// [`sim::LANES`]-lane groups plus the remainder).
-fn record_verdict_lanes(n: usize) {
-    let mut rest = n;
-    while rest > 0 {
-        let take = rest.min(sim::LANES);
-        VERDICT_LANES.record(take as u64);
-        rest -= take;
-    }
-}
-
-/// Bytes of full-trace product a verdict pass elided: the records it never
-/// materialized plus the unobserved `nsig - nobs` snapshot values per cycle
-/// across `nruns` runs of `cycles` cycles.
-fn elided_bytes(records_elided: u64, nruns: usize, cycles: usize, nsig: usize, nobs: usize) -> u64 {
-    let per_cycle_values = (nsig.saturating_sub(nobs) * std::mem::size_of::<Value>()) as u64;
-    records_elided * std::mem::size_of::<StmtExec>() as u64
-        + (nruns * cycles) as u64 * per_cycle_values
-}
 
 /// How many mutants of each kind a campaign should produce.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
@@ -165,8 +134,6 @@ impl Campaign {
         let stimuli: Vec<Stimulus> = TestbenchGen::new(self.seed ^ 0xD1CE_F00D)
             .with_hold_probability(self.hold_probability)
             .generate_many(golden_sim.netlist(), self.cycles, self.runs_per_mutant);
-        let lane_groups = stimuli.len().div_ceil(sim::LANES).max(1);
-        BATCH_FILL.set(stimuli.len() as f64 / (lane_groups * sim::LANES) as f64);
         let golden_source = verilog::print_module(golden);
         Ok(Prelude {
             all_sites,
@@ -200,6 +167,10 @@ impl Campaign {
     /// fully serial pass). Thread count follows `VERIBUG_THREADS` (see
     /// [`par::max_threads`]).
     ///
+    /// What the verdict pass never materialized, and how full its batches
+    /// ran, is the simulator's to count: `sim.records_elided` and
+    /// `sim.batch_lanes`.
+    ///
     /// # Errors
     ///
     /// Propagates simulation errors. Mutants that fail to elaborate or
@@ -221,7 +192,6 @@ impl Campaign {
             stimuli,
             golden_source,
         } = self.prelude(golden, target)?;
-        let nsig = golden_sim.netlist().signal_count();
 
         // Pass 1: screen golden + every candidate in verdict mode. The
         // golden design is simulated exactly once per stimulus; every
@@ -230,14 +200,6 @@ impl Campaign {
             let _g = obs::span("campaign.golden_verdict");
             golden_verdicts(&mut golden_sim, &stimuli, target_id)?
         };
-        record_verdict_lanes(stimuli.len());
-        TRACE_BYTES_ELIDED.add(elided_bytes(
-            golden_vs.iter().map(|v| v.records_elided).sum(),
-            stimuli.len(),
-            self.cycles,
-            nsig,
-            1,
-        ));
 
         /// One screened-and-accepted candidate awaiting its records pass.
         /// Keeps the pass-1 simulator, whose netlist holds the mutant's one
@@ -288,14 +250,6 @@ impl Campaign {
                         SKIPPED.incr();
                         continue;
                     };
-                    record_verdict_lanes(stimuli.len());
-                    TRACE_BYTES_ELIDED.add(elided_bytes(
-                        verdicts.iter().map(|v| v.records_elided).sum(),
-                        stimuli.len(),
-                        self.cycles,
-                        nsig,
-                        1,
-                    ));
                     if !seen_sources.insert(source.clone()) {
                         DUPLICATES.incr();
                         continue; // duplicate mutant
@@ -487,9 +441,9 @@ endmodule
         }
     }
 
-    /// The elision metrics must be live: a verdict-screened campaign
-    /// reports how many trace bytes it never materialized and the lane
-    /// occupancy of its verdict cosims (both rendered by `/metricsz`).
+    /// The elision metrics must be live: a verdict-screened campaign moves
+    /// the simulator's count of records it never materialized and its
+    /// lane-fill histogram (both rendered by `/metricsz`).
     #[test]
     fn campaign_records_elision_metrics() {
         obs::enable();
@@ -498,19 +452,20 @@ endmodule
             operation: 1,
             misuse: 1,
         };
+        let tallies = || {
+            let report = obs::snapshot();
+            let lanes = report.histogram("sim.batch_lanes").map(|h| h.count);
+            (report.counter("sim.records_elided").unwrap_or(0), lanes)
+        };
+        let (elided, lanes) = tallies();
         Campaign::new(31).run(&golden(), "gnt1", &budget).unwrap();
-        let report = obs::snapshot();
-        let elided = report
-            .counters
-            .get("campaign.trace_bytes_elided")
-            .copied()
-            .unwrap_or(0);
-        assert!(elided > 0, "verdict screening must elide trace bytes");
-        let lanes = report
-            .histograms
-            .get("campaign.verdict_pass_lanes")
-            .expect("verdict lane histogram recorded");
-        assert!(lanes.count > 0);
+        let (elided_after, lanes_after) = tallies();
+        assert!(
+            elided_after > elided,
+            "verdict screening must elide records"
+        );
+        let lanes_after = lanes_after.expect("batch lane histogram recorded");
+        assert!(lanes_after > lanes.unwrap_or(0));
     }
 
     /// The two-pass verdict flow must match the single-pass full-trace

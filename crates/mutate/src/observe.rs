@@ -40,7 +40,7 @@ impl LabelledRun {
 }
 
 /// The verdict of one screening run: where (if anywhere) the mutant's
-/// target output diverged from golden, plus elision accounting.
+/// target output diverged from golden.
 ///
 /// This is everything the campaign's accept/reject machinery reads — the
 /// observable flag is "any run diverged", the label is "this run diverged",
@@ -51,9 +51,6 @@ impl LabelledRun {
 pub struct RunVerdict {
     /// Cycles (ascending) where the target output diverged from golden.
     pub divergence_cycles: Vec<u32>,
-    /// [`sim::StmtExec`] records the verdict run declined to materialize
-    /// (best-effort accounting, not part of the verdict itself).
-    pub records_elided: u64,
 }
 
 impl RunVerdict {
@@ -164,7 +161,6 @@ pub fn screen_with(
         .zip(golden)
         .map(|(mv, gv)| RunVerdict {
             divergence_cycles: mv.divergence_cycles(gv, 0),
-            records_elided: mv.records_elided,
         })
         .collect())
 }

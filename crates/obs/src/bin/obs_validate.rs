@@ -4,7 +4,8 @@
 //! obs.json`:
 //!
 //! ```text
-//! obs_validate obs.json --require-span simulate --require-counter-nonzero sim.comb_skips
+//! obs_validate obs.json --require-span simulate --require-counter-nonzero sim.comb_skips \
+//!     --require-counter-nonzero sim.records_elided
 //! ```
 //!
 //! `--tracez` switches to the live `/tracez` page schema served by
@@ -79,8 +80,6 @@ fn main() -> ExitCode {
         validate::metricsz(&src)
     } else if tracez {
         validate::tracez(&src)
-    } else if path.ends_with(".jsonl") {
-        validate::jsonl(&src)
     } else {
         validate::chrome_trace(&src)
     };
@@ -128,7 +127,7 @@ fn usage(err: &str) -> ExitCode {
         eprintln!("obs_validate: {err}");
     }
     eprintln!(
-        "usage: obs_validate [--tracez | --accuracy | --metricsz] <trace.json|trace.jsonl> \
+        "usage: obs_validate [--tracez | --accuracy | --metricsz] <trace.json> \
          [--require-span NAME]... [--require-counter-nonzero NAME]..."
     );
     if err.is_empty() {

@@ -1,6 +1,6 @@
-//! The three exporters: human-readable summary, JSON-lines events, and
-//! Chrome `trace_event` (load the file in `chrome://tracing` or
-//! <https://ui.perfetto.dev>).
+//! The exporters: a human-readable summary, the `/metricsz` metrics
+//! object, and Chrome `trace_event` (load the file in `chrome://tracing`
+//! or <https://ui.perfetto.dev>).
 
 use std::fmt::Write as _;
 
@@ -108,73 +108,6 @@ pub fn chrome_trace(report: &Report) -> String {
     out
 }
 
-/// Renders JSON-lines: one event object per line (`"type"` is `"span"` or
-/// `"instant"`), followed by one line per metric (`"counter"`, `"gauge"`,
-/// `"histogram"`). Machine-parseable without loading the whole file.
-pub fn jsonl(report: &Report) -> String {
-    let mut out = String::with_capacity(report.events.len() * 120);
-    for e in &report.events {
-        match e {
-            Event::Span(Span {
-                name,
-                tid,
-                id,
-                parent,
-                ts_us,
-                dur_us,
-            }) => {
-                out.push_str("{\"type\":\"span\",\"name\":");
-                write_str(&mut out, name);
-                let _ = writeln!(
-                    out,
-                    ",\"tid\":{tid},\"id\":{id},\"parent\":{parent},\"ts_us\":{ts_us},\"dur_us\":{dur_us}}}"
-                );
-            }
-            Event::Instant {
-                name,
-                tid,
-                parent,
-                ts_us,
-                value,
-                msg,
-            } => {
-                out.push_str("{\"type\":\"instant\",\"name\":");
-                write_str(&mut out, name);
-                let _ = write!(out, ",\"tid\":{tid},\"parent\":{parent},\"ts_us\":{ts_us}");
-                if let Some(v) = value {
-                    out.push_str(",\"value\":");
-                    write_f64(&mut out, *v);
-                }
-                if let Some(m) = msg {
-                    out.push_str(",\"message\":");
-                    write_str(&mut out, m);
-                }
-                out.push_str("}\n");
-            }
-        }
-    }
-    for (name, v) in &report.counters {
-        out.push_str("{\"type\":\"counter\",\"name\":");
-        write_str(&mut out, name);
-        let _ = writeln!(out, ",\"value\":{v}}}");
-    }
-    for (name, v) in &report.gauges {
-        out.push_str("{\"type\":\"gauge\",\"name\":");
-        write_str(&mut out, name);
-        out.push_str(",\"value\":");
-        write_f64(&mut out, *v);
-        out.push_str("}\n");
-    }
-    for (name, h) in &report.histograms {
-        out.push_str("{\"type\":\"histogram\",\"name\":");
-        write_str(&mut out, name);
-        out.push(',');
-        write_hist_fields(&mut out, h);
-        out.push_str("}\n");
-    }
-    out
-}
-
 /// Renders the metrics-only snapshot a monitoring endpoint wants (the
 /// `GET /metricsz` body of `veribug serve`): one JSON object with
 /// `counters`, `gauges`, `histograms`, and `dropped_events` — no span
@@ -220,7 +153,7 @@ fn write_metrics(out: &mut String, report: &Report) {
 
 /// Writes a histogram summary's fields (`"count":…,"sum":…,"mean":…,
 /// "min":…,"max":…,"p50":…,"p90":…,"p99":…`) without the enclosing braces,
-/// so every exporter and debug page writes the same field set.
+/// so the metrics object and every debug page write the same field set.
 pub fn write_hist_fields(out: &mut String, h: &HistSummary) {
     let _ = write!(out, "\"count\":{}", h.count);
     for (field, v) in [
@@ -351,17 +284,6 @@ mod tests {
                 .as_num(),
             Some(123.0)
         );
-    }
-
-    #[test]
-    fn jsonl_lines_each_parse() {
-        let rendered = jsonl(&sample_report());
-        let lines: Vec<&str> = rendered.lines().collect();
-        assert_eq!(lines.len(), 5); // span + instant + counter + gauge + histogram
-        for line in lines {
-            let v = json::parse(line).expect("line parses");
-            assert!(v.get("type").is_some());
-        }
     }
 
     #[test]

@@ -12,10 +12,10 @@
 //!   the merged totals are identical at any thread count and enabling
 //!   metrics never perturbs pipeline results (see the differential tests in
 //!   `veribug-bench`).
-//! - **Three exporters** (see [`export`]): a human-readable summary table,
-//!   JSON-lines events, and the Chrome `trace_event` format that
-//!   `chrome://tracing` and [Perfetto](https://ui.perfetto.dev) load
-//!   directly for flame-chart profiling.
+//! - **Exporters** (see [`export`]): a human-readable summary table and
+//!   the Chrome `trace_event` format that `chrome://tracing` and
+//!   [Perfetto](https://ui.perfetto.dev) load directly for flame-chart
+//!   profiling.
 //!
 //! Everything is gated on one process-global switch: when disabled (the
 //! default), every instrumentation call is a single relaxed atomic load.
@@ -24,8 +24,7 @@
 //!
 //! Every VeriBug binary accepts `--obs <path>` (or the `VERIBUG_OBS`
 //! environment variable) and calls [`init`] at startup and [`report`] at
-//! exit. A `.jsonl` extension selects the JSON-lines exporter; anything
-//! else gets a Chrome trace with an embedded `"metrics"` block.
+//! exit, which writes a Chrome trace with an embedded `"metrics"` block.
 //!
 //! ```
 //! let _root = veribug_obs::span("demo");
@@ -184,12 +183,7 @@ pub fn report() -> Option<String> {
     if !quiet() {
         eprint!("{}", export::summary(&report));
     }
-    let rendered = if path.ends_with(".jsonl") {
-        export::jsonl(&report)
-    } else {
-        export::chrome_trace(&report)
-    };
-    match std::fs::write(path, rendered) {
+    match std::fs::write(path, export::chrome_trace(&report)) {
         Ok(()) => {
             if !quiet() {
                 eprintln!("obs: trace written to {path}");

@@ -98,71 +98,6 @@ pub fn chrome_trace(src: &str) -> Result<Validated, String> {
     Ok(v)
 }
 
-/// Validates a JSON-lines export produced by [`crate::export::jsonl`]:
-/// every line parses and carries a known `type` with that type's required
-/// fields.
-///
-/// # Errors
-///
-/// Returns a description of the first schema violation.
-pub fn jsonl(src: &str) -> Result<Validated, String> {
-    let mut v = Validated::default();
-    for (lineno, line) in src.lines().enumerate() {
-        let err = |msg: &str| format!("line {}: {msg}", lineno + 1);
-        let e = json::parse(line).map_err(|m| err(&m))?;
-        let ty = e
-            .get("type")
-            .and_then(Json::as_str)
-            .ok_or_else(|| err("missing `type`"))?;
-        let name = e
-            .get("name")
-            .and_then(Json::as_str)
-            .ok_or_else(|| err("missing `name`"))?;
-        match ty {
-            "span" => {
-                for field in ["tid", "id", "parent", "ts_us", "dur_us"] {
-                    e.get(field)
-                        .and_then(Json::as_num)
-                        .ok_or_else(|| err(&format!("span missing `{field}`")))?;
-                }
-                v.events += 1;
-                v.span_names.push(name.to_owned());
-            }
-            "instant" => {
-                for field in ["tid", "parent", "ts_us"] {
-                    e.get(field)
-                        .and_then(Json::as_num)
-                        .ok_or_else(|| err(&format!("instant missing `{field}`")))?;
-                }
-                v.events += 1;
-            }
-            "counter" => {
-                let value = e
-                    .get("value")
-                    .and_then(Json::as_num)
-                    .ok_or_else(|| err("counter missing `value`"))?;
-                v.counters.insert(name.to_owned(), value);
-            }
-            "gauge" => {
-                e.get("value")
-                    .and_then(Json::as_num)
-                    .ok_or_else(|| err("gauge missing `value`"))?;
-            }
-            "histogram" => {
-                for field in ["count", "sum", "mean", "min", "max", "p50", "p90", "p99"] {
-                    e.get(field)
-                        .and_then(Json::as_num)
-                        .ok_or_else(|| err(&format!("histogram missing `{field}`")))?;
-                }
-            }
-            other => return Err(err(&format!("unknown type `{other}`"))),
-        }
-    }
-    v.span_names.sort();
-    v.span_names.dedup();
-    Ok(v)
-}
-
 /// Validates a `/tracez` JSON page as served by `veribug serve`.
 ///
 /// Checks the envelope (`ring` occupancy object + `traces` array), then
@@ -485,13 +420,6 @@ mod tests {
     }
 
     #[test]
-    fn jsonl_export_validates() {
-        let r = live_report();
-        let v = jsonl(&export::jsonl(&r)).expect("valid");
-        assert!(v.span_names.iter().any(|n| n == "validate.test_stage"));
-    }
-
-    #[test]
     fn tracez_page_validates() {
         let good = r#"{
             "ring": {"retained": 2, "sampled": 1, "active": 0},
@@ -624,7 +552,5 @@ mod tests {
     fn corrupted_trace_is_rejected() {
         assert!(chrome_trace("{}").is_err());
         assert!(chrome_trace("{\"traceEvents\": [{}], \"metrics\": {}}").is_err());
-        assert!(jsonl("{\"type\":\"span\",\"name\":\"x\"}").is_err());
-        assert!(jsonl("not json").is_err());
     }
 }

@@ -141,13 +141,31 @@ fn num_field(obj: &Json, key: &str) -> Result<Option<f64>, ApiError> {
     }
 }
 
-fn usize_field(obj: &Json, key: &str, default: usize) -> Result<usize, ApiError> {
+/// A non-negative integral number, or `None` when `key` is absent.
+fn int_field(obj: &Json, key: &str) -> Result<Option<f64>, ApiError> {
     match num_field(obj, key)? {
-        None => Ok(default),
-        Some(n) if n >= 0.0 && n.fract() == 0.0 => Ok(n as usize),
-        Some(_) => Err(bad_field(format!(
+        Some(n) if !(n >= 0.0 && n.fract() == 0.0) => Err(bad_field(format!(
             "field `{key}` must be a non-negative integer"
         ))),
+        n => Ok(n),
+    }
+}
+
+/// A count option; one too large for `usize` saturates, so the
+/// `runs × cycles` bound rejects it with its own message.
+fn usize_field(obj: &Json, key: &str, default: usize) -> Result<usize, ApiError> {
+    Ok(int_field(obj, key)?.map_or(default, |n| n as usize))
+}
+
+/// An option taken as an exact `u64`: a seed or a millisecond count.
+fn u64_field(obj: &Json, key: &str) -> Result<Option<u64>, ApiError> {
+    match int_field(obj, key)? {
+        // `u64::MAX as f64` rounds up to 2^64, the first value that does
+        // not fit.
+        Some(n) if n >= u64::MAX as f64 => Err(bad_field(format!(
+            "field `{key}` must be a non-negative integer below 2^64"
+        ))),
+        n => Ok(n.map(|n| n as u64)),
     }
 }
 
@@ -159,7 +177,8 @@ fn usize_field(obj: &Json, key: &str, default: usize) -> Result<usize, ApiError>
 /// # Errors
 ///
 /// `400` [`ApiError`]s for malformed JSON, missing required fields,
-/// wrongly-typed options, `runs × cycles` above [`MAX_RUN_CYCLES`], or a
+/// wrongly-typed options, a `stim_seed` or `deadline_ms` that is not a
+/// `u64`, `runs × cycles` above [`MAX_RUN_CYCLES`], or a
 /// `hold_probability` outside `[0, 1]`.
 pub fn parse_localize(body: &[u8]) -> Result<LocalizeRequest, ApiError> {
     let doc = parse_body(body)?;
@@ -181,8 +200,8 @@ pub fn parse_localize(body: &[u8]) -> Result<LocalizeRequest, ApiError> {
         if let Some(t) = num_field(o, "threshold")? {
             opts.threshold = t as f32;
         }
-        if let Some(s) = num_field(o, "stim_seed")? {
-            opts.stim_seed = s as u64;
+        if let Some(s) = u64_field(o, "stim_seed")? {
+            opts.stim_seed = s;
         }
         if let Some(h) = num_field(o, "hold_probability")? {
             if !(0.0..=1.0).contains(&h) {
@@ -192,9 +211,7 @@ pub fn parse_localize(body: &[u8]) -> Result<LocalizeRequest, ApiError> {
             }
             opts.hold_probability = h;
         }
-        if let Some(d) = num_field(o, "deadline_ms")? {
-            deadline_ms = Some(d as u64);
-        }
+        deadline_ms = u64_field(o, "deadline_ms")?;
         let run_cycles = opts.runs.checked_mul(opts.cycles.max(1));
         if run_cycles.is_none_or(|n| n > MAX_RUN_CYCLES) {
             return Err(bad_field(format!(
@@ -409,6 +426,32 @@ mod tests {
         for opts in [r#""runs":512,"cycles":64"#, r#""runs":4096,"cycles":16"#] {
             assert!(parse_localize(body(opts).as_bytes()).is_ok(), "{opts}");
         }
+    }
+
+    #[test]
+    fn seed_and_deadline_must_be_u64() {
+        let body = |opts: &str| {
+            format!(r#"{{"golden":"g","buggy":"b","target":"y","options":{{{opts}}}}}"#)
+        };
+        for key in ["stim_seed", "deadline_ms"] {
+            for v in ["-1", "-5", "1.5", "1e20", "18446744073709551616", "\"7\""] {
+                let opts = format!(r#""{key}":{v}"#);
+                let err = parse_localize(body(&opts).as_bytes()).unwrap_err();
+                assert_eq!((err.status, err.kind), (400, "bad_field"), "{opts}");
+                assert!(err.message.contains(key), "{}", err.message);
+            }
+        }
+        let req = parse_localize(body(r#""stim_seed":0,"deadline_ms":0"#).as_bytes()).unwrap();
+        assert_eq!((req.opts.stim_seed, req.deadline_ms), (0, Some(0)));
+        let req =
+            parse_localize(body(r#""stim_seed":9007199254740992,"deadline_ms":1e3"#).as_bytes())
+                .unwrap();
+        assert_eq!(req.opts.stim_seed, 1 << 53);
+        assert_eq!(req.deadline_ms, Some(1000));
+        // Absent, both keep their defaults.
+        let req = parse_localize(body(r#""runs":4"#).as_bytes()).unwrap();
+        assert_eq!(req.opts.stim_seed, LocalizeOptions::default().stim_seed);
+        assert_eq!(req.deadline_ms, None);
     }
 
     #[test]

@@ -23,8 +23,8 @@
 //! ```
 //!
 //! Every subcommand also accepts `--obs <path>` (or the `VERIBUG_OBS`
-//! environment variable) to write a Chrome trace / JSON-lines profile of the
-//! run, and `--quiet` to suppress progress lines (see `veribug-obs`).
+//! environment variable) to write a Chrome trace of the run, and `--quiet`
+//! to suppress progress lines (see `veribug-obs`).
 //!
 //! Unknown subcommands and unknown `--flags` are hard errors that print
 //! the valid set and exit nonzero.
@@ -152,7 +152,7 @@ bytes. `veribug serve` preloads stored designs at startup so restarts
 answer warm.
 
 Every subcommand also accepts:
-  --obs PATH   write a Chrome trace (or .jsonl event log) of the run
+  --obs PATH   write a Chrome trace of the run
   --quiet      suppress progress lines on stderr";
 
 type CmdResult = Result<(), Box<dyn std::error::Error>>;

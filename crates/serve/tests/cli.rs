@@ -398,7 +398,8 @@ fn serve_refuses_oversized_localize_and_stays_up() {
 #[test]
 fn serve_renders_the_obs_report_once_and_logs_access() {
     let dir = scratch_dir("serve-obs");
-    let trace_path = dir.join("serve-trace.json");
+    // A `.jsonl` name still gets the Chrome trace: `--obs` writes one format.
+    let trace_path = dir.join("serve-trace.jsonl");
     let (child, _stdout, addr) = spawn_serve(
         &[
             "--access-log",

@@ -273,9 +273,9 @@ impl BatchEngine {
         // Per-lane executions not recorded: by the program just executed
         // in a recording mode, over the whole run otherwise.
         let mut unrecorded = [0u64; LANES];
-        // Per-lane records a recording mode did not keep, re-used
-        // descriptors included.
-        let mut skipped = [0u64; LANES];
+        // Records a recording mode did not keep, re-used descriptors
+        // included.
+        let mut skipped = 0u64;
         // Per-signal changed-lanes masks — the dirty set, one bit per
         // lane. Everything starts dirty at reset.
         let mut changed: Vec<u64> = vec![fill_mask; nsig];
@@ -423,12 +423,12 @@ impl BatchEngine {
                 let seg_start = segs.len() as u32;
                 for p in 0..ncomb {
                     let (start, len, skip) = last_desc[p * fill + l];
-                    skipped[l] += skip;
+                    skipped += skip;
                     if len != 0 {
                         segs.push((start, len));
                     }
                 }
-                skipped[l] += std::mem::take(&mut unrecorded[l]);
+                skipped += std::mem::take(&mut unrecorded[l]);
                 let seq_rec = &mut state.scratch[l];
                 if !seq_rec.is_empty() {
                     let start = records.len() as u32;
@@ -448,9 +448,6 @@ impl BatchEngine {
             }
         }
 
-        // What each lane did not materialize: a recording mode's skipped
-        // records, or every execution of a mode that records nothing.
-        let missed = if record { &skipped } else { &unrecorded };
         metrics::CYCLES.add((ncycles * fill) as u64);
         metrics::RUNS_BATCH.add(fill as u64);
         metrics::BATCH_LANES.record(fill as u64);
@@ -463,10 +460,12 @@ impl BatchEngine {
         if nobs > 0 {
             metrics::RUNS_VERDICT.add(fill as u64);
         }
+        // What the run did not materialize: a recording mode's skipped
+        // records, or every execution of a mode that records nothing.
         if record {
-            metrics::RECORDS_SKIPPED.add(missed[..fill].iter().sum());
+            metrics::RECORDS_SKIPPED.add(skipped);
         } else {
-            metrics::RECORDS_ELIDED.add(missed[..fill].iter().sum());
+            metrics::RECORDS_ELIDED.add(unrecorded[..fill].iter().sum());
         }
 
         // Assemble one trace per lane. Snapshots view the shared value
@@ -495,17 +494,7 @@ impl BatchEngine {
         Ok(lane_cycles
             .into_iter()
             .zip(obs)
-            .zip(missed)
-            .map(|((cycles, values), &not_kept)| {
-                (
-                    Trace { cycles },
-                    VerdictTrace {
-                        values,
-                        nobs,
-                        records_elided: not_kept,
-                    },
-                )
-            })
+            .map(|(cycles, values)| (Trace { cycles }, VerdictTrace { values, nobs }))
             .collect())
     }
 }

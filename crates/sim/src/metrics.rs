@@ -28,8 +28,9 @@ pub(crate) static BATCH_LANES: LazyHistogram = LazyHistogram::new("sim.batch_lan
 /// Branch/case points where lanes split onto different paths.
 pub(crate) static MASK_DIVERGENCES: LazyCounter = LazyCounter::new("sim.mask_divergences");
 /// [`crate::trace::StmtExec`] records a verdict-mode run declined to
-/// materialize (best-effort: executed assignments; replay/descriptor
-/// re-use that full mode would also have elided is not re-counted).
+/// materialize (best-effort: executed assignments, every pass of a settle
+/// plan included; replay/descriptor re-use that full mode would also have
+/// elided is not re-counted).
 pub(crate) static RECORDS_ELIDED: LazyCounter = LazyCounter::new("sim.records_elided");
 /// [`crate::trace::StmtExec`] records a records-only run did not
 /// materialize because their statement is outside the requested set:

@@ -532,7 +532,6 @@ mod tests {
                 .flat_map(|c| observed.ids().iter().map(|&id| c.value(id)))
                 .collect(),
             nobs: observed.len(),
-            records_elided: 0,
         };
         // One-lane and full-batch verdict paths both reproduce exactly
         // the observed columns of the oracle's full trace.
@@ -540,11 +539,14 @@ mod tests {
             let one = std::slice::from_ref(s);
             assert_eq!(verdicts(&mut sim, one, &observed).unwrap(), [expect(t)]);
         }
+        obs::enable();
+        let elided = || obs::snapshot().counter("sim.records_elided").unwrap_or(0);
+        let before = elided();
         let batched = verdicts(&mut sim, &stimuli, &observed).unwrap();
+        assert!(elided() > before, "batch verdict elides records");
         assert_eq!(batched.len(), full.len());
         for (v, t) in batched.iter().zip(&full) {
             assert_eq!(v, &expect(t));
-            assert!(v.records_elided > 0, "batch verdict elides records");
         }
     }
 

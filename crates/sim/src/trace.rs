@@ -456,7 +456,10 @@ impl SignalSet {
 /// per-cycle snapshot in full mode) and a [`VerdictTrace`] of the observed
 /// signals' per-cycle values. Values, dirty bits, input validation and
 /// cancellation evolve identically under every mode; only what is kept
-/// differs. The presets:
+/// differs. What a mode drops is counted, not returned: the
+/// `sim.records_skipped` counter tallies records a recording mode did not
+/// keep, and `sim.records_elided` every execution a mode that records
+/// nothing did not record. The presets:
 ///
 /// | Preset                                           | Records      | Snapshot     | Observed |
 /// |--------------------------------------------------|--------------|--------------|----------|
@@ -539,19 +542,13 @@ impl<'a> TraceMode<'a> {
 /// observed signals, nothing else.
 ///
 /// Values are cycle-major: `values[cycle * nobs + k]` is observed signal
-/// `k` (in [`SignalSet`] order) at `cycle`. Equality compares values and
-/// shape only — `records_elided` is a best-effort accounting figure (a
-/// settle plan counts every pass's elisions) and must not break
-/// bit-identity comparisons.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+/// `k` (in [`SignalSet`] order) at `cycle`.
+#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct VerdictTrace {
     /// Cycle-major observed values: `values[cycle * nobs + k]`.
     pub values: Vec<Value>,
     /// Number of observed signals per cycle.
     pub nobs: usize,
-    /// How many [`StmtExec`] records full-trace mode would have produced
-    /// that this run never materialized (best-effort).
-    pub records_elided: u64,
 }
 
 impl VerdictTrace {
@@ -579,12 +576,6 @@ impl VerdictTrace {
             .filter(|&c| self.value(c, k) != other.value(c, k))
             .map(|c| c as u32)
             .collect()
-    }
-}
-
-impl PartialEq for VerdictTrace {
-    fn eq(&self, other: &Self) -> bool {
-        self.nobs == other.nobs && self.values == other.values
     }
 }
 
@@ -683,27 +674,20 @@ mod tests {
         let a = VerdictTrace {
             values: v(&[1, 2, 3, 4, 5, 6]),
             nobs: 2,
-            records_elided: 10,
         };
         let b = VerdictTrace {
             values: v(&[1, 2, 3, 9, 5, 6]),
             nobs: 2,
-            records_elided: 99,
         };
         assert_eq!(a.len(), 3);
         assert_eq!(a.value(1, 0), Value::new(3, 4));
         assert_eq!(a.divergence_cycles(&b, 0), Vec::<u32>::new());
         assert_eq!(a.divergence_cycles(&b, 1), vec![1]);
-        // records_elided is accounting, not identity.
-        let mut c = a.clone();
-        c.records_elided = 0;
-        assert_eq!(a, c);
         assert_ne!(a, b);
         // Shorter-run comparison only covers shared cycles.
         let short = VerdictTrace {
             values: v(&[1, 2]),
             nobs: 2,
-            records_elided: 0,
         };
         for k in 0..2 {
             assert_eq!(a.divergence_cycles(&short, k), Vec::<u32>::new());
