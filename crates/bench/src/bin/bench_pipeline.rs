@@ -161,26 +161,12 @@ struct ObsOverhead {
     overhead_frac: f64,
 }
 
-/// Shortest rep the overhead gate and the engine comparison time. One pass
-/// of a workload is only 3–40 ms on a shared 2-core x86 host, where a
-/// single scheduler stall reads as a double-digit overhead or a swing in an
-/// engine ratio, so a rep repeats the pass until it is this long.
-const MIN_REP_S: f64 = 0.1;
-
-/// How many back-to-back passes of `pass` make one rep last at least
-/// [`MIN_REP_S`], sized from the faster of two calibration passes (the
-/// first warms up).
-fn passes_per_rep<R>(pass: impl FnMut() -> R) -> usize {
-    let (pass_s, _) = stats::min_of_reps(2, pass);
-    (MIN_REP_S / pass_s.max(1e-6)).ceil().max(1.0) as usize
-}
-
 /// Times the same single-threaded simulation workload with collection off
 /// and on, fastest of `reps` each. The workload is deterministic, so
 /// min-of-reps makes scheduling noise one-sided; off/on reps interleave,
 /// alternating which runs first, so a transient host slowdown (downclock,
 /// background work) hits both sides rather than biasing either one. Each
-/// rep runs the workload [`passes_per_rep`] times, calibrated with
+/// rep runs the workload [`stats::passes_per_rep`] times, calibrated with
 /// collection off.
 fn measure_obs_overhead(
     modules: &[Module],
@@ -201,7 +187,7 @@ fn measure_obs_overhead(
         }
     };
     obs::set_enabled(false);
-    let passes = passes_per_rep(workload);
+    let passes = stats::passes_per_rep(workload);
     let Ok([[baseline_s], [enabled_s]]) = stats::interleaved_min_of_reps(reps, |arm| {
         obs::set_enabled(arm == 1);
         let rep = || (0..passes).for_each(|_| workload());
@@ -230,7 +216,7 @@ struct EngineArm<'w, T, F> {
     workload: &'w [(Module, Vec<Stimulus>, SignalSet)],
     sims: Vec<Simulator>,
     run: F,
-    /// Passes per rep, from [`passes_per_rep`].
+    /// Passes per rep, from [`stats::passes_per_rep`].
     passes: usize,
     results: Vec<T>,
 }
@@ -251,7 +237,7 @@ where
             passes: 1,
             results: Vec::new(),
         };
-        arm.passes = passes_per_rep(|| arm.pass());
+        arm.passes = stats::passes_per_rep(|| arm.pass());
         arm
     }
 
@@ -269,7 +255,7 @@ where
             .collect()
     }
 
-    /// Times one rep, [`passes_per_rep`] passes back to back, and returns
+    /// Times one rep, [`stats::passes_per_rep`] passes back to back, and returns
     /// its seconds per pass.
     fn rep(&mut self) -> f64 {
         let (rep_s, results) = stats::min_of_reps(1, || {

@@ -13,7 +13,8 @@
 //! - a determinism verdict (every warm body equals its pair's cold body
 //!   byte for byte) and a drain verdict;
 //! - a telemetry-overhead A/B (fresh servers with live tracing off vs on,
-//!   alternating reps, best-of-reps throughput and p99);
+//!   alternating reps, best-of-reps throughput and p99; each arm times
+//!   one calibrated request count, enough for a `stats::MIN_REP_S` window);
 //! - a `store_restart` block: first-request latency of a freshly booted
 //!   server over an empty artifact store (cold restart) vs over a
 //!   populated one (warm restart, designs precompiled at bind),
@@ -213,13 +214,22 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // the two minima. The workload is deterministic, so noise is
     // one-sided — min-of-reps converges on the true cost, and a "negative
     // overhead" can only be noise, hence the clamp.
-    let (probe_reps, probe_reqs) = if smoke { (5, 32) } else { (3, 60) };
+    let probe_reps = if smoke { 5 } else { 3 };
     let probe_bodies: Vec<String> = (0..2)
         .map(|d| {
             let (golden, buggy) = design_pair(2000 + d, stmts);
             localize_body(&golden, &buggy, runs, cycles)
         })
         .collect();
+    // One request count for both arms, calibrated on a warm server with
+    // tracing off so each arm's timed window lasts at least
+    // `stats::MIN_REP_S`: a warm request takes 0.5–1 ms, and a window of
+    // a few dozen of them let one scheduler stall move the gate.
+    let probe_reqs = with_warm_server(false, &probe_bodies, |addr| {
+        Ok(stats::passes_per_rep(|| {
+            warm_request(addr, &probe_bodies[0]).expect("calibration request")
+        }))
+    })?;
     let [[off_med, off_p99], [on_med, on_p99]] =
         stats::interleaved_min_of_reps(probe_reps, |arm| {
             telemetry_probe(arm == 1, &probe_bodies, probe_reqs)
@@ -354,19 +364,40 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     Ok(())
 }
 
-/// One arm of the telemetry A/B: boots a fresh server with live tracing
-/// on or off, warms its design cache, then times `reqs` sequential warm
-/// localize requests. Returns `[median_s, p99_s]`; the caller derives
-/// throughput as 1/median rather than reqs/wall-clock — on the
-/// single-core bench host a one-off scheduler stall inside the timed
-/// window swings wall-clock by ~10% but leaves the median untouched. A
-/// fresh server per probe keeps the two arms symmetric — same cold
-/// cache, same request mix.
+/// One arm of the telemetry A/B: on a fresh warm server with live tracing
+/// on or off, times `reqs` sequential warm localize requests. Returns
+/// `[median_s, p99_s]`; the caller derives throughput as 1/median rather
+/// than reqs/wall-clock — on the single-core bench host a one-off
+/// scheduler stall inside the timed window swings wall-clock by ~10% but
+/// leaves the median untouched. A fresh server per probe keeps the two
+/// arms symmetric — same cold cache, same request mix.
 fn telemetry_probe(
     telemetry: bool,
     bodies: &[String],
     reqs: usize,
 ) -> Result<[f64; 2], Box<dyn std::error::Error>> {
+    let mut lat = with_warm_server(telemetry, bodies, |addr| {
+        (0..reqs)
+            .map(|i| {
+                let r0 = Instant::now();
+                warm_request(addr, &bodies[i % bodies.len()])?;
+                Ok(r0.elapsed().as_secs_f64())
+            })
+            .collect::<Result<Vec<f64>, _>>()
+    })?;
+    lat.sort_by(f64::total_cmp);
+    let pick = |p| stats::nearest_rank(&lat, p).expect("reqs >= 1");
+    Ok([pick(50.0), pick(99.0)])
+}
+
+/// Boots a fresh server with live tracing on or off, warms its design
+/// cache with one request per body, runs `f` against its address, and
+/// drains it.
+fn with_warm_server<T>(
+    telemetry: bool,
+    bodies: &[String],
+    f: impl FnOnce(std::net::SocketAddr) -> Result<T, Box<dyn std::error::Error>>,
+) -> Result<T, Box<dyn std::error::Error>> {
     let server = Server::bind(ServerConfig {
         telemetry,
         ..ServerConfig::default()
@@ -377,29 +408,22 @@ fn telemetry_probe(
         let resp = http::send(addr, "POST", "/v1/localize", &[], body.as_bytes())?;
         assert_eq!(resp.status, 200, "telemetry probe warmup failed");
     }
-    let mut lat: Vec<f64> = Vec::with_capacity(reqs);
-    for i in 0..reqs {
-        let r0 = Instant::now();
-        let resp = http::send(
-            addr,
-            "POST",
-            "/v1/localize",
-            &[],
-            bodies[i % bodies.len()].as_bytes(),
-        )?;
-        assert_eq!(resp.status, 200, "telemetry probe request failed");
-        assert!(
-            cache_hit(&resp),
-            "telemetry probe must measure warm requests"
-        );
-        lat.push(r0.elapsed().as_secs_f64());
-    }
+    let out = f(addr)?;
     let shutdown_status = http::send(addr, "POST", "/v1/shutdown", &[], b"")?.status;
     assert_eq!(shutdown_status, 200, "telemetry probe drain failed");
     let _ = server_thread.join();
-    lat.sort_by(f64::total_cmp);
-    let pick = |p| stats::nearest_rank(&lat, p).expect("reqs >= 1");
-    Ok([pick(50.0), pick(99.0)])
+    Ok(out)
+}
+
+/// One localize request that must succeed from the design cache.
+fn warm_request(addr: std::net::SocketAddr, body: &str) -> Result<(), Box<dyn std::error::Error>> {
+    let resp = http::send(addr, "POST", "/v1/localize", &[], body.as_bytes())?;
+    assert_eq!(resp.status, 200, "telemetry probe request failed");
+    assert!(
+        cache_hit(&resp),
+        "telemetry probe must measure warm requests"
+    );
+    Ok(())
 }
 
 /// One restart probe: boots a fresh server over `store_dir`, times the

@@ -207,6 +207,21 @@ pub mod stats {
         (best, last)
     }
 
+    /// Shortest timed window a rep should span. One pass of a bench
+    /// workload (a simulation sweep, a warm localize request) lasts 1–40 ms
+    /// on a shared 2-core x86 host, where a single scheduler stall reads as
+    /// a double-digit overhead or a swing in an engine ratio, so a rep
+    /// repeats the pass until it is this long.
+    pub const MIN_REP_S: f64 = 0.1;
+
+    /// How many back-to-back passes of `pass` make one rep last at least
+    /// [`MIN_REP_S`], sized from the faster of two calibration passes (the
+    /// first warms up).
+    pub fn passes_per_rep<R>(pass: impl FnMut() -> R) -> usize {
+        let (pass_s, _) = min_of_reps(2, pass);
+        (MIN_REP_S / pass_s.max(1e-6)).ceil().max(1.0) as usize
+    }
+
     /// Interleaved min-of-reps over `K` arms. Every rep measures every arm,
     /// starting at arm `rep % K` and rotating (for two arms: A then B on
     /// even reps, B then A on odd ones), so slow drift on a shared host

@@ -126,17 +126,7 @@ impl Cdfg {
 }
 
 fn rhs_reads(a: &verilog::Assignment) -> Vec<String> {
-    let mut vars: Vec<String> = a
-        .rhs
-        .referenced_signals()
-        .into_iter()
-        .map(str::to_owned)
-        .collect();
-    // A bit-select on the LHS reads its index expression too.
-    if let Some(verilog::Select::Bit(idx)) = &a.lhs.select {
-        vars.extend(idx.referenced_signals().into_iter().map(str::to_owned));
-    }
-    vars
+    a.reads().into_iter().map(str::to_owned).collect()
 }
 
 fn expr_vars(e: &Expr) -> Vec<String> {

@@ -86,7 +86,7 @@ pub use model::{
     ContextAggregation, Forward, Inference, ModelConfig, OperandContexts, Sample, VeriBugModel,
 };
 pub use persist::{load as load_model, save as save_model, LoadError};
-pub use render::{render_attention_map, render_comparison, render_heatmap, Palette, RenderOptions};
+pub use render::render_comparison;
 pub use train::{
     append_train_log, evaluate, train, Dataset, DatasetEntry, EpochStats, EvalMetrics, TrainConfig,
     TrainReport,

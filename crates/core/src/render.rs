@@ -6,7 +6,6 @@
 //! the same view in a terminal: each statement of the slice is printed with
 //! per-operand scores, optionally with ANSI background colors.
 
-use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 use crate::explain::{AttentionMap, Heatmap};
@@ -14,7 +13,7 @@ use verilog::{Module, StmtId};
 
 /// Which palette to color operands with.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Palette {
+enum Palette {
     /// Reds — for `H_t` / `F_t` (failing) maps.
     Red,
     /// Blues — for `C_t` (correct) maps.
@@ -23,23 +22,13 @@ pub enum Palette {
 
 /// Rendering options.
 #[derive(Debug, Clone, Copy)]
-pub struct RenderOptions {
+struct RenderOptions {
     /// Emit ANSI 256-color escapes.
-    pub ansi: bool,
+    ansi: bool,
     /// Palette for the importance colors.
-    pub palette: Palette,
+    palette: Palette,
     /// Number of intensity bins over `[0, 1]`.
-    pub bins: usize,
-}
-
-impl Default for RenderOptions {
-    fn default() -> Self {
-        RenderOptions {
-            ansi: false,
-            palette: Palette::Red,
-            bins: 5,
-        }
-    }
+    bins: usize,
 }
 
 /// Discretizes a score in `[0, 1]` into `0..bins`.
@@ -122,38 +111,6 @@ fn replace_word(text: &str, word: &str, with: &str) -> String {
     out
 }
 
-/// Renders a heatmap `H_t` over the module's source (red palette).
-pub fn render_heatmap(module: &Module, heatmap: &Heatmap, opts: &RenderOptions) -> String {
-    let mut out = String::new();
-    for (stmt, entry) in &heatmap.entries {
-        let _ = writeln!(
-            out,
-            "{}  (suspiciousness {:.3}, {:?})",
-            render_stmt(module, *stmt, &entry.operands, &entry.weights, opts),
-            entry.suspiciousness,
-            entry.reason,
-        );
-    }
-    if heatmap.is_empty() {
-        out.push_str("(empty heatmap: nothing crossed the threshold)\n");
-    }
-    out
-}
-
-/// Renders an aggregated attention map (`F_t` or `C_t`).
-pub fn render_attention_map(module: &Module, map: &AttentionMap, opts: &RenderOptions) -> String {
-    let mut out = String::new();
-    for (stmt, att) in &map.per_stmt {
-        let _ = writeln!(
-            out,
-            "{}  ({} executions)",
-            render_stmt(module, *stmt, &att.operands, &att.weights, opts),
-            att.count,
-        );
-    }
-    out
-}
-
 /// Renders a Fig. 4-style side-by-side comparison: the correct-trace scores
 /// (blue) against the heatmap scores (red) for the statements in `H_t`,
 /// with the suspiciousness column.
@@ -173,8 +130,6 @@ pub fn render_comparison(
         palette: Palette::Blue,
         bins: 5,
     };
-    let empty: BTreeMap<StmtId, ()> = BTreeMap::new();
-    let _ = &empty;
     let mut out = String::new();
     for (stmt, entry) in &heatmap.entries {
         let left = match correct.per_stmt.get(stmt) {
@@ -193,6 +148,7 @@ pub fn render_comparison(
 mod tests {
     use super::*;
     use crate::explain::{HeatmapEntry, SuspicionReason};
+    use std::collections::BTreeMap;
 
     fn module() -> Module {
         verilog::parse("module m(input a, input ab, output y);\nassign y = a & ~ab;\nendmodule")
@@ -233,7 +189,7 @@ mod tests {
                 reason: SuspicionReason::DivergentAttention,
             },
         );
-        let text = render_heatmap(&m, &h, &RenderOptions::default());
+        let text = render_comparison(&m, &h, &AttentionMap::default(), false);
         assert!(text.contains("a[0.80]"), "{text}");
         assert!(text.contains("ab[0.20]"), "{text}");
         assert!(text.contains("0.420"), "{text}");
@@ -255,19 +211,7 @@ mod tests {
                 reason: SuspicionReason::OnlyInFailing,
             },
         );
-        let opts = RenderOptions {
-            ansi: true,
-            ..RenderOptions::default()
-        };
-        let text = render_heatmap(&m, &h, &opts);
+        let text = render_comparison(&m, &h, &AttentionMap::default(), true);
         assert!(text.contains("\x1b[48;5;"), "{text}");
-    }
-
-    #[test]
-    fn empty_heatmap_renders_notice() {
-        let m = module();
-        let h = Heatmap::default();
-        let text = render_heatmap(&m, &h, &RenderOptions::default());
-        assert!(text.contains("empty heatmap"));
     }
 }

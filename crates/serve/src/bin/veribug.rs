@@ -146,10 +146,12 @@ USAGE:
                    [--spawn N] [--model model.vbm] [--store DIR]
   veribug --version
 
-Persistent artifact store: --store DIR (or the VERIBUG_STORE environment
-variable) names an on-disk store; VERIBUG_STORE_BUDGET caps its size in
-bytes. `veribug serve` preloads stored designs at startup so restarts
-answer warm.
+Persistent design store: `serve`, `store` and `shard-front` take
+--store DIR (or the VERIBUG_STORE environment variable), which names an
+on-disk store of design sources; VERIBUG_STORE_BUDGET caps its size in
+bytes. `veribug serve` writes each compiled design through and preloads
+the stored ones at startup, so restarts answer warm. `veribug train`
+never reads or writes the store.
 
 Every subcommand also accepts:
   --obs PATH   write a Chrome trace of the run
@@ -167,7 +169,7 @@ struct Command {
 const COMMANDS: &[Command] = &[
     Command {
         name: "train",
-        flags: &["out", "designs", "epochs", "seed", "log", "store"],
+        flags: &["out", "designs", "epochs", "seed", "log"],
         run: cmd_train,
     },
     Command {
@@ -333,58 +335,11 @@ fn load_module(path: &str) -> Result<verilog::Module, Box<dyn std::error::Error>
         .clone())
 }
 
-/// The store key for a training run: a manifest of everything that
-/// determines the resulting weights (corpus size, epochs, seed, and the
-/// persist format version so a format bump never resurrects stale bytes).
-fn train_manifest_key(designs: usize, epochs: usize, seed: u64) -> u64 {
-    store::hash::fnv1a(
-        format!(
-            "veribug-train v1\ndesigns {designs}\nepochs {epochs}\nseed {seed}\nformat {}\n",
-            persist::format_version()
-        )
-        .as_bytes(),
-    )
-}
-
 fn cmd_train(opts: &HashMap<String, String>) -> CmdResult {
     let out = required(opts, "out")?;
     let designs: usize = numeric(opts, "designs", 32)?;
     let epochs: usize = numeric(opts, "epochs", 80)?;
     let seed: u64 = numeric(opts, "seed", 1234)?;
-
-    // With a store configured, a training run is content-addressed by its
-    // seed manifest: identical (designs, epochs, seed) reuses the stored
-    // weights instead of retraining. The key does not cover the binary, so
-    // a rebuilt binary reuses weights an older one trained.
-    let artifact_store = match store_root(opts) {
-        Some(root) => Some(store::Store::open(root, store::env_budget()?)?),
-        None => None,
-    };
-    let key = train_manifest_key(designs, epochs, seed);
-    if let Some(s) = &artifact_store {
-        if let Some(bytes) = s.get(store::ArtifactKind::Weights, key) {
-            match std::str::from_utf8(&bytes)
-                .ok()
-                .and_then(|text| persist::from_str(text).ok())
-            {
-                Some(model) => {
-                    obs::progress!(
-                        "reusing stored weights {} (designs {designs}, epochs {epochs}, seed {seed})",
-                        store::hash::key_hex(key)
-                    );
-                    persist::save(&model, out)?;
-                    obs::progress!("model written to {out} (trained weights from the store)");
-                    return Ok(());
-                }
-                None => {
-                    // A stored artifact that no longer parses is treated
-                    // exactly like a store miss: retrain and overwrite it.
-                    let _ = s.remove(key);
-                }
-            }
-        }
-    }
-
     obs::progress!("generating {designs} RVDG designs (seed {seed})...");
     let corpus: Vec<_> = {
         let _span = obs::span("generate");
@@ -411,14 +366,6 @@ fn cmd_train(opts: &HashMap<String, String>) -> CmdResult {
         report.epoch_losses.last().unwrap_or(&0.0)
     );
     persist::save(&model, out)?;
-    if let Some(s) = &artifact_store {
-        s.put(
-            store::ArtifactKind::Weights,
-            key,
-            persist::to_string(&model).as_bytes(),
-        )?;
-        obs::progress!("weights stored as {}", store::hash::key_hex(key));
-    }
     let log = opts.get("log").map_or("train_log.jsonl", String::as_str);
     train::append_train_log(std::path::Path::new(log), &report, &cfg, &model)?;
     obs::progress!("model written to {out}, epoch telemetry appended to {log}");
@@ -627,11 +574,10 @@ fn cmd_store(opts: &HashMap<String, String>) -> CmdResult {
     match opts.get("action").map(String::as_str) {
         Some("ls") => {
             let rows = s.list()?;
-            println!("{:<9} {:<16} {:>10} {:>8}", "kind", "key", "bytes", "age_s");
+            println!("{:<16} {:>10} {:>8}", "key", "bytes", "age_s");
             for row in &rows {
                 println!(
-                    "{:<9} {:<16} {:>10} {:>8}",
-                    row.kind,
+                    "{:<16} {:>10} {:>8}",
                     store::hash::key_hex(row.key),
                     row.bytes,
                     row.age.as_secs()
@@ -659,14 +605,10 @@ fn cmd_store(opts: &HashMap<String, String>) -> CmdResult {
             let raw = required(opts, "key")?;
             let key = store::hash::parse_key(raw)
                 .ok_or_else(|| format!("bad key `{raw}`: expected 16 lowercase hex digits"))?;
-            let removed = s.remove(key)?;
-            if removed == 0 {
-                return Err(format!("no entry with key {raw} in any kind").into());
+            if !s.remove(key)? {
+                return Err(format!("no entry with key {raw}").into());
             }
-            println!(
-                "removed {removed} entr{} for {raw}",
-                if removed == 1 { "y" } else { "ies" }
-            );
+            println!("removed entry {raw}");
         }
         _ => unreachable!("main validates the store action"),
     }

@@ -159,12 +159,8 @@ impl DesignCache {
         let Some(store) = &self.store else {
             return 0;
         };
-        let mut designs: Vec<store::EntryInfo> = match store.list() {
-            Ok(all) => all
-                .into_iter()
-                .filter(|e| e.kind == ArtifactKind::Design)
-                .collect(),
-            Err(_) => return 0,
+        let Ok(mut designs) = store.list() else {
+            return 0;
         };
         // Newest first, so when the store holds more designs than the LRU
         // fits, the ones evicted here are the ones least recently served.

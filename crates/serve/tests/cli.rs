@@ -119,6 +119,103 @@ fn missing_required_option_fails() {
     assert!(stderr.contains("missing required option --out"), "{stderr}");
 }
 
+/// `veribug train` always trains: a configured store is neither read
+/// nor written, so a second identical run retrains (and, training being
+/// deterministic, writes the same bytes) instead of replaying weights.
+#[test]
+fn train_never_reads_or_writes_the_store() {
+    let dir = scratch_dir("train-store");
+    let store_dir = dir.join("store");
+    let mut models = Vec::new();
+    for run in 0..2 {
+        let out = Command::new(BIN)
+            .current_dir(&dir)
+            .env(store::ENV_ROOT, &store_dir)
+            .args(["train", "--out", "m.vbm", "--designs", "2", "--epochs", "1"])
+            .output()
+            .expect("run train");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "run {run}: {stderr}");
+        assert!(!stderr.contains("stored weights"), "run {run}: {stderr}");
+        assert!(stderr.contains("trained 1 epochs"), "run {run}: {stderr}");
+        models.push(std::fs::read(dir.join("m.vbm")).expect("model written"));
+    }
+    assert_eq!(models[0], models[1], "both runs train the same weights");
+    let weights_entries = std::fs::read_dir(store_dir.join("weights")).map_or(0, Iterator::count);
+    assert_eq!(weights_entries, 0, "no weights written to the store");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn train_rejects_the_store_flag() {
+    let dir = scratch_dir("train-store-flag");
+    let out = Command::new(BIN)
+        .current_dir(&dir)
+        .args(["train", "--out", "m.vbm", "--designs", "1", "--epochs", "1"])
+        .args(["--store", "store"])
+        .output()
+        .expect("run");
+    assert!(!out.status.success(), "train --store exits nonzero");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("unknown option --store for `veribug train`"),
+        "{stderr}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `veribug store ls` lists a stored design's key, `rm KEY` removes and
+/// reports it, and a second `rm KEY` fails.
+#[test]
+fn store_subcommands_list_and_remove_an_entry() {
+    let dir = scratch_dir("store-cmd");
+    let root = dir.join("store");
+    let key = store::hash::fnv1a(GOLDEN.as_bytes());
+    let hex = store::hash::key_hex(key);
+    store::Store::open(&root, store::DEFAULT_BUDGET)
+        .unwrap()
+        .put(store::ArtifactKind::Design, key, GOLDEN.as_bytes())
+        .unwrap();
+    let veribug_store = |args: &[&str]| {
+        Command::new(BIN)
+            .arg("store")
+            .args(args)
+            .args(["--store", root.to_str().expect("utf-8 path")])
+            .output()
+            .expect("run store")
+    };
+
+    let ls = veribug_store(&["ls"]);
+    let stdout = String::from_utf8_lossy(&ls.stdout);
+    assert!(
+        ls.status.success(),
+        "{}",
+        String::from_utf8_lossy(&ls.stderr)
+    );
+    assert!(stdout.contains(&hex), "ls lists the key: {stdout}");
+    assert!(stdout.contains("1 entries"), "{stdout}");
+
+    let rm = veribug_store(&["rm", &hex]);
+    let stdout = String::from_utf8_lossy(&rm.stdout);
+    assert!(
+        rm.status.success(),
+        "{}",
+        String::from_utf8_lossy(&rm.stderr)
+    );
+    assert!(stdout.contains(&format!("removed entry {hex}")), "{stdout}");
+    let ls = veribug_store(&["ls"]);
+    assert!(!String::from_utf8_lossy(&ls.stdout).contains(&hex));
+
+    let again = veribug_store(&["rm", &hex]);
+    let stderr = String::from_utf8_lossy(&again.stderr);
+    assert!(!again.status.success(), "a second rm fails");
+    assert!(
+        stderr.contains(&format!("no entry with key {hex}")),
+        "{stderr}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn help_prints_usage_and_succeeds() {
     let out = Command::new(BIN).arg("--help").output().expect("run");

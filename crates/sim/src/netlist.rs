@@ -4,7 +4,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use crate::error::SimError;
-use verilog::{EdgeKind, Item, Module, NetKind, PortDir, Select, Sensitivity, StmtId};
+use verilog::{EdgeKind, Item, Module, NetKind, PortDir, Sensitivity, StmtId};
 
 /// Index of a signal in the elaborated design.
 #[derive(
@@ -190,13 +190,9 @@ impl Netlist {
         let mut interned: HashMap<&str, Arc<str>> = HashMap::new();
         let mut assign_info = HashMap::new();
         for a in module.assignments() {
-            let mut names = a.rhs.referenced_signals();
-            if let Some(Select::Bit(idx)) = &a.lhs.select {
-                names.extend(idx.referenced_signals());
-            }
             let mut read_names: Vec<Arc<str>> = Vec::new();
             let mut read_ids: Vec<SignalId> = Vec::new();
-            for name in names {
+            for name in a.reads() {
                 let Some(&id) = index.get(name) else { continue };
                 if read_names.iter().any(|n| n.as_ref() == name) {
                     continue;

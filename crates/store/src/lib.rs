@@ -1,14 +1,16 @@
 //! `veribug-store`: a persistent, content-addressed artifact store.
 //!
-//! Artifacts the service and the CLI reuse across processes — design
-//! sources worth precompiling and trained model weights — are parked on
-//! disk under a content hash and found again by any later process. The
+//! The artifacts are Verilog design sources: the serve cache writes each
+//! design it compiles through to the store under the hash of its source
+//! and preloads them on restart, so a restarted server answers warm. The
 //! store is deliberately primitive:
 //!
-//! * **Layout is the index.** Entries live at `<root>/<kind>/<key>.art`
+//! * **Layout is the index.** Entries live at `<root>/design/<key>.art`
 //!   where `key` is 16 lowercase hex digits ([`hash::key_hex`]). There is
 //!   no shared mutable index file to corrupt or race on; a directory scan
-//!   *is* the manifest, and each entry carries its own header.
+//!   *is* the manifest, and each entry carries its own header. Any other
+//!   directory under the root (`weights/` and `campaign/` from older
+//!   layouts) is ignored and left in place.
 //! * **Writes are atomic.** An entry is staged under `<root>/tmp/` and
 //!   published with a single `rename`, so concurrent writers of the same
 //!   key settle on one complete entry and readers never observe a torn
@@ -20,14 +22,15 @@
 //!   file is deleted so the slot heals on the next write.
 //! * **Eviction is LRU by age under a byte budget.** Each successful read
 //!   bumps the entry's modification time; [`Store::gc`] removes
-//!   oldest-first (ties broken by kind then key, so eviction order is
+//!   oldest-first (ties broken by key, so eviction order is
 //!   deterministic) until the store fits the budget.
 //!
 //! The store is `std`-only. Counters (`store.hits` / `store.misses` /
 //! `store.writes` / `store.evictions` / `store.corrupt` and the
 //! `store.bytes` gauge) flow into the `obs` registry when collection is
-//! enabled, and are additionally kept as plain atomics so a server can
-//! report occupancy in `/statusz` even with telemetry off.
+//! enabled and sum every handle in the process. [`Store::stats`] reads
+//! plain per-handle atomics instead, which count this handle's operations
+//! only (a server's `/statusz` reports its own handle's).
 
 #![warn(missing_docs)]
 
@@ -59,50 +62,28 @@ pub const ENV_ROOT: &str = "VERIBUG_STORE";
 /// Environment variable overriding the byte budget (decimal bytes).
 pub const ENV_BUDGET: &str = "VERIBUG_STORE_BUDGET";
 
-/// What an artifact is, which decides the subdirectory it lives in.
+/// What an artifact is, which decides the subdirectory it lives in and
+/// the `kind` token of its header. Design sources are the one kind.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ArtifactKind {
     /// A Verilog design source worth precompiling on restart. The key is
     /// the FNV-1a hash of the source bytes (same as the serve cache key).
     Design,
-    /// Trained model weights in the `persist` text format. The key is the
-    /// hash of the training manifest (corpus, epochs, seed, format).
-    Weights,
 }
 
 impl ArtifactKind {
-    /// Every kind, in the canonical listing order.
-    pub const ALL: [ArtifactKind; 2] = [ArtifactKind::Design, ArtifactKind::Weights];
-
     /// The subdirectory (and header token) for this kind.
     #[must_use]
     pub fn dir_name(self) -> &'static str {
         match self {
             ArtifactKind::Design => "design",
-            ArtifactKind::Weights => "weights",
         }
-    }
-
-    /// Inverse of [`dir_name`](ArtifactKind::dir_name).
-    #[must_use]
-    pub fn parse(s: &str) -> Option<ArtifactKind> {
-        ArtifactKind::ALL.into_iter().find(|k| k.dir_name() == s)
-    }
-}
-
-impl std::fmt::Display for ArtifactKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        // `pad` (not `write_str`) so callers' width/alignment specifiers
-        // apply — `store ls` prints these in fixed-width columns.
-        f.pad(self.dir_name())
     }
 }
 
 /// One row of [`Store::list`].
 #[derive(Debug, Clone)]
 pub struct EntryInfo {
-    /// The artifact kind.
-    pub kind: ArtifactKind,
     /// The entry key.
     pub key: u64,
     /// On-disk size of the entry file (header + payload).
@@ -171,13 +152,11 @@ impl Store {
     ///
     /// # Errors
     ///
-    /// Any `io::Error` from creating the root/kind/tmp directories.
+    /// Any `io::Error` from creating the root/design/tmp directories.
     pub fn open(root: impl AsRef<Path>, budget: u64) -> io::Result<Store> {
         let root = root.as_ref().to_path_buf();
         fs::create_dir_all(root.join("tmp"))?;
-        for kind in ArtifactKind::ALL {
-            fs::create_dir_all(root.join(kind.dir_name()))?;
-        }
+        fs::create_dir_all(root.join(ArtifactKind::Design.dir_name()))?;
         let store = Store {
             root,
             budget,
@@ -293,69 +272,62 @@ impl Store {
         }
     }
 
-    /// Removes the entry for `key` under every kind. Returns how many
-    /// entries were deleted (a key can exist under several kinds).
+    /// Removes the entry for `key`. Returns whether there was one.
     ///
     /// # Errors
     ///
-    /// Any `io::Error` other than "not found" from the deletions.
-    pub fn remove(&self, key: u64) -> io::Result<usize> {
-        let mut removed = 0;
-        for kind in ArtifactKind::ALL {
-            match fs::remove_file(self.entry_path(kind, key)) {
-                Ok(()) => removed += 1,
-                Err(e) if e.kind() == io::ErrorKind::NotFound => {}
-                Err(e) => return Err(e),
-            }
-        }
+    /// Any `io::Error` other than "not found" from the deletion.
+    pub fn remove(&self, key: u64) -> io::Result<bool> {
+        let removed = match fs::remove_file(self.entry_path(ArtifactKind::Design, key)) {
+            Ok(()) => true,
+            Err(e) if e.kind() == io::ErrorKind::NotFound => false,
+            Err(e) => return Err(e),
+        };
         self.set_bytes_gauge();
         Ok(removed)
     }
 
-    /// Every resident entry, sorted by kind then key.
+    /// Every resident entry, sorted by key.
     ///
     /// # Errors
     ///
-    /// Any `io::Error` from scanning the kind directories.
+    /// Any `io::Error` from scanning the design directory.
     pub fn list(&self) -> io::Result<Vec<EntryInfo>> {
         let now = SystemTime::now();
         let mut out = Vec::new();
-        for kind in ArtifactKind::ALL {
-            for entry in fs::read_dir(self.root.join(kind.dir_name()))? {
-                let entry = entry?;
-                let name = entry.file_name();
-                let Some(stem) = name.to_str().and_then(|n| n.strip_suffix(".art")) else {
-                    continue;
-                };
-                let Some(key) = hash::parse_key(stem) else {
-                    continue;
-                };
-                let meta = entry.metadata()?;
-                let modified = meta.modified().unwrap_or(SystemTime::UNIX_EPOCH);
-                out.push(EntryInfo {
-                    kind,
-                    key,
-                    bytes: meta.len(),
-                    modified,
-                    age: now.duration_since(modified).unwrap_or(Duration::ZERO),
-                });
-            }
+        for entry in fs::read_dir(self.root.join(ArtifactKind::Design.dir_name()))? {
+            let entry = entry?;
+            let name = entry.file_name();
+            let Some(stem) = name.to_str().and_then(|n| n.strip_suffix(".art")) else {
+                continue;
+            };
+            let Some(key) = hash::parse_key(stem) else {
+                continue;
+            };
+            let meta = entry.metadata()?;
+            let modified = meta.modified().unwrap_or(SystemTime::UNIX_EPOCH);
+            out.push(EntryInfo {
+                key,
+                bytes: meta.len(),
+                modified,
+                age: now.duration_since(modified).unwrap_or(Duration::ZERO),
+            });
         }
-        out.sort_by_key(|e| (e.kind.dir_name(), e.key));
+        out.sort_by_key(|e| e.key);
         Ok(out)
     }
 
-    /// Total bytes resident across all kinds.
+    /// Total bytes resident.
     ///
     /// # Errors
     ///
-    /// Any `io::Error` from scanning the kind directories.
+    /// Any `io::Error` from scanning the design directory.
     pub fn total_bytes(&self) -> io::Result<u64> {
         Ok(self.list()?.iter().map(|e| e.bytes).sum())
     }
 
     /// Enforces the byte budget now: removes entries oldest-first (ties
-    /// broken by kind then key, so two stores holding the same files
+    /// broken by key, so two stores holding the same files
     /// always evict in the same order) until total size fits.
     ///
     /// # Errors
@@ -367,7 +339,7 @@ impl Store {
 
     /// [`Store::gc`] over an already-scanned listing.
     fn evict(&self, mut entries: Vec<EntryInfo>) -> io::Result<GcReport> {
-        entries.sort_by_key(|e| (e.modified, e.kind.dir_name(), e.key));
+        entries.sort_by_key(|e| (e.modified, e.key));
         let mut total: u64 = entries.iter().map(|e| e.bytes).sum();
         let mut report = GcReport {
             remaining_bytes: total,
@@ -377,7 +349,7 @@ impl Store {
             if total <= self.budget {
                 break;
             }
-            match fs::remove_file(self.entry_path(e.kind, e.key)) {
+            match fs::remove_file(self.entry_path(ArtifactKind::Design, e.key)) {
                 Ok(()) => {
                     total -= e.bytes;
                     report.removed += 1;
@@ -497,22 +469,9 @@ mod tests {
             store.get(ArtifactKind::Design, key).as_deref(),
             Some(&b"payload"[..])
         );
-        assert_eq!(
-            store.get(ArtifactKind::Weights, key),
-            None,
-            "kinds are disjoint"
-        );
         let s = store.stats();
-        assert_eq!((s.hits, s.misses, s.writes), (1, 2, 1));
+        assert_eq!((s.hits, s.misses, s.writes), (1, 1, 1));
         fs::remove_dir_all(store.root()).unwrap();
-    }
-
-    #[test]
-    fn kind_parse_roundtrips() {
-        for kind in ArtifactKind::ALL {
-            assert_eq!(ArtifactKind::parse(kind.dir_name()), Some(kind));
-        }
-        assert_eq!(ArtifactKind::parse("designs"), None);
     }
 
     #[test]
@@ -520,9 +479,8 @@ mod tests {
         let store = Store::open(temp_root("remove"), DEFAULT_BUDGET).unwrap();
         let key = 0xabcd;
         store.put(ArtifactKind::Design, key, b"a").unwrap();
-        store.put(ArtifactKind::Weights, key, b"b").unwrap();
-        assert_eq!(store.remove(key).unwrap(), 2);
-        assert_eq!(store.remove(key).unwrap(), 0);
+        assert!(store.remove(key).unwrap());
+        assert!(!store.remove(key).unwrap());
         assert_eq!(store.get(ArtifactKind::Design, key), None);
         fs::remove_dir_all(store.root()).unwrap();
     }
@@ -530,19 +488,11 @@ mod tests {
     #[test]
     fn list_reports_sizes_and_sorted_order() {
         let store = Store::open(temp_root("list"), DEFAULT_BUDGET).unwrap();
-        store.put(ArtifactKind::Weights, 2, b"ww").unwrap();
         store.put(ArtifactKind::Design, 9, b"dddd").unwrap();
         store.put(ArtifactKind::Design, 3, b"dd").unwrap();
         let rows = store.list().unwrap();
-        let keys: Vec<(ArtifactKind, u64)> = rows.iter().map(|e| (e.kind, e.key)).collect();
-        assert_eq!(
-            keys,
-            vec![
-                (ArtifactKind::Design, 3),
-                (ArtifactKind::Design, 9),
-                (ArtifactKind::Weights, 2)
-            ]
-        );
+        let keys: Vec<u64> = rows.iter().map(|e| e.key).collect();
+        assert_eq!(keys, vec![3, 9]);
         assert_eq!(
             rows[1].bytes - rows[0].bytes,
             2,

@@ -41,15 +41,14 @@ fn truncated_entry_is_a_miss_and_self_heals() {
 fn flipped_payload_byte_is_a_miss() {
     let s = Store::open(temp_root("flip"), DEFAULT_BUDGET).unwrap();
     let key = 42;
-    s.put(ArtifactKind::Weights, key, b"weights payload")
-        .unwrap();
-    let path = s.entry_path(ArtifactKind::Weights, key);
+    s.put(ArtifactKind::Design, key, b"design payload").unwrap();
+    let path = s.entry_path(ArtifactKind::Design, key);
     let mut raw = fs::read(&path).unwrap();
     let last = raw.len() - 1;
     raw[last] ^= 0x01;
     fs::write(&path, &raw).unwrap();
     assert_eq!(
-        s.get(ArtifactKind::Weights, key),
+        s.get(ArtifactKind::Design, key),
         None,
         "checksum catches bit flip"
     );
@@ -61,8 +60,8 @@ fn wrong_version_or_kind_or_key_is_a_miss() {
     let s = Store::open(temp_root("version"), DEFAULT_BUDGET).unwrap();
     let key = 7;
     let good = {
-        s.put(ArtifactKind::Weights, key, b"rows").unwrap();
-        fs::read(s.entry_path(ArtifactKind::Weights, key)).unwrap()
+        s.put(ArtifactKind::Design, key, b"rows").unwrap();
+        fs::read(s.entry_path(ArtifactKind::Design, key)).unwrap()
     };
     let good_text = String::from_utf8(good).unwrap();
     let cases = [
@@ -73,7 +72,7 @@ fn wrong_version_or_kind_or_key_is_a_miss() {
         ("other tool", good_text.replace(FORMAT, "not-a-store")),
         (
             "kind mismatch",
-            good_text.replace("kind weights", "kind design"),
+            good_text.replace("kind design", "kind weights"),
         ),
         (
             "key mismatch",
@@ -88,12 +87,12 @@ fn wrong_version_or_kind_or_key_is_a_miss() {
         ),
     ];
     for (what, doctored) in cases {
-        fs::write(s.entry_path(ArtifactKind::Weights, key), doctored).unwrap();
-        assert_eq!(s.get(ArtifactKind::Weights, key), None, "{what}");
-        fs::write(s.entry_path(ArtifactKind::Weights, key), &good_text).unwrap();
+        fs::write(s.entry_path(ArtifactKind::Design, key), doctored).unwrap();
+        assert_eq!(s.get(ArtifactKind::Design, key), None, "{what}");
+        fs::write(s.entry_path(ArtifactKind::Design, key), &good_text).unwrap();
     }
     assert_eq!(
-        s.get(ArtifactKind::Weights, key).as_deref(),
+        s.get(ArtifactKind::Design, key).as_deref(),
         Some(&b"rows"[..])
     );
     fs::remove_dir_all(s.root()).unwrap();
@@ -101,23 +100,27 @@ fn wrong_version_or_kind_or_key_is_a_miss() {
 
 #[test]
 fn a_root_left_by_the_old_layout_still_opens_and_hides_the_leftover() {
-    // Older stores also kept a `campaign/` kind directory. Its entries are
-    // no longer a kind: the store must work around them and never list
-    // them (an operator may delete the directory by hand).
+    // Older stores also kept `campaign/` and `weights/` kind directories.
+    // Their entries are no longer a kind: the store must work around them
+    // and never list them (an operator may delete the directories by hand).
     let root = temp_root("old-layout");
-    fs::create_dir_all(root.join("campaign")).unwrap();
-    let leftover = root
-        .join("campaign")
-        .join(format!("{}.art", hash::key_hex(7)));
-    fs::write(
-        &leftover,
-        format!(
-            "{FORMAT}\nkind campaign\nkey {}\nsum {}\nlen 4\nrows",
-            hash::key_hex(7),
-            hash::fnv1a_hex(b"rows")
-        ),
-    )
-    .unwrap();
+    let leftovers: Vec<PathBuf> = ["campaign", "weights"]
+        .into_iter()
+        .map(|kind| {
+            fs::create_dir_all(root.join(kind)).unwrap();
+            let leftover = root.join(kind).join(format!("{}.art", hash::key_hex(7)));
+            fs::write(
+                &leftover,
+                format!(
+                    "{FORMAT}\nkind {kind}\nkey {}\nsum {}\nlen 4\nrows",
+                    hash::key_hex(7),
+                    hash::fnv1a_hex(b"rows")
+                ),
+            )
+            .unwrap();
+            leftover
+        })
+        .collect();
 
     let s = Store::open(&root, DEFAULT_BUDGET).unwrap();
     let key = hash::fnv1a(b"module m; endmodule");
@@ -127,17 +130,15 @@ fn a_root_left_by_the_old_layout_still_opens_and_hides_the_leftover() {
         s.get(ArtifactKind::Design, key).as_deref(),
         Some(&b"module m; endmodule"[..])
     );
-    let listed: Vec<(ArtifactKind, u64)> =
-        s.list().unwrap().iter().map(|e| (e.kind, e.key)).collect();
-    assert_eq!(
-        listed,
-        vec![(ArtifactKind::Design, key)],
-        "leftover never listed"
-    );
+    let listed: Vec<u64> = s.list().unwrap().iter().map(|e| e.key).collect();
+    assert_eq!(listed, vec![key], "leftovers never listed");
     let report = s.gc().unwrap();
     assert_eq!(report.removed, 0);
     assert_eq!(report.remaining_bytes, s.total_bytes().unwrap());
-    assert!(leftover.exists(), "unknown directories are left alone");
+    assert!(!s.remove(7).unwrap(), "a leftover's key names no entry");
+    for leftover in &leftovers {
+        assert!(leftover.exists(), "unknown directories are left alone");
+    }
     fs::remove_dir_all(&root).unwrap();
 }
 

@@ -270,6 +270,19 @@ pub struct Assignment {
     pub span: Span,
 }
 
+impl Assignment {
+    /// Every signal name the statement reads: the RHS references, then
+    /// the references of a bit-select index on the LHS (`x[i] = ..` reads
+    /// `i`), each in source order with duplicates preserved.
+    pub fn reads(&self) -> Vec<&str> {
+        let mut out = self.rhs.referenced_signals();
+        if let Some(Select::Bit(idx)) = &self.lhs.select {
+            out.extend(idx.referenced_signals());
+        }
+        out
+    }
+}
+
 /// The target of an assignment.
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct LValue {

@@ -11,7 +11,7 @@ use veribug_suite::rvdg::{Generator, RvdgConfig};
 use veribug_suite::veribug::{
     coverage::{labelled_traces, localize_mutant},
     model::{ModelConfig, VeriBugModel},
-    render::{render_comparison, RenderOptions},
+    render::render_comparison,
     train::{self, Dataset, TrainConfig},
     Explainer, DEFAULT_THRESHOLD,
 };
@@ -85,7 +85,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             let mut explainer = Explainer::new(&model, &m.module, "gnt1");
             let runs = labelled_traces(m);
             let (heatmap, _f_map, c_map) = explainer.explain(&runs, DEFAULT_THRESHOLD);
-            let _ = RenderOptions::default();
             println!("\n-- heatmap (C_t vs H_t) for this mutant --");
             print!("{}", render_comparison(&m.module, &heatmap, &c_map, false));
             shown = true;
