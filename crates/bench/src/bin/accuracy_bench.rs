@@ -33,11 +33,12 @@ use std::fmt::Write as _;
 
 use mutate::{BugBudget, Campaign, Mutant, MutationKind};
 use rvdg::{Generator, RvdgConfig};
-use veribug::coverage::{grouped_heatmap, labelled_traces, DEFAULT_RUN_GROUPS};
-use veribug::explain::attention_entropy;
+use veribug::coverage::{labelled_traces, DEFAULT_RUN_GROUPS};
+use veribug::explain::{attention_entropy, DEFAULT_FAILURE_WINDOW};
+use veribug::localize::rank;
 use veribug::model::VeriBugModel;
 use veribug::train::Dataset;
-use veribug::{Explainer, DEFAULT_THRESHOLD};
+use veribug::{ExplainerState, DEFAULT_THRESHOLD};
 use veribug_bench::{stats, ExperimentScale};
 use verilog::{Module, PortDir};
 
@@ -189,9 +190,10 @@ fn evaluate(
                 entropies: Vec::new(),
             };
         }
-        let mut ex = Explainer::new(model, &m.module, &cases[ci].target);
+        let mut state = ExplainerState::new(&m.netlist, &cases[ci].target);
+        let (window, groups) = (DEFAULT_FAILURE_WINDOW, DEFAULT_RUN_GROUPS);
         let runs = labelled_traces(m);
-        let heatmap = grouped_heatmap(&mut ex, &runs, DEFAULT_THRESHOLD, DEFAULT_RUN_GROUPS);
+        let heatmap = rank(model, &mut state, window, &runs, DEFAULT_THRESHOLD, groups).heatmap;
         let rank = heatmap
             .ranked()
             .iter()

@@ -10,8 +10,10 @@
 
 use mutate::{BugBudget, Campaign};
 use veribug::coverage::labelled_traces;
+use veribug::explain::DEFAULT_FAILURE_WINDOW;
+use veribug::localize::rank;
 use veribug::render::render_comparison;
-use veribug::{Explainer, DEFAULT_THRESHOLD};
+use veribug::{ExplainerState, DEFAULT_THRESHOLD};
 use veribug_bench::{train_model, ExperimentScale};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -39,9 +41,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         // Prefer a mutant whose heatmap actually contains the bug.
         let mut printed = false;
         for m in mutants.iter().filter(|m| m.observable) {
-            let mut ex = Explainer::new(&model, &m.module, target);
-            let runs = labelled_traces(m);
-            let (heatmap, _f, c) = ex.explain(&runs, DEFAULT_THRESHOLD);
+            let mut state = ExplainerState::new(&m.netlist, target);
+            let (runs, window) = (labelled_traces(m), DEFAULT_FAILURE_WINDOW);
+            let ranking = rank(&model, &mut state, window, &runs, DEFAULT_THRESHOLD, 1);
+            let (heatmap, c) = (&ranking.heatmap, &ranking.correct_map);
             if !heatmap.entries.contains_key(&m.site.stmt) {
                 continue;
             }
@@ -55,7 +58,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                     .map(|a| verilog::print_expr(&a.rhs))
                     .unwrap_or_default()
             );
-            print!("{}", render_comparison(&m.module, &heatmap, &c, ansi));
+            print!("{}", render_comparison(&m.netlist.module, heatmap, c, ansi));
             printed = true;
             break;
         }

@@ -14,12 +14,11 @@
 use baseline::{collect_spectra, top1, SpectrumFormula};
 use mutate::{BugBudget, Campaign, Mutant, MutationKind};
 use sim::TraceLabel;
-use veribug::coverage::labelled_traces;
-use veribug::coverage::{localize_mutant_with, Coverage};
+use veribug::coverage::{labelled_traces, Coverage, DEFAULT_RUN_GROUPS};
 use veribug::explain::DEFAULT_FAILURE_WINDOW;
+use veribug::localize::rank;
 use veribug::model::VeriBugModel;
-use veribug::Explainer;
-use veribug::DEFAULT_THRESHOLD;
+use veribug::{ExplainerState, DEFAULT_THRESHOLD};
 use veribug_bench::{ratio, train_model, ExperimentScale};
 
 /// One Table III row: design, target, and the paper's per-kind bug budget.
@@ -200,13 +199,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
         if detail {
             for m in mutants.iter().filter(|m| m.observable) {
-                let mut ex =
-                    Explainer::new(&model, &m.module, row.target).with_failure_window(window);
+                let mut state = ExplainerState::new(&m.netlist, row.target);
                 let runs = labelled_traces(m);
-                let (h, f_map, c_map) = ex.explain(&runs, DEFAULT_THRESHOLD);
+                let ranking = rank(&model, &mut state, window, &runs, DEFAULT_THRESHOLD, 1);
+                let f_map = ranking.failing_map(&state);
+                let (h, c_map) = (ranking.heatmap, ranking.correct_map);
                 let ranked = h.ranked();
                 let rank = ranked.iter().position(|(id, _)| *id == m.site.stmt);
                 let nops = m
+                    .netlist
                     .module
                     .assignment(m.site.stmt)
                     .map(|a| a.rhs.referenced_signals().len())
@@ -330,6 +331,11 @@ fn localize_all(
     window: u32,
 ) -> Vec<bool> {
     par::par_map(mutants, |m| {
-        m.observable && localize_mutant_with(model, m, target, threshold, window).localized
+        m.observable && {
+            let mut state = ExplainerState::new(&m.netlist, target);
+            let (runs, groups) = (labelled_traces(m), DEFAULT_RUN_GROUPS);
+            let h = rank(model, &mut state, window, &runs, threshold, groups).heatmap;
+            h.top1() == Some(m.site.stmt)
+        }
     })
 }

@@ -12,9 +12,10 @@
 //! - the cache-hit rate scraped from `/metricsz`;
 //! - a determinism verdict (every warm body equals its pair's cold body
 //!   byte for byte) and a drain verdict;
-//! - a telemetry-overhead A/B (fresh servers with live tracing off vs on,
-//!   alternating reps, best-of-reps throughput and p99; each arm times
-//!   one calibrated request count, enough for a `stats::MIN_REP_S` window);
+//! - a telemetry-overhead A/B (two fresh servers side by side, live
+//!   tracing off and on, requests alternating between them within each
+//!   rep; best-of-reps throughput and p99, each arm timing one calibrated
+//!   request count per rep, enough for a `stats::MIN_REP_S` window);
 //! - a `store_restart` block: first-request latency of a freshly booted
 //!   server over an empty artifact store (cold restart) vs over a
 //!   populated one (warm restart, designs precompiled at bind),
@@ -207,13 +208,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     )?;
     std::fs::remove_dir_all(&store_dir).ok();
 
-    // Telemetry-overhead A/B: fresh servers with live tracing off vs on,
-    // the same alternating min-of-reps estimator bench_pipeline's
-    // measure_obs_overhead uses. Each arm keeps its fastest median latency
-    // and fastest p99, and the overhead is the clamped-at-zero gap between
-    // the two minima. The workload is deterministic, so noise is
-    // one-sided — min-of-reps converges on the true cost, and a "negative
-    // overhead" can only be noise, hence the clamp.
+    // Telemetry-overhead A/B: two fresh servers run side by side, live
+    // tracing off and on, and every rep alternates requests between them
+    // (`telemetry_probe`), so a host speed swing lands on both arms alike.
+    // Live tracing flips no process-global obs state the other server
+    // reads: every server enables collection at bind, and only a traced
+    // request touches the live-trace registry and rolling windows. Each
+    // arm keeps its fastest median latency and fastest p99 over the reps,
+    // and the overhead is the clamped-at-zero gap between the two minima.
+    // The workload is deterministic, so noise is one-sided — min-of-reps
+    // converges on the true cost, and a "negative overhead" can only be
+    // noise, hence the clamp.
     let probe_reps = if smoke { 5 } else { 3 };
     let probe_bodies: Vec<String> = (0..2)
         .map(|d| {
@@ -221,18 +226,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             localize_body(&golden, &buggy, runs, cycles)
         })
         .collect();
-    // One request count for both arms, calibrated on a warm server with
-    // tracing off so each arm's timed window lasts at least
-    // `stats::MIN_REP_S`: a warm request takes 0.5–1 ms, and a window of
-    // a few dozen of them let one scheduler stall move the gate.
-    let probe_reqs = with_warm_server(false, &probe_bodies, |addr| {
-        Ok(stats::passes_per_rep(|| {
-            warm_request(addr, &probe_bodies[0]).expect("calibration request")
-        }))
-    })?;
-    let [[off_med, off_p99], [on_med, on_p99]] =
-        stats::interleaved_min_of_reps(probe_reps, |arm| {
-            telemetry_probe(arm == 1, &probe_bodies, probe_reqs)
+    let (probe_reqs, [off_med, off_p99, on_med, on_p99]) =
+        with_warm_server(false, &probe_bodies, |off| {
+            with_warm_server(true, &probe_bodies, |on| {
+                telemetry_probe([off, on], &probe_bodies, probe_reps)
+            })
         })?;
     let off_rps = 1.0 / off_med.max(1e-9);
     let on_rps = 1.0 / on_med.max(1e-9);
@@ -364,30 +362,42 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     Ok(())
 }
 
-/// One arm of the telemetry A/B: on a fresh warm server with live tracing
-/// on or off, times `reqs` sequential warm localize requests. Returns
-/// `[median_s, p99_s]`; the caller derives throughput as 1/median rather
-/// than reqs/wall-clock — on the single-core bench host a one-off
+/// The telemetry A/B over two warm servers, `addrs[0]` with live tracing
+/// off and `addrs[1]` with it on: each of `reps` reps sends `reqs`
+/// sequential warm localize requests to each server, alternating between
+/// them and swapping which goes first on every request, and yields
+/// `[off_median_s, off_p99_s, on_median_s, on_p99_s]`. Returns `reqs` and
+/// the element-wise minimum over the reps. `reqs` is calibrated on the tracing-off server
+/// so each arm's timed window lasts at least `stats::MIN_REP_S`: a warm
+/// request takes 0.5–1 ms, and a window of a few dozen of them let one
+/// scheduler stall move the gate. Throughput is derived as 1/median
+/// rather than reqs/wall-clock: on the 2-core bench host a one-off
 /// scheduler stall inside the timed window swings wall-clock by ~10% but
-/// leaves the median untouched. A fresh server per probe keeps the two
-/// arms symmetric — same cold cache, same request mix.
+/// leaves the median untouched.
 fn telemetry_probe(
-    telemetry: bool,
+    addrs: [std::net::SocketAddr; 2],
     bodies: &[String],
-    reqs: usize,
-) -> Result<[f64; 2], Box<dyn std::error::Error>> {
-    let mut lat = with_warm_server(telemetry, bodies, |addr| {
-        (0..reqs)
-            .map(|i| {
+    reps: usize,
+) -> Result<(usize, [f64; 4]), Box<dyn std::error::Error>> {
+    let reqs =
+        stats::passes_per_rep(|| warm_request(addrs[0], &bodies[0]).expect("calibration request"));
+    let [best] = stats::interleaved_min_of_reps(reps, |_| {
+        let mut lat = [Vec::with_capacity(reqs), Vec::with_capacity(reqs)];
+        for i in 0..reqs {
+            for k in 0..2 {
+                let arm = (i + k) % 2;
                 let r0 = Instant::now();
-                warm_request(addr, &bodies[i % bodies.len()])?;
-                Ok(r0.elapsed().as_secs_f64())
-            })
-            .collect::<Result<Vec<f64>, _>>()
+                warm_request(addrs[arm], &bodies[i % bodies.len()])?;
+                lat[arm].push(r0.elapsed().as_secs_f64());
+            }
+        }
+        let [off, on] = lat.map(|mut lat| {
+            lat.sort_by(f64::total_cmp);
+            [50.0, 99.0].map(|p| stats::nearest_rank(&lat, p).expect("reqs >= 1"))
+        });
+        Ok::<_, Box<dyn std::error::Error>>([off[0], off[1], on[0], on[1]])
     })?;
-    lat.sort_by(f64::total_cmp);
-    let pick = |p| stats::nearest_rank(&lat, p).expect("reqs >= 1");
-    Ok([pick(50.0), pick(99.0)])
+    Ok((reqs, best))
 }
 
 /// Boots a fresh server with live tracing on or off, warms its design

@@ -565,12 +565,11 @@ fn cancelled_after_two_polls<T: std::fmt::Debug>(
 /// give the same errors as full mode in both. Returns the slice set's
 /// size.
 fn check_records_only(name: &str, module: &Module, target: &str, seed: u64) -> usize {
-    let model = VeriBugModel::new(ModelConfig::default());
-    let slice = veribug::Explainer::new(&model, module, target).attributed();
+    let mut sim = Simulator::new(module).expect("elaborates");
+    let slice = veribug::ExplainerState::new(sim.netlist(), target).attributed();
     let slice_len = slice.len();
     let all: BTreeSet<StmtId> = module.assignments().iter().map(|a| a.id).collect();
     let sets = [("empty", BTreeSet::new()), ("all", all), ("slice", slice)];
-    let mut sim = Simulator::new(module).expect("elaborates");
     let target_id = sim.netlist().signal_id(target).expect("target signal");
     let observed = SignalSet::from_ids([target_id]);
     let stimuli = TestbenchGen::new(seed).generate_many(sim.netlist(), RECORDS_CYCLES, 160);

@@ -155,7 +155,7 @@ fn catalog_cases() -> Vec<Case> {
         for m in mutants.into_iter().filter(|m| m.observable) {
             cases.push(Case {
                 golden: golden.clone(),
-                buggy: m.module,
+                buggy: m.netlist.module.clone(),
                 target: target.to_owned(),
                 runs: m.runs,
                 opts: LocalizeOptions {

@@ -6,9 +6,10 @@
 use mutate::{BugBudget, Campaign};
 use sim::TraceLabel;
 use veribug::coverage::labelled_traces;
-use veribug::explain::AttentionMap;
+use veribug::explain::{AttentionMap, DEFAULT_FAILURE_WINDOW};
+use veribug::localize::rank;
 use veribug::model::{ModelConfig, VeriBugModel};
-use veribug::{Explainer, LocalizeOptions, DEFAULT_THRESHOLD};
+use veribug::{ExplainerState, LocalizeOptions, DEFAULT_THRESHOLD};
 
 fn counter(name: &str) -> u64 {
     obs::snapshot().counter(name).unwrap_or(0)
@@ -45,22 +46,37 @@ fn collection_leaves_explanations_unchanged_and_counts_resolved_records() {
     for m in mutants.iter().filter(|m| m.observable) {
         let runs = labelled_traces(m);
         assert!(runs.iter().any(|r| r.label == TraceLabel::Failing));
+        let buggy = &m.netlist.module;
+        // Heatmap, F_t and C_t over every run, from a fresh state.
+        let explain = || {
+            let mut state = ExplainerState::new(&m.netlist, target);
+            let ranking = rank(
+                &model,
+                &mut state,
+                DEFAULT_FAILURE_WINDOW,
+                &runs,
+                DEFAULT_THRESHOLD,
+                1,
+            );
+            let failing = ranking.failing_map(&state);
+            (ranking.heatmap, failing, ranking.correct_map)
+        };
 
         obs::set_enabled(false);
-        let off = Explainer::new(&model, &m.module, target).explain(&runs, DEFAULT_THRESHOLD);
+        let off = explain();
         let report_off =
-            veribug::localize::run(&model, &golden, &m.module, target, &opts).expect("localizes");
+            veribug::localize::run(&model, &golden, buggy, target, &opts).expect("localizes");
 
         obs::set_enabled(true);
         obs::reset();
-        let on = Explainer::new(&model, &m.module, target).explain(&runs, DEFAULT_THRESHOLD);
+        let on = explain();
         let (hits, misses, evals) = (
             counter("explain.attention_cache_hits"),
             counter("explain.attention_cache_misses"),
             counter("model.evals"),
         );
         let report_on =
-            veribug::localize::run(&model, &golden, &m.module, target, &opts).expect("localizes");
+            veribug::localize::run(&model, &golden, buggy, target, &opts).expect("localizes");
         let snapshot = obs::snapshot();
         obs::set_enabled(false);
 
@@ -104,7 +120,7 @@ fn collection_leaves_explanations_unchanged_and_counts_resolved_records() {
         let mut golden_sim = sim::Simulator::new(&golden).expect("elaborates");
         let reference = veribug::GoldenRef::build(&mut golden_sim, target, &opts, &inert)
             .expect("golden reference");
-        let buggy_sim = sim::Simulator::new(&m.module).expect("elaborates");
+        let buggy_sim = sim::Simulator::new(buggy).expect("elaborates");
         let mut state = veribug::ExplainerState::new(buggy_sim.netlist(), target);
         let mut localize_counting_evals = || {
             obs::set_enabled(true);

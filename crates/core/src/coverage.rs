@@ -4,7 +4,10 @@
 //! heatmap `H_t` lands on the statement containing the root cause. Coverage
 //! for a design/target pair is `localized / observable`.
 
-use crate::explain::{Explainer, Heatmap, LabelledTrace, DEFAULT_THRESHOLD};
+use crate::explain::{
+    Explainer, ExplainerState, Heatmap, LabelledTrace, DEFAULT_FAILURE_WINDOW, DEFAULT_THRESHOLD,
+};
+use crate::localize::rank;
 use crate::model::VeriBugModel;
 use mutate::{Mutant, MutationKind};
 
@@ -35,10 +38,6 @@ pub struct LocalizationOutcome {
     pub top1: Option<verilog::StmtId>,
     /// Whether top-1 localization succeeded.
     pub localized: bool,
-    /// The bug statement's suspiciousness, when it entered the heatmap.
-    pub bug_suspiciousness: Option<f32>,
-    /// Heatmap size (candidate statements).
-    pub heatmap_size: usize,
 }
 
 /// Aggregated top-1 coverage for a set of outcomes.
@@ -75,92 +74,35 @@ impl Coverage {
     }
 }
 
-/// Localizes one mutant with a trained model and scores the outcome.
-///
-/// The explainer runs on the *mutant* design (that is what a verification
-/// engineer has); the golden design only supplied the failure labels.
-pub fn localize_mutant(
-    model: &VeriBugModel,
-    mutant: &Mutant,
-    target: &str,
-    threshold: f32,
-) -> LocalizationOutcome {
-    localize_mutant_with(
-        model,
-        mutant,
-        target,
-        threshold,
-        crate::explain::DEFAULT_FAILURE_WINDOW,
-    )
-}
-
 /// How many independent run groups the localization max-pools over (the
 /// paper: "we consider the highest suspiciousness scores after running the
 /// same VeriBug instance over multiple simulation runs").
 pub const DEFAULT_RUN_GROUPS: usize = 8;
 
-/// [`localize_mutant`] with an explicit failure-window width.
-///
-/// The mutant's runs are split into [`DEFAULT_RUN_GROUPS`] groups; each
-/// group produces its own heatmap and a statement's final suspiciousness is
-/// its highest across groups.
-pub fn localize_mutant_with(
-    model: &VeriBugModel,
-    mutant: &Mutant,
-    target: &str,
-    threshold: f32,
-    failure_window: u32,
-) -> LocalizationOutcome {
-    let mut explainer =
-        Explainer::new(model, &mutant.module, target).with_failure_window(failure_window);
-    let runs = labelled_traces(mutant);
-    let heatmap = grouped_heatmap(&mut explainer, &runs, threshold, DEFAULT_RUN_GROUPS);
-    score(&heatmap, mutant)
-}
-
-/// Splits `runs` into `groups` interleaved subsets, explains each, and
-/// max-pools statement suspiciousness across the per-group heatmaps.
+/// [`rank`]'s heatmap over `explainer`'s state, at the default failure
+/// window. Kept, with [`Explainer`], for perfbench's layer replay until
+/// that replay takes its layers from the server.
 pub fn grouped_heatmap(
     explainer: &mut Explainer<'_>,
     runs: &[LabelledTrace<'_>],
     threshold: f32,
     groups: usize,
 ) -> Heatmap {
-    let groups = group_count(runs.len(), groups);
-    // Runs of groups without a failing run are never aggregated.
-    let failing_group: Vec<bool> = (0..groups)
-        .map(|g| {
-            runs.iter()
-                .skip(g)
-                .step_by(groups)
-                .any(|r| r.label == sim::TraceLabel::Failing)
-        })
-        .collect();
-    let resolved = explainer.resolve(runs, |i| failing_group[i % groups]);
-    explainer.grouped(&resolved, threshold, groups)
+    let (model, state) = (explainer.model, &mut explainer.state);
+    rank(
+        model,
+        state,
+        DEFAULT_FAILURE_WINDOW,
+        runs,
+        threshold,
+        groups,
+    )
+    .heatmap
 }
 
-/// The number of run groups [`grouped_heatmap`] forms: at least one, at
-/// most one per run.
-pub(crate) fn group_count(runs: usize, groups: usize) -> usize {
-    groups.max(1).min(runs.max(1))
-}
-
-fn score(heatmap: &Heatmap, mutant: &Mutant) -> LocalizationOutcome {
-    let top1 = heatmap.top1();
-    let bug_stmt = mutant.site.stmt;
-    LocalizationOutcome {
-        kind: mutant.site.kind,
-        bug_stmt,
-        observable: mutant.observable,
-        top1,
-        localized: mutant.observable && top1 == Some(bug_stmt),
-        bug_suspiciousness: heatmap.entries.get(&bug_stmt).map(|e| e.suspiciousness),
-        heatmap_size: heatmap.len(),
-    }
-}
-
-/// Localizes every observable mutant of a campaign and tallies coverage.
+/// Localizes every observable mutant of a campaign through [`rank`] on
+/// the mutant design (that is what a verification engineer has; the golden
+/// design only supplied the failure labels) and tallies coverage.
 /// Unobservable mutants count toward `injected` only.
 pub fn coverage_for_mutants(
     model: &VeriBugModel,
@@ -170,25 +112,25 @@ pub fn coverage_for_mutants(
     let mut cov = Coverage::default();
     let mut outcomes = Vec::with_capacity(mutants.len());
     for m in mutants {
+        let mut top1 = None;
+        if m.observable {
+            let mut state = ExplainerState::new(&m.netlist, target);
+            let (window, groups) = (DEFAULT_FAILURE_WINDOW, DEFAULT_RUN_GROUPS);
+            let runs = labelled_traces(m);
+            let ranking = rank(model, &mut state, window, &runs, DEFAULT_THRESHOLD, groups);
+            top1 = ranking.heatmap.top1();
+        }
+        let localized = m.observable && top1 == Some(m.site.stmt);
         cov.injected += 1;
-        if !m.observable {
-            outcomes.push(LocalizationOutcome {
-                kind: m.site.kind,
-                bug_stmt: m.site.stmt,
-                observable: false,
-                top1: None,
-                localized: false,
-                bug_suspiciousness: None,
-                heatmap_size: 0,
-            });
-            continue;
-        }
-        cov.observable += 1;
-        let outcome = localize_mutant(model, m, target, DEFAULT_THRESHOLD);
-        if outcome.localized {
-            cov.localized += 1;
-        }
-        outcomes.push(outcome);
+        cov.observable += usize::from(m.observable);
+        cov.localized += usize::from(localized);
+        outcomes.push(LocalizationOutcome {
+            kind: m.site.kind,
+            bug_stmt: m.site.stmt,
+            observable: m.observable,
+            top1,
+            localized,
+        });
     }
     (cov, outcomes)
 }

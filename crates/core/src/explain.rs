@@ -242,25 +242,27 @@ struct DenseMap {
     counts: Vec<usize>,
 }
 
-/// The Explainer: a trained model applied to labelled traces of one design.
-///
-/// Each labelled trace is walked once (`Explainer::resolve`): every
-/// record of an attributed statement is looked up in dense
-/// statement-indexed tables, classified into the `F_t` and/or `C_t`
-/// aggregation it feeds, and paired with its memoized attention vector.
-/// All maps and heatmaps are then aggregated from those compact records.
-/// Everything but the model reference and the failure window lives in an
-/// [`ExplainerState`].
+/// A trained model bound to one design's [`ExplainerState`], built from a
+/// bare [`Module`]. Kept, with [`grouped_heatmap`](crate::coverage::grouped_heatmap),
+/// for perfbench's layer replay until that replay takes its layers from
+/// the server; every other caller ranks through
+/// [`rank`](crate::localize::rank).
 #[derive(Debug)]
 pub struct Explainer<'m> {
-    model: &'m VeriBugModel,
-    failure_window: u32,
-    state: ExplainerState,
+    pub(crate) model: &'m VeriBugModel,
+    pub(crate) state: ExplainerState,
 }
 
-/// The part of an [`Explainer`] that does not borrow the model: the
-/// target's static slice, the slot tables with their lazily embedded
-/// operand contexts and attention memo, and the memo's weight arena.
+/// What [`rank`](crate::localize::rank) explains one design and target
+/// with: the target's static slice, the slot tables with their lazily
+/// embedded operand contexts and attention memo, and the memo's weight
+/// arena.
+///
+/// Each labelled trace is walked once: every record of an attributed
+/// statement is looked up in dense statement-indexed tables, classified
+/// into the `F_t` and/or `C_t` aggregation it feeds, and paired with its
+/// memoized attention vector. Every map and heatmap is then aggregated
+/// from those compact records.
 ///
 /// It is a function of the design, the target and the model's weights
 /// alone, so a caller that localizes the same design and target again
@@ -290,95 +292,22 @@ impl<'m> Explainer<'m> {
         let netlist = sim::Netlist::elaborate(module).ok();
         Explainer {
             model,
-            failure_window: DEFAULT_FAILURE_WINDOW,
             state: ExplainerState::build(module, netlist.as_ref(), target),
         }
     }
 
-    /// Overrides the failure-window width (cycles before a divergence that
-    /// still count as failure-relevant).
-    pub fn with_failure_window(mut self, window: u32) -> Self {
-        self.failure_window = window;
-        self
-    }
-
-    /// The static slice the explainer restricts attention to.
-    pub fn slice(&self) -> &Slice {
-        &self.state.slice
-    }
-
-    /// The statements the explainer attributes (see
-    /// [`ExplainerState::attributed`]).
-    pub fn attributed(&self) -> BTreeSet<StmtId> {
-        self.state.attributed()
-    }
-
-    /// Builds the heatmap `H_t` from failing and correct attention maps
-    /// using the paper's three-case comparison and the given threshold.
-    pub fn heatmap(failing: &AttentionMap, correct: &AttentionMap, threshold: f32) -> Heatmap {
-        let mut entries = BTreeMap::new();
-        for (id, f_att) in &failing.per_stmt {
-            let c_weights = correct.per_stmt.get(id).map(|c| &c.weights[..]);
-            if let Some((score, reason)) = suspicion(&f_att.weights, c_weights, threshold) {
-                entries.insert(
-                    *id,
-                    HeatmapEntry {
-                        operands: f_att.operands.clone(),
-                        weights: f_att.weights.clone(),
-                        suspiciousness: score,
-                        reason,
-                    },
-                );
-            }
-        }
-        Heatmap { entries, threshold }
-    }
-
-    /// End-to-end explanation: split labelled runs into `T_f`/`T_c`,
-    /// aggregate both maps, and produce the heatmap.
-    ///
-    /// Two refinements over the plain trace-level scheme (both documented
-    /// in DESIGN.md):
-    ///
-    /// - **Failure-centered aggregation.** When a failing trace carries its
-    ///   divergence cycles, only executions within
-    ///   [`DEFAULT_FAILURE_WINDOW`] cycles *before* (and including) a
-    ///   divergence contribute to `F_t`. Executions far from any symptom
-    ///   carry correct-behavior statistics and would dilute the comparison.
-    /// - **Masked-cycle fallback for `C_t`.** When *no* run is fully
-    ///   correct (short aggressive stimuli can expose a bug in every run),
-    ///   the correct map is built from the non-divergent cycles of the
-    ///   failing traces instead of being empty, which would otherwise mark
-    ///   every statement "only-in-failing" and destroy the ranking.
+    /// [`rank`](crate::localize::rank) with one run group: the heatmap,
+    /// `F_t` and `C_t` over every run.
     pub fn explain(
         &mut self,
         runs: &[LabelledTrace<'_>],
         threshold: f32,
     ) -> (Heatmap, AttentionMap, AttentionMap) {
-        let resolved = self.resolve(runs, |_| true);
-        let _span = obs::span("explain.aggregate");
-        let state = &self.state;
-        let runs: Vec<&ResolvedRun> = resolved.runs.iter().collect();
-        let f_map = state.to_map(&state.failing_dense(&runs));
-        let c_map = state.to_map(&state.correct_dense(&runs));
-        let heatmap = Self::heatmap(&f_map, &c_map, threshold);
-        (heatmap, f_map, c_map)
-    }
-
-    /// [`ExplainerState::resolve`] under this explainer's model and
-    /// failure window.
-    pub(crate) fn resolve(
-        &mut self,
-        runs: &[LabelledTrace<'_>],
-        keep: impl Fn(usize) -> bool,
-    ) -> Resolved {
-        self.state
-            .resolve(self.model, self.failure_window, runs, keep)
-    }
-
-    /// [`ExplainerState::grouped`].
-    pub(crate) fn grouped(&self, resolved: &Resolved, threshold: f32, groups: usize) -> Heatmap {
-        self.state.grouped(resolved, threshold, groups)
+        let (model, state) = (self.model, &mut self.state);
+        let ranking =
+            crate::localize::rank(model, state, DEFAULT_FAILURE_WINDOW, runs, threshold, 1);
+        let failing = ranking.failing_map(state);
+        (ranking.heatmap, failing, ranking.correct_map)
     }
 }
 
@@ -460,6 +389,11 @@ impl ExplainerState {
         }
     }
 
+    /// The static slice the explainer restricts attention to.
+    pub fn slice(&self) -> &Slice {
+        &self.slice
+    }
+
     /// The statements the explainer attributes: slice statements whose
     /// feature operands the simulator records. Records of any other
     /// statement are never read, so a records-only run over this set
@@ -475,28 +409,19 @@ impl ExplainerState {
     }
 
     /// Walks each labelled trace once, resolving every attributable record
-    /// of the runs `keep` selects (by index) into the maps it feeds and its
-    /// memoized attention, evaluating `model` on memo misses. Runs not kept
-    /// resolve to no records.
+    /// into the maps it feeds and its memoized attention, evaluating
+    /// `model` on memo misses.
     pub(crate) fn resolve(
         &mut self,
         model: &VeriBugModel,
         failure_window: u32,
         runs: &[LabelledTrace<'_>],
-        keep: impl Fn(usize) -> bool,
     ) -> Resolved {
         let _span = obs::span("explain.resolve");
         Resolved {
             runs: runs
                 .iter()
-                .enumerate()
-                .map(|(i, run)| {
-                    if keep(i) {
-                        self.resolve_run(model, failure_window, run)
-                    } else {
-                        ResolvedRun::default()
-                    }
-                })
+                .map(|run| self.resolve_run(model, failure_window, run))
                 .collect(),
         }
     }
@@ -600,12 +525,13 @@ impl ExplainerState {
         }
     }
 
-    /// Splits the resolved runs into `groups` interleaved subsets, builds
-    /// each subset's heatmap, and max-pools statement suspiciousness
-    /// across them (see [`grouped_heatmap`](crate::coverage::grouped_heatmap)).
+    /// Splits the resolved runs into `groups` interleaved subsets (at
+    /// least one, at most one per run), builds each subset's heatmap with
+    /// the paper's three-case rule, and max-pools statement suspiciousness
+    /// across them. The one heatmap aggregation.
     pub(crate) fn grouped(&self, resolved: &Resolved, threshold: f32, groups: usize) -> Heatmap {
         let _span = obs::span("explain.aggregate");
-        let groups = crate::coverage::group_count(resolved.runs.len(), groups);
+        let groups = groups.max(1).min(resolved.runs.len().max(1));
         // Per slot, the most suspicious group's (score, reason, F_t weights).
         let mut best: Vec<Option<(f32, SuspicionReason, Vec<f32>)>> =
             self.slots.iter().map(|_| None).collect();
@@ -658,6 +584,11 @@ impl ExplainerState {
             self.merge(&mut f_map, &self.mean_map(std::iter::once(&run.f[..])));
         }
         f_map
+    }
+
+    /// `F_t` over all resolved runs.
+    pub(crate) fn failing_map(&self, resolved: &Resolved) -> AttentionMap {
+        self.to_map(&self.failing_dense(&resolved.runs.iter().collect::<Vec<_>>()))
     }
 
     /// `C_t` over all resolved runs.
@@ -857,6 +788,7 @@ pub fn attention_entropy(weights: &[f32]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::localize::rank;
     use crate::model::{ModelConfig, VeriBugModel};
     use sim::{Simulator, TestbenchGen};
 
@@ -892,13 +824,20 @@ mod tests {
         let mut sim = Simulator::new(&module).unwrap();
         let stim = TestbenchGen::new(3).generate(sim.netlist(), 32);
         let trace = sim.run(&stim).unwrap();
-        let mut ex = Explainer::new(&model, &module, "gnt1");
+        let mut state = ExplainerState::new(sim.netlist(), "gnt1");
         let runs = [
             LabelledTrace::new(TraceLabel::Failing, &trace),
             LabelledTrace::new(TraceLabel::Correct, &trace),
         ];
-        let (_, f_map, c_map) = ex.explain(&runs, DEFAULT_THRESHOLD);
-        for map in [&f_map, &c_map] {
+        let ranking = rank(
+            &model,
+            &mut state,
+            DEFAULT_FAILURE_WINDOW,
+            &runs,
+            DEFAULT_THRESHOLD,
+            1,
+        );
+        for map in [&ranking.failing_map(&state), &ranking.correct_map] {
             // gnt2's statement (id 3) is outside gnt1's slice.
             assert!(!map.per_stmt.contains_key(&StmtId(3)));
             assert!(!map.is_empty());
@@ -911,40 +850,72 @@ mod tests {
         }
     }
 
-    #[test]
-    fn heatmap_three_cases() {
-        let mk = |stmts: &[(u32, Vec<f32>)]| AttentionMap {
-            per_stmt: stmts
+    /// [`ExplainerState::grouped`] over one failing run whose `F_t`
+    /// records carry the attention vectors `f` and one correct run whose
+    /// `C_t` records carry `c`, each given as `(statement, weights)` of a
+    /// design with two-operand statements 0–2 and a one-operand
+    /// statement 3.
+    fn heatmap_of(f: &[(u32, Vec<f32>)], c: &[(u32, Vec<f32>)], groups: usize) -> Heatmap {
+        let module = verilog::parse(
+            "module m(input a, input b, input c, output y);\n\
+             wire t0, t1, t2, t3;\n\
+             assign t0 = a & b;\nassign t1 = b | c;\nassign t2 = a ^ c;\n\
+             assign t3 = ~a;\nassign y = t0 & t1 | t2 & t3;\nendmodule",
+        )
+        .unwrap()
+        .top()
+        .clone();
+        let sim = Simulator::new(&module).unwrap();
+        let mut state = ExplainerState::new(sim.netlist(), "y");
+        let mut records = |stmts: &[(u32, Vec<f32>)]| -> Vec<Record> {
+            stmts
                 .iter()
                 .map(|(id, w)| {
-                    (
-                        StmtId(*id),
-                        StmtAttention {
-                            operands: (0..w.len()).map(|i| format!("op{i}")).collect(),
-                            weights: w.clone(),
-                            count: 1,
-                        },
-                    )
+                    let slot = state.slot_of[*id as usize];
+                    assert_eq!(state.slots[slot as usize].width(), w.len());
+                    let weights = state.arena.len() as u32;
+                    state.arena.extend_from_slice(w);
+                    Record { slot, weights }
                 })
-                .collect(),
+                .collect()
         };
+        let resolved = Resolved {
+            runs: vec![
+                ResolvedRun {
+                    failing: true,
+                    f: records(f),
+                    c: Vec::new(),
+                },
+                ResolvedRun {
+                    failing: false,
+                    f: Vec::new(),
+                    c: records(c),
+                },
+            ],
+        };
+        state.grouped(&resolved, DEFAULT_THRESHOLD, groups)
+    }
+
+    #[test]
+    fn heatmap_three_cases() {
         // s0: identical in both (not suspicious).
         // s1: diverges strongly (suspicious).
         // s2: only in failing (suspicious, score 1.0).
         // s3: only in correct (ignored).
-        let f = mk(&[
+        let f = [
             (0, vec![0.5, 0.5]),
             (1, vec![0.9, 0.1]),
             (2, vec![0.3, 0.7]),
-        ]);
-        let c = mk(&[(0, vec![0.5, 0.5]), (1, vec![0.1, 0.9]), (3, vec![1.0])]);
-        let h = Explainer::heatmap(&f, &c, DEFAULT_THRESHOLD);
+        ];
+        let c = [(0, vec![0.5, 0.5]), (1, vec![0.1, 0.9]), (3, vec![1.0])];
+        let h = heatmap_of(&f, &c, 1);
         assert_eq!(h.len(), 2);
         assert!(!h.entries.contains_key(&StmtId(0)));
         assert!(!h.entries.contains_key(&StmtId(3)));
         let s1 = &h.entries[&StmtId(1)];
         assert_eq!(s1.reason, SuspicionReason::DivergentAttention);
         assert!((s1.suspiciousness - 0.8).abs() < 1e-6);
+        assert_eq!(s1.weights, [0.9, 0.1]);
         let s2 = &h.entries[&StmtId(2)];
         assert_eq!(s2.reason, SuspicionReason::OnlyInFailing);
         assert_eq!(s2.suspiciousness, 1.0);
@@ -953,36 +924,78 @@ mod tests {
         let ranked = h.ranked();
         assert_eq!(ranked[0].0, StmtId(2));
         assert_eq!(ranked[1].0, StmtId(1));
+        // Two groups split the failing run from the correct one: the group
+        // without a failing run is skipped, and in the other every F_t
+        // statement is only-in-failing.
+        let h = heatmap_of(&f, &c, 2);
+        assert_eq!(h.len(), 3);
+        assert!(h
+            .entries
+            .values()
+            .all(|e| e.reason == SuspicionReason::OnlyInFailing));
     }
 
     #[test]
     fn below_threshold_statements_are_excluded() {
-        let f = AttentionMap {
-            per_stmt: [(
-                StmtId(0),
-                StmtAttention {
-                    operands: vec!["a".into(), "b".into()],
-                    weights: vec![0.52, 0.48],
-                    count: 4,
-                },
-            )]
-            .into_iter()
-            .collect(),
-        };
-        let c = AttentionMap {
-            per_stmt: [(
-                StmtId(0),
-                StmtAttention {
-                    operands: vec!["a".into(), "b".into()],
-                    weights: vec![0.48, 0.52],
-                    count: 4,
-                },
-            )]
-            .into_iter()
-            .collect(),
-        };
-        let h = Explainer::heatmap(&f, &c, DEFAULT_THRESHOLD);
+        let h = heatmap_of(
+            &vec![(0, vec![0.52, 0.48]); 4],
+            &vec![(0, vec![0.48, 0.52]); 4],
+            1,
+        );
         assert!(h.is_empty());
         assert_eq!(h.top1(), None);
+    }
+
+    /// `Explainer::explain`, which elaborates a bare module, answers as
+    /// [`rank`] with one group does over the campaign's netlist, and its
+    /// heatmap is the paper's three-case rule applied to the `F_t` and
+    /// `C_t` it returns — the ungrouped aggregation perfbench's replay
+    /// reads.
+    #[test]
+    fn explain_equals_one_group_ranking_over_catalog_mutants() {
+        let model = VeriBugModel::new(ModelConfig::default());
+        let budget = mutate::BugBudget {
+            negation: 2,
+            operation: 2,
+            misuse: 2,
+        };
+        let mut compared = 0;
+        for (ci, design) in designs::catalog().iter().enumerate() {
+            let golden = design.module().unwrap();
+            let target = design.targets[0];
+            let mutants = mutate::Campaign::new(0x5EED + ci as u64)
+                .with_runs_per_mutant(24)
+                .run(&golden, target, &budget)
+                .unwrap();
+            for m in mutants.iter().filter(|m| m.observable) {
+                let runs = crate::coverage::labelled_traces(m);
+                let (h, f, c) =
+                    Explainer::new(&model, &m.netlist.module, target).explain(&runs, 0.01);
+                let mut state = ExplainerState::new(&m.netlist, target);
+                let ranking = rank(&model, &mut state, DEFAULT_FAILURE_WINDOW, &runs, 0.01, 1);
+                assert_eq!(h, ranking.heatmap);
+                assert_eq!(f, ranking.failing_map(&state));
+                assert_eq!(c, ranking.correct_map);
+                let mut rule = BTreeMap::new();
+                for (id, fa) in &f.per_stmt {
+                    let ca = c.per_stmt.get(id).map(|ca| &ca.weights[..]);
+                    if let Some((suspiciousness, reason)) = suspicion(&fa.weights, ca, 0.01) {
+                        let (operands, weights) = (fa.operands.clone(), fa.weights.clone());
+                        rule.insert(
+                            *id,
+                            HeatmapEntry {
+                                operands,
+                                weights,
+                                suspiciousness,
+                                reason,
+                            },
+                        );
+                    }
+                }
+                assert_eq!(h.entries, rule);
+                compared += usize::from(!h.is_empty());
+            }
+        }
+        assert!(compared > 0, "no catalog mutant produced a heatmap");
     }
 }

@@ -21,7 +21,9 @@
 //!    regularized class-weighted loss, Secs. IV-C and V;
 //! 4. [`explain`] — attention maps, `F_t`/`C_t` aggregation, suspiciousness
 //!    and heatmaps, Sec. IV-D;
-//! 5. [`coverage`] — top-1 bug-coverage scoring, Sec. VI-A;
+//! 5. [`localize::rank`] — the one ranking path from labelled runs to the
+//!    max-pooled heatmap, which the server, the CLI, the benchmarks and
+//!    [`coverage`] (top-1 bug-coverage scoring, Sec. VI-A) all call;
 //! 6. [`render`] — Fig. 4-style heatmap rendering.
 //!
 //! ## Quick start: train on synthetic designs, localize an injected bug
@@ -29,9 +31,12 @@
 //! ```
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! use veribug::{
-//!     coverage::coverage_for_mutants,
+//!     coverage::{labelled_traces, DEFAULT_RUN_GROUPS},
+//!     explain::DEFAULT_FAILURE_WINDOW,
+//!     localize,
 //!     model::{ModelConfig, VeriBugModel},
 //!     train::{self, Dataset, TrainConfig},
+//!     ExplainerState, DEFAULT_THRESHOLD,
 //! };
 //! use mutate::{BugBudget, Campaign};
 //! use rvdg::{Generator, RvdgConfig};
@@ -54,8 +59,14 @@
 //! let mutants = Campaign::new(5).run(&golden, "y", &BugBudget {
 //!     negation: 1, operation: 0, misuse: 0,
 //! })?;
-//! let (cov, _outcomes) = coverage_for_mutants(&model, &mutants, "y");
-//! assert_eq!(cov.injected, mutants.len());
+//! for m in mutants.iter().filter(|m| m.observable) {
+//!     // The mutant keeps its simulator's netlist: nothing elaborates again.
+//!     let mut state = ExplainerState::new(&m.netlist, "y");
+//!     let (window, groups) = (DEFAULT_FAILURE_WINDOW, DEFAULT_RUN_GROUPS);
+//!     let runs = labelled_traces(m);
+//!     let ranking = localize::rank(&model, &mut state, window, &runs, DEFAULT_THRESHOLD, groups);
+//!     println!("bug at {}, top-1 suspect {:?}", m.site.stmt, ranking.heatmap.top1());
+//! }
 //! # Ok(())
 //! # }
 //! ```
@@ -73,7 +84,7 @@ pub mod persist;
 pub mod render;
 pub mod train;
 
-pub use coverage::{coverage_for_mutants, localize_mutant, Coverage, LocalizationOutcome};
+pub use coverage::{coverage_for_mutants, Coverage, LocalizationOutcome};
 pub use error::VeriBugError;
 pub use explain::{
     suspiciousness, AttentionMap, Explainer, ExplainerState, Heatmap, HeatmapEntry, StmtAttention,

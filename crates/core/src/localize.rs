@@ -5,7 +5,10 @@
 //! packaged as a library call so the CLI and the HTTP serving layer run
 //! the *same* pipeline and produce byte-identical suspect rankings.
 //!
-//! Two entry points:
+//! [`rank`] is the one ranking path: served, CLI and offline rankings all
+//! turn labelled runs into suspects through it.
+//!
+//! Two localization entry points:
 //!
 //! - [`run`] elaborates both designs and builds the [`GoldenRef`] itself
 //!   (the CLI path);
@@ -33,7 +36,7 @@
 
 use crate::coverage::DEFAULT_RUN_GROUPS;
 use crate::explain::{
-    AttentionMap, ExplainerState, Heatmap, LabelledTrace, DEFAULT_FAILURE_WINDOW,
+    AttentionMap, ExplainerState, Heatmap, LabelledTrace, Resolved, DEFAULT_FAILURE_WINDOW,
 };
 use crate::model::VeriBugModel;
 use crate::{VeriBugError, DEFAULT_THRESHOLD};
@@ -54,8 +57,7 @@ pub struct LocalizeOptions {
     pub cycles: usize,
     /// Attention threshold for heatmap admission.
     pub threshold: f32,
-    /// Independent run groups max-pooled by
-    /// [`grouped_heatmap`](crate::coverage::grouped_heatmap).
+    /// Independent run groups [`rank`] max-pools over.
     pub run_groups: usize,
     /// Seed of the stimulus generator.
     pub stim_seed: u64,
@@ -342,11 +344,10 @@ fn localize_inner(
     }
 
     let _explain_span = obs::span("explain");
-    // Each trace is walked once; the grouped heatmap and the correct-trace
-    // map both aggregate the same resolved records.
-    let resolved = explainer.resolve(model, DEFAULT_FAILURE_WINDOW, &runs_view, |_| true);
-    report.heatmap = explainer.grouped(&resolved, opts.threshold, opts.run_groups);
-    report.correct_map = explainer.correct_map(&resolved);
+    let (window, groups) = (DEFAULT_FAILURE_WINDOW, opts.run_groups);
+    let ranking = rank(model, explainer, window, &runs_view, opts.threshold, groups);
+    report.heatmap = ranking.heatmap;
+    report.correct_map = ranking.correct_map;
     report.suspects = report
         .heatmap
         .ranked()
@@ -361,6 +362,51 @@ fn localize_inner(
         })
         .collect();
     Ok(report)
+}
+
+/// What [`rank`] returns.
+#[derive(Debug)]
+pub struct Ranking {
+    /// The heatmap `H_t`, max-pooled over the run groups.
+    pub heatmap: Heatmap,
+    /// `C_t` over every run.
+    pub correct_map: AttentionMap,
+    resolved: Resolved,
+}
+
+impl Ranking {
+    /// `F_t` over every run, aggregated from the records [`rank`] resolved.
+    /// `state` must be the one it ranked with.
+    pub fn failing_map(&self, state: &ExplainerState) -> AttentionMap {
+        state.failing_map(&self.resolved)
+    }
+}
+
+/// Ranks the statements of `state`'s design by suspiciousness over
+/// labelled `runs` (paper Sec. IV-D and VI): each run is resolved once,
+/// the runs are split into `groups` interleaved subsets, each subset's
+/// heatmap compares `F_t` with `C_t` under `threshold`, and every statement
+/// keeps its highest score across the groups. `F_t` takes the executions
+/// of failing runs within `window` cycles before a divergence (shifted by
+/// the statement's sequential depth); `C_t` takes correct runs and the
+/// cycles of failing runs far from every divergence (DESIGN.md §2b).
+///
+/// `state` must have been built for the design the runs simulate and only
+/// ever used with `model`'s weights; the call extends its attention memo.
+pub fn rank(
+    model: &VeriBugModel,
+    state: &mut ExplainerState,
+    window: u32,
+    runs: &[LabelledTrace<'_>],
+    threshold: f32,
+    groups: usize,
+) -> Ranking {
+    let resolved = state.resolve(model, window, runs);
+    Ranking {
+        heatmap: state.grouped(&resolved, threshold, groups),
+        correct_map: state.correct_map(&resolved),
+        resolved,
+    }
 }
 
 #[cfg(test)]

@@ -4,6 +4,7 @@
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 use crate::mutation::{apply, enumerate_sites, MutationKind, MutationSite};
 use crate::observe::{golden_verdicts, run_lane_groups_mode, screen_with, LabelledRun, RunVerdict};
@@ -59,8 +60,10 @@ impl BugBudget {
 /// One injected-bug experiment: the mutant and its labelled co-simulation runs.
 #[derive(Debug, Clone)]
 pub struct Mutant {
-    /// The mutated module (statement ids match the golden design).
-    pub module: Module,
+    /// The mutant's elaborated netlist, shared with the simulator that
+    /// screened it; `netlist.module` is the mutated module (statement ids
+    /// match the golden design).
+    pub netlist: Arc<sim::Netlist>,
     /// Pretty-printed mutant source.
     pub source: String,
     /// The mutation that was injected.
@@ -203,8 +206,9 @@ impl Campaign {
 
         /// One screened-and-accepted candidate awaiting its records pass.
         /// Keeps the pass-1 simulator, whose netlist holds the mutant's one
-        /// module, so pass 2 forks it instead of re-elaborating the mutant,
-        /// and the pass-1 verdicts that label its runs.
+        /// module, so pass 2 forks it instead of re-elaborating the mutant
+        /// and the kept [`Mutant`] shares that netlist, and the pass-1
+        /// verdicts that label its runs.
         struct Accepted {
             source: String,
             site: MutationSite,
@@ -297,7 +301,7 @@ impl Campaign {
                 .map(|((trace, _), v)| LabelledRun::new(trace, v.divergence_cycles))
                 .collect();
             out.push(Mutant {
-                module: a.sim.netlist().module.clone(),
+                netlist: Arc::clone(a.sim.netlist()),
                 source: a.source,
                 site: a.site,
                 runs,

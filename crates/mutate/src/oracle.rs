@@ -10,6 +10,7 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 use crate::campaign::{shuffle, Prelude, WAVE};
 use crate::mutation::{apply, MutationKind, MutationSite};
@@ -118,7 +119,7 @@ pub fn run_single_pass(
                 let mut sim = Simulator::new(&module).ok()?;
                 let runs = cosimulate(&golden_runs, &mut sim, target, &stimuli).ok()?;
                 let observable = runs.iter().any(|r| r.label == TraceLabel::Failing);
-                Some((module, source, runs, observable))
+                Some((Arc::clone(sim.netlist()), source, runs, observable))
             });
             // Sequential merge in site order: duplicate and budget
             // decisions replay exactly as a serial pass would.
@@ -126,14 +127,14 @@ pub fn run_single_pass(
                 if produced >= want {
                     break;
                 }
-                let Some((module, source, runs, observable)) = cand else {
+                let Some((netlist, source, runs, observable)) = cand else {
                     continue;
                 };
                 if !seen_sources.insert(source.clone()) {
                     continue; // duplicate mutant
                 }
                 out.push(Mutant {
-                    module,
+                    netlist,
                     source,
                     site: (*site).clone(),
                     runs,

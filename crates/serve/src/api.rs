@@ -178,8 +178,8 @@ fn u64_field(obj: &Json, key: &str) -> Result<Option<u64>, ApiError> {
 ///
 /// `400` [`ApiError`]s for malformed JSON, missing required fields,
 /// wrongly-typed options, a `stim_seed` or `deadline_ms` that is not a
-/// `u64`, `runs × cycles` above [`MAX_RUN_CYCLES`], or a
-/// `hold_probability` outside `[0, 1]`.
+/// `u64`, a `threshold` that is not finite as an `f32`, `runs × cycles`
+/// above [`MAX_RUN_CYCLES`], or a `hold_probability` outside `[0, 1]`.
 pub fn parse_localize(body: &[u8]) -> Result<LocalizeRequest, ApiError> {
     let doc = parse_body(body)?;
     if doc.as_obj().is_none() {
@@ -199,6 +199,11 @@ pub fn parse_localize(body: &[u8]) -> Result<LocalizeRequest, ApiError> {
         opts.run_groups = usize_field(o, "run_groups", opts.run_groups)?;
         if let Some(t) = num_field(o, "threshold")? {
             opts.threshold = t as f32;
+            if !opts.threshold.is_finite() {
+                return Err(bad_field(format!(
+                    "field `threshold` must be a finite 32-bit number, got {t}"
+                )));
+            }
         }
         if let Some(s) = u64_field(o, "stim_seed")? {
             opts.stim_seed = s;
@@ -470,6 +475,20 @@ mod tests {
             let req = parse_localize(body(h).as_bytes()).unwrap();
             assert_eq!(req.opts.hold_probability, h.parse::<f64>().unwrap());
         }
+    }
+
+    #[test]
+    fn non_finite_threshold_is_400() {
+        let body = |t: &str| {
+            format!(r#"{{"golden":"g","buggy":"b","target":"y","options":{{"threshold":{t}}}}}"#)
+        };
+        for t in ["1e39", "-1e39"] {
+            let err = parse_localize(body(t).as_bytes()).unwrap_err();
+            assert_eq!((err.status, err.kind), (400, "bad_field"), "{t}");
+            assert!(err.message.contains("threshold"), "{}", err.message);
+        }
+        let req = parse_localize(body("3e38").as_bytes()).unwrap();
+        assert_eq!(req.opts.threshold, 3e38);
     }
 
     #[test]

@@ -327,6 +327,23 @@ where
     }
 }
 
+/// The `--runs`, `--cycles` and `--threshold` options `localize` and
+/// `explain` share; the threshold must be finite.
+fn localize_options(opts: &HashMap<String, String>) -> Result<LocalizeOptions, String> {
+    let threshold: f32 = numeric(opts, "threshold", DEFAULT_THRESHOLD)?;
+    if !threshold.is_finite() {
+        return Err(format!(
+            "bad value for --threshold: {threshold} is not finite"
+        ));
+    }
+    Ok(LocalizeOptions {
+        runs: numeric(opts, "runs", 160)?,
+        cycles: numeric(opts, "cycles", 16)?,
+        threshold,
+        ..LocalizeOptions::default()
+    })
+}
+
 fn load_module(path: &str) -> Result<verilog::Module, Box<dyn std::error::Error>> {
     let source = std::fs::read_to_string(path).map_err(|e| format!("cannot read `{path}`: {e}"))?;
     Ok(verilog::parse(&source)
@@ -373,6 +390,7 @@ fn cmd_train(opts: &HashMap<String, String>) -> CmdResult {
 }
 
 fn cmd_explain(opts: &HashMap<String, String>) -> CmdResult {
+    let localize_opts = localize_options(opts)?;
     let (golden, buggy) = {
         let _span = obs::span("parse");
         (
@@ -387,12 +405,6 @@ fn cmd_explain(opts: &HashMap<String, String>) -> CmdResult {
     let model = match opts.get("model") {
         Some(path) => persist::load(path)?,
         None => VeriBugModel::new(ModelConfig::default()),
-    };
-    let localize_opts = LocalizeOptions {
-        runs: numeric(opts, "runs", 160)?,
-        cycles: numeric(opts, "cycles", 16)?,
-        threshold: numeric(opts, "threshold", DEFAULT_THRESHOLD)?,
-        ..LocalizeOptions::default()
     };
     let report = localize::run(&model, &golden, &buggy, target, &localize_opts)?;
     let rendered = if opts.contains_key("attention") {
@@ -417,6 +429,7 @@ fn cmd_explain(opts: &HashMap<String, String>) -> CmdResult {
 }
 
 fn cmd_localize(opts: &HashMap<String, String>) -> CmdResult {
+    let localize_opts = localize_options(opts)?;
     let (golden, buggy) = {
         let _span = obs::span("parse");
         (
@@ -426,12 +439,6 @@ fn cmd_localize(opts: &HashMap<String, String>) -> CmdResult {
     };
     let target = required(opts, "target")?;
     let model = persist::load(required(opts, "model")?)?;
-    let localize_opts = LocalizeOptions {
-        runs: numeric(opts, "runs", 160)?,
-        cycles: numeric(opts, "cycles", 16)?,
-        threshold: numeric(opts, "threshold", DEFAULT_THRESHOLD)?,
-        ..LocalizeOptions::default()
-    };
     let ansi = opts.contains_key("ansi");
 
     let report = localize::run(&model, &golden, &buggy, target, &localize_opts)?;

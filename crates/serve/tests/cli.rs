@@ -112,6 +112,22 @@ fn positional_arguments_are_rejected() {
 }
 
 #[test]
+fn non_finite_threshold_is_rejected() {
+    for t in ["nan", "inf"] {
+        let out = Command::new(BIN)
+            .args([
+                "localize", "--golden", "g.v", "--buggy", "b.v", "--target", "y",
+            ])
+            .args(["--model", "m.vbm", "--threshold", t])
+            .output()
+            .expect("run");
+        assert!(!out.status.success(), "--threshold {t} exits nonzero");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("bad value for --threshold"), "{stderr}");
+    }
+}
+
+#[test]
 fn missing_required_option_fails() {
     let out = Command::new(BIN).arg("train").output().expect("run");
     assert!(!out.status.success());

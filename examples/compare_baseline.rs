@@ -12,10 +12,12 @@ use veribug_suite::mutate::{BugBudget, Campaign};
 use veribug_suite::rvdg::{Generator, RvdgConfig};
 use veribug_suite::sim::TraceLabel;
 use veribug_suite::veribug::{
-    coverage::localize_mutant,
+    coverage::{labelled_traces, DEFAULT_RUN_GROUPS},
+    explain::DEFAULT_FAILURE_WINDOW,
+    localize::rank,
     model::{ModelConfig, VeriBugModel},
     train::{self, Dataset, TrainConfig},
-    DEFAULT_THRESHOLD,
+    ExplainerState, DEFAULT_THRESHOLD,
 };
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -59,8 +61,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     for m in mutants.iter().filter(|m| m.observable) {
         observable += 1;
-        let vb = localize_mutant(&model, m, &target, DEFAULT_THRESHOLD);
-        if vb.localized {
+        let mut state = ExplainerState::new(&m.netlist, &target);
+        let heatmap = rank(
+            &model,
+            &mut state,
+            DEFAULT_FAILURE_WINDOW,
+            &labelled_traces(m),
+            DEFAULT_THRESHOLD,
+            DEFAULT_RUN_GROUPS,
+        )
+        .heatmap;
+        let localized = heatmap.top1() == Some(m.site.stmt);
+        if localized {
             veribug_hits += 1;
         }
         let runs: Vec<(TraceLabel, &veribug_suite::sim::Trace)> =
@@ -69,7 +81,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let mut row = format!(
             "{:<26} {:>10}",
             format!("{} at {}", m.site.kind, m.site.stmt),
-            if vb.localized { "hit" } else { "-" }
+            if localized { "hit" } else { "-" }
         );
         for (i, f) in SpectrumFormula::ALL.iter().enumerate() {
             let hit = top1(&spectra, *f) == Some(m.site.stmt);

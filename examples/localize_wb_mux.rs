@@ -9,11 +9,12 @@ use veribug_suite::designs;
 use veribug_suite::mutate::{BugBudget, Campaign};
 use veribug_suite::rvdg::{Generator, RvdgConfig};
 use veribug_suite::veribug::{
-    coverage::{labelled_traces, localize_mutant_with},
+    coverage::{labelled_traces, DEFAULT_RUN_GROUPS},
+    localize::rank,
     model::{ModelConfig, VeriBugModel},
     render::render_comparison,
     train::{self, Dataset, TrainConfig},
-    Coverage, Explainer, DEFAULT_THRESHOLD,
+    Coverage, ExplainerState, DEFAULT_THRESHOLD,
 };
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -74,28 +75,31 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 continue;
             }
             cov.observable += 1;
-            let out = localize_mutant_with(&model, m, target, thr, window);
-            if out.localized {
+            let mut state = ExplainerState::new(&m.netlist, target);
+            let runs = labelled_traces(m);
+            let heatmap = rank(&model, &mut state, window, &runs, thr, DEFAULT_RUN_GROUPS).heatmap;
+            let top1 = heatmap.top1();
+            let localized = top1 == Some(m.site.stmt);
+            if localized {
                 cov.localized += 1;
             }
             println!(
                 "  [{}] at {} -> top-1 {:?} ({}{})",
                 m.site.kind,
                 m.site.stmt,
-                out.top1,
-                if out.localized { "LOCALIZED" } else { "missed" },
-                out.bug_suspiciousness
-                    .map(|s| format!(", bug suspiciousness {s:.3}"))
+                top1,
+                if localized { "LOCALIZED" } else { "missed" },
+                heatmap
+                    .entries
+                    .get(&m.site.stmt)
+                    .map(|e| format!(", bug suspiciousness {:.3}", e.suspiciousness))
                     .unwrap_or_default(),
             );
-            if !shown && out.localized {
-                let mut ex = Explainer::new(&model, &m.module, target).with_failure_window(window);
-                let runs = labelled_traces(m);
-                let (h, _f, c) = ex.explain(&runs, DEFAULT_THRESHOLD);
-                println!(
-                    "\n-- heatmap --\n{}",
-                    render_comparison(&m.module, &h, &c, false)
-                );
+            if !shown && localized {
+                let single = rank(&model, &mut state, window, &runs, DEFAULT_THRESHOLD, 1);
+                let (h, c) = (&single.heatmap, &single.correct_map);
+                let rendered = render_comparison(&m.netlist.module, h, c, false);
+                println!("\n-- heatmap --\n{rendered}");
                 shown = true;
             }
         }

@@ -9,11 +9,13 @@
 use veribug_suite::mutate::{BugBudget, Campaign};
 use veribug_suite::rvdg::{Generator, RvdgConfig};
 use veribug_suite::veribug::{
-    coverage::{labelled_traces, localize_mutant},
+    coverage::{labelled_traces, DEFAULT_RUN_GROUPS},
+    explain::DEFAULT_FAILURE_WINDOW,
+    localize::rank,
     model::{ModelConfig, VeriBugModel},
     render::render_comparison,
     train::{self, Dataset, TrainConfig},
-    Explainer, DEFAULT_THRESHOLD,
+    ExplainerState, DEFAULT_THRESHOLD,
 };
 use veribug_suite::verilog;
 
@@ -69,24 +71,36 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("\n== localization ==");
     let mut shown = false;
     for m in mutants.iter().filter(|m| m.observable) {
-        let outcome = localize_mutant(&model, m, "gnt1", DEFAULT_THRESHOLD);
+        let mut state = ExplainerState::new(&m.netlist, "gnt1");
+        let (runs, window) = (labelled_traces(m), DEFAULT_FAILURE_WINDOW);
+        let ranking = rank(
+            &model,
+            &mut state,
+            window,
+            &runs,
+            DEFAULT_THRESHOLD,
+            DEFAULT_RUN_GROUPS,
+        );
+        let top1 = ranking.heatmap.top1();
         println!(
             "bug [{}] at {} -> top-1 {:?} ({})",
             m.site.kind,
             m.site.stmt,
-            outcome.top1,
-            if outcome.localized {
+            top1,
+            if top1 == Some(m.site.stmt) {
                 "LOCALIZED"
             } else {
                 "missed"
             },
         );
         if !shown {
-            let mut explainer = Explainer::new(&model, &m.module, "gnt1");
-            let runs = labelled_traces(m);
-            let (heatmap, _f_map, c_map) = explainer.explain(&runs, DEFAULT_THRESHOLD);
+            let single = rank(&model, &mut state, window, &runs, DEFAULT_THRESHOLD, 1);
+            let (heatmap, c_map) = (&single.heatmap, &single.correct_map);
             println!("\n-- heatmap (C_t vs H_t) for this mutant --");
-            print!("{}", render_comparison(&m.module, &heatmap, &c_map, false));
+            print!(
+                "{}",
+                render_comparison(&m.netlist.module, heatmap, c_map, false)
+            );
             shown = true;
         }
     }

@@ -4,10 +4,10 @@
 
 use veribug_suite::sim::{Simulator, Stimulus, TestbenchGen, Value};
 use veribug_suite::veribug::{
-    coverage::grouped_heatmap,
-    explain::LabelledTrace,
+    explain::{LabelledTrace, DEFAULT_FAILURE_WINDOW},
+    localize::rank,
     model::{ModelConfig, VeriBugModel},
-    persist, Explainer, StatementFeatures, DEFAULT_THRESHOLD,
+    persist, ExplainerState, StatementFeatures, DEFAULT_THRESHOLD,
 };
 use veribug_suite::verilog::{self, ParseError};
 
@@ -175,11 +175,19 @@ fn explainer_with_no_runs_yields_empty_heatmap() {
             .top()
             .clone();
     let model = VeriBugModel::new(ModelConfig::default());
-    let mut ex = Explainer::new(&model, &module, "y");
-    let (heatmap, f_map, c_map) = ex.explain(&[], DEFAULT_THRESHOLD);
-    assert!(heatmap.is_empty());
-    assert!(f_map.is_empty());
-    assert!(c_map.is_empty());
+    let sim = Simulator::new(&module).unwrap();
+    let mut state = ExplainerState::new(sim.netlist(), "y");
+    let ranking = rank(
+        &model,
+        &mut state,
+        DEFAULT_FAILURE_WINDOW,
+        &[],
+        DEFAULT_THRESHOLD,
+        1,
+    );
+    assert!(ranking.heatmap.is_empty());
+    assert!(ranking.failing_map(&state).is_empty());
+    assert!(ranking.correct_map.is_empty());
 }
 
 #[test]
@@ -197,9 +205,17 @@ fn grouped_heatmap_with_more_groups_than_runs_is_safe() {
         veribug_suite::sim::TraceLabel::Failing,
         &trace,
     )];
-    let mut ex = Explainer::new(&model, &module, "y");
+    let mut state = ExplainerState::new(sim.netlist(), "y");
     // 8 groups over 1 run must not panic and must still use the run.
-    let heatmap = grouped_heatmap(&mut ex, &runs, DEFAULT_THRESHOLD, 8);
+    let heatmap = rank(
+        &model,
+        &mut state,
+        DEFAULT_FAILURE_WINDOW,
+        &runs,
+        DEFAULT_THRESHOLD,
+        8,
+    )
+    .heatmap;
     // With no correct traces and no failure cycles the whole trace is F_t;
     // C_t is empty, so the statement lands in the heatmap as only-in-failing.
     assert_eq!(heatmap.len(), 1);
@@ -212,10 +228,18 @@ fn explainer_target_without_slice_is_empty() {
         .top()
         .clone();
     let model = VeriBugModel::new(ModelConfig::default());
-    let mut ex = Explainer::new(&model, &module, "ghost");
-    assert!(ex.slice().is_empty());
-    let (heatmap, _, _) = ex.explain(&[], DEFAULT_THRESHOLD);
-    assert!(heatmap.is_empty());
+    let sim = Simulator::new(&module).unwrap();
+    let mut state = ExplainerState::new(sim.netlist(), "ghost");
+    assert!(state.slice().is_empty());
+    let ranking = rank(
+        &model,
+        &mut state,
+        DEFAULT_FAILURE_WINDOW,
+        &[],
+        DEFAULT_THRESHOLD,
+        1,
+    );
+    assert!(ranking.heatmap.is_empty());
 }
 
 // ---- persistence tampering ----

@@ -7,9 +7,11 @@ use veribug_suite::rvdg::{Generator, RvdgConfig};
 use veribug_suite::sim::{Simulator, TestbenchGen, TraceLabel};
 use veribug_suite::veribug::{
     coverage::{coverage_for_mutants, labelled_traces},
+    explain::DEFAULT_FAILURE_WINDOW,
+    localize::rank,
     model::{ModelConfig, VeriBugModel},
     train::{self, Dataset, TrainConfig},
-    Explainer, StatementFeatures, DEFAULT_THRESHOLD,
+    ExplainerState, StatementFeatures, DEFAULT_THRESHOLD,
 };
 use veribug_suite::verilog;
 
@@ -140,11 +142,20 @@ fn explainer_maps_are_distributions_and_respect_slice() {
         .iter()
         .find(|m| m.observable)
         .expect("observable bug");
-    let mut ex = Explainer::new(&model, &m.module, "gnt1");
+    let mut state = ExplainerState::new(&m.netlist, "gnt1");
     let runs = labelled_traces(m);
-    let (heatmap, f_map, c_map) = ex.explain(&runs, DEFAULT_THRESHOLD);
+    let ranking = rank(
+        &model,
+        &mut state,
+        DEFAULT_FAILURE_WINDOW,
+        &runs,
+        DEFAULT_THRESHOLD,
+        1,
+    );
+    let f_map = ranking.failing_map(&state);
+    let (heatmap, c_map) = (ranking.heatmap, ranking.correct_map);
 
-    let slice = ex.slice().clone();
+    let slice = state.slice();
     for map in [&f_map, &c_map] {
         for (stmt, att) in &map.per_stmt {
             assert!(slice.contains(*stmt), "{stmt} outside slice");
