@@ -1,36 +1,22 @@
 //! Validates an exported observability file against the exporter schema.
 //!
-//! CI runs this against the trace emitted by `bench_pipeline --smoke --obs
-//! obs.json`:
+//! `ci/bench-smoke.sh` runs this against the trace emitted by
+//! `bench_pipeline --smoke --obs obs.json`:
 //!
 //! ```text
-//! obs_validate obs.json --require-span simulate --require-counter-nonzero sim.comb_skips \
+//! obs_validate obs.json --require-span bench.simulate --require-counter-nonzero sim.comb_skips \
 //!     --require-counter-nonzero sim.records_elided
 //! ```
 //!
-//! `--tracez` switches to the live `/tracez` page schema served by
-//! `veribug serve` (the CI serve job curls the endpoint and validates the
-//! capture):
-//!
-//! ```text
-//! obs_validate --tracez tracez.json --require-span serve.request
-//! ```
-//!
 //! `--accuracy` switches to the `BENCH_accuracy.json` schema produced by
-//! `accuracy_bench` (CI validates the smoke run's report):
+//! `accuracy_bench` (the same script validates the smoke run's report):
 //!
 //! ```text
 //! obs_validate --accuracy accuracy_smoke.json --require-counter-nonzero observable
 //! ```
 //!
-//! `--metricsz` switches to the `/metricsz` body schema served by
-//! `veribug serve` and the shard front; gauges are folded into the
-//! counter namespace so `--require-counter-nonzero` works against either
-//! (the CI store job requires the `store.*` counters):
-//!
-//! ```text
-//! obs_validate --metricsz metricsz.json --require-counter-nonzero store.hits
-//! ```
+//! The server's `/tracez` and `/metricsz` pages are schema-checked by the
+//! serve crate's tests through `veribug_obs::validate::{tracez, metricsz}`.
 //!
 //! Exit status is nonzero on a schema violation or an unmet requirement.
 
@@ -41,16 +27,12 @@ use veribug_obs::validate;
 fn main() -> ExitCode {
     let mut args = std::env::args().skip(1);
     let mut path = None;
-    let mut tracez = false;
     let mut accuracy = false;
-    let mut metricsz = false;
     let mut require_spans = Vec::new();
     let mut require_counters = Vec::new();
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--tracez" => tracez = true,
             "--accuracy" => accuracy = true,
-            "--metricsz" => metricsz = true,
             "--require-span" => match args.next() {
                 Some(name) => require_spans.push(name),
                 None => return usage("--require-span needs a value"),
@@ -76,10 +58,6 @@ fn main() -> ExitCode {
     };
     let result = if accuracy {
         validate::accuracy(&src)
-    } else if metricsz {
-        validate::metricsz(&src)
-    } else if tracez {
-        validate::tracez(&src)
     } else {
         validate::chrome_trace(&src)
     };
@@ -127,7 +105,7 @@ fn usage(err: &str) -> ExitCode {
         eprintln!("obs_validate: {err}");
     }
     eprintln!(
-        "usage: obs_validate [--tracez | --accuracy | --metricsz] <trace.json> \
+        "usage: obs_validate [--accuracy] <trace.json> \
          [--require-span NAME]... [--require-counter-nonzero NAME]..."
     );
     if err.is_empty() {

@@ -7,7 +7,7 @@ mod common;
 use std::io::{BufRead, BufReader};
 use std::net::SocketAddr;
 use std::path::PathBuf;
-use std::process::{Child, ChildStdout, Command, Stdio};
+use std::process::{Child, ChildStdout, Command, Output, Stdio};
 
 use common::{encode, request, request_with, start, stop, ResponseExt, BUGGY, GOLDEN};
 
@@ -32,10 +32,31 @@ fn banner_addr(line: &str) -> SocketAddr {
         .expect("address in banner")
 }
 
+/// A `veribug serve` child that is killed and reaped when dropped, so a
+/// failing assertion leaves no server running. `wait_with_output` takes
+/// it back on the success path.
+struct ServeChild(Option<Child>);
+
+impl ServeChild {
+    fn wait_with_output(mut self) -> Output {
+        let child = self.0.take().expect("child not yet reaped");
+        child.wait_with_output().expect("serve exits")
+    }
+}
+
+impl Drop for ServeChild {
+    fn drop(&mut self) {
+        if let Some(mut child) = self.0.take() {
+            let _ = child.kill();
+            let _ = child.wait();
+        }
+    }
+}
+
 /// Spawns `veribug serve` on an ephemeral port with `args` appended and
 /// returns the child, its stdout (kept open so late output never hits a
 /// closed pipe) and the address scraped from the banner.
-fn spawn_serve(args: &[&str], stderr: Stdio) -> (Child, BufReader<ChildStdout>, SocketAddr) {
+fn spawn_serve(args: &[&str], stderr: Stdio) -> (ServeChild, BufReader<ChildStdout>, SocketAddr) {
     let mut child = Command::new(BIN)
         .args(["serve", "--addr", "127.0.0.1:0", "--workers", "2"])
         .args(args)
@@ -44,11 +65,21 @@ fn spawn_serve(args: &[&str], stderr: Stdio) -> (Child, BufReader<ChildStdout>, 
         .spawn()
         .expect("spawn serve");
     let stdout = child.stdout.take().expect("piped stdout");
+    let child = ServeChild(Some(child));
     let mut reader = BufReader::new(stdout);
     let mut line = String::new();
     reader.read_line(&mut line).expect("banner line");
     let addr = banner_addr(&line);
     (child, reader, addr)
+}
+
+/// One counter or gauge (0 when absent) from `/metricsz`, whose body must
+/// pass its schema check. A `veribug serve` child's counters are its own;
+/// the in-process suites share one registry across concurrent tests.
+fn metric(addr: SocketAddr, name: &str) -> f64 {
+    let page = request(addr, "GET", "/metricsz", "");
+    let metrics = obs::validate::metricsz(&page.text()).expect("valid /metricsz");
+    metrics.counters.get(name).copied().unwrap_or(0.0)
 }
 
 fn scratch_dir(tag: &str) -> PathBuf {
@@ -464,22 +495,39 @@ fn explain_attention_is_thread_invariant_and_matches_server() {
 
 /// `veribug serve` end to end as a subprocess: scrape the ephemeral port
 /// from stdout, hit /healthz, drain via /v1/shutdown, and require a clean
-/// exit.
+/// exit. A second process booted over the first one's `--store` preloads
+/// both designs and answers its first localize from the cache.
 #[test]
 fn serve_subcommand_runs_and_drains() {
-    let (mut child, _stdout, addr) = spawn_serve(&["--quiet"], Stdio::null());
+    let store = scratch_dir("serve-store");
+    let args = ["--quiet", "--store", store.to_str().expect("utf-8 path")];
+    for (preloaded, cache) in [
+        (0.0, "golden=miss,buggy=miss"),
+        (2.0, "golden=hit,buggy=hit"),
+    ] {
+        let (child, _stdout, addr) = spawn_serve(&args, Stdio::null());
 
-    assert_eq!(
-        request(addr, "GET", "/healthz", "").status,
-        200,
-        "healthz is up"
-    );
+        assert_eq!(
+            request(addr, "GET", "/healthz", "").status,
+            200,
+            "healthz is up"
+        );
+        let status = request(addr, "GET", "/statusz", "").json();
+        let preload = status
+            .get("store")
+            .and_then(|s| s.get("preloaded")?.as_num());
+        assert_eq!(preload, Some(preloaded));
+        let resp = request(addr, "POST", "/v1/localize", &cli_equivalent_body());
+        assert_eq!(resp.header("x-veribug-cache"), Some(cache));
+        assert!(metric(addr, "store.bytes") > 0.0);
+        assert!(metric(addr, "store.hits") >= preloaded);
 
-    let resp = request(addr, "POST", "/v1/shutdown", "");
-    assert_eq!(resp.status, 200, "shutdown accepted: {}", resp.text());
-
-    let status = child.wait().expect("serve exits");
-    assert!(status.success(), "serve exits 0 after drain");
+        let resp = request(addr, "POST", "/v1/shutdown", "");
+        assert_eq!(resp.status, 200, "shutdown accepted: {}", resp.text());
+        let status = child.wait_with_output().status;
+        assert!(status.success(), "serve exits 0 after drain");
+    }
+    let _ = std::fs::remove_dir_all(&store);
 }
 
 /// A localize asking for more simulation than the server bounds is a 400
@@ -487,7 +535,7 @@ fn serve_subcommand_runs_and_drains() {
 /// Unbounded, `runs: 1e13` aborts the process on its stimulus allocation.
 #[test]
 fn serve_refuses_oversized_localize_and_stays_up() {
-    let (mut child, _stdout, addr) = spawn_serve(&["--quiet"], Stdio::null());
+    let (child, _stdout, addr) = spawn_serve(&["--quiet"], Stdio::null());
 
     let body = format!(
         "{{\"golden\":{},\"buggy\":{},\"target\":\"y\",\"options\":{{\"runs\":1e13}}}}",
@@ -501,7 +549,7 @@ fn serve_refuses_oversized_localize_and_stays_up() {
 
     let resp = request(addr, "POST", "/v1/shutdown", "");
     assert_eq!(resp.status, 200, "shutdown accepted: {}", resp.text());
-    assert!(child.wait().expect("serve exits").success());
+    assert!(child.wait_with_output().status.success());
 }
 
 /// With `--obs` the drain path renders the report, holding the served
@@ -530,13 +578,29 @@ fn serve_renders_the_obs_report_once_and_logs_access() {
         "",
     );
     assert_eq!(healthz.status, 200, "healthz is up");
-    let localize = request(addr, "POST", "/v1/localize", &cli_equivalent_body());
-    assert_eq!(localize.status, 200, "{}", localize.text());
+    // Twice, so the second is served from the golden-reference and
+    // explainer memos.
+    for _ in 0..2 {
+        let localize = request(addr, "POST", "/v1/localize", &cli_equivalent_body());
+        assert_eq!(localize.status, 200, "{}", localize.text());
+    }
+    // Every statement is in `y`'s slice, but `y`'s own lies outside
+    // `t`'s, so the records-only pass must skip its records.
+    let body = cli_equivalent_body().replace("\"target\":\"y\"", "\"target\":\"t\"");
+    assert_eq!(request(addr, "POST", "/v1/localize", &body).status, 200);
+    for name in [
+        "sim.records_skipped",
+        "sim.records_elided",
+        "serve.golden_ref.hits",
+        "serve.explainer.hits",
+    ] {
+        assert!(metric(addr, name) > 0.0, "{name}");
+    }
 
     let resp = request(addr, "POST", "/v1/shutdown", "");
     assert_eq!(resp.status, 200, "shutdown accepted: {}", resp.text());
 
-    let output = child.wait_with_output().expect("serve exits");
+    let output = child.wait_with_output();
     assert!(output.status.success(), "serve exits 0 after drain");
     let stderr = String::from_utf8_lossy(&output.stderr);
 
