@@ -8,9 +8,11 @@
 //!   one (e.g. `|` → `&`).
 //!
 //! One bug per mutated design; statement ids are preserved so the mutated
-//! statement can be compared against the golden design.
+//! statement can be compared against the golden design. A site names its
+//! operand by [`MutationSite::occurrence`], whose doc states the one
+//! occurrence order every site kind follows.
 
-use verilog::{Assignment, BinaryOp, Expr, Item, Module, Stmt, StmtId, UnaryOp};
+use verilog::{Assignment, BinaryOp, Expr, Module, StmtId, UnaryOp};
 
 /// The paper's three injected bug types.
 #[derive(
@@ -51,8 +53,16 @@ pub struct MutationSite {
     pub stmt: StmtId,
     /// The bug class.
     pub kind: MutationKind,
-    /// Occurrence index of the mutated node inside the statement's RHS
-    /// (idents for negation/misuse, binary ops for substitution).
+    /// Which node of the statement's RHS is mutated, counted in pre-order.
+    ///
+    /// Negation and misuse count signal occurrences in
+    /// [`Expr::referenced_signals`] order: occurrence `n` is the `n`-th
+    /// name that list holds. A `~ident` counts once, at its ident, and
+    /// negating it removes the `~`. A bit or part select counts once, at
+    /// its base, and negating it wraps the whole select; a bit select's
+    /// index expression is walked after its base. Substitution counts
+    /// binary operators, each before its operands, and only those with a
+    /// wrong-operator substitution.
     pub occurrence: usize,
     /// For [`MutationKind::VariableMisuse`]: the replacement signal name.
     pub replacement: Option<String>,
@@ -73,36 +83,34 @@ pub fn enumerate_sites(
                 continue;
             }
         }
-        // Negation + misuse: one site per ident occurrence in the RHS.
-        let idents = count_idents(&a.rhs);
-        for occ in 0..idents {
-            out.push(MutationSite {
-                stmt: a.id,
-                kind: MutationKind::Negation,
-                occurrence: occ,
-                replacement: None,
-                new_op: None,
-            });
-            for repl in misuse_candidates(module, a, occ) {
+        let site = |kind, occurrence| MutationSite {
+            stmt: a.id,
+            kind,
+            occurrence,
+            replacement: None,
+            new_op: None,
+        };
+        // Negation + misuse: one site per signal occurrence in the RHS.
+        for (occ, original) in a.rhs.referenced_signals().into_iter().enumerate() {
+            out.push(site(MutationKind::Negation, occ));
+            for repl in misuse_candidates(module, a, original) {
                 out.push(MutationSite {
-                    stmt: a.id,
-                    kind: MutationKind::VariableMisuse,
-                    occurrence: occ,
                     replacement: Some(repl),
-                    new_op: None,
+                    ..site(MutationKind::VariableMisuse, occ)
                 });
             }
         }
-        // Operation substitution: one site per substitutable binary op.
-        let ops = collect_ops(&a.rhs);
-        for (occ, op) in ops.iter().enumerate() {
+        // Operation substitution: one site per substitutable binary op,
+        // found by the same walker `apply` edits through (on a copy).
+        let mut rhs = a.rhs.clone();
+        for occ in 0.. {
+            let Some(Expr::Binary { op, .. }) = nth_site(&mut rhs, true, occ) else {
+                break;
+            };
             for new_op in substitutions_for(*op) {
                 out.push(MutationSite {
-                    stmt: a.id,
-                    kind: MutationKind::OperationSubstitution,
-                    occurrence: occ,
-                    replacement: None,
                     new_op: Some(new_op),
+                    ..site(MutationKind::OperationSubstitution, occ)
                 });
             }
         }
@@ -113,38 +121,97 @@ pub fn enumerate_sites(
 /// Applies a mutation site to a module, returning the mutated clone.
 ///
 /// Statement ids are preserved. Returns `None` when the site does not apply
-/// (stale occurrence index, unknown statement).
+/// (unknown statement, stale occurrence index, or a misuse or substitution
+/// site without its replacement).
 pub fn apply(module: &Module, site: &MutationSite) -> Option<Module> {
     let mut mutated = module.clone();
-    let mut applied = false;
-    for_each_assignment_mut(&mut mutated, |a| {
-        if a.id != site.stmt || applied {
-            return None;
-        }
-        applied = match site.kind {
-            MutationKind::Negation => toggle_negation(&mut a.rhs, &mut site.occurrence.clone()),
-            MutationKind::VariableMisuse => {
-                let repl = site.replacement.clone().unwrap_or_default();
-                rename_ident(&mut a.rhs, &mut site.occurrence.clone(), &repl)
+    let rhs = &mut mutated.assignment_mut(site.stmt)?.rhs;
+    let operators = site.kind == MutationKind::OperationSubstitution;
+    let node = nth_site(rhs, operators, site.occurrence)?;
+    match site.kind {
+        MutationKind::Negation => {
+            *node = match node.clone() {
+                // The one unary site is a `~ident`: drop its `~`.
+                Expr::Unary { operand, .. } => *operand,
+                other => Expr::Unary {
+                    op: UnaryOp::Not,
+                    span: other.span(),
+                    operand: Box::new(other),
+                },
             }
-            MutationKind::OperationSubstitution => {
-                let new_op = site.new_op?;
-                replace_op(&mut a.rhs, &mut site.occurrence.clone(), new_op)
+        }
+        MutationKind::VariableMisuse => {
+            let repl = site.replacement.clone()?;
+            let named = match node {
+                Expr::Unary { operand, .. } => &mut **operand,
+                other => other,
+            };
+            if let Expr::Ident { name, .. }
+            | Expr::Index { base: name, .. }
+            | Expr::Part { base: name, .. } = named
+            {
+                *name = repl;
             }
         }
-        .is_some();
-        Some(())
-    });
-    applied.then_some(mutated)
+        MutationKind::OperationSubstitution => {
+            if let Expr::Binary { op, .. } = node {
+                *op = site.new_op?;
+            }
+        }
+    }
+    Some(mutated)
 }
 
-/// Candidate same-width replacement names for the `occ`-th ident of `a`'s
-/// RHS, ranked by name similarity (most similar first, at most 3).
-fn misuse_candidates(module: &Module, a: &Assignment, occ: usize) -> Vec<String> {
-    let Some(original) = nth_ident(&a.rhs, occ) else {
-        return Vec::new();
-    };
-    let width = module.width_of(&original).unwrap_or(1);
+/// The `n`-th site node of `e` in the [`MutationSite::occurrence`] order:
+/// substitutable binary operators when `operators`, else signal
+/// occurrences (an ident, a `~ident`, or a bit/part select).
+fn nth_site(e: &mut Expr, operators: bool, mut n: usize) -> Option<&mut Expr> {
+    fn walk<'e>(e: &'e mut Expr, operators: bool, n: &mut usize) -> Option<&'e mut Expr> {
+        let site = match &*e {
+            Expr::Unary {
+                op: UnaryOp::Not,
+                operand,
+                ..
+            } => !operators && matches!(**operand, Expr::Ident { .. }),
+            Expr::Ident { .. } | Expr::Index { .. } | Expr::Part { .. } => !operators,
+            Expr::Binary { op, .. } => operators && !substitutions_for(*op).is_empty(),
+            _ => false,
+        };
+        if site {
+            if *n == 0 {
+                return Some(e);
+            }
+            *n -= 1;
+        }
+        match e {
+            // A `~ident` site was counted above, at its ident.
+            Expr::Unary { operand, .. } if !site => walk(operand, operators, n),
+            Expr::Binary { lhs, rhs, .. } => {
+                walk(lhs, operators, n).or_else(|| walk(rhs, operators, n))
+            }
+            Expr::Ternary {
+                cond,
+                then_expr,
+                else_expr,
+                ..
+            } => walk(cond, operators, n)
+                .or_else(|| walk(then_expr, operators, n))
+                .or_else(|| walk(else_expr, operators, n)),
+            Expr::Index { index, .. } => walk(index, operators, n),
+            Expr::Concat { parts, .. } => parts.iter_mut().find_map(|p| walk(p, operators, n)),
+            Expr::Repeat { inner, .. } => walk(inner, operators, n),
+            Expr::Unary { .. } | Expr::Ident { .. } | Expr::Literal { .. } | Expr::Part { .. } => {
+                None
+            }
+        }
+    }
+    walk(e, operators, &mut n)
+}
+
+/// Candidate same-width replacement names for the signal `original` read
+/// by `a`'s RHS, ranked by name similarity (most similar first, at most 3).
+fn misuse_candidates(module: &Module, a: &Assignment, original: &str) -> Vec<String> {
+    let width = module.width_of(original).unwrap_or(1);
     let mut cands: Vec<(usize, String)> = Vec::new();
     let mut consider = |name: &str| {
         if name == original || name == a.lhs.base {
@@ -155,7 +222,7 @@ fn misuse_candidates(module: &Module, a: &Assignment, occ: usize) -> Vec<String>
             return;
         }
         if module.width_of(name) == Some(width) {
-            cands.push((levenshtein(&original, name), name.to_owned()));
+            cands.push((levenshtein(original, name), name.to_owned()));
         }
     };
     for p in &module.ports {
@@ -187,284 +254,6 @@ fn substitutions_for(op: BinaryOp) -> Vec<BinaryOp> {
         BinaryOp::Add => vec![BinaryOp::Sub],
         BinaryOp::Sub => vec![BinaryOp::Add],
         _ => Vec::new(),
-    }
-}
-
-// ---- AST walking helpers ----
-
-/// Calls `f` on every assignment of the module (mutably). `f` returning
-/// `Some(())` is ignored; it exists so callers can use `?` internally.
-fn for_each_assignment_mut(module: &mut Module, mut f: impl FnMut(&mut Assignment) -> Option<()>) {
-    fn walk(stmts: &mut [Stmt], f: &mut impl FnMut(&mut Assignment) -> Option<()>) {
-        for s in stmts {
-            match s {
-                Stmt::Assign(a) => {
-                    let _ = f(a);
-                }
-                Stmt::If(i) => {
-                    walk(&mut i.then_branch, f);
-                    walk(&mut i.else_branch, f);
-                }
-                Stmt::Case(c) => {
-                    for arm in &mut c.arms {
-                        walk(&mut arm.body, f);
-                    }
-                    walk(&mut c.default, f);
-                }
-            }
-        }
-    }
-    for item in &mut module.items {
-        match item {
-            Item::Assign(a) => {
-                let _ = f(a);
-            }
-            Item::Always(b) => walk(&mut b.body, &mut f),
-        }
-    }
-}
-
-fn count_idents(e: &Expr) -> usize {
-    match e {
-        Expr::Ident { .. } => 1,
-        Expr::Literal { .. } => 0,
-        Expr::Unary { operand, .. } => count_idents(operand),
-        Expr::Binary { lhs, rhs, .. } => count_idents(lhs) + count_idents(rhs),
-        Expr::Ternary {
-            cond,
-            then_expr,
-            else_expr,
-            ..
-        } => count_idents(cond) + count_idents(then_expr) + count_idents(else_expr),
-        Expr::Index { index, .. } => 1 + count_idents(index),
-        Expr::Part { .. } => 1,
-        Expr::Concat { parts, .. } => parts.iter().map(count_idents).sum(),
-        Expr::Repeat { inner, .. } => count_idents(inner),
-    }
-}
-
-fn nth_ident(e: &Expr, n: usize) -> Option<String> {
-    let mut counter = n;
-    find_ident(e, &mut counter)
-}
-
-fn find_ident(e: &Expr, counter: &mut usize) -> Option<String> {
-    let take = |name: &str, counter: &mut usize| {
-        if *counter == 0 {
-            Some(name.to_owned())
-        } else {
-            *counter -= 1;
-            None
-        }
-    };
-    match e {
-        Expr::Ident { name, .. } => take(name, counter),
-        Expr::Literal { .. } => None,
-        Expr::Unary { operand, .. } => find_ident(operand, counter),
-        Expr::Binary { lhs, rhs, .. } => {
-            find_ident(lhs, counter).or_else(|| find_ident(rhs, counter))
-        }
-        Expr::Ternary {
-            cond,
-            then_expr,
-            else_expr,
-            ..
-        } => find_ident(cond, counter)
-            .or_else(|| find_ident(then_expr, counter))
-            .or_else(|| find_ident(else_expr, counter)),
-        Expr::Index { base, index, .. } => {
-            take(base, counter).or_else(|| find_ident(index, counter))
-        }
-        Expr::Part { base, .. } => take(base, counter),
-        Expr::Concat { parts, .. } => parts.iter().find_map(|p| find_ident(p, counter)),
-        Expr::Repeat { inner, .. } => find_ident(inner, counter),
-    }
-}
-
-/// Toggles `~` on the `counter`-th ident occurrence (pre-order).
-fn toggle_negation(e: &mut Expr, counter: &mut usize) -> Option<()> {
-    // Removal case: `~ident` where the ident is the targeted occurrence.
-    if let Expr::Unary {
-        op: UnaryOp::Not,
-        operand,
-        ..
-    } = e
-    {
-        if matches!(**operand, Expr::Ident { .. }) {
-            if *counter == 0 {
-                *e = (**operand).clone();
-                return Some(());
-            }
-            *counter -= 1;
-            return None;
-        }
-    }
-    // A bit/part select counts as one occurrence at its base; negating it
-    // wraps the whole select expression.
-    if matches!(e, Expr::Index { .. } | Expr::Part { .. }) {
-        if *counter == 0 {
-            let span = e.span();
-            let inner = e.clone();
-            *e = Expr::Unary {
-                op: UnaryOp::Not,
-                operand: Box::new(inner),
-                span,
-            };
-            return Some(());
-        }
-        *counter -= 1;
-        if let Expr::Index { index, .. } = e {
-            return toggle_negation(index, counter);
-        }
-        return None;
-    }
-    match e {
-        Expr::Ident { name, span } => {
-            if *counter == 0 {
-                let ident = Expr::Ident {
-                    name: name.clone(),
-                    span: *span,
-                };
-                *e = Expr::Unary {
-                    op: UnaryOp::Not,
-                    operand: Box::new(ident),
-                    span: *span,
-                };
-                Some(())
-            } else {
-                *counter -= 1;
-                None
-            }
-        }
-        Expr::Literal { .. } => None,
-        Expr::Unary { operand, .. } => toggle_negation(operand, counter),
-        Expr::Binary { lhs, rhs, .. } => {
-            toggle_negation(lhs, counter).or_else(|| toggle_negation(rhs, counter))
-        }
-        Expr::Ternary {
-            cond,
-            then_expr,
-            else_expr,
-            ..
-        } => toggle_negation(cond, counter)
-            .or_else(|| toggle_negation(then_expr, counter))
-            .or_else(|| toggle_negation(else_expr, counter)),
-        // Handled by the wrap-case above.
-        Expr::Index { .. } | Expr::Part { .. } => None,
-        Expr::Concat { parts, .. } => parts.iter_mut().find_map(|p| toggle_negation(p, counter)),
-        Expr::Repeat { inner, .. } => toggle_negation(inner, counter),
-    }
-}
-
-/// Renames the `counter`-th ident occurrence to `replacement`.
-fn rename_ident(e: &mut Expr, counter: &mut usize, replacement: &str) -> Option<()> {
-    match e {
-        Expr::Ident { name, .. } => {
-            if *counter == 0 {
-                *name = replacement.to_owned();
-                Some(())
-            } else {
-                *counter -= 1;
-                None
-            }
-        }
-        Expr::Literal { .. } => None,
-        Expr::Unary { operand, .. } => rename_ident(operand, counter, replacement),
-        Expr::Binary { lhs, rhs, .. } => rename_ident(lhs, counter, replacement)
-            .or_else(|| rename_ident(rhs, counter, replacement)),
-        Expr::Ternary {
-            cond,
-            then_expr,
-            else_expr,
-            ..
-        } => rename_ident(cond, counter, replacement)
-            .or_else(|| rename_ident(then_expr, counter, replacement))
-            .or_else(|| rename_ident(else_expr, counter, replacement)),
-        Expr::Index { base, index, .. } => {
-            if *counter == 0 {
-                *base = replacement.to_owned();
-                Some(())
-            } else {
-                *counter -= 1;
-                rename_ident(index, counter, replacement)
-            }
-        }
-        Expr::Part { base, .. } => {
-            if *counter == 0 {
-                *base = replacement.to_owned();
-                Some(())
-            } else {
-                *counter -= 1;
-                None
-            }
-        }
-        Expr::Concat { parts, .. } => parts
-            .iter_mut()
-            .find_map(|p| rename_ident(p, counter, replacement)),
-        Expr::Repeat { inner, .. } => rename_ident(inner, counter, replacement),
-    }
-}
-
-fn collect_ops(e: &Expr) -> Vec<BinaryOp> {
-    let mut out = Vec::new();
-    fn walk(e: &Expr, out: &mut Vec<BinaryOp>) {
-        match e {
-            Expr::Binary { op, lhs, rhs, .. } => {
-                if !substitutions_for(*op).is_empty() {
-                    out.push(*op);
-                }
-                walk(lhs, out);
-                walk(rhs, out);
-            }
-            Expr::Unary { operand, .. } => walk(operand, out),
-            Expr::Ternary {
-                cond,
-                then_expr,
-                else_expr,
-                ..
-            } => {
-                walk(cond, out);
-                walk(then_expr, out);
-                walk(else_expr, out);
-            }
-            Expr::Index { index, .. } => walk(index, out),
-            Expr::Concat { parts, .. } => parts.iter().for_each(|p| walk(p, out)),
-            Expr::Repeat { inner, .. } => walk(inner, out),
-            Expr::Ident { .. } | Expr::Literal { .. } | Expr::Part { .. } => {}
-        }
-    }
-    walk(e, &mut out);
-    out
-}
-
-/// Replaces the `counter`-th substitutable binary op (pre-order).
-fn replace_op(e: &mut Expr, counter: &mut usize, new_op: BinaryOp) -> Option<()> {
-    match e {
-        Expr::Binary { op, lhs, rhs, .. } => {
-            if !substitutions_for(*op).is_empty() {
-                if *counter == 0 {
-                    *op = new_op;
-                    return Some(());
-                }
-                *counter -= 1;
-            }
-            replace_op(lhs, counter, new_op).or_else(|| replace_op(rhs, counter, new_op))
-        }
-        Expr::Unary { operand, .. } => replace_op(operand, counter, new_op),
-        Expr::Ternary {
-            cond,
-            then_expr,
-            else_expr,
-            ..
-        } => replace_op(cond, counter, new_op)
-            .or_else(|| replace_op(then_expr, counter, new_op))
-            .or_else(|| replace_op(else_expr, counter, new_op)),
-        Expr::Index { index, .. } => replace_op(index, counter, new_op),
-        Expr::Concat { parts, .. } => parts
-            .iter_mut()
-            .find_map(|p| replace_op(p, counter, new_op)),
-        Expr::Repeat { inner, .. } => replace_op(inner, counter, new_op),
-        Expr::Ident { .. } | Expr::Literal { .. } | Expr::Part { .. } => None,
     }
 }
 
@@ -549,6 +338,48 @@ mod tests {
         let mutated = apply(&m, misuse[0]).unwrap();
         let printed = verilog::print_expr(&mutated.assignments()[0].rhs);
         assert!(printed.contains(first));
+    }
+
+    #[test]
+    fn a_select_counts_once_at_its_base_before_its_index() {
+        let m = module(
+            "module m(input [3:0] v, input [1:0] i, input [1:0] j, output y);\nassign y = v[i] & ~v[3:2];\nendmodule",
+        );
+        let mutant = |occurrence, kind, replacement: Option<&str>| {
+            let site = MutationSite {
+                stmt: StmtId(0),
+                kind,
+                occurrence,
+                replacement: replacement.map(str::to_owned),
+                new_op: None,
+            };
+            apply(&m, &site).map(|x| verilog::print_expr(&x.assignments()[0].rhs))
+        };
+        let negated = |occurrence| mutant(occurrence, MutationKind::Negation, None);
+        assert_eq!(negated(0).unwrap(), "((~v[i]) & (~v[3:2]))");
+        assert_eq!(negated(1).unwrap(), "(v[(~i)] & (~v[3:2]))");
+        assert_eq!(negated(2).unwrap(), "(v[i] & (~(~v[3:2])))");
+        assert_eq!(negated(3), None);
+        let renamed = mutant(1, MutationKind::VariableMisuse, Some("j"));
+        assert_eq!(renamed.unwrap(), "(v[j] & (~v[3:2]))");
+    }
+
+    #[test]
+    fn sites_without_their_replacement_do_not_apply() {
+        let m = module(SRC);
+        let misuse = MutationSite {
+            stmt: StmtId(0),
+            kind: MutationKind::VariableMisuse,
+            occurrence: 0,
+            replacement: None,
+            new_op: None,
+        };
+        assert_eq!(apply(&m, &misuse), None);
+        let substitution = MutationSite {
+            kind: MutationKind::OperationSubstitution,
+            ..misuse
+        };
+        assert_eq!(apply(&m, &substitution), None);
     }
 
     #[test]

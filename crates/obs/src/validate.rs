@@ -337,8 +337,9 @@ pub fn accuracy(src: &str) -> Result<Validated, String> {
 /// histogram, and a numeric `dropped_events`.
 ///
 /// The returned [`Validated`] merges counters *and* gauges into
-/// `counters`, so `--require-counter-nonzero` works against either (e.g.
-/// `store.hits`, a counter, or `store.bytes`, a gauge).
+/// `counters`, so one lookup by name reads either: the `veribug serve`
+/// CLI tests read `store.hits` (a counter) and `store.bytes` (a gauge)
+/// the same way.
 ///
 /// # Errors
 ///

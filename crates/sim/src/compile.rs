@@ -26,7 +26,7 @@ use crate::error::SimError;
 use crate::netlist::{Netlist, SignalId, SignalRole};
 use crate::value::Value;
 use verilog::Span;
-use verilog::{Assignment, BinaryOp, Expr, Item, Select, Stmt, StmtId, UnaryOp};
+use verilog::{Assignment, BinaryOp, Expr, Select, Stmt, StmtId, UnaryOp};
 
 /// One expression instruction. Slots index the value slab; `sig` fields
 /// index the netlist's signal values. The batch engine evaluates each op on
@@ -179,13 +179,8 @@ fn levelized(netlist: &Netlist) -> Option<Analysis> {
         }
     }
     for &i in &netlist.seq {
-        let mut bases = Vec::new();
-        match &netlist.module.items[i] {
-            Item::Assign(a) => bases.push(a.lhs.base.as_str()),
-            Item::Always(blk) => collect_write_bases(&blk.body, &mut bases),
-        }
-        for base in bases {
-            let id = netlist.signal_id(base)?;
+        for a in netlist.module.items[i].assignments() {
+            let id = netlist.signal_id(&a.lhs.base)?;
             if comb_written.contains(&id.0) {
                 return None;
             }
@@ -196,25 +191,6 @@ fn levelized(netlist: &Netlist) -> Option<Analysis> {
         fanin,
         settle: false,
     })
-}
-
-/// Collects the base names of every assignment target in a statement tree.
-fn collect_write_bases<'s>(stmts: &'s [Stmt], out: &mut Vec<&'s str>) {
-    for s in stmts {
-        match s {
-            Stmt::Assign(a) => out.push(&a.lhs.base),
-            Stmt::If(i) => {
-                collect_write_bases(&i.then_branch, out);
-                collect_write_bases(&i.else_branch, out);
-            }
-            Stmt::Case(c) => {
-                for arm in &c.arms {
-                    collect_write_bases(&arm.body, out);
-                }
-                collect_write_bases(&c.default, out);
-            }
-        }
-    }
 }
 
 /// The width of the constant part select `base[msb:lsb]`.

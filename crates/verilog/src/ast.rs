@@ -145,10 +145,7 @@ impl Module {
     pub fn assignments(&self) -> Vec<&Assignment> {
         let mut out = Vec::new();
         for item in &self.items {
-            match item {
-                Item::Assign(a) => out.push(a),
-                Item::Always(b) => collect_assignments(&b.body, &mut out),
-            }
+            item.collect_assignments(&mut out);
         }
         out
     }
@@ -156,6 +153,14 @@ impl Module {
     /// Looks up an assignment by its stable id.
     pub fn assignment(&self, id: StmtId) -> Option<&Assignment> {
         self.assignments().into_iter().find(|a| a.id == id)
+    }
+
+    /// Looks up an assignment by its stable id, mutably.
+    pub fn assignment_mut(&mut self, id: StmtId) -> Option<&mut Assignment> {
+        self.items.iter_mut().find_map(|item| match item {
+            Item::Assign(a) => (a.id == id).then_some(a),
+            Item::Always(b) => assignment_in(&mut b.body, id),
+        })
     }
 
     /// Names of all output ports.
@@ -166,6 +171,21 @@ impl Module {
             .map(|p| p.name.as_str())
             .collect()
     }
+}
+
+/// The assignment with id `id` in a statement tree, mutably.
+fn assignment_in(stmts: &mut [Stmt], id: StmtId) -> Option<&mut Assignment> {
+    stmts.iter_mut().find_map(|s| match s {
+        Stmt::Assign(a) => (a.id == id).then_some(a),
+        Stmt::If(i) => {
+            assignment_in(&mut i.then_branch, id).or_else(|| assignment_in(&mut i.else_branch, id))
+        }
+        Stmt::Case(c) => c
+            .arms
+            .iter_mut()
+            .find_map(|arm| assignment_in(&mut arm.body, id))
+            .or_else(|| assignment_in(&mut c.default, id)),
+    })
 }
 
 fn collect_assignments<'m>(stmts: &'m [Stmt], out: &mut Vec<&'m Assignment>) {
@@ -193,6 +213,23 @@ pub enum Item {
     Assign(Assignment),
     /// An `always` block.
     Always(AlwaysBlock),
+}
+
+impl Item {
+    /// Every assignment of the item, in source order, including those
+    /// nested inside `if`/`case` bodies.
+    pub fn assignments(&self) -> Vec<&Assignment> {
+        let mut out = Vec::new();
+        self.collect_assignments(&mut out);
+        out
+    }
+
+    fn collect_assignments<'m>(&'m self, out: &mut Vec<&'m Assignment>) {
+        match self {
+            Item::Assign(a) => out.push(a),
+            Item::Always(b) => collect_assignments(&b.body, out),
+        }
+    }
 }
 
 /// Which clock edge an edge-sensitive block triggers on.
@@ -822,6 +859,31 @@ mod tests {
             assert_eq!(k.index(), i);
         }
         assert_eq!(NodeKind::vocab_size(), 41);
+    }
+
+    #[test]
+    fn every_assignment_is_reachable_by_id_and_by_item() {
+        let src =
+            "module m(input clk, input [1:0] s, input a, output reg y, output reg z, output w);\n\
+                   assign w = a;\n\
+                   always @(posedge clk) begin\n\
+                   if (a) y <= a; else begin case (s) 2'd0: z <= a; default: z <= ~a; endcase end\n\
+                   end\n\
+                   endmodule";
+        let mut m = crate::parse(src).unwrap().top().clone();
+        let ids: Vec<_> = m.assignments().iter().map(|a| a.id).collect();
+        let by_item: Vec<_> = m
+            .items
+            .iter()
+            .flat_map(Item::assignments)
+            .map(|a| a.id)
+            .collect();
+        assert_eq!(ids, by_item);
+        assert_eq!(ids.len(), 4);
+        for id in ids {
+            assert_eq!(m.assignment_mut(id).map(|a| a.id), Some(id));
+        }
+        assert!(m.assignment_mut(StmtId(4)).is_none());
     }
 
     #[test]

@@ -13,6 +13,7 @@ use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
 use veribug_suite::cdfg::{Cdfg, Slice, Vdg};
+use veribug_suite::designs;
 use veribug_suite::mutate;
 use veribug_suite::rvdg::{ExprConfig, Generator, RvdgConfig};
 use veribug_suite::sim::{Simulator, TestbenchGen, TraceLabel, Value};
@@ -22,14 +23,21 @@ use veribug_suite::verilog::{self, NodeKind};
 /// Cases per property.
 const CASES: usize = 24;
 
+/// The FNV-1a offset basis, the digest of no bytes.
+const FNV_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Folds `bytes` into the running FNV-1a digest `h`.
+fn fnv1a(h: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(h, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3)
+    })
+}
+
 /// The case generator for `property`, seeded by the FNV-1a hash of its
 /// qualified name.
 fn case_rng(property: &str) -> StdRng {
     let name = format!("properties::{property}");
-    let hash = name.bytes().fold(0xcbf2_9ce4_8422_2325_u64, |h, b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3)
-    });
-    StdRng::seed_from_u64(hash)
+    StdRng::seed_from_u64(fnv1a(FNV_BASIS, name.as_bytes()))
 }
 
 /// [`CASES`] seeds drawn from `range` for `property`.
@@ -206,41 +214,101 @@ fn features_are_well_formed() {
     }
 }
 
-/// Mutation invariants: a mutant differs from golden in exactly one
-/// statement, ids are preserved, and the mutant re-parses.
+/// Mutation invariants over every site of the catalog designs and of
+/// seeded RVDG designs: each statement has one negation site per signal
+/// it reads, and each mutant keeps the statement ids, differs from golden
+/// in exactly the site's statement, and prints to a print/parse fixpoint.
 #[test]
 fn mutants_differ_in_exactly_one_statement() {
+    let mut designs = catalog_modules();
     for seed in seeds("mutants_differ_in_exactly_one_statement", 0..300) {
         let design = Generator::new(RvdgConfig::default(), seed)
             .generate(5)
             .expect("generates");
-        let module = &design.module;
-        let sites = mutate::enumerate_sites(module, None);
-        // A design with no mutation site has nothing to check.
-        if sites.is_empty() {
-            continue;
-        }
-        let site = &sites[(seed as usize) % sites.len()];
-        let Some(mutant) = mutate::apply(module, site) else {
-            continue;
-        };
-        let golden_stmts = module.assignments();
-        let mutant_stmts = mutant.assignments();
-        assert_eq!(golden_stmts.len(), mutant_stmts.len(), "seed {seed}");
-        let mut diffs = 0;
-        for (g, m) in golden_stmts.iter().zip(&mutant_stmts) {
-            assert_eq!(g.id, m.id, "seed {seed}");
-            if g != m {
-                diffs += 1;
-                assert_eq!(g.id, site.stmt, "seed {seed}");
-            }
-        }
-        assert!(
-            diffs <= 1,
-            "seed {seed}: mutation touched {diffs} statements"
-        );
-        verilog::parse(&verilog::print_module(&mutant)).expect("mutant re-parses");
+        designs.push((format!("seed {seed}"), design.module));
     }
+    for (name, module) in &designs {
+        let sites = mutate::enumerate_sites(module, None);
+        let golden_stmts = module.assignments();
+        for a in &golden_stmts {
+            let negations = sites
+                .iter()
+                .filter(|s| s.stmt == a.id && s.kind == mutate::MutationKind::Negation)
+                .count();
+            assert_eq!(
+                negations,
+                a.rhs.referenced_signals().len(),
+                "{name} {}",
+                a.id
+            );
+        }
+        for site in &sites {
+            let mutant = mutate::apply(module, site)
+                .unwrap_or_else(|| panic!("{name}: {site:?} does not apply"));
+            let mutant_stmts = mutant.assignments();
+            let ids =
+                |stmts: &[&verilog::Assignment]| stmts.iter().map(|a| a.id).collect::<Vec<_>>();
+            assert_eq!(ids(&golden_stmts), ids(&mutant_stmts), "{name}");
+            let differing: Vec<_> = golden_stmts
+                .iter()
+                .zip(&mutant_stmts)
+                .filter(|(g, m)| g != m)
+                .map(|(g, _)| g.id)
+                .collect();
+            assert_eq!(differing, vec![site.stmt], "{name}: {site:?}");
+            let printed = verilog::print_module(&mutant);
+            let reparsed = verilog::parse(&printed).expect("mutant re-parses");
+            assert_eq!(
+                verilog::print_module(reparsed.top()),
+                printed,
+                "{name}: {site:?} does not print to a fixpoint"
+            );
+        }
+    }
+}
+
+/// Every Table I catalog design, parsed, with its name.
+fn catalog_modules() -> Vec<(String, verilog::Module)> {
+    designs::catalog()
+        .iter()
+        .map(|d| (d.name.to_owned(), d.module().expect("catalog parses")))
+        .collect()
+}
+
+/// Every catalog design and a fixed RVDG corpus, as mutation inputs.
+fn mutation_corpus() -> Vec<(String, verilog::Module)> {
+    let mut out = catalog_modules();
+    let generator = Generator::new(RvdgConfig::default(), 0x5173);
+    for i in 0..32 {
+        let design = generator.generate(i).expect("generates");
+        out.push((format!("rvdg{i}"), design.module));
+    }
+    out
+}
+
+/// The mutant set is pinned: one FNV-1a digest over every design's
+/// `enumerate_sites` list and the printed mutant of each site. Any change
+/// to the site order, the misuse candidates or a mutation's edit moves it.
+#[test]
+fn mutants_match_the_pinned_digest() {
+    let mut h = FNV_BASIS;
+    let mut field = |bytes: &[u8]| {
+        h = fnv1a(h, &(bytes.len() as u64).to_le_bytes());
+        h = fnv1a(h, bytes);
+    };
+    for (name, module) in mutation_corpus() {
+        field(name.as_bytes());
+        for site in mutate::enumerate_sites(&module, None) {
+            field(&site.stmt.0.to_le_bytes());
+            field(site.kind.to_string().as_bytes());
+            field(&(site.occurrence as u64).to_le_bytes());
+            field(site.replacement.as_deref().unwrap_or("-").as_bytes());
+            field(site.new_op.map_or("-", |op| op.symbol()).as_bytes());
+            let mutant = mutate::apply(&module, &site).map(|m| verilog::print_module(&m));
+            field(mutant.as_deref().unwrap_or("-").as_bytes());
+        }
+    }
+    assert_eq!(format!("{h:016x}"), "3a18380291abb7f6");
 }
 
 /// Golden-vs-golden co-simulation never labels a run as failing.
