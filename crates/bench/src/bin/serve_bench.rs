@@ -14,10 +14,8 @@
 //!   byte for byte) and a drain verdict;
 //! - a telemetry-overhead A/B (two fresh servers side by side, live
 //!   tracing off and on, requests alternating between them within each
-//!   rep; best-of-reps throughput and p99 per arm, plus the p99 of the
-//!   paired per-request differences (on − off) that the smoke gate judges,
-//!   each arm timing one calibrated request count per rep, enough for a
-//!   `stats::MIN_REP_S` window);
+//!   rep; best-of-reps throughput and p99, each arm timing one calibrated
+//!   request count per rep, enough for a `stats::MIN_REP_S` window);
 //! - a `store_restart` block: first-request latency of a freshly booted
 //!   server over an empty artifact store (cold restart) vs over a
 //!   populated one (warm restart, designs precompiled at bind),
@@ -217,10 +215,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // reads: every server enables collection at bind, and only a traced
     // request touches the live-trace registry and rolling windows. Each
     // arm keeps its fastest median latency and fastest p99 over the reps,
-    // and the throughput overhead is the clamped-at-zero gap between the
-    // two median minima. The p99 overhead reads the paired differences
-    // instead (see `telemetry_probe`), relative to the off arm's p99. The
-    // workload is deterministic, so noise is one-sided — min-of-reps
+    // and the overhead is the clamped-at-zero gap between the two minima.
+    // The workload is deterministic, so noise is one-sided — min-of-reps
     // converges on the true cost, and a "negative overhead" can only be
     // noise, hence the clamp.
     let probe_reps = if smoke { 5 } else { 3 };
@@ -230,7 +226,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             localize_body(&golden, &buggy, runs, cycles)
         })
         .collect();
-    let (probe_reqs, [off_med, off_p99, on_med, on_p99, paired_p99]) =
+    let (probe_reqs, [off_med, off_p99, on_med, on_p99]) =
         with_warm_server(false, &probe_bodies, |off| {
             with_warm_server(true, &probe_bodies, |on| {
                 telemetry_probe([off, on], &probe_bodies, probe_reps)
@@ -239,7 +235,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let off_rps = 1.0 / off_med.max(1e-9);
     let on_rps = 1.0 / on_med.max(1e-9);
     let rps_overhead = ((on_med - off_med) / on_med.max(1e-9)).max(0.0);
-    let p99_overhead = (paired_p99 / off_p99.max(1e-9)).max(0.0);
+    let p99_overhead = ((on_p99 - off_p99) / off_p99.max(1e-9)).max(0.0);
 
     let hit_rate = if hits + misses > 0 {
         hits as f64 / (hits + misses) as f64
@@ -289,7 +285,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     let _ = writeln!(
         json,
-        "    \"off_p99_s\": {off_p99:.6}, \"on_p99_s\": {on_p99:.6}, \"paired_p99_diff_s\": {paired_p99:.6}, \"p99_overhead\": {p99_overhead:.4}"
+        "    \"off_p99_s\": {off_p99:.6}, \"on_p99_s\": {on_p99:.6}, \"p99_overhead\": {p99_overhead:.4}"
     );
     let _ = writeln!(json, "  }},");
     let _ = writeln!(json, "  \"status_200\": {ok},");
@@ -336,9 +332,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         // Live telemetry must stay within 5% on both throughput and p99
         // (same budget the obs overhead gate in bench_pipeline enforces; a
         // tighter bound sits inside min-of-reps jitter on this host). p99
-        // is judged on the paired differences and additionally gets a 1ms
-        // absolute epsilon: on millisecond-scale requests a relative bound
-        // alone is below timer noise.
+        // additionally gets a 1ms absolute epsilon: on millisecond-scale
+        // requests a relative bound alone is below timer noise.
         const MAX_OVERHEAD: f64 = 0.05;
         const P99_EPSILON_S: f64 = 0.001;
         if rps_overhead > MAX_OVERHEAD {
@@ -349,16 +344,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             )
             .into());
         }
-        if p99_overhead > MAX_OVERHEAD && paired_p99 > P99_EPSILON_S {
+        if p99_overhead > MAX_OVERHEAD && on_p99 > off_p99 + P99_EPSILON_S {
             return Err(format!(
-                "smoke FAILED: telemetry costs {:.1}% p99 (paired p99 on − off {paired_p99:.4}s over off p99 {off_p99:.4}s; gate {:.0}%)",
+                "smoke FAILED: telemetry costs {:.1}% p99 (off {off_p99:.4}s, on {on_p99:.4}s; gate {:.0}%)",
                 p99_overhead * 100.0,
                 MAX_OVERHEAD * 100.0
             )
             .into());
         }
         println!(
-            "smoke OK: {ok} responses, cache hit rate {:.0}%, warm p50 {seq_warm_p50:.4}s vs cold p50 {seq_cold_p50:.4}s, warm restart {restart_warm_s:.4}s vs cold {restart_cold_s:.4}s, telemetry overhead {:.1}% rps / {:.1}% p99 (paired p99 on − off {paired_p99:.4}s)",
+            "smoke OK: {ok} responses, cache hit rate {:.0}%, warm p50 {seq_warm_p50:.4}s vs cold p50 {seq_cold_p50:.4}s, warm restart {restart_warm_s:.4}s vs cold {restart_cold_s:.4}s, telemetry overhead {:.1}% rps / {:.1}% p99",
             hit_rate * 100.0,
             rps_overhead * 100.0,
             p99_overhead * 100.0
@@ -371,12 +366,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// off and `addrs[1]` with it on: each of `reps` reps sends `reqs`
 /// sequential warm localize requests to each server, alternating between
 /// them and swapping which goes first on every request, and yields
-/// `[off_median_s, off_p99_s, on_median_s, on_p99_s, paired_p99_s]`, the
-/// last the p99 of the `reqs` differences on − off between the two
-/// requests of each alternation: a host stall lands on one request and
-/// moves one difference, where an arm's own p99 (about its second-slowest
-/// request) moves with every stall. Returns `reqs` and the element-wise
-/// minimum over the reps. `reqs` is calibrated on the tracing-off server
+/// `[off_median_s, off_p99_s, on_median_s, on_p99_s]`. Returns `reqs` and
+/// the element-wise minimum over the reps. `reqs` is calibrated on the tracing-off server
 /// so each arm's timed window lasts at least `stats::MIN_REP_S`: a warm
 /// request takes 0.5–1 ms, and a window of a few dozen of them let one
 /// scheduler stall move the gate. Throughput is derived as 1/median
@@ -387,7 +378,7 @@ fn telemetry_probe(
     addrs: [std::net::SocketAddr; 2],
     bodies: &[String],
     reps: usize,
-) -> Result<(usize, [f64; 5]), Box<dyn std::error::Error>> {
+) -> Result<(usize, [f64; 4]), Box<dyn std::error::Error>> {
     let reqs =
         stats::passes_per_rep(|| warm_request(addrs[0], &bodies[0]).expect("calibration request"));
     let [best] = stats::interleaved_min_of_reps(reps, |_| {
@@ -400,18 +391,11 @@ fn telemetry_probe(
                 lat[arm].push(r0.elapsed().as_secs_f64());
             }
         }
-        let mut paired: Vec<f64> = lat[1]
-            .iter()
-            .zip(&lat[0])
-            .map(|(on, off)| on - off)
-            .collect();
-        paired.sort_by(f64::total_cmp);
-        let paired_p99 = stats::nearest_rank(&paired, 99.0).expect("reqs >= 1");
         let [off, on] = lat.map(|mut lat| {
             lat.sort_by(f64::total_cmp);
             [50.0, 99.0].map(|p| stats::nearest_rank(&lat, p).expect("reqs >= 1"))
         });
-        Ok::<_, Box<dyn std::error::Error>>([off[0], off[1], on[0], on[1], paired_p99])
+        Ok::<_, Box<dyn std::error::Error>>([off[0], off[1], on[0], on[1]])
     })?;
     Ok((reqs, best))
 }
