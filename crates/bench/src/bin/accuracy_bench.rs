@@ -245,21 +245,18 @@ fn fingerprint(ev: &EvalOut) -> Vec<u64> {
     fp
 }
 
+const FLAGS: obs::cli::Spec = obs::cli::Spec {
+    name: "accuracy_bench",
+    switches: &["quick", "smoke"],
+    values: &["out"],
+};
+
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    veribug_bench::init_obs();
-    let args: Vec<String> = std::env::args().collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let quick = smoke || args.iter().any(|a| a == "--quick");
-    let out: Option<String> = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .cloned();
-    let scale = if quick {
-        ExperimentScale::quick()
-    } else {
-        ExperimentScale::full()
-    };
+    let opts = obs::cli::init(&FLAGS, std::env::args().skip(1));
+    let smoke = opts.has("smoke");
+    let quick = smoke || opts.has("quick");
+    let out = opts.get("out");
+    let scale = ExperimentScale::new(quick);
 
     obs::progress!("training the VeriBug model on RVDG synthetic designs...");
     let (model, _train_set, holdout) = veribug_bench::train_model(&scale, 0.10, TRAIN_SEED)?;
@@ -368,7 +365,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     });
     // Smoke never touches the checked-in BENCH_accuracy.json: its numbers
     // come from the reduced scale and would silently replace the full run.
-    match (&out, smoke) {
+    match (out, smoke) {
         (Some(path), _) => std::fs::write(path, &json)?,
         (None, false) => std::fs::write("BENCH_accuracy.json", &json)?,
         (None, true) => {}

@@ -460,16 +460,18 @@ fn fuzz_verdicts(budget_s: f64) -> VerdictFuzz {
     out
 }
 
+const FLAGS: obs::cli::Spec = obs::cli::Spec {
+    name: "bench_pipeline",
+    switches: &["smoke"],
+    values: &["reps"],
+};
+
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    veribug_bench::init_obs();
-    let args: Vec<String> = std::env::args().collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let reps: usize = args
-        .iter()
-        .position(|a| a == "--reps")
-        .and_then(|i| args.get(i + 1))
-        .map(|v| v.parse().expect("--reps takes a number"))
-        .unwrap_or(if smoke { 1 } else { 3 })
+    let opts = obs::cli::init(&FLAGS, std::env::args().skip(1));
+    let smoke = opts.has("smoke");
+    let reps: usize = opts
+        .numeric("reps", if smoke { 1 } else { 3 })
+        .unwrap_or_else(|e| obs::cli::fail(&e))
         .max(1);
     let host_cores = std::thread::available_parallelism().map_or(1, usize::from);
 

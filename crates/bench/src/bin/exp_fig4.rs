@@ -16,10 +16,16 @@ use veribug::render::render_comparison;
 use veribug::{ExplainerState, DEFAULT_THRESHOLD};
 use veribug_bench::{train_model, ExperimentScale};
 
+const FLAGS: obs::cli::Spec = obs::cli::Spec {
+    name: "exp_fig4",
+    switches: &["quick", "ansi"],
+    values: &[],
+};
+
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    veribug_bench::init_obs();
-    let scale = ExperimentScale::from_args();
-    let ansi = std::env::args().any(|a| a == "--ansi");
+    let opts = obs::cli::init(&FLAGS, std::env::args().skip(1));
+    let scale = ExperimentScale::new(opts.has("quick"));
+    let ansi = opts.has("ansi");
 
     obs::progress!("training the VeriBug model...");
     let (model, _, _) = train_model(&scale, 0.10, 1234)?;

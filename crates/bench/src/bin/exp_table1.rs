@@ -7,8 +7,14 @@
 
 use cdfg::{dependencies_of, Slice, Vdg};
 
+const FLAGS: obs::cli::Spec = obs::cli::Spec {
+    name: "exp_table1",
+    switches: &[],
+    values: &[],
+};
+
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    veribug_bench::init_obs();
+    obs::cli::init(&FLAGS, std::env::args().skip(1));
     println!("TABLE I: Details of modules in our localization test set.");
     println!(
         "{:<17} {:>9} {:>11}  {:<34} Targets (|Dep_t| / slice stmts)",

@@ -12,15 +12,21 @@
 use rvdg::{Generator, RvdgConfig, TemplateMix};
 use veribug::model::{ModelConfig, VeriBugModel};
 use veribug::train::{self, Dataset, TrainConfig};
-use veribug_bench::{corpora, train_model, ExperimentScale};
+use veribug_bench::{datasets, train_model, ExperimentScale};
 
 const ALPHAS: [f32; 6] = [0.01, 0.05, 0.10, 0.15, 0.20, 0.25];
 
+const FLAGS: obs::cli::Spec = obs::cli::Spec {
+    name: "exp_table2",
+    switches: &["quick", "ablate-eps", "ctx-agg"],
+    values: &[],
+};
+
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    veribug_bench::init_obs();
-    let scale = ExperimentScale::from_args();
-    let ablate_eps = std::env::args().any(|a| a == "--ablate-eps");
-    let ablate_ctx = std::env::args().any(|a| a == "--ctx-agg");
+    let opts = obs::cli::init(&FLAGS, std::env::args().skip(1));
+    let scale = ExperimentScale::new(opts.has("quick"));
+    let ablate_eps = opts.has("ablate-eps");
+    let ablate_ctx = opts.has("ctx-agg");
 
     // A second holdout drawn from the paper's minimal template (pure
     // Boolean statements, no wide signals): the apples-to-apples comparison
@@ -127,19 +133,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     if ablate_ctx {
         println!("\nABLATION: context aggregation (sum vs mean of path embeddings)");
-        let (train_modules, holdout_modules) = corpora(&scale, 1234)?;
-        let train_set = Dataset::from_designs(
-            &train_modules,
-            1234 ^ 1,
-            scale.cycles,
-            scale.runs_per_design,
-        )?;
-        let holdout_set = Dataset::from_designs(
-            &holdout_modules,
-            1234 ^ 2,
-            scale.cycles,
-            scale.runs_per_design,
-        )?;
+        let (train_set, holdout_set) = datasets(&scale, 1234)?;
         for (label, agg) in [
             ("sum (paper)", veribug::ContextAggregation::Sum),
             ("mean", veribug::ContextAggregation::Mean),
@@ -164,19 +158,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     if ablate_eps {
         println!("\nABLATION: aggregation skip-connection (epsilon)");
-        let (train_modules, holdout_modules) = corpora(&scale, 1234)?;
-        let train_set = Dataset::from_designs(
-            &train_modules,
-            1234 ^ 1,
-            scale.cycles,
-            scale.runs_per_design,
-        )?;
-        let holdout_set = Dataset::from_designs(
-            &holdout_modules,
-            1234 ^ 2,
-            scale.cycles,
-            scale.runs_per_design,
-        )?;
+        let (train_set, holdout_set) = datasets(&scale, 1234)?;
         for (label, eps) in [("init 0.5", 0.5f32), ("init 0.0", 0.0)] {
             let mut model = VeriBugModel::new(ModelConfig {
                 epsilon_init: eps,

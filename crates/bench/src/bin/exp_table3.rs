@@ -113,38 +113,19 @@ struct RowResult {
     sbfl_localized: usize,
 }
 
+const FLAGS: obs::cli::Spec = obs::cli::Spec {
+    name: "exp_table3",
+    switches: &["quick", "threshold-sweep"],
+    values: &[],
+};
+
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    veribug_bench::init_obs();
-    let scale = ExperimentScale::from_args();
-    let sweep = std::env::args().any(|a| a == "--threshold-sweep");
-    let detail = std::env::args().any(|a| a == "--detail");
-    let cyc: usize = std::env::args()
-        .position(|a| a == "--cycles")
-        .and_then(|i| std::env::args().nth(i + 1))
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(16);
-    let runs_override: Option<usize> = std::env::args()
-        .position(|a| a == "--runs")
-        .and_then(|i| std::env::args().nth(i + 1))
-        .and_then(|s| s.parse().ok());
-    let hold: f64 = std::env::args()
-        .position(|a| a == "--hold")
-        .and_then(|i| std::env::args().nth(i + 1))
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0.8);
-    let window: u32 = std::env::args()
-        .position(|a| a == "--window")
-        .and_then(|i| std::env::args().nth(i + 1))
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(DEFAULT_FAILURE_WINDOW);
+    let opts = obs::cli::init(&FLAGS, std::env::args().skip(1));
+    let scale = ExperimentScale::new(opts.has("quick"));
+    let sweep = opts.has("threshold-sweep");
 
     obs::progress!("training the VeriBug model on RVDG synthetic designs...");
-    let alpha: f32 = std::env::args()
-        .position(|a| a == "--alpha")
-        .and_then(|i| std::env::args().nth(i + 1))
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0.10);
-    let (model, _train, holdout) = train_model(&scale, alpha, 1234)?;
+    let (model, _train, holdout) = train_model(&scale, 0.10, 1234)?;
     let quality = veribug::train::evaluate(&model, &holdout);
     obs::progress!(
         "predictor holdout accuracy: {:.1}% (n={})",
@@ -159,12 +140,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let golden = design.module()?;
         obs::progress!("campaign: {} / {} ...", row.design, row.target);
         let mutants = Campaign::new(0xDA7E_2024 + ri as u64)
-            .with_runs_per_mutant(runs_override.unwrap_or(scale.runs_per_mutant))
-            .with_cycles(cyc)
-            .with_hold_probability(hold)
+            .with_runs_per_mutant(scale.runs_per_mutant)
             .run(&golden, row.target, &row.budget)?;
 
-        let outcomes = localize_all(&model, &mutants, row.target, DEFAULT_THRESHOLD, window);
+        let outcomes = localize_all(&model, &mutants, row.target, DEFAULT_THRESHOLD);
         let slice = cdfg::Slice::of_target(&golden, row.target);
         let mut rr = RowResult {
             design: row.design,
@@ -195,36 +174,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             let spectra = collect_spectra(&runs, &slice.stmts);
             if top1(&spectra, SpectrumFormula::Ochiai) == Some(m.site.stmt) {
                 rr.sbfl_localized += 1;
-            }
-        }
-        if detail {
-            for m in mutants.iter().filter(|m| m.observable) {
-                let mut state = ExplainerState::new(&m.netlist, row.target);
-                let runs = labelled_traces(m);
-                let ranking = rank(&model, &mut state, window, &runs, DEFAULT_THRESHOLD, 1);
-                let f_map = ranking.failing_map(&state);
-                let (h, c_map) = (ranking.heatmap, ranking.correct_map);
-                let ranked = h.ranked();
-                let rank = ranked.iter().position(|(id, _)| *id == m.site.stmt);
-                let nops = m
-                    .netlist
-                    .module
-                    .assignment(m.site.stmt)
-                    .map(|a| a.rhs.referenced_signals().len())
-                    .unwrap_or(0);
-                obs::progress!(
-                    "  DETAIL [{}] bug@{} ops={} inF={} inC={} sus={:?} rank={:?}/{} top1={:?} top1sus={:?}",
-                    m.site.kind,
-                    m.site.stmt,
-                    nops,
-                    f_map.per_stmt.contains_key(&m.site.stmt),
-                    c_map.per_stmt.contains_key(&m.site.stmt),
-                    h.entries.get(&m.site.stmt).map(|e| e.suspiciousness),
-                    rank.map(|r| r + 1),
-                    h.len(),
-                    h.top1(),
-                    h.top1().and_then(|t| h.entries.get(&t)).map(|e| (e.suspiciousness, e.reason)),
-                );
             }
         }
         results.push(rr);
@@ -299,7 +248,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             let mut cov = Coverage::default();
             for (ri, mutants) in &all_mutants {
                 let row = &ROWS[*ri];
-                let outcomes = localize_all(&model, mutants, row.target, thr, window);
+                let outcomes = localize_all(&model, mutants, row.target, thr);
                 for (m, localized) in mutants.iter().zip(&outcomes) {
                     cov.injected += 1;
                     if m.observable {
@@ -328,12 +277,12 @@ fn localize_all(
     mutants: &[Mutant],
     target: &str,
     threshold: f32,
-    window: u32,
 ) -> Vec<bool> {
     par::par_map(mutants, |m| {
         m.observable && {
             let mut state = ExplainerState::new(&m.netlist, target);
-            let (runs, groups) = (labelled_traces(m), DEFAULT_RUN_GROUPS);
+            let runs = labelled_traces(m);
+            let (window, groups) = (DEFAULT_FAILURE_WINDOW, DEFAULT_RUN_GROUPS);
             let h = rank(model, &mut state, window, &runs, threshold, groups).heatmap;
             h.top1() == Some(m.site.stmt)
         }

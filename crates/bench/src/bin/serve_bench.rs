@@ -26,13 +26,12 @@
 //!
 //! Run with: `cargo run --release -p veribug-bench --bin serve_bench`
 //!
-//! Options: `--designs D` distinct pairs (default 6), `--stmts N`
-//! statements per design (default 256), `--smoke` (shrinks the workload
+//! Options: `--smoke` shrinks the workload (3 design pairs instead of 6)
 //! and exits non-zero on any 5xx or transport failure, on a warm body that
 //! differs from its pair's cold body, on a failed drain, on warm requests
 //! not faster than cold ones, on live telemetry costing more than 5%
 //! throughput or p99, or on a restart over a populated store that is not
-//! a faster cache hit — without rewriting the JSON).
+//! a faster cache hit — without rewriting the JSON.
 
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -41,16 +40,19 @@ use serve::http::{self, Response};
 use serve::{Server, ServerConfig};
 use veribug_bench::stats;
 
-/// A distinct golden/buggy pair: a combinational chain of `stmts`
+/// Statements in each design pair's combinational chain.
+const STMTS: usize = 256;
+
+/// A distinct golden/buggy pair: a combinational chain of [`STMTS`]
 /// statements, so parse → levelize → compile (the work the cache skips) is
 /// a measurable share of request latency. The `tag` comment makes each
 /// pair's source bytes (and therefore its cache key) unique; the bug flips
 /// one operator early in the chain so the divergence reaches the target.
-fn design_pair(tag: usize, stmts: usize) -> (String, String) {
+fn design_pair(tag: usize) -> (String, String) {
     let mut golden =
         format!("// serve-bench design {tag}\nmodule m(input a, input b, input c, output y);\n");
     let ops = ["&", "|", "^"];
-    for i in 0..stmts {
+    for i in 0..STMTS {
         let prev = if i == 0 {
             "a".to_owned()
         } else {
@@ -64,7 +66,7 @@ fn design_pair(tag: usize, stmts: usize) -> (String, String) {
             ops[i % ops.len()]
         );
     }
-    let _ = writeln!(golden, "assign y = t{} | c;", stmts - 1);
+    let _ = writeln!(golden, "assign y = t{} | c;", STMTS - 1);
     golden.push_str("endmodule\n");
     let buggy = golden.replacen("t0 = a & b", "t0 = a | b", 1);
     (golden, buggy)
@@ -88,25 +90,18 @@ fn cache_hit(resp: &Response) -> bool {
         .is_some_and(|v| !v.contains("miss"))
 }
 
+const FLAGS: obs::cli::Spec = obs::cli::Spec {
+    name: "serve_bench",
+    switches: &["smoke"],
+    values: &[],
+};
+
 #[allow(clippy::too_many_lines)]
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    veribug_bench::init_obs();
-    let args: Vec<String> = std::env::args().collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let numeric = |flag: &str, default: usize| -> usize {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|i| args.get(i + 1))
-            .map(|v| {
-                v.parse()
-                    .unwrap_or_else(|_| panic!("{flag} takes a number"))
-            })
-            .unwrap_or(default)
-            .max(1)
-    };
-    let design_count = numeric("--designs", if smoke { 3 } else { 6 });
+    let opts = obs::cli::init(&FLAGS, std::env::args().skip(1));
+    let smoke = opts.has("smoke");
+    let design_count = if smoke { 3 } else { 6 };
     let (runs, cycles) = if smoke { (4, 4) } else { (8, 8) };
-    let stmts = numeric("--stmts", 256);
 
     let server = Server::bind(ServerConfig::default())?;
     let addr = server.local_addr()?;
@@ -127,7 +122,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut server_errors = 0usize;
     let mut deterministic = true;
     for d in 0..design_count {
-        let (golden, buggy) = design_pair(1000 + d, stmts);
+        let (golden, buggy) = design_pair(1000 + d);
         let body = localize_body(&golden, &buggy, runs, cycles);
         let mut cold_body = Vec::new();
         for rep in 0..4 {
@@ -184,7 +179,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         std::env::temp_dir().join(format!("veribug-serve-bench-store-{}", std::process::id()));
     let restart_reps = 3usize;
     let restart_body = {
-        let (golden, buggy) = design_pair(3000, stmts);
+        let (golden, buggy) = design_pair(3000);
         localize_body(&golden, &buggy, runs, cycles)
     };
     let mut warm_hit = true;
@@ -222,7 +217,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let probe_reps = if smoke { 5 } else { 3 };
     let probe_bodies: Vec<String> = (0..2)
         .map(|d| {
-            let (golden, buggy) = design_pair(2000 + d, stmts);
+            let (golden, buggy) = design_pair(2000 + d);
             localize_body(&golden, &buggy, runs, cycles)
         })
         .collect();

@@ -52,56 +52,46 @@ pub struct ExperimentScale {
 }
 
 impl ExperimentScale {
-    /// Full scale: what EXPERIMENTS.md reports.
-    pub fn full() -> Self {
-        ExperimentScale {
-            train_designs: 32,
-            holdout_designs: 8,
-            cycles: 64,
-            runs_per_design: 3,
-            epochs: 80,
-            runs_per_mutant: 160,
-        }
-    }
-
-    /// Reduced scale for smoke-testing the harness (`--quick`).
-    pub fn quick() -> Self {
-        ExperimentScale {
-            train_designs: 16,
-            holdout_designs: 4,
-            cycles: 48,
-            runs_per_design: 2,
-            epochs: 30,
-            runs_per_mutant: 30,
-        }
-    }
-
-    /// Picks full or quick scale from the presence of a `--quick` flag.
-    pub fn from_args() -> Self {
-        if std::env::args().any(|a| a == "--quick") {
-            ExperimentScale::quick()
+    /// Full scale, what EXPERIMENTS.md reports; with `quick` (a binary's
+    /// `--quick`), the reduced scale for smoke-testing the harness.
+    pub fn new(quick: bool) -> Self {
+        if quick {
+            ExperimentScale {
+                train_designs: 16,
+                holdout_designs: 4,
+                cycles: 48,
+                runs_per_design: 2,
+                epochs: 30,
+                runs_per_mutant: 30,
+            }
         } else {
-            ExperimentScale::full()
+            ExperimentScale {
+                train_designs: 32,
+                holdout_designs: 8,
+                cycles: 64,
+                runs_per_design: 3,
+                epochs: 80,
+                runs_per_mutant: 160,
+            }
         }
     }
 }
 
-/// Generates the RVDG corpora: `(train, holdout)` module sets.
+/// Builds the `(train, holdout)` datasets of one seeded RVDG corpus: its
+/// first `train_designs` designs train, the other `holdout_designs` are
+/// held out.
 ///
 /// # Errors
 ///
-/// Propagates generator/parse failures.
-pub fn corpora(
-    scale: &ExperimentScale,
-    seed: u64,
-) -> Result<(Vec<Module>, Vec<Module>), verilog::ParseError> {
-    let generator = Generator::new(RvdgConfig::default(), seed);
-    let all = generator.generate_corpus(scale.train_designs + scale.holdout_designs)?;
-    let (train, hold) = all.split_at(scale.train_designs);
-    Ok((
-        train.iter().map(|d| d.module.clone()).collect(),
-        hold.iter().map(|d| d.module.clone()).collect(),
-    ))
+/// Propagates generator, parse and simulation failures.
+pub fn datasets(scale: &ExperimentScale, seed: u64) -> Result<(Dataset, Dataset), VeriBugError> {
+    let corpus = Generator::new(RvdgConfig::default(), seed)
+        .generate_corpus(scale.train_designs + scale.holdout_designs)?;
+    let modules: Vec<Module> = corpus.into_iter().map(|d| d.module).collect();
+    let (train, holdout) = modules.split_at(scale.train_designs);
+    let build =
+        |modules, seed| Dataset::from_designs(modules, seed, scale.cycles, scale.runs_per_design);
+    Ok((build(train, seed ^ 1)?, build(holdout, seed ^ 2)?))
 }
 
 /// Trains a model at the given scale with a specific regularization α.
@@ -114,19 +104,7 @@ pub fn train_model(
     alpha: f32,
     seed: u64,
 ) -> Result<(VeriBugModel, Dataset, Dataset), VeriBugError> {
-    let (train_modules, holdout_modules) = corpora(scale, seed)?;
-    let train_set = Dataset::from_designs(
-        &train_modules,
-        seed ^ 1,
-        scale.cycles,
-        scale.runs_per_design,
-    )?;
-    let holdout_set = Dataset::from_designs(
-        &holdout_modules,
-        seed ^ 2,
-        scale.cycles,
-        scale.runs_per_design,
-    )?;
+    let (train_set, holdout_set) = datasets(scale, seed)?;
     let mut model = VeriBugModel::new(ModelConfig::default());
     train::train(
         &mut model,
@@ -138,23 +116,6 @@ pub fn train_model(
         },
     )?;
     Ok((model, train_set, holdout_set))
-}
-
-/// Initializes observability from the uniform CLI surface every experiment
-/// binary shares: `--obs <path>` (or the `VERIBUG_OBS` environment
-/// variable) enables collection, `--quiet` suppresses progress lines.
-///
-/// Call once at the top of `main` and pair with [`obs::report`] before
-/// exit — same convention as the `veribug` CLI.
-pub fn init_obs() {
-    let args: Vec<String> = std::env::args().collect();
-    let path = args
-        .iter()
-        .position(|a| a == "--obs")
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str);
-    obs::init(path);
-    obs::set_quiet(args.iter().any(|a| a == "--quiet"));
 }
 
 /// Formats a ratio as `"x/y (p%)"`.
@@ -339,7 +300,7 @@ mod tests {
 
     #[test]
     fn quick_scale_trains_end_to_end() {
-        let scale = ExperimentScale::quick();
+        let scale = ExperimentScale::new(true);
         let (model, train_set, holdout) = train_model(&scale, 0.10, 99).unwrap();
         assert!(train_set.len() > 50);
         assert!(!holdout.is_empty());

@@ -48,7 +48,7 @@ pub struct StmtAttribution {
     pub suspiciousness: f32,
     /// Why the statement entered the heatmap.
     pub reason: SuspicionReason,
-    /// The statement source, rendered as `lhs = rhs`.
+    /// The statement source, as [`verilog::print_label`] renders it.
     pub source: String,
     /// Per-operand attributions, in operand (source) order.
     pub operands: Vec<OperandAttribution>,
@@ -144,8 +144,7 @@ impl AttributionReport {
                 reason: entry.reason,
                 source: module
                     .assignment(stmt)
-                    .map(|a| format!("{} = {}", a.lhs.base, verilog::print_expr(&a.rhs)))
-                    .unwrap_or_else(|| "<unknown>".to_owned()),
+                    .map_or_else(|| "<unknown>".to_owned(), verilog::print_label),
                 operands,
             });
         }

@@ -47,8 +47,9 @@ use sim::{
 };
 use verilog::Module;
 
-/// Tunable knobs of one localization request. [`Default`] matches the CLI
-/// defaults, so two callers with default options are bit-identical.
+/// Tunable knobs of one localization request. [`Default`] is what the
+/// `veribug` CLI and a `/v1/localize` request use for what they leave
+/// unset, so two callers with default options are bit-identical.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LocalizeOptions {
     /// Constrained-random stimuli to co-simulate.
@@ -85,7 +86,7 @@ pub struct Suspect {
     pub stmt: verilog::StmtId,
     /// Its suspiciousness score (higher = more suspicious).
     pub suspiciousness: f32,
-    /// The statement source, rendered as `lhs = rhs`.
+    /// The statement source, as [`verilog::print_label`] renders it.
     pub source: String,
 }
 
@@ -357,8 +358,7 @@ fn localize_inner(
             suspiciousness: sus,
             source: buggy
                 .assignment(stmt)
-                .map(|a| format!("{} = {}", a.lhs.base, verilog::print_expr(&a.rhs)))
-                .unwrap_or_else(|| "<unknown>".to_owned()),
+                .map_or_else(|| "<unknown>".to_owned(), verilog::print_label),
         })
         .collect();
     Ok(report)

@@ -17,6 +17,13 @@ use verilog::Module;
 /// which sites get considered.
 pub(crate) const WAVE: usize = 8;
 
+/// Cycles per campaign stimulus: short, so a bug is typically masked in
+/// some runs (the correct-trace set `T_c` the explainer compares against).
+const CYCLES: usize = 16;
+/// Input hold probability of campaign stimuli (temporal correlation of
+/// the random inputs; higher = calmer, more directed-looking stimulus).
+const HOLD_PROBABILITY: f64 = 0.8;
+
 /// Candidate mutation sites considered (after slice restriction).
 static SITES: obs::LazyCounter = obs::LazyCounter::new("campaign.sites_enumerated");
 /// Mutants accepted into the output (within budget, deduplicated).
@@ -80,9 +87,7 @@ pub struct Mutant {
 #[derive(Debug, Clone)]
 pub struct Campaign {
     pub(crate) seed: u64,
-    cycles: usize,
     runs_per_mutant: usize,
-    hold_probability: f64,
 }
 
 impl Campaign {
@@ -95,23 +100,8 @@ impl Campaign {
     pub fn new(seed: u64) -> Self {
         Campaign {
             seed,
-            cycles: 16,
             runs_per_mutant: 40,
-            hold_probability: 0.8,
         }
-    }
-
-    /// Overrides the stimulus hold probability (temporal correlation of the
-    /// random inputs; higher = calmer, more directed-looking stimulus).
-    pub fn with_hold_probability(mut self, p: f64) -> Self {
-        self.hold_probability = p;
-        self
-    }
-
-    /// Overrides the stimulus length.
-    pub fn with_cycles(mut self, cycles: usize) -> Self {
-        self.cycles = cycles;
-        self
     }
 
     /// Overrides the number of independent runs per mutant.
@@ -135,8 +125,8 @@ impl Campaign {
                     name: target.to_owned(),
                 })?;
         let stimuli: Vec<Stimulus> = TestbenchGen::new(self.seed ^ 0xD1CE_F00D)
-            .with_hold_probability(self.hold_probability)
-            .generate_many(golden_sim.netlist(), self.cycles, self.runs_per_mutant);
+            .with_hold_probability(HOLD_PROBABILITY)
+            .generate_many(golden_sim.netlist(), CYCLES, self.runs_per_mutant);
         let golden_source = verilog::print_module(golden);
         Ok(Prelude {
             all_sites,

@@ -22,9 +22,11 @@
 //!
 //! ## Uniform CLI convention
 //!
-//! Every VeriBug binary accepts `--obs <path>` (or the `VERIBUG_OBS`
-//! environment variable) and calls [`init`] at startup and [`report`] at
-//! exit, which writes a Chrome trace with an embedded `"metrics"` block.
+//! Every VeriBug binary reads its flags through [`cli`], which rejects an
+//! unknown flag and accepts `--obs <path>` (or the `VERIBUG_OBS`
+//! environment variable) and `--quiet` on every command. The binary calls
+//! [`cli::init`] at startup and [`report`] at exit, which writes a Chrome
+//! trace with an embedded `"metrics"` block.
 //!
 //! ```
 //! let _root = veribug_obs::span("demo");
@@ -39,6 +41,7 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+pub mod cli;
 pub mod export;
 pub mod json;
 pub mod live;
@@ -60,8 +63,8 @@ pub use state::{flush_thread, instant, Report, Span};
 static ENABLED: AtomicBool = AtomicBool::new(false);
 /// Suppresses [`progress_fmt`] stderr echo when set (`--quiet`).
 static QUIET: AtomicBool = AtomicBool::new(false);
-/// Output path configured by the first [`init`] that found one; consumed
-/// by [`report`]. Read lock-free, since every progress line checks it.
+/// Output path configured by the first [`cli::init`] that found one;
+/// consumed by [`report`]. Read lock-free, since every progress line checks it.
 static OUT_PATH: OnceLock<String> = OnceLock::new();
 /// Set once [`report`] has emitted; later calls are no-ops. Makes at-exit
 /// reporting idempotent when more than one path reaches it (e.g. `veribug
@@ -86,23 +89,6 @@ pub fn enable() {
 /// process; everything recorded so far stays buffered across a toggle.
 pub fn set_enabled(on: bool) {
     ENABLED.store(on, Ordering::Relaxed);
-}
-
-/// Enables collection and remembers where [`report`] should write.
-///
-/// `path_arg` is the value of a `--obs <path>` flag when the caller saw
-/// one; otherwise the `VERIBUG_OBS` environment variable is consulted.
-/// When neither is present this is a no-op and collection stays off. The
-/// first path found is kept for the life of the process.
-pub fn init(path_arg: Option<&str>) {
-    let path = path_arg
-        .map(str::to_owned)
-        .or_else(|| std::env::var("VERIBUG_OBS").ok())
-        .filter(|p| !p.is_empty());
-    if let Some(path) = path {
-        let _ = OUT_PATH.set(path);
-        enable();
-    }
 }
 
 /// Sets progress-line verbosity (`--quiet` suppresses the stderr echo;
@@ -156,14 +142,14 @@ pub fn reset() {
     state::reset();
 }
 
-/// True when [`init`] configured an output path that [`report`] will
+/// True when [`cli::init`] configured an output path that [`report`] will
 /// write. Spans of finished live traces and progress instants reach the
 /// process log only then.
 pub fn output_configured() -> bool {
     OUT_PATH.get().is_some()
 }
 
-/// Writes the report file [`init`] configured and prints the
+/// Writes the report file [`cli::init`] configured and prints the
 /// human-readable summary table to stderr (unless quiet). Renders nothing
 /// without a configured path: the report is the `--obs` report.
 ///

@@ -281,10 +281,7 @@ pub fn analyze(module: &Module, target: &str, depth: u32) -> AnalyzeSummary {
         .map(|&stmt| {
             let assignment = module.assignment(stmt).map(|a| {
                 let depth = coi.min_cycles.get(&a.lhs.base).copied().unwrap_or(0);
-                (
-                    depth,
-                    format!("{} = {}", a.lhs.base, verilog::print_expr(&a.rhs)),
-                )
+                (depth, verilog::print_label(a))
             });
             (stmt, assignment)
         })

@@ -1,45 +1,26 @@
 //! The `veribug` command-line tool: train, localize, explain, inject,
-//! analyze, dump, serve, store, shard-front.
-//!
-//! ```text
-//! veribug train    --out model.vbm [--designs N] [--epochs N] [--seed S]
-//!                  [--log train_log.jsonl]
-//! veribug localize --golden g.v --buggy b.v --target T --model model.vbm
-//!                  [--runs N] [--cycles N] [--threshold X] [--ansi]
-//! veribug explain  --golden g.v --buggy b.v --target T [--model model.vbm]
-//!                  [--runs N] [--cycles N] [--threshold X]
-//!                  [--attention] [--json] [--out PATH]
-//! veribug inject   --design g.v --target T [--negation N] [--operation N]
-//!                  [--misuse N] [--seed S] [--out-dir DIR]
-//! veribug analyze  --design f.v --target T
-//! veribug vcd      --design f.v [--cycles N] [--seed S] --out trace.vcd
-//! veribug serve    [--addr HOST:PORT] [--workers N] [--queue N] [--cache N]
-//!                  [--deadline-ms N] [--max-body N] [--model model.vbm]
-//!                  [--access-log] [--debug-endpoints] [--store DIR]
-//! veribug store    ls|gc|rm KEY [--store DIR]
-//! veribug shard-front [--addr HOST:PORT] [--backends H:P,...] [--spawn N]
-//!                  [--model model.vbm] [--store DIR]
-//! veribug --version
-//! ```
+//! analyze, dump, serve, store, shard-front. `USAGE` below (printed by
+//! `veribug --help`) lists each subcommand's flags.
 //!
 //! Every subcommand also accepts `--obs <path>` (or the `VERIBUG_OBS`
 //! environment variable) to write a Chrome trace of the run, and `--quiet`
 //! to suppress progress lines (see `veribug-obs`).
 //!
-//! Unknown subcommands and unknown `--flags` are hard errors that print
-//! the valid set and exit nonzero.
+//! Unknown subcommands are hard errors that print the valid set and exit
+//! nonzero; flags are read by `obs::cli`, which does the same for an
+//! unknown or malformed flag.
 
-use std::collections::HashMap;
 use std::process::ExitCode;
 
 use mutate::{BugBudget, Campaign};
+use obs::cli::{self, Opts};
 use rvdg::{Generator, RvdgConfig};
 use sim::{Simulator, TestbenchGen};
 use veribug::localize::{self, LocalizeOptions};
 use veribug::model::{ModelConfig, VeriBugModel};
 use veribug::render::render_comparison;
 use veribug::train::{self, Dataset, TrainConfig};
-use veribug::{persist, AttributionReport, DEFAULT_THRESHOLD};
+use veribug::{persist, AttributionReport};
 use veribug_serve::{api, Server, ServerConfig};
 
 fn main() -> ExitCode {
@@ -56,63 +37,36 @@ fn main() -> ExitCode {
         println!("{USAGE}");
         return ExitCode::SUCCESS;
     }
-    let Some(spec) = COMMANDS.iter().find(|c| c.name == command.as_str()) else {
-        eprintln!(
-            "error: unknown command `{command}`; valid commands: {}\n\n{USAGE}",
-            COMMANDS
-                .iter()
-                .map(|c| c.name)
-                .collect::<Vec<_>>()
-                .join(", ")
-        );
-        return ExitCode::FAILURE;
+    let Some(cmd) = COMMANDS.iter().find(|c| c.name() == command.as_str()) else {
+        let names: Vec<&str> = COMMANDS.iter().map(Command::name).collect();
+        let valid = names.join(", ");
+        cli::fail(&format!(
+            "unknown command `{command}`; valid commands: {valid}\n\n{USAGE}"
+        ));
     };
     // `veribug store` takes a positional action (`ls`, `gc`, `rm <key>`)
     // ahead of its flags; everything else is flags-only.
-    let mut positionals: Vec<(&'static str, String)> = Vec::new();
-    let mut flag_args: &[String] = &args[1..];
+    let mut positionals: Vec<(&str, &String)> = Vec::new();
     if command == "store" {
         match args.get(1).map(String::as_str) {
-            Some(action @ ("ls" | "gc")) => {
-                positionals.push(("action", action.to_owned()));
-                flag_args = &args[2..];
-            }
+            Some("ls" | "gc") => positionals.push(("action", &args[1])),
             Some("rm") => {
                 let Some(key) = args.get(2).filter(|v| !v.starts_with("--")) else {
-                    eprintln!("error: `veribug store rm` needs a key (16 hex digits, as printed by `veribug store ls`)");
-                    return ExitCode::FAILURE;
+                    cli::fail("`veribug store rm` needs a key (16 hex digits, as printed by `veribug store ls`)");
                 };
-                positionals.push(("action", "rm".to_owned()));
-                positionals.push(("key", key.clone()));
-                flag_args = &args[3..];
+                positionals.extend([("action", &args[1]), ("key", key)]);
             }
-            Some(other) if !other.starts_with("--") => {
-                eprintln!("error: unknown store action `{other}`; valid actions: gc, ls, rm <key>");
-                return ExitCode::FAILURE;
-            }
-            _ => {
-                eprintln!(
-                    "error: `veribug store` needs an action; valid actions: gc, ls, rm <key>"
-                );
-                return ExitCode::FAILURE;
-            }
+            Some(other) if !other.starts_with("--") => cli::fail(&format!(
+                "unknown store action `{other}`; valid actions: gc, ls, rm <key>"
+            )),
+            _ => cli::fail("`veribug store` needs an action; valid actions: gc, ls, rm <key>"),
         }
     }
-    let opts = match parse_opts(flag_args, spec) {
-        Ok(mut o) => {
-            for (k, v) in positionals {
-                o.insert(k.to_owned(), v);
-            }
-            o
-        }
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    obs::init(opts.get("obs").map(String::as_str));
-    obs::set_quiet(opts.contains_key("quiet"));
-    let result = (spec.run)(&opts);
+    let mut opts = cli::init(&cmd.spec, &args[1 + positionals.len()..]);
+    for (key, value) in positionals {
+        opts.insert(key, value.clone());
+    }
+    let result = (cmd.run)(&opts);
     obs::report();
     match result {
         Ok(()) => ExitCode::SUCCESS,
@@ -159,188 +113,153 @@ Every subcommand also accepts:
 
 type CmdResult = Result<(), Box<dyn std::error::Error>>;
 
-/// One subcommand: its name, the flags it accepts, and its entry point.
+/// One subcommand: the flags it accepts and its entry point.
 struct Command {
-    name: &'static str,
-    flags: &'static [&'static str],
-    run: fn(&HashMap<String, String>) -> CmdResult,
+    spec: cli::Spec,
+    run: fn(&Opts) -> CmdResult,
+}
+
+impl Command {
+    fn name(&self) -> &'static str {
+        self.spec.name.trim_start_matches("veribug ")
+    }
 }
 
 const COMMANDS: &[Command] = &[
     Command {
-        name: "train",
-        flags: &["out", "designs", "epochs", "seed", "log"],
+        spec: cli::Spec {
+            name: "veribug train",
+            switches: &[],
+            values: &["out", "designs", "epochs", "seed", "log"],
+        },
         run: cmd_train,
     },
     Command {
-        name: "localize",
-        flags: &[
-            "golden",
-            "buggy",
-            "target",
-            "model",
-            "runs",
-            "cycles",
-            "threshold",
-            "ansi",
-        ],
+        spec: cli::Spec {
+            name: "veribug localize",
+            switches: &["ansi"],
+            values: &[
+                "golden",
+                "buggy",
+                "target",
+                "model",
+                "runs",
+                "cycles",
+                "threshold",
+            ],
+        },
         run: cmd_localize,
     },
     Command {
-        name: "explain",
-        flags: &[
-            "golden",
-            "buggy",
-            "target",
-            "model",
-            "runs",
-            "cycles",
-            "threshold",
-            "attention",
-            "json",
-            "out",
-        ],
+        spec: cli::Spec {
+            name: "veribug explain",
+            switches: &["attention", "json"],
+            values: &[
+                "golden",
+                "buggy",
+                "target",
+                "model",
+                "runs",
+                "cycles",
+                "threshold",
+                "out",
+            ],
+        },
         run: cmd_explain,
     },
     Command {
-        name: "inject",
-        flags: &[
-            "design",
-            "target",
-            "negation",
-            "operation",
-            "misuse",
-            "seed",
-            "out-dir",
-        ],
+        spec: cli::Spec {
+            name: "veribug inject",
+            switches: &[],
+            values: &[
+                "design",
+                "target",
+                "negation",
+                "operation",
+                "misuse",
+                "seed",
+                "out-dir",
+            ],
+        },
         run: cmd_inject,
     },
     Command {
-        name: "analyze",
-        flags: &["design", "target"],
+        spec: cli::Spec {
+            name: "veribug analyze",
+            switches: &[],
+            values: &["design", "target"],
+        },
         run: cmd_analyze,
     },
     Command {
-        name: "vcd",
-        flags: &["design", "cycles", "seed", "out"],
+        spec: cli::Spec {
+            name: "veribug vcd",
+            switches: &[],
+            values: &["design", "cycles", "seed", "out"],
+        },
         run: cmd_vcd,
     },
     Command {
-        name: "serve",
-        flags: &[
-            "addr",
-            "workers",
-            "queue",
-            "cache",
-            "deadline-ms",
-            "max-body",
-            "model",
-            "access-log",
-            "debug-endpoints",
-            "store",
-        ],
+        spec: cli::Spec {
+            name: "veribug serve",
+            switches: &["access-log", "debug-endpoints"],
+            values: &[
+                "addr",
+                "workers",
+                "queue",
+                "cache",
+                "deadline-ms",
+                "max-body",
+                "model",
+                "store",
+            ],
+        },
         run: cmd_serve,
     },
     Command {
-        name: "store",
-        flags: &["store"],
+        spec: cli::Spec {
+            name: "veribug store",
+            switches: &[],
+            values: &["store"],
+        },
         run: cmd_store,
     },
     Command {
-        name: "shard-front",
-        flags: &["addr", "backends", "spawn", "model", "store"],
+        spec: cli::Spec {
+            name: "veribug shard-front",
+            switches: &[],
+            values: &["addr", "backends", "spawn", "model", "store"],
+        },
         run: cmd_shard_front,
     },
 ];
 
 /// Resolves the persistent-store root: `--store PATH` wins, then the
 /// `VERIBUG_STORE` environment variable; `None` disables the store.
-fn store_root(opts: &HashMap<String, String>) -> Option<String> {
-    opts.get("store").cloned().or_else(|| {
+fn store_root(opts: &Opts) -> Option<String> {
+    opts.get("store").map(str::to_owned).or_else(|| {
         std::env::var(store::ENV_ROOT)
             .ok()
             .filter(|v| !v.is_empty())
     })
 }
 
-/// Flags every subcommand accepts.
-const COMMON_FLAGS: &[&str] = &["obs", "quiet"];
-
-fn parse_opts(args: &[String], spec: &Command) -> Result<HashMap<String, String>, String> {
-    let mut out = HashMap::new();
-    let mut i = 0;
-    while i < args.len() {
-        let a = &args[i];
-        let Some(key) = a.strip_prefix("--") else {
-            return Err(format!(
-                "unexpected argument `{a}` for `veribug {}` (flags start with --)",
-                spec.name
-            ));
-        };
-        if !spec.flags.contains(&key) && !COMMON_FLAGS.contains(&key) {
-            let mut valid: Vec<&str> = spec.flags.iter().chain(COMMON_FLAGS).copied().collect();
-            valid.sort_unstable();
-            return Err(format!(
-                "unknown option --{key} for `veribug {}`; valid options: {}",
-                spec.name,
-                valid
-                    .iter()
-                    .map(|f| format!("--{f}"))
-                    .collect::<Vec<_>>()
-                    .join(", ")
-            ));
-        }
-        let value = args.get(i + 1).filter(|v| !v.starts_with("--"));
-        match value {
-            Some(v) => {
-                out.insert(key.to_owned(), v.clone());
-                i += 2;
-            }
-            None => {
-                out.insert(key.to_owned(), "true".to_owned());
-                i += 1;
-            }
-        }
-    }
-    Ok(out)
-}
-
-fn required<'o>(opts: &'o HashMap<String, String>, key: &str) -> Result<&'o str, String> {
-    opts.get(key)
-        .map(String::as_str)
-        .ok_or_else(|| format!("missing required option --{key}"))
-}
-
-fn numeric<T: std::str::FromStr>(
-    opts: &HashMap<String, String>,
-    key: &str,
-    default: T,
-) -> Result<T, String>
-where
-    T::Err: std::fmt::Display,
-{
-    match opts.get(key) {
-        None => Ok(default),
-        Some(v) => v
-            .parse::<T>()
-            .map_err(|e| format!("bad value for --{key}: {e}")),
-    }
-}
-
 /// The `--runs`, `--cycles` and `--threshold` options `localize` and
-/// `explain` share; the threshold must be finite.
-fn localize_options(opts: &HashMap<String, String>) -> Result<LocalizeOptions, String> {
-    let threshold: f32 = numeric(opts, "threshold", DEFAULT_THRESHOLD)?;
+/// `explain` share, defaulting to [`LocalizeOptions::default`]; the
+/// threshold must be finite.
+fn localize_options(opts: &Opts) -> Result<LocalizeOptions, String> {
+    let defaults = LocalizeOptions::default();
+    let threshold: f32 = opts.numeric("threshold", defaults.threshold)?;
     if !threshold.is_finite() {
         return Err(format!(
             "bad value for --threshold: {threshold} is not finite"
         ));
     }
     Ok(LocalizeOptions {
-        runs: numeric(opts, "runs", 160)?,
-        cycles: numeric(opts, "cycles", 16)?,
+        runs: opts.numeric("runs", defaults.runs)?,
+        cycles: opts.numeric("cycles", defaults.cycles)?,
         threshold,
-        ..LocalizeOptions::default()
+        ..defaults
     })
 }
 
@@ -352,11 +271,11 @@ fn load_module(path: &str) -> Result<verilog::Module, Box<dyn std::error::Error>
         .clone())
 }
 
-fn cmd_train(opts: &HashMap<String, String>) -> CmdResult {
-    let out = required(opts, "out")?;
-    let designs: usize = numeric(opts, "designs", 32)?;
-    let epochs: usize = numeric(opts, "epochs", 80)?;
-    let seed: u64 = numeric(opts, "seed", 1234)?;
+fn cmd_train(opts: &Opts) -> CmdResult {
+    let out = opts.required("out")?;
+    let designs: usize = opts.numeric("designs", 32)?;
+    let epochs: usize = opts.numeric("epochs", 80)?;
+    let seed: u64 = opts.numeric("seed", 1234)?;
     obs::progress!("generating {designs} RVDG designs (seed {seed})...");
     let corpus: Vec<_> = {
         let _span = obs::span("generate");
@@ -383,22 +302,22 @@ fn cmd_train(opts: &HashMap<String, String>) -> CmdResult {
         report.epoch_losses.last().unwrap_or(&0.0)
     );
     persist::save(&model, out)?;
-    let log = opts.get("log").map_or("train_log.jsonl", String::as_str);
+    let log = opts.get("log").unwrap_or("train_log.jsonl");
     train::append_train_log(std::path::Path::new(log), &report, &cfg, &model)?;
     obs::progress!("model written to {out}, epoch telemetry appended to {log}");
     Ok(())
 }
 
-fn cmd_explain(opts: &HashMap<String, String>) -> CmdResult {
+fn cmd_explain(opts: &Opts) -> CmdResult {
     let localize_opts = localize_options(opts)?;
     let (golden, buggy) = {
         let _span = obs::span("parse");
         (
-            load_module(required(opts, "golden")?)?,
-            load_module(required(opts, "buggy")?)?,
+            load_module(opts.required("golden")?)?,
+            load_module(opts.required("buggy")?)?,
         )
     };
-    let target = required(opts, "target")?;
+    let target = opts.required("target")?;
     // Without --model, explain the freshly initialized (untrained) model —
     // the same fallback `veribug serve` uses, so CLI and `/v1/explain`
     // output can be compared directly.
@@ -407,9 +326,9 @@ fn cmd_explain(opts: &HashMap<String, String>) -> CmdResult {
         None => VeriBugModel::new(ModelConfig::default()),
     };
     let report = localize::run(&model, &golden, &buggy, target, &localize_opts)?;
-    let rendered = if opts.contains_key("attention") {
+    let rendered = if opts.has("attention") {
         let att = AttributionReport::from_localize(&model, &buggy, &report);
-        if opts.contains_key("json") {
+        if opts.has("json") {
             att.to_json()
         } else {
             att.to_text()
@@ -428,18 +347,18 @@ fn cmd_explain(opts: &HashMap<String, String>) -> CmdResult {
     Ok(())
 }
 
-fn cmd_localize(opts: &HashMap<String, String>) -> CmdResult {
+fn cmd_localize(opts: &Opts) -> CmdResult {
     let localize_opts = localize_options(opts)?;
     let (golden, buggy) = {
         let _span = obs::span("parse");
         (
-            load_module(required(opts, "golden")?)?,
-            load_module(required(opts, "buggy")?)?,
+            load_module(opts.required("golden")?)?,
+            load_module(opts.required("buggy")?)?,
         )
     };
-    let target = required(opts, "target")?;
-    let model = persist::load(required(opts, "model")?)?;
-    let ansi = opts.contains_key("ansi");
+    let target = opts.required("target")?;
+    let model = persist::load(opts.required("model")?)?;
+    let ansi = opts.has("ansi");
 
     let report = localize::run(&model, &golden, &buggy, target, &localize_opts)?;
     obs::progress!(
@@ -469,16 +388,16 @@ fn cmd_localize(opts: &HashMap<String, String>) -> CmdResult {
     Ok(())
 }
 
-fn cmd_inject(opts: &HashMap<String, String>) -> CmdResult {
-    let design = load_module(required(opts, "design")?)?;
-    let target = required(opts, "target")?;
+fn cmd_inject(opts: &Opts) -> CmdResult {
+    let design = load_module(opts.required("design")?)?;
+    let target = opts.required("target")?;
     let budget = BugBudget {
-        negation: numeric(opts, "negation", 2)?,
-        operation: numeric(opts, "operation", 2)?,
-        misuse: numeric(opts, "misuse", 2)?,
+        negation: opts.numeric("negation", 2)?,
+        operation: opts.numeric("operation", 2)?,
+        misuse: opts.numeric("misuse", 2)?,
     };
-    let seed: u64 = numeric(opts, "seed", 7)?;
-    let out_dir = opts.get("out-dir").cloned();
+    let seed: u64 = opts.numeric("seed", 7)?;
+    let out_dir = opts.get("out-dir").map(str::to_owned);
 
     let mutants = Campaign::new(seed).run(&design, target, &budget)?;
     println!(
@@ -505,9 +424,9 @@ fn cmd_inject(opts: &HashMap<String, String>) -> CmdResult {
     Ok(())
 }
 
-fn cmd_analyze(opts: &HashMap<String, String>) -> CmdResult {
-    let design = load_module(required(opts, "design")?)?;
-    let summary = api::analyze(&design, required(opts, "target")?, 8);
+fn cmd_analyze(opts: &Opts) -> CmdResult {
+    let design = load_module(opts.required("design")?)?;
+    let summary = api::analyze(&design, opts.required("target")?, 8);
     println!("module {}", summary.module);
     println!("target {}", summary.target);
     println!("Dep_t ({}): {}", summary.dep.len(), summary.dep.join(", "));
@@ -520,11 +439,11 @@ fn cmd_analyze(opts: &HashMap<String, String>) -> CmdResult {
     Ok(())
 }
 
-fn cmd_vcd(opts: &HashMap<String, String>) -> CmdResult {
-    let design = load_module(required(opts, "design")?)?;
-    let out = required(opts, "out")?;
-    let cycles: usize = numeric(opts, "cycles", 64)?;
-    let seed: u64 = numeric(opts, "seed", 1)?;
+fn cmd_vcd(opts: &Opts) -> CmdResult {
+    let design = load_module(opts.required("design")?)?;
+    let out = opts.required("out")?;
+    let cycles: usize = opts.numeric("cycles", 64)?;
+    let seed: u64 = opts.numeric("seed", 1)?;
     let mut sim = Simulator::new(&design)?;
     let stim = TestbenchGen::new(seed).generate(sim.netlist(), cycles);
     let trace = sim.run(&stim)?;
@@ -533,26 +452,24 @@ fn cmd_vcd(opts: &HashMap<String, String>) -> CmdResult {
     Ok(())
 }
 
-fn cmd_serve(opts: &HashMap<String, String>) -> CmdResult {
+fn cmd_serve(opts: &Opts) -> CmdResult {
     let defaults = ServerConfig::default();
     let config = ServerConfig {
         addr: opts
             .get("addr")
-            .cloned()
+            .map(str::to_owned)
             .unwrap_or_else(|| "127.0.0.1:8080".to_owned()),
-        workers: numeric(opts, "workers", defaults.workers)?,
-        queue_capacity: numeric(opts, "queue", defaults.queue_capacity)?,
-        cache_capacity: numeric(opts, "cache", defaults.cache_capacity)?,
-        deadline: std::time::Duration::from_millis(numeric(
-            opts,
-            "deadline-ms",
-            defaults.deadline.as_millis() as u64,
-        )?),
-        max_body_bytes: numeric(opts, "max-body", defaults.max_body_bytes)?,
-        model_path: opts.get("model").cloned(),
+        workers: opts.numeric("workers", defaults.workers)?,
+        queue_capacity: opts.numeric("queue", defaults.queue_capacity)?,
+        cache_capacity: opts.numeric("cache", defaults.cache_capacity)?,
+        deadline: std::time::Duration::from_millis(
+            opts.numeric("deadline-ms", defaults.deadline.as_millis() as u64)?,
+        ),
+        max_body_bytes: opts.numeric("max-body", defaults.max_body_bytes)?,
+        model_path: opts.get("model").map(str::to_owned),
         telemetry: true,
-        access_log: opts.contains_key("access-log"),
-        debug_endpoints: opts.contains_key("debug-endpoints"),
+        access_log: opts.has("access-log"),
+        debug_endpoints: opts.has("debug-endpoints"),
         store_path: store_root(opts),
         backends: Vec::new(),
     };
@@ -569,16 +486,16 @@ fn cmd_serve(opts: &HashMap<String, String>) -> CmdResult {
     Ok(())
 }
 
-fn open_store(opts: &HashMap<String, String>) -> Result<store::Store, Box<dyn std::error::Error>> {
+fn open_store(opts: &Opts) -> Result<store::Store, Box<dyn std::error::Error>> {
     let root = store_root(opts).ok_or(
         "no store configured: pass --store PATH or set the VERIBUG_STORE environment variable",
     )?;
     Ok(store::Store::open(root, store::env_budget()?)?)
 }
 
-fn cmd_store(opts: &HashMap<String, String>) -> CmdResult {
+fn cmd_store(opts: &Opts) -> CmdResult {
     let s = open_store(opts)?;
-    match opts.get("action").map(String::as_str) {
+    match opts.get("action") {
         Some("ls") => {
             let rows = s.list()?;
             println!("{:<16} {:>10} {:>8}", "key", "bytes", "age_s");
@@ -609,7 +526,7 @@ fn cmd_store(opts: &HashMap<String, String>) -> CmdResult {
             );
         }
         Some("rm") => {
-            let raw = required(opts, "key")?;
+            let raw = opts.required("key")?;
             let key = store::hash::parse_key(raw)
                 .ok_or_else(|| format!("bad key `{raw}`: expected 16 lowercase hex digits"))?;
             if !s.remove(key)? {
@@ -622,7 +539,7 @@ fn cmd_store(opts: &HashMap<String, String>) -> CmdResult {
     Ok(())
 }
 
-fn cmd_shard_front(opts: &HashMap<String, String>) -> CmdResult {
+fn cmd_shard_front(opts: &Opts) -> CmdResult {
     let mut backends: Vec<String> = opts
         .get("backends")
         .map(|v| {
@@ -633,7 +550,7 @@ fn cmd_shard_front(opts: &HashMap<String, String>) -> CmdResult {
                 .collect()
         })
         .unwrap_or_default();
-    let spawn: usize = numeric(opts, "spawn", 0)?;
+    let spawn: usize = opts.numeric("spawn", 0)?;
     let mut children = Vec::new();
     for i in 0..spawn {
         let (child, addr) = spawn_backend(i, opts)?;
@@ -649,9 +566,9 @@ fn cmd_shard_front(opts: &HashMap<String, String>) -> CmdResult {
     let config = ServerConfig {
         addr: opts
             .get("addr")
-            .cloned()
+            .map(str::to_owned)
             .unwrap_or_else(|| "127.0.0.1:8081".to_owned()),
-        model_path: opts.get("model").cloned(),
+        model_path: opts.get("model").map(str::to_owned),
         store_path: store_root(opts),
         backends,
         ..ServerConfig::default()
@@ -678,7 +595,7 @@ fn cmd_shard_front(opts: &HashMap<String, String>) -> CmdResult {
 /// with its bound address (scraped from the "listening on" line).
 fn spawn_backend(
     index: usize,
-    opts: &HashMap<String, String>,
+    opts: &Opts,
 ) -> Result<(std::process::Child, String), Box<dyn std::error::Error>> {
     use std::io::BufRead as _;
     let mut cmd = std::process::Command::new(std::env::current_exe()?);

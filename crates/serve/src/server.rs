@@ -373,7 +373,11 @@ fn reject(state: &Arc<ServerState>, stream: TcpStream) {
             let _ = stream.set_write_timeout(Some(Duration::from_secs(2)));
             let (rid, method, label) =
                 match http::read_request(&mut stream, shared.config.max_body_bytes) {
-                    Ok(req) => (request_id(&req), req.method.clone(), route_label(&req)),
+                    Ok(req) => (
+                        request_id(&req),
+                        req.method.clone(),
+                        label(find_route(&req)),
+                    ),
                     Err(_) => (live::mint_id(), "-".to_owned(), "other"),
                 };
             Reply::new(&mut stream, &rid).error(
@@ -432,20 +436,16 @@ fn handle_connection(state: &ServerState, mut stream: TcpStream) {
         Err(ReadError::Io(_)) => return,
     };
     let rid = request_id(&req);
-    let label = route_label(&req);
-    // Introspection routes say nothing about the pipeline: no span tree,
-    // so a slow `/tracez` cannot take the slow-set place of what it lists.
-    let traced = !matches!(
-        label,
-        "/healthz" | "/metricsz" | "/statusz" | "/tracez" | "/tracez/export"
-    );
+    let found = find_route(&req);
+    let label = label(found);
+    let traced = found.is_none_or(|&(_, _, kind, _)| kind != RouteKind::Introspection);
     let scope = (state.config.telemetry && traced).then(|| live::begin(&rid, &req.method, label));
     let status = {
         // The root span must drop before `scope.finish` so it lands in the
         // trace's span tree.
         let _span = traced.then(|| obs::span("serve.request"));
         let mut reply = Reply::new(&mut stream, &rid);
-        match catch_unwind(AssertUnwindSafe(|| route(state, &req, &mut reply))) {
+        match catch_unwind(AssertUnwindSafe(|| route(state, &req, found, &mut reply))) {
             Ok(status) => status,
             Err(_) => {
                 PANICS.incr();
@@ -500,24 +500,53 @@ fn request_id(req: &Request) -> String {
         .unwrap_or_else(live::mint_id)
 }
 
-/// Maps a request path onto a bounded label for the rolling window: known
-/// routes verbatim, anything else `"other"`, so hostile or misspelled
-/// paths cannot blow up per-endpoint cardinality.
-fn route_label(req: &Request) -> &'static str {
+/// What the server does around a route's handler.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum RouteKind {
+    /// Traced; a shard front offers it to its backends first.
+    Design,
+    /// Traced and always answered here.
+    Control,
+    /// No span tree (it says nothing about the pipeline, and a slow
+    /// `/tracez` must not take the slow-set place of what it lists); it
+    /// enters the ring as a span-less digest.
+    Introspection,
+    /// Traced; 404 unless `debug_endpoints` is on, and to other methods.
+    Debug,
+}
+
+/// A known route: the one method it answers, its path, kind and handler.
+type Route = (&'static str, &'static str, RouteKind, Handler);
+type Handler = fn(&ServerState, &Request, &mut Reply) -> u16;
+
+/// Every route the server knows. It decides the dispatch, the `/statusz`
+/// label (see [`label`]), which requests are traced, and which paths answer
+/// a GET or POST with the wrong method 405 rather than 404.
+#[rustfmt::skip]
+const ROUTES: &[Route] = &[
+    ("POST", "/v1/localize",   RouteKind::Design,        handle_localize),
+    ("POST", "/v1/explain",    RouteKind::Design,        handle_explain),
+    ("POST", "/v1/analyze",    RouteKind::Design,        handle_analyze),
+    ("POST", "/v1/shutdown",   RouteKind::Control,       handle_shutdown),
+    ("GET",  "/healthz",       RouteKind::Introspection, handle_healthz),
+    ("GET",  "/metricsz",      RouteKind::Introspection, handle_metricsz),
+    ("GET",  "/statusz",       RouteKind::Introspection, handle_statusz),
+    ("GET",  "/tracez",        RouteKind::Introspection, handle_tracez),
+    ("GET",  "/tracez/export", RouteKind::Introspection, handle_tracez_export),
+    ("GET",  "/debugz/panic",  RouteKind::Debug,         |_, _, _| panic!("debug panic endpoint")),
+];
+
+/// The known route at a request's path (any method, query ignored).
+fn find_route(req: &Request) -> Option<&'static Route> {
     let path = req.path.split('?').next().unwrap_or(&req.path);
-    match path {
-        "/v1/localize" => "/v1/localize",
-        "/v1/explain" => "/v1/explain",
-        "/v1/analyze" => "/v1/analyze",
-        "/v1/shutdown" => "/v1/shutdown",
-        "/healthz" => "/healthz",
-        "/metricsz" => "/metricsz",
-        "/statusz" => "/statusz",
-        "/tracez" => "/tracez",
-        "/tracez/export" => "/tracez/export",
-        "/debugz/panic" => "/debugz/panic",
-        _ => "other",
-    }
+    ROUTES.iter().find(|&&(_, known, _, _)| known == path)
+}
+
+/// A request's bounded label for the rolling window: a known route's path
+/// verbatim, anything else `"other"`, so hostile or misspelled paths cannot
+/// blow up per-endpoint cardinality.
+fn label(route: Option<&Route>) -> &'static str {
+    route.map_or("other", |&(_, path, _, _)| path)
 }
 
 /// One structured access-log line per request, on stderr.
@@ -548,65 +577,40 @@ fn access_log_line(
     eprintln!("{line}");
 }
 
-/// Dispatches one request, writes one response, returns the status. A
-/// shard front first offers the design routes to its backends and handles
-/// them here only when none answers and its local share has room.
-fn route(state: &ServerState, req: &Request, reply: &mut Reply) -> u16 {
+/// Dispatches one request to its route `found`, writes one response,
+/// returns the status. A shard front first offers the design routes to its
+/// backends and handles them here only when none answers and its local
+/// share has room.
+fn route(state: &ServerState, req: &Request, found: Option<&Route>, reply: &mut Reply) -> u16 {
     let path = req.path.split('?').next().unwrap_or(&req.path);
-    if let Some(ring) = &state.ring {
-        if req.method == "POST" && matches!(path, "/v1/localize" | "/v1/explain" | "/v1/analyze") {
-            let routed = {
-                let _span = obs::span("shard.forward");
-                ring.relay(req, reply.rid, reply.stream, state.config.deadline)
-            };
-            match routed {
-                Routed::Relayed(status) => return status,
-                Routed::Local(slot) => reply.local = Some(slot),
-                Routed::Busy => {
-                    REJECTED_FULL.incr();
-                    let err = ApiError::new(429, "queue_full", "request queue is full");
-                    return reply.error(&[], err);
-                }
+    let found =
+        found.filter(|&&(_, _, kind, _)| kind != RouteKind::Debug || state.config.debug_endpoints);
+    let Some(&(_, _, kind, handler)) = found.filter(|&&(method, ..)| method == req.method) else {
+        let known = found.is_some_and(|&(_, _, kind, _)| kind != RouteKind::Debug);
+        let err = if known && matches!(req.method.as_str(), "GET" | "POST") {
+            let detail = format!("{} is not supported on {path}", req.method);
+            ApiError::new(405, "method_not_allowed", detail)
+        } else {
+            ApiError::new(404, "not_found", format!("no route for {path}"))
+        };
+        return reply.error(&[], err);
+    };
+    if let (Some(ring), RouteKind::Design) = (&state.ring, kind) {
+        let routed = {
+            let _span = obs::span("shard.forward");
+            ring.relay(req, reply.rid, reply.stream, state.config.deadline)
+        };
+        match routed {
+            Routed::Relayed(status) => return status,
+            Routed::Local(slot) => reply.local = Some(slot),
+            Routed::Busy => {
+                REJECTED_FULL.incr();
+                let err = ApiError::new(429, "queue_full", "request queue is full");
+                return reply.error(&[], err);
             }
         }
     }
-    match (req.method.as_str(), path) {
-        ("POST", "/v1/localize") => handle_localize(state, &req.body, reply, render_suspects),
-        ("POST", "/v1/explain") => handle_localize(state, &req.body, reply, render_attributions),
-        ("POST", "/v1/analyze") => handle_analyze(&req.body, reply),
-        ("POST", "/v1/shutdown") => {
-            state.begin_shutdown();
-            reply.send(200, &[], "{\"status\":\"draining\"}\n")
-        }
-        ("GET", "/healthz") => handle_healthz(state, reply),
-        ("GET", "/metricsz") => {
-            obs::flush_thread();
-            let body = obs::export::metricsz(&obs::snapshot());
-            reply.send(200, &[], &body)
-        }
-        ("GET", "/statusz") => handle_statusz(state, reply),
-        ("GET", "/tracez") => handle_tracez(req, reply),
-        ("GET", "/tracez/export") => handle_tracez_export(req, reply),
-        ("GET", "/debugz/panic") if state.config.debug_endpoints => {
-            panic!("debug panic endpoint")
-        }
-        (
-            "GET" | "POST",
-            "/v1/localize" | "/v1/explain" | "/v1/analyze" | "/v1/shutdown" | "/healthz"
-            | "/metricsz" | "/statusz" | "/tracez" | "/tracez/export",
-        ) => {
-            let err = ApiError::new(
-                405,
-                "method_not_allowed",
-                format!("{} is not supported on {path}", req.method),
-            );
-            reply.error(&[], err)
-        }
-        _ => reply.error(
-            &[],
-            ApiError::new(404, "not_found", format!("no route for {path}")),
-        ),
-    }
+    handler(state, req, reply)
 }
 
 /// The one response a connection gets: every response carries the request
@@ -688,7 +692,7 @@ fn build_error(which: &'static str, e: BuildError) -> ApiError {
 /// `x-veribug-golden-ref` and `x-veribug-explainer` headers, like
 /// design-cache status in `x-veribug-cache`, so bodies stay
 /// byte-identical hit or miss.
-fn handle_localize(
+fn localize(
     state: &ServerState,
     body: &[u8],
     reply: &mut Reply,
@@ -792,18 +796,20 @@ fn handle_localize(
     }
 }
 
-/// The `/v1/localize` 200 body.
-fn render_suspects(_: &VeriBugModel, _: &Module, report: &LocalizeReport) -> String {
-    api::render_report(report)
+fn handle_localize(state: &ServerState, req: &Request, reply: &mut Reply) -> u16 {
+    localize(state, &req.body, reply, |_, _, report| {
+        api::render_report(report)
+    })
 }
 
-/// The `/v1/explain` 200 body.
-fn render_attributions(model: &VeriBugModel, buggy: &Module, report: &LocalizeReport) -> String {
-    veribug::AttributionReport::from_localize(model, buggy, report).to_json()
+fn handle_explain(state: &ServerState, req: &Request, reply: &mut Reply) -> u16 {
+    localize(state, &req.body, reply, |model, buggy, report| {
+        veribug::AttributionReport::from_localize(model, buggy, report).to_json()
+    })
 }
 
-fn handle_analyze(body: &[u8], reply: &mut Reply) -> u16 {
-    let parsed = match api::parse_analyze(body) {
+fn handle_analyze(_: &ServerState, req: &Request, reply: &mut Reply) -> u16 {
+    let parsed = match api::parse_analyze(&req.body) {
         Ok(p) => p,
         Err(e) => return reply.error(&[], e),
     };
@@ -820,7 +826,12 @@ fn handle_analyze(body: &[u8], reply: &mut Reply) -> u16 {
     reply.send(200, &[], &body)
 }
 
-fn handle_healthz(state: &ServerState, reply: &mut Reply) -> u16 {
+fn handle_shutdown(state: &ServerState, _: &Request, reply: &mut Reply) -> u16 {
+    state.begin_shutdown();
+    reply.send(200, &[], "{\"status\":\"draining\"}\n")
+}
+
+fn handle_healthz(state: &ServerState, _: &Request, reply: &mut Reply) -> u16 {
     let uptime = state.started.elapsed();
     let body = format!(
         "{{\"status\":\"ok\",\"version\":\"{}\",\"engines\":[\"batch\"],\"weights_hash\":\"{}\",\"model_format\":\"{}\",\"uptime_ms\":{},\"uptime_s\":{},\"workers\":{},\"queue_capacity\":{},\"cache_entries\":{},\"cache_capacity\":{}{}}}\n",
@@ -848,7 +859,13 @@ fn shard_fields(state: &ServerState) -> String {
         .unwrap_or_default()
 }
 
-fn handle_statusz(state: &ServerState, reply: &mut Reply) -> u16 {
+fn handle_metricsz(_: &ServerState, _: &Request, reply: &mut Reply) -> u16 {
+    obs::flush_thread();
+    let body = obs::export::metricsz(&obs::snapshot());
+    reply.send(200, &[], &body)
+}
+
+fn handle_statusz(state: &ServerState, _: &Request, reply: &mut Reply) -> u16 {
     let (queued, running) = state.pool.depth();
     // Flush this worker's metric shards so the model counters below see
     // evaluations recorded by this very request's predecessors.
@@ -888,7 +905,7 @@ fn handle_statusz(state: &ServerState, reply: &mut Reply) -> u16 {
     reply.send(200, &[], &body)
 }
 
-fn handle_tracez(req: &Request, reply: &mut Reply) -> u16 {
+fn handle_tracez(_: &ServerState, req: &Request, reply: &mut Reply) -> u16 {
     let limit = req
         .query_param("n")
         .and_then(|v| v.parse::<usize>().ok())
@@ -902,7 +919,7 @@ fn handle_tracez(req: &Request, reply: &mut Reply) -> u16 {
     }
 }
 
-fn handle_tracez_export(req: &Request, reply: &mut Reply) -> u16 {
+fn handle_tracez_export(_: &ServerState, req: &Request, reply: &mut Reply) -> u16 {
     let Some(id) = req.query_param("id") else {
         let err = ApiError::new(
             400,

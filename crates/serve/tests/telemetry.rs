@@ -190,6 +190,62 @@ fn errored_requests_always_keep_their_span_tree() {
     stop(&handle, join);
 }
 
+/// Each known path answers its own method, 405 to the other of GET and
+/// POST, and 404 to any other method; `/debugz/panic` answers 404 to
+/// everything unless debug endpoints are on, and 404 to POST even then.
+/// `/tracez` books each request under its path's label (query stripped),
+/// an unknown path under `other`, and an introspection path with no span
+/// tree.
+#[test]
+fn every_route_keeps_its_status_label_and_tracing() {
+    let _g = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    for debug_endpoints in [false, true] {
+        let config = ServerConfig {
+            debug_endpoints,
+            ..ServerConfig::default()
+        };
+        let (handle, join) = start(config);
+        let addr = handle.addr();
+        let cases = [
+            ("GET", "/healthz", 200, "/healthz"),
+            ("GET", "/statusz?x=1", 200, "/statusz"),
+            ("POST", "/healthz", 405, "/healthz"),
+            ("PUT", "/healthz", 404, "/healthz"),
+            ("GET", "/v1/localize", 405, "/v1/localize"),
+            ("DELETE", "/v1/localize", 404, "/v1/localize"),
+            ("GET", "/v1/shutdown", 405, "/v1/shutdown"),
+            ("POST", "/tracez", 405, "/tracez"),
+            ("POST", "/debugz/panic", 404, "/debugz/panic"),
+            ("GET", "/nope", 404, "other"),
+            ("GET", "/v1/localize/x", 404, "other"),
+        ];
+        let off_only = [("GET", "/debugz/panic", 404, "/debugz/panic")];
+        let cases = cases
+            .iter()
+            .chain(if debug_endpoints { &[][..] } else { &off_only });
+        let mut sent = Vec::new();
+        for (i, &(method, path, status, label)) in cases.enumerate() {
+            let id = format!("route-{debug_endpoints}-{i}");
+            let resp = request_with(addr, method, path, &[("x-veribug-request-id", &id)], "");
+            assert_eq!(resp.status, status, "{method} {path}: {}", resp.text());
+            sent.push((id, method, path, label));
+        }
+        let doc = request_with(addr, "GET", "/tracez?n=512", &[], "").json();
+        for (id, method, path, label) in sent {
+            let traces = traces_where(&doc, |t| t == id);
+            let [t] = traces.as_slice() else {
+                panic!("{method} {path} is in /tracez once: {traces:?}");
+            };
+            assert_eq!(t.get("path").and_then(Json::as_str), Some(label));
+            if matches!(label, "/healthz" | "/statusz" | "/tracez") {
+                let spans = t.get("spans").and_then(Json::as_arr).expect("spans");
+                assert!(spans.is_empty(), "{method} {path} is untraced: {t:?}");
+            }
+        }
+        stop(&handle, join);
+    }
+}
+
 #[test]
 fn introspection_requests_never_enter_the_slow_set() {
     let _g = LOCK.lock().unwrap_or_else(|e| e.into_inner());

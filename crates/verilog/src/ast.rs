@@ -152,14 +152,17 @@ impl Module {
 
     /// Looks up an assignment by its stable id.
     pub fn assignment(&self, id: StmtId) -> Option<&Assignment> {
-        self.assignments().into_iter().find(|a| a.id == id)
+        self.items.iter().find_map(|item| match item {
+            Item::Assign(a) => (a.id == id).then_some(a),
+            Item::Always(b) => assignment_in(&b.body, id),
+        })
     }
 
     /// Looks up an assignment by its stable id, mutably.
     pub fn assignment_mut(&mut self, id: StmtId) -> Option<&mut Assignment> {
         self.items.iter_mut().find_map(|item| match item {
             Item::Assign(a) => (a.id == id).then_some(a),
-            Item::Always(b) => assignment_in(&mut b.body, id),
+            Item::Always(b) => assignment_in_mut(&mut b.body, id),
         })
     }
 
@@ -173,20 +176,26 @@ impl Module {
     }
 }
 
-/// The assignment with id `id` in a statement tree, mutably.
-fn assignment_in(stmts: &mut [Stmt], id: StmtId) -> Option<&mut Assignment> {
-    stmts.iter_mut().find_map(|s| match s {
-        Stmt::Assign(a) => (a.id == id).then_some(a),
-        Stmt::If(i) => {
-            assignment_in(&mut i.then_branch, id).or_else(|| assignment_in(&mut i.else_branch, id))
+/// Defines `$name(stmts, id)`: the assignment with id `id` in a statement
+/// tree, found without allocating. One body serves the shared borrow
+/// ([`Module::assignment`]) and, given `mut`, the mutable one
+/// ([`Module::assignment_mut`]), so both visit statements alike.
+macro_rules! assignment_in {
+    ($name:ident $(, $m:tt)?) => {
+        fn $name(stmts: &$($m)? [Stmt], id: StmtId) -> Option<&$($m)? Assignment> {
+            IntoIterator::into_iter(stmts).find_map(|s| match s {
+                Stmt::Assign(a) => (a.id == id).then_some(a),
+                Stmt::If(i) => $name(&$($m)? i.then_branch, id)
+                    .or_else(|| $name(&$($m)? i.else_branch, id)),
+                Stmt::Case(c) => IntoIterator::into_iter(&$($m)? c.arms)
+                    .find_map(|arm| $name(&$($m)? arm.body, id))
+                    .or_else(|| $name(&$($m)? c.default, id)),
+            })
         }
-        Stmt::Case(c) => c
-            .arms
-            .iter_mut()
-            .find_map(|arm| assignment_in(&mut arm.body, id))
-            .or_else(|| assignment_in(&mut c.default, id)),
-    })
+    };
 }
+assignment_in!(assignment_in);
+assignment_in!(assignment_in_mut, mut);
 
 fn collect_assignments<'m>(stmts: &'m [Stmt], out: &mut Vec<&'m Assignment>) {
     for s in stmts {

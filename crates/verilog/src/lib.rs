@@ -47,5 +47,5 @@ pub use ast::{
 pub use error::ParseError;
 pub use lexer::lex;
 pub use parser::parse;
-pub use pretty::{print_expr, print_module};
+pub use pretty::{print_expr, print_label, print_module};
 pub use token::{Keyword, Span, Token, TokenKind};

@@ -171,6 +171,12 @@ fn print_lvalue(lv: &LValue) -> String {
     }
 }
 
+/// Renders an assignment as the one-line label suspects, attributions and
+/// analyze summaries show: `base = rhs`, the target without its select.
+pub fn print_label(a: &Assignment) -> String {
+    format!("{} = {}", a.lhs.base, print_expr(&a.rhs))
+}
+
 /// Renders an expression, fully parenthesized.
 pub fn print_expr(e: &Expr) -> String {
     match e {
